@@ -13,11 +13,9 @@ from pathlib import Path
 from . import __version__
 from .cluster import (
     ClusterModelError,
-    kmeans,
     load_cluster_model,
     save_cluster_model,
     silhouette,
-    truncated_svd,
     write_inspection_file,
 )
 from .corpus import (
@@ -27,8 +25,10 @@ from .corpus import (
     ingest_corpus,
     load_split,
     make_split,
+    read_comments,
     save_split,
     verify_split,
+    write_corpus,
 )
 from .disclosure import (
     PatternError,
@@ -41,7 +41,7 @@ from .disclosure import (
     write_audit_file,
     write_ngram_tsv,
 )
-from .embed import EmbedderConfig, EmbeddingMatrix, EmbxError, embed_text, embed_texts, export_embeddings
+from .embed import EmbedderConfig, EmbxError, embed_text, export_embeddings
 from .model import (
     ModelFileError,
     TrainConfig,
@@ -55,13 +55,16 @@ from .model import (
 from .pipeline import (
     ConfigError,
     InvariantViolation,
+    cluster_comments,
     effective_config_text,
+    embed_corpus,
     merge_reports,
     parse_config,
     run_pipeline,
 )
 from .sampler import (
     CategoryFilter,
+    SamplerConfig,
     category_coverage,
     dump_contexts,
     load_contexts,
@@ -100,22 +103,9 @@ def _load_corpus(args) -> Corpus:
     return corpus
 
 
-def _comments_only_corpus(comments_path) -> Corpus:
+def _load_comments(comments_path) -> Corpus:
     _require_files(comments_path)
-    from .corpus import Comment, _iter_jsonl, _require_str
-
-    comments = {}
-    for lineno, rec in _iter_jsonl(Path(comments_path)):
-        where = f"{Path(comments_path).name} line {lineno}"
-        cid = _require_str(rec, "id", where)
-        if cid in comments:
-            raise CorpusError(f"{where}: duplicate comment id {cid!r}")
-        comments[cid] = Comment(
-            id=cid,
-            author_id=_require_str(rec, "author_id", where),
-            text=_require_str(rec, "text", where),
-        )
-    return Corpus(posts={}, comments=comments, verdicts=[])
+    return Corpus(posts={}, comments=read_comments(comments_path), verdicts=[])
 
 
 def _patterns(args) -> PatternSet:
@@ -128,12 +118,6 @@ def _patterns(args) -> PatternSet:
 def _embed_cfg(args) -> EmbedderConfig:
     return EmbedderConfig(
         dim=args.dim, ngram_range=(args.ngram_lo, args.ngram_hi), seed=args.embed_seed)
-
-
-def _embed_corpus(corpus: Corpus, cfg: EmbedderConfig) -> EmbeddingMatrix:
-    items = [(pid, corpus.posts[pid].query_text()) for pid in sorted(corpus.posts)]
-    items += [(cid, corpus.comments[cid].text) for cid in sorted(corpus.comments)]
-    return embed_texts(items, cfg)
 
 
 def _add_corpus_flags(p) -> None:
@@ -149,50 +133,8 @@ def _add_embed_flags(p) -> None:
     p.add_argument("--embed-seed", type=int, default=0)
 
 
-def _category_filter_from(token: str | None) -> CategoryFilter | None:
-    if not token or token == "none":
-        return None
-    from .disclosure import HighLevelCategory
-
-    family, _, value = token.partition(":")
-    if family == "theory":
-        try:
-            return CategoryFilter(theory=HighLevelCategory(value))
-        except ValueError:
-            raise UsageError(f"unknown theory category {value!r}")
-    if family == "cluster":
-        try:
-            return CategoryFilter(cluster=int(value))
-        except ValueError:
-            raise UsageError(f"bad cluster id {value!r}")
-    raise UsageError(f"bad category token {token!r}")
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
-
-def _write_corpus_files(corpus: Corpus, outdir: Path) -> None:
-    with open(outdir / "posts.jsonl", "w", encoding="utf-8") as fh:
-        for pid in sorted(corpus.posts):
-            post = corpus.posts[pid]
-            fh.write(json.dumps({
-                "id": post.id, "author_id": post.author_id,
-                "title": post.title, "body": post.body,
-            }, ensure_ascii=False) + "\n")
-    with open(outdir / "comments.jsonl", "w", encoding="utf-8") as fh:
-        for cid in sorted(corpus.comments):
-            comment = corpus.comments[cid]
-            fh.write(json.dumps({
-                "id": comment.id, "author_id": comment.author_id,
-                "text": comment.text,
-            }, ensure_ascii=False) + "\n")
-    with open(outdir / "verdicts.jsonl", "w", encoding="utf-8") as fh:
-        for v in corpus.verdicts:
-            fh.write(json.dumps({
-                "post_id": v.post_id, "annotator_id": v.annotator_id,
-                "label": v.label, "justification": v.justification,
-            }, ensure_ascii=False) + "\n")
-
 
 def _cmd_ingest(args) -> int:
     _require_files(args.posts, args.comments, args.verdicts)
@@ -200,7 +142,7 @@ def _cmd_ingest(args) -> int:
     filtered, filter_report = filter_annotators(corpus, args.min_comments, args.max_comments)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_corpus_files(filtered, outdir)
+    write_corpus(filtered, outdir)
     (outdir / "ingest_report.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     (outdir / "filter_report.json").write_text(
@@ -212,12 +154,13 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    corpus = _comments_only_corpus(args.comments)
+    corpus = _load_comments(args.comments)
     pats = _patterns(args)
-    profiles = build_profiles(corpus, pats)
+    n_spans = 0
     with open(args.spans_out, "w", encoding="utf-8") as fh:
         for cid in sorted(corpus.comments):
             for span in extract_disclosures(corpus.comments[cid], pats):
+                n_spans += 1
                 fh.write(json.dumps({
                     "comment_id": span.comment_id,
                     "sentence_index": span.sentence_index,
@@ -228,6 +171,7 @@ def _cmd_extract(args) -> int:
                     "matched_text": span.matched_text,
                 }, ensure_ascii=False) + "\n")
     if args.profiles_out:
+        profiles = build_profiles(corpus, pats)
         with open(args.profiles_out, "w", encoding="utf-8") as fh:
             for cid in sorted(profiles):
                 prof = profiles[cid]
@@ -236,30 +180,20 @@ def _cmd_extract(args) -> int:
                     "theory_categories": sorted(c.value for c in prof.theory_categories),
                     "passes_phrase_filter": prof.passes_phrase_filter,
                 }) + "\n")
-    n_spans = sum(
-        len(extract_disclosures(corpus.comments[cid], pats)) for cid in corpus.comments)
     print(f"comments={len(corpus.comments)} spans={n_spans}")
     return 0
 
 
 def _cmd_cluster(args) -> int:
-    corpus = _comments_only_corpus(args.comments)
-    pats = _patterns(args)
-    profiles = build_profiles(corpus, pats)
-    eligible = [cid for cid in sorted(corpus.comments)
-                if profiles[cid].passes_phrase_filter]
-    if len(eligible) < args.k:
-        raise CorpusError(f"only {len(eligible)} phrase-filtered comments for k={args.k}")
-    cfg = _embed_cfg(args)
-    matrix = embed_texts(
-        [(cid, corpus.comments[cid].text) for cid in eligible], cfg)
-    target = min(args.reduce_dim, len(eligible), matrix.dim)
-    reduced = truncated_svd(matrix, target, seed=args.seed)
-    model = kmeans(reduced, args.k, seed=args.seed)
+    corpus = _load_comments(args.comments)
+    profiles = build_profiles(corpus, _patterns(args))
+    model, reduced = cluster_comments(
+        embed_corpus(corpus, _embed_cfg(args)), profiles, args.k, args.reduce_dim,
+        svd_seed=args.seed, kmeans_seed=args.seed)
     save_cluster_model(model, args.model_out)
     sil = silhouette(reduced, model) if args.k >= 2 else None
     if args.inspect_out:
-        texts = {cid: corpus.comments[cid].text for cid in eligible}
+        texts = {cid: corpus.comments[cid].text for cid in reduced.ids}
         write_inspection_file(model, reduced, texts, args.inspect_n, args.seed, args.inspect_out)
     msg = f"k={args.k} inertia={model.inertia:.4f}"
     if sil is not None:
@@ -292,13 +226,12 @@ def _cmd_sample(args) -> int:
         cluster_assignment = load_cluster_model(args.cluster_model).assignment
     profiles = build_profiles(corpus, pats, cluster_assignment)
     cfg = _embed_cfg(args)
-    matrix = _embed_corpus(corpus, cfg)
-    from .sampler import SamplerConfig
-
+    matrix = embed_corpus(corpus, cfg)
     sampler_cfg = SamplerConfig(
         strategy=args.strategy,
         max_samples=args.max_samples,
-        category_filter=_category_filter_from(args.category),
+        category_filter=(CategoryFilter.parse(args.category)
+                         if args.category not in (None, "none") else None),
         seed=args.seed,
         replication_mode=not args.no_replication_check,
     )
@@ -334,14 +267,14 @@ def _cmd_train(args) -> int:
     _require_files(args.contexts, args.split)
     split = load_split(args.split)
     cfg = _embed_cfg(args)
-    matrix = _embed_corpus(corpus, cfg)
+    matrix = embed_corpus(corpus, cfg)
     contexts = load_contexts(args.contexts, corpus)
     dataset = _features_for(args, corpus, matrix, cfg, contexts, split.indices("train"))
     tc = TrainConfig(
         epochs=args.epochs, learning_rate=args.learning_rate,
         focal_gamma=args.focal_gamma,
         focal_alpha=tuple(float(x) for x in args.focal_alpha.split(",")) if args.focal_alpha else None,
-        batch_size=args.batch_size, runs=1, seed=args.seed,
+        batch_size=args.batch_size, seed=args.seed,
     )
     params = train(dataset, tc)
     save_model(params, args.model_out)
@@ -357,7 +290,7 @@ def _cmd_evaluate(args) -> int:
     params = load_model(args.model)
     split = load_split(args.split)
     cfg = _embed_cfg(args)
-    matrix = _embed_corpus(corpus, cfg)
+    matrix = embed_corpus(corpus, cfg)
     contexts = load_contexts(args.contexts, corpus)
     dataset = _features_for(args, corpus, matrix, cfg, contexts, split.indices(args.partition))
     report = evaluate(params, dataset)
@@ -380,7 +313,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     if args.what == "coverage":
-        corpus = _comments_only_corpus(args.comments)
+        corpus = _load_comments(args.comments)
         pats = _patterns(args)
         cluster_assignment = None
         if args.cluster_model:
@@ -396,7 +329,7 @@ def _cmd_analyze(args) -> int:
                 fh.write(f"cluster\t{bucket}\t{pct:.2f}\n")
         print(f"items={table.n_items}")
     elif args.what == "diversity":
-        corpus = _comments_only_corpus(args.comments)
+        corpus = _load_comments(args.comments)
         contexts = load_contexts(args.contexts, corpus)
         report = similar_post_diversity(contexts, corpus)
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -410,12 +343,12 @@ def _cmd_analyze(args) -> int:
                          f"\t{r.q3:.4f}\t{r.upper_whisker:.4f}\t{len(report.rank_ratio_values)}\n")
         print(f"annotators={len(report.coverage_values)}")
     elif args.what == "ngrams":
-        corpus = _comments_only_corpus(args.comments)
+        corpus = _load_comments(args.comments)
         rows = ngram_stats(corpus, args.n, args.position)
         write_ngram_tsv(rows[:args.top] if args.top else rows, args.out)
         print(f"ngrams={len(rows)}")
     elif args.what == "audit":
-        corpus = _comments_only_corpus(args.comments)
+        corpus = _load_comments(args.comments)
         records = audit_sample(corpus, args.category, args.n, args.seed, _patterns(args))
         write_audit_file(records, args.out)
         print(f"sampled={len(records)}")
@@ -458,7 +391,7 @@ def _cmd_synth(args) -> int:
 def _cmd_embed(args) -> int:
     corpus = _load_corpus(args)
     cfg = _embed_cfg(args)
-    matrix = _embed_corpus(corpus, cfg)
+    matrix = embed_corpus(corpus, cfg)
     export_embeddings(matrix, args.out)
     print(f"rows={len(matrix)} dim={matrix.dim}")
     return 0

@@ -9,19 +9,19 @@ exact, not approximate.
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import random
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .embed import EmbeddingMatrix
+from .embed import EmbeddingMatrix, read_checksummed_text, write_checksummed_text
 
 _CONVERGENCE_TOL = 1e-4
 _MAX_ITERS = 300
+_SVD_OVERSAMPLE = 10
+_SVD_POWER_ITERS = 2
 
 
 class ClusterModelError(ValueError):
@@ -29,12 +29,11 @@ class ClusterModelError(ValueError):
 
 
 def truncated_svd(matrix: EmbeddingMatrix, target_dim: int, seed: int = 0,
-                  oversample: int = 10, power_iters: int = 2,
                   return_components: bool = False):
     """Project rows onto the top right-singular directions of centered data.
 
-    Randomized subspace iteration: a Gaussian sketch of target_dim +
-    oversample columns, two power iterations with QR re-orthonormalization,
+    Randomized subspace iteration: a Gaussian sketch of target_dim + 10
+    columns, two power iterations with QR re-orthonormalization,
     then an exact SVD of the small projected matrix. Deterministic for a
     given seed. If the data rank is below target_dim the surplus columns
     are zero and a warning is raised.
@@ -53,11 +52,11 @@ def truncated_svd(matrix: EmbeddingMatrix, target_dim: int, seed: int = 0,
     mean = A.mean(axis=0)
     A = A - mean
 
-    q = min(target_dim + oversample, min(n, d))
+    q = min(target_dim + _SVD_OVERSAMPLE, min(n, d))
     sketch = rng.standard_normal((d, q))
     Y = A @ sketch
     Q, _ = np.linalg.qr(Y)
-    for _ in range(power_iters):
+    for _ in range(_SVD_POWER_ITERS):
         Z, _ = np.linalg.qr(A.T @ Q)
         Q, _ = np.linalg.qr(A @ Z)
     B = Q.T @ A
@@ -297,27 +296,19 @@ def save_cluster_model(model: ClusterModel, path) -> None:
     lines.append(base64.b64encode(payload).decode("ascii"))
     for cid in sorted(model.assignment):
         lines.append(json.dumps({"comment_id": cid, "cluster": model.assignment[cid]}))
-    body = "\n".join(lines) + "\n"
-    digest = hashlib.blake2b(body.encode("utf-8"), digest_size=8).hexdigest()
-    Path(path).write_text(body + f"checksum {digest}\n", encoding="utf-8")
+    write_checksummed_text(path, "\n".join(lines) + "\n")
 
 
 def load_cluster_model(path) -> ClusterModel:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if len(lines) < 3 or not lines[-1].startswith("checksum "):
-        raise ClusterModelError(f"{path}: missing checksum line")
-    body = "\n".join(lines[:-1]) + "\n"
-    declared = lines[-1].split(" ", 1)[1].strip()
-    actual = hashlib.blake2b(body.encode("utf-8"), digest_size=8).hexdigest()
-    if declared != actual:
-        raise ClusterModelError(f"{path}: checksum mismatch")
+    lines = read_checksummed_text(path, ClusterModelError)
+    if len(lines) < 2:
+        raise ClusterModelError(f"{path}: malformed cluster model file")
     header = json.loads(lines[0])
     k, dim = int(header["k"]), int(header["dim"])
     payload = base64.b64decode(lines[1])
     centroids = np.frombuffer(payload, dtype="<f4").reshape(k, dim).astype(np.float64)
     assignment: dict[str, int] = {}
-    for line in lines[2:-1]:
+    for line in lines[2:]:
         rec = json.loads(line)
         assignment[str(rec["comment_id"])] = int(rec["cluster"])
     model = ClusterModel(

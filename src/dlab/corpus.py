@@ -56,9 +56,6 @@ class Comment:
             self._sentence_spans = segment_sentences(self.text)
         return self._sentence_spans
 
-    def sentence_texts(self) -> list[str]:
-        return [self.text[a:b] for a, b in self.sentence_spans()]
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -167,6 +164,29 @@ def _require_str(rec: dict, key: str, where: str) -> str:
     return val
 
 
+def read_comments(comments_path, post_ids=frozenset()) -> dict[str, Comment]:
+    """Load and validate a comments JSONL file.
+
+    Hard errors: malformed JSON, a missing or non-string field, a duplicate
+    comment id, and a comment id that is also one of post_ids.
+    """
+    comments_path = Path(comments_path)
+    comments: dict[str, Comment] = {}
+    for lineno, rec in _iter_jsonl(comments_path):
+        where = f"{comments_path.name} line {lineno}"
+        cid = _require_str(rec, "id", where)
+        if cid in comments:
+            raise CorpusError(f"{where}: duplicate comment id {cid!r}")
+        if cid in post_ids:
+            raise CorpusError(f"{where}: comment id {cid!r} collides with a post id")
+        comments[cid] = Comment(
+            id=cid,
+            author_id=_require_str(rec, "author_id", where),
+            text=_require_str(rec, "text", where),
+        )
+    return comments
+
+
 def ingest_corpus(posts_path, comments_path, verdicts_path) -> tuple[Corpus, IngestReport]:
     """Load and validate the three JSONL files into a Corpus.
 
@@ -199,19 +219,7 @@ def ingest_corpus(posts_path, comments_path, verdicts_path) -> tuple[Corpus, Ing
             raise CorpusError(f"{where}: duplicate post id {pid!r}")
         posts[pid] = post
 
-    comments: dict[str, Comment] = {}
-    for lineno, rec in _iter_jsonl(comments_path):
-        where = f"{comments_path.name} line {lineno}"
-        cid = _require_str(rec, "id", where)
-        if cid in comments:
-            raise CorpusError(f"{where}: duplicate comment id {cid!r}")
-        if cid in posts:
-            raise CorpusError(f"{where}: comment id {cid!r} collides with a post id")
-        comments[cid] = Comment(
-            id=cid,
-            author_id=_require_str(rec, "author_id", where),
-            text=_require_str(rec, "text", where),
-        )
+    comments = read_comments(comments_path, posts)
 
     verdicts: list[Verdict] = []
     report = IngestReport(n_posts=len(posts), n_comments=len(comments))
@@ -240,6 +248,30 @@ def ingest_corpus(posts_path, comments_path, verdicts_path) -> tuple[Corpus, Ing
     corpus = Corpus(posts=posts, comments=comments, verdicts=verdicts)
     corpus.check_invariants()
     return corpus, report
+
+
+def _write_jsonl(path: Path, records) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+
+
+def write_corpus(corpus: Corpus, outdir) -> dict[str, Path]:
+    """Write posts/comments/verdicts JSONL in the layout ingest_corpus reads
+    (posts and comments in id order); returns the file paths."""
+    outdir = Path(outdir)
+    paths = {name: outdir / f"{name}.jsonl" for name in ("posts", "comments", "verdicts")}
+    _write_jsonl(paths["posts"], (
+        {"id": p.id, "author_id": p.author_id, "title": p.title, "body": p.body}
+        for _, p in sorted(corpus.posts.items())))
+    _write_jsonl(paths["comments"], (
+        {"id": c.id, "author_id": c.author_id, "text": c.text}
+        for _, c in sorted(corpus.comments.items())))
+    _write_jsonl(paths["verdicts"], (
+        {"post_id": v.post_id, "annotator_id": v.annotator_id,
+         "label": v.label, "justification": v.justification}
+        for v in corpus.verdicts))
+    return paths
 
 
 @dataclass

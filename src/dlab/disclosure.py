@@ -8,19 +8,19 @@ pattern drift is an explicit, reviewable event.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
 from .corpus import Comment, Corpus
+from .embed import text_checksum
 
 
 class PatternError(ValueError):
@@ -105,10 +105,6 @@ def segment_sentences(text: str) -> list[tuple[int, int]]:
 _CHECKSUM_MARKER = "# checksum:"
 
 
-def _body_checksum(body: str) -> str:
-    return hashlib.blake2b(body.encode("utf-8"), digest_size=8).hexdigest()
-
-
 @dataclass
 class PatternSet:
     """One regex per low-level category, loaded from a checksummed file."""
@@ -127,7 +123,7 @@ class PatternSet:
             raise PatternError("pattern file truncated after checksum header")
         declared = text[idx + len(_CHECKSUM_MARKER):nl].strip()
         body = text[nl + 1:]
-        actual = _body_checksum(body)
+        actual = text_checksum(body)
         if declared != actual:
             raise PatternError(
                 f"pattern checksum mismatch: header says {declared}, body is {actual}"
@@ -184,7 +180,7 @@ class PatternSet:
         header = (
             "# dlab disclosure pattern set\n"
             "# version: 1\n"
-            f"{_CHECKSUM_MARKER} {_body_checksum(body)}\n"
+            f"{_CHECKSUM_MARKER} {text_checksum(body)}\n"
         )
         return header + body
 
@@ -416,26 +412,35 @@ class CategoryProfile:
 
 def build_profiles(corpus: Corpus, patterns: PatternSet | None = None,
                    cluster_assignment: dict[str, int] | None = None) -> dict[str, CategoryProfile]:
-    """Compute theory categories (and optional cluster ids) for every comment.
+    """Compute theory categories (and optional cluster ids) for every comment."""
+    pats = patterns or default_patterns()
+    profiles = {
+        cid: CategoryProfile(
+            comment_id=cid,
+            theory_categories=frozenset(assign_theory_categories(corpus.comments[cid], pats)),
+            passes_phrase_filter=matches_phrase_filter(corpus.comments[cid].text),
+        )
+        for cid in sorted(corpus.comments)
+    }
+    return attach_clusters(profiles, cluster_assignment or {})
+
+
+def attach_clusters(profiles: dict[str, CategoryProfile],
+                    cluster_assignment: dict[str, int]) -> dict[str, CategoryProfile]:
+    """The profiles with cluster ids attached from an assignment.
 
     Cluster ids may only be attached to comments that pass the phrase
     filter, mirroring how the clustering route is built.
     """
-    pats = patterns or default_patterns()
-    cluster_assignment = cluster_assignment or {}
-    profiles: dict[str, CategoryProfile] = {}
-    for cid in sorted(corpus.comments):
-        comment = corpus.comments[cid]
-        passes = matches_phrase_filter(comment.text)
+    out: dict[str, CategoryProfile] = {}
+    for cid, prof in profiles.items():
         cluster_id = cluster_assignment.get(cid)
-        if cluster_id is not None and not passes:
+        if cluster_id is None:
+            out[cid] = prof
+        elif not prof.passes_phrase_filter:
             raise ValueError(
                 f"comment {cid!r} has a cluster id but fails the phrase filter"
             )
-        profiles[cid] = CategoryProfile(
-            comment_id=cid,
-            theory_categories=frozenset(assign_theory_categories(comment, pats)),
-            passes_phrase_filter=passes,
-            cluster_id=cluster_id,
-        )
-    return profiles
+        else:
+            out[cid] = replace(prof, cluster_id=cluster_id)
+    return out

@@ -41,14 +41,11 @@ class EmbxChecksumError(EmbxError):
 
 @dataclass(frozen=True)
 class EmbedderConfig:
-    kind: str = "hashed_ngram"
     dim: int = 4096
     ngram_range: tuple[int, int] = (1, 2)
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind != "hashed_ngram":
-            raise ValueError(f"unknown embedder kind {self.kind!r}")
         if self.dim < 8:
             raise ValueError(f"dim must be >= 8, got {self.dim}")
         lo, hi = self.ngram_range
@@ -193,6 +190,31 @@ def import_embeddings(path) -> EmbeddingMatrix:
     if len(ids) != rows:
         raise EmbxRowCountError(f"{path}: header says {rows} rows, id block has {len(ids)}")
     return EmbeddingMatrix(ids=ids, data=data)
+
+
+def text_checksum(body: str) -> str:
+    """Hex blake2b digest (8 bytes, as in EMBX) of a UTF-8 text body."""
+    return hashlib.blake2b(body.encode("utf-8"), digest_size=_CHECKSUM_BYTES).hexdigest()
+
+
+def write_checksummed_text(path, body: str) -> None:
+    """Write a newline-terminated text body plus a trailing
+    'checksum <hex>' line over it."""
+    Path(path).write_text(body + f"checksum {text_checksum(body)}\n", encoding="utf-8")
+
+
+def read_checksummed_text(path, error: type[Exception]) -> list[str]:
+    """Body lines of a file written by write_checksummed_text.
+
+    Raises `error` when the checksum line is missing or does not match.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or not lines[-1].startswith("checksum "):
+        raise error(f"{path}: malformed file, missing checksum line")
+    body = "\n".join(lines[:-1]) + "\n"
+    if text_checksum(body) != lines[-1].split(" ", 1)[1].strip():
+        raise error(f"{path}: checksum mismatch")
+    return lines[:-1]
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:

@@ -9,17 +9,15 @@ alpha-weighted cross-entropy exactly.
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.special import stdtr
 
-from .embed import EmbeddingMatrix
+from .embed import EmbeddingMatrix, read_checksummed_text, write_checksummed_text
 from .sampler import ContextSet
 
 logger = logging.getLogger(__name__)
@@ -102,13 +100,42 @@ def build_features(post_emb: np.ndarray, context: ContextSet,
     return FeatureVector(post_emb, mean)
 
 
-def focal_loss(logits, label, gamma: float = 2.0, alpha=(0.5, 0.5)):
-    """Focal loss and its exact gradient with respect to the logits.
+def focal_loss_batch(z: np.ndarray, y: np.ndarray, alpha_t: np.ndarray,
+                     gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row focal losses and their exact gradients with respect to the logits.
 
-    FL = -alpha_t (1 - p_t)^gamma log p_t with p = softmax(logits) and t
-    the true class. gamma=0 reduces to alpha-weighted cross-entropy. The
+    z: (n, 2) logits, y: (n,) true class indices, alpha_t: (n,) weight of
+    each row's true class. FL = -alpha_t (1 - p_t)^gamma log p_t with
+    p = softmax(z); gamma=0 reduces to alpha-weighted cross-entropy. The
     gradient handles p_t -> 1 (its limit is 0) without blowing up.
     """
+    rows = np.arange(len(y))
+    zmax = z.max(axis=1, keepdims=True)
+    logp = z - (zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True)))
+    p = np.exp(logp)
+    pt = p[rows, y]
+    log_pt = logp[rows, y]
+    one_minus = 1.0 - pt
+    if gamma == 0.0:
+        coeff = np.ones_like(pt)
+    else:
+        # limit of (1-p)^g - g p (1-p)^{g-1} log p as p -> 1 is 0
+        coeff = np.zeros_like(pt)
+        live = one_minus > 0.0
+        coeff[live] = (
+            one_minus[live] ** gamma
+            - gamma * pt[live] * one_minus[live] ** (gamma - 1.0) * log_pt[live]
+        )
+    losses = -alpha_t * one_minus ** gamma * log_pt
+    onehot = np.zeros_like(p)
+    onehot[rows, y] = 1.0
+    grads = (alpha_t * coeff)[:, None] * (p - onehot)
+    return losses, grads
+
+
+def focal_loss(logits, label, gamma: float = 2.0, alpha=(0.5, 0.5)):
+    """Focal loss of one example and its gradient with respect to the logits
+    (see focal_loss_batch)."""
     z = np.asarray(logits, dtype=np.float64)
     if z.shape != (2,):
         raise ValueError(f"expected two logits, got shape {z.shape}")
@@ -120,25 +147,8 @@ def focal_loss(logits, label, gamma: float = 2.0, alpha=(0.5, 0.5)):
     if alpha.shape != (2,) or (alpha <= 0).any():
         raise ValueError("alpha must be two positive weights")
     t = _label_index(label)
-
-    zmax = z.max()
-    logp = z - (zmax + math.log(np.exp(z - zmax).sum()))
-    p = np.exp(logp)
-    pt, log_pt = p[t], logp[t]
-    one_minus = 1.0 - pt
-    at = alpha[t]
-
-    loss = -at * one_minus ** gamma * log_pt
-    if gamma == 0.0:
-        coeff = 1.0
-    elif one_minus == 0.0:
-        coeff = 0.0  # limit of (1-p)^g - g p (1-p)^{g-1} log p as p -> 1
-    else:
-        coeff = one_minus ** gamma - gamma * pt * one_minus ** (gamma - 1.0) * log_pt
-    onehot = np.zeros(2)
-    onehot[t] = 1.0
-    grad = at * coeff * (p - onehot)
-    return float(loss), grad
+    losses, grads = focal_loss_batch(z[None, :], np.array([t]), alpha[[t]], float(gamma))
+    return float(losses[0]), grads[0]
 
 
 @dataclass(frozen=True)
@@ -149,7 +159,6 @@ class TrainConfig:
     # None derives inverse class frequency from the training set
     focal_alpha: tuple[float, float] | None = None
     batch_size: int = 32
-    runs: int = 5
     seed: int = 0
 
     def __post_init__(self):
@@ -157,10 +166,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
         if self.focal_gamma < 0:
             raise ValueError("focal_gamma must be >= 0")
+        if self.focal_alpha is not None and min(self.focal_alpha) <= 0:
+            raise ValueError("focal_alpha must be two positive weights")
 
 
 @dataclass
@@ -217,8 +226,6 @@ def train(dataset, cfg: TrainConfig) -> ModelParams:
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
-    onehot = np.zeros((n, 2))
-    onehot[np.arange(n), y] = 1.0
     alpha_t = alpha_arr[y]
 
     rng = np.random.default_rng(cfg.seed)
@@ -229,25 +236,9 @@ def train(dataset, cfg: TrainConfig) -> ModelParams:
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             Xb, yb = X[idx], y[idx]
-            zb = Xb @ W.T + b
-            zmax = zb.max(axis=1, keepdims=True)
-            logp = zb - (zmax + np.log(np.exp(zb - zmax).sum(axis=1, keepdims=True)))
-            p = np.exp(logp)
-            pt = p[np.arange(len(idx)), yb]
-            log_pt = logp[np.arange(len(idx)), yb]
-            one_minus = 1.0 - pt
-            if gamma == 0.0:
-                coeff = np.ones_like(pt)
-            else:
-                coeff = np.zeros_like(pt)
-                live = one_minus > 0.0
-                coeff[live] = (
-                    one_minus[live] ** gamma
-                    - gamma * pt[live] * one_minus[live] ** (gamma - 1.0) * log_pt[live]
-                )
-            losses = -alpha_t[idx] * one_minus ** gamma * log_pt
+            losses, gz = focal_loss_batch(Xb @ W.T + b, yb, alpha_t[idx], gamma)
             epoch_loss += float(losses.sum())
-            gz = (alpha_t[idx] * coeff)[:, None] * (p - onehot[idx]) / len(idx)
+            gz /= len(idx)
             gW = gz.T @ Xb
             gb = gz.sum(axis=0)
 
@@ -408,23 +399,17 @@ def save_model(params: ModelParams, path) -> None:
     }
     wbytes = np.ascontiguousarray(params.weights, dtype="<f8").tobytes()
     bbytes = np.ascontiguousarray(params.bias, dtype="<f8").tobytes()
-    body = (
+    write_checksummed_text(path, (
         json.dumps(header, sort_keys=True) + "\n"
         + base64.b64encode(wbytes).decode("ascii") + "\n"
         + base64.b64encode(bbytes).decode("ascii") + "\n"
-    )
-    digest = hashlib.blake2b(body.encode("utf-8"), digest_size=8).hexdigest()
-    Path(path).write_text(body + f"checksum {digest}\n", encoding="utf-8")
+    ))
 
 
 def load_model(path) -> ModelParams:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if len(lines) != 4 or not lines[3].startswith("checksum "):
+    lines = read_checksummed_text(path, ModelFileError)
+    if len(lines) != 3:
         raise ModelFileError(f"{path}: malformed model file")
-    body = "\n".join(lines[:3]) + "\n"
-    declared = lines[3].split(" ", 1)[1].strip()
-    if hashlib.blake2b(body.encode("utf-8"), digest_size=8).hexdigest() != declared:
-        raise ModelFileError(f"{path}: checksum mismatch")
     header = json.loads(lines[0])
     dim = int(header["feature_dim"])
     weights = np.frombuffer(base64.b64decode(lines[1]), dtype="<f8").reshape(2, dim).copy()

@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cluster import kmeans, truncated_svd
+from .cluster import ClusterModel, kmeans, truncated_svd
 from .corpus import Corpus, filter_annotators, ingest_corpus, make_split, save_split, verify_split
-from .disclosure import CategoryProfile, HighLevelCategory, build_profiles, default_patterns
+from .disclosure import CategoryProfile, HighLevelCategory, attach_clusters, build_profiles
 from .embed import EmbedderConfig, EmbeddingMatrix, embed_texts, import_embeddings
 from .model import EvalReport, TrainConfig, build_features, evaluate, significance_test, train
 from .sampler import (
@@ -54,7 +54,7 @@ class Condition:
     kind: str  # "baseline" | "grid"
     strategy: str | None = None
     max_samples: int | None = None
-    category_token: str | None = None  # "theory:Demographics" | "cluster:3" | None
+    category_filter: CategoryFilter | None = None
 
 
 @dataclass
@@ -97,12 +97,23 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown baseline {b!r}")
         if any(m < 1 for m in self.max_samples_list):
             raise ConfigError("max_samples values must be >= 1")
-        for token in self.categories:
-            if token != "none":
-                _parse_category_token(token, k=None)
+        _expand_categories(self.categories, self.cluster_enabled, self.cluster_k)
         if self.baseline_condition and self.baseline_condition not in self.baselines:
             raise ConfigError(
                 f"baseline_condition {self.baseline_condition!r} not in baselines")
+        if self.runs < 1:
+            raise ConfigError("runs must be >= 1")
+        try:
+            self.train_config(seed=0)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+
+    def train_config(self, seed: int) -> TrainConfig:
+        return TrainConfig(
+            epochs=self.epochs, learning_rate=self.learning_rate,
+            focal_gamma=self.focal_gamma, focal_alpha=self.focal_alpha,
+            batch_size=self.batch_size, seed=seed,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -272,48 +283,28 @@ def effective_config_text(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # conditions
 
-def _parse_category_token(token: str, k: int | None):
-    """Parse 'theory:<Category>' / 'cluster:<id>'; '*' expands later."""
-    if ":" not in token:
-        raise ConfigError(f"bad category token {token!r}")
-    family, value = token.split(":", 1)
-    if family == "theory":
-        if value == "*":
-            return None
-        try:
-            HighLevelCategory(value)
-        except ValueError:
-            raise ConfigError(f"unknown theory category {value!r}")
-        return None
-    if family == "cluster":
-        if value == "*":
-            return None
-        try:
-            cid = int(value)
-        except ValueError:
-            raise ConfigError(f"cluster id must be an integer, got {value!r}")
-        if k is not None and not (0 <= cid < k):
-            raise ConfigError(f"cluster id {cid} out of range for k={k}")
-        return None
-    raise ConfigError(f"unknown category family {family!r}")
-
-
-def _expand_categories(tokens, cluster_enabled: bool, k: int) -> list[str | None]:
-    out: list[str | None] = []
+def _expand_categories(tokens, cluster_enabled: bool, k: int) -> list[CategoryFilter | None]:
+    out: list[CategoryFilter | None] = []
     for token in tokens:
         if token == "none":
             out.append(None)
         elif token == "theory:*":
-            out.extend(f"theory:{c.value}" for c in HighLevelCategory)
+            out.extend(CategoryFilter(theory=c) for c in HighLevelCategory)
         elif token == "cluster:*":
             if not cluster_enabled:
                 raise ConfigError("cluster:* requires [cluster] enabled")
-            out.extend(f"cluster:{i}" for i in range(k))
+            out.extend(CategoryFilter(cluster=i) for i in range(k))
         else:
-            _parse_category_token(token, k if cluster_enabled else None)
-            if token.startswith("cluster:") and not cluster_enabled:
-                raise ConfigError(f"{token!r} requires [cluster] enabled")
-            out.append(token)
+            try:
+                filt = CategoryFilter.parse(token)
+            except ValueError as exc:
+                raise ConfigError(str(exc))
+            if filt.cluster is not None:
+                if not cluster_enabled:
+                    raise ConfigError(f"{token!r} requires [cluster] enabled")
+                if not 0 <= filt.cluster < k:
+                    raise ConfigError(f"cluster id {filt.cluster} out of range for k={k}")
+            out.append(filt)
     return out
 
 
@@ -321,25 +312,16 @@ def build_conditions(cfg: ExperimentConfig) -> list[Condition]:
     conditions = [Condition(name=b, kind="baseline") for b in cfg.baselines]
     for strategy in cfg.strategies:
         for m in cfg.max_samples_list:
-            for token in _expand_categories(cfg.categories, cfg.cluster_enabled, cfg.cluster_k):
-                name = f"{strategy}-k{m}" + (f"-{token}" if token else "")
+            for filt in _expand_categories(cfg.categories, cfg.cluster_enabled, cfg.cluster_k):
+                name = f"{strategy}-k{m}" + (f"-{filt.label()}" if filt else "")
                 conditions.append(Condition(
                     name=name, kind="grid", strategy=strategy,
-                    max_samples=m, category_token=token,
+                    max_samples=m, category_filter=filt,
                 ))
     names = [c.name for c in conditions]
     if len(names) != len(set(names)):
         raise ConfigError("duplicate condition names in grid")
     return conditions
-
-
-def _category_filter(token: str | None) -> CategoryFilter | None:
-    if token is None:
-        return None
-    family, value = token.split(":", 1)
-    if family == "theory":
-        return CategoryFilter(theory=HighLevelCategory(value))
-    return CategoryFilter(cluster=int(value))
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +336,11 @@ class RunState:
     train_pairs: list[int]  # verdict indices
     test_pairs: list[int]
     embed_cfg: EmbedderConfig
+
+    def embed_text(self, text: str) -> np.ndarray:
+        # resolved at call time, so a rebound dlab.embed.embed_text is used
+        from .embed import embed_text
+        return embed_text(text, self.embed_cfg)
 
 
 _SHARED: RunState | None = None
@@ -379,21 +366,16 @@ def _condition_contexts(state: RunState, condition: Condition,
     sampler_cfg = SamplerConfig(
         strategy=condition.strategy,
         max_samples=condition.max_samples,
-        category_filter=_category_filter(condition.category_token),
+        category_filter=condition.category_filter,
         seed=derive_seed(state.cfg.seed, "sampler"),
     )
-
-    def embed_fn(text):
-        from .embed import embed_text
-        return embed_text(text, state.embed_cfg)
-
     needs_fn = condition.strategy in ("random_sentences", "similar_sentences")
     for vi in verdict_indices:
         v = corpus.verdicts[vi]
         out.append(sample_context(
             v.annotator_id, v.post_id, corpus, state.embeddings,
             state.profiles, sampler_cfg,
-            embed_fn=embed_fn if needs_fn else None,
+            embed_fn=state.embed_text if needs_fn else None,
         ))
     return out
 
@@ -407,7 +389,7 @@ def _five_plus_pct(state: RunState, condition: Condition) -> float:
     annotators = corpus.annotators()
     if not annotators:
         return 0.0
-    filt = _category_filter(condition.category_token) if condition.kind == "grid" else None
+    filt = condition.category_filter
     count = 0
     for aid in annotators:
         pool = corpus.annotator_index[aid]
@@ -422,11 +404,6 @@ def run_condition(state: RunState, condition: Condition) -> dict:
     """Build features, train cfg.runs models, evaluate each, aggregate."""
     corpus = state.corpus
     cfg = state.cfg
-
-    def embed_fn(text):
-        from .embed import embed_text
-        return embed_text(text, state.embed_cfg)
-
     datasets = {}
     contexts_by_partition = {}
     for part, indices in (("train", state.train_pairs), ("test", state.test_pairs)):
@@ -436,7 +413,7 @@ def run_condition(state: RunState, condition: Condition) -> dict:
             v = corpus.verdicts[vi]
             fv = build_features(
                 state.embeddings.row(v.post_id), ctx,
-                embeddings=state.embeddings, embed_fn=embed_fn,
+                embeddings=state.embeddings, embed_fn=state.embed_text,
             )
             pairs.append((fv, v.label))
         datasets[part] = pairs
@@ -446,12 +423,7 @@ def run_condition(state: RunState, condition: Condition) -> dict:
     correctness = []
     base_seed = derive_seed(cfg.seed, "train", condition.name)
     for run_idx in range(cfg.runs):
-        tc = TrainConfig(
-            epochs=cfg.epochs, learning_rate=cfg.learning_rate,
-            focal_gamma=cfg.focal_gamma, focal_alpha=cfg.focal_alpha,
-            batch_size=cfg.batch_size, runs=1, seed=base_seed + run_idx,
-        )
-        params = train(datasets["train"], tc)
+        params = train(datasets["train"], cfg.train_config(base_seed + run_idx))
         report = evaluate(params, datasets["test"])
         run_reports.append(report)
         correctness.append(report.correctness)
@@ -492,6 +464,13 @@ def _load_or_synthesize(cfg: ExperimentConfig, outdir: Path):
     return corpus, report.to_dict()
 
 
+def embed_corpus(corpus: Corpus, embed_cfg: EmbedderConfig) -> EmbeddingMatrix:
+    """One matrix of the post query texts then the comments, each in id order."""
+    items = [(pid, corpus.posts[pid].query_text()) for pid in sorted(corpus.posts)]
+    items += [(cid, corpus.comments[cid].text) for cid in sorted(corpus.comments)]
+    return embed_texts(items, embed_cfg)
+
+
 def _build_embeddings(cfg: ExperimentConfig, corpus: Corpus) -> tuple[EmbeddingMatrix, EmbedderConfig]:
     embed_cfg = EmbedderConfig(
         dim=cfg.embed_dim, ngram_range=cfg.ngram_range,
@@ -506,27 +485,27 @@ def _build_embeddings(cfg: ExperimentConfig, corpus: Corpus) -> tuple[EmbeddingM
                 f"imported embeddings lack {len(missing)} corpus ids "
                 f"(first: {sorted(missing)[:3]})")
         return matrix, embed_cfg
-    items = [(pid, corpus.posts[pid].query_text()) for pid in sorted(corpus.posts)]
-    items += [(cid, corpus.comments[cid].text) for cid in sorted(corpus.comments)]
-    return embed_texts(items, embed_cfg), embed_cfg
+    return embed_corpus(corpus, embed_cfg), embed_cfg
 
 
-def _cluster_assignment(cfg: ExperimentConfig, corpus: Corpus,
-                        embeddings: EmbeddingMatrix,
-                        profiles: dict[str, CategoryProfile]) -> dict[str, int]:
-    eligible = [cid for cid in sorted(corpus.comments)
-                if profiles[cid].passes_phrase_filter]
-    if len(eligible) < cfg.cluster_k:
-        raise ConfigError(
-            f"only {len(eligible)} phrase-filtered comments for k={cfg.cluster_k}")
+def cluster_comments(embeddings: EmbeddingMatrix, profiles: dict[str, CategoryProfile],
+                     k: int, reduce_dim: int, svd_seed: int,
+                     kmeans_seed: int) -> tuple[ClusterModel, EmbeddingMatrix]:
+    """k-means over the SVD-reduced embeddings of the phrase-filtered comments.
+
+    Returns the model and the reduced matrix it was fitted on. The reduced
+    dimension is clamped to what the eligible rows allow.
+    """
+    eligible = [cid for cid in sorted(profiles) if profiles[cid].passes_phrase_filter]
+    if len(eligible) < k:
+        raise ConfigError(f"only {len(eligible)} phrase-filtered comments for k={k}")
     sub = EmbeddingMatrix(
         ids=eligible,
         data=np.vstack([embeddings.row(cid) for cid in eligible]),
     )
-    target = min(cfg.reduce_dim, len(eligible), sub.dim)
-    reduced = truncated_svd(sub, target, seed=derive_seed(cfg.seed, "svd"))
-    model = kmeans(reduced, cfg.cluster_k, seed=derive_seed(cfg.seed, "kmeans"))
-    return model.assignment
+    target = min(reduce_dim, len(eligible), sub.dim)
+    reduced = truncated_svd(sub, target, seed=svd_seed)
+    return kmeans(reduced, k, seed=kmeans_seed), reduced
 
 
 def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> list[dict]:
@@ -547,12 +526,12 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> list[dict
 
     embeddings, embed_cfg = _build_embeddings(cfg, corpus)
 
-    cluster_assignment = None
-    patterns = default_patterns()
-    profiles = build_profiles(corpus, patterns)
+    profiles = build_profiles(corpus)
     if cfg.cluster_enabled:
-        cluster_assignment = _cluster_assignment(cfg, corpus, embeddings, profiles)
-        profiles = build_profiles(corpus, patterns, cluster_assignment)
+        model, _ = cluster_comments(
+            embeddings, profiles, cfg.cluster_k, cfg.reduce_dim,
+            svd_seed=derive_seed(cfg.seed, "svd"), kmeans_seed=derive_seed(cfg.seed, "kmeans"))
+        profiles = attach_clusters(profiles, model.assignment)
 
     split = make_split(corpus, cfg.split_kind, cfg.split_ratios,
                        seed=derive_seed(cfg.seed, "split"))
@@ -688,7 +667,8 @@ def merge_reports(paths, layout: str, out_path) -> None:
     """Merge condition rows from several reports into one table.
 
     layout "category": one row per condition with 5+%/accuracy/macro F1.
-    layout "grid": strategies as rows, sample sizes as columns.
+    layout "grid": strategies (plus any category suffix, so filtered
+    conditions keep their own row) as rows, sample sizes as columns.
     """
     rows = []
     for p in paths:
@@ -707,13 +687,14 @@ def merge_reports(paths, layout: str, out_path) -> None:
             if "-k" not in name:
                 continue
             strategy, _, rest = name.partition("-k")
-            m_str = rest.split("-", 1)[0]
+            m_str, _, category = rest.partition("-")
             try:
                 m = int(m_str)
             except ValueError:
                 continue
             counts.add(m)
-            cells.setdefault(strategy, {})[m] = (row["accuracy"], row["macro_f1"])
+            key = f"{strategy}-{category}" if category else strategy
+            cells.setdefault(key, {})[m] = (row["accuracy"], row["macro_f1"])
         ordered = sorted(counts)
         lines = ["strategy\t" + "\t".join(f"acc@{m}\tf1@{m}" for m in ordered)]
         for strategy in sorted(cells):

@@ -53,6 +53,22 @@ class CategoryFilter:
             return f"theory:{self.theory.value}"
         return f"cluster:{self.cluster}"
 
+    @classmethod
+    def parse(cls, token: str) -> "CategoryFilter":
+        """Inverse of label(): 'theory:<Category>' or 'cluster:<id>'."""
+        family, _, value = token.partition(":")
+        if family == "theory":
+            try:
+                return cls(theory=HighLevelCategory(value))
+            except ValueError:
+                raise ValueError(f"unknown theory category {value!r}")
+        if family == "cluster":
+            try:
+                return cls(cluster=int(value))
+            except ValueError:
+                raise ValueError(f"cluster id must be an integer, got {value!r}")
+        raise ValueError(f"bad category token {token!r}")
+
 
 @dataclass(frozen=True)
 class SamplerConfig:

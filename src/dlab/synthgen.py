@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Comment, Corpus, Post, Verdict
+from .corpus import Comment, Corpus, Post, Verdict, write_corpus
 from .seeds import derive_seed
 
 JUDGMENT_RULES = ("demographic_keyed", "attitude_keyed", "random")
@@ -332,28 +332,8 @@ def write_population(corpus: Corpus, ground_truth: dict[str, dict], outdir) -> d
     ground-truth map; returns the file paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "posts": outdir / "posts.jsonl",
-        "comments": outdir / "comments.jsonl",
-        "verdicts": outdir / "verdicts.jsonl",
-        "ground_truth": outdir / "ground_truth.jsonl",
-    }
-    with open(paths["posts"], "w", encoding="utf-8") as fh:
-        for pid in sorted(corpus.posts):
-            p = corpus.posts[pid]
-            fh.write(json.dumps(
-                {"id": p.id, "author_id": p.author_id, "title": p.title, "body": p.body}
-            ) + "\n")
-    with open(paths["comments"], "w", encoding="utf-8") as fh:
-        for cid in sorted(corpus.comments):
-            c = corpus.comments[cid]
-            fh.write(json.dumps({"id": c.id, "author_id": c.author_id, "text": c.text}) + "\n")
-    with open(paths["verdicts"], "w", encoding="utf-8") as fh:
-        for v in corpus.verdicts:
-            fh.write(json.dumps({
-                "post_id": v.post_id, "annotator_id": v.annotator_id,
-                "label": v.label, "justification": v.justification,
-            }) + "\n")
+    paths = write_corpus(corpus, outdir)
+    paths["ground_truth"] = outdir / "ground_truth.jsonl"
     with open(paths["ground_truth"], "w", encoding="utf-8") as fh:
         for key in sorted(ground_truth):
             fh.write(json.dumps({"verdict_key": key, **ground_truth[key]}) + "\n")

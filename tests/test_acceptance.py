@@ -249,7 +249,7 @@ def test_criterion_3_numerical_oracles():
 # criteria 4 and 5: end-to-end signal recovery on keyed synthetic populations
 
 EMB_CFG = EmbedderConfig(dim=1024, ngram_range=(1, 2), seed=0)
-TRAIN_CFG = TrainConfig(epochs=10, learning_rate=1e-3, batch_size=32, runs=1, seed=7)
+TRAIN_CFG = TrainConfig(epochs=10, learning_rate=1e-3, batch_size=32, seed=7)
 
 
 def embed_fn(text):

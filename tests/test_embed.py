@@ -63,7 +63,7 @@ def test_embedder_config_validation():
         EmbedderConfig(dim=4)
     with pytest.raises(ValueError):
         EmbedderConfig(ngram_range=(2, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # hashed n-grams are the only embedder
         EmbedderConfig(kind="learned")
 
 

@@ -16,6 +16,7 @@ from dlab.model import (
     compute_report,
     evaluate,
     focal_loss,
+    focal_loss_batch,
     load_model,
     predict,
     save_model,
@@ -80,6 +81,49 @@ def test_focal_gradient_matches_central_differences(gamma):
             assert abs(numeric - grad[j]) / denom < 1e-4
 
 
+def scalar_focal_loss(logits, t, gamma, alpha):
+    """Oracle: the focal loss of one example, written out scalar by scalar."""
+    z = np.asarray(logits, dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    zmax = z.max()
+    logp = z - (zmax + math.log(np.exp(z - zmax).sum()))
+    p = np.exp(logp)
+    pt, log_pt = p[t], logp[t]
+    one_minus = 1.0 - pt
+    at = alpha[t]
+
+    loss = -at * one_minus ** gamma * log_pt
+    if gamma == 0.0:
+        coeff = 1.0
+    elif one_minus == 0.0:
+        coeff = 0.0  # limit of (1-p)^g - g p (1-p)^{g-1} log p as p -> 1
+    else:
+        coeff = one_minus ** gamma - gamma * pt * one_minus ** (gamma - 1.0) * log_pt
+    onehot = np.zeros(2)
+    onehot[t] = 1.0
+    grad = at * coeff * (p - onehot)
+    return float(loss), grad
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0, 3.7])
+def test_focal_batch_kernel_matches_scalar_oracle(gamma):
+    rng = np.random.default_rng(int(gamma * 10) + 100)
+    n = 64
+    z = rng.uniform(-6, 6, size=(n, 2))
+    z[:4] = [[800.0, -800.0], [-800.0, 800.0], [40.0, -40.0], [0.0, 0.0]]  # saturated p_t
+    y = rng.integers(2, size=n)
+    y[:2] = [0, 1]
+    alpha = rng.uniform(0.1, 3.0, size=(n, 2))
+    alpha_t = alpha[np.arange(n), y]
+    losses, grads = focal_loss_batch(z, y, alpha_t, gamma)
+    assert losses.shape == (n,) and grads.shape == (n, 2)
+    for i in range(n):
+        want_loss, want_grad = scalar_focal_loss(z[i], y[i], gamma, alpha[i])
+        assert losses[i] == pytest.approx(want_loss, rel=1e-12, abs=1e-300)
+        assert np.allclose(grads[i], want_grad, rtol=1e-12, atol=1e-300)
+    assert not grads[:2].any()  # the limit at p_t = 1 is an exact zero
+
+
 def test_focal_loss_validation():
     with pytest.raises(ValueError):
         focal_loss([1.0, 2.0, 3.0], "NTA")
@@ -111,7 +155,7 @@ def separable_dataset(n=40, seed=0, spread=0.2):
 
 def test_train_fits_separable_data():
     data = separable_dataset()
-    cfg = TrainConfig(epochs=150, learning_rate=0.05, batch_size=8, runs=1, seed=1)
+    cfg = TrainConfig(epochs=150, learning_rate=0.05, batch_size=8, seed=1)
     params = train(data, cfg)
     report = evaluate(params, data)
     assert report.accuracy == 1.0
@@ -121,7 +165,7 @@ def test_train_fits_separable_data():
 
 def test_train_zero_learning_rate_keeps_zero_params():
     data = separable_dataset(n=16)
-    cfg = TrainConfig(epochs=3, learning_rate=0.0, batch_size=4, runs=1, seed=0)
+    cfg = TrainConfig(epochs=3, learning_rate=0.0, batch_size=4, seed=0)
     params = train(data, cfg)
     assert not params.weights.any()
     assert not params.bias.any()
@@ -131,28 +175,27 @@ def test_train_zero_learning_rate_keeps_zero_params():
 
 def test_train_deterministic_and_seed_sensitive():
     data = separable_dataset(n=40)
-    cfg = TrainConfig(epochs=3, learning_rate=0.01, batch_size=8, runs=1, seed=5)
+    cfg = TrainConfig(epochs=3, learning_rate=0.01, batch_size=8, seed=5)
     a, b = train(data, cfg), train(data, cfg)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.bias, b.bias)
     assert a.loss_history == b.loss_history
-    other = train(data, TrainConfig(epochs=3, learning_rate=0.01, batch_size=8,
-                                    runs=1, seed=6))
+    other = train(data, TrainConfig(epochs=3, learning_rate=0.01, batch_size=8, seed=6))
     assert not np.array_equal(a.weights, other.weights)
 
 
 def test_train_default_alpha_is_inverse_frequency():
     # 3 NTA to 1 YTA: alpha = (n/(2*3), n/(2*1)) = (2/3, 2)
     data = [(np.array([1.0, 0.0]), "NTA")] * 3 + [(np.array([0.0, 1.0]), "YTA")]
-    params = train(data, TrainConfig(epochs=1, learning_rate=0.01, runs=1))
+    params = train(data, TrainConfig(epochs=1, learning_rate=0.01))
     assert params.alpha == pytest.approx((2.0 / 3.0, 2.0))
 
 
 def test_train_single_class_needs_explicit_alpha():
     data = [(np.array([1.0, 0.0]), "NTA"), (np.array([0.0, 1.0]), "NTA")]
     with pytest.raises(ValueError, match="lacks a class"):
-        train(data, TrainConfig(epochs=1, runs=1))
-    params = train(data, TrainConfig(epochs=1, runs=1, focal_alpha=(0.5, 0.5)))
+        train(data, TrainConfig(epochs=1))
+    params = train(data, TrainConfig(epochs=1, focal_alpha=(0.5, 0.5)))
     assert params.alpha == (0.5, 0.5)
 
 
@@ -164,7 +207,7 @@ def test_train_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
-        TrainConfig(runs=0)
+        TrainConfig(focal_alpha=(0.5, 0.0))
     with pytest.raises(ValueError):
         TrainConfig(focal_gamma=-0.5)
 
@@ -299,7 +342,7 @@ def test_significance_needs_two_per_side():
 
 def test_model_roundtrip(tmp_path):
     params = train(separable_dataset(n=16),
-                   TrainConfig(epochs=4, learning_rate=0.05, batch_size=4, runs=1, seed=2))
+                   TrainConfig(epochs=4, learning_rate=0.05, batch_size=4, seed=2))
     path = tmp_path / "model.txt"
     save_model(params, path)
     back = load_model(path)
@@ -312,7 +355,7 @@ def test_model_roundtrip(tmp_path):
 
 def test_model_file_tamper_detected(tmp_path):
     params = train(separable_dataset(n=8),
-                   TrainConfig(epochs=1, learning_rate=0.05, runs=1))
+                   TrainConfig(epochs=1, learning_rate=0.05))
     path = tmp_path / "model.txt"
     save_model(params, path)
     text = path.read_text()

@@ -135,6 +135,22 @@ def test_parse_config_value_errors(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("runs", "0"), ("batch_size", "0"), ("epochs", "-1"),
+    ("focal_gamma", "-0.5"), ("focal_alpha", "0.5,0"),
+])
+def test_bad_training_settings_fail_at_parse_time(tmp_path, capsys, key, value):
+    path = tmp_path / "exp.ini"
+    path.write_text(MINIMAL_CORPUS_INI)
+    with pytest.raises(ConfigError, match=key):
+        parse_config(path, {f"train.{key}": value})
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(path), "--set", f"train.{key}={value}",
+                 "--out", str(out)])
+    assert code == 2 and not out.exists()
+    assert key in capsys.readouterr().err
+
+
 def test_parse_config_corpus_xor_synth(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(MINIMAL_CORPUS_INI + "\n[synth]\nenabled = true\n")
@@ -177,7 +193,7 @@ def test_build_conditions_order_and_names():
     ]
     grid = build_conditions(cfg)[2]
     assert grid.kind == "grid" and grid.strategy == "similar_comments"
-    assert grid.max_samples == 1 and grid.category_token is None
+    assert grid.max_samples == 1 and grid.category_filter is None
 
 
 def test_build_conditions_theory_star_expands():
@@ -366,14 +382,22 @@ def test_merge_reports_layouts(tmp_path):
     assert lines[0] == "condition\tfive_plus_pct\taccuracy\tmacro_f1"
     assert len(lines) == 5 and lines[1].startswith("no_comments\t")
 
+    # category-filtered rows keep their own grid row instead of overwriting
+    # the unfiltered strategy's cell
+    c = tmp_path / "c.tsv"
+    _fake_report(c, cfg, [("similar_comments-k5-theory:Demographics", 0.80, 0.60),
+                          ("similar_comments-k5-theory:Attitudes", 0.55, 0.35)])
     grid = tmp_path / "grid.tsv"
-    merge_reports([a, b], "grid", grid)
+    merge_reports([a, b, c], "grid", grid)
     lines = grid.read_text().splitlines()
     assert lines[0] == "strategy\tacc@1\tf1@1\tacc@5\tf1@5"
     by_name = {ln.split("\t")[0]: ln.split("\t") for ln in lines[1:]}
     assert by_name["similar_comments"][1] == "0.650000"
     assert by_name["similar_comments"][3] == "0.720000"
     assert by_name["random_comments"][3] == "0.620000"
+    assert by_name["similar_comments-theory:Demographics"][3] == "0.800000"
+    assert by_name["similar_comments-theory:Attitudes"][1:] == ["", "", "0.550000", "0.350000"]
+    assert len(lines) == 5
 
 
 # ---------------------------------------------------------------------------
