@@ -41,7 +41,7 @@ from .disclosure import (
     write_audit_file,
     write_ngram_tsv,
 )
-from .embed import EmbedderConfig, EmbxError, embed_text, export_embeddings
+from .embed import EmbedderConfig, EmbxError, export_embeddings
 from .model import (
     ModelFileError,
     TrainConfig,
@@ -58,11 +58,13 @@ from .pipeline import (
     cluster_comments,
     effective_config_text,
     embed_corpus,
+    embed_sentences,
     merge_reports,
     parse_config,
     run_pipeline,
 )
 from .sampler import (
+    SENTENCE_STRATEGIES,
     CategoryFilter,
     SamplerConfig,
     category_coverage,
@@ -235,19 +237,27 @@ def _cmd_sample(args) -> int:
         seed=args.seed,
         replication_mode=not args.no_replication_check,
     )
-    embed_fn = (lambda text: embed_text(text, cfg)) if "sentences" in args.strategy else None
-    contexts = []
-    for v in corpus.verdicts:
-        contexts.append(sample_context(
-            v.annotator_id, v.post_id, corpus, matrix, profiles, sampler_cfg,
-            embed_fn=embed_fn))
+    sentences = embed_sentences(corpus, cfg) if args.strategy in SENTENCE_STRATEGIES else None
+    contexts = [
+        sample_context(v.annotator_id, v.post_id, corpus, matrix, profiles, sampler_cfg,
+                       sentences)
+        for v in corpus.verdicts
+    ]
     dump_contexts(contexts, args.out)
     print(f"contexts={len(contexts)}")
     return 0
 
 
-def _features_for(args, corpus, matrix, cfg, contexts, indices):
+def _features_for(args, corpus, indices):
+    """(features, label) of each verdict in `indices`, with its context
+    from --contexts."""
+    cfg = _embed_cfg(args)
+    matrix = embed_corpus(corpus, cfg)
+    contexts = load_contexts(args.contexts, corpus)
     by_pair = {(c.annotator_id, c.post_id): c for c in contexts}
+    sentences = None
+    if any(item.unit == "sentence" for c in contexts for item in c.items):
+        sentences = embed_sentences(corpus, cfg)
     pairs = []
     for vi in indices:
         v = corpus.verdicts[vi]
@@ -257,7 +267,7 @@ def _features_for(args, corpus, matrix, cfg, contexts, indices):
             raise CorpusError(
                 f"contexts file lacks pair ({v.annotator_id}, {v.post_id})")
         fv = build_features(matrix.row(v.post_id), ctx, embeddings=matrix,
-                            embed_fn=lambda text: embed_text(text, cfg))
+                            sentences=sentences)
         pairs.append((fv, v.label))
     return pairs
 
@@ -266,10 +276,7 @@ def _cmd_train(args) -> int:
     corpus = _load_corpus(args)
     _require_files(args.contexts, args.split)
     split = load_split(args.split)
-    cfg = _embed_cfg(args)
-    matrix = embed_corpus(corpus, cfg)
-    contexts = load_contexts(args.contexts, corpus)
-    dataset = _features_for(args, corpus, matrix, cfg, contexts, split.indices("train"))
+    dataset = _features_for(args, corpus, split.indices("train"))
     tc = TrainConfig(
         epochs=args.epochs, learning_rate=args.learning_rate,
         focal_gamma=args.focal_gamma,
@@ -289,10 +296,7 @@ def _cmd_evaluate(args) -> int:
     _require_files(args.model, args.contexts, args.split)
     params = load_model(args.model)
     split = load_split(args.split)
-    cfg = _embed_cfg(args)
-    matrix = embed_corpus(corpus, cfg)
-    contexts = load_contexts(args.contexts, corpus)
-    dataset = _features_for(args, corpus, matrix, cfg, contexts, split.indices(args.partition))
+    dataset = _features_for(args, corpus, split.indices(args.partition))
     report = evaluate(params, dataset)
     payload = {
         "n": report.n,
@@ -313,6 +317,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     if args.what == "coverage":
+        _require_files(args.contexts, args.cluster_model)
         corpus = _load_comments(args.comments)
         pats = _patterns(args)
         cluster_assignment = None
@@ -329,6 +334,7 @@ def _cmd_analyze(args) -> int:
                 fh.write(f"cluster\t{bucket}\t{pct:.2f}\n")
         print(f"items={table.n_items}")
     elif args.what == "diversity":
+        _require_files(args.contexts)
         corpus = _load_comments(args.comments)
         contexts = load_contexts(args.contexts, corpus)
         report = similar_post_diversity(contexts, corpus)

@@ -340,7 +340,7 @@ class SplitSpec:
         return out
 
 
-def _validate_ratios(ratios) -> tuple[float, float, float]:
+def validate_ratios(ratios) -> tuple[float, float, float]:
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3:
         raise ValueError("ratios must have exactly three entries (train, val, test)")
@@ -376,7 +376,7 @@ def make_split(corpus: Corpus, kind: str, ratios=(0.8, 0.1, 0.1), seed: int = 0)
     """
     if kind not in SPLIT_KINDS:
         raise ValueError(f"unknown split kind {kind!r}; expected one of {SPLIT_KINDS}")
-    ratios = _validate_ratios(ratios)
+    ratios = validate_ratios(ratios)
     n = len(corpus.verdicts)
     if n == 0:
         raise CorpusError("cannot split an empty verdict list")

@@ -87,6 +87,7 @@ class EmbeddingMatrix:
 
     ids: list[str]
     data: np.ndarray
+    norms: np.ndarray = field(init=False, repr=False)
     normalized: bool = field(init=False)
     _index: dict[str, int] = field(init=False, repr=False)
 
@@ -102,9 +103,11 @@ class EmbeddingMatrix:
             if rid in self._index:
                 raise ValueError(f"duplicate id {rid!r}")
             self._index[rid] = i
-        norms = np.linalg.norm(self.data.astype(np.float64), axis=1)
-        self.normalized = bool(norms.size == 0 or
-                               (np.abs(norms - 1.0) <= 1e-6).all())
+        # one 1-D norm per row, as cosine_similarity takes it: the axis=1 form
+        # sums in another order and differs in the last bits
+        self.norms = np.array(
+            [np.linalg.norm(row.astype(np.float64)) for row in self.data], dtype=np.float64)
+        self.normalized = bool((np.abs(self.norms - 1.0) <= 1e-6).all())
 
     @property
     def dim(self) -> int:
@@ -230,6 +233,30 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return float(min(1.0, max(-1.0, float(u @ v) / (nu * nv))))
 
 
+def rank_by_cosine(query: np.ndarray, rows: np.ndarray, norms: np.ndarray,
+                   keys: list) -> list[tuple[int, float]]:
+    """Rank a block of matrix rows by cosine against a query.
+
+    `norms` are the rows' stored norms (EmbeddingMatrix.norms) and `keys`
+    one tie key per row. Returns (position in the block, score) pairs by
+    descending score, then ascending key. Each score equals
+    cosine_similarity(query, row) bit for bit: zero-norm rows and a
+    zero-norm query score 0, and scores are clipped to [-1, 1].
+    """
+    query = np.asarray(query, dtype=np.float64)
+    scores = np.zeros(len(keys), dtype=np.float64)
+    qnorm = float(np.linalg.norm(query))
+    if qnorm > 0.0:
+        live = np.flatnonzero(norms > 0.0)
+        # one BLAS dot per row: a matrix-vector product sums in another
+        # order, so its scores differ from cosine_similarity's in the last bits
+        dots = np.array([np.asarray(rows[i], dtype=np.float64) @ query for i in live])
+        scores[live] = np.clip(dots / (norms[live] * qnorm), -1.0, 1.0)
+    values = scores.tolist()
+    order = sorted(range(len(keys)), key=lambda i: (-values[i], keys[i]))
+    return [(i, values[i]) for i in order]
+
+
 def top_k_similar(query: np.ndarray, matrix: EmbeddingMatrix, k: int,
                   exclude: frozenset | set | None = None) -> list[tuple[str, float]]:
     """Exact k nearest rows by cosine, ties broken by ascending id.
@@ -243,16 +270,7 @@ def top_k_similar(query: np.ndarray, matrix: EmbeddingMatrix, k: int,
     if query.shape != (matrix.dim,):
         raise ValueError(f"query dim {query.shape} != matrix dim {matrix.dim}")
     exclude = exclude or frozenset()
-    data = matrix.data.astype(np.float64)
-    qnorm = float(np.linalg.norm(query))
-    row_norms = np.linalg.norm(data, axis=1)
-    scores = np.zeros(len(matrix), dtype=np.float64)
-    if qnorm > 0.0:
-        ok = row_norms > 0.0
-        scores[ok] = (data[ok] @ query) / (row_norms[ok] * qnorm)
-        np.clip(scores, -1.0, 1.0, out=scores)
-    ranked = sorted(
-        ((rid, float(scores[i])) for i, rid in enumerate(matrix.ids) if rid not in exclude),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
-    return ranked[:k]
+    keep = [i for i, rid in enumerate(matrix.ids) if rid not in exclude]
+    ids = [matrix.ids[i] for i in keep]
+    ranked = rank_by_cosine(query, matrix.data[keep], matrix.norms[keep], ids)
+    return [(ids[i], score) for i, score in ranked[:k]]

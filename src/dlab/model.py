@@ -65,27 +65,26 @@ class FeatureVector:
 
 def build_features(post_emb: np.ndarray, context: ContextSet,
                    embeddings: EmbeddingMatrix | None = None,
-                   embed_fn=None) -> FeatureVector:
+                   sentences: EmbeddingMatrix | None = None) -> FeatureVector:
     """Fuse a post embedding with the mean of its context embeddings.
 
-    Comment items resolve against the matrix (or embed_fn as fallback);
-    sentence items always go through embed_fn. If every context vector is
-    unit norm the mean is re-normalized to unit, keeping the two feature
-    blocks on the same scale; an empty context yields an exact zero block.
+    Comment items resolve against `embeddings` by comment id, sentence
+    items against `sentences` (pipeline.embed_sentences) by their text. If
+    every context vector is unit norm the mean is re-normalized to unit,
+    keeping the two feature blocks on the same scale; an empty context
+    yields an exact zero block.
     """
     post_emb = np.asarray(post_emb, dtype=np.float64)
     if not context.items:
         return FeatureVector(post_emb, np.zeros_like(post_emb))
     vectors = []
     for item in context.items:
-        if item.unit == "comment" and embeddings is not None and item.source_comment_id in embeddings:
-            vec = embeddings.row(item.source_comment_id)
-        elif embed_fn is not None:
-            vec = embed_fn(item.text)
-        else:
+        matrix, key = ((embeddings, item.source_comment_id) if item.unit == "comment"
+                       else (sentences, item.text))
+        if matrix is None or key not in matrix:
             raise ValueError(
                 f"cannot resolve a vector for context item {item.source_comment_id!r}")
-        vec = np.asarray(vec, dtype=np.float64)
+        vec = np.asarray(matrix.row(key), dtype=np.float64)
         if vec.shape != post_emb.shape:
             raise ValueError(f"context dim {vec.shape} != post dim {post_emb.shape}")
         vectors.append(vec)

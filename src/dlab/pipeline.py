@@ -14,18 +14,20 @@ import configparser
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .cluster import ClusterModel, kmeans, truncated_svd
-from .corpus import Corpus, filter_annotators, ingest_corpus, make_split, save_split, verify_split
+from .corpus import (Corpus, filter_annotators, ingest_corpus, make_split, save_split,
+                     validate_ratios, verify_split)
 from .disclosure import CategoryProfile, HighLevelCategory, attach_clusters, build_profiles
 from .embed import EmbedderConfig, EmbeddingMatrix, embed_texts, import_embeddings
 from .model import EvalReport, TrainConfig, build_features, evaluate, significance_test, train
 from .sampler import (
+    SENTENCE_STRATEGIES,
     STRATEGIES,
     CategoryFilter,
     ContextSet,
@@ -103,10 +105,20 @@ class ExperimentConfig:
                 f"baseline_condition {self.baseline_condition!r} not in baselines")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if self.embx_path and any(s in SENTENCE_STRATEGIES for s in self.strategies):
+            # EMBX files hold post and comment rows only; sentence vectors
+            # from the hashed embedder would live in another space
+            raise ConfigError("[embed] embx cannot be combined with sentence strategies")
         try:
             self.train_config(seed=0)
+            self.embedder_config()
+            validate_ratios(self.split_ratios)
         except ValueError as exc:
             raise ConfigError(str(exc))
+
+    def embedder_config(self) -> EmbedderConfig:
+        return EmbedderConfig(dim=self.embed_dim, ngram_range=self.ngram_range,
+                              seed=derive_seed(self.seed, "embed"))
 
     def train_config(self, seed: int) -> TrainConfig:
         return TrainConfig(
@@ -242,7 +254,7 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentCon
             cluster_k=int(get("cluster", "k", "10")),
             reduce_dim=int(get("cluster", "reduce_dim", "5")),
             split_kind=get("split", "kind", "situation"),
-            split_ratios=ratios,  # validated by make_split
+            split_ratios=ratios,
             strategies=split_list(get("sampler", "strategies", "similar_comments")),
             max_samples_list=tuple(int(x) for x in split_list(get("sampler", "max_samples", "5"))),
             categories=split_list(get("sampler", "categories", "none")) or ("none",),
@@ -335,12 +347,7 @@ class RunState:
     profiles: dict[str, CategoryProfile]
     train_pairs: list[int]  # verdict indices
     test_pairs: list[int]
-    embed_cfg: EmbedderConfig
-
-    def embed_text(self, text: str) -> np.ndarray:
-        # resolved at call time, so a rebound dlab.embed.embed_text is used
-        from .embed import embed_text
-        return embed_text(text, self.embed_cfg)
+    sentences: EmbeddingMatrix | None  # only when a condition samples sentences
 
 
 _SHARED: RunState | None = None
@@ -369,13 +376,11 @@ def _condition_contexts(state: RunState, condition: Condition,
         category_filter=condition.category_filter,
         seed=derive_seed(state.cfg.seed, "sampler"),
     )
-    needs_fn = condition.strategy in ("random_sentences", "similar_sentences")
     for vi in verdict_indices:
         v = corpus.verdicts[vi]
         out.append(sample_context(
             v.annotator_id, v.post_id, corpus, state.embeddings,
-            state.profiles, sampler_cfg,
-            embed_fn=state.embed_text if needs_fn else None,
+            state.profiles, sampler_cfg, state.sentences,
         ))
     return out
 
@@ -413,7 +418,7 @@ def run_condition(state: RunState, condition: Condition) -> dict:
             v = corpus.verdicts[vi]
             fv = build_features(
                 state.embeddings.row(v.post_id), ctx,
-                embeddings=state.embeddings, embed_fn=state.embed_text,
+                embeddings=state.embeddings, sentences=state.sentences,
             )
             pairs.append((fv, v.label))
         datasets[part] = pairs
@@ -471,11 +476,19 @@ def embed_corpus(corpus: Corpus, embed_cfg: EmbedderConfig) -> EmbeddingMatrix:
     return embed_texts(items, embed_cfg)
 
 
-def _build_embeddings(cfg: ExperimentConfig, corpus: Corpus) -> tuple[EmbeddingMatrix, EmbedderConfig]:
-    embed_cfg = EmbedderConfig(
-        dim=cfg.embed_dim, ngram_range=cfg.ngram_range,
-        seed=derive_seed(cfg.seed, "embed"),
-    )
+def embed_sentences(corpus: Corpus, embed_cfg: EmbedderConfig) -> EmbeddingMatrix:
+    """One matrix row per distinct comment-sentence text, keyed by the text,
+    in text order.
+
+    Keyed by text rather than by (comment, sentence index) because corpora
+    repeat sentences; each text is embedded and stored once.
+    """
+    texts = sorted({comment.text[a:b] for comment in corpus.comments.values()
+                    for a, b in comment.sentence_spans()})
+    return embed_texts([(text, text) for text in texts], embed_cfg)
+
+
+def _build_embeddings(cfg: ExperimentConfig, corpus: Corpus) -> EmbeddingMatrix:
     if cfg.embx_path:
         matrix = import_embeddings(cfg.embx_path)
         missing = [pid for pid in corpus.posts if pid not in matrix]
@@ -484,8 +497,8 @@ def _build_embeddings(cfg: ExperimentConfig, corpus: Corpus) -> tuple[EmbeddingM
             raise ConfigError(
                 f"imported embeddings lack {len(missing)} corpus ids "
                 f"(first: {sorted(missing)[:3]})")
-        return matrix, embed_cfg
-    return embed_corpus(corpus, embed_cfg), embed_cfg
+        return matrix
+    return embed_corpus(corpus, cfg.embedder_config())
 
 
 def cluster_comments(embeddings: EmbeddingMatrix, profiles: dict[str, CategoryProfile],
@@ -524,7 +537,7 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> list[dict
     if not corpus.verdicts:
         raise ConfigError("no verdicts survive annotator filtering")
 
-    embeddings, embed_cfg = _build_embeddings(cfg, corpus)
+    embeddings = _build_embeddings(cfg, corpus)
 
     profiles = build_profiles(corpus)
     if cfg.cluster_enabled:
@@ -541,12 +554,15 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> list[dict
             "split verification failed: " + "; ".join(violations.messages()[:5]))
     save_split(split, outdir / "split.jsonl")
 
+    conditions = build_conditions(cfg)
+    sentences = None
+    if any(c.strategy in SENTENCE_STRATEGIES for c in conditions):
+        sentences = embed_sentences(corpus, cfg.embedder_config())
     state = RunState(
         cfg=cfg, corpus=corpus, embeddings=embeddings, profiles=profiles,
         train_pairs=split.indices("train"), test_pairs=split.indices("test"),
-        embed_cfg=embed_cfg,
+        sentences=sentences,
     )
-    conditions = build_conditions(cfg)
 
     if workers is None:
         workers = int(os.environ.get("DLAB_WORKERS", "1"))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .disclosure import CategoryProfile, HighLevelCategory
-from .embed import EmbeddingMatrix, cosine_similarity
+from .embed import EmbeddingMatrix, rank_by_cosine
 from .seeds import derive_seed
 
 STRATEGIES = (
@@ -28,6 +28,7 @@ STRATEGIES = (
     "similar_comments",
     "similar_sentences",
 )
+SENTENCE_STRATEGIES = ("random_sentences", "similar_sentences")
 
 _REPLICATION_MAX_SAMPLES = 5
 
@@ -132,36 +133,19 @@ def _candidate_ids(corpus: Corpus, annotator_id: str,
     return [cid for cid in pool if cfg.category_filter.admits(profiles[cid])]
 
 
-def _query_vector(corpus: Corpus, post_id: str,
-                  embeddings: EmbeddingMatrix | None, embed_fn):
-    if embeddings is not None and post_id in embeddings:
-        return embeddings.row(post_id)
-    if embed_fn is not None:
-        return embed_fn(corpus.posts[post_id].query_text())
-    raise ValueError(f"no embedding for post {post_id!r} and no embed_fn given")
-
-
-def _comment_vector(corpus: Corpus, cid: str,
-                    embeddings: EmbeddingMatrix | None, embed_fn):
-    if embeddings is not None and cid in embeddings:
-        return embeddings.row(cid)
-    if embed_fn is not None:
-        return embed_fn(corpus.comments[cid].text)
-    raise ValueError(f"no embedding for comment {cid!r} and no embed_fn given")
-
-
 def sample_context(annotator_id: str, post_id: str, corpus: Corpus,
                    embeddings: EmbeddingMatrix | None,
                    profiles: dict[str, CategoryProfile] | None,
-                   cfg: SamplerConfig, embed_fn=None) -> ContextSet:
+                   cfg: SamplerConfig,
+                   sentences: EmbeddingMatrix | None = None) -> ContextSet:
     """Draw up to max_samples context items for one (annotator, post) pair.
 
     Similarity strategies rank the full candidate pool by cosine against
-    the post (title + body) and break ties by id; random strategies sample
-    uniformly without replacement with a per-pair derived RNG. Sentence
-    strategies operate on sentences of the candidate comments and need an
-    embed_fn when ranking, since sentence vectors are not kept in the
-    comment matrix. Fewer candidates than max_samples returns them all; an
+    the post (title + body) row of `embeddings`, breaking ties by comment
+    id, then text; comments are looked up in `embeddings`, sentences in
+    `sentences`, the matrix of sentence texts (pipeline.embed_sentences).
+    Random strategies sample uniformly without replacement with a per-pair
+    derived RNG. Fewer candidates than max_samples returns them all; an
     empty pool returns an empty context.
     """
     if annotator_id not in corpus.annotator_index:
@@ -169,63 +153,34 @@ def sample_context(annotator_id: str, post_id: str, corpus: Corpus,
     if post_id not in corpus.posts:
         raise ValueError(f"unknown post {post_id!r}")
     candidates = _candidate_ids(corpus, annotator_id, profiles, cfg)
-    items: list[ContextItem] = []
-
-    if cfg.strategy == "random_comments":
-        rng = random.Random(derive_seed(cfg.seed, annotator_id, post_id))
-        chosen = rng.sample(candidates, min(cfg.max_samples, len(candidates)))
-        items = [
-            ContextItem(cid, corpus.comments[cid].text, None, "comment")
-            for cid in chosen
-        ]
-
-    elif cfg.strategy == "random_sentences":
-        rng = random.Random(derive_seed(cfg.seed, annotator_id, post_id))
+    unit = "sentence" if cfg.strategy in SENTENCE_STRATEGIES else "comment"
+    if unit == "sentence":
         units = [
             (cid, idx, corpus.comments[cid].text[a:b])
             for cid in candidates
             for idx, (a, b) in enumerate(corpus.comments[cid].sentence_spans())
         ]
-        chosen = rng.sample(units, min(cfg.max_samples, len(units)))
-        items = [
-            ContextItem(cid, text, None, "sentence", sentence_index=idx)
-            for cid, idx, text in chosen
-        ]
+    else:
+        units = [(cid, None, corpus.comments[cid].text) for cid in candidates]
 
-    elif cfg.strategy == "similar_comments":
-        if candidates:
-            query = _query_vector(corpus, post_id, embeddings, embed_fn)
-            scored = [
-                (cid, cosine_similarity(
-                    query, _comment_vector(corpus, cid, embeddings, embed_fn)))
-                for cid in candidates
-            ]
-            scored.sort(key=lambda pair: (-pair[1], pair[0]))
-            items = [
-                ContextItem(cid, corpus.comments[cid].text, score, "comment")
-                for cid, score in scored[:cfg.max_samples]
-            ]
-
-    elif cfg.strategy == "similar_sentences":
-        if embed_fn is None:
-            raise ValueError("similar_sentences requires an embed_fn for sentence vectors")
-        units = [
-            (cid, idx, corpus.comments[cid].text[a:b])
-            for cid in candidates
-            for idx, (a, b) in enumerate(corpus.comments[cid].sentence_spans())
-        ]
+    if cfg.strategy.startswith("random_"):
+        rng = random.Random(derive_seed(cfg.seed, annotator_id, post_id))
+        chosen = [(u, None) for u in rng.sample(units, min(cfg.max_samples, len(units)))]
+    else:
+        if unit == "sentence" and sentences is None:
+            raise ValueError("similar_sentences requires a sentence matrix")
+        chosen = []
         if units:
-            query = _query_vector(corpus, post_id, embeddings, embed_fn)
-            scored = [
-                (cid, idx, text, cosine_similarity(query, embed_fn(text)))
-                for cid, idx, text in units
-            ]
-            scored.sort(key=lambda rec: (-rec[3], rec[0], rec[2]))
-            items = [
-                ContextItem(cid, text, score, "sentence", sentence_index=idx)
-                for cid, idx, text, score in scored[:cfg.max_samples]
-            ]
-
+            if embeddings is None or post_id not in embeddings:
+                raise ValueError(f"no embedding for post {post_id!r}")
+            matrix, row_ids = ((sentences, [text for _, _, text in units]) if unit == "sentence"
+                               else (embeddings, candidates))
+            rows = [matrix.row_index(rid) for rid in row_ids]
+            ranked = rank_by_cosine(embeddings.row(post_id), matrix.data[rows], matrix.norms[rows],
+                                    [(cid, text) for cid, _, text in units])
+            chosen = [(units[i], score) for i, score in ranked[:cfg.max_samples]]
+    items = [ContextItem(cid, text, score, unit, sentence_index=idx)
+             for (cid, idx, text), score in chosen]
     return ContextSet(annotator_id=annotator_id, post_id=post_id, items=items)
 
 

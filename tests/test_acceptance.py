@@ -18,7 +18,6 @@ from dlab.disclosure import HighLevelCategory, LowLevelCategory, build_profiles,
 from dlab.embed import (
     EmbedderConfig,
     EmbeddingMatrix,
-    embed_text,
     embed_texts,
     export_embeddings,
     import_embeddings,
@@ -252,10 +251,6 @@ EMB_CFG = EmbedderConfig(dim=1024, ngram_range=(1, 2), seed=0)
 TRAIN_CFG = TrainConfig(epochs=10, learning_rate=1e-3, batch_size=32, seed=7)
 
 
-def embed_fn(text):
-    return embed_text(text, EMB_CFG)
-
-
 def build_world(spec):
     corpus, _ = generate_population(spec)
     items = [(pid, post.query_text()) for pid, post in sorted(corpus.posts.items())]
@@ -280,8 +275,7 @@ def run_condition(world, sampler_cfg):
             else:
                 ctx = sample_context(v.annotator_id, v.post_id, corpus, matrix,
                                      profiles, sampler_cfg)
-            fv = build_features(matrix.row(v.post_id), ctx, embeddings=matrix,
-                                embed_fn=embed_fn)
+            fv = build_features(matrix.row(v.post_id), ctx, embeddings=matrix)
             rows.append((fv, v.label))
         datasets[part] = rows
     params = train(datasets["train"], TRAIN_CFG)

@@ -15,6 +15,7 @@ from dlab.embed import (
     embed_texts,
     export_embeddings,
     import_embeddings,
+    rank_by_cosine,
     top_k_similar,
 )
 
@@ -253,6 +254,34 @@ def test_top_k_matches_brute_force():
         want = brute_top_k(query, matrix, k)
         assert [rid for rid, _ in got] == [rid for rid, _ in want]
         assert np.allclose([s for _, s in got], [s for _, s in want], atol=1e-12)
+
+
+def scalar_ranking(query, rows, keys):
+    """The ranking rank_by_cosine must reproduce: one cosine_similarity per
+    row, sorted by descending score, then ascending key (stable)."""
+    scored = [(i, cosine_similarity(query, rows[i])) for i in range(len(keys))]
+    return sorted(scored, key=lambda pair: (-pair[1], keys[pair[0]]))
+
+
+@pytest.mark.parametrize("n,dim,seed", [(1, 8, 0), (9, 7, 1), (40, 64, 2), (67, 1024, 3)])
+def test_rank_by_cosine_matches_scalar_oracle(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n, dim)).astype(np.float32)
+    # one row repeated at every third position and in the last rows of the
+    # block, so duplicates sit wherever a blocked kernel would split rows
+    data[::3] = data[0]
+    data[-3:] = data[0]
+    data[n // 2] = 0.0  # an all-zero row
+    matrix = EmbeddingMatrix(ids=[f"r{i}" for i in range(n)], data=data)
+    # keys in shuffled order, so exact ties among the duplicates break by key;
+    # the (cid, text) keys repeat, as a comment that repeats a sentence does
+    shuffled = [f"k{i:03d}" for i in rng.permutation(n)]
+    tuples = [("c0" if i % 2 else "c1", f"s{i % 5}") for i in range(n)]
+    queries = [rng.standard_normal(dim), data[0], np.zeros(dim)]
+    for query in queries:
+        for keys in (shuffled, tuples):
+            got = rank_by_cosine(query, matrix.data, matrix.norms, keys)
+            assert got == scalar_ranking(query, matrix.data, keys)
 
 
 def test_top_k_tie_broken_by_id():

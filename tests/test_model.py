@@ -393,8 +393,9 @@ def test_build_features_renormalizes_unit_mean():
         ContextItem("c1", "one", None, "comment"),
         ContextItem("c2", "two", None, "comment"),
     ])
-    vecs = {"one": unit([1.0, 0.0]), "two": unit([0.0, 1.0])}
-    fv = build_features(unit([1.0, 1.0]), ctx, embed_fn=lambda t: vecs[t])
+    matrix = EmbeddingMatrix(ids=["c1", "c2"],
+                             data=np.array([unit([1.0, 0.0]), unit([0.0, 1.0])]))
+    fv = build_features(unit([1.0, 1.0]), ctx, embeddings=matrix)
     assert np.linalg.norm(fv.context_part) == pytest.approx(1.0, abs=1e-12)
     assert fv.context_part == pytest.approx(unit([1.0, 1.0]))
 
@@ -404,28 +405,26 @@ def test_build_features_plain_mean_for_non_unit_vectors():
         ContextItem("c1", "one", None, "comment"),
         ContextItem("c2", "two", None, "comment"),
     ])
-    vecs = {"one": np.array([2.0, 0.0]), "two": np.array([0.0, 0.0])}
-    fv = build_features(np.array([0.0, 1.0]), ctx, embed_fn=lambda t: vecs[t])
+    matrix = EmbeddingMatrix(ids=["c1", "c2"], data=np.array([[2.0, 0.0], [0.0, 0.0]]))
+    fv = build_features(np.array([0.0, 1.0]), ctx, embeddings=matrix)
     assert np.array_equal(fv.context_part, np.array([1.0, 0.0]))
 
 
-def test_build_features_matrix_and_fn_resolution():
-    matrix = EmbeddingMatrix(ids=["c1"], data=np.array([[1.0, 0.0]], dtype=np.float32))
+def test_build_features_comment_and_sentence_resolution():
+    matrix = EmbeddingMatrix(ids=["c1", "one sentence"],
+                             data=np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.float32))
+    sentences = EmbeddingMatrix(ids=["c1", "one sentence"],
+                                data=np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.float32))
     ctx = ContextSet("a", "p", [
         ContextItem("c1", "whole comment", None, "comment"),
         ContextItem("c1", "one sentence", None, "sentence", sentence_index=0),
     ])
-    calls = []
-
-    def fn(text):
-        calls.append(text)
-        return np.array([0.0, 1.0])
-
-    fv = build_features(np.zeros(2), ctx, embeddings=matrix, embed_fn=fn)
-    # the comment item came from the matrix; only the sentence went through fn
-    assert calls == ["one sentence"]
-    # both resolved vectors are unit norm, so the mean is renormalized
+    fv = build_features(np.zeros(2), ctx, embeddings=matrix, sentences=sentences)
+    # the comment resolved by id in the comment matrix, the sentence by text
+    # in the sentence matrix; both are unit norm, so the mean is renormalized
     assert fv.context_part == pytest.approx(unit([1.0, 1.0]))
+    with pytest.raises(ValueError, match="resolve"):
+        build_features(np.zeros(2), ctx, embeddings=matrix)
 
 
 def test_build_features_error_paths():
@@ -433,6 +432,7 @@ def test_build_features_error_paths():
     with pytest.raises(ValueError, match="resolve"):
         build_features(np.zeros(2), ctx)
     with pytest.raises(ValueError, match="dim"):
-        build_features(np.zeros(2), ctx, embed_fn=lambda t: np.zeros(3))
+        build_features(np.zeros(2), ctx,
+                       embeddings=EmbeddingMatrix(ids=["c9"], data=np.zeros((1, 3))))
     with pytest.raises(ValueError):
         FeatureVector(np.zeros(2), np.zeros(3))

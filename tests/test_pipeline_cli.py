@@ -1,8 +1,12 @@
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from dlab.cli import main
+from dlab.corpus import ingest_corpus
+from dlab.embed import EmbeddingMatrix, cosine_similarity, embed_text, export_embeddings
 from dlab.pipeline import (
     ConfigError,
     ExperimentConfig,
@@ -14,6 +18,7 @@ from dlab.pipeline import (
     run_pipeline,
     write_report_tsv,
 )
+from dlab.sampler import load_contexts
 from dlab.synthgen import PopulationSpec, generate_population, write_population
 from tests.conftest import write_jsonl
 
@@ -138,17 +143,33 @@ def test_parse_config_value_errors(tmp_path):
 @pytest.mark.parametrize("key,value", [
     ("runs", "0"), ("batch_size", "0"), ("epochs", "-1"),
     ("focal_gamma", "-0.5"), ("focal_alpha", "0.5,0"),
+    ("dim", "4"), ("ratios", "0.5,0.5,0.5"),
 ])
 def test_bad_training_settings_fail_at_parse_time(tmp_path, capsys, key, value):
+    section = {"dim": "embed", "ratios": "split"}.get(key, "train")
     path = tmp_path / "exp.ini"
     path.write_text(MINIMAL_CORPUS_INI)
     with pytest.raises(ConfigError, match=key):
-        parse_config(path, {f"train.{key}": value})
+        parse_config(path, {f"{section}.{key}": value})
     out = tmp_path / "out"
-    code = main(["run", "--config", str(path), "--set", f"train.{key}={value}",
+    code = main(["run", "--config", str(path), "--set", f"{section}.{key}={value}",
                  "--out", str(out)])
     assert code == 2 and not out.exists()
     assert key in capsys.readouterr().err
+
+
+def test_embx_with_sentence_strategy_fails_at_parse_time(tmp_path, capsys):
+    # an EMBX file has no sentence rows, and hashed sentence vectors would
+    # live in another space than its post rows
+    embx = tmp_path / "vectors.embx"
+    export_embeddings(EmbeddingMatrix(ids=["p1"], data=np.ones((1, 64))), embx)
+    path = tmp_path / "exp.ini"
+    path.write_text(MINIMAL_CORPUS_INI + f"\n[embed]\nembx = {embx}\ndim = 256\n")
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(path), "--set", "sampler.strategies=similar_sentences",
+                 "--out", str(out)])
+    assert code == 2 and not out.exists()
+    assert "embx" in capsys.readouterr().err
 
 
 def test_parse_config_corpus_xor_synth(tmp_path):
@@ -303,6 +324,40 @@ def test_pipeline_workers_match_sequential(synth_run):
     assert (outdir / "report.tsv").read_bytes() == first
 
 
+def test_pipeline_sentence_strategies(tmp_path):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(SYNTH_INI)
+    outdir = tmp_path / "out"
+    cfg = parse_config(ini, {"sampler.strategies": "similar_sentences,random_sentences",
+                             "run.out": str(outdir)})
+
+    def run(workers):
+        shutil.rmtree(outdir, ignore_errors=True)
+        run_pipeline(cfg, workers=workers)
+        return {str(p.relative_to(outdir)): p.read_bytes()
+                for p in sorted(outdir.rglob("*")) if p.is_file()}
+
+    first = run(1)
+    assert "contexts/similar_sentences-k3.jsonl" in first
+    assert run(1) == first
+    assert run(2) == first
+
+    # every ranked sentence scores exactly what the scalar cosine gives
+    corpus, _ = ingest_corpus(*(outdir / "synth" / f"{n}.jsonl"
+                                for n in ("posts", "comments", "verdicts")))
+    ecfg = cfg.embedder_config()
+    items = 0
+    for ctx in load_contexts(outdir / "contexts" / "similar_sentences-k3.jsonl", corpus):
+        post = embed_text(corpus.posts[ctx.post_id].query_text(), ecfg)
+        for item in ctx.items:
+            assert item.unit == "sentence"
+            assert item.similarity == cosine_similarity(post, embed_text(item.text, ecfg))
+            items += 1
+    assert items > 0
+    for ctx in load_contexts(outdir / "contexts" / "random_sentences-k3.jsonl", corpus):
+        assert all(i.unit == "sentence" and i.similarity is None for i in ctx.items)
+
+
 def test_pipeline_report_roundtrip(synth_run):
     _, outdir, _, rows = synth_run
     parsed = read_report_tsv(outdir / "report.tsv")
@@ -417,6 +472,20 @@ def test_cli_missing_input_is_usage_error(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert "nope.jsonl" in capsys.readouterr().err
+
+    # analyze checks --contexts (and coverage's --cluster-model) up front
+    ctx = tmp_path / "ctx.jsonl"
+    ctx.write_text("")
+    for argv, missing in (
+        (["coverage", "--contexts", str(tmp_path / "nope.jsonl")], "nope.jsonl"),
+        (["coverage", "--contexts", str(ctx), "--cluster-model",
+          str(tmp_path / "nope.model")], "nope.model"),
+        (["diversity", "--contexts", str(tmp_path / "nope.jsonl")], "nope.jsonl"),
+    ):
+        code = main(["analyze", *argv, "--comments", str(ctx),
+                     "--out", str(tmp_path / "out.tsv")])
+        assert code == 1
+        assert f"input not found: {tmp_path / missing}" in capsys.readouterr().err
 
 
 def test_cli_malformed_data_is_data_error(tmp_path, capsys):

@@ -4,7 +4,8 @@ import pytest
 
 from dlab.corpus import Comment, Corpus, Post, Verdict
 from dlab.disclosure import HighLevelCategory, build_profiles
-from dlab.embed import EmbedderConfig, cosine_similarity, embed_text, embed_texts
+from dlab.embed import EmbedderConfig, cosine_similarity, embed_text
+from dlab.pipeline import embed_corpus, embed_sentences
 from dlab.sampler import (
     BoxStats,
     CategoryFilter,
@@ -24,8 +25,13 @@ from dlab.sampler import (
 ECFG = EmbedderConfig(dim=128, ngram_range=(1, 2), seed=0)
 
 
-def embed_fn(text):
+def vec(text):
     return embed_text(text, ECFG)
+
+
+def matrices(corpus):
+    """The post/comment matrix and the sentence matrix the pipeline builds."""
+    return embed_corpus(corpus, ECFG), embed_sentences(corpus, ECFG)
 
 
 def build_corpus(comment_specs, post_specs=None):
@@ -58,29 +64,17 @@ def ranked_corpus():
 
 def test_similar_comments_matches_brute_ranking(ranked_corpus):
     cfg = SamplerConfig(strategy="similar_comments", max_samples=3, seed=1)
-    ctx = sample_context("judge", "p0", ranked_corpus, None, None, cfg, embed_fn=embed_fn)
-    query = embed_fn(ranked_corpus.posts["p0"].query_text())
+    matrix, _ = matrices(ranked_corpus)
+    ctx = sample_context("judge", "p0", ranked_corpus, matrix, None, cfg)
+    query = vec(ranked_corpus.posts["p0"].query_text())
     want = sorted(
-        ((cid, cosine_similarity(query, embed_fn(ranked_corpus.comments[cid].text)))
+        ((cid, cosine_similarity(query, vec(ranked_corpus.comments[cid].text)))
          for cid in ["ca1", "ca2", "ca3", "ca4"]),
         key=lambda pair: (-pair[1], pair[0]),
     )[:3]
     assert [(i.source_comment_id, i.similarity) for i in ctx.items] == want
     assert all(i.unit == "comment" for i in ctx.items)
     assert ctx.items[0].text == ranked_corpus.comments[ctx.items[0].source_comment_id].text
-
-
-def test_similar_comments_accepts_precomputed_matrix(ranked_corpus):
-    pairs = [(pid, post.query_text()) for pid, post in sorted(ranked_corpus.posts.items())]
-    pairs += [(cid, c.text) for cid, c in sorted(ranked_corpus.comments.items())]
-    matrix = embed_texts(pairs, ECFG)
-    cfg = SamplerConfig(strategy="similar_comments", max_samples=2, seed=1)
-    via_matrix = sample_context("judge", "p0", ranked_corpus, matrix, None, cfg)
-    via_fn = sample_context("judge", "p0", ranked_corpus, None, None, cfg, embed_fn=embed_fn)
-    assert [i.source_comment_id for i in via_matrix.items] == \
-        [i.source_comment_id for i in via_fn.items]
-    for a, b in zip(via_matrix.items, via_fn.items):
-        assert a.similarity == pytest.approx(b.similarity, abs=1e-6)
 
 
 def test_similarity_needs_some_embedding_route(ranked_corpus):
@@ -95,7 +89,8 @@ def test_similar_sentences_ranks_sentence_units():
         ("cy", "judge", "I bought new shoes."),
     ])
     cfg = SamplerConfig(strategy="similar_sentences", max_samples=2, seed=1)
-    ctx = sample_context("judge", "p0", corpus, None, None, cfg, embed_fn=embed_fn)
+    matrix, sentences = matrices(corpus)
+    ctx = sample_context("judge", "p0", corpus, matrix, None, cfg, sentences)
     assert len(ctx) == 2
     top = ctx.items[0]
     assert (top.source_comment_id, top.sentence_index) == ("cx", 0)
@@ -105,8 +100,15 @@ def test_similar_sentences_ranks_sentence_units():
     # scores descend and every unit is a sentence
     assert ctx.items[0].similarity >= ctx.items[1].similarity
     assert all(i.unit == "sentence" for i in ctx.items)
-    with pytest.raises(ValueError, match="embed_fn"):
-        sample_context("judge", "p0", corpus, None, None, cfg)
+    with pytest.raises(ValueError, match="sentence matrix"):
+        sample_context("judge", "p0", corpus, matrix, None, cfg)
+    # the two sentences embed alike; the tie breaks by comment id, then text
+    tied = build_corpus([("cz", "judge", "cats rule. Cats rule!")])
+    tied_matrix, tied_sentences = matrices(tied)
+    ctx = sample_context("judge", "p0", tied, tied_matrix, None, cfg, tied_sentences)
+    assert [(i.text, i.sentence_index) for i in ctx.items] == \
+        [("Cats rule!", 1), ("cats rule.", 0)]
+    assert ctx.items[0].similarity == ctx.items[1].similarity
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +173,8 @@ def test_samples_come_only_from_annotator_pool(ranked_corpus, strategy):
     # rival's cb1 is a verbatim copy of the post and would win any
     # similarity ranking if it could leak into judge's pool
     cfg = SamplerConfig(strategy=strategy, max_samples=10, seed=2)
-    ctx = sample_context("judge", "p0", ranked_corpus, None, None, cfg, embed_fn=embed_fn)
+    matrix, sentences = matrices(ranked_corpus)
+    ctx = sample_context("judge", "p0", ranked_corpus, matrix, None, cfg, sentences)
     assert len(ctx) > 0
     pool = set(ranked_corpus.annotator_index["judge"])
     assert {i.source_comment_id for i in ctx.items} <= pool
@@ -181,9 +184,10 @@ def test_samples_come_only_from_annotator_pool(ranked_corpus, strategy):
 def test_empty_pool_yields_empty_context():
     corpus = build_corpus([("c0", "someone", "hello there world.")])
     corpus.annotator_index["silent"] = []
+    matrix, sentences = matrices(corpus)
     for strategy in STRATEGIES:
         cfg = SamplerConfig(strategy=strategy, max_samples=3, seed=0)
-        ctx = sample_context("silent", "p0", corpus, None, None, cfg, embed_fn=embed_fn)
+        ctx = sample_context("silent", "p0", corpus, matrix, None, cfg, sentences)
         assert ctx.items == []
 
 
@@ -213,15 +217,14 @@ def test_theory_filter_restricts_pool(categorized_corpus):
         strategy="similar_comments", max_samples=5, seed=0,
         category_filter=CategoryFilter(theory=HighLevelCategory.DEMOGRAPHICS),
     )
-    ctx = sample_context("judge", "p0", categorized_corpus, None, profiles, cfg,
-                         embed_fn=embed_fn)
+    matrix, _ = matrices(categorized_corpus)
+    ctx = sample_context("judge", "p0", categorized_corpus, matrix, profiles, cfg)
     assert [i.source_comment_id for i in ctx.items] == ["c_demo"]
     cfg_exp = SamplerConfig(
         strategy="similar_comments", max_samples=5, seed=0,
         category_filter=CategoryFilter(theory=HighLevelCategory.EXPERIENCES),
     )
-    ctx = sample_context("judge", "p0", categorized_corpus, None, profiles, cfg_exp,
-                         embed_fn=embed_fn)
+    ctx = sample_context("judge", "p0", categorized_corpus, matrix, profiles, cfg_exp)
     assert [i.source_comment_id for i in ctx.items] == ["c_work"]
 
 
@@ -237,8 +240,7 @@ def test_cluster_filter_restricts_pool():
         strategy="similar_comments", max_samples=5, seed=0,
         category_filter=CategoryFilter(cluster=1),
     )
-    ctx = sample_context("judge", "p0", corpus, None, profiles, cfg,
-                         embed_fn=embed_fn)
+    ctx = sample_context("judge", "p0", corpus, matrices(corpus)[0], profiles, cfg)
     assert [i.source_comment_id for i in ctx.items] == ["c_f2"]
 
 
@@ -248,8 +250,8 @@ def test_category_filter_requires_profiles(categorized_corpus):
         category_filter=CategoryFilter(theory=HighLevelCategory.ATTITUDES),
     )
     with pytest.raises(ValueError, match="profiles"):
-        sample_context("judge", "p0", categorized_corpus, None, None, cfg,
-                       embed_fn=embed_fn)
+        sample_context("judge", "p0", categorized_corpus, matrices(categorized_corpus)[0],
+                       None, cfg)
 
 
 def test_category_filter_validation():
@@ -390,10 +392,11 @@ def test_contexts_roundtrip_through_jsonl(tmp_path, ranked_corpus):
         ("cx", "judge", "My cat knocked the plant again. Taxes are due in spring."),
         ("cy", "judge", "I bought new shoes."),
     ])
+    matrix, sentences = matrices(corpus)
     contexts = [
-        sample_context("judge", "p0", corpus, None, None,
+        sample_context("judge", "p0", corpus, matrix, None,
                        SamplerConfig(strategy="similar_sentences", max_samples=2, seed=1),
-                       embed_fn=embed_fn),
+                       sentences),
         sample_context("judge", "p0", corpus, None, None,
                        SamplerConfig(strategy="random_comments", max_samples=2, seed=1)),
         ContextSet("judge", "p0", []),
