@@ -35,6 +35,7 @@ from .disclosure import (
     PatternSet,
     audit_sample,
     build_profiles,
+    comment_profile,
     default_patterns,
     extract_disclosures,
     ngram_stats,
@@ -46,6 +47,7 @@ from .model import (
     ModelFileError,
     TrainConfig,
     build_features,
+    encode_labels,
     evaluate,
     load_model,
     save_model,
@@ -159,10 +161,14 @@ def _cmd_extract(args) -> int:
     corpus = _load_comments(args.comments)
     pats = _patterns(args)
     n_spans = 0
+    profiles = {}
     with open(args.spans_out, "w", encoding="utf-8") as fh:
         for cid in sorted(corpus.comments):
-            for span in extract_disclosures(corpus.comments[cid], pats):
-                n_spans += 1
+            spans = extract_disclosures(corpus.comments[cid], pats)
+            if args.profiles_out:
+                profiles[cid] = comment_profile(corpus.comments[cid], spans)
+            n_spans += len(spans)
+            for span in spans:
                 fh.write(json.dumps({
                     "comment_id": span.comment_id,
                     "sentence_index": span.sentence_index,
@@ -173,7 +179,6 @@ def _cmd_extract(args) -> int:
                     "matched_text": span.matched_text,
                 }, ensure_ascii=False) + "\n")
     if args.profiles_out:
-        profiles = build_profiles(corpus, pats)
         with open(args.profiles_out, "w", encoding="utf-8") as fh:
             for cid in sorted(profiles):
                 prof = profiles[cid]
@@ -238,56 +243,51 @@ def _cmd_sample(args) -> int:
         replication_mode=not args.no_replication_check,
     )
     sentences = embed_sentences(corpus, cfg) if args.strategy in SENTENCE_STRATEGIES else None
-    contexts = [
-        sample_context(v.annotator_id, v.post_id, corpus, matrix, profiles, sampler_cfg,
-                       sentences)
-        for v in corpus.verdicts
-    ]
+    contexts = sample_context([(v.annotator_id, v.post_id) for v in corpus.verdicts],
+                              corpus, matrix, profiles, cfg=sampler_cfg, sentences=sentences)
     dump_contexts(contexts, args.out)
     print(f"contexts={len(contexts)}")
     return 0
 
 
 def _features_for(args, corpus, indices):
-    """(features, label) of each verdict in `indices`, with its context
-    from --contexts."""
+    """Feature matrix and class indices of the verdicts in `indices`, with
+    their contexts from --contexts."""
     cfg = _embed_cfg(args)
     matrix = embed_corpus(corpus, cfg)
-    contexts = load_contexts(args.contexts, corpus)
-    by_pair = {(c.annotator_id, c.post_id): c for c in contexts}
+    loaded = load_contexts(args.contexts, corpus)
+    by_pair = {(c.annotator_id, c.post_id): c for c in loaded}
     sentences = None
-    if any(item.unit == "sentence" for c in contexts for item in c.items):
+    if any(item.unit == "sentence" for c in loaded for item in c.items):
         sentences = embed_sentences(corpus, cfg)
-    pairs = []
+    contexts = []
     for vi in indices:
         v = corpus.verdicts[vi]
         try:
-            ctx = by_pair[(v.annotator_id, v.post_id)]
+            contexts.append(by_pair[(v.annotator_id, v.post_id)])
         except KeyError:
             raise CorpusError(
                 f"contexts file lacks pair ({v.annotator_id}, {v.post_id})")
-        fv = build_features(matrix.row(v.post_id), ctx, embeddings=matrix,
-                            sentences=sentences)
-        pairs.append((fv, v.label))
-    return pairs
+    X = build_features(contexts, matrix, sentences)
+    return X, encode_labels(corpus.verdicts[vi].label for vi in indices)
 
 
 def _cmd_train(args) -> int:
     corpus = _load_corpus(args)
     _require_files(args.contexts, args.split)
     split = load_split(args.split)
-    dataset = _features_for(args, corpus, split.indices("train"))
+    X, y = _features_for(args, corpus, split.indices("train"))
     tc = TrainConfig(
         epochs=args.epochs, learning_rate=args.learning_rate,
         focal_gamma=args.focal_gamma,
         focal_alpha=tuple(float(x) for x in args.focal_alpha.split(",")) if args.focal_alpha else None,
         batch_size=args.batch_size, seed=args.seed,
     )
-    params = train(dataset, tc)
+    params = train(X, y, tc)
     save_model(params, args.model_out)
-    print(f"trained on {len(dataset)} examples; final loss "
+    print(f"trained on {len(y)} examples; final loss "
           f"{params.loss_history[-1]:.6f}" if params.loss_history else
-          f"trained on {len(dataset)} examples")
+          f"trained on {len(y)} examples")
     return 0
 
 
@@ -296,8 +296,7 @@ def _cmd_evaluate(args) -> int:
     _require_files(args.model, args.contexts, args.split)
     params = load_model(args.model)
     split = load_split(args.split)
-    dataset = _features_for(args, corpus, split.indices(args.partition))
-    report = evaluate(params, dataset)
+    report = evaluate(params, *_features_for(args, corpus, split.indices(args.partition)))
     payload = {
         "n": report.n,
         "accuracy": report.accuracy,

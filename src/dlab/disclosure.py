@@ -410,16 +410,21 @@ class CategoryProfile:
     cluster_id: int | None = None
 
 
+def comment_profile(comment: Comment, spans: list[DisclosureSpan]) -> CategoryProfile:
+    """The profile of one comment from its extracted disclosure spans."""
+    return CategoryProfile(
+        comment_id=comment.id,
+        theory_categories=frozenset(s.high_level for s in spans),
+        passes_phrase_filter=matches_phrase_filter(comment.text),
+    )
+
+
 def build_profiles(corpus: Corpus, patterns: PatternSet | None = None,
                    cluster_assignment: dict[str, int] | None = None) -> dict[str, CategoryProfile]:
     """Compute theory categories (and optional cluster ids) for every comment."""
     pats = patterns or default_patterns()
     profiles = {
-        cid: CategoryProfile(
-            comment_id=cid,
-            theory_categories=frozenset(assign_theory_categories(corpus.comments[cid], pats)),
-            passes_phrase_filter=matches_phrase_filter(corpus.comments[cid].text),
-        )
+        cid: comment_profile(corpus.comments[cid], extract_disclosures(corpus.comments[cid], pats))
         for cid in sorted(corpus.comments)
     }
     return attach_clusters(profiles, cluster_assignment or {})

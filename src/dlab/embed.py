@@ -233,18 +233,17 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return float(min(1.0, max(-1.0, float(u @ v) / (nu * nv))))
 
 
-def rank_by_cosine(query: np.ndarray, rows: np.ndarray, norms: np.ndarray,
-                   keys: list) -> list[tuple[int, float]]:
-    """Rank a block of matrix rows by cosine against a query.
+def cosine_scores(query: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Cosine of each row of a block of matrix rows against a query.
 
-    `norms` are the rows' stored norms (EmbeddingMatrix.norms) and `keys`
-    one tie key per row. Returns (position in the block, score) pairs by
-    descending score, then ascending key. Each score equals
-    cosine_similarity(query, row) bit for bit: zero-norm rows and a
-    zero-norm query score 0, and scores are clipped to [-1, 1].
+    `norms` are the rows' stored norms (EmbeddingMatrix.norms). Each score
+    equals cosine_similarity(query, row) bit for bit: zero-norm rows and a
+    zero-norm query score 0, and scores are clipped to [-1, 1]. A score
+    depends on its own row only, so scores of a sub-block are the matching
+    entries of the block's scores.
     """
     query = np.asarray(query, dtype=np.float64)
-    scores = np.zeros(len(keys), dtype=np.float64)
+    scores = np.zeros(len(norms), dtype=np.float64)
     qnorm = float(np.linalg.norm(query))
     if qnorm > 0.0:
         live = np.flatnonzero(norms > 0.0)
@@ -252,9 +251,21 @@ def rank_by_cosine(query: np.ndarray, rows: np.ndarray, norms: np.ndarray,
         # order, so its scores differ from cosine_similarity's in the last bits
         dots = np.array([np.asarray(rows[i], dtype=np.float64) @ query for i in live])
         scores[live] = np.clip(dots / (norms[live] * qnorm), -1.0, 1.0)
+    return scores
+
+
+def rank_scores(scores: np.ndarray, keys: list) -> list[tuple[int, float]]:
+    """(position, score) pairs by descending score, then ascending key."""
     values = scores.tolist()
     order = sorted(range(len(keys)), key=lambda i: (-values[i], keys[i]))
     return [(i, values[i]) for i in order]
+
+
+def rank_by_cosine(query: np.ndarray, rows: np.ndarray, norms: np.ndarray,
+                   keys: list) -> list[tuple[int, float]]:
+    """Rank a block of matrix rows by cosine against a query (cosine_scores),
+    with one tie key per row (rank_scores)."""
+    return rank_scores(cosine_scores(query, rows, norms), keys)
 
 
 def top_k_similar(query: np.ndarray, matrix: EmbeddingMatrix, k: int,

@@ -43,60 +43,49 @@ def _label_index(label) -> int:
     return idx
 
 
-@dataclass
-class FeatureVector:
-    """[post embedding ‖ mean context embedding], both d-dimensional."""
-
-    post_part: np.ndarray
-    context_part: np.ndarray
-
-    def __post_init__(self):
-        self.post_part = np.asarray(self.post_part, dtype=np.float64)
-        self.context_part = np.asarray(self.context_part, dtype=np.float64)
-        if self.post_part.shape != self.context_part.shape:
-            raise ValueError(
-                f"post part {self.post_part.shape} != context part "
-                f"{self.context_part.shape}")
-
-    @property
-    def fused(self) -> np.ndarray:
-        return np.concatenate([self.post_part, self.context_part])
+def encode_labels(labels) -> np.ndarray:
+    """Class indices (0 NTA, 1 YTA) of an iterable of labels or indices."""
+    return np.array([_label_index(label) for label in labels], dtype=np.int64)
 
 
-def build_features(post_emb: np.ndarray, context: ContextSet,
-                   embeddings: EmbeddingMatrix | None = None,
-                   sentences: EmbeddingMatrix | None = None) -> FeatureVector:
-    """Fuse a post embedding with the mean of its context embeddings.
+def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
+                   sentences: EmbeddingMatrix | None = None) -> np.ndarray:
+    """The (n, 2d) float64 feature matrix of n contexts, one row each:
+    [post embedding ‖ mean context embedding].
 
-    Comment items resolve against `embeddings` by comment id, sentence
-    items against `sentences` (pipeline.embed_sentences) by their text. If
-    every context vector is unit norm the mean is re-normalized to unit,
-    keeping the two feature blocks on the same scale; an empty context
-    yields an exact zero block.
+    The post block is the context's post row of `embeddings`. Comment items
+    resolve against `embeddings` by comment id, sentence items against
+    `sentences` (pipeline.embed_sentences) by their text. The mean is taken
+    over the item rows in item order; if every item row is unit norm (by the
+    matrices' stored norms, within 1e-3) it is re-normalized to unit,
+    keeping the two blocks on the same scale. An empty context yields an
+    exact zero block.
     """
-    post_emb = np.asarray(post_emb, dtype=np.float64)
-    if not context.items:
-        return FeatureVector(post_emb, np.zeros_like(post_emb))
-    vectors = []
-    for item in context.items:
-        matrix, key = ((embeddings, item.source_comment_id) if item.unit == "comment"
-                       else (sentences, item.text))
-        if matrix is None or key not in matrix:
-            raise ValueError(
-                f"cannot resolve a vector for context item {item.source_comment_id!r}")
-        vec = np.asarray(matrix.row(key), dtype=np.float64)
-        if vec.shape != post_emb.shape:
-            raise ValueError(f"context dim {vec.shape} != post dim {post_emb.shape}")
-        vectors.append(vec)
-    stacked = np.vstack(vectors)
-    mean = stacked.mean(axis=0)
-    norms = np.linalg.norm(stacked, axis=1)
-    nonzero = norms > 0.0
-    all_unit = bool(nonzero.all() and np.abs(norms - 1.0).max() <= 1e-3)
-    mean_norm = float(np.linalg.norm(mean))
-    if all_unit and mean_norm > 0.0:
-        mean = mean / mean_norm
-    return FeatureVector(post_emb, mean)
+    d = embeddings.dim
+    X = np.zeros((len(contexts), 2 * d))
+    X[:, :d] = embeddings.data[[embeddings.row_index(ctx.post_id) for ctx in contexts]]
+    for i, ctx in enumerate(contexts):
+        if not ctx.items:
+            continue
+        stacked = np.empty((len(ctx.items), d))
+        all_unit = True
+        for j, item in enumerate(ctx.items):
+            matrix, key = ((embeddings, item.source_comment_id) if item.unit == "comment"
+                           else (sentences, item.text))
+            if matrix is None or key not in matrix:
+                raise ValueError(
+                    f"cannot resolve a vector for context item {item.source_comment_id!r}")
+            if matrix.dim != d:
+                raise ValueError(f"context dim {matrix.dim} != post dim {d}")
+            row = matrix.row_index(key)
+            stacked[j] = matrix.data[row]
+            all_unit = all_unit and abs(matrix.norms[row] - 1.0) <= 1e-3
+        mean = stacked.mean(axis=0)
+        mean_norm = float(np.linalg.norm(mean))
+        if all_unit and mean_norm > 0.0:
+            mean = mean / mean_norm
+        X[i, d:] = mean
+    return X
 
 
 def focal_loss_batch(z: np.ndarray, y: np.ndarray, alpha_t: np.ndarray,
@@ -163,6 +152,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.focal_gamma < 0:
@@ -193,26 +184,27 @@ def _inverse_frequency_alpha(y: np.ndarray) -> tuple[float, float]:
     return (n / (2.0 * counts[0]), n / (2.0 * counts[1]))
 
 
-def _as_xy(dataset) -> tuple[np.ndarray, np.ndarray]:
-    feats, labels = [], []
-    for fv, label in dataset:
-        feats.append(fv.fused if isinstance(fv, FeatureVector) else np.asarray(fv, dtype=np.float64))
-        labels.append(_label_index(label))
-    if not feats:
-        raise ValueError("empty training set")
-    X = np.vstack(feats)
-    y = np.array(labels, dtype=np.int64)
-    return X, y
+def _check_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    if X.ndim != 2 or y.shape != (X.shape[0],):
+        raise ValueError(f"need X of shape (n, dim) and y of shape (n,), got {X.shape} "
+                         f"and {y.shape}")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be class indices 0 (NTA) or 1 (YTA)")
+    return X, y.astype(np.int64)
 
 
-def train(dataset, cfg: TrainConfig) -> ModelParams:
+def train(X, y, cfg: TrainConfig) -> ModelParams:
     """Mini-batch Adam on focal loss from zero-initialized parameters.
 
-    dataset: iterable of (FeatureVector | ndarray, label). Deterministic
-    for a fixed config seed; learning_rate 0 leaves the zero parameters
-    untouched by construction.
+    X: (n, dim) features (build_features), y: (n,) class indices
+    (encode_labels). Deterministic for a fixed config seed; learning_rate 0
+    leaves the zero parameters untouched by construction.
     """
-    X, y = _as_xy(dataset)
+    X, y = _check_xy(X, y)
+    if not len(y):
+        raise ValueError("empty training set")
     n, dim = X.shape
     alpha = cfg.focal_alpha or _inverse_frequency_alpha(y)
     alpha_arr = np.asarray(alpha, dtype=np.float64)
@@ -259,8 +251,9 @@ def train(dataset, cfg: TrainConfig) -> ModelParams:
 
 
 def predict(params: ModelParams, features) -> tuple[str, np.ndarray]:
-    """Predicted label and class probabilities; exact ties go to NTA."""
-    x = features.fused if isinstance(features, FeatureVector) else np.asarray(features, dtype=np.float64)
+    """Predicted label and class probabilities of one feature row; exact
+    ties go to NTA."""
+    x = np.asarray(features, dtype=np.float64)
     z = params.weights @ x + params.bias
     zmax = z.max()
     p = np.exp(z - zmax)
@@ -347,13 +340,13 @@ def compute_report(y_true, y_pred) -> EvalReport:
     )
 
 
-def evaluate(params: ModelParams, test) -> EvalReport:
-    """Run the model over (features, label) pairs and score it."""
-    y_true, y_pred = [], []
-    for fv, label in test:
-        y_true.append(_label_index(label))
-        y_pred.append(_LABEL_INDEX[predict(params, fv)[0]])
-    return compute_report(y_true, y_pred)
+def evaluate(params: ModelParams, X, y) -> EvalReport:
+    """Score the model on feature rows X with class indices y."""
+    X, y = _check_xy(X, y)
+    # one matrix-vector product per row, as predict computes it; X @ W.T
+    # is another BLAS call and may round differently
+    y_pred = [_LABEL_INDEX[predict(params, x)[0]] for x in X]
+    return compute_report(y, y_pred)
 
 
 def significance_test(correct_a, correct_b) -> tuple[float, float]:

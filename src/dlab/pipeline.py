@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import configparser
 import json
+import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,8 @@ from .corpus import (Corpus, filter_annotators, ingest_corpus, make_split, save_
                      validate_ratios, verify_split)
 from .disclosure import CategoryProfile, HighLevelCategory, attach_clusters, build_profiles
 from .embed import EmbedderConfig, EmbeddingMatrix, embed_texts, import_embeddings
-from .model import EvalReport, TrainConfig, build_features, evaluate, significance_test, train
+from .model import (EvalReport, TrainConfig, build_features, encode_labels, evaluate,
+                    significance_test, train)
 from .sampler import (
     SENTENCE_STRATEGIES,
     STRATEGIES,
@@ -40,6 +42,8 @@ from .seeds import derive_seed
 from .synthgen import PopulationSpec, generate_population, write_population
 
 BASELINE_CONDITIONS = ("no_comments", "all_comments")
+
+logger = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -348,6 +352,9 @@ class RunState:
     train_pairs: list[int]  # verdict indices
     test_pairs: list[int]
     sentences: EmbeddingMatrix | None  # only when a condition samples sentences
+    # each pair's cosine scores over its annotator's whole pool, filled by
+    # sample_context as the grid runs and shared by every condition
+    scores: dict = field(default_factory=dict)
 
 
 _SHARED: RunState | None = None
@@ -361,28 +368,21 @@ def _init_worker(state: RunState) -> None:
 def _condition_contexts(state: RunState, condition: Condition,
                         verdict_indices: list[int]) -> list[ContextSet]:
     corpus = state.corpus
-    out = []
-    if condition.kind == "baseline":
-        for vi in verdict_indices:
-            v = corpus.verdicts[vi]
-            if condition.name == "no_comments":
-                out.append(ContextSet(v.annotator_id, v.post_id, []))
-            else:
-                out.append(full_pool_context(v.annotator_id, v.post_id, corpus))
-        return out
+    verdicts = [corpus.verdicts[vi] for vi in verdict_indices]
+    if condition.name == "no_comments":
+        return [ContextSet(v.annotator_id, v.post_id, []) for v in verdicts]
+    if condition.name == "all_comments":
+        return [full_pool_context(v.annotator_id, v.post_id, corpus) for v in verdicts]
     sampler_cfg = SamplerConfig(
         strategy=condition.strategy,
         max_samples=condition.max_samples,
         category_filter=condition.category_filter,
         seed=derive_seed(state.cfg.seed, "sampler"),
     )
-    for vi in verdict_indices:
-        v = corpus.verdicts[vi]
-        out.append(sample_context(
-            v.annotator_id, v.post_id, corpus, state.embeddings,
-            state.profiles, sampler_cfg, state.sentences,
-        ))
-    return out
+    return sample_context(
+        [(v.annotator_id, v.post_id) for v in verdicts], corpus, state.embeddings,
+        state.profiles, cfg=sampler_cfg, sentences=state.sentences, scores=state.scores,
+    )
 
 
 def _five_plus_pct(state: RunState, condition: Condition) -> float:
@@ -406,30 +406,23 @@ def _five_plus_pct(state: RunState, condition: Condition) -> float:
 
 
 def run_condition(state: RunState, condition: Condition) -> dict:
-    """Build features, train cfg.runs models, evaluate each, aggregate."""
-    corpus = state.corpus
+    """Sample each partition's contexts and build its feature matrix once,
+    then train cfg.runs models on them, evaluate each, aggregate."""
     cfg = state.cfg
-    datasets = {}
+    data = {}
     contexts_by_partition = {}
     for part, indices in (("train", state.train_pairs), ("test", state.test_pairs)):
         contexts = _condition_contexts(state, condition, indices)
-        pairs = []
-        for vi, ctx in zip(indices, contexts):
-            v = corpus.verdicts[vi]
-            fv = build_features(
-                state.embeddings.row(v.post_id), ctx,
-                embeddings=state.embeddings, sentences=state.sentences,
-            )
-            pairs.append((fv, v.label))
-        datasets[part] = pairs
+        X = build_features(contexts, state.embeddings, state.sentences)
+        data[part] = X, encode_labels(state.corpus.verdicts[vi].label for vi in indices)
         contexts_by_partition[part] = contexts
 
     run_reports: list[EvalReport] = []
     correctness = []
     base_seed = derive_seed(cfg.seed, "train", condition.name)
     for run_idx in range(cfg.runs):
-        params = train(datasets["train"], cfg.train_config(base_seed + run_idx))
-        report = evaluate(params, datasets["test"])
+        params = train(*data["train"], cfg.train_config(base_seed + run_idx))
+        report = evaluate(params, *data["test"])
         run_reports.append(report)
         correctness.append(report.correctness)
 
@@ -437,8 +430,8 @@ def run_condition(state: RunState, condition: Condition) -> dict:
     return {
         "condition": condition.name,
         "kind": condition.kind,
-        "n_train": len(datasets["train"]),
-        "n_test": len(datasets["test"]),
+        "n_train": len(data["train"][1]),
+        "n_test": len(data["test"][1]),
         "five_plus_pct": _five_plus_pct(state, condition),
         "accuracy": agg.accuracy,
         "macro_f1": agg.macro_f1,
@@ -579,6 +572,8 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> list[dict
             ) as pool:
                 rows = list(pool.map(_run_condition_global, conditions))
         else:
+            logger.warning("the fork start method is unavailable; running %d conditions "
+                           "sequentially instead of on %d workers", len(conditions), workers)
             rows = [run_condition(state, c) for c in conditions]
     else:
         rows = [run_condition(state, c) for c in conditions]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .disclosure import CategoryProfile, HighLevelCategory
-from .embed import EmbeddingMatrix, rank_by_cosine
+from .embed import EmbeddingMatrix, cosine_scores, rank_scores
 from .seeds import derive_seed
 
 STRATEGIES = (
@@ -122,66 +122,90 @@ class ContextSet:
         return len(self.items)
 
 
-def _candidate_ids(corpus: Corpus, annotator_id: str,
-                   profiles: dict[str, CategoryProfile] | None,
-                   cfg: SamplerConfig) -> list[str]:
-    pool = corpus.annotator_index[annotator_id]
-    if cfg.category_filter is None:
-        return list(pool)
-    if profiles is None:
-        raise ValueError("category filter requires comment profiles")
-    return [cid for cid in pool if cfg.category_filter.admits(profiles[cid])]
-
-
-def sample_context(annotator_id: str, post_id: str, corpus: Corpus,
-                   embeddings: EmbeddingMatrix | None,
-                   profiles: dict[str, CategoryProfile] | None,
-                   cfg: SamplerConfig,
-                   sentences: EmbeddingMatrix | None = None) -> ContextSet:
-    """Draw up to max_samples context items for one (annotator, post) pair.
-
-    Similarity strategies rank the full candidate pool by cosine against
-    the post (title + body) row of `embeddings`, breaking ties by comment
-    id, then text; comments are looked up in `embeddings`, sentences in
-    `sentences`, the matrix of sentence texts (pipeline.embed_sentences).
-    Random strategies sample uniformly without replacement with a per-pair
-    derived RNG. Fewer candidates than max_samples returns them all; an
-    empty pool returns an empty context.
-    """
-    if annotator_id not in corpus.annotator_index:
-        raise ValueError(f"unknown annotator {annotator_id!r}")
-    if post_id not in corpus.posts:
-        raise ValueError(f"unknown post {post_id!r}")
-    candidates = _candidate_ids(corpus, annotator_id, profiles, cfg)
-    unit = "sentence" if cfg.strategy in SENTENCE_STRATEGIES else "comment"
+def _annotator_pool(corpus: Corpus, annotator_id: str,
+                    profiles: dict[str, CategoryProfile] | None,
+                    cfg: SamplerConfig, unit: str) -> tuple[list[tuple], list[int]]:
+    """The annotator's whole pool of units, (comment id, sentence index,
+    text) in pool order, and the positions of those the category filter
+    admits."""
+    cids = corpus.annotator_index[annotator_id]
     if unit == "sentence":
         units = [
             (cid, idx, corpus.comments[cid].text[a:b])
-            for cid in candidates
+            for cid in cids
             for idx, (a, b) in enumerate(corpus.comments[cid].sentence_spans())
         ]
     else:
-        units = [(cid, None, corpus.comments[cid].text) for cid in candidates]
+        units = [(cid, None, corpus.comments[cid].text) for cid in cids]
+    filt = cfg.category_filter
+    if filt is None:
+        return units, list(range(len(units)))
+    if profiles is None:
+        raise ValueError("category filter requires comment profiles")
+    return units, [i for i, (cid, _, _) in enumerate(units) if filt.admits(profiles[cid])]
 
-    if cfg.strategy.startswith("random_"):
-        rng = random.Random(derive_seed(cfg.seed, annotator_id, post_id))
-        chosen = [(u, None) for u in rng.sample(units, min(cfg.max_samples, len(units)))]
-    else:
-        if unit == "sentence" and sentences is None:
-            raise ValueError("similar_sentences requires a sentence matrix")
-        chosen = []
-        if units:
-            if embeddings is None or post_id not in embeddings:
-                raise ValueError(f"no embedding for post {post_id!r}")
-            matrix, row_ids = ((sentences, [text for _, _, text in units]) if unit == "sentence"
-                               else (embeddings, candidates))
-            rows = [matrix.row_index(rid) for rid in row_ids]
-            ranked = rank_by_cosine(embeddings.row(post_id), matrix.data[rows], matrix.norms[rows],
-                                    [(cid, text) for cid, _, text in units])
-            chosen = [(units[i], score) for i, score in ranked[:cfg.max_samples]]
-    items = [ContextItem(cid, text, score, unit, sentence_index=idx)
-             for (cid, idx, text), score in chosen]
-    return ContextSet(annotator_id=annotator_id, post_id=post_id, items=items)
+
+def sample_context(pairs, corpus: Corpus,
+                   embeddings: EmbeddingMatrix | None,
+                   profiles: dict[str, CategoryProfile] | None, *,
+                   cfg: SamplerConfig,
+                   sentences: EmbeddingMatrix | None = None,
+                   scores: dict | None = None) -> list[ContextSet]:
+    """Draw up to max_samples context items for each (annotator, post) pair.
+
+    Similarity strategies rank the candidate pool by cosine against the post
+    (title + body) row of `embeddings`, breaking ties by comment id, then
+    text; comments are looked up in `embeddings`, sentences in `sentences`,
+    the matrix of sentence texts (pipeline.embed_sentences). Random
+    strategies sample uniformly without replacement with a per-pair derived
+    RNG. Fewer candidates than max_samples returns them all; an empty pool
+    returns an empty context.
+
+    Each annotator's pool is built once per call. `scores` memoises each
+    pair's cosine scores over the annotator's whole, unfiltered pool, keyed
+    by (unit, annotator, post); passing one dict to every call on the same
+    corpus and matrices scores each pair once, whatever the category filter.
+    """
+    unit = "sentence" if cfg.strategy in SENTENCE_STRATEGIES else "comment"
+    scores = {} if scores is None else scores
+    pools: dict[str, tuple] = {}
+    out = []
+    for annotator_id, post_id in pairs:
+        if annotator_id not in corpus.annotator_index:
+            raise ValueError(f"unknown annotator {annotator_id!r}")
+        if post_id not in corpus.posts:
+            raise ValueError(f"unknown post {post_id!r}")
+        if annotator_id not in pools:
+            units, admitted = _annotator_pool(corpus, annotator_id, profiles, cfg, unit)
+            candidates = [units[i] for i in admitted]
+            pools[annotator_id] = (units, admitted, candidates,
+                                   [(cid, text) for cid, _, text in candidates])
+        units, admitted, candidates, keys = pools[annotator_id]
+
+        if cfg.strategy.startswith("random_"):
+            rng = random.Random(derive_seed(cfg.seed, annotator_id, post_id))
+            chosen = [(u, None) for u in
+                      rng.sample(candidates, min(cfg.max_samples, len(candidates)))]
+        else:
+            if unit == "sentence" and sentences is None:
+                raise ValueError("similar_sentences requires a sentence matrix")
+            chosen = []
+            if candidates:
+                if embeddings is None or post_id not in embeddings:
+                    raise ValueError(f"no embedding for post {post_id!r}")
+                key = (unit, annotator_id, post_id)
+                if key not in scores:
+                    matrix = sentences if unit == "sentence" else embeddings
+                    rows = [matrix.row_index(text if unit == "sentence" else cid)
+                            for cid, _, text in units]
+                    scores[key] = cosine_scores(embeddings.row(post_id), matrix.data[rows],
+                                                matrix.norms[rows])
+                ranked = rank_scores(scores[key][admitted], keys)
+                chosen = [(candidates[i], score) for i, score in ranked[:cfg.max_samples]]
+        items = [ContextItem(cid, text, score, unit, sentence_index=idx)
+                 for (cid, idx, text), score in chosen]
+        out.append(ContextSet(annotator_id=annotator_id, post_id=post_id, items=items))
+    return out
 
 
 def full_pool_context(annotator_id: str, post_id: str, corpus: Corpus) -> ContextSet:

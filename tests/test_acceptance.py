@@ -27,6 +27,7 @@ from dlab.model import (
     TrainConfig,
     build_features,
     compute_report,
+    encode_labels,
     focal_loss,
     predict,
     significance_test,
@@ -267,21 +268,18 @@ def run_condition(world, sampler_cfg):
     corpus, matrix, split, profiles = world
     datasets = {}
     for part in ("train", "test"):
-        rows = []
-        for i in split.indices(part):
-            v = corpus.verdicts[i]
-            if sampler_cfg is None:
-                ctx = ContextSet(v.annotator_id, v.post_id, [])
-            else:
-                ctx = sample_context(v.annotator_id, v.post_id, corpus, matrix,
-                                     profiles, sampler_cfg)
-            fv = build_features(matrix.row(v.post_id), ctx, embeddings=matrix)
-            rows.append((fv, v.label))
-        datasets[part] = rows
-    params = train(datasets["train"], TRAIN_CFG)
-    y_true = [label for _, label in datasets["test"]]
-    y_pred = [predict(params, fv)[0] for fv, _ in datasets["test"]]
-    return compute_report(y_true, y_pred)
+        verdicts = [corpus.verdicts[i] for i in split.indices(part)]
+        if sampler_cfg is None:
+            contexts = [ContextSet(v.annotator_id, v.post_id, []) for v in verdicts]
+        else:
+            contexts = sample_context([(v.annotator_id, v.post_id) for v in verdicts], corpus,
+                                      matrix, profiles, cfg=sampler_cfg)
+        datasets[part] = (build_features(contexts, matrix),
+                          encode_labels(v.label for v in verdicts))
+    params = train(*datasets["train"], TRAIN_CFG)
+    X_test, y_test = datasets["test"]
+    y_pred = [predict(params, x)[0] for x in X_test]
+    return compute_report(y_test, y_pred)
 
 
 @pytest.fixture(scope="module")

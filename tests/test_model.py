@@ -7,13 +7,13 @@ import pytest
 from dlab.embed import EmbeddingMatrix
 from dlab.model import (
     EvalReport,
-    FeatureVector,
     LABELS,
     ModelFileError,
     ModelParams,
     TrainConfig,
     build_features,
     compute_report,
+    encode_labels,
     evaluate,
     focal_loss,
     focal_loss_batch,
@@ -143,30 +143,31 @@ def test_focal_loss_validation():
 # training
 
 def separable_dataset(n=40, seed=0, spread=0.2):
+    """(X, y): class 0 (NTA) around x=-1, class 1 (YTA) around x=+1."""
     rng = np.random.default_rng(seed)
-    data = []
+    X, y = [], []
     for i in range(n):
-        label = i % 2  # 0 NTA at x=-1, 1 YTA at x=+1
+        label = i % 2
         center = -1.0 if label == 0 else 1.0
-        x = np.array([center, 0.0]) + rng.normal(0, spread, size=2)
-        data.append((x, LABELS[label]))
-    return data
+        X.append(np.array([center, 0.0]) + rng.normal(0, spread, size=2))
+        y.append(label)
+    return np.array(X), np.array(y)
 
 
 def test_train_fits_separable_data():
-    data = separable_dataset()
+    X, y = separable_dataset()
     cfg = TrainConfig(epochs=150, learning_rate=0.05, batch_size=8, seed=1)
-    params = train(data, cfg)
-    report = evaluate(params, data)
+    params = train(X, y, cfg)
+    report = evaluate(params, X, y)
     assert report.accuracy == 1.0
     assert params.loss_history[-1] < params.loss_history[0]
     assert len(params.loss_history) == 150
 
 
 def test_train_zero_learning_rate_keeps_zero_params():
-    data = separable_dataset(n=16)
+    X, y = separable_dataset(n=16)
     cfg = TrainConfig(epochs=3, learning_rate=0.0, batch_size=4, seed=0)
-    params = train(data, cfg)
+    params = train(X, y, cfg)
     assert not params.weights.any()
     assert not params.bias.any()
     # constant loss at the zero point, every epoch
@@ -174,34 +175,44 @@ def test_train_zero_learning_rate_keeps_zero_params():
 
 
 def test_train_deterministic_and_seed_sensitive():
-    data = separable_dataset(n=40)
+    X, y = separable_dataset(n=40)
     cfg = TrainConfig(epochs=3, learning_rate=0.01, batch_size=8, seed=5)
-    a, b = train(data, cfg), train(data, cfg)
+    a, b = train(X, y, cfg), train(X, y, cfg)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.bias, b.bias)
     assert a.loss_history == b.loss_history
-    other = train(data, TrainConfig(epochs=3, learning_rate=0.01, batch_size=8, seed=6))
+    other = train(X, y, TrainConfig(epochs=3, learning_rate=0.01, batch_size=8, seed=6))
     assert not np.array_equal(a.weights, other.weights)
 
 
 def test_train_default_alpha_is_inverse_frequency():
     # 3 NTA to 1 YTA: alpha = (n/(2*3), n/(2*1)) = (2/3, 2)
-    data = [(np.array([1.0, 0.0]), "NTA")] * 3 + [(np.array([0.0, 1.0]), "YTA")]
-    params = train(data, TrainConfig(epochs=1, learning_rate=0.01))
+    X = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]])
+    params = train(X, encode_labels(["NTA"] * 3 + ["YTA"]), TrainConfig(epochs=1, learning_rate=0.01))
     assert params.alpha == pytest.approx((2.0 / 3.0, 2.0))
 
 
 def test_train_single_class_needs_explicit_alpha():
-    data = [(np.array([1.0, 0.0]), "NTA"), (np.array([0.0, 1.0]), "NTA")]
+    X, y = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0])
     with pytest.raises(ValueError, match="lacks a class"):
-        train(data, TrainConfig(epochs=1))
-    params = train(data, TrainConfig(epochs=1, focal_alpha=(0.5, 0.5)))
+        train(X, y, TrainConfig(epochs=1))
+    params = train(X, y, TrainConfig(epochs=1, focal_alpha=(0.5, 0.5)))
     assert params.alpha == (0.5, 0.5)
 
 
 def test_train_validation():
     with pytest.raises(ValueError, match="empty"):
-        train([], TrainConfig())
+        train(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), TrainConfig())
+    with pytest.raises(ValueError, match="shape"):
+        train(np.zeros((2, 3)), np.zeros(3, dtype=np.int64), TrainConfig())
+    with pytest.raises(ValueError, match="shape"):
+        train(np.zeros(3), np.zeros(3, dtype=np.int64), TrainConfig())
+    with pytest.raises(ValueError, match="labels"):
+        train(np.zeros((2, 2)), np.array([0, 2]), TrainConfig())
+    with pytest.raises(ValueError, match="labels"):
+        evaluate(ModelParams(weights=np.zeros((2, 2)), bias=np.zeros(2), gamma=2.0,
+                             alpha=(0.5, 0.5), seed=0, epochs=0, learning_rate=0.0),
+                 np.zeros((1, 2)), np.array(["NTA"]))
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
@@ -210,6 +221,12 @@ def test_train_validation():
         TrainConfig(focal_alpha=(0.5, 0.0))
     with pytest.raises(ValueError):
         TrainConfig(focal_gamma=-0.5)
+    for rate in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
+    assert encode_labels(["NTA", "YTA", 1, 0]).tolist() == [0, 1, 1, 0]
+    with pytest.raises(ValueError):
+        encode_labels(["MAYBE"])
 
 
 def test_predict_tie_goes_to_nta():
@@ -341,7 +358,7 @@ def test_significance_needs_two_per_side():
 # serialization
 
 def test_model_roundtrip(tmp_path):
-    params = train(separable_dataset(n=16),
+    params = train(*separable_dataset(n=16),
                    TrainConfig(epochs=4, learning_rate=0.05, batch_size=4, seed=2))
     path = tmp_path / "model.txt"
     save_model(params, path)
@@ -354,7 +371,7 @@ def test_model_roundtrip(tmp_path):
 
 
 def test_model_file_tamper_detected(tmp_path):
-    params = train(separable_dataset(n=8),
+    params = train(*separable_dataset(n=8),
                    TrainConfig(epochs=1, learning_rate=0.05))
     path = tmp_path / "model.txt"
     save_model(params, path)
@@ -382,10 +399,11 @@ def unit(v):
 
 
 def test_build_features_empty_context_zero_block():
-    post = unit([1.0, 2.0, 2.0])
-    fv = build_features(post, ContextSet("a", "p", []))
-    assert np.array_equal(fv.context_part, np.zeros(3))
-    assert np.array_equal(fv.fused, np.concatenate([post, np.zeros(3)]))
+    matrix = EmbeddingMatrix(ids=["p"], data=np.array([unit([1.0, 2.0, 2.0])]))
+    X = build_features([ContextSet("a", "p", [])], matrix)
+    assert X.dtype == np.float64 and X.shape == (1, 6)
+    assert np.array_equal(X[0], np.concatenate([matrix.row("p"), np.zeros(3)]))
+    assert build_features([], matrix).shape == (0, 6)
 
 
 def test_build_features_renormalizes_unit_mean():
@@ -393,11 +411,12 @@ def test_build_features_renormalizes_unit_mean():
         ContextItem("c1", "one", None, "comment"),
         ContextItem("c2", "two", None, "comment"),
     ])
-    matrix = EmbeddingMatrix(ids=["c1", "c2"],
-                             data=np.array([unit([1.0, 0.0]), unit([0.0, 1.0])]))
-    fv = build_features(unit([1.0, 1.0]), ctx, embeddings=matrix)
-    assert np.linalg.norm(fv.context_part) == pytest.approx(1.0, abs=1e-12)
-    assert fv.context_part == pytest.approx(unit([1.0, 1.0]))
+    matrix = EmbeddingMatrix(ids=["p", "c1", "c2"],
+                             data=np.array([unit([1.0, 1.0]), unit([1.0, 0.0]),
+                                            unit([0.0, 1.0])]))
+    context_part = build_features([ctx], matrix)[0, 2:]
+    assert np.linalg.norm(context_part) == pytest.approx(1.0, abs=1e-12)
+    assert context_part == pytest.approx(unit([1.0, 1.0]))
 
 
 def test_build_features_plain_mean_for_non_unit_vectors():
@@ -405,34 +424,36 @@ def test_build_features_plain_mean_for_non_unit_vectors():
         ContextItem("c1", "one", None, "comment"),
         ContextItem("c2", "two", None, "comment"),
     ])
-    matrix = EmbeddingMatrix(ids=["c1", "c2"], data=np.array([[2.0, 0.0], [0.0, 0.0]]))
-    fv = build_features(np.array([0.0, 1.0]), ctx, embeddings=matrix)
-    assert np.array_equal(fv.context_part, np.array([1.0, 0.0]))
+    matrix = EmbeddingMatrix(ids=["p", "c1", "c2"],
+                             data=np.array([[0.0, 1.0], [2.0, 0.0], [0.0, 0.0]]))
+    assert np.array_equal(build_features([ctx], matrix)[0, 2:], np.array([1.0, 0.0]))
 
 
 def test_build_features_comment_and_sentence_resolution():
-    matrix = EmbeddingMatrix(ids=["c1", "one sentence"],
-                             data=np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.float32))
+    matrix = EmbeddingMatrix(ids=["p", "c1", "one sentence"],
+                             data=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+                                           dtype=np.float32))
     sentences = EmbeddingMatrix(ids=["c1", "one sentence"],
                                 data=np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.float32))
     ctx = ContextSet("a", "p", [
         ContextItem("c1", "whole comment", None, "comment"),
         ContextItem("c1", "one sentence", None, "sentence", sentence_index=0),
     ])
-    fv = build_features(np.zeros(2), ctx, embeddings=matrix, sentences=sentences)
     # the comment resolved by id in the comment matrix, the sentence by text
     # in the sentence matrix; both are unit norm, so the mean is renormalized
-    assert fv.context_part == pytest.approx(unit([1.0, 1.0]))
+    assert build_features([ctx], matrix, sentences)[0, 2:] == pytest.approx(unit([1.0, 1.0]))
     with pytest.raises(ValueError, match="resolve"):
-        build_features(np.zeros(2), ctx, embeddings=matrix)
+        build_features([ctx], matrix)
 
 
 def test_build_features_error_paths():
+    matrix = EmbeddingMatrix(ids=["p"], data=np.zeros((1, 2)))
     ctx = ContextSet("a", "p", [ContextItem("c9", "text", None, "comment")])
     with pytest.raises(ValueError, match="resolve"):
-        build_features(np.zeros(2), ctx)
+        build_features([ctx], matrix)
+    sentence = ContextSet("a", "p", [ContextItem("c9", "text", None, "sentence", 0)])
     with pytest.raises(ValueError, match="dim"):
-        build_features(np.zeros(2), ctx,
-                       embeddings=EmbeddingMatrix(ids=["c9"], data=np.zeros((1, 3))))
-    with pytest.raises(ValueError):
-        FeatureVector(np.zeros(2), np.zeros(3))
+        build_features([sentence], matrix,
+                       sentences=EmbeddingMatrix(ids=["text"], data=np.zeros((1, 3))))
+    with pytest.raises(KeyError):
+        build_features([ContextSet("a", "p9", [])], matrix)

@@ -1,9 +1,13 @@
 import json
+import logging
+import multiprocessing
 import shutil
 
 import numpy as np
 import pytest
 
+import dlab.cli
+import dlab.disclosure
 from dlab.cli import main
 from dlab.corpus import ingest_corpus
 from dlab.embed import EmbeddingMatrix, cosine_similarity, embed_text, export_embeddings
@@ -144,6 +148,7 @@ def test_parse_config_value_errors(tmp_path):
     ("runs", "0"), ("batch_size", "0"), ("epochs", "-1"),
     ("focal_gamma", "-0.5"), ("focal_alpha", "0.5,0"),
     ("dim", "4"), ("ratios", "0.5,0.5,0.5"),
+    ("learning_rate", "-1"), ("learning_rate", "nan"), ("learning_rate", "inf"),
 ])
 def test_bad_training_settings_fail_at_parse_time(tmp_path, capsys, key, value):
     section = {"dim": "embed", "ratios": "split"}.get(key, "train")
@@ -324,6 +329,26 @@ def test_pipeline_workers_match_sequential(synth_run):
     assert (outdir / "report.tsv").read_bytes() == first
 
 
+def test_pipeline_without_fork_warns_and_runs_sequentially(synth_run, monkeypatch, caplog):
+    ini, outdir, _, _ = synth_run
+
+    def files():
+        return {str(p.relative_to(outdir)): p.read_bytes()
+                for p in sorted(outdir.rglob("*")) if p.is_file()}
+
+    first = files()
+
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    with caplog.at_level(logging.WARNING, logger="dlab.pipeline"):
+        run_pipeline(parse_config(ini, {"run.out": str(outdir)}), workers=2)
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "fork" in caplog.text and "sequentially" in caplog.text
+    assert files() == first
+
+
 def test_pipeline_sentence_strategies(tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text(SYNTH_INI)
@@ -486,6 +511,28 @@ def test_cli_missing_input_is_usage_error(tmp_path, capsys):
                      "--out", str(tmp_path / "out.tsv")])
         assert code == 1
         assert f"input not found: {tmp_path / missing}" in capsys.readouterr().err
+
+
+def test_cli_extract_runs_extraction_once_per_comment(tmp_path, corpus_files, monkeypatch):
+    comments = corpus_files[1]
+    calls = []
+    extract = dlab.disclosure.extract_disclosures
+
+    def counted(comment, patterns=None):
+        calls.append(comment.id)
+        return extract(comment, patterns)
+
+    monkeypatch.setattr(dlab.disclosure, "extract_disclosures", counted)
+    monkeypatch.setattr(dlab.cli, "extract_disclosures", counted)
+    assert main(["extract", "--comments", str(comments), "--spans-out", str(tmp_path / "s"),
+                 "--profiles-out", str(tmp_path / "p")]) == 0
+    assert calls == ["c1", "c2", "c3"]
+    profiles = [json.loads(line) for line in (tmp_path / "p").read_text().splitlines()]
+    assert profiles == [
+        {"comment_id": "c1", "theory_categories": ["Demographics"], "passes_phrase_filter": True},
+        {"comment_id": "c2", "theory_categories": [], "passes_phrase_filter": False},
+        {"comment_id": "c3", "theory_categories": ["Experiences"], "passes_phrase_filter": False},
+    ]
 
 
 def test_cli_malformed_data_is_data_error(tmp_path, capsys):

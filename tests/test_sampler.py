@@ -29,6 +29,13 @@ def vec(text):
     return embed_text(text, ECFG)
 
 
+def sample(annotator_id, post_id, corpus, embeddings, profiles, cfg, sentences=None):
+    """The context of one pair, through the batch sampler."""
+    [ctx] = sample_context([(annotator_id, post_id)], corpus, embeddings, profiles, cfg=cfg,
+                           sentences=sentences)
+    return ctx
+
+
 def matrices(corpus):
     """The post/comment matrix and the sentence matrix the pipeline builds."""
     return embed_corpus(corpus, ECFG), embed_sentences(corpus, ECFG)
@@ -65,7 +72,7 @@ def ranked_corpus():
 def test_similar_comments_matches_brute_ranking(ranked_corpus):
     cfg = SamplerConfig(strategy="similar_comments", max_samples=3, seed=1)
     matrix, _ = matrices(ranked_corpus)
-    ctx = sample_context("judge", "p0", ranked_corpus, matrix, None, cfg)
+    ctx = sample("judge", "p0", ranked_corpus, matrix, None, cfg)
     query = vec(ranked_corpus.posts["p0"].query_text())
     want = sorted(
         ((cid, cosine_similarity(query, vec(ranked_corpus.comments[cid].text)))
@@ -80,7 +87,7 @@ def test_similar_comments_matches_brute_ranking(ranked_corpus):
 def test_similarity_needs_some_embedding_route(ranked_corpus):
     cfg = SamplerConfig(strategy="similar_comments", max_samples=2, seed=1)
     with pytest.raises(ValueError, match="embed"):
-        sample_context("judge", "p0", ranked_corpus, None, None, cfg)
+        sample("judge", "p0", ranked_corpus, None, None, cfg)
 
 
 def test_similar_sentences_ranks_sentence_units():
@@ -90,7 +97,7 @@ def test_similar_sentences_ranks_sentence_units():
     ])
     cfg = SamplerConfig(strategy="similar_sentences", max_samples=2, seed=1)
     matrix, sentences = matrices(corpus)
-    ctx = sample_context("judge", "p0", corpus, matrix, None, cfg, sentences)
+    ctx = sample("judge", "p0", corpus, matrix, None, cfg, sentences)
     assert len(ctx) == 2
     top = ctx.items[0]
     assert (top.source_comment_id, top.sentence_index) == ("cx", 0)
@@ -101,11 +108,11 @@ def test_similar_sentences_ranks_sentence_units():
     assert ctx.items[0].similarity >= ctx.items[1].similarity
     assert all(i.unit == "sentence" for i in ctx.items)
     with pytest.raises(ValueError, match="sentence matrix"):
-        sample_context("judge", "p0", corpus, matrix, None, cfg)
+        sample("judge", "p0", corpus, matrix, None, cfg)
     # the two sentences embed alike; the tie breaks by comment id, then text
     tied = build_corpus([("cz", "judge", "cats rule. Cats rule!")])
     tied_matrix, tied_sentences = matrices(tied)
-    ctx = sample_context("judge", "p0", tied, tied_matrix, None, cfg, tied_sentences)
+    ctx = sample("judge", "p0", tied, tied_matrix, None, cfg, tied_sentences)
     assert [(i.text, i.sentence_index) for i in ctx.items] == \
         [("Cats rule!", 1), ("cats rule.", 0)]
     assert ctx.items[0].similarity == ctx.items[1].similarity
@@ -116,14 +123,14 @@ def test_similar_sentences_ranks_sentence_units():
 
 def test_random_comments_without_replacement(ranked_corpus):
     cfg = SamplerConfig(strategy="random_comments", max_samples=3, seed=9)
-    ctx = sample_context("judge", "p0", ranked_corpus, None, None, cfg)
+    ctx = sample("judge", "p0", ranked_corpus, None, None, cfg)
     ids = [i.source_comment_id for i in ctx.items]
     assert len(ids) == 3 and len(set(ids)) == 3
     assert set(ids) <= {"ca1", "ca2", "ca3", "ca4"}
     assert all(i.similarity is None and i.unit == "comment" for i in ctx.items)
     # more samples than pool: the whole pool comes back
     big = SamplerConfig(strategy="random_comments", max_samples=50, seed=9)
-    assert len(sample_context("judge", "p0", ranked_corpus, None, None, big)) == 4
+    assert len(sample("judge", "p0", ranked_corpus, None, None, big)) == 4
 
 
 def test_random_sentences_draw_distinct_units():
@@ -132,7 +139,7 @@ def test_random_sentences_draw_distinct_units():
         ("cy", "judge", "Four here. Five here."),
     ])
     cfg = SamplerConfig(strategy="random_sentences", max_samples=4, seed=3)
-    ctx = sample_context("judge", "p0", corpus, None, None, cfg)
+    ctx = sample("judge", "p0", corpus, None, None, cfg)
     units = [(i.source_comment_id, i.sentence_index) for i in ctx.items]
     assert len(units) == 4 and len(set(units)) == 4
     for item in ctx.items:
@@ -143,11 +150,11 @@ def test_random_sentences_draw_distinct_units():
 
 def test_random_sampling_is_per_pair_deterministic(ranked_corpus):
     cfg = SamplerConfig(strategy="random_comments", max_samples=2, seed=4)
-    a = sample_context("judge", "p0", ranked_corpus, None, None, cfg)
-    b = sample_context("judge", "p0", ranked_corpus, None, None, cfg)
+    a = sample("judge", "p0", ranked_corpus, None, None, cfg)
+    b = sample("judge", "p0", ranked_corpus, None, None, cfg)
     assert a.items == b.items
     other_seed = SamplerConfig(strategy="random_comments", max_samples=2, seed=5)
-    c = sample_context("judge", "p0", ranked_corpus, None, None, other_seed)
+    c = sample("judge", "p0", ranked_corpus, None, None, other_seed)
     assert a.items != c.items  # derived rng depends on the seed
 
 
@@ -159,7 +166,7 @@ def test_random_sampling_varies_across_posts():
     cfg = SamplerConfig(strategy="random_comments", max_samples=3, seed=0)
     draws = {
         tuple(i.source_comment_id
-              for i in sample_context("judge", pid, corpus, None, None, cfg).items)
+              for i in sample("judge", pid, corpus, None, None, cfg).items)
         for pid in corpus.posts
     }
     assert len(draws) > 1  # the pair, not just the seed, feeds the rng
@@ -174,7 +181,7 @@ def test_samples_come_only_from_annotator_pool(ranked_corpus, strategy):
     # similarity ranking if it could leak into judge's pool
     cfg = SamplerConfig(strategy=strategy, max_samples=10, seed=2)
     matrix, sentences = matrices(ranked_corpus)
-    ctx = sample_context("judge", "p0", ranked_corpus, matrix, None, cfg, sentences)
+    ctx = sample("judge", "p0", ranked_corpus, matrix, None, cfg, sentences)
     assert len(ctx) > 0
     pool = set(ranked_corpus.annotator_index["judge"])
     assert {i.source_comment_id for i in ctx.items} <= pool
@@ -187,16 +194,16 @@ def test_empty_pool_yields_empty_context():
     matrix, sentences = matrices(corpus)
     for strategy in STRATEGIES:
         cfg = SamplerConfig(strategy=strategy, max_samples=3, seed=0)
-        ctx = sample_context("silent", "p0", corpus, matrix, None, cfg, sentences)
+        ctx = sample("silent", "p0", corpus, matrix, None, cfg, sentences)
         assert ctx.items == []
 
 
 def test_unknown_ids_rejected(ranked_corpus):
     cfg = SamplerConfig(strategy="random_comments", max_samples=1, seed=0)
     with pytest.raises(ValueError, match="annotator"):
-        sample_context("nobody", "p0", ranked_corpus, None, None, cfg)
+        sample("nobody", "p0", ranked_corpus, None, None, cfg)
     with pytest.raises(ValueError, match="post"):
-        sample_context("judge", "p77", ranked_corpus, None, None, cfg)
+        sample("judge", "p77", ranked_corpus, None, None, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +225,13 @@ def test_theory_filter_restricts_pool(categorized_corpus):
         category_filter=CategoryFilter(theory=HighLevelCategory.DEMOGRAPHICS),
     )
     matrix, _ = matrices(categorized_corpus)
-    ctx = sample_context("judge", "p0", categorized_corpus, matrix, profiles, cfg)
+    ctx = sample("judge", "p0", categorized_corpus, matrix, profiles, cfg)
     assert [i.source_comment_id for i in ctx.items] == ["c_demo"]
     cfg_exp = SamplerConfig(
         strategy="similar_comments", max_samples=5, seed=0,
         category_filter=CategoryFilter(theory=HighLevelCategory.EXPERIENCES),
     )
-    ctx = sample_context("judge", "p0", categorized_corpus, matrix, profiles, cfg_exp)
+    ctx = sample("judge", "p0", categorized_corpus, matrix, profiles, cfg_exp)
     assert [i.source_comment_id for i in ctx.items] == ["c_work"]
 
 
@@ -240,7 +247,7 @@ def test_cluster_filter_restricts_pool():
         strategy="similar_comments", max_samples=5, seed=0,
         category_filter=CategoryFilter(cluster=1),
     )
-    ctx = sample_context("judge", "p0", corpus, matrices(corpus)[0], profiles, cfg)
+    ctx = sample("judge", "p0", corpus, matrices(corpus)[0], profiles, cfg)
     assert [i.source_comment_id for i in ctx.items] == ["c_f2"]
 
 
@@ -250,7 +257,7 @@ def test_category_filter_requires_profiles(categorized_corpus):
         category_filter=CategoryFilter(theory=HighLevelCategory.ATTITUDES),
     )
     with pytest.raises(ValueError, match="profiles"):
-        sample_context("judge", "p0", categorized_corpus, matrices(categorized_corpus)[0],
+        sample("judge", "p0", categorized_corpus, matrices(categorized_corpus)[0],
                        None, cfg)
 
 
@@ -394,10 +401,10 @@ def test_contexts_roundtrip_through_jsonl(tmp_path, ranked_corpus):
     ])
     matrix, sentences = matrices(corpus)
     contexts = [
-        sample_context("judge", "p0", corpus, matrix, None,
+        sample("judge", "p0", corpus, matrix, None,
                        SamplerConfig(strategy="similar_sentences", max_samples=2, seed=1),
                        sentences),
-        sample_context("judge", "p0", corpus, None, None,
+        sample("judge", "p0", corpus, None, None,
                        SamplerConfig(strategy="random_comments", max_samples=2, seed=1)),
         ContextSet("judge", "p0", []),
     ]
