@@ -19,6 +19,11 @@ from .cluster import (
     write_inspection_file,
 )
 from .corpus import (
+    MAX_COMMENTS,
+    MIN_COMMENTS,
+    PARTITIONS,
+    SPLIT_KINDS,
+    SPLIT_RATIOS,
     Corpus,
     CorpusError,
     filter_annotators,
@@ -56,17 +61,22 @@ from .model import (
 )
 from .pipeline import (
     ConfigError,
+    ExperimentConfig,
     InvariantViolation,
     cluster_comments,
     effective_config_text,
     embed_corpus,
     embed_sentences,
+    float_pair,
     merge_reports,
     parse_config,
+    ratio_triple,
     run_pipeline,
+    section_fields,
 )
 from .sampler import (
     SENTENCE_STRATEGIES,
+    STRATEGIES,
     CategoryFilter,
     SamplerConfig,
     category_coverage,
@@ -75,7 +85,8 @@ from .sampler import (
     sample_context,
     similar_post_diversity,
 )
-from .synthgen import PopulationSpec, SynthesisError, generate_population, write_population
+from .synthgen import (JUDGMENT_RULES, PopulationSpec, SynthesisError, generate_population,
+                       write_population)
 
 _DATA_ERRORS = (
     CorpusError, EmbxError, PatternError, ModelFileError, ClusterModelError,
@@ -131,10 +142,10 @@ def _add_corpus_flags(p) -> None:
 
 
 def _add_embed_flags(p) -> None:
-    p.add_argument("--dim", type=int, default=4096)
-    p.add_argument("--ngram-lo", type=int, default=1)
-    p.add_argument("--ngram-hi", type=int, default=2)
-    p.add_argument("--embed-seed", type=int, default=0)
+    p.add_argument("--dim", type=int, default=EmbedderConfig.dim)
+    p.add_argument("--ngram-lo", type=int, default=EmbedderConfig.ngram_range[0])
+    p.add_argument("--ngram-hi", type=int, default=EmbedderConfig.ngram_range[1])
+    p.add_argument("--embed-seed", type=int, default=EmbedderConfig.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +222,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_split(args) -> int:
     corpus = _load_corpus(args)
-    ratios = tuple(float(x) for x in args.ratios.split(","))
-    spec = make_split(corpus, args.kind, ratios, seed=args.seed)
+    spec = make_split(corpus, args.kind, args.ratios, seed=args.seed)
     report = verify_split(spec, corpus)
     save_split(spec, args.out)
     sizes = spec.sizes()
@@ -279,8 +289,7 @@ def _cmd_train(args) -> int:
     X, y = _features_for(args, corpus, split.indices("train"))
     tc = TrainConfig(
         epochs=args.epochs, learning_rate=args.learning_rate,
-        focal_gamma=args.focal_gamma,
-        focal_alpha=tuple(float(x) for x in args.focal_alpha.split(",")) if args.focal_alpha else None,
+        focal_gamma=args.focal_gamma, focal_alpha=args.focal_alpha,
         batch_size=args.batch_size, seed=args.seed,
     )
     params = train(X, y, tc)
@@ -369,23 +378,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    mix = {}
-    for name, value in (("Demographics", args.mix_demographics),
-                        ("Experiences", args.mix_experiences),
-                        ("Attitudes", args.mix_attitudes),
-                        ("Relationships", args.mix_relationships)):
-        if value is not None:
-            mix[name] = value
-    spec = PopulationSpec(
-        n_annotators=args.annotators,
-        n_posts=args.posts,
-        comments_per_annotator=(args.comments_lo, args.comments_hi),
-        verdicts_per_annotator=(args.verdicts_lo, args.verdicts_hi),
-        judgment_rule=args.rule,
-        nta_base_rate=args.nta_base_rate,
-        seed=args.seed,
-        **({"disclosure_mix": mix} if mix else {}),
-    )
+    # the flags' destinations are the [synth] keys of a config file
+    spec = PopulationSpec(**section_fields("synth", vars(args)), seed=args.seed)
     corpus, ground_truth = generate_population(spec)
     paths = write_population(corpus, ground_truth, args.out)
     print(f"posts={len(corpus.posts)} comments={len(corpus.comments)} "
@@ -446,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="validate and filter a corpus")
     _add_corpus_flags(p)
-    p.add_argument("--min-comments", type=int, default=20)
-    p.add_argument("--max-comments", type=int, default=500)
+    p.add_argument("--min-comments", type=int, default=MIN_COMMENTS)
+    p.add_argument("--max-comments", type=int, default=MAX_COMMENTS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ingest)
 
@@ -469,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns")
     _add_embed_flags(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--reduce-dim", type=int, default=5)
+    p.add_argument("--reduce-dim", type=int, default=ExperimentConfig.reduce_dim)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model-out", required=True)
     p.add_argument("--inspect-out")
@@ -478,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="make and verify a train/val/test split")
     _add_corpus_flags(p)
-    p.add_argument("--kind", choices=("verdict", "situation", "author"), required=True)
-    p.add_argument("--ratios", default="0.8,0.1,0.1")
+    p.add_argument("--kind", choices=SPLIT_KINDS, required=True)
+    p.add_argument("--ratios", type=ratio_triple, default=SPLIT_RATIOS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_split)
@@ -488,9 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p)
     _add_embed_flags(p)
     p.add_argument("--patterns")
-    p.add_argument("--strategy", choices=(
-        "random_comments", "random_sentences", "similar_comments", "similar_sentences"),
-        required=True)
+    p.add_argument("--strategy", choices=STRATEGIES, required=True)
     p.add_argument("--max-samples", type=int, required=True)
     p.add_argument("--category")
     p.add_argument("--cluster-model")
@@ -504,11 +496,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_embed_flags(p)
     p.add_argument("--contexts", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--focal-gamma", type=float, default=2.0)
-    p.add_argument("--focal-alpha")
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--focal-gamma", type=float, default=TrainConfig.focal_gamma)
+    p.add_argument("--focal-alpha", type=float_pair)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model-out", required=True)
     p.set_defaults(func=_cmd_train)
@@ -519,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--contexts", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--partition", choices=("train", "val", "test"), default="test")
+    p.add_argument("--partition", choices=PARTITIONS, default="test")
     p.add_argument("--report-out", required=True)
     p.set_defaults(func=_cmd_evaluate)
 
@@ -563,15 +555,16 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("synth", help="generate a synthetic population")
-    p.add_argument("--annotators", type=int, default=200)
-    p.add_argument("--posts", type=int, default=300)
-    p.add_argument("--comments-lo", type=int, default=20)
-    p.add_argument("--comments-hi", type=int, default=40)
-    p.add_argument("--verdicts-lo", type=int, default=20)
-    p.add_argument("--verdicts-hi", type=int, default=30)
-    p.add_argument("--rule", choices=("demographic_keyed", "attitude_keyed", "random"),
-                   default="demographic_keyed")
-    p.add_argument("--nta-base-rate", type=float, default=0.7)
+    p.add_argument("--annotators", dest="n_annotators", type=int,
+                   default=PopulationSpec.n_annotators)
+    p.add_argument("--posts", dest="n_posts", type=int, default=PopulationSpec.n_posts)
+    p.add_argument("--comments-lo", type=int, default=PopulationSpec.comments_per_annotator[0])
+    p.add_argument("--comments-hi", type=int, default=PopulationSpec.comments_per_annotator[1])
+    p.add_argument("--verdicts-lo", type=int, default=PopulationSpec.verdicts_per_annotator[0])
+    p.add_argument("--verdicts-hi", type=int, default=PopulationSpec.verdicts_per_annotator[1])
+    p.add_argument("--rule", dest="judgment_rule", choices=JUDGMENT_RULES,
+                   default=PopulationSpec.judgment_rule)
+    p.add_argument("--nta-base-rate", type=float, default=PopulationSpec.nta_base_rate)
     p.add_argument("--mix-demographics", type=float)
     p.add_argument("--mix-experiences", type=float)
     p.add_argument("--mix-attitudes", type=float)

@@ -17,6 +17,9 @@ from pathlib import Path
 VERDICT_LABELS = ("NTA", "YTA")
 PARTITIONS = ("train", "val", "test")
 SPLIT_KINDS = ("verdict", "situation", "author")
+# filter_annotators' comment-count bounds and make_split's ratios by default
+MIN_COMMENTS, MAX_COMMENTS = 20, 500
+SPLIT_RATIOS = (0.8, 0.1, 0.1)
 
 
 class CorpusError(ValueError):
@@ -287,8 +290,8 @@ class FilterReport:
         return dict(self.__dict__)
 
 
-def filter_annotators(corpus: Corpus, min_comments: int = 20,
-                      max_comments: int = 500) -> tuple[Corpus, FilterReport]:
+def filter_annotators(corpus: Corpus, min_comments: int = MIN_COMMENTS,
+                      max_comments: int = MAX_COMMENTS) -> tuple[Corpus, FilterReport]:
     """Keep only verdicts whose annotator's comment count is within bounds.
 
     Posts and comments are retained untouched; only the verdict list (and
@@ -363,7 +366,7 @@ def _largest_remainder_sizes(n: int, ratios) -> list[int]:
     return base
 
 
-def make_split(corpus: Corpus, kind: str, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitSpec:
+def make_split(corpus: Corpus, kind: str, ratios=SPLIT_RATIOS, seed: int = 0) -> SplitSpec:
     """Partition verdicts into train/val/test under one of three regimes.
 
     verdict: uniform over verdicts; sizes match ratios exactly up to

@@ -121,24 +121,6 @@ def focal_loss_batch(z: np.ndarray, y: np.ndarray, alpha_t: np.ndarray,
     return losses, grads
 
 
-def focal_loss(logits, label, gamma: float = 2.0, alpha=(0.5, 0.5)):
-    """Focal loss of one example and its gradient with respect to the logits
-    (see focal_loss_batch)."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.shape != (2,):
-        raise ValueError(f"expected two logits, got shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("logits must be finite")
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (2,) or (alpha <= 0).any():
-        raise ValueError("alpha must be two positive weights")
-    t = _label_index(label)
-    losses, grads = focal_loss_batch(z[None, :], np.array([t]), alpha[[t]], float(gamma))
-    return float(losses[0]), grads[0]
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
@@ -160,6 +142,24 @@ class TrainConfig:
             raise ValueError("focal_gamma must be >= 0")
         if self.focal_alpha is not None and min(self.focal_alpha) <= 0:
             raise ValueError("focal_alpha must be two positive weights")
+
+
+def focal_loss(logits, label, gamma: float = TrainConfig.focal_gamma, alpha=(0.5, 0.5)):
+    """Focal loss of one example and its gradient with respect to the logits
+    (see focal_loss_batch)."""
+    z = np.asarray(logits, dtype=np.float64)
+    if z.shape != (2,):
+        raise ValueError(f"expected two logits, got shape {z.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError("logits must be finite")
+    if gamma < 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.shape != (2,) or (alpha <= 0).any():
+        raise ValueError("alpha must be two positive weights")
+    t = _label_index(label)
+    losses, grads = focal_loss_batch(z[None, :], np.array([t]), alpha[[t]], float(gamma))
+    return float(losses[0]), grads[0]
 
 
 @dataclass

@@ -14,6 +14,7 @@ import configparser
 import json
 import logging
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,15 +23,14 @@ import numpy as np
 
 from . import __version__
 from .cluster import ClusterModel, kmeans, truncated_svd
-from .corpus import (Corpus, filter_annotators, ingest_corpus, make_split, save_split,
-                     validate_ratios, verify_split)
+from .corpus import (MAX_COMMENTS, MIN_COMMENTS, SPLIT_RATIOS, Corpus, filter_annotators,
+                     ingest_corpus, make_split, save_split, validate_ratios, verify_split)
 from .disclosure import CategoryProfile, HighLevelCategory, attach_clusters, build_profiles
 from .embed import EmbedderConfig, EmbeddingMatrix, embed_texts, import_embeddings
 from .model import (EvalReport, TrainConfig, build_features, encode_labels, evaluate,
                     significance_test, train)
 from .sampler import (
     SENTENCE_STRATEGIES,
-    STRATEGIES,
     CategoryFilter,
     ContextSet,
     SamplerConfig,
@@ -57,10 +57,7 @@ class InvariantViolation(RuntimeError):
 @dataclass(frozen=True)
 class Condition:
     name: str
-    kind: str  # "baseline" | "grid"
-    strategy: str | None = None
-    max_samples: int | None = None
-    category_filter: CategoryFilter | None = None
+    sampler: SamplerConfig | None = None  # None for a baseline
 
 
 @dataclass
@@ -69,41 +66,35 @@ class ExperimentConfig:
     out: str = "runs/exp"
     corpus_paths: tuple[str, str, str] | None = None
     synth: PopulationSpec | None = None
-    min_comments: int = 20
-    max_comments: int = 500
-    embed_dim: int = 4096
-    ngram_range: tuple[int, int] = (1, 2)
+    min_comments: int = MIN_COMMENTS
+    max_comments: int = MAX_COMMENTS
+    embed_dim: int = EmbedderConfig.dim
+    ngram_range: tuple[int, int] = EmbedderConfig.ngram_range
     embx_path: str | None = None
     cluster_enabled: bool = False
     cluster_k: int = 10
     reduce_dim: int = 5
     split_kind: str = "situation"
-    split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    split_ratios: tuple[float, float, float] = SPLIT_RATIOS
     strategies: tuple[str, ...] = ("similar_comments",)
     max_samples_list: tuple[int, ...] = (5,)
     categories: tuple[str, ...] = ("none",)
     baselines: tuple[str, ...] = ("no_comments",)
     baseline_condition: str = "no_comments"
-    epochs: int = 10
-    learning_rate: float = 1e-3
-    focal_gamma: float = 2.0
-    focal_alpha: tuple[float, float] | None = None
-    batch_size: int = 32
+    epochs: int = TrainConfig.epochs
+    learning_rate: float = TrainConfig.learning_rate
+    focal_gamma: float = TrainConfig.focal_gamma
+    focal_alpha: tuple[float, float] | None = TrainConfig.focal_alpha
+    batch_size: int = TrainConfig.batch_size
     runs: int = 5
     save_contexts: bool = True
 
     def validate(self) -> None:
         if (self.corpus_paths is None) == (self.synth is None):
             raise ConfigError("configure exactly one of [corpus] paths or [synth]")
-        for s in self.strategies:
-            if s not in STRATEGIES:
-                raise ConfigError(f"unknown strategy {s!r}")
         for b in self.baselines:
             if b not in BASELINE_CONDITIONS:
                 raise ConfigError(f"unknown baseline {b!r}")
-        if any(m < 1 for m in self.max_samples_list):
-            raise ConfigError("max_samples values must be >= 1")
-        _expand_categories(self.categories, self.cluster_enabled, self.cluster_k)
         if self.baseline_condition and self.baseline_condition not in self.baselines:
             raise ConfigError(
                 f"baseline_condition {self.baseline_condition!r} not in baselines")
@@ -117,6 +108,7 @@ class ExperimentConfig:
             self.train_config(seed=0)
             self.embedder_config()
             validate_ratios(self.split_ratios)
+            _build_grid(self)
         except ValueError as exc:
             raise ConfigError(str(exc))
 
@@ -135,34 +127,122 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # config file parsing
 
-_SCHEMA: dict[str, set[str]] = {
-    "corpus": {"posts", "comments", "verdicts", "min_comments", "max_comments"},
-    "synth": {"enabled", "n_annotators", "n_posts", "comments_lo", "comments_hi",
-              "verdicts_lo", "verdicts_hi", "judgment_rule", "nta_base_rate",
-              "mix_demographics", "mix_experiences", "mix_attitudes",
-              "mix_relationships"},
-    "embed": {"dim", "ngram_lo", "ngram_hi", "embx"},
-    "cluster": {"enabled", "k", "reduce_dim"},
-    "split": {"kind", "ratios"},
-    "sampler": {"strategies", "max_samples", "categories", "baselines"},
-    "train": {"epochs", "learning_rate", "focal_gamma", "focal_alpha",
-              "batch_size", "runs"},
-    "run": {"seed", "out", "baseline", "save_contexts"},
+def _str_list(raw: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+
+
+def _int_list(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in _str_list(raw))
+
+
+def _categories(raw: str) -> tuple[str, ...]:
+    return _str_list(raw) or ExperimentConfig.categories
+
+
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"must be a boolean, got {raw!r}")
+
+
+def ratio_triple(raw: str) -> tuple[float, ...]:
+    """Comma-separated train, val and test ratios; validate_ratios checks them."""
+    return tuple(float(r) for r in raw.split(","))
+
+
+def float_pair(raw: str) -> tuple[float, float] | None:
+    """Two comma-separated numbers, or None for an empty value."""
+    if not raw:
+        return None
+    pair = tuple(float(x) for x in raw.split(","))
+    if len(pair) != 2:
+        raise ValueError(f"expected two comma-separated numbers, got {raw!r}")
+    return pair
+
+
+# Every config key: (section, key) -> (field, item, converter). Keys of
+# [synth] set PopulationSpec fields, all others ExperimentConfig fields. The
+# item is None when the key sets the whole field, else the index of one
+# entry of a tuple field or the key of one entry of a dict field. [synth]
+# enabled sets no field; it says whether to synthesize at all.
+CONFIG_KEYS: dict[tuple[str, str], tuple[str | None, int | str | None, Callable[[str], object]]] = {
+    ("corpus", "posts"): ("corpus_paths", 0, str),
+    ("corpus", "comments"): ("corpus_paths", 1, str),
+    ("corpus", "verdicts"): ("corpus_paths", 2, str),
+    ("corpus", "min_comments"): ("min_comments", None, int),
+    ("corpus", "max_comments"): ("max_comments", None, int),
+    ("synth", "enabled"): (None, None, _bool),
+    ("synth", "n_annotators"): ("n_annotators", None, int),
+    ("synth", "n_posts"): ("n_posts", None, int),
+    ("synth", "comments_lo"): ("comments_per_annotator", 0, int),
+    ("synth", "comments_hi"): ("comments_per_annotator", 1, int),
+    ("synth", "verdicts_lo"): ("verdicts_per_annotator", 0, int),
+    ("synth", "verdicts_hi"): ("verdicts_per_annotator", 1, int),
+    ("synth", "judgment_rule"): ("judgment_rule", None, str),
+    ("synth", "nta_base_rate"): ("nta_base_rate", None, float),
+    ("synth", "mix_demographics"): ("disclosure_mix", "Demographics", float),
+    ("synth", "mix_experiences"): ("disclosure_mix", "Experiences", float),
+    ("synth", "mix_attitudes"): ("disclosure_mix", "Attitudes", float),
+    ("synth", "mix_relationships"): ("disclosure_mix", "Relationships", float),
+    ("embed", "dim"): ("embed_dim", None, int),
+    ("embed", "ngram_lo"): ("ngram_range", 0, int),
+    ("embed", "ngram_hi"): ("ngram_range", 1, int),
+    ("embed", "embx"): ("embx_path", None, str),
+    ("cluster", "enabled"): ("cluster_enabled", None, _bool),
+    ("cluster", "k"): ("cluster_k", None, int),
+    ("cluster", "reduce_dim"): ("reduce_dim", None, int),
+    ("split", "kind"): ("split_kind", None, str),
+    ("split", "ratios"): ("split_ratios", None, ratio_triple),
+    ("sampler", "strategies"): ("strategies", None, _str_list),
+    ("sampler", "max_samples"): ("max_samples_list", None, _int_list),
+    ("sampler", "categories"): ("categories", None, _categories),
+    ("sampler", "baselines"): ("baselines", None, _str_list),
+    ("train", "epochs"): ("epochs", None, int),
+    ("train", "learning_rate"): ("learning_rate", None, float),
+    ("train", "focal_gamma"): ("focal_gamma", None, float),
+    ("train", "focal_alpha"): ("focal_alpha", None, float_pair),
+    ("train", "batch_size"): ("batch_size", None, int),
+    ("train", "runs"): ("runs", None, int),
+    ("run", "seed"): ("seed", None, int),
+    ("run", "out"): ("out", None, str),
+    ("run", "baseline"): ("baseline_condition", None, str),
+    ("run", "save_contexts"): ("save_contexts", None, _bool),
 }
 
 
-def _read_ini(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
-    read = parser.read(path, encoding="utf-8")
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    return parser
+def section_fields(section: str, values) -> dict:
+    """The dataclass fields that one section's keys set.
+
+    `values` maps the section's keys to converted values; a key that is
+    absent or None leaves its field at the default. Entries given for a
+    dict field replace the whole default; items given for a tuple field
+    replace only their own.
+    """
+    owner = PopulationSpec if section == "synth" else ExperimentConfig
+    fields: dict = {}
+    for (sec, key), (name, item, _) in CONFIG_KEYS.items():
+        value = values.get(key)
+        if sec != section or name is None or value is None:
+            continue
+        if item is None:
+            fields[name] = value
+        elif isinstance(item, str):
+            fields.setdefault(name, {})[item] = value
+        else:
+            # corpus_paths is the one tuple field without a default
+            items = list(fields.get(name) or getattr(owner, name) or (None,) * 3)
+            items[item] = value
+            fields[name] = tuple(items)
+    return fields
 
 
 def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Load an INI experiment config, apply section.key=value overrides,
-    and validate against the schema (unknown keys are errors)."""
-    parser = _read_ini(path)
+    convert every key by CONFIG_KEYS (unknown keys are errors) and validate."""
+    parser = configparser.ConfigParser()
+    if not parser.read(path, encoding="utf-8"):
+        raise ConfigError(f"config file not found: {path}")
     for key, value in (overrides or {}).items():
         if "." not in key:
             raise ConfigError(f"override {key!r} must look like section.key")
@@ -171,111 +251,32 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentCon
             parser.add_section(section)
         parser.set(section, opt, value)
 
+    values: dict[str, dict] = {section: {} for section, _ in CONFIG_KEYS}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in values:
             raise ConfigError(f"unknown config section [{section}]")
-        for opt in parser.options(section):
-            if opt not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {opt!r} in section [{section}]")
-
-    cfg = ExperimentConfig()
-
-    def get(section, key, default=None):
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return default
-
-    def getbool(section, key, default=False):
-        if parser.has_option(section, key):
+        for key, raw in parser.items(section):
+            if (section, key) not in CONFIG_KEYS:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
-                return parser.getboolean(section, key)
-            except ValueError:
-                raise ConfigError(f"[{section}] {key} must be a boolean")
-        return default
+                values[section][key] = CONFIG_KEYS[section, key][2](raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad config value: [{section}] {key}: {exc}")
 
-    try:
-        seed = int(get("run", "seed", "42"))
-        out = get("run", "out", "runs/exp")
-
-        corpus_paths = None
-        triple = (get("corpus", "posts"), get("corpus", "comments"),
-                  get("corpus", "verdicts"))
-        if any(p is not None for p in triple):
-            if any(p is None for p in triple):
-                raise ConfigError("[corpus] needs posts, comments, and verdicts paths")
-            corpus_paths = triple
-
-        synth = None
-        if getbool("synth", "enabled", False):
-            mix = {}
-            for name, key in (("Demographics", "mix_demographics"),
-                              ("Experiences", "mix_experiences"),
-                              ("Attitudes", "mix_attitudes"),
-                              ("Relationships", "mix_relationships")):
-                raw = get("synth", key)
-                if raw is not None:
-                    mix[name] = float(raw)
-            spec = PopulationSpec(
-                n_annotators=int(get("synth", "n_annotators", "200")),
-                n_posts=int(get("synth", "n_posts", "300")),
-                comments_per_annotator=(int(get("synth", "comments_lo", "20")),
-                                        int(get("synth", "comments_hi", "40"))),
-                verdicts_per_annotator=(int(get("synth", "verdicts_lo", "20")),
-                                        int(get("synth", "verdicts_hi", "30"))),
-                judgment_rule=get("synth", "judgment_rule", "demographic_keyed"),
-                nta_base_rate=float(get("synth", "nta_base_rate", "0.7")),
-                seed=derive_seed(seed, "synth"),
-                **({"disclosure_mix": mix} if mix else {}),
-            )
-            synth = spec
-
-        ratios_raw = get("split", "ratios", "0.8,0.1,0.1")
-        ratios = tuple(float(r) for r in ratios_raw.split(","))
-
-        def split_list(raw):
-            return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-
-        focal_alpha_raw = get("train", "focal_alpha")
-        focal_alpha = None
-        if focal_alpha_raw:
-            parts = [float(x) for x in focal_alpha_raw.split(",")]
-            if len(parts) != 2:
-                raise ConfigError("focal_alpha must be two comma-separated numbers")
-            focal_alpha = (parts[0], parts[1])
-
-        cfg = ExperimentConfig(
-            seed=seed,
-            out=out,
-            corpus_paths=corpus_paths,
-            synth=synth,
-            min_comments=int(get("corpus", "min_comments", "20")),
-            max_comments=int(get("corpus", "max_comments", "500")),
-            embed_dim=int(get("embed", "dim", "4096")),
-            ngram_range=(int(get("embed", "ngram_lo", "1")),
-                         int(get("embed", "ngram_hi", "2"))),
-            embx_path=get("embed", "embx"),
-            cluster_enabled=getbool("cluster", "enabled", False),
-            cluster_k=int(get("cluster", "k", "10")),
-            reduce_dim=int(get("cluster", "reduce_dim", "5")),
-            split_kind=get("split", "kind", "situation"),
-            split_ratios=ratios,
-            strategies=split_list(get("sampler", "strategies", "similar_comments")),
-            max_samples_list=tuple(int(x) for x in split_list(get("sampler", "max_samples", "5"))),
-            categories=split_list(get("sampler", "categories", "none")) or ("none",),
-            baselines=split_list(get("sampler", "baselines", "no_comments")),
-            baseline_condition=get("run", "baseline", "no_comments"),
-            epochs=int(get("train", "epochs", "10")),
-            learning_rate=float(get("train", "learning_rate", "1e-3")),
-            focal_gamma=float(get("train", "focal_gamma", "2.0")),
-            focal_alpha=focal_alpha,
-            batch_size=int(get("train", "batch_size", "32")),
-            runs=int(get("train", "runs", "5")),
-            save_contexts=getbool("run", "save_contexts", True),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}")
+    fields: dict = {}
+    for section, given in values.items():
+        if section != "synth":
+            fields.update(section_fields(section, given))
+    if None in fields.get("corpus_paths", ()):
+        raise ConfigError("[corpus] needs posts, comments, and verdicts paths")
+    if values["synth"].get("enabled"):
+        seed = derive_seed(fields.get("seed", ExperimentConfig.seed), "synth")
+        try:
+            fields["synth"] = PopulationSpec(**section_fields("synth", values["synth"]),
+                                             seed=seed)
+        except ValueError as exc:
+            raise ConfigError(f"bad config value: {exc}")
+    cfg = ExperimentConfig(**fields)
     cfg.validate()
     return cfg
 
@@ -299,45 +300,51 @@ def effective_config_text(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # conditions
 
-def _expand_categories(tokens, cluster_enabled: bool, k: int) -> list[CategoryFilter | None]:
-    out: list[CategoryFilter | None] = []
-    for token in tokens:
+def build_conditions(cfg: ExperimentConfig) -> list[Condition]:
+    """The baselines, then one grid cell with its sampler settings per
+    strategy, sample size and category filter. A cell the sampler rejects
+    raises ValueError; bad category tokens and duplicate names ConfigError."""
+    filters: list[CategoryFilter | None] = []
+    for token in cfg.categories:
         if token == "none":
-            out.append(None)
+            filters.append(None)
         elif token == "theory:*":
-            out.extend(CategoryFilter(theory=c) for c in HighLevelCategory)
+            filters.extend(CategoryFilter(theory=c) for c in HighLevelCategory)
         elif token == "cluster:*":
-            if not cluster_enabled:
+            if not cfg.cluster_enabled:
                 raise ConfigError("cluster:* requires [cluster] enabled")
-            out.extend(CategoryFilter(cluster=i) for i in range(k))
+            filters.extend(CategoryFilter(cluster=i) for i in range(cfg.cluster_k))
         else:
             try:
                 filt = CategoryFilter.parse(token)
             except ValueError as exc:
                 raise ConfigError(str(exc))
             if filt.cluster is not None:
-                if not cluster_enabled:
+                if not cfg.cluster_enabled:
                     raise ConfigError(f"{token!r} requires [cluster] enabled")
-                if not 0 <= filt.cluster < k:
-                    raise ConfigError(f"cluster id {filt.cluster} out of range for k={k}")
-            out.append(filt)
-    return out
+                if not 0 <= filt.cluster < cfg.cluster_k:
+                    raise ConfigError(
+                        f"cluster id {filt.cluster} out of range for k={cfg.cluster_k}")
+            filters.append(filt)
 
-
-def build_conditions(cfg: ExperimentConfig) -> list[Condition]:
-    conditions = [Condition(name=b, kind="baseline") for b in cfg.baselines]
+    conditions = [Condition(name=b) for b in cfg.baselines]
+    seed = derive_seed(cfg.seed, "sampler")
     for strategy in cfg.strategies:
         for m in cfg.max_samples_list:
-            for filt in _expand_categories(cfg.categories, cfg.cluster_enabled, cfg.cluster_k):
+            for filt in filters:
+                sampler = SamplerConfig(strategy=strategy, max_samples=m,
+                                        category_filter=filt, seed=seed)
                 name = f"{strategy}-k{m}" + (f"-{filt.label()}" if filt else "")
-                conditions.append(Condition(
-                    name=name, kind="grid", strategy=strategy,
-                    max_samples=m, category_filter=filt,
-                ))
+                conditions.append(Condition(name=name, sampler=sampler))
     names = [c.name for c in conditions]
     if len(names) != len(set(names)):
         raise ConfigError("duplicate condition names in grid")
     return conditions
+
+
+# validate() builds the grid under this second name, so that code which
+# rebinds build_conditions (to time or trace a run) sees only the run's call
+_build_grid = build_conditions
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +380,9 @@ def _condition_contexts(state: RunState, condition: Condition,
         return [ContextSet(v.annotator_id, v.post_id, []) for v in verdicts]
     if condition.name == "all_comments":
         return [full_pool_context(v.annotator_id, v.post_id, corpus) for v in verdicts]
-    sampler_cfg = SamplerConfig(
-        strategy=condition.strategy,
-        max_samples=condition.max_samples,
-        category_filter=condition.category_filter,
-        seed=derive_seed(state.cfg.seed, "sampler"),
-    )
     return sample_context(
         [(v.annotator_id, v.post_id) for v in verdicts], corpus, state.embeddings,
-        state.profiles, cfg=sampler_cfg, sentences=state.sentences, scores=state.scores,
+        state.profiles, cfg=condition.sampler, sentences=state.sentences, scores=state.scores,
     )
 
 
@@ -394,7 +395,7 @@ def _five_plus_pct(state: RunState, condition: Condition) -> float:
     annotators = corpus.annotators()
     if not annotators:
         return 0.0
-    filt = condition.category_filter
+    filt = condition.sampler.category_filter if condition.sampler else None
     count = 0
     for aid in annotators:
         pool = corpus.annotator_index[aid]
@@ -407,15 +408,18 @@ def _five_plus_pct(state: RunState, condition: Condition) -> float:
 
 def run_condition(state: RunState, condition: Condition) -> dict:
     """Sample each partition's contexts and build its feature matrix once,
-    then train cfg.runs models on them, evaluate each, aggregate."""
+    dump the contexts when the run saves them, then train cfg.runs models,
+    evaluate each, aggregate."""
     cfg = state.cfg
     data = {}
-    contexts_by_partition = {}
+    contexts = []
     for part, indices in (("train", state.train_pairs), ("test", state.test_pairs)):
-        contexts = _condition_contexts(state, condition, indices)
-        X = build_features(contexts, state.embeddings, state.sentences)
+        part_contexts = _condition_contexts(state, condition, indices)
+        X = build_features(part_contexts, state.embeddings, state.sentences)
         data[part] = X, encode_labels(state.corpus.verdicts[vi].label for vi in indices)
-        contexts_by_partition[part] = contexts
+        contexts += part_contexts
+    if cfg.save_contexts:
+        dump_contexts(contexts, Path(cfg.out) / "contexts" / f"{condition.name}.jsonl")
 
     run_reports: list[EvalReport] = []
     correctness = []
@@ -429,7 +433,6 @@ def run_condition(state: RunState, condition: Condition) -> dict:
     agg = EvalReport.from_runs(run_reports)
     return {
         "condition": condition.name,
-        "kind": condition.kind,
         "n_train": len(data["train"][1]),
         "n_test": len(data["test"][1]),
         "five_plus_pct": _five_plus_pct(state, condition),
@@ -440,7 +443,6 @@ def run_condition(state: RunState, condition: Condition) -> dict:
         # per-example correctness concatenated across runs; feeds the
         # example-level Welch test between conditions
         "correctness": np.concatenate(correctness).tolist(),
-        "contexts": contexts_by_partition,
     }
 
 
@@ -549,13 +551,15 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> list[dict
 
     conditions = build_conditions(cfg)
     sentences = None
-    if any(c.strategy in SENTENCE_STRATEGIES for c in conditions):
+    if any(c.sampler and c.sampler.strategy in SENTENCE_STRATEGIES for c in conditions):
         sentences = embed_sentences(corpus, cfg.embedder_config())
     state = RunState(
         cfg=cfg, corpus=corpus, embeddings=embeddings, profiles=profiles,
         train_pairs=split.indices("train"), test_pairs=split.indices("test"),
         sentences=sentences,
     )
+    if cfg.save_contexts:
+        (outdir / "contexts").mkdir(exist_ok=True)
 
     if workers is None:
         workers = int(os.environ.get("DLAB_WORKERS", "1"))
@@ -590,17 +594,6 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> list[dict
             t, p = significance_test(row["correctness"], baseline_correct)
             row["t_vs_baseline"] = t
             row["p_vs_baseline"] = p
-
-    contexts_dir = outdir / "contexts"
-    if cfg.save_contexts:
-        contexts_dir.mkdir(exist_ok=True)
-    for row in rows:
-        contexts = row.pop("contexts")
-        if cfg.save_contexts:
-            dump_contexts(
-                contexts["train"] + contexts["test"],
-                contexts_dir / f"{row['condition']}.jsonl",
-            )
 
     test_labels = [corpus.verdicts[i].label for i in state.test_pairs]
     nta_share = test_labels.count("NTA") / len(test_labels) if test_labels else 0.0

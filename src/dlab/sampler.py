@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, CorpusError
 from .disclosure import CategoryProfile, HighLevelCategory
 from .embed import EmbeddingMatrix, cosine_scores, rank_scores
 from .seeds import derive_seed
@@ -361,18 +361,26 @@ def dump_contexts(contexts: list[ContextSet], path) -> None:
 def load_contexts(path, corpus: Corpus) -> list[ContextSet]:
     """Rebuild dumped contexts, resolving texts against the corpus, so a
     training run can be repeated without re-sampling."""
+    path = Path(path)
     out: list[ContextSet] = []
-    with open(Path(path), encoding="utf-8") as fh:
-        for line in fh:
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             rec = json.loads(line)
             items = []
             for it in rec["items"]:
                 cid = it["comment_id"]
-                comment = corpus.comments[cid]
+                comment = corpus.comments.get(cid)
+                if comment is None:
+                    raise CorpusError(f"{path.name} line {lineno}: unknown comment {cid!r}")
                 if it["unit"] == "sentence":
-                    a, b = comment.sentence_spans()[int(it["sentence_index"])]
+                    spans = comment.sentence_spans()
+                    index = int(it["sentence_index"])
+                    if not 0 <= index < len(spans):
+                        raise CorpusError(f"{path.name} line {lineno}: comment {cid!r} has no "
+                                          f"sentence {index}")
+                    a, b = spans[index]
                     text = comment.text[a:b]
                 else:
                     text = comment.text

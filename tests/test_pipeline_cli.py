@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import logging
 import multiprocessing
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from dlab.cli import main
 from dlab.corpus import ingest_corpus
 from dlab.embed import EmbeddingMatrix, cosine_similarity, embed_text, export_embeddings
 from dlab.pipeline import (
+    CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     build_conditions,
@@ -22,7 +26,8 @@ from dlab.pipeline import (
     run_pipeline,
     write_report_tsv,
 )
-from dlab.sampler import load_contexts
+from dlab.sampler import SamplerConfig, load_contexts
+from dlab.seeds import derive_seed
 from dlab.synthgen import PopulationSpec, generate_population, write_population
 from tests.conftest import write_jsonl
 
@@ -163,6 +168,53 @@ def test_bad_training_settings_fail_at_parse_time(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides,message", [
+    (["sampler.strategies=random_comments", "sampler.categories=theory:*"],
+     "category filters"),
+    (["sampler.max_samples=6", "sampler.categories=theory:*"], "category filters"),
+    (["sampler.strategies=similar_comments,similar_comments"], "duplicate"),
+    (["sampler.baselines=no_comments,no_comments"], "duplicate"),
+], ids=["filter-with-random", "filter-with-k6", "duplicate-strategy", "duplicate-baseline"])
+def test_bad_grids_fail_at_parse_time(tmp_path, capsys, overrides, message):
+    path = tmp_path / "exp.ini"
+    path.write_text(SYNTH_INI)
+    with pytest.raises(ConfigError, match=message):
+        parse_config(path, dict(item.split("=", 1) for item in overrides))
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(path), "--out", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2 and not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_readme_lists_every_config_key_with_its_default(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| ([^|]*?) \|", section, re.MULTILINE)
+    assert sorted((sec, key) for sec, key, _ in rows) == sorted(CONFIG_KEYS)
+
+    # a file that spells out every default the README gives parses to the
+    # same config as a file that leaves them out
+    def ini(sections):
+        return "".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                       for sec, keys in sections.items())
+
+    given: dict[str, dict[str, str]] = {}
+    for sec, key, default in rows:
+        if default.startswith("`"):
+            given.setdefault(sec, {})[key] = default.strip("`")
+    paths = {"posts": "p", "comments": "c", "verdicts": "v"}
+    for route in ({"corpus": paths}, {"synth": {"enabled": "true"}}):
+        full = {sec: dict(keys) for sec, keys in given.items()}
+        for sec, keys in route.items():
+            full[sec].update(keys)
+        (tmp_path / "minimal.ini").write_text(ini(route))
+        (tmp_path / "full.ini").write_text(ini(full))
+        assert (effective_config_text(parse_config(tmp_path / "full.ini"))
+                == effective_config_text(parse_config(tmp_path / "minimal.ini")))
+
+
 def test_embx_with_sentence_strategy_fails_at_parse_time(tmp_path, capsys):
     # an EMBX file has no sentence rows, and hashed sentence vectors would
     # live in another space than its post rows
@@ -217,9 +269,10 @@ def test_build_conditions_order_and_names():
         "similar_comments-k1", "similar_comments-k5",
         "random_comments-k1", "random_comments-k5",
     ]
-    grid = build_conditions(cfg)[2]
-    assert grid.kind == "grid" and grid.strategy == "similar_comments"
-    assert grid.max_samples == 1 and grid.category_filter is None
+    baseline, _, grid = build_conditions(cfg)[:3]
+    assert baseline.sampler is None
+    assert grid.sampler == SamplerConfig(strategy="similar_comments", max_samples=1,
+                                         seed=derive_seed(cfg.seed, "sampler"))
 
 
 def test_build_conditions_theory_star_expands():
@@ -273,6 +326,8 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError, match="not in baselines"):
         ExperimentConfig(corpus_paths=("p", "c", "v"),
                          baseline_condition="all_comments").validate()
+    with pytest.raises(ConfigError, match="max_samples"):
+        ExperimentConfig(corpus_paths=("p", "c", "v"), max_samples_list=(5, 0)).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +355,7 @@ def test_pipeline_rows_and_artifacts(synth_run):
         assert row["n_train"] > 0 and row["n_test"] > 0
         assert 0.0 <= row["accuracy"] <= 1.0 and 0.0 <= row["macro_f1"] <= 1.0
         assert len(row["acc_runs"]) == cfg.runs
-        assert "contexts" not in row  # popped before reporting
+        assert "contexts" not in row  # each condition writes its own dump
     for name in ("report.tsv", "summary.json", "effective.cfg", "split.jsonl"):
         assert (outdir / name).is_file()
     assert (outdir / "synth" / "posts.jsonl").is_file()
@@ -563,6 +618,41 @@ def test_cli_print_effective_config(tmp_path, capsys):
     # the convenience --seed flag must reach the derived synth seed too
     baseline = parse_config(ini, {"run.seed": "99"})
     assert f"synth.seed = {baseline.synth.seed}" in out
+
+
+def test_cli_synth_flags_build_the_synth_section_population(tmp_path, monkeypatch):
+    specs = []
+
+    class Generated(Exception):
+        pass
+
+    def record(spec):
+        specs.append(spec)
+        raise Generated
+
+    monkeypatch.setattr(dlab.cli, "generate_population", record)
+    with pytest.raises(Generated):
+        main(["synth", "--out", str(tmp_path / "raw")])
+    with pytest.raises(Generated):
+        main(["synth", "--annotators", "8", "--posts", "20", "--comments-lo", "4",
+              "--comments-hi", "6", "--verdicts-lo", "6", "--verdicts-hi", "8",
+              "--mix-demographics", "0.9", "--mix-attitudes", "0.1", "--seed", "5",
+              "--out", str(tmp_path / "raw")])
+    ini = tmp_path / "exp.ini"
+    ini.write_text(SYNTH_INI.replace(
+        "[corpus]", "mix_demographics = 0.9\nmix_attitudes = 0.1\n\n[corpus]"))
+    assert specs == [PopulationSpec(), dataclasses.replace(parse_config(ini).synth, seed=5)]
+
+
+def test_cli_train_focal_alpha_takes_two_numbers(capsys):
+    # the flag goes through the config file's converter, so a bad pair is a
+    # usage error before any input is read
+    files = ["--posts", "p", "--comments", "c", "--verdicts", "v", "--contexts", "x",
+             "--split", "s", "--model-out", "m"]
+    with pytest.raises(SystemExit) as exc:
+        main(["train", *files, "--focal-alpha", "0.3"])
+    assert exc.value.code == 1
+    assert "--focal-alpha" in capsys.readouterr().err
 
 
 def test_cli_full_chain(tmp_path, capsys):

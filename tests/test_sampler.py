@@ -1,8 +1,9 @@
+import json
 import warnings
 
 import pytest
 
-from dlab.corpus import Comment, Corpus, Post, Verdict
+from dlab.corpus import Comment, Corpus, CorpusError, Post, Verdict
 from dlab.disclosure import HighLevelCategory, build_profiles
 from dlab.embed import EmbedderConfig, cosine_similarity, embed_text
 from dlab.pipeline import embed_corpus, embed_sentences
@@ -412,3 +413,24 @@ def test_contexts_roundtrip_through_jsonl(tmp_path, ranked_corpus):
     dump_contexts(contexts, path)
     back = load_contexts(path, corpus)
     assert back == contexts
+
+
+@pytest.mark.parametrize("item,message", [
+    ({"comment_id": "nope", "unit": "comment", "sentence_index": None},
+     "line 2: unknown comment 'nope'"),
+    ({"comment_id": "cx", "unit": "sentence", "sentence_index": 2},
+     "line 2: comment 'cx' has no sentence 2"),
+    ({"comment_id": "cx", "unit": "sentence", "sentence_index": -1},
+     "line 2: comment 'cx' has no sentence -1"),
+], ids=["unknown-comment", "sentence-past-end", "negative-sentence"])
+def test_load_contexts_rejects_unknown_items(tmp_path, item, message):
+    corpus = build_corpus([
+        ("cx", "judge", "My cat knocked the plant again. Taxes are due in spring."),
+    ])
+    path = tmp_path / "contexts.jsonl"
+    dump_contexts([ContextSet("judge", "p0", [])], path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"annotator_id": "judge", "post_id": "p0",
+                             "items": [dict(item, similarity=None)]}) + "\n")
+    with pytest.raises(CorpusError, match=message):
+        load_contexts(path, corpus)
