@@ -44,6 +44,7 @@ from .disclosure import (
     default_patterns,
     extract_disclosures,
     ngram_stats,
+    span_record,
     write_audit_file,
     write_ngram_tsv,
 )
@@ -130,6 +131,17 @@ def _patterns(args) -> PatternSet:
     return default_patterns()
 
 
+def _profiles(args, corpus: Corpus) -> dict:
+    """Theory profiles of the corpus comments, with the cluster ids of
+    --cluster-model when one is given."""
+    pats = _patterns(args)
+    cluster_assignment = None
+    if args.cluster_model:
+        _require_files(args.cluster_model)
+        cluster_assignment = load_cluster_model(args.cluster_model).assignment
+    return build_profiles(corpus, pats, cluster_assignment)
+
+
 def _embed_cfg(args) -> EmbedderConfig:
     return EmbedderConfig(
         dim=args.dim, ngram_range=(args.ngram_lo, args.ngram_hi), seed=args.embed_seed)
@@ -183,16 +195,11 @@ def _cmd_extract(args) -> int:
                 fh.write(json.dumps({
                     "comment_id": span.comment_id,
                     "sentence_index": span.sentence_index,
-                    "category": span.category.value,
-                    "high_level": span.high_level.value,
-                    "start": span.start,
-                    "end": span.end,
-                    "matched_text": span.matched_text,
+                    **span_record(span),
                 }, ensure_ascii=False) + "\n")
     if args.profiles_out:
         with open(args.profiles_out, "w", encoding="utf-8") as fh:
-            for cid in sorted(profiles):
-                prof = profiles[cid]
+            for cid, prof in sorted(profiles.items()):
                 fh.write(json.dumps({
                     "comment_id": cid,
                     "theory_categories": sorted(c.value for c in prof.theory_categories),
@@ -236,12 +243,7 @@ def _cmd_split(args) -> int:
 
 def _cmd_sample(args) -> int:
     corpus = _load_corpus(args)
-    pats = _patterns(args)
-    cluster_assignment = None
-    if args.cluster_model:
-        _require_files(args.cluster_model)
-        cluster_assignment = load_cluster_model(args.cluster_model).assignment
-    profiles = build_profiles(corpus, pats, cluster_assignment)
+    profiles = _profiles(args, corpus)
     cfg = _embed_cfg(args)
     matrix = embed_corpus(corpus, cfg)
     sampler_cfg = SamplerConfig(
@@ -250,7 +252,6 @@ def _cmd_sample(args) -> int:
         category_filter=(CategoryFilter.parse(args.category)
                          if args.category not in (None, "none") else None),
         seed=args.seed,
-        replication_mode=not args.no_replication_check,
     )
     sentences = embed_sentences(corpus, cfg) if args.strategy in SENTENCE_STRATEGIES else None
     contexts = sample_context([(v.annotator_id, v.post_id) for v in corpus.verdicts],
@@ -327,11 +328,7 @@ def _cmd_analyze(args) -> int:
     if args.what == "coverage":
         _require_files(args.contexts, args.cluster_model)
         corpus = _load_comments(args.comments)
-        pats = _patterns(args)
-        cluster_assignment = None
-        if args.cluster_model:
-            cluster_assignment = load_cluster_model(args.cluster_model).assignment
-        profiles = build_profiles(corpus, pats, cluster_assignment)
+        profiles = _profiles(args, corpus)
         contexts = load_contexts(args.contexts, corpus)
         table = category_coverage(contexts, profiles)
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -487,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--category")
     p.add_argument("--cluster-model")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-replication-check", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 

@@ -3,8 +3,8 @@
 The reduction is a seeded randomized truncated SVD (range finder with
 oversampling and power iterations) on mean-centered data; clustering is
 k-means++ plus Lloyd iterations with a deterministic empty-cluster repair.
-Everything downstream (silhouette, centroid neighbors, 2-D projection) is
-exact, not approximate.
+Everything downstream (silhouette, centroid neighbors) is exact, not
+approximate.
 """
 from __future__ import annotations
 
@@ -252,31 +252,6 @@ def nearest_to_centroid(model: ClusterModel, matrix: EmbeddingMatrix,
         key=lambda rid: (float(np.linalg.norm(matrix.row(rid).astype(np.float64) - centroid)), rid),
     )
     return ranked[:n]
-
-
-def pca_2d(matrix: EmbeddingMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Project onto the top two principal components.
-
-    Returns (coords, ratios): coords is (n, 2), ratios the per-component
-    explained variance fractions (each in [0, 1], summing to <= 1).
-    """
-    n = len(matrix)
-    if n < 2:
-        raise ValueError("pca_2d needs at least 2 rows")
-    A = matrix.data.astype(np.float64)
-    A = A - A.mean(axis=0)
-    _, svals, vt = np.linalg.svd(A, full_matrices=False)
-    coords = A @ vt[:2].T
-    total = float((svals ** 2).sum())
-    if total <= 0.0:
-        ratios = np.zeros(2)
-    else:
-        ratios = (svals[:2] ** 2) / total
-        if ratios.size < 2:
-            ratios = np.pad(ratios, (0, 2 - ratios.size))
-    if coords.shape[1] < 2:
-        coords = np.pad(coords, ((0, 0), (0, 2 - coords.shape[1])))
-    return coords, ratios
 
 
 # ---------------------------------------------------------------------------

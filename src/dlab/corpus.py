@@ -145,7 +145,7 @@ class IngestReport:
         }
 
 
-def _iter_jsonl(path: Path):
+def iter_jsonl(path: Path):
     """Yield (line_number, record) pairs; malformed JSON is a hard error."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -175,7 +175,7 @@ def read_comments(comments_path, post_ids=frozenset()) -> dict[str, Comment]:
     """
     comments_path = Path(comments_path)
     comments: dict[str, Comment] = {}
-    for lineno, rec in _iter_jsonl(comments_path):
+    for lineno, rec in iter_jsonl(comments_path):
         where = f"{comments_path.name} line {lineno}"
         cid = _require_str(rec, "id", where)
         if cid in comments:
@@ -209,7 +209,7 @@ def ingest_corpus(posts_path, comments_path, verdicts_path) -> tuple[Corpus, Ing
             raise CorpusError(f"input file not found: {p}")
 
     posts: dict[str, Post] = {}
-    for lineno, rec in _iter_jsonl(posts_path):
+    for lineno, rec in iter_jsonl(posts_path):
         where = f"{posts_path.name} line {lineno}"
         pid = _require_str(rec, "id", where)
         post = Post(
@@ -227,7 +227,7 @@ def ingest_corpus(posts_path, comments_path, verdicts_path) -> tuple[Corpus, Ing
     verdicts: list[Verdict] = []
     report = IngestReport(n_posts=len(posts), n_comments=len(comments))
     seen_pairs: set[tuple[str, str]] = set()
-    for lineno, rec in _iter_jsonl(verdicts_path):
+    for lineno, rec in iter_jsonl(verdicts_path):
         where = f"{verdicts_path.name} line {lineno}"
         post_id = _require_str(rec, "post_id", where)
         annotator_id = _require_str(rec, "annotator_id", where)
@@ -487,7 +487,7 @@ def save_split(spec: SplitSpec, path) -> None:
 
 def load_split(path) -> SplitSpec:
     path = Path(path)
-    rows = list(_iter_jsonl(path))
+    rows = list(iter_jsonl(path))
     if not rows:
         raise CorpusError(f"{path.name}: empty split file")
     _, header = rows[0]

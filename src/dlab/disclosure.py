@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 
 from .corpus import Comment, Corpus
-from .embed import text_checksum
+from .embed import TOKEN_RE, text_checksum
 
 
 class PatternError(ValueError):
@@ -212,6 +212,18 @@ class DisclosureSpan:
         return self.category.high_level
 
 
+def span_record(span: DisclosureSpan) -> dict:
+    """A span's categories, offsets and matched text, as the spans file of
+    `dlab extract` and the audit file write them."""
+    return {
+        "category": span.category.value,
+        "high_level": span.high_level.value,
+        "start": span.start,
+        "end": span.end,
+        "matched_text": span.matched_text,
+    }
+
+
 def _as_comment(c: Comment | str) -> Comment:
     if isinstance(c, str):
         return Comment(id="", author_id="", text=c)
@@ -345,20 +357,8 @@ def write_audit_file(records: list[AuditRecord], path) -> None:
             fh.write(json.dumps({
                 "comment_id": rec.comment_id,
                 "text": rec.text,
-                "spans": [
-                    {
-                        "category": s.category.value,
-                        "high_level": s.high_level.value,
-                        "start": s.start,
-                        "end": s.end,
-                        "matched_text": s.matched_text,
-                    }
-                    for s in rec.spans
-                ],
+                "spans": [span_record(s) for s in rec.spans],
             }, ensure_ascii=False) + "\n")
-
-
-_TOKEN_RE = re.compile(r"[a-z0-9']+")
 
 
 def ngram_stats(corpus: Corpus, n: int, position: str) -> list[tuple[str, int]]:
@@ -378,7 +378,7 @@ def ngram_stats(corpus: Corpus, n: int, position: str) -> list[tuple[str, int]]:
         comment = corpus.comments[cid]
         for a, b in comment.sentence_spans():
             s = comment.text[a:b].lower()
-            tokens = [(m.start(), m.group()) for m in _TOKEN_RE.finditer(s)]
+            tokens = [(m.start(), m.group()) for m in TOKEN_RE.finditer(s)]
             for pm in iter_phrase_matches(s):
                 end = pm.end()
                 if position == "before":

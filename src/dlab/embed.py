@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-_TOKEN_RE = re.compile(r"[a-z0-9']+")
+TOKEN_RE = re.compile(r"[a-z0-9']+")
 
 EMBX_MAGIC = b"EMBX"
 EMBX_VERSION = 1
@@ -65,7 +65,7 @@ def embed_text(text: str, cfg: EmbedderConfig) -> np.ndarray:
     vector, and token order only matters through the n-grams themselves.
     """
     vec = np.zeros(cfg.dim, dtype=np.float64)
-    tokens = _TOKEN_RE.findall(text.lower())
+    tokens = TOKEN_RE.findall(text.lower())
     key = _hash_key(cfg.seed)
     lo, hi = cfg.ngram_range
     for n in range(lo, hi + 1):
@@ -88,7 +88,6 @@ class EmbeddingMatrix:
     ids: list[str]
     data: np.ndarray
     norms: np.ndarray = field(init=False, repr=False)
-    normalized: bool = field(init=False)
     _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -107,7 +106,6 @@ class EmbeddingMatrix:
         # sums in another order and differs in the last bits
         self.norms = np.array(
             [np.linalg.norm(row.astype(np.float64)) for row in self.data], dtype=np.float64)
-        self.normalized = bool((np.abs(self.norms - 1.0) <= 1e-6).all())
 
     @property
     def dim(self) -> int:
@@ -124,11 +122,6 @@ class EmbeddingMatrix:
 
     def row_index(self, rid: str) -> int:
         return self._index[rid]
-
-    def zero_row_ids(self) -> list[str]:
-        """Ids of unnormalizable (all-zero) rows."""
-        mask = ~self.data.any(axis=1)
-        return [rid for rid, z in zip(self.ids, mask) if z]
 
 
 def embed_texts(items, cfg: EmbedderConfig) -> EmbeddingMatrix:

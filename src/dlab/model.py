@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import stdtr
 
+from .corpus import VERDICT_LABELS
 from .embed import EmbeddingMatrix, read_checksummed_text, write_checksummed_text
 from .sampler import ContextSet
 
 logger = logging.getLogger(__name__)
 
 # class index 0 is the majority class; prediction ties resolve to it
-LABELS = ("NTA", "YTA")
+LABELS = VERDICT_LABELS
 _LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
 
 
@@ -138,10 +139,13 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.focal_gamma < 0:
-            raise ValueError("focal_gamma must be >= 0")
-        if self.focal_alpha is not None and min(self.focal_alpha) <= 0:
-            raise ValueError("focal_alpha must be two positive weights")
+        if not (math.isfinite(self.focal_gamma) and self.focal_gamma >= 0):
+            raise ValueError(f"focal_gamma must be finite and >= 0, got {self.focal_gamma}")
+        if self.focal_alpha is not None and not (
+                len(self.focal_alpha) == 2
+                and all(math.isfinite(a) and a > 0 for a in self.focal_alpha)):
+            raise ValueError(
+                f"focal_alpha must be two finite positive weights, got {self.focal_alpha}")
 
 
 def focal_loss(logits, label, gamma: float = TrainConfig.focal_gamma, alpha=(0.5, 0.5)):
@@ -279,29 +283,6 @@ class EvalReport:
     # 1/0 per test example, aligned with the dataset order; feeds the
     # example-level significance test
     correctness: np.ndarray | None = None
-    per_run: list["EvalReport"] | None = None
-
-    @classmethod
-    def from_runs(cls, runs: list["EvalReport"]) -> "EvalReport":
-        """Mean-aggregate repeated evaluations of the same test set."""
-        if not runs:
-            raise ValueError("no runs to aggregate")
-        per_class = {}
-        for lab in LABELS:
-            per_class[lab] = ClassMetrics(
-                precision=float(np.mean([r.per_class[lab].precision for r in runs])),
-                recall=float(np.mean([r.per_class[lab].recall for r in runs])),
-                f1=float(np.mean([r.per_class[lab].f1 for r in runs])),
-                support=runs[0].per_class[lab].support,
-            )
-        return cls(
-            n=runs[0].n,
-            accuracy=float(np.mean([r.accuracy for r in runs])),
-            macro_f1=float(np.mean([r.macro_f1 for r in runs])),
-            per_class=per_class,
-            correctness=None,
-            per_run=list(runs),
-        )
 
 
 def compute_report(y_true, y_pred) -> EvalReport:

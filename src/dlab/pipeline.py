@@ -27,13 +27,14 @@ from .corpus import (MAX_COMMENTS, MIN_COMMENTS, SPLIT_RATIOS, Corpus, filter_an
                      ingest_corpus, make_split, save_split, validate_ratios, verify_split)
 from .disclosure import CategoryProfile, HighLevelCategory, attach_clusters, build_profiles
 from .embed import EmbedderConfig, EmbeddingMatrix, embed_texts, import_embeddings
-from .model import (EvalReport, TrainConfig, build_features, encode_labels, evaluate,
-                    significance_test, train)
+from .model import (TrainConfig, build_features, encode_labels, evaluate, significance_test,
+                    train)
 from .sampler import (
     SENTENCE_STRATEGIES,
     CategoryFilter,
     ContextSet,
     SamplerConfig,
+    annotator_pool,
     dump_contexts,
     full_pool_context,
     sample_context,
@@ -239,9 +240,14 @@ def section_fields(section: str, values) -> dict:
 
 def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Load an INI experiment config, apply section.key=value overrides,
-    convert every key by CONFIG_KEYS (unknown keys are errors) and validate."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path, encoding="utf-8"):
+    convert every key by CONFIG_KEYS (unknown keys are errors) and validate.
+    Values are read literally: `%` is not an interpolation character."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        found = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise ConfigError(f"bad config file: {exc}")
+    if not found:
         raise ConfigError(f"config file not found: {path}")
     for key, value in (overrides or {}).items():
         if "." not in key:
@@ -389,20 +395,12 @@ def _condition_contexts(state: RunState, condition: Condition,
 def _five_plus_pct(state: RunState, condition: Condition) -> float:
     """Share of annotators with at least five comments available under the
     condition's pool definition."""
-    if condition.name == "no_comments":
-        return 0.0
-    corpus = state.corpus
-    annotators = corpus.annotators()
-    if not annotators:
+    annotators = state.corpus.annotators()
+    if condition.name == "no_comments" or not annotators:
         return 0.0
     filt = condition.sampler.category_filter if condition.sampler else None
-    count = 0
-    for aid in annotators:
-        pool = corpus.annotator_index[aid]
-        if filt is not None:
-            pool = [cid for cid in pool if filt.admits(state.profiles[cid])]
-        if len(pool) >= 5:
-            count += 1
+    count = sum(len(annotator_pool(state.corpus, aid, state.profiles, filt)[1]) >= 5
+                for aid in annotators)
     return 100.0 * count / len(annotators)
 
 
@@ -421,28 +419,26 @@ def run_condition(state: RunState, condition: Condition) -> dict:
     if cfg.save_contexts:
         dump_contexts(contexts, Path(cfg.out) / "contexts" / f"{condition.name}.jsonl")
 
-    run_reports: list[EvalReport] = []
-    correctness = []
+    reports = []
     base_seed = derive_seed(cfg.seed, "train", condition.name)
     for run_idx in range(cfg.runs):
         params = train(*data["train"], cfg.train_config(base_seed + run_idx))
-        report = evaluate(params, *data["test"])
-        run_reports.append(report)
-        correctness.append(report.correctness)
+        reports.append(evaluate(params, *data["test"]))
 
-    agg = EvalReport.from_runs(run_reports)
+    acc_runs = [r.accuracy for r in reports]
+    f1_runs = [r.macro_f1 for r in reports]
     return {
         "condition": condition.name,
         "n_train": len(data["train"][1]),
         "n_test": len(data["test"][1]),
         "five_plus_pct": _five_plus_pct(state, condition),
-        "accuracy": agg.accuracy,
-        "macro_f1": agg.macro_f1,
-        "acc_runs": [r.accuracy for r in run_reports],
-        "f1_runs": [r.macro_f1 for r in run_reports],
+        "accuracy": float(np.mean(acc_runs)),
+        "macro_f1": float(np.mean(f1_runs)),
+        "acc_runs": acc_runs,
+        "f1_runs": f1_runs,
         # per-example correctness concatenated across runs; feeds the
         # example-level Welch test between conditions
-        "correctness": np.concatenate(correctness).tolist(),
+        "correctness": np.concatenate([r.correctness for r in reports]).tolist(),
     }
 
 

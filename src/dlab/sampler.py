@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError
+from .corpus import Corpus, CorpusError, iter_jsonl
 from .disclosure import CategoryProfile, HighLevelCategory
 from .embed import EmbeddingMatrix, cosine_scores, rank_scores
 from .seeds import derive_seed
@@ -77,30 +77,21 @@ class SamplerConfig:
     max_samples: int
     category_filter: CategoryFilter | None = None
     seed: int = 0
-    # The reference protocol pairs category filters with similarity ranking
-    # over whole comments and at most 5 samples; set False to override, which
-    # warns instead of failing.
-    replication_mode: bool = True
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.max_samples < 1:
             raise ValueError(f"max_samples must be >= 1, got {self.max_samples}")
-        if self.category_filter is not None:
-            conforming = (
+        # the reference protocol pairs category filters with similarity
+        # ranking over whole comments and at most 5 samples
+        if self.category_filter is not None and not (
                 self.strategy == "similar_comments"
-                and self.max_samples <= _REPLICATION_MAX_SAMPLES
-            )
-            if not conforming:
-                msg = (
-                    "category filters pair with similar_comments and "
-                    f"max_samples <= {_REPLICATION_MAX_SAMPLES}; got "
-                    f"{self.strategy} / {self.max_samples}"
-                )
-                if self.replication_mode:
-                    raise ValueError(msg)
-                warnings.warn(msg)
+                and self.max_samples <= _REPLICATION_MAX_SAMPLES):
+            raise ValueError(
+                "category filters pair with similar_comments and "
+                f"max_samples <= {_REPLICATION_MAX_SAMPLES}; got "
+                f"{self.strategy} / {self.max_samples}")
 
 
 @dataclass(frozen=True)
@@ -122,12 +113,13 @@ class ContextSet:
         return len(self.items)
 
 
-def _annotator_pool(corpus: Corpus, annotator_id: str,
-                    profiles: dict[str, CategoryProfile] | None,
-                    cfg: SamplerConfig, unit: str) -> tuple[list[tuple], list[int]]:
+def annotator_pool(corpus: Corpus, annotator_id: str,
+                   profiles: dict[str, CategoryProfile] | None,
+                   filt: CategoryFilter | None,
+                   unit: str = "comment") -> tuple[list[tuple], list[int]]:
     """The annotator's whole pool of units, (comment id, sentence index,
     text) in pool order, and the positions of those the category filter
-    admits."""
+    admits (all of them without a filter)."""
     cids = corpus.annotator_index[annotator_id]
     if unit == "sentence":
         units = [
@@ -137,7 +129,6 @@ def _annotator_pool(corpus: Corpus, annotator_id: str,
         ]
     else:
         units = [(cid, None, corpus.comments[cid].text) for cid in cids]
-    filt = cfg.category_filter
     if filt is None:
         return units, list(range(len(units)))
     if profiles is None:
@@ -176,7 +167,8 @@ def sample_context(pairs, corpus: Corpus,
         if post_id not in corpus.posts:
             raise ValueError(f"unknown post {post_id!r}")
         if annotator_id not in pools:
-            units, admitted = _annotator_pool(corpus, annotator_id, profiles, cfg, unit)
+            units, admitted = annotator_pool(corpus, annotator_id, profiles,
+                                             cfg.category_filter, unit)
             candidates = [units[i] for i in admitted]
             pools[annotator_id] = (units, admitted, candidates,
                                    [(cid, text) for cid, _, text in candidates])
@@ -360,36 +352,31 @@ def dump_contexts(contexts: list[ContextSet], path) -> None:
 
 def load_contexts(path, corpus: Corpus) -> list[ContextSet]:
     """Rebuild dumped contexts, resolving texts against the corpus, so a
-    training run can be repeated without re-sampling."""
+    training run can be repeated without re-sampling. A line that is not a
+    dumped context, or names a comment or sentence the corpus lacks, is a
+    CorpusError naming the file and line."""
     path = Path(path)
     out: list[ContextSet] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            items = []
-            for it in rec["items"]:
-                cid = it["comment_id"]
-                comment = corpus.comments.get(cid)
-                if comment is None:
-                    raise CorpusError(f"{path.name} line {lineno}: unknown comment {cid!r}")
-                if it["unit"] == "sentence":
-                    spans = comment.sentence_spans()
-                    index = int(it["sentence_index"])
-                    if not 0 <= index < len(spans):
-                        raise CorpusError(f"{path.name} line {lineno}: comment {cid!r} has no "
-                                          f"sentence {index}")
-                    a, b = spans[index]
-                    text = comment.text[a:b]
-                else:
-                    text = comment.text
-                items.append(ContextItem(
-                    source_comment_id=cid,
-                    text=text,
-                    similarity=it["similarity"],
-                    unit=it["unit"],
-                    sentence_index=it["sentence_index"],
-                ))
+    for lineno, rec in iter_jsonl(path):
+        where = f"{path.name} line {lineno}"
+        try:
+            items = [_load_item(it, corpus, where) for it in rec["items"]]
             out.append(ContextSet(rec["annotator_id"], rec["post_id"], items))
+        except (KeyError, TypeError) as exc:
+            raise CorpusError(f"{where}: malformed context record ({type(exc).__name__}: {exc})")
     return out
+
+
+def _load_item(it: dict, corpus: Corpus, where: str) -> ContextItem:
+    cid, index = it["comment_id"], it["sentence_index"]
+    comment = corpus.comments.get(cid)
+    if comment is None:
+        raise CorpusError(f"{where}: unknown comment {cid!r}")
+    text = comment.text
+    if it["unit"] == "sentence":
+        spans = comment.sentence_spans()
+        if not (isinstance(index, int) and 0 <= index < len(spans)):
+            raise CorpusError(f"{where}: comment {cid!r} has no sentence {index}")
+        a, b = spans[index]
+        text = text[a:b]
+    return ContextItem(cid, text, it["similarity"], it["unit"], sentence_index=index)

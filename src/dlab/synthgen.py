@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Comment, Corpus, Post, Verdict, write_corpus
+from .disclosure import HighLevelCategory
 from .seeds import derive_seed
 
 JUDGMENT_RULES = ("demographic_keyed", "attitude_keyed", "random")
 
-_CATEGORY_NAMES = ("Demographics", "Experiences", "Attitudes", "Relationships")
+_CATEGORY_NAMES = tuple(c.value for c in HighLevelCategory)
 
 
 class SynthesisError(ValueError):

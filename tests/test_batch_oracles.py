@@ -8,7 +8,6 @@ the same context ids in the same order with the same similarity floats, and
 a feature matrix equal element for element.
 """
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -130,16 +129,13 @@ FILTERS = [None] + [CategoryFilter(theory=c) for c in HighLevelCategory] + \
 
 
 def configs():
-    """Every strategy under every filter; filters come first, so the score
-    memo is filled by filtered conditions and then read by unfiltered ones."""
-    out = []
-    for strategy in STRATEGIES:
-        for filt in FILTERS[1:] + FILTERS[:1]:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # filters with non-replication strategies
-                out.append(SamplerConfig(strategy=strategy, max_samples=3, seed=5,
-                                         category_filter=filt, replication_mode=False))
-    return out
+    """Every strategy unfiltered, and similar_comments, the one strategy
+    category filters pair with, under every filter; its filters come first,
+    so the score memo is filled by filtered conditions and then read by the
+    unfiltered one."""
+    return [SamplerConfig(strategy=strategy, max_samples=3, seed=5, category_filter=filt)
+            for strategy in STRATEGIES
+            for filt in (FILTERS[1:] if strategy == "similar_comments" else []) + FILTERS[:1]]
 
 
 # ---------------------------------------------------------------------------

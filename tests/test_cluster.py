@@ -11,7 +11,6 @@ from dlab.cluster import (
     kmeans_plus_plus_init,
     load_cluster_model,
     nearest_to_centroid,
-    pca_2d,
     save_cluster_model,
     silhouette,
     truncated_svd,
@@ -244,32 +243,6 @@ def test_silhouette_requires_two_clusters():
     model = kmeans(m, 1, seed=0)
     with pytest.raises(ValueError, match="two clusters"):
         silhouette(m, model)
-
-
-# ---------------------------------------------------------------------------
-# 2-d projection
-
-def test_pca_2d_collinear_data():
-    ts = np.linspace(-2, 2, 9)
-    data = np.outer(ts, [1.0, 1.0, 1.0]).astype(np.float32)
-    m = EmbeddingMatrix(ids=[f"p{i}" for i in range(9)], data=data)
-    coords, ratios = pca_2d(m)
-    assert coords.shape == (9, 2)
-    assert ratios[0] == pytest.approx(1.0, abs=1e-9)
-    assert ratios[1] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_pca_2d_isotropic_square():
-    data = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.float32)
-    m = EmbeddingMatrix(ids=["a", "b", "c", "d"], data=data)
-    _, ratios = pca_2d(m)
-    assert ratios == pytest.approx([0.5, 0.5], abs=1e-12)
-
-
-def test_pca_2d_needs_two_rows():
-    m = EmbeddingMatrix(ids=["a"], data=np.zeros((1, 3), dtype=np.float32))
-    with pytest.raises(ValueError):
-        pca_2d(m)
 
 
 # ---------------------------------------------------------------------------

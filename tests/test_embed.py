@@ -77,8 +77,7 @@ def test_embed_texts_and_matrix_lookup():
     assert len(m) == 3 and m.dim == 64
     assert "a" in m and "z" not in m
     assert np.array_equal(m.row("a"), embed_text("one two", CFG))
-    assert m.zero_row_ids() == ["c"]
-    assert not m.normalized  # the zero row spoils it
+    assert m.norms[2] == 0.0  # "!!!" has no n-grams
 
 
 def test_matrix_duplicate_ids_rejected():

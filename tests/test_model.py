@@ -6,7 +6,6 @@ import pytest
 
 from dlab.embed import EmbeddingMatrix
 from dlab.model import (
-    EvalReport,
     LABELS,
     ModelFileError,
     ModelParams,
@@ -221,6 +220,12 @@ def test_train_validation():
         TrainConfig(focal_alpha=(0.5, 0.0))
     with pytest.raises(ValueError):
         TrainConfig(focal_gamma=-0.5)
+    for alpha in ((0.5,), (0.5, 1.0, 2.0), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="focal_alpha"):
+            TrainConfig(focal_alpha=alpha)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="focal_gamma"):
+            TrainConfig(focal_gamma=gamma)
     for rate in (-1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=rate)
@@ -280,19 +285,6 @@ def test_compute_report_validation():
         compute_report([], [])
     with pytest.raises(ValueError):
         compute_report(["NTA"], ["NTA", "YTA"])
-
-
-def test_report_from_runs_averages():
-    r1 = compute_report(["NTA", "YTA"], ["NTA", "YTA"])
-    r2 = compute_report(["NTA", "YTA"], ["NTA", "NTA"])
-    agg = EvalReport.from_runs([r1, r2])
-    assert agg.accuracy == pytest.approx(0.75)
-    assert agg.macro_f1 == pytest.approx((r1.macro_f1 + r2.macro_f1) / 2)
-    assert agg.correctness is None
-    assert len(agg.per_run) == 2
-    assert agg.per_class["NTA"].support == 1
-    with pytest.raises(ValueError):
-        EvalReport.from_runs([])
 
 
 # ---------------------------------------------------------------------------

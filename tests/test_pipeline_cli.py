@@ -154,6 +154,7 @@ def test_parse_config_value_errors(tmp_path):
     ("focal_gamma", "-0.5"), ("focal_alpha", "0.5,0"),
     ("dim", "4"), ("ratios", "0.5,0.5,0.5"),
     ("learning_rate", "-1"), ("learning_rate", "nan"), ("learning_rate", "inf"),
+    ("focal_alpha", "nan,1"), ("focal_gamma", "nan"), ("focal_gamma", "inf"),
 ])
 def test_bad_training_settings_fail_at_parse_time(tmp_path, capsys, key, value):
     section = {"dim": "embed", "ratios": "split"}.get(key, "train")
@@ -186,6 +187,28 @@ def test_bad_grids_fail_at_parse_time(tmp_path, capsys, overrides, message):
         argv += ["--set", item]
     assert main(argv) == 2 and not out.exists()
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("posts = /data/posts.jsonl\n", "no section headers"),
+    (MINIMAL_CORPUS_INI + "posts = /data/other.jsonl\n", "already exists"),
+], ids=["no-section-header", "duplicate-key"])
+def test_bad_config_files_fail_at_parse_time(tmp_path, capsys, text, message):
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2 and not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_config_values_keep_percent_signs(tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_text(MINIMAL_CORPUS_INI.replace("/posts.jsonl", "/a%.jsonl")
+                    .replace("/comments.jsonl", "/b%%.jsonl"))
+    assert main(["run", "--config", str(path), "--print-effective-config"]) == 0
+    assert "corpus_paths = ('/data/a%.jsonl', '/data/b%%.jsonl', " in capsys.readouterr().out
 
 
 def test_readme_lists_every_config_key_with_its_default(tmp_path):
@@ -355,6 +378,8 @@ def test_pipeline_rows_and_artifacts(synth_run):
         assert row["n_train"] > 0 and row["n_test"] > 0
         assert 0.0 <= row["accuracy"] <= 1.0 and 0.0 <= row["macro_f1"] <= 1.0
         assert len(row["acc_runs"]) == cfg.runs
+        assert row["accuracy"] == float(np.mean(row["acc_runs"]))
+        assert row["macro_f1"] == float(np.mean(row["f1_runs"]))
         assert "contexts" not in row  # each condition writes its own dump
     for name in ("report.tsv", "summary.json", "effective.cfg", "split.jsonl"):
         assert (outdir / name).is_file()
@@ -604,6 +629,15 @@ def test_cli_malformed_data_is_data_error(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+    # a contexts line that is not a context record
+    contexts = tmp_path / "contexts.jsonl"
+    contexts.write_text("[]\n")
+    code = main(["analyze", "diversity", "--contexts", str(contexts),
+                 "--comments", str(tmp_path / "comments.jsonl"),
+                 "--out", str(tmp_path / "diversity.tsv")])
+    assert code == 2
+    assert "contexts.jsonl line 1: record is not an object" in capsys.readouterr().err
 
 
 def test_cli_print_effective_config(tmp_path, capsys):

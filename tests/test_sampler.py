@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import pytest
 
@@ -278,14 +277,9 @@ def test_replication_mode_guards_filter_pairing():
         SamplerConfig(strategy="random_comments", max_samples=3, category_filter=filt)
     with pytest.raises(ValueError, match="max_samples"):
         SamplerConfig(strategy="similar_comments", max_samples=6, category_filter=filt)
-    with pytest.warns(UserWarning, match="similar_comments"):
-        cfg = SamplerConfig(strategy="random_comments", max_samples=3,
-                            category_filter=filt, replication_mode=False)
-    assert cfg.category_filter is filt
     # conforming combinations raise nothing
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        SamplerConfig(strategy="similar_comments", max_samples=5, category_filter=filt)
+    cfg = SamplerConfig(strategy="similar_comments", max_samples=5, category_filter=filt)
+    assert cfg.category_filter is filt
 
 
 def test_sampler_config_validation():
@@ -415,22 +409,32 @@ def test_contexts_roundtrip_through_jsonl(tmp_path, ranked_corpus):
     assert back == contexts
 
 
-@pytest.mark.parametrize("item,message", [
-    ({"comment_id": "nope", "unit": "comment", "sentence_index": None},
+def context_line(**item):
+    """A dumped context record of judge/p0 holding one item."""
+    return json.dumps({"annotator_id": "judge", "post_id": "p0",
+                       "items": [dict(item, similarity=None)]})
+
+
+@pytest.mark.parametrize("line,message", [
+    (context_line(comment_id="nope", unit="comment", sentence_index=None),
      "line 2: unknown comment 'nope'"),
-    ({"comment_id": "cx", "unit": "sentence", "sentence_index": 2},
+    (context_line(comment_id="cx", unit="sentence", sentence_index=2),
      "line 2: comment 'cx' has no sentence 2"),
-    ({"comment_id": "cx", "unit": "sentence", "sentence_index": -1},
+    (context_line(comment_id="cx", unit="sentence", sentence_index=-1),
      "line 2: comment 'cx' has no sentence -1"),
-], ids=["unknown-comment", "sentence-past-end", "negative-sentence"])
-def test_load_contexts_rejects_unknown_items(tmp_path, item, message):
+    ("[]", "line 2: record is not an object"),
+    ('{"annotator_id": "judge", "post_id": "p0"}', "line 2: .*KeyError: 'items'"),
+    (context_line(unit="comment", sentence_index=None), "line 2: .*KeyError: 'comment_id'"),
+    ('{"annotator_id": "judge", ', "line 2: malformed JSON"),
+], ids=["unknown-comment", "sentence-past-end", "negative-sentence", "non-object",
+        "missing-items", "missing-comment-id", "bad-json"])
+def test_load_contexts_rejects_unknown_items(tmp_path, line, message):
     corpus = build_corpus([
         ("cx", "judge", "My cat knocked the plant again. Taxes are due in spring."),
     ])
     path = tmp_path / "contexts.jsonl"
     dump_contexts([ContextSet("judge", "p0", [])], path)
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"annotator_id": "judge", "post_id": "p0",
-                             "items": [dict(item, similarity=None)]}) + "\n")
+        fh.write(line + "\n")
     with pytest.raises(CorpusError, match=message):
         load_contexts(path, corpus)
