@@ -34,10 +34,14 @@ from .corpus import (
     save_split,
     verify_split,
     write_corpus,
+    write_json,
+    write_jsonl,
+    write_tsv,
 )
 from .disclosure import (
     PatternError,
     PatternSet,
+    attach_clusters,
     audit_sample,
     build_profiles,
     comment_profile,
@@ -46,7 +50,6 @@ from .disclosure import (
     ngram_stats,
     span_record,
     write_audit_file,
-    write_ngram_tsv,
 )
 from .embed import EmbedderConfig, EmbxError, export_embeddings
 from .model import (
@@ -134,12 +137,11 @@ def _patterns(args) -> PatternSet:
 def _profiles(args, corpus: Corpus) -> dict:
     """Theory profiles of the corpus comments, with the cluster ids of
     --cluster-model when one is given."""
-    pats = _patterns(args)
-    cluster_assignment = None
+    profiles = build_profiles(corpus, _patterns(args))
     if args.cluster_model:
         _require_files(args.cluster_model)
-        cluster_assignment = load_cluster_model(args.cluster_model).assignment
-    return build_profiles(corpus, pats, cluster_assignment)
+        profiles = attach_clusters(profiles, load_cluster_model(args.cluster_model).assignment)
+    return profiles
 
 
 def _embed_cfg(args) -> EmbedderConfig:
@@ -170,10 +172,8 @@ def _cmd_ingest(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_corpus(filtered, outdir)
-    (outdir / "ingest_report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    (outdir / "filter_report.json").write_text(
-        json.dumps(filter_report.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(outdir / "ingest_report.json", report.to_dict())
+    write_json(outdir / "filter_report.json", filter_report.to_dict())
     print(f"posts={report.n_posts} comments={report.n_comments} "
           f"verdicts_kept={filter_report.n_verdicts_kept} "
           f"self_verdicts_dropped={report.n_self_verdicts_dropped}")
@@ -183,29 +183,21 @@ def _cmd_ingest(args) -> int:
 def _cmd_extract(args) -> int:
     corpus = _load_comments(args.comments)
     pats = _patterns(args)
-    n_spans = 0
-    profiles = {}
-    with open(args.spans_out, "w", encoding="utf-8") as fh:
-        for cid in sorted(corpus.comments):
-            spans = extract_disclosures(corpus.comments[cid], pats)
-            if args.profiles_out:
-                profiles[cid] = comment_profile(corpus.comments[cid], spans)
-            n_spans += len(spans)
-            for span in spans:
-                fh.write(json.dumps({
-                    "comment_id": span.comment_id,
-                    "sentence_index": span.sentence_index,
-                    **span_record(span),
-                }, ensure_ascii=False) + "\n")
+    spans = {cid: extract_disclosures(corpus.comments[cid], pats)
+             for cid in sorted(corpus.comments)}
+    write_jsonl(args.spans_out, ({
+        "comment_id": span.comment_id,
+        "sentence_index": span.sentence_index,
+        **span_record(span),
+    } for found in spans.values() for span in found))
     if args.profiles_out:
-        with open(args.profiles_out, "w", encoding="utf-8") as fh:
-            for cid, prof in sorted(profiles.items()):
-                fh.write(json.dumps({
-                    "comment_id": cid,
-                    "theory_categories": sorted(c.value for c in prof.theory_categories),
-                    "passes_phrase_filter": prof.passes_phrase_filter,
-                }) + "\n")
-    print(f"comments={len(corpus.comments)} spans={n_spans}")
+        profiles = (comment_profile(corpus.comments[cid], found) for cid, found in spans.items())
+        write_jsonl(args.profiles_out, ({
+            "comment_id": prof.comment_id,
+            "theory_categories": sorted(c.value for c in prof.theory_categories),
+            "passes_phrase_filter": prof.passes_phrase_filter,
+        } for prof in profiles))
+    print(f"comments={len(corpus.comments)} spans={sum(map(len, spans.values()))}")
     return 0
 
 
@@ -318,8 +310,7 @@ def _cmd_evaluate(args) -> int:
         },
         "correctness": report.correctness.tolist(),
     }
-    Path(args.report_out).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(args.report_out, payload)
     print(f"n={report.n} accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f}")
     return 0
 
@@ -331,32 +322,31 @@ def _cmd_analyze(args) -> int:
         profiles = _profiles(args, corpus)
         contexts = load_contexts(args.contexts, corpus)
         table = category_coverage(contexts, profiles)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("family\tbucket\tpercent\n")
-            for bucket, pct in table.theory_pct.items():
-                fh.write(f"theory\t{bucket}\t{pct:.2f}\n")
-            for bucket, pct in table.cluster_pct.items():
-                fh.write(f"cluster\t{bucket}\t{pct:.2f}\n")
+        write_tsv(args.out, [
+            ["family", "bucket", "percent"],
+            *(["theory", bucket, f"{pct:.2f}"] for bucket, pct in table.theory_pct.items()),
+            *(["cluster", bucket, f"{pct:.2f}"] for bucket, pct in table.cluster_pct.items()),
+        ])
         print(f"items={table.n_items}")
     elif args.what == "diversity":
         _require_files(args.contexts)
         corpus = _load_comments(args.comments)
         contexts = load_contexts(args.contexts, corpus)
         report = similar_post_diversity(contexts, corpus)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("measure\tlower_whisker\tq1\tmedian\tq3\tupper_whisker\tn\n")
-            c = report.coverage
-            fh.write(f"coverage\t{c.lower_whisker:.4f}\t{c.q1:.4f}\t{c.median:.4f}"
-                     f"\t{c.q3:.4f}\t{c.upper_whisker:.4f}\t{len(report.coverage_values)}\n")
-            if report.rank_ratio is not None:
-                r = report.rank_ratio
-                fh.write(f"rank_ratio\t{r.lower_whisker:.4f}\t{r.q1:.4f}\t{r.median:.4f}"
-                         f"\t{r.q3:.4f}\t{r.upper_whisker:.4f}\t{len(report.rank_ratio_values)}\n")
+        rows = [["measure", "lower_whisker", "q1", "median", "q3", "upper_whisker", "n"]]
+        for measure, box, values in (("coverage", report.coverage, report.coverage_values),
+                                     ("rank_ratio", report.rank_ratio, report.rank_ratio_values)):
+            if box is not None:
+                rows.append([measure, *(f"{v:.4f}" for v in (
+                    box.lower_whisker, box.q1, box.median, box.q3, box.upper_whisker)),
+                    str(len(values))])
+        write_tsv(args.out, rows)
         print(f"annotators={len(report.coverage_values)}")
     elif args.what == "ngrams":
         corpus = _load_comments(args.comments)
         rows = ngram_stats(corpus, args.n, args.position)
-        write_ngram_tsv(rows[:args.top] if args.top else rows, args.out)
+        kept = rows[:args.top] if args.top else rows
+        write_tsv(args.out, [["ngram", "count"], *([gram, str(count)] for gram, count in kept)])
         print(f"ngrams={len(rows)}")
     elif args.what == "audit":
         corpus = _load_comments(args.comments)
@@ -411,6 +401,7 @@ def _cmd_run(args) -> int:
     if args.print_effective_config:
         sys.stdout.write(effective_config_text(cfg))
         return 0
+    _require_files(*(cfg.corpus_paths or ()), cfg.embx_path)
     rows = run_pipeline(cfg, workers=args.workers)
     for row in rows:
         p = row.get("p_vs_baseline")

@@ -16,12 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import write_jsonl
 from .embed import EmbeddingMatrix, read_checksummed_text, write_checksummed_text
 
 _CONVERGENCE_TOL = 1e-4
 _MAX_ITERS = 300
 _SVD_OVERSAMPLE = 10
 _SVD_POWER_ITERS = 2
+# largest (rows, n, dim) float64 difference block silhouette builds at once
+BLOCK_BYTES = 32 * 2**20
 
 
 class ClusterModelError(ValueError):
@@ -198,7 +201,7 @@ def silhouette(matrix: EmbeddingMatrix, model: ClusterModel) -> SilhouetteReport
 
     a is the mean distance to the point's own cluster (self excluded), b the
     smallest mean distance to any other cluster. Requires k >= 2. Memory is
-    bounded by processing points in row blocks.
+    bounded by processing points in row blocks of at most BLOCK_BYTES.
     """
     if model.k < 2:
         raise ValueError("silhouette needs at least two clusters")
@@ -212,12 +215,13 @@ def silhouette(matrix: EmbeddingMatrix, model: ClusterModel) -> SilhouetteReport
     onehot[np.arange(n), labels] = 1.0
 
     scores = np.zeros(n, dtype=np.float64)
-    block = max(1, min(n, 512))
+    block = max(1, min(512, n, BLOCK_BYTES // (8 * max(n * data.shape[1], 1))))
     for start in range(0, n, block):
         stop = min(start + block, n)
         # (b, n) exact Euclidean distances for this row block
         diff = data[start:stop, None, :] - data[None, :, :]
-        dists = np.sqrt((diff ** 2).sum(axis=2))
+        dists = np.sqrt(np.square(diff, out=diff).sum(axis=2))
+        del diff  # so that the next block is not allocated beside this one
         sums = dists @ onehot  # (b, k) summed distance to each cluster
         for row, i in enumerate(range(start, stop)):
             c = labels[i]
@@ -297,19 +301,16 @@ def load_cluster_model(path) -> ClusterModel:
 def write_inspection_file(model: ClusterModel, matrix: EmbeddingMatrix,
                           texts: dict[str, str], n: int, seed: int, path) -> None:
     """Review JSONL per cluster: n centroid-nearest plus n random members."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for cluster in range(model.k):
-            nearest = nearest_to_centroid(model, matrix, cluster, n)
-            members = model.members(cluster)
-            rng = random.Random(f"{seed}|{cluster}")
-            sampled = rng.sample(members, min(n, len(members))) if members else []
-            fh.write(json.dumps({
-                "cluster": cluster,
-                "size": len(members),
-                "nearest": [
-                    {"comment_id": cid, "text": texts.get(cid, "")} for cid in nearest
-                ],
-                "random": [
-                    {"comment_id": cid, "text": texts.get(cid, "")} for cid in sampled
-                ],
-            }, ensure_ascii=False) + "\n")
+    records = []
+    for cluster in range(model.k):
+        nearest = nearest_to_centroid(model, matrix, cluster, n)
+        members = model.members(cluster)
+        rng = random.Random(f"{seed}|{cluster}")
+        sampled = rng.sample(members, min(n, len(members))) if members else []
+        records.append({
+            "cluster": cluster,
+            "size": len(members),
+            "nearest": [{"comment_id": cid, "text": texts.get(cid, "")} for cid in nearest],
+            "random": [{"comment_id": cid, "text": texts.get(cid, "")} for cid in sampled],
+        })
+    write_jsonl(path, records)

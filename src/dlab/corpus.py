@@ -253,10 +253,21 @@ def ingest_corpus(posts_path, comments_path, verdicts_path) -> tuple[Corpus, Ing
     return corpus, report
 
 
-def _write_jsonl(path: Path, records) -> None:
+def write_jsonl(path, records) -> None:
+    """One JSON object per line, UTF-8, non-ASCII text written raw."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+
+
+def write_json(path, obj) -> None:
+    """One JSON document, indented with sorted keys, ending in a newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_tsv(path, rows) -> None:
+    """One tab-joined line per row of already formatted fields."""
+    Path(path).write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
 
 
 def write_corpus(corpus: Corpus, outdir) -> dict[str, Path]:
@@ -264,13 +275,13 @@ def write_corpus(corpus: Corpus, outdir) -> dict[str, Path]:
     (posts and comments in id order); returns the file paths."""
     outdir = Path(outdir)
     paths = {name: outdir / f"{name}.jsonl" for name in ("posts", "comments", "verdicts")}
-    _write_jsonl(paths["posts"], (
+    write_jsonl(paths["posts"], (
         {"id": p.id, "author_id": p.author_id, "title": p.title, "body": p.body}
         for _, p in sorted(corpus.posts.items())))
-    _write_jsonl(paths["comments"], (
+    write_jsonl(paths["comments"], (
         {"id": c.id, "author_id": c.author_id, "text": c.text}
         for _, c in sorted(corpus.comments.items())))
-    _write_jsonl(paths["verdicts"], (
+    write_jsonl(paths["verdicts"], (
         {"post_id": v.post_id, "annotator_id": v.annotator_id,
          "label": v.label, "justification": v.justification}
         for v in corpus.verdicts))
@@ -478,11 +489,9 @@ def verify_split(spec: SplitSpec, corpus: Corpus) -> SplitReport:
 
 def save_split(spec: SplitSpec, path) -> None:
     """Write a split as JSONL: a header object, then one row per verdict."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {"kind": spec.kind, "ratios": list(spec.ratios), "seed": spec.seed}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for i in sorted(spec.assignment):
-            fh.write(json.dumps({"verdict_index": i, "partition": spec.assignment[i]}) + "\n")
+    header = {"kind": spec.kind, "ratios": list(spec.ratios), "seed": spec.seed}
+    write_jsonl(path, [header, *({"verdict_index": i, "partition": spec.assignment[i]}
+                                 for i in sorted(spec.assignment))])
 
 
 def load_split(path) -> SplitSpec:

@@ -8,7 +8,6 @@ pattern drift is an explicit, reviewable event.
 """
 from __future__ import annotations
 
-import json
 import random
 import re
 import warnings
@@ -19,7 +18,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .corpus import Comment, Corpus
+from .corpus import Comment, Corpus, write_jsonl
 from .embed import TOKEN_RE, text_checksum
 
 
@@ -352,13 +351,11 @@ def audit_sample(corpus: Corpus, group: HighLevelCategory | str, n: int,
 
 def write_audit_file(records: list[AuditRecord], path) -> None:
     """Review JSONL: one comment per line with its highlighted spans."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps({
-                "comment_id": rec.comment_id,
-                "text": rec.text,
-                "spans": [span_record(s) for s in rec.spans],
-            }, ensure_ascii=False) + "\n")
+    write_jsonl(path, ({
+        "comment_id": rec.comment_id,
+        "text": rec.text,
+        "spans": [span_record(s) for s in rec.spans],
+    } for rec in records))
 
 
 def ngram_stats(corpus: Corpus, n: int, position: str) -> list[tuple[str, int]]:
@@ -390,13 +387,6 @@ def ngram_stats(corpus: Corpus, n: int, position: str) -> list[tuple[str, int]]:
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def write_ngram_tsv(rows: list[tuple[str, int]], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("ngram\tcount\n")
-        for gram, count in rows:
-            fh.write(f"{gram}\t{count}\n")
-
-
 # ---------------------------------------------------------------------------
 # category profiles
 
@@ -419,15 +409,14 @@ def comment_profile(comment: Comment, spans: list[DisclosureSpan]) -> CategoryPr
     )
 
 
-def build_profiles(corpus: Corpus, patterns: PatternSet | None = None,
-                   cluster_assignment: dict[str, int] | None = None) -> dict[str, CategoryProfile]:
-    """Compute theory categories (and optional cluster ids) for every comment."""
+def build_profiles(corpus: Corpus,
+                   patterns: PatternSet | None = None) -> dict[str, CategoryProfile]:
+    """Theory categories of every comment; attach_clusters adds cluster ids."""
     pats = patterns or default_patterns()
-    profiles = {
+    return {
         cid: comment_profile(corpus.comments[cid], extract_disclosures(corpus.comments[cid], pats))
         for cid in sorted(corpus.comments)
     }
-    return attach_clusters(profiles, cluster_assignment or {})
 
 
 def attach_clusters(profiles: dict[str, CategoryProfile],

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import configparser
 import json
-import logging
 import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +23,8 @@ import numpy as np
 from . import __version__
 from .cluster import ClusterModel, kmeans, truncated_svd
 from .corpus import (MAX_COMMENTS, MIN_COMMENTS, SPLIT_RATIOS, Corpus, filter_annotators,
-                     ingest_corpus, make_split, save_split, validate_ratios, verify_split)
+                     ingest_corpus, make_split, save_split, validate_ratios, verify_split,
+                     write_json, write_tsv)
 from .disclosure import CategoryProfile, HighLevelCategory, attach_clusters, build_profiles
 from .embed import EmbedderConfig, EmbeddingMatrix, embed_texts, import_embeddings
 from .model import (TrainConfig, build_features, encode_labels, evaluate, significance_test,
@@ -43,8 +43,6 @@ from .seeds import derive_seed
 from .synthgen import PopulationSpec, generate_population, write_population
 
 BASELINE_CONDITIONS = ("no_comments", "all_comments")
-
-logger = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -518,6 +516,8 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> list[dict
     Conditions are independent and may run in a process pool (workers > 1,
     or the DLAB_WORKERS environment variable); results are merged in
     configured order so parallel and sequential runs emit identical bytes.
+    The pool uses the platform's start method; where that is not fork, a
+    script must make a workers > 1 call under `if __name__ == "__main__":`.
     """
     cfg.validate()
     outdir = Path(cfg.out)
@@ -560,21 +560,9 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> list[dict
     if workers is None:
         workers = int(os.environ.get("DLAB_WORKERS", "1"))
     if workers > 1:
-        import multiprocessing as mp
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:
-            ctx = None
-        if ctx is not None:
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=ctx,
-                initializer=_init_worker, initargs=(state,),
-            ) as pool:
-                rows = list(pool.map(_run_condition_global, conditions))
-        else:
-            logger.warning("the fork start method is unavailable; running %d conditions "
-                           "sequentially instead of on %d workers", len(conditions), workers)
-            rows = [run_condition(state, c) for c in conditions]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(state,)) as pool:
+            rows = list(pool.map(_run_condition_global, conditions))
     else:
         rows = [run_condition(state, c) for c in conditions]
 
@@ -605,8 +593,7 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> list[dict
         "test_nta_share": nta_share,
         "test_majority_accuracy": max(nta_share, 1.0 - nta_share),
     }
-    (outdir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(outdir / "summary.json", summary)
     (outdir / "effective.cfg").write_text(effective_config_text(cfg), encoding="utf-8")
     write_report_tsv(rows, cfg, outdir / "report.tsv")
     return rows
@@ -629,14 +616,12 @@ def _fmt(value, spec: str = ".6f") -> str:
 
 def write_report_tsv(rows: list[dict], cfg: ExperimentConfig, path) -> None:
     """Condition rows with pinned formatting and embedded provenance."""
-    lines = [f"# dlab {__version__} report"]
-    for cfg_line in effective_config_text(cfg).strip().split("\n"):
-        lines.append(f"# {cfg_line}")
-    header = ["condition", "n_train", "n_test", "five_plus_pct", "accuracy",
-              "macro_f1", "acc_runs", "f1_runs", "t_vs_baseline", "p_vs_baseline"]
-    lines.append("\t".join(header))
+    lines = [[f"# dlab {__version__} report"]]
+    lines += [[f"# {cfg_line}"] for cfg_line in effective_config_text(cfg).strip().split("\n")]
+    lines.append(["condition", "n_train", "n_test", "five_plus_pct", "accuracy",
+                  "macro_f1", "acc_runs", "f1_runs", "t_vs_baseline", "p_vs_baseline"])
     for row in rows:
-        lines.append("\t".join([
+        lines.append([
             row["condition"],
             str(row["n_train"]),
             str(row["n_test"]),
@@ -647,8 +632,8 @@ def write_report_tsv(rows: list[dict], cfg: ExperimentConfig, path) -> None:
             ";".join(_fmt(f) for f in row["f1_runs"]),
             _fmt(row.get("t_vs_baseline"), ".4f"),
             _fmt(row.get("p_vs_baseline"), ".6g"),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        ])
+    write_tsv(path, lines)
 
 
 def read_report_tsv(path) -> list[dict]:
@@ -674,11 +659,8 @@ def merge_reports(paths, layout: str, out_path) -> None:
     for p in paths:
         rows.extend(read_report_tsv(p))
     if layout == "category":
-        lines = ["condition\tfive_plus_pct\taccuracy\tmacro_f1"]
-        for row in rows:
-            lines.append("\t".join([
-                row["condition"], row["five_plus_pct"],
-                row["accuracy"], row["macro_f1"]]))
+        header = ["condition", "five_plus_pct", "accuracy", "macro_f1"]
+        lines = [header, *([row[col] for col in header] for row in rows)]
     elif layout == "grid":
         cells: dict[str, dict[int, tuple[str, str]]] = {}
         counts: set[int] = set()
@@ -696,13 +678,12 @@ def merge_reports(paths, layout: str, out_path) -> None:
             key = f"{strategy}-{category}" if category else strategy
             cells.setdefault(key, {})[m] = (row["accuracy"], row["macro_f1"])
         ordered = sorted(counts)
-        lines = ["strategy\t" + "\t".join(f"acc@{m}\tf1@{m}" for m in ordered)]
+        lines = [["strategy", "\t".join(f"acc@{m}\tf1@{m}" for m in ordered)]]
         for strategy in sorted(cells):
             parts = [strategy]
             for m in ordered:
-                acc, f1 = cells[strategy].get(m, ("", ""))
-                parts.extend([acc, f1])
-            lines.append("\t".join(parts))
+                parts.extend(cells[strategy].get(m, ("", "")))
+            lines.append(parts)
     else:
         raise ConfigError(f"unknown layout {layout!r}")
-    Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_tsv(out_path, lines)

@@ -8,7 +8,6 @@ reproducible regardless of evaluation order.
 """
 from __future__ import annotations
 
-import json
 import random
 import warnings
 from collections import Counter
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError, iter_jsonl
+from .corpus import Corpus, CorpusError, iter_jsonl, write_jsonl
 from .disclosure import CategoryProfile, HighLevelCategory
 from .embed import EmbeddingMatrix, cosine_scores, rank_scores
 from .seeds import derive_seed
@@ -333,28 +332,20 @@ def similar_post_diversity(contexts: list[ContextSet], corpus: Corpus) -> Divers
 
 def dump_contexts(contexts: list[ContextSet], path) -> None:
     """JSONL: one context per line; texts are re-derivable from the corpus."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ctx in contexts:
-            fh.write(json.dumps({
-                "annotator_id": ctx.annotator_id,
-                "post_id": ctx.post_id,
-                "items": [
-                    {
-                        "comment_id": item.source_comment_id,
-                        "similarity": item.similarity,
-                        "unit": item.unit,
-                        "sentence_index": item.sentence_index,
-                    }
-                    for item in ctx.items
-                ],
-            }) + "\n")
+    write_jsonl(path, ({
+        "annotator_id": ctx.annotator_id,
+        "post_id": ctx.post_id,
+        "items": [{"comment_id": item.source_comment_id, "similarity": item.similarity,
+                   "unit": item.unit, "sentence_index": item.sentence_index}
+                  for item in ctx.items],
+    } for ctx in contexts))
 
 
 def load_contexts(path, corpus: Corpus) -> list[ContextSet]:
     """Rebuild dumped contexts, resolving texts against the corpus, so a
     training run can be repeated without re-sampling. A line that is not a
-    dumped context, or names a comment or sentence the corpus lacks, is a
-    CorpusError naming the file and line."""
+    dumped context, or names a unit, comment or sentence the corpus lacks,
+    is a CorpusError naming the file and line."""
     path = Path(path)
     out: list[ContextSet] = []
     for lineno, rec in iter_jsonl(path):
@@ -368,15 +359,17 @@ def load_contexts(path, corpus: Corpus) -> list[ContextSet]:
 
 
 def _load_item(it: dict, corpus: Corpus, where: str) -> ContextItem:
-    cid, index = it["comment_id"], it["sentence_index"]
+    cid, index, unit = it["comment_id"], it["sentence_index"], it["unit"]
     comment = corpus.comments.get(cid)
     if comment is None:
         raise CorpusError(f"{where}: unknown comment {cid!r}")
+    if unit not in ("comment", "sentence"):
+        raise CorpusError(f"{where}: unknown unit {unit!r}")
     text = comment.text
-    if it["unit"] == "sentence":
+    if unit == "sentence":
         spans = comment.sentence_spans()
         if not (isinstance(index, int) and 0 <= index < len(spans)):
             raise CorpusError(f"{where}: comment {cid!r} has no sentence {index}")
         a, b = spans[index]
         text = text[a:b]
-    return ContextItem(cid, text, it["similarity"], it["unit"], sentence_index=index)
+    return ContextItem(cid, text, it["similarity"], unit, sentence_index=index)

@@ -10,12 +10,11 @@ is exactly the signal the samplers and the classifier are supposed to find.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Comment, Corpus, Post, Verdict, write_corpus
+from .corpus import Comment, Corpus, Post, Verdict, write_corpus, write_jsonl
 from .disclosure import HighLevelCategory
 from .seeds import derive_seed
 
@@ -335,7 +334,6 @@ def write_population(corpus: Corpus, ground_truth: dict[str, dict], outdir) -> d
     outdir.mkdir(parents=True, exist_ok=True)
     paths = write_corpus(corpus, outdir)
     paths["ground_truth"] = outdir / "ground_truth.jsonl"
-    with open(paths["ground_truth"], "w", encoding="utf-8") as fh:
-        for key in sorted(ground_truth):
-            fh.write(json.dumps({"verdict_key": key, **ground_truth[key]}) + "\n")
+    write_jsonl(paths["ground_truth"],
+                ({"verdict_key": key, **ground_truth[key]} for key in sorted(ground_truth)))
     return paths

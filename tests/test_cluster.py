@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,22 @@ def test_silhouette_matches_oracle():
     for rid, score in want.items():
         assert report.per_point[rid] == pytest.approx(score, abs=1e-9)
     assert report.mean == pytest.approx(sum(want.values()) / len(want), abs=1e-9)
+
+
+def test_silhouette_memory_is_bounded_by_bytes():
+    # one block of 200 rows would be a 164 MB (200, 200, 512) float64 array
+    m = random_matrix(200, 512, seed=5)
+    model = kmeans(m, 3, seed=2)
+    tracemalloc.start()
+    try:
+        report = silhouette(m, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    want = silhouette_oracle(m, model)
+    for rid, score in want.items():
+        assert report.per_point[rid] == pytest.approx(score, abs=1e-9)
 
 
 def test_silhouette_singleton_scores_zero():

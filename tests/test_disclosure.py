@@ -14,6 +14,7 @@ from dlab.disclosure import (
     PatternError,
     PatternSet,
     assign_theory_categories,
+    attach_clusters,
     audit_sample,
     build_profiles,
     default_patterns,
@@ -423,9 +424,9 @@ def test_build_profiles():
 
 def test_build_profiles_cluster_on_unfiltered_comment_rejected():
     corpus = _mixed_corpus()
-    build_profiles(corpus, cluster_assignment={"c0": 1})  # fine: c0 passes
+    attach_clusters(build_profiles(corpus), {"c0": 1})  # fine: c0 passes
     with pytest.raises(ValueError, match="phrase filter"):
-        build_profiles(corpus, cluster_assignment={"c4": 0})
+        attach_clusters(build_profiles(corpus), {"c4": 0})
 
 
 def test_profile_dataclass_is_frozen():

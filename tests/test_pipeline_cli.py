@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import logging
 import multiprocessing
 import re
 import shutil
@@ -409,23 +408,25 @@ def test_pipeline_workers_match_sequential(synth_run):
     assert (outdir / "report.tsv").read_bytes() == first
 
 
-def test_pipeline_without_fork_warns_and_runs_sequentially(synth_run, monkeypatch, caplog):
+def test_pipeline_spawn_pool_matches_sequential(synth_run, monkeypatch):
     ini, outdir, _, _ = synth_run
 
     def files():
         return {str(p.relative_to(outdir)): p.read_bytes()
                 for p in sorted(outdir.rglob("*")) if p.is_file()}
 
+    run_pipeline(parse_config(ini, {"run.out": str(outdir)}))
     first = files()
+    methods = []
+    spawn = multiprocessing.get_context("spawn")
 
-    def no_fork(method=None):
-        raise ValueError(f"cannot find context for {method!r}")
+    def record(method=None):
+        methods.append(method)
+        return spawn
 
-    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-    with caplog.at_level(logging.WARNING, logger="dlab.pipeline"):
-        run_pipeline(parse_config(ini, {"run.out": str(outdir)}), workers=2)
-    assert [r.levelno for r in caplog.records] == [logging.WARNING]
-    assert "fork" in caplog.text and "sequentially" in caplog.text
+    monkeypatch.setattr(multiprocessing, "get_context", record)
+    run_pipeline(parse_config(ini, {"run.out": str(outdir)}), workers=2)
+    assert methods == [None]  # the pool takes the platform's default start method
     assert files() == first
 
 
@@ -638,6 +639,36 @@ def test_cli_malformed_data_is_data_error(tmp_path, capsys):
                  "--out", str(tmp_path / "diversity.tsv")])
     assert code == 2
     assert "contexts.jsonl line 1: record is not an object" in capsys.readouterr().err
+
+    # a context item whose unit is neither comment nor sentence
+    write_jsonl(tmp_path / "good_posts.jsonl",
+                [{"id": "p1", "author_id": "op1", "title": "t", "body": "b"}])
+    write_jsonl(tmp_path / "split.jsonl",
+                [{"kind": "verdict", "ratios": [1.0, 0.0, 0.0], "seed": 0},
+                 {"verdict_index": 0, "partition": "train"}])
+    write_jsonl(contexts, [{"annotator_id": "a1", "post_id": "p1", "items": [
+        {"comment_id": "c1", "similarity": None, "unit": "paragraph", "sentence_index": None}]}])
+    code = main(["train", "--posts", str(tmp_path / "good_posts.jsonl"),
+                 "--comments", str(tmp_path / "comments.jsonl"),
+                 "--verdicts", str(tmp_path / "verdicts.jsonl"), "--dim", "64",
+                 "--contexts", str(contexts), "--split", str(tmp_path / "split.jsonl"),
+                 "--model-out", str(tmp_path / "model.txt")])
+    assert code == 2
+    assert "contexts.jsonl line 1: unknown unit 'paragraph'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ini,flags", [
+    (MINIMAL_CORPUS_INI, []),
+    (SYNTH_INI, ["--set", "embed.embx=/data/vectors.embx"]),
+], ids=["corpus", "embx"])
+def test_cli_run_missing_input_is_usage_error(tmp_path, capsys, ini, flags):
+    # checked before any stage runs, so nothing is written
+    (tmp_path / "exp.ini").write_text(ini.replace("/data", str(tmp_path)))
+    code = main(["run", "--config", str(tmp_path / "exp.ini"), "--out", str(tmp_path / "out"),
+                 *(flag.replace("/data", str(tmp_path)) for flag in flags)])
+    assert code == 1
+    assert f"input not found: {tmp_path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_print_effective_config(tmp_path, capsys):

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from dlab.corpus import Comment, Corpus, CorpusError, Post, Verdict
-from dlab.disclosure import HighLevelCategory, build_profiles
+from dlab.corpus import (Comment, Corpus, CorpusError, Post, Verdict, load_split, make_split,
+                         save_split)
+from dlab.disclosure import HighLevelCategory, attach_clusters, build_profiles
 from dlab.embed import EmbedderConfig, cosine_similarity, embed_text
 from dlab.pipeline import embed_corpus, embed_sentences
 from dlab.sampler import (
@@ -242,7 +243,7 @@ def test_cluster_filter_restricts_pool():
         ("c_f2", "judge", "I like trains a lot."),
         ("c_f3", "judge", "the bus was late again."),
     ])
-    profiles = build_profiles(corpus, cluster_assignment={"c_f1": 0, "c_f2": 1})
+    profiles = attach_clusters(build_profiles(corpus), {"c_f1": 0, "c_f2": 1})
     cfg = SamplerConfig(
         strategy="similar_comments", max_samples=5, seed=0,
         category_filter=CategoryFilter(cluster=1),
@@ -304,8 +305,7 @@ def test_full_pool_context_in_id_order(ranked_corpus):
 # diagnostics
 
 def test_category_coverage_hand_counts(categorized_corpus):
-    profiles = build_profiles(
-        categorized_corpus, cluster_assignment={"c_demo": 2})
+    profiles = attach_clusters(build_profiles(categorized_corpus), {"c_demo": 2})
     items = [
         ContextItem("c_demo", "", None, "comment"),
         ContextItem("c_work", "", None, "comment"),
@@ -422,12 +422,14 @@ def context_line(**item):
      "line 2: comment 'cx' has no sentence 2"),
     (context_line(comment_id="cx", unit="sentence", sentence_index=-1),
      "line 2: comment 'cx' has no sentence -1"),
+    (context_line(comment_id="cx", unit="paragraph", sentence_index=None),
+     "line 2: unknown unit 'paragraph'"),
     ("[]", "line 2: record is not an object"),
     ('{"annotator_id": "judge", "post_id": "p0"}', "line 2: .*KeyError: 'items'"),
     (context_line(unit="comment", sentence_index=None), "line 2: .*KeyError: 'comment_id'"),
     ('{"annotator_id": "judge", ', "line 2: malformed JSON"),
-], ids=["unknown-comment", "sentence-past-end", "negative-sentence", "non-object",
-        "missing-items", "missing-comment-id", "bad-json"])
+], ids=["unknown-comment", "sentence-past-end", "negative-sentence", "unknown-unit",
+        "non-object", "missing-items", "missing-comment-id", "bad-json"])
 def test_load_contexts_rejects_unknown_items(tmp_path, line, message):
     corpus = build_corpus([
         ("cx", "judge", "My cat knocked the plant again. Taxes are due in spring."),
@@ -438,3 +440,26 @@ def test_load_contexts_rejects_unknown_items(tmp_path, line, message):
         fh.write(line + "\n")
     with pytest.raises(CorpusError, match=message):
         load_contexts(path, corpus)
+
+
+def test_non_ascii_ids_round_trip(tmp_path):
+    corpus = build_corpus([
+        ("c_é", "a_ü", "My cat knocked the plant again. Taxes are due in spring."),
+    ])
+    contexts = [ContextSet("a_ü", "p0", [
+        ContextItem("c_é", "", 0.5, "comment"),
+        ContextItem("c_é", "", 0.25, "sentence", sentence_index=1),
+    ])]
+    path = tmp_path / "contexts.jsonl"
+    dump_contexts(contexts, path)
+    assert "c_é".encode("utf-8") in path.read_bytes()
+    [ctx] = load_contexts(path, corpus)
+    assert (ctx.annotator_id, ctx.post_id) == ("a_ü", "p0")
+    assert [(i.source_comment_id, i.text, i.similarity, i.unit) for i in ctx.items] == [
+        ("c_é", corpus.comments["c_é"].text, 0.5, "comment"),
+        ("c_é", "Taxes are due in spring.", 0.25, "sentence"),
+    ]
+
+    spec = make_split(corpus, "verdict", seed=0)
+    save_split(spec, tmp_path / "split.jsonl")
+    assert load_split(tmp_path / "split.jsonl") == spec
