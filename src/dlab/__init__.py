@@ -19,16 +19,15 @@ from .corpus import (
     filter_annotators,
     ingest_corpus,
     make_split,
+    segment_sentences,
     verify_split,
 )
 from .disclosure import (
     DisclosureSpan,
     HighLevelCategory,
     LowLevelCategory,
-    assign_theory_categories,
     extract_disclosures,
     matches_phrase_filter,
-    segment_sentences,
 )
 from .embed import (
     EmbedderConfig,
@@ -46,7 +45,6 @@ from .model import (
     TrainConfig,
     build_features,
     evaluate,
-    focal_loss,
     predict,
     significance_test,
     train,
@@ -74,7 +72,6 @@ __all__ = [
     "SplitSpec",
     "TrainConfig",
     "Verdict",
-    "assign_theory_categories",
     "build_features",
     "cosine_similarity",
     "embed_text",
@@ -83,7 +80,6 @@ __all__ = [
     "export_embeddings",
     "extract_disclosures",
     "filter_annotators",
-    "focal_loss",
     "generate_population",
     "import_embeddings",
     "ingest_corpus",

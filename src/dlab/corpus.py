@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,6 +41,39 @@ class Post:
         return self.title + "\n\n" + self.body
 
 
+# A sentence ends at a run of .!? followed by whitespace or end-of-text, or
+# at a newline run. No abbreviation handling; "3.14" stays intact because
+# the dot is not followed by whitespace.
+_BOUNDARY_RE = re.compile(r"[.!?]+(?=\s|$)|[\r\n]+")
+
+
+def segment_sentences(text: str) -> list[tuple[int, int]]:
+    """Split text into sentence character spans.
+
+    Spans are trimmed of surrounding whitespace, never overlap, appear in
+    order, and cover every non-whitespace character. Empty input yields [];
+    text with no terminators is one span.
+    """
+    spans: list[tuple[int, int]] = []
+
+    def push(a: int, b: int) -> None:
+        while a < b and text[a].isspace():
+            a += 1
+        while b > a and text[b - 1].isspace():
+            b -= 1
+        if a < b:
+            spans.append((a, b))
+
+    pos = 0
+    for m in _BOUNDARY_RE.finditer(text):
+        # punctuation stays inside the sentence; newline runs do not
+        end = m.start() if text[m.start()] in "\r\n" else m.end()
+        push(pos, end)
+        pos = m.end()
+    push(pos, len(text))
+    return spans
+
+
 @dataclass
 class Comment:
     """A background comment written by an annotator, independent of any verdict."""
@@ -54,8 +88,6 @@ class Comment:
     def sentence_spans(self) -> list[tuple[int, int]]:
         """Character spans of the comment's sentences, computed lazily."""
         if self._sentence_spans is None:
-            from .disclosure import segment_sentences
-
             self._sentence_spans = segment_sentences(self.text)
         return self._sentence_spans
 
@@ -82,9 +114,6 @@ class Corpus:
     def __post_init__(self):
         if not self.annotator_index:
             self.annotator_index = _build_annotator_index(self.comments, self.verdicts)
-
-    def annotator_comment_count(self, annotator_id: str) -> int:
-        return len(self.annotator_index[annotator_id])
 
     def annotators(self) -> list[str]:
         """Annotators appearing in verdicts, sorted."""
@@ -301,6 +330,12 @@ class FilterReport:
         return dict(self.__dict__)
 
 
+def validate_comment_bounds(min_comments: int, max_comments: int) -> None:
+    """filter_annotators' bounds need 0 <= min_comments <= max_comments."""
+    if not (0 <= min_comments <= max_comments):
+        raise ValueError(f"bad bounds: min_comments={min_comments} max_comments={max_comments}")
+
+
 def filter_annotators(corpus: Corpus, min_comments: int = MIN_COMMENTS,
                       max_comments: int = MAX_COMMENTS) -> tuple[Corpus, FilterReport]:
     """Keep only verdicts whose annotator's comment count is within bounds.
@@ -309,12 +344,11 @@ def filter_annotators(corpus: Corpus, min_comments: int = MIN_COMMENTS,
     hence the set of modeled annotators) shrinks. Widening the bounds never
     removes a previously retained verdict.
     """
-    if not (0 <= min_comments <= max_comments):
-        raise ValueError(f"bad bounds: min={min_comments} max={max_comments}")
+    validate_comment_bounds(min_comments, max_comments)
     annotators_before = {v.annotator_id for v in corpus.verdicts}
     kept = [
         v for v in corpus.verdicts
-        if min_comments <= corpus.annotator_comment_count(v.annotator_id) <= max_comments
+        if min_comments <= len(corpus.annotator_index[v.annotator_id]) <= max_comments
     ]
     report = FilterReport(
         min_comments=min_comments,

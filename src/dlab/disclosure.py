@@ -18,7 +18,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .corpus import Comment, Corpus, write_jsonl
+from .corpus import Comment, Corpus, segment_sentences, write_jsonl
 from .embed import TOKEN_RE, text_checksum
 
 
@@ -60,42 +60,6 @@ LOW_TO_HIGH = {
 }
 
 _CATEGORY_ORDER = {c: i for i, c in enumerate(LowLevelCategory)}
-
-
-# ---------------------------------------------------------------------------
-# sentence segmentation
-
-# A sentence ends at a run of .!? followed by whitespace or end-of-text, or
-# at a newline run. No abbreviation handling; "3.14" stays intact because
-# the dot is not followed by whitespace.
-_BOUNDARY_RE = re.compile(r"[.!?]+(?=\s|$)|[\r\n]+")
-
-
-def segment_sentences(text: str) -> list[tuple[int, int]]:
-    """Split text into sentence character spans.
-
-    Spans are trimmed of surrounding whitespace, never overlap, appear in
-    order, and cover every non-whitespace character. Empty input yields [];
-    text with no terminators is one span.
-    """
-    spans: list[tuple[int, int]] = []
-
-    def push(a: int, b: int) -> None:
-        while a < b and text[a].isspace():
-            a += 1
-        while b > a and text[b - 1].isspace():
-            b -= 1
-        if a < b:
-            spans.append((a, b))
-
-    pos = 0
-    for m in _BOUNDARY_RE.finditer(text):
-        # punctuation stays inside the sentence; newline runs do not
-        end = m.start() if text[m.start()] in "\r\n" else m.end()
-        push(pos, end)
-        pos = m.end()
-    push(pos, len(text))
-    return spans
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +132,8 @@ class PatternSet:
         return cls.loads(Path(path).read_text(encoding="utf-8"))
 
     @staticmethod
-    def dumps(raw: dict[LowLevelCategory, str], notes: list[str] | None = None) -> str:
+    def dumps(raw: dict[LowLevelCategory, str]) -> str:
         lines = []
-        for note in notes or []:
-            lines.append(f"# {note}")
         for cat in LowLevelCategory:
             lines.append(f"[{cat.value}]")
             lines.append(raw[cat])
@@ -183,8 +145,8 @@ class PatternSet:
         )
         return header + body
 
-    def dump(self, path, notes: list[str] | None = None) -> None:
-        Path(path).write_text(self.dumps(self.raw, notes), encoding="utf-8")
+    def dump(self, path) -> None:
+        Path(path).write_text(self.dumps(self.raw), encoding="utf-8")
 
 
 @lru_cache(maxsize=1)
@@ -260,11 +222,6 @@ def extract_disclosures(c: Comment | str, patterns: PatternSet | None = None) ->
     return out
 
 
-def assign_theory_categories(c: Comment | str, patterns: PatternSet | None = None) -> set[HighLevelCategory]:
-    """High-level categories present in a comment (image of extraction)."""
-    return {s.high_level for s in extract_disclosures(c, patterns)}
-
-
 # ---------------------------------------------------------------------------
 # phrase filter
 
@@ -333,20 +290,16 @@ def audit_sample(corpus: Corpus, group: HighLevelCategory | str, n: int,
         raise ValueError("sample size must be non-negative")
     group = _as_high_level(group)
     pats = patterns or default_patterns()
-    candidates = [
-        cid for cid in sorted(corpus.comments)
-        if group in assign_theory_categories(corpus.comments[cid], pats)
-    ]
+    spans = {cid: extract_disclosures(corpus.comments[cid], pats)
+             for cid in sorted(corpus.comments)}
+    candidates = [cid for cid, found in spans.items()
+                  if any(s.high_level is group for s in found)]
     if not candidates:
         warnings.warn(f"no comments carry category {group.value}; audit sample is empty")
         return []
     rng = random.Random(seed)
     chosen = rng.sample(candidates, min(n, len(candidates)))
-    return [
-        AuditRecord(cid, corpus.comments[cid].text,
-                    extract_disclosures(corpus.comments[cid], pats))
-        for cid in chosen
-    ]
+    return [AuditRecord(cid, corpus.comments[cid].text, spans[cid]) for cid in chosen]
 
 
 def write_audit_file(records: list[AuditRecord], path) -> None:

@@ -254,13 +254,6 @@ def rank_scores(scores: np.ndarray, keys: list) -> list[tuple[int, float]]:
     return [(i, values[i]) for i in order]
 
 
-def rank_by_cosine(query: np.ndarray, rows: np.ndarray, norms: np.ndarray,
-                   keys: list) -> list[tuple[int, float]]:
-    """Rank a block of matrix rows by cosine against a query (cosine_scores),
-    with one tie key per row (rank_scores)."""
-    return rank_scores(cosine_scores(query, rows, norms), keys)
-
-
 def top_k_similar(query: np.ndarray, matrix: EmbeddingMatrix, k: int,
                   exclude: frozenset | set | None = None) -> list[tuple[str, float]]:
     """Exact k nearest rows by cosine, ties broken by ascending id.
@@ -276,5 +269,5 @@ def top_k_similar(query: np.ndarray, matrix: EmbeddingMatrix, k: int,
     exclude = exclude or frozenset()
     keep = [i for i, rid in enumerate(matrix.ids) if rid not in exclude]
     ids = [matrix.ids[i] for i in keep]
-    ranked = rank_by_cosine(query, matrix.data[keep], matrix.norms[keep], ids)
+    ranked = rank_scores(cosine_scores(query, matrix.data[keep], matrix.norms[keep]), ids)
     return [(ids[i], score) for i, score in ranked[:k]]

@@ -148,24 +148,6 @@ class TrainConfig:
                 f"focal_alpha must be two finite positive weights, got {self.focal_alpha}")
 
 
-def focal_loss(logits, label, gamma: float = TrainConfig.focal_gamma, alpha=(0.5, 0.5)):
-    """Focal loss of one example and its gradient with respect to the logits
-    (see focal_loss_batch)."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.shape != (2,):
-        raise ValueError(f"expected two logits, got shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("logits must be finite")
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (2,) or (alpha <= 0).any():
-        raise ValueError("alpha must be two positive weights")
-    t = _label_index(label)
-    losses, grads = focal_loss_batch(z[None, :], np.array([t]), alpha[[t]], float(gamma))
-    return float(losses[0]), grads[0]
-
-
 @dataclass
 class ModelParams:
     weights: np.ndarray  # (2, feature_dim)
@@ -254,16 +236,14 @@ def train(X, y, cfg: TrainConfig) -> ModelParams:
     )
 
 
-def predict(params: ModelParams, features) -> tuple[str, np.ndarray]:
-    """Predicted label and class probabilities of one feature row; exact
-    ties go to NTA."""
-    x = np.asarray(features, dtype=np.float64)
-    z = params.weights @ x + params.bias
-    zmax = z.max()
-    p = np.exp(z - zmax)
-    p /= p.sum()
-    # argmax returns the first (NTA) index on exact ties
-    return LABELS[int(np.argmax(p))], p
+def predict(params: ModelParams, X) -> np.ndarray:
+    """Class indices of the feature rows of X from the logits X @ W.T + b,
+    the product train fits; exact ties go to NTA."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"need X of shape (n, dim), got {X.shape}")
+    z = X @ params.weights.T + params.bias
+    return (z[:, 1] > z[:, 0]).astype(np.int64)
 
 
 @dataclass
@@ -324,10 +304,7 @@ def compute_report(y_true, y_pred) -> EvalReport:
 def evaluate(params: ModelParams, X, y) -> EvalReport:
     """Score the model on feature rows X with class indices y."""
     X, y = _check_xy(X, y)
-    # one matrix-vector product per row, as predict computes it; X @ W.T
-    # is another BLAS call and may round differently
-    y_pred = [_LABEL_INDEX[predict(params, x)[0]] for x in X]
-    return compute_report(y, y_pred)
+    return compute_report(y, predict(params, X))
 
 
 def significance_test(correct_a, correct_b) -> tuple[float, float]:

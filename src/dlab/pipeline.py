@@ -22,9 +22,10 @@ import numpy as np
 
 from . import __version__
 from .cluster import ClusterModel, kmeans, truncated_svd
-from .corpus import (MAX_COMMENTS, MIN_COMMENTS, SPLIT_RATIOS, Corpus, filter_annotators,
-                     ingest_corpus, make_split, save_split, validate_ratios, verify_split,
-                     write_json, write_tsv)
+from .corpus import (MAX_COMMENTS, MIN_COMMENTS, SPLIT_KINDS, SPLIT_RATIOS, Corpus,
+                     filter_annotators, ingest_corpus, make_split, save_split,
+                     validate_comment_bounds, validate_ratios, verify_split, write_json,
+                     write_tsv)
 from .disclosure import CategoryProfile, HighLevelCategory, attach_clusters, build_profiles
 from .embed import EmbedderConfig, EmbeddingMatrix, embed_texts, import_embeddings
 from .model import (TrainConfig, build_features, encode_labels, evaluate, significance_test,
@@ -99,6 +100,12 @@ class ExperimentConfig:
                 f"baseline_condition {self.baseline_condition!r} not in baselines")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if self.split_kind not in SPLIT_KINDS:
+            raise ConfigError(
+                f"unknown split kind {self.split_kind!r}; expected one of {SPLIT_KINDS}")
+        for key, value in (("k", self.cluster_k), ("reduce_dim", self.reduce_dim)):
+            if value < 1:
+                raise ConfigError(f"[cluster] {key} must be >= 1, got {value}")
         if self.embx_path and any(s in SENTENCE_STRATEGIES for s in self.strategies):
             # EMBX files hold post and comment rows only; sentence vectors
             # from the hashed embedder would live in another space
@@ -107,6 +114,7 @@ class ExperimentConfig:
             self.train_config(seed=0)
             self.embedder_config()
             validate_ratios(self.split_ratios)
+            validate_comment_bounds(self.min_comments, self.max_comments)
             _build_grid(self)
         except ValueError as exc:
             raise ConfigError(str(exc))
@@ -379,15 +387,14 @@ def _init_worker(state: RunState) -> None:
 def _condition_contexts(state: RunState, condition: Condition,
                         verdict_indices: list[int]) -> list[ContextSet]:
     corpus = state.corpus
-    verdicts = [corpus.verdicts[vi] for vi in verdict_indices]
+    pairs = [(corpus.verdicts[vi].annotator_id, corpus.verdicts[vi].post_id)
+             for vi in verdict_indices]
     if condition.name == "no_comments":
-        return [ContextSet(v.annotator_id, v.post_id, []) for v in verdicts]
+        return [ContextSet(aid, pid, []) for aid, pid in pairs]
     if condition.name == "all_comments":
-        return [full_pool_context(v.annotator_id, v.post_id, corpus) for v in verdicts]
-    return sample_context(
-        [(v.annotator_id, v.post_id) for v in verdicts], corpus, state.embeddings,
-        state.profiles, cfg=condition.sampler, sentences=state.sentences, scores=state.scores,
-    )
+        return full_pool_context(pairs, corpus)
+    return sample_context(pairs, corpus, state.embeddings, state.profiles,
+                          cfg=condition.sampler, sentences=state.sentences, scores=state.scores)
 
 
 def _five_plus_pct(state: RunState, condition: Condition) -> float:

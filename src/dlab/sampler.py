@@ -199,15 +199,20 @@ def sample_context(pairs, corpus: Corpus,
     return out
 
 
-def full_pool_context(annotator_id: str, post_id: str, corpus: Corpus) -> ContextSet:
-    """Every background comment of the annotator, in id order (All Comments)."""
-    if annotator_id not in corpus.annotator_index:
-        raise ValueError(f"unknown annotator {annotator_id!r}")
-    items = [
-        ContextItem(cid, corpus.comments[cid].text, None, "comment")
-        for cid in corpus.annotator_index[annotator_id]
-    ]
-    return ContextSet(annotator_id=annotator_id, post_id=post_id, items=items)
+def full_pool_context(pairs, corpus: Corpus) -> list[ContextSet]:
+    """Every background comment of each pair's annotator, in id order (All
+    Comments). Each annotator's items are built once per call."""
+    pools: dict[str, list[ContextItem]] = {}
+    out = []
+    for annotator_id, post_id in pairs:
+        if annotator_id not in pools:
+            if annotator_id not in corpus.annotator_index:
+                raise ValueError(f"unknown annotator {annotator_id!r}")
+            units, _ = annotator_pool(corpus, annotator_id, None, None)
+            pools[annotator_id] = [ContextItem(cid, text, None, "comment")
+                                   for cid, _, text in units]
+        out.append(ContextSet(annotator_id, post_id, list(pools[annotator_id])))
+    return out
 
 
 # ---------------------------------------------------------------------------

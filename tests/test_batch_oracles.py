@@ -1,11 +1,12 @@
-"""The batch sampler and feature builder against their per-pair originals.
+"""The batch sampler, feature builder and scorer against their per-pair originals.
 
 `sample_context` samples a whole partition in one call and memoises each
 pair's cosine scores across conditions; `build_features` builds a
-partition's feature matrix in one call. The per-pair code they replaced is
-kept below as the oracle, and the batch results must equal it exactly:
-the same context ids in the same order with the same similarity floats, and
-a feature matrix equal element for element.
+partition's feature matrix in one call; `predict` scores a partition's
+feature rows in one product. The per-pair code they replaced is kept below
+as the oracle, and the batch results must equal it exactly: the same
+context ids in the same order with the same similarity floats, a feature
+matrix equal element for element, and the same class for every row.
 """
 import random
 
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 
 from dlab.disclosure import HighLevelCategory, attach_clusters, build_profiles
-from dlab.embed import EmbedderConfig, EmbeddingMatrix, rank_by_cosine
-from dlab.model import build_features
+from dlab.embed import EmbedderConfig, EmbeddingMatrix, cosine_scores, rank_scores
+from dlab.model import ModelParams, TrainConfig, build_features, encode_labels, predict, train
 from dlab.pipeline import cluster_comments, embed_corpus, embed_sentences
 from dlab.sampler import (
     SENTENCE_STRATEGIES,
@@ -64,8 +65,9 @@ def oracle_sample_context(annotator_id, post_id, corpus, embeddings, profiles, c
             matrix, row_ids = ((sentences, [text for _, _, text in units]) if unit == "sentence"
                                else (embeddings, candidates))
             rows = [matrix.row_index(rid) for rid in row_ids]
-            ranked = rank_by_cosine(embeddings.row(post_id), matrix.data[rows], matrix.norms[rows],
-                                    [(cid, text) for cid, _, text in units])
+            ranked = rank_scores(
+                cosine_scores(embeddings.row(post_id), matrix.data[rows], matrix.norms[rows]),
+                [(cid, text) for cid, _, text in units])
             chosen = [(units[i], score) for i, score in ranked[:cfg.max_samples]]
     items = [ContextItem(cid, text, score, unit, sentence_index=idx)
              for (cid, idx, text), score in chosen]
@@ -96,6 +98,15 @@ def oracle_features(contexts, embeddings, sentences):
     """The training matrix: one fused vector per pair, stacked."""
     return np.vstack([oracle_fused(embeddings.row(c.post_id), c, embeddings, sentences)
                       for c in contexts])
+
+
+def oracle_predict(params, x):
+    """One row's class: W @ x + b, softmax, then the first maximum, so an
+    exact tie goes to NTA (class 0)."""
+    z = params.weights @ np.asarray(x, dtype=np.float64) + params.bias
+    p = np.exp(z - z.max())
+    p /= p.sum()
+    return int(np.argmax(p))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +189,7 @@ def test_feature_matrix_matches_per_pair_oracle(world, scales):
     memo = {}
     partitions = [
         [ContextSet(a, p, []) for a, p in pairs],
-        [full_pool_context(a, p, corpus) for a, p in pairs],
+        full_pool_context(pairs, corpus),
     ]
     for cfg in configs():
         partitions.append(sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
@@ -194,3 +205,40 @@ def test_feature_matrix_matches_per_pair_oracle(world, scales):
         X = build_features(contexts, embeddings, sentences)
         assert X.dtype == np.float64 and X.flags.c_contiguous
         assert np.array_equal(X, oracle_features(contexts, embeddings, sentences))
+
+
+# ---------------------------------------------------------------------------
+# scoring
+
+def test_batch_predict_matches_per_row_oracle(world):
+    corpus, embeddings, sentences, profiles, pairs = world
+    # a second, wider world: 1,024-dim embeddings, as the pipeline's default
+    wide, _ = generate_population(PopulationSpec(
+        n_annotators=40, n_posts=40, comments_per_annotator=(4, 8),
+        verdicts_per_annotator=(6, 10), seed=8))
+    wide_embeddings = embed_corpus(wide, EmbedderConfig(dim=1024, seed=2))
+    datasets = []
+    for corp, matrix, sents, profs, cfg in (
+            (corpus, embeddings, sentences, profiles,
+             SamplerConfig(strategy="similar_sentences", max_samples=3, seed=5)),
+            (wide, wide_embeddings, None, None,
+             SamplerConfig(strategy="similar_comments", max_samples=5, seed=5))):
+        verdicts = corp.verdicts
+        contexts = sample_context([(v.annotator_id, v.post_id) for v in verdicts], corp,
+                                  matrix, profs, cfg=cfg, sentences=sents)
+        datasets.append((build_features(contexts, matrix, sents),
+                         encode_labels(v.label for v in verdicts)))
+    for X, y in datasets:
+        dim = X.shape[1]
+        models = [train(X, y, TrainConfig(epochs=epochs, seed=3)) for epochs in (1, 10)]
+        # zero parameters, and equal non-zero rows: every logit pair ties exactly
+        ties = [ModelParams(weights=w, bias=np.full(2, b), gamma=2.0, alpha=(0.5, 0.5),
+                            seed=0, epochs=0, learning_rate=0.0)
+                for w, b in ((np.zeros((2, dim)), 0.0), (np.tile(X[0], (2, 1)), 0.25))]
+        for params in models + ties:
+            got = predict(params, X)
+            assert got.dtype == np.int64
+            assert got.tolist() == [oracle_predict(params, x) for x in X]
+        for params in ties:
+            assert not predict(params, X).any()
+        assert all(0 < predict(params, X).sum() < len(y) for params in models[1:])

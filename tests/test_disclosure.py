@@ -13,7 +13,6 @@ from dlab.disclosure import (
     LowLevelCategory,
     PatternError,
     PatternSet,
-    assign_theory_categories,
     attach_clusters,
     audit_sample,
     build_profiles,
@@ -143,15 +142,6 @@ def test_high_level_rollup():
     assert LowLevelCategory.WORK.high_level is HighLevelCategory.EXPERIENCES
     assert LowLevelCategory.ATTITUDE.high_level is HighLevelCategory.ATTITUDES
     assert LowLevelCategory.RELATIONSHIP.high_level is HighLevelCategory.RELATIONSHIPS
-
-
-def test_assign_theory_categories_is_extraction_image():
-    text = "I'm 22 and broke. I think rent is robbery."
-    cats = assign_theory_categories(text)
-    spans = extract_disclosures(text)
-    assert cats == {s.high_level for s in spans}
-    assert HighLevelCategory.DEMOGRAPHICS in cats
-    assert HighLevelCategory.ATTITUDES in cats
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +398,18 @@ def test_audit_sample_empty_category_warns():
 def test_audit_sample_unknown_group():
     with pytest.raises(ValueError, match="unknown high-level"):
         audit_sample(_mixed_corpus(), "Vibes", 3, seed=0)
+
+
+def test_audit_sample_spans_carry_category():
+    corpus = _mixed_corpus()
+    profiles = build_profiles(corpus)
+    for group in HighLevelCategory:
+        recs = audit_sample(corpus, group, 10, seed=0)
+        assert {r.comment_id for r in recs} == {
+            cid for cid, prof in profiles.items() if group in prof.theory_categories}
+        for rec in recs:
+            assert group in {s.high_level for s in rec.spans}
+            assert rec.spans == extract_disclosures(corpus.comments[rec.comment_id])
 
 
 def test_build_profiles():

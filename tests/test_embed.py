@@ -10,12 +10,13 @@ from dlab.embed import (
     EmbxChecksumError,
     EmbxMagicError,
     EmbxRowCountError,
+    cosine_scores,
     cosine_similarity,
     embed_text,
     embed_texts,
     export_embeddings,
     import_embeddings,
-    rank_by_cosine,
+    rank_scores,
     top_k_similar,
 )
 
@@ -256,7 +257,7 @@ def test_top_k_matches_brute_force():
 
 
 def scalar_ranking(query, rows, keys):
-    """The ranking rank_by_cosine must reproduce: one cosine_similarity per
+    """The ranking rank_scores(cosine_scores(...)) must reproduce: one cosine_similarity per
     row, sorted by descending score, then ascending key (stable)."""
     scored = [(i, cosine_similarity(query, rows[i])) for i in range(len(keys))]
     return sorted(scored, key=lambda pair: (-pair[1], keys[pair[0]]))
@@ -279,7 +280,7 @@ def test_rank_by_cosine_matches_scalar_oracle(n, dim, seed):
     queries = [rng.standard_normal(dim), data[0], np.zeros(dim)]
     for query in queries:
         for keys in (shuffled, tuples):
-            got = rank_by_cosine(query, matrix.data, matrix.norms, keys)
+            got = rank_scores(cosine_scores(query, matrix.data, matrix.norms), keys)
             assert got == scalar_ranking(query, matrix.data, keys)
 
 

@@ -14,7 +14,6 @@ from dlab.model import (
     compute_report,
     encode_labels,
     evaluate,
-    focal_loss,
     focal_loss_batch,
     load_model,
     predict,
@@ -30,54 +29,54 @@ from dlab.sampler import ContextItem, ContextSet
 
 def test_focal_loss_frozen_value():
     # softmax of (ln .7, ln .3) is (.7, .3); FL = 0.5 * 0.3^2 * (-ln 0.7)
-    logits = np.array([math.log(0.7), math.log(0.3)])
-    loss, grad = focal_loss(logits, "NTA", gamma=2.0, alpha=(0.5, 0.5))
-    assert loss == pytest.approx(0.016050372477242958, rel=1e-12)
-    assert grad.shape == (2,)
-    assert grad[0] < 0 < grad[1]  # pushes probability toward the true class
-    assert grad.sum() == pytest.approx(0.0, abs=1e-15)
+    logits = np.array([[math.log(0.7), math.log(0.3)]])
+    losses, grads = focal_loss_batch(logits, np.array([0]), np.array([0.5]), 2.0)
+    assert losses[0] == pytest.approx(0.016050372477242958, rel=1e-12)
+    assert grads.shape == (1, 2)
+    assert grads[0, 0] < 0 < grads[0, 1]  # pushes probability toward the true class
+    assert grads[0].sum() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_focal_gamma_zero_is_weighted_cross_entropy():
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        z = rng.uniform(-3, 3, size=2)
-        label = int(rng.integers(2))
-        alpha = tuple(rng.uniform(0.2, 2.0, size=2))
-        loss, grad = focal_loss(z, label, gamma=0.0, alpha=alpha)
-        p = np.exp(z - z.max())
-        p /= p.sum()
-        want_loss = -alpha[label] * math.log(p[label])
-        onehot = np.eye(2)[label]
-        want_grad = alpha[label] * (p - onehot)
-        assert loss == pytest.approx(want_loss, rel=1e-12)
-        assert np.allclose(grad, want_grad, rtol=1e-12, atol=1e-15)
+    n = 20
+    z = rng.uniform(-3, 3, size=(n, 2))
+    y = rng.integers(2, size=n)
+    alpha_t = rng.uniform(0.2, 2.0, size=n)
+    losses, grads = focal_loss_batch(z, y, alpha_t, 0.0)
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    for i in range(n):
+        want_loss = -alpha_t[i] * math.log(p[i, y[i]])
+        want_grad = alpha_t[i] * (p[i] - np.eye(2)[y[i]])
+        assert losses[i] == pytest.approx(want_loss, rel=1e-12)
+        assert np.allclose(grads[i], want_grad, rtol=1e-12, atol=1e-15)
 
 
 def test_focal_gradient_vanishes_when_true_class_saturates():
-    loss, grad = focal_loss([1000.0, -1000.0], "NTA", gamma=2.0)
-    assert loss == 0.0
-    assert np.array_equal(grad, np.zeros(2))
+    losses, grads = focal_loss_batch(np.array([[1000.0, -1000.0]]), np.array([0]),
+                                     np.array([0.5]), 2.0)
+    assert losses[0] == 0.0
+    assert np.array_equal(grads, np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0, 3.0])
 def test_focal_gradient_matches_central_differences(gamma):
     rng = np.random.default_rng(int(gamma * 10) + 1)
     h = 1e-6
-    for _ in range(20):
-        z = rng.uniform(-3, 3, size=2)
-        label = int(rng.integers(2))
-        alpha = tuple(rng.uniform(0.2, 2.0, size=2))
-        _, grad = focal_loss(z, label, gamma=gamma, alpha=alpha)
-        for j in range(2):
-            zp, zm = z.copy(), z.copy()
-            zp[j] += h
-            zm[j] -= h
-            lp, _ = focal_loss(zp, label, gamma=gamma, alpha=alpha)
-            lm, _ = focal_loss(zm, label, gamma=gamma, alpha=alpha)
-            numeric = (lp - lm) / (2 * h)
-            denom = max(abs(numeric), abs(grad[j]), 1e-6)
-            assert abs(numeric - grad[j]) / denom < 1e-4
+    n = 20
+    z = rng.uniform(-3, 3, size=(n, 2))
+    y = rng.integers(2, size=n)
+    alpha_t = rng.uniform(0.2, 2.0, size=n)
+    # each draw's logits, then logit j moved by +h and -h for j = 0, 1
+    steps = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    rows = (z[:, None, :] + steps).reshape(-1, 2)
+    losses, grads = focal_loss_batch(rows, np.repeat(y, 5), np.repeat(alpha_t, 5), gamma)
+    losses, grads = losses.reshape(n, 5), grads.reshape(n, 5, 2)[:, 0]
+    for j in range(2):
+        numeric = (losses[:, 1 + 2 * j] - losses[:, 2 + 2 * j]) / (2 * h)
+        denom = np.maximum(np.maximum(abs(numeric), abs(grads[:, j])), 1e-6)
+        assert (abs(numeric - grads[:, j]) / denom < 1e-4).all()
 
 
 def scalar_focal_loss(logits, t, gamma, alpha):
@@ -121,21 +120,6 @@ def test_focal_batch_kernel_matches_scalar_oracle(gamma):
         assert losses[i] == pytest.approx(want_loss, rel=1e-12, abs=1e-300)
         assert np.allclose(grads[i], want_grad, rtol=1e-12, atol=1e-300)
     assert not grads[:2].any()  # the limit at p_t = 1 is an exact zero
-
-
-def test_focal_loss_validation():
-    with pytest.raises(ValueError):
-        focal_loss([1.0, 2.0, 3.0], "NTA")
-    with pytest.raises(ValueError):
-        focal_loss([np.nan, 0.0], "NTA")
-    with pytest.raises(ValueError):
-        focal_loss([0.0, 0.0], "NTA", gamma=-1.0)
-    with pytest.raises(ValueError):
-        focal_loss([0.0, 0.0], "NTA", alpha=(0.5, 0.0))
-    with pytest.raises(ValueError):
-        focal_loss([0.0, 0.0], "MAYBE")
-    with pytest.raises(ValueError):
-        focal_loss([0.0, 0.0], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +221,9 @@ def test_train_validation():
 def test_predict_tie_goes_to_nta():
     params = ModelParams(weights=np.zeros((2, 2)), bias=np.zeros(2), gamma=2.0,
                          alpha=(0.5, 0.5), seed=0, epochs=0, learning_rate=0.0)
-    label, probs = predict(params, np.array([3.0, -4.0]))
-    assert label == "NTA"
-    assert probs == pytest.approx([0.5, 0.5])
+    assert predict(params, np.array([[3.0, -4.0], [0.0, 0.0]])).tolist() == [0, 0]
+    with pytest.raises(ValueError, match="shape"):
+        predict(params, np.array([3.0, -4.0]))
 
 
 # ---------------------------------------------------------------------------

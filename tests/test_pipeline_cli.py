@@ -154,16 +154,23 @@ def test_parse_config_value_errors(tmp_path):
     ("dim", "4"), ("ratios", "0.5,0.5,0.5"),
     ("learning_rate", "-1"), ("learning_rate", "nan"), ("learning_rate", "inf"),
     ("focal_alpha", "nan,1"), ("focal_gamma", "nan"), ("focal_gamma", "inf"),
+    ("kind", "bogus"), ("k", "0"), ("reduce_dim", "0"), ("min_comments", "50"),
 ])
 def test_bad_training_settings_fail_at_parse_time(tmp_path, capsys, key, value):
-    section = {"dim": "embed", "ratios": "split"}.get(key, "train")
+    section = {"dim": "embed", "ratios": "split", "kind": "split", "k": "cluster",
+               "reduce_dim": "cluster", "min_comments": "corpus"}.get(key, "train")
+    overrides = {f"{section}.{key}": value}
+    # what the bad value needs beside it to reach the stage that would reject it
+    overrides.update({"k": {"cluster.enabled": "true"},
+                      "reduce_dim": {"cluster.enabled": "true"},
+                      "min_comments": {"corpus.max_comments": "10"}}.get(key, {}))
     path = tmp_path / "exp.ini"
     path.write_text(MINIMAL_CORPUS_INI)
     with pytest.raises(ConfigError, match=key):
-        parse_config(path, {f"{section}.{key}": value})
+        parse_config(path, overrides)
     out = tmp_path / "out"
-    code = main(["run", "--config", str(path), "--set", f"{section}.{key}={value}",
-                 "--out", str(out)])
+    sets = [arg for item in overrides.items() for arg in ("--set", "=".join(item))]
+    code = main(["run", "--config", str(path), *sets, "--out", str(out)])
     assert code == 2 and not out.exists()
     assert key in capsys.readouterr().err
 

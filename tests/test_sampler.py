@@ -294,11 +294,14 @@ def test_sampler_config_validation():
 # whole-pool contexts
 
 def test_full_pool_context_in_id_order(ranked_corpus):
-    ctx = full_pool_context("judge", "p0", ranked_corpus)
-    assert [i.source_comment_id for i in ctx.items] == ["ca1", "ca2", "ca3", "ca4"]
-    assert all(i.similarity is None and i.unit == "comment" for i in ctx.items)
-    with pytest.raises(ValueError):
-        full_pool_context("nobody", "p0", ranked_corpus)
+    pairs = [("judge", "p0"), ("rival", "p0"), ("judge", "p0")]
+    contexts = full_pool_context(pairs, ranked_corpus)
+    assert [(c.annotator_id, c.post_id) for c in contexts] == pairs
+    assert [[i.source_comment_id for i in c.items] for c in contexts] == [
+        ["ca1", "ca2", "ca3", "ca4"], ["cb1"], ["ca1", "ca2", "ca3", "ca4"]]
+    assert all(i.similarity is None and i.unit == "comment" for c in contexts for i in c.items)
+    with pytest.raises(ValueError, match="unknown annotator"):
+        full_pool_context([("judge", "p0"), ("nobody", "p0")], ranked_corpus)
 
 
 # ---------------------------------------------------------------------------
