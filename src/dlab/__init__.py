@@ -41,6 +41,7 @@ from .embed import (
 )
 from .model import (
     EvalReport,
+    Features,
     ModelParams,
     TrainConfig,
     build_features,
@@ -63,6 +64,7 @@ __all__ = [
     "EmbedderConfig",
     "EmbeddingMatrix",
     "EvalReport",
+    "Features",
     "HighLevelCategory",
     "LowLevelCategory",
     "ModelParams",

@@ -110,6 +110,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _require_files(*paths) -> None:
     for p in paths:
         if p is not None and not Path(p).exists():
@@ -254,7 +261,7 @@ def _cmd_sample(args) -> int:
 
 
 def _features_for(args, corpus, indices):
-    """Feature matrix and class indices of the verdicts in `indices`, with
+    """Features and class indices of the verdicts in `indices`, with
     their contexts from --contexts."""
     cfg = _embed_cfg(args)
     matrix = embed_corpus(corpus, cfg)
@@ -271,21 +278,21 @@ def _features_for(args, corpus, indices):
         except KeyError:
             raise CorpusError(
                 f"contexts file lacks pair ({v.annotator_id}, {v.post_id})")
-    X = build_features(contexts, matrix, sentences)
-    return X, encode_labels(corpus.verdicts[vi].label for vi in indices)
+    return (build_features(contexts, matrix, sentences),
+            encode_labels(corpus.verdicts[vi].label for vi in indices))
 
 
 def _cmd_train(args) -> int:
     corpus = _load_corpus(args)
     _require_files(args.contexts, args.split)
     split = load_split(args.split)
-    X, y = _features_for(args, corpus, split.indices("train"))
+    features, y = _features_for(args, corpus, split.indices("train"))
     tc = TrainConfig(
         epochs=args.epochs, learning_rate=args.learning_rate,
         focal_gamma=args.focal_gamma, focal_alpha=args.focal_alpha,
         batch_size=args.batch_size, seed=args.seed,
     )
-    params = train(X, y, tc)
+    params = train(features, y, tc)
     save_model(params, args.model_out)
     print(f"trained on {len(y)} examples; final loss "
           f"{params.loss_history[-1]:.6f}" if params.loss_history else
@@ -450,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--comments", required=True)
     p.add_argument("--patterns")
     _add_embed_flags(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--reduce-dim", type=int, default=ExperimentConfig.reduce_dim)
+    p.add_argument("--k", type=positive_int, required=True)
+    p.add_argument("--reduce-dim", type=positive_int, default=ExperimentConfig.reduce_dim)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model-out", required=True)
     p.add_argument("--inspect-out")

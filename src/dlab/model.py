@@ -1,10 +1,10 @@
 """Verdict prediction: fused features, focal loss, a linear softmax model.
 
 Features concatenate the post embedding with the mean of the sampled
-context embeddings (zero block when the context is empty), so the context
-route and the post-only baseline share one architecture. Training is
-mini-batch Adam on focal loss with an analytic gradient; gamma=0 recovers
-alpha-weighted cross-entropy exactly.
+context embeddings (zero half when the context is empty), so the context
+route and the post-only baseline share one architecture; each distinct half
+is stored once. Training is mini-batch Adam on focal loss with an analytic
+gradient; gamma=0 recovers alpha-weighted cross-entropy exactly.
 """
 from __future__ import annotations
 
@@ -49,25 +49,78 @@ def encode_labels(labels) -> np.ndarray:
     return np.array([_label_index(label) for label in labels], dtype=np.int64)
 
 
-def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
-                   sentences: EmbeddingMatrix | None = None) -> np.ndarray:
-    """The (n, 2d) float64 feature matrix of n contexts, one row each:
-    [post embedding ‖ mean context embedding].
+@dataclass(frozen=True, eq=False)
+class Features:
+    """n feature rows stored once per distinct half.
 
-    The post block is the context's post row of `embeddings`. Comment items
+    `block` is a (u, d) float64 array of half-rows and `index` an (n, 2)
+    integer array; row i is [block[index[i, 0]] ‖ block[index[i, 1]]]. Train
+    gathers batches with a clipping `np.take`, so the index is checked here:
+    an entry outside [0, u) raises ValueError instead of being clamped.
+    """
+    block: np.ndarray
+    index: np.ndarray
+
+    def __post_init__(self):
+        block, index = self.block, self.index
+        if not (isinstance(block, np.ndarray) and block.ndim == 2
+                and block.dtype == np.float64):
+            raise ValueError("block must be a 2-D float64 array")
+        if not (isinstance(index, np.ndarray) and index.ndim == 2 and index.shape[1] == 2
+                and np.issubdtype(index.dtype, np.integer)):
+            raise ValueError("index must be an (n, 2) integer array")
+        if index.size and (index.min() < 0 or index.max() >= len(block)):
+            raise ValueError(f"index entries must lie in [0, {len(block)})")
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.block.shape[1]
+
+    def rows(self) -> np.ndarray:
+        """The dense (n, 2d) feature matrix."""
+        return self.block[self.index].reshape(len(self.index), self.dim)
+
+
+def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
+                   sentences: EmbeddingMatrix | None = None) -> Features:
+    """The features of n contexts, one row each: [post embedding ‖ mean
+    context embedding].
+
+    The post half is the context's post row of `embeddings`. Comment items
     resolve against `embeddings` by comment id, sentence items against
     `sentences` (pipeline.embed_sentences) by their text. The mean is taken
     over the item rows in item order; if every item row is unit norm (by the
     matrices' stored norms, within 1e-3) it is re-normalized to unit,
-    keeping the two blocks on the same scale. An empty context yields an
-    exact zero block.
+    keeping the two halves on the same scale. An empty context yields an
+    exact zero half, block row 0. Each distinct post and each distinct
+    sequence of item keys gets one block row, computed once.
     """
     d = embeddings.dim
-    X = np.zeros((len(contexts), 2 * d))
-    X[:, :d] = embeddings.data[[embeddings.row_index(ctx.post_id) for ctx in contexts]]
-    for i, ctx in enumerate(contexts):
-        if not ctx.items:
-            continue
+    posts: dict[str, int] = {}
+    for ctx in contexts:
+        posts.setdefault(ctx.post_id, 1 + len(posts))
+    post_rows = [embeddings.row_index(pid) for pid in posts]
+    # the first context of each distinct item sequence, and its block row
+    sequences: dict[tuple, int] = {}
+    firsts: list[ContextSet] = []
+    index = []
+    for ctx in contexts:
+        half = 0
+        if ctx.items:
+            key = tuple((item.unit, item.source_comment_id if item.unit == "comment"
+                         else item.text) for item in ctx.items)
+            if key not in sequences:
+                sequences[key] = 1 + len(posts) + len(firsts)
+                firsts.append(ctx)
+            half = sequences[key]
+        index.append((posts[ctx.post_id], half))
+
+    block = np.zeros((1 + len(posts) + len(firsts), d))
+    block[1:1 + len(posts)] = embeddings.data[post_rows]
+    for half, ctx in enumerate(firsts, start=1 + len(posts)):
         stacked = np.empty((len(ctx.items), d))
         all_unit = True
         for j, item in enumerate(ctx.items):
@@ -85,8 +138,8 @@ def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
         mean_norm = float(np.linalg.norm(mean))
         if all_unit and mean_norm > 0.0:
             mean = mean / mean_norm
-        X[i, d:] = mean
-    return X
+        block[half] = mean
+    return Features(block, np.array(index, dtype=np.int64).reshape(len(contexts), 2))
 
 
 def focal_loss_batch(z: np.ndarray, y: np.ndarray, alpha_t: np.ndarray,
@@ -116,10 +169,10 @@ def focal_loss_batch(z: np.ndarray, y: np.ndarray, alpha_t: np.ndarray,
             - gamma * pt[live] * one_minus[live] ** (gamma - 1.0) * log_pt[live]
         )
     losses = -alpha_t * one_minus ** gamma * log_pt
-    onehot = np.zeros_like(p)
-    onehot[rows, y] = 1.0
-    grads = (alpha_t * coeff)[:, None] * (p - onehot)
-    return losses, grads
+    # (alpha_t coeff) (p - onehot(y)), built in p
+    p[rows, y] -= 1.0
+    p *= (alpha_t * coeff)[:, None]
+    return losses, p
 
 
 @dataclass(frozen=True)
@@ -170,40 +223,45 @@ def _inverse_frequency_alpha(y: np.ndarray) -> tuple[float, float]:
     return (n / (2.0 * counts[0]), n / (2.0 * counts[1]))
 
 
-def _check_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=np.float64)
+def _check_labels(features: Features, y) -> np.ndarray:
     y = np.asarray(y)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise ValueError(f"need X of shape (n, dim) and y of shape (n,), got {X.shape} "
-                         f"and {y.shape}")
+    if y.shape != (len(features),):
+        raise ValueError(f"need y of shape ({len(features)},), got {y.shape}")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be class indices 0 (NTA) or 1 (YTA)")
-    return X, y.astype(np.int64)
+    return y.astype(np.int64)
 
 
-def train(X, y, cfg: TrainConfig) -> ModelParams:
+def train(features: Features, y, cfg: TrainConfig) -> ModelParams:
     """Mini-batch Adam on focal loss from zero-initialized parameters.
 
-    X: (n, dim) features (build_features), y: (n,) class indices
-    (encode_labels). Deterministic for a fixed config seed; learning_rate 0
-    leaves the zero parameters untouched by construction.
+    features: n rows (build_features), y: (n,) class indices
+    (encode_labels). Each batch's rows are gathered from the small feature
+    block into one reused buffer. Deterministic for a fixed config seed;
+    learning_rate 0 leaves the zero parameters untouched by construction.
     """
-    X, y = _check_xy(X, y)
+    y = _check_labels(features, y)
     if not len(y):
         raise ValueError("empty training set")
-    n, dim = X.shape
+    n, dim = len(y), features.dim
+    block, index = features.block, features.index
     alpha = cfg.focal_alpha or _inverse_frequency_alpha(y)
     alpha_arr = np.asarray(alpha, dtype=np.float64)
     gamma = float(cfg.focal_gamma)
 
-    W = np.zeros((2, dim))
-    b = np.zeros(2)
-    mW = np.zeros_like(W); vW = np.zeros_like(W)
-    mb = np.zeros_like(b); vb = np.zeros_like(b)
+    # W and b are views of one parameter array, as are their gradients, so
+    # one Adam update covers both
+    params = np.zeros((2, dim + 1))
+    W, b = params[:, :dim], params[:, dim]
+    grad = np.empty_like(params)
+    gW, gb = grad[:, :dim], grad[:, dim]
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
     alpha_t = alpha_arr[y]
+    buf = np.empty((min(cfg.batch_size, n), 2, block.shape[1]))
 
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []
@@ -212,20 +270,22 @@ def train(X, y, cfg: TrainConfig) -> ModelParams:
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            Xb, yb = X[idx], y[idx]
-            losses, gz = focal_loss_batch(Xb @ W.T + b, yb, alpha_t[idx], gamma)
+            rows = len(idx)
+            # mode "raise" would buffer out; Features has checked the index
+            Xb = np.take(block, index[idx], axis=0, out=buf[:rows],
+                         mode="clip").reshape(rows, dim)
+            losses, gz = focal_loss_batch(Xb @ W.T + b, y[idx], alpha_t[idx], gamma)
             epoch_loss += float(losses.sum())
-            gz /= len(idx)
-            gW = gz.T @ Xb
-            gb = gz.sum(axis=0)
+            gz /= rows
+            np.matmul(gz.T, Xb, out=gW)
+            gz.sum(axis=0, out=gb)
 
             step += 1
-            for param, grad, m, v in ((W, gW, mW, vW), (b, gb, mb, vb)):
-                m *= beta1; m += (1 - beta1) * grad
-                v *= beta2; v += (1 - beta2) * grad ** 2
-                mhat = m / (1 - beta1 ** step)
-                vhat = v / (1 - beta2 ** step)
-                param -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
+            m *= beta1; m += (1 - beta1) * grad
+            v *= beta2; v += (1 - beta2) * grad ** 2
+            mhat = m / (1 - beta1 ** step)
+            vhat = v / (1 - beta2 ** step)
+            params -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
         history.append(epoch_loss / n)
         logger.debug("epoch %d: mean loss %.6f", epoch + 1, history[-1])
 
@@ -236,13 +296,10 @@ def train(X, y, cfg: TrainConfig) -> ModelParams:
     )
 
 
-def predict(params: ModelParams, X) -> np.ndarray:
-    """Class indices of the feature rows of X from the logits X @ W.T + b,
-    the product train fits; exact ties go to NTA."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"need X of shape (n, dim), got {X.shape}")
-    z = X @ params.weights.T + params.bias
+def predict(params: ModelParams, features: Features) -> np.ndarray:
+    """Class indices of the feature rows from the logits X @ W.T + b over
+    their dense matrix X, the product train fits; exact ties go to NTA."""
+    z = features.rows() @ params.weights.T + params.bias
     return (z[:, 1] > z[:, 0]).astype(np.int64)
 
 
@@ -301,10 +358,10 @@ def compute_report(y_true, y_pred) -> EvalReport:
     )
 
 
-def evaluate(params: ModelParams, X, y) -> EvalReport:
-    """Score the model on feature rows X with class indices y."""
-    X, y = _check_xy(X, y)
-    return compute_report(y, predict(params, X))
+def evaluate(params: ModelParams, features: Features, y) -> EvalReport:
+    """Score the model on the feature rows with class indices y."""
+    y = _check_labels(features, y)
+    return compute_report(y, predict(params, features))
 
 
 def significance_test(correct_a, correct_b) -> tuple[float, float]:

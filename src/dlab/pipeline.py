@@ -410,7 +410,7 @@ def _five_plus_pct(state: RunState, condition: Condition) -> float:
 
 
 def run_condition(state: RunState, condition: Condition) -> dict:
-    """Sample each partition's contexts and build its feature matrix once,
+    """Sample each partition's contexts and build its features once,
     dump the contexts when the run saves them, then train cfg.runs models,
     evaluate each, aggregate."""
     cfg = state.cfg
@@ -418,8 +418,8 @@ def run_condition(state: RunState, condition: Condition) -> dict:
     contexts = []
     for part, indices in (("train", state.train_pairs), ("test", state.test_pairs)):
         part_contexts = _condition_contexts(state, condition, indices)
-        X = build_features(part_contexts, state.embeddings, state.sentences)
-        data[part] = X, encode_labels(state.corpus.verdicts[vi].label for vi in indices)
+        data[part] = (build_features(part_contexts, state.embeddings, state.sentences),
+                      encode_labels(state.corpus.verdicts[vi].label for vi in indices))
         contexts += part_contexts
     if cfg.save_contexts:
         dump_contexts(contexts, Path(cfg.out) / "contexts" / f"{condition.name}.jsonl")

@@ -7,6 +7,7 @@ import pytest
 from dlab.embed import EmbeddingMatrix
 from dlab.model import (
     LABELS,
+    Features,
     ModelFileError,
     ModelParams,
     TrainConfig,
@@ -125,8 +126,16 @@ def test_focal_batch_kernel_matches_scalar_oracle(gamma):
 # ---------------------------------------------------------------------------
 # training
 
+def factored(X):
+    """Features whose rows are the rows of X: each row's two halves become
+    two rows of the block."""
+    X = np.asarray(X, dtype=np.float64)
+    n, dim = X.shape
+    return Features(X.reshape(2 * n, dim // 2), np.arange(2 * n).reshape(n, 2))
+
+
 def separable_dataset(n=40, seed=0, spread=0.2):
-    """(X, y): class 0 (NTA) around x=-1, class 1 (YTA) around x=+1."""
+    """(features, y): class 0 (NTA) around x=-1, class 1 (YTA) around x=+1."""
     rng = np.random.default_rng(seed)
     X, y = [], []
     for i in range(n):
@@ -134,7 +143,7 @@ def separable_dataset(n=40, seed=0, spread=0.2):
         center = -1.0 if label == 0 else 1.0
         X.append(np.array([center, 0.0]) + rng.normal(0, spread, size=2))
         y.append(label)
-    return np.array(X), np.array(y)
+    return factored(X), np.array(y)
 
 
 def test_train_fits_separable_data():
@@ -170,13 +179,13 @@ def test_train_deterministic_and_seed_sensitive():
 
 def test_train_default_alpha_is_inverse_frequency():
     # 3 NTA to 1 YTA: alpha = (n/(2*3), n/(2*1)) = (2/3, 2)
-    X = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]])
+    X = factored([[1.0, 0.0]] * 3 + [[0.0, 1.0]])
     params = train(X, encode_labels(["NTA"] * 3 + ["YTA"]), TrainConfig(epochs=1, learning_rate=0.01))
     assert params.alpha == pytest.approx((2.0 / 3.0, 2.0))
 
 
 def test_train_single_class_needs_explicit_alpha():
-    X, y = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0])
+    X, y = factored([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0])
     with pytest.raises(ValueError, match="lacks a class"):
         train(X, y, TrainConfig(epochs=1))
     params = train(X, y, TrainConfig(epochs=1, focal_alpha=(0.5, 0.5)))
@@ -185,17 +194,17 @@ def test_train_single_class_needs_explicit_alpha():
 
 def test_train_validation():
     with pytest.raises(ValueError, match="empty"):
-        train(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), TrainConfig())
+        train(factored(np.zeros((0, 2))), np.zeros(0, dtype=np.int64), TrainConfig())
     with pytest.raises(ValueError, match="shape"):
-        train(np.zeros((2, 3)), np.zeros(3, dtype=np.int64), TrainConfig())
+        train(factored(np.zeros((2, 2))), np.zeros(3, dtype=np.int64), TrainConfig())
     with pytest.raises(ValueError, match="shape"):
-        train(np.zeros(3), np.zeros(3, dtype=np.int64), TrainConfig())
+        train(factored(np.zeros((2, 2))), np.zeros((2, 1), dtype=np.int64), TrainConfig())
     with pytest.raises(ValueError, match="labels"):
-        train(np.zeros((2, 2)), np.array([0, 2]), TrainConfig())
+        train(factored(np.zeros((2, 2))), np.array([0, 2]), TrainConfig())
     with pytest.raises(ValueError, match="labels"):
         evaluate(ModelParams(weights=np.zeros((2, 2)), bias=np.zeros(2), gamma=2.0,
                              alpha=(0.5, 0.5), seed=0, epochs=0, learning_rate=0.0),
-                 np.zeros((1, 2)), np.array(["NTA"]))
+                 factored(np.zeros((1, 2))), np.array(["NTA"]))
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
@@ -221,9 +230,10 @@ def test_train_validation():
 def test_predict_tie_goes_to_nta():
     params = ModelParams(weights=np.zeros((2, 2)), bias=np.zeros(2), gamma=2.0,
                          alpha=(0.5, 0.5), seed=0, epochs=0, learning_rate=0.0)
-    assert predict(params, np.array([[3.0, -4.0], [0.0, 0.0]])).tolist() == [0, 0]
-    with pytest.raises(ValueError, match="shape"):
-        predict(params, np.array([3.0, -4.0]))
+    assert predict(params, factored([[3.0, -4.0], [0.0, 0.0]])).tolist() == [0, 0]
+    # rows wider than the weights
+    with pytest.raises(ValueError):
+        predict(params, factored([[3.0, -4.0, 1.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +386,14 @@ def unit(v):
 
 def test_build_features_empty_context_zero_block():
     matrix = EmbeddingMatrix(ids=["p"], data=np.array([unit([1.0, 2.0, 2.0])]))
-    X = build_features([ContextSet("a", "p", [])], matrix)
+    features = build_features([ContextSet("a", "p", [])], matrix)
+    assert features.index.tolist() == [[1, 0]]
+    X = features.rows()
     assert X.dtype == np.float64 and X.shape == (1, 6)
     assert np.array_equal(X[0], np.concatenate([matrix.row("p"), np.zeros(3)]))
-    assert build_features([], matrix).shape == (0, 6)
+    empty = build_features([], matrix)
+    assert len(empty) == 0 and empty.rows().shape == (0, 6)
+    assert np.array_equal(empty.block, np.zeros((1, 3)))
 
 
 def test_build_features_renormalizes_unit_mean():
@@ -390,7 +404,7 @@ def test_build_features_renormalizes_unit_mean():
     matrix = EmbeddingMatrix(ids=["p", "c1", "c2"],
                              data=np.array([unit([1.0, 1.0]), unit([1.0, 0.0]),
                                             unit([0.0, 1.0])]))
-    context_part = build_features([ctx], matrix)[0, 2:]
+    context_part = build_features([ctx], matrix).rows()[0, 2:]
     assert np.linalg.norm(context_part) == pytest.approx(1.0, abs=1e-12)
     assert context_part == pytest.approx(unit([1.0, 1.0]))
 
@@ -402,7 +416,7 @@ def test_build_features_plain_mean_for_non_unit_vectors():
     ])
     matrix = EmbeddingMatrix(ids=["p", "c1", "c2"],
                              data=np.array([[0.0, 1.0], [2.0, 0.0], [0.0, 0.0]]))
-    assert np.array_equal(build_features([ctx], matrix)[0, 2:], np.array([1.0, 0.0]))
+    assert np.array_equal(build_features([ctx], matrix).rows()[0, 2:], np.array([1.0, 0.0]))
 
 
 def test_build_features_comment_and_sentence_resolution():
@@ -417,7 +431,8 @@ def test_build_features_comment_and_sentence_resolution():
     ])
     # the comment resolved by id in the comment matrix, the sentence by text
     # in the sentence matrix; both are unit norm, so the mean is renormalized
-    assert build_features([ctx], matrix, sentences)[0, 2:] == pytest.approx(unit([1.0, 1.0]))
+    assert build_features([ctx], matrix, sentences).rows()[0, 2:] == \
+        pytest.approx(unit([1.0, 1.0]))
     with pytest.raises(ValueError, match="resolve"):
         build_features([ctx], matrix)
 
@@ -433,3 +448,36 @@ def test_build_features_error_paths():
                        sentences=EmbeddingMatrix(ids=["text"], data=np.zeros((1, 3))))
     with pytest.raises(KeyError):
         build_features([ContextSet("a", "p9", [])], matrix)
+
+
+BLOCK, INDEX = np.zeros((3, 2)), np.array([[1, 0], [2, 2]])
+
+
+def test_features_accept_any_integer_index():
+    assert len(Features(BLOCK, INDEX)) == 2
+    assert len(Features(BLOCK, INDEX.astype(np.int32))) == 2
+    assert len(Features(np.zeros((0, 2)), np.zeros((0, 2), dtype=np.int64))) == 0
+
+
+def test_features_block_must_be_2d_float64():
+    for bad in (np.zeros(6), np.zeros((3, 2, 1)), np.zeros((3, 2), dtype=np.float32),
+                [[0.0, 0.0]] * 3):
+        with pytest.raises(ValueError, match="block"):
+            Features(bad, INDEX)
+
+
+def test_features_index_must_be_n_by_2_integers():
+    for bad in (np.array([1, 0]), np.zeros((2, 3), dtype=np.int64),
+                INDEX.astype(np.float64), INDEX.tolist()):
+        with pytest.raises(ValueError, match="index"):
+            Features(BLOCK, bad)
+
+
+def test_features_index_entries_must_address_the_block():
+    # train gathers with a clipping take, which would clamp a bad entry
+    # silently
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            Features(BLOCK, np.array([[1, 0], [2, bad]]))
+    with pytest.raises(ValueError, match=r"\[0, 0\)"):
+        Features(np.zeros((0, 2)), np.array([[0, 0]]))

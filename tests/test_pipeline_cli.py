@@ -601,6 +601,17 @@ def test_cli_missing_input_is_usage_error(tmp_path, capsys):
         assert f"input not found: {tmp_path / missing}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--k", "--reduce-dim"])
+def test_cli_cluster_sizes_below_one_are_usage_errors(flag, capsys):
+    # rejected while parsing, before the comments file is read
+    argv = {"--k": "3", "--reduce-dim": "4", flag: "0"}
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", "--comments", "c", "--model-out", "m",
+              *(tok for item in argv.items() for tok in item)])
+    assert exc.value.code == 1
+    assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_cli_extract_runs_extraction_once_per_comment(tmp_path, corpus_files, monkeypatch):
     comments = corpus_files[1]
     calls = []
