@@ -110,11 +110,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def positive_int(raw: str) -> int:
+def _int_at_least(raw: str, lo: int) -> int:
     value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < lo:
+        raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
     return value
+
+
+def positive_int(raw: str) -> int:
+    return _int_at_least(raw, 1)
+
+
+def non_negative_int(raw: str) -> int:
+    return _int_at_least(raw, 0)
 
 
 def _require_files(*paths) -> None:
@@ -478,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_embed_flags(p)
     p.add_argument("--patterns")
     p.add_argument("--strategy", choices=STRATEGIES, required=True)
-    p.add_argument("--max-samples", type=int, required=True)
+    p.add_argument("--max-samples", type=positive_int, required=True)
     p.add_argument("--category")
     p.add_argument("--cluster-model")
     p.add_argument("--seed", type=int, default=0)
@@ -490,11 +498,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_embed_flags(p)
     p.add_argument("--contexts", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--epochs", type=non_negative_int, default=TrainConfig.epochs)
     p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--focal-gamma", type=float, default=TrainConfig.focal_gamma)
     p.add_argument("--focal-alpha", type=float_pair)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--batch-size", type=positive_int, default=TrainConfig.batch_size)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model-out", required=True)
     p.set_defaults(func=_cmd_train)

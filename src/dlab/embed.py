@@ -8,6 +8,7 @@ as long as (dim, ngram_range, seed) agree.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import re
 import struct
 from dataclasses import dataclass, field
@@ -226,31 +227,46 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return float(min(1.0, max(-1.0, float(u @ v) / (nu * nv))))
 
 
-def cosine_scores(query: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Cosine of each row of a block of matrix rows against a query.
+def cosine_scores(queries: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """(q, n) cosines of a (q, d) block of queries against an (n, d) block
+    of matrix rows.
 
     `norms` are the rows' stored norms (EmbeddingMatrix.norms). Each score
     equals cosine_similarity(query, row) bit for bit: zero-norm rows and a
     zero-norm query score 0, and scores are clipped to [-1, 1]. A score
-    depends on its own row only, so scores of a sub-block are the matching
-    entries of the block's scores.
+    depends on its own query and row only, so scores of a sub-block are the
+    matching entries of the block's scores.
     """
-    query = np.asarray(query, dtype=np.float64)
-    scores = np.zeros(len(norms), dtype=np.float64)
-    qnorm = float(np.linalg.norm(query))
-    if qnorm > 0.0:
-        live = np.flatnonzero(norms > 0.0)
-        # one BLAS dot per row: a matrix-vector product sums in another
-        # order, so its scores differ from cosine_similarity's in the last bits
-        dots = np.array([np.asarray(rows[i], dtype=np.float64) @ query for i in live])
-        scores[live] = np.clip(dots / (norms[live] * qnorm), -1.0, 1.0)
+    queries = np.asarray(queries, dtype=np.float64)
+    # one 1-D norm per query, as cosine_similarity takes it (norm(axis=1)
+    # sums in another order)
+    qnorms = np.array([np.linalg.norm(query) for query in queries], dtype=np.float64)
+    scores = np.zeros((len(queries), len(norms)), dtype=np.float64)
+    live_q, live = np.flatnonzero(qnorms > 0.0), np.flatnonzero(norms > 0.0)
+    if live_q.size and live.size:
+        rows64 = np.asarray(rows[live], dtype=np.float64)
+        # a stack of 1×d · d×1 products: numpy hands each to the BLAS dot that
+        # a single `row @ query` reaches, so every score keeps its summation
+        # order; a matrix-vector product `rows @ query` sums in another order
+        # and differs in the last bits
+        dots = np.matmul(rows64[None, :, None, :], queries[live_q][:, None, :, None])[..., 0, 0]
+        scores[np.ix_(live_q, live)] = np.clip(
+            dots / (norms[live] * qnorms[live_q, None]), -1.0, 1.0)
     return scores
 
 
-def rank_scores(scores: np.ndarray, keys: list) -> list[tuple[int, float]]:
-    """(position, score) pairs by descending score, then ascending key."""
+def rank_scores(scores: np.ndarray, keys: list, k: int | None = None) -> list[tuple[int, float]]:
+    """(position, score) pairs by descending score, then ascending key; with
+    k, the first k of them."""
     values = scores.tolist()
-    order = sorted(range(len(keys)), key=lambda i: (-values[i], keys[i]))
+
+    def order_key(i):
+        return (-values[i], keys[i])
+
+    positions = range(len(keys))
+    # heapq.nsmallest is documented as equal to sorted(...)[:k], ties included
+    order = (sorted(positions, key=order_key) if k is None
+             else heapq.nsmallest(k, positions, key=order_key))
     return [(i, values[i]) for i in order]
 
 
@@ -269,5 +285,5 @@ def top_k_similar(query: np.ndarray, matrix: EmbeddingMatrix, k: int,
     exclude = exclude or frozenset()
     keep = [i for i, rid in enumerate(matrix.ids) if rid not in exclude]
     ids = [matrix.ids[i] for i in keep]
-    ranked = rank_scores(cosine_scores(query, matrix.data[keep], matrix.norms[keep]), ids)
-    return [(ids[i], score) for i, score in ranked[:k]]
+    scores = cosine_scores(query[None, :], matrix.data[keep], matrix.norms[keep])[0]
+    return [(ids[i], score) for i, score in rank_scores(scores, ids, k)]

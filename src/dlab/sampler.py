@@ -155,11 +155,15 @@ def sample_context(pairs, corpus: Corpus,
     pair's cosine scores over the annotator's whole, unfiltered pool, keyed
     by (unit, annotator, post); passing one dict to every call on the same
     corpus and matrices scores each pair once, whatever the category filter.
+    The pairs a call must score are scored per annotator: its pool rows
+    against all its posts in one cosine_scores call, so one annotator's pool
+    block (pool size x dim float64) is alive at a time.
     """
     unit = "sentence" if cfg.strategy in SENTENCE_STRATEGIES else "comment"
+    similar = cfg.strategy.startswith("similar_")
     scores = {} if scores is None else scores
     pools: dict[str, tuple] = {}
-    out = []
+    unscored: dict[str, dict[str, None]] = {}  # annotator -> posts, in pair order
     for annotator_id, post_id in pairs:
         if annotator_id not in corpus.annotator_index:
             raise ValueError(f"unknown annotator {annotator_id!r}")
@@ -171,28 +175,38 @@ def sample_context(pairs, corpus: Corpus,
             candidates = [units[i] for i in admitted]
             pools[annotator_id] = (units, admitted, candidates,
                                    [(cid, text) for cid, _, text in candidates])
-        units, admitted, candidates, keys = pools[annotator_id]
+        if not similar:
+            continue
+        if unit == "sentence" and sentences is None:
+            raise ValueError("similar_sentences requires a sentence matrix")
+        if pools[annotator_id][2]:
+            if embeddings is None or post_id not in embeddings:
+                raise ValueError(f"no embedding for post {post_id!r}")
+            if (unit, annotator_id, post_id) not in scores:
+                unscored.setdefault(annotator_id, {})[post_id] = None
 
-        if cfg.strategy.startswith("random_"):
+    matrix = sentences if unit == "sentence" else embeddings
+    for annotator_id, posts in unscored.items():
+        rows = [matrix.row_index(text if unit == "sentence" else cid)
+                for cid, _, text in pools[annotator_id][0]]
+        queries = embeddings.data[[embeddings.row_index(post_id) for post_id in posts]]
+        block = cosine_scores(queries, matrix.data[rows], matrix.norms[rows])
+        for post_id, row in zip(posts, block):
+            scores[(unit, annotator_id, post_id)] = row
+
+    out = []
+    for annotator_id, post_id in pairs:
+        units, admitted, candidates, keys = pools[annotator_id]
+        if not similar:
             rng = random.Random(derive_seed(cfg.seed, annotator_id, post_id))
             chosen = [(u, None) for u in
                       rng.sample(candidates, min(cfg.max_samples, len(candidates)))]
+        elif candidates:
+            ranked = rank_scores(scores[(unit, annotator_id, post_id)][admitted], keys,
+                                 cfg.max_samples)
+            chosen = [(candidates[i], score) for i, score in ranked]
         else:
-            if unit == "sentence" and sentences is None:
-                raise ValueError("similar_sentences requires a sentence matrix")
             chosen = []
-            if candidates:
-                if embeddings is None or post_id not in embeddings:
-                    raise ValueError(f"no embedding for post {post_id!r}")
-                key = (unit, annotator_id, post_id)
-                if key not in scores:
-                    matrix = sentences if unit == "sentence" else embeddings
-                    rows = [matrix.row_index(text if unit == "sentence" else cid)
-                            for cid, _, text in units]
-                    scores[key] = cosine_scores(embeddings.row(post_id), matrix.data[rows],
-                                                matrix.norms[rows])
-                ranked = rank_scores(scores[key][admitted], keys)
-                chosen = [(candidates[i], score) for i, score in ranked[:cfg.max_samples]]
         items = [ContextItem(cid, text, score, unit, sentence_index=idx)
                  for (cid, idx, text), score in chosen]
         out.append(ContextSet(annotator_id=annotator_id, post_id=post_id, items=items))

@@ -1,13 +1,15 @@
-"""The batch sampler, feature builder, trainer and scorer against the code
-they replaced.
+"""The batch cosine kernel, sampler, feature builder, trainer and scorer
+against the code they replaced.
 
-`sample_context` samples a whole partition in one call and memoises each
-pair's cosine scores across conditions; `build_features` stores a
+`cosine_scores` scores a block of queries against a block of rows in one
+product; `sample_context` samples a whole partition in one call, scores
+each annotator's pool for all its posts at once and memoises each pair's
+cosine scores across conditions; `build_features` stores a
 partition's features once per distinct post and item sequence; `train`
 gathers each batch from that block; `predict` scores a partition's feature
 rows in one product. The per-pair code, the dense feature matrix and the
 dense trainer they replaced are kept below as oracles, and the results must
-equal them exactly: the same context ids in the same order with the same
+equal them exactly: the same score bits, the same context ids in the same order with the same
 similarity floats, feature rows equal element for element, the same
 weights, bias and losses bit for bit, and the same class for every row.
 """
@@ -17,6 +19,7 @@ import random
 import numpy as np
 import pytest
 
+import dlab.sampler
 from dlab.disclosure import HighLevelCategory, attach_clusters, build_profiles
 from dlab.embed import EmbedderConfig, EmbeddingMatrix, cosine_scores, rank_scores
 from dlab.model import ModelParams, TrainConfig, build_features, encode_labels, predict, train
@@ -28,6 +31,7 @@ from dlab.sampler import (
     ContextItem,
     ContextSet,
     SamplerConfig,
+    annotator_pool,
     full_pool_context,
     sample_context,
 )
@@ -39,6 +43,18 @@ ECFG = EmbedderConfig(dim=64, ngram_range=(1, 2), seed=0)
 
 # ---------------------------------------------------------------------------
 # oracles: the per-pair code
+
+def oracle_cosine_scores(query, rows, norms):
+    """One query's cosines against a block of rows, one BLAS dot per row."""
+    query = np.asarray(query, dtype=np.float64)
+    scores = np.zeros(len(norms), dtype=np.float64)
+    qnorm = float(np.linalg.norm(query))
+    if qnorm > 0.0:
+        live = np.flatnonzero(norms > 0.0)
+        dots = np.array([np.asarray(rows[i], dtype=np.float64) @ query for i in live])
+        scores[live] = np.clip(dots / (norms[live] * qnorm), -1.0, 1.0)
+    return scores
+
 
 def oracle_sample_context(annotator_id, post_id, corpus, embeddings, profiles, cfg,
                           sentences=None):
@@ -70,7 +86,8 @@ def oracle_sample_context(annotator_id, post_id, corpus, embeddings, profiles, c
                                else (embeddings, candidates))
             rows = [matrix.row_index(rid) for rid in row_ids]
             ranked = rank_scores(
-                cosine_scores(embeddings.row(post_id), matrix.data[rows], matrix.norms[rows]),
+                oracle_cosine_scores(embeddings.row(post_id), matrix.data[rows],
+                                     matrix.norms[rows]),
                 [(cid, text) for cid, _, text in units])
             chosen = [(units[i], score) for i, score in ranked[:cfg.max_samples]]
     items = [ContextItem(cid, text, score, unit, sentence_index=idx)
@@ -249,6 +266,41 @@ def configs():
 
 
 # ---------------------------------------------------------------------------
+# the cosine kernel
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("dim", [7, 64, 1023, 1024])
+def test_cosine_scores_match_per_row_oracle(dim):
+    rng = np.random.default_rng(dim)
+    n = 41
+    rows = rng.standard_normal((n, dim)).astype(np.float32)
+    rows[5] = rows[17] = 0.0  # all-zero rows
+    rows[n - 1] = rows[0]
+    # rows far from unit norm, in both directions
+    rows[20:30] *= np.float32(1e20)
+    rows[30:40] *= np.float32(1e-20)
+    norms = EmbeddingMatrix(ids=[f"r{i}" for i in range(n)], data=rows).norms
+    queries = np.vstack([
+        rng.standard_normal((3, dim)).astype(np.float32),
+        np.zeros((1, dim), dtype=np.float32),  # a zero query
+        rows[0][None, :],  # a query equal to a row
+        rows[25][None, :] * np.float32(1e-20),
+    ])
+    # the whole block, reversed, one row, one zero row, and a scattered subset
+    for idx in (np.arange(n), np.arange(n)[::-1], [0], [5], [3, 5, 25, 35, 40]):
+        got = cosine_scores(queries, rows[idx], norms[idx])
+        assert got.shape == (len(queries), len(idx))
+        for query, scores in zip(queries, got):
+            assert same_bits(scores, oracle_cosine_scores(query, rows[idx], norms[idx]))
+    got = cosine_scores(queries, rows, norms)
+    assert not got[3].any() and not got[:, [5, 17]].any()
+    assert abs(got[4, 0] - 1.0) < 1e-12 and np.abs(got).max() <= 1.0
+
+
+# ---------------------------------------------------------------------------
 # the sampler
 
 @pytest.mark.parametrize("scales", [(1.0,), (1.0, 2.5, 0.0, 0.3)], ids=["unit", "non-unit"])
@@ -274,6 +326,55 @@ def test_batch_sampler_matches_per_pair_oracle(world, scales):
     # conditions read it
     assert set(memo) == {(unit, a, p) for unit in ("comment", "sentence")
                          for a, p in pairs if corpus.annotator_index[a]}
+
+
+def test_grouped_memo_fill_matches_per_pair_oracle(world, monkeypatch):
+    corpus, embeddings, sentences, profiles, pairs = world
+    calls = []
+
+    def counted(queries, rows, norms):
+        calls.append(len(queries))
+        return cosine_scores(queries, rows, norms)
+
+    monkeypatch.setattr(dlab.sampler, "cosine_scores", counted)
+    # an earlier call, filtered or on part of the partition, scores some of
+    # an annotator's pairs; the later call scores the rest of its posts at once
+    filt = CategoryFilter(cluster=0)
+    earlier = [pair for i, pair in enumerate(pairs) if i % 3 == 0]
+    for unit, first, cfg in (
+            ("comment", SamplerConfig(strategy="similar_comments", max_samples=3,
+                                      category_filter=filt), SamplerConfig(
+                strategy="similar_comments", max_samples=3)),
+            ("sentence", SamplerConfig(strategy="similar_sentences", max_samples=2),
+             SamplerConfig(strategy="similar_sentences", max_samples=4))):
+        memo = {}
+        sample_context(earlier, corpus, embeddings, profiles, cfg=first,
+                       sentences=sentences, scores=memo)
+        prefilled = dict(memo)
+        posts = {}
+        for a, p in pairs:
+            posts.setdefault(a, set()).add((unit, a, p) in prefilled)
+        # an annotator with scored and unscored posts
+        assert {True, False} in posts.values()
+        calls.clear()
+        got = sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
+                             sentences=sentences, scores=memo)
+        # one kernel call per annotator with unscored posts, each post once
+        assert sorted(calls) == sorted(
+            len({p for b, p in pairs if b == a and (unit, a, p) not in prefilled})
+            for a in posts if corpus.annotator_index[a] and False in posts[a])
+        assert got == [oracle_sample_context(a, p, corpus, embeddings, profiles, cfg, sentences)
+                       for a, p in pairs]
+        # one entry per unit and pair with a non-empty pool; the earlier ones kept
+        assert set(memo) == {(unit, a, p) for a, p in pairs if corpus.annotator_index[a]}
+        assert all(memo[key] is scores for key, scores in prefilled.items())
+        matrix = sentences if unit == "sentence" else embeddings
+        for (_, a, p), scores in memo.items():
+            units, _ = annotator_pool(corpus, a, None, None, unit)
+            rows = [matrix.row_index(text if unit == "sentence" else cid)
+                    for cid, _, text in units]
+            assert same_bits(scores, oracle_cosine_scores(embeddings.row(p), matrix.data[rows],
+                                                          matrix.norms[rows]))
 
 
 # ---------------------------------------------------------------------------

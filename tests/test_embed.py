@@ -277,11 +277,34 @@ def test_rank_by_cosine_matches_scalar_oracle(n, dim, seed):
     # the (cid, text) keys repeat, as a comment that repeats a sentence does
     shuffled = [f"k{i:03d}" for i in rng.permutation(n)]
     tuples = [("c0" if i % 2 else "c1", f"s{i % 5}") for i in range(n)]
-    queries = [rng.standard_normal(dim), data[0], np.zeros(dim)]
-    for query in queries:
+    queries = np.vstack([rng.standard_normal(dim), data[0], np.zeros(dim)])
+    # every query in one call
+    block = cosine_scores(queries, matrix.data, matrix.norms)
+    assert block.shape == (len(queries), n)
+    for query, scores in zip(queries, block):
         for keys in (shuffled, tuples):
-            got = rank_scores(cosine_scores(query, matrix.data, matrix.norms), keys)
-            assert got == scalar_ranking(query, matrix.data, keys)
+            assert rank_scores(scores, keys) == scalar_ranking(query, matrix.data, keys)
+
+
+def test_rank_scores_top_k_is_the_full_sort_prefix():
+    # exact ties, -0.0 beside 0.0, and repeated (cid, text) keys, as when one
+    # comment repeats a sentence
+    scores = np.array([0.5, -0.0, 0.0, 0.5, 0.25, 0.0, -0.0, 0.5, -0.25, 0.25, 0.5, 0.0])
+    keyings = [
+        [("c1", "a"), ("c0", "b"), ("c1", "a"), ("c1", "a"), ("c0", "b"), ("c0", "b"),
+         ("c1", "a"), ("c0", "a"), ("c2", "z"), ("c1", "a"), ("c1", "a"), ("c0", "b")],
+        [f"k{i}" for i in (5, 3, 3, 1, 0, 9, 2, 7, 4, 8, 1, 6)],
+        ["same"] * len(scores),
+    ]
+    n = len(scores)
+    for keys in keyings:
+        full = rank_scores(scores, keys)
+        assert sorted(i for i, _ in full) == list(range(n))
+        for k in (1, 5, n, n + 3):
+            got = rank_scores(scores, keys, k)
+            assert got == full[:k]
+            # the signs of the zeros come through as well
+            assert [np.signbit(s) for _, s in got] == [np.signbit(s) for _, s in full[:k]]
 
 
 def test_top_k_tie_broken_by_id():

@@ -612,6 +612,23 @@ def test_cli_cluster_sizes_below_one_are_usage_errors(flag, capsys):
     assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag,value,bound", [
+    ("sample", "--max-samples", "0", 1),
+    ("train", "--batch-size", "0", 1),
+    ("train", "--epochs", "-1", 0),
+])
+def test_cli_sample_and_train_sizes_below_bound_are_usage_errors(command, flag, value, bound,
+                                                                  capsys):
+    # rejected while parsing, before the corpus is read or embedded
+    argv = {"sample": ["--strategy", "random_comments", "--max-samples", "3", "--out", "o"],
+            "train": ["--contexts", "c", "--split", "s", "--model-out", "m"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--posts", "p", "--comments", "c", "--verdicts", "v",
+              *argv, flag, value])
+    assert exc.value.code == 1
+    assert f"argument {flag}: must be >= {bound}, got {value}" in capsys.readouterr().err
+
+
 def test_cli_extract_runs_extraction_once_per_comment(tmp_path, corpus_files, monkeypatch):
     comments = corpus_files[1]
     calls = []
