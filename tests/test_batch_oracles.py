@@ -19,9 +19,10 @@ import random
 import numpy as np
 import pytest
 
+import dlab.embed
 import dlab.sampler
 from dlab.disclosure import HighLevelCategory, attach_clusters, build_profiles
-from dlab.embed import EmbedderConfig, EmbeddingMatrix, cosine_scores, rank_scores
+from dlab.embed import EmbedderConfig, EmbeddingMatrix, cosine_scores
 from dlab.model import ModelParams, TrainConfig, build_features, encode_labels, predict, train
 from dlab.pipeline import cluster_comments, embed_corpus, embed_sentences
 from dlab.sampler import (
@@ -85,11 +86,11 @@ def oracle_sample_context(annotator_id, post_id, corpus, embeddings, profiles, c
             matrix, row_ids = ((sentences, [text for _, _, text in units]) if unit == "sentence"
                                else (embeddings, candidates))
             rows = [matrix.row_index(rid) for rid in row_ids]
-            ranked = rank_scores(
-                oracle_cosine_scores(embeddings.row(post_id), matrix.data[rows],
-                                     matrix.norms[rows]),
-                [(cid, text) for cid, _, text in units])
-            chosen = [(units[i], score) for i, score in ranked[:cfg.max_samples]]
+            scores = oracle_cosine_scores(embeddings.row(post_id), matrix.data[rows],
+                                          matrix.norms[rows]).tolist()
+            keys = [(cid, text) for cid, _, text in units]
+            ranked = sorted(range(len(units)), key=lambda i: (-scores[i], keys[i]))
+            chosen = [(units[i], scores[i]) for i in ranked[:cfg.max_samples]]
     items = [ContextItem(cid, text, score, unit, sentence_index=idx)
              for (cid, idx, text), score in chosen]
     return ContextSet(annotator_id=annotator_id, post_id=post_id, items=items)
@@ -272,8 +273,13 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+# default chunks, one row per chunk, and four rows per chunk, so chunk
+# boundaries fall between the live rows of every block
+@pytest.mark.parametrize("chunk_rows", [None, 1, 4])
 @pytest.mark.parametrize("dim", [7, 64, 1023, 1024])
-def test_cosine_scores_match_per_row_oracle(dim):
+def test_cosine_scores_match_per_row_oracle(dim, chunk_rows, monkeypatch):
+    if chunk_rows is not None:
+        monkeypatch.setattr(dlab.embed, "_SCORE_CHUNK_FLOATS", chunk_rows * dim + dim - 1)
     rng = np.random.default_rng(dim)
     n = 41
     rows = rng.standard_normal((n, dim)).astype(np.float32)

@@ -283,7 +283,7 @@ def test_rank_by_cosine_matches_scalar_oracle(n, dim, seed):
     assert block.shape == (len(queries), n)
     for query, scores in zip(queries, block):
         for keys in (shuffled, tuples):
-            assert rank_scores(scores, keys) == scalar_ranking(query, matrix.data, keys)
+            assert rank_scores(scores, keys, n) == scalar_ranking(query, matrix.data, keys)
 
 
 def test_rank_scores_top_k_is_the_full_sort_prefix():
@@ -297,9 +297,10 @@ def test_rank_scores_top_k_is_the_full_sort_prefix():
         ["same"] * len(scores),
     ]
     n = len(scores)
+    values = scores.tolist()
     for keys in keyings:
-        full = rank_scores(scores, keys)
-        assert sorted(i for i, _ in full) == list(range(n))
+        # the full stable sort by descending score, then ascending key
+        full = [(i, values[i]) for i in sorted(range(n), key=lambda i: (-values[i], keys[i]))]
         for k in (1, 5, n, n + 3):
             got = rank_scores(scores, keys, k)
             assert got == full[:k]
