@@ -240,12 +240,13 @@ PHRASES = (
     "I've learned that I", "I have learned that I", "I realize that",
 )
 
-# longest alternative first so "I have a hard time" beats "I have"
+# longest alternative first so "I have a hard time" beats "I have"; the
+# lookbehind depends on the position alone, so it stands once before the
+# alternatives and is tested once per position
 _PHRASE_RE = re.compile(
-    "|".join(
-        r"(?<!\w)" + re.escape(p) + r"(?!\w)"
-        for p in sorted(PHRASES, key=len, reverse=True)
-    ),
+    r"(?<!\w)(?:"
+    + "|".join(re.escape(p) + r"(?!\w)" for p in sorted(PHRASES, key=len, reverse=True))
+    + ")",
     re.IGNORECASE,
 )
 

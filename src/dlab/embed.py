@@ -60,28 +60,49 @@ def _hash_key(seed: int) -> bytes:
     return seed.to_bytes(8, "little", signed=False)
 
 
-def embed_text(text: str, cfg: EmbedderConfig) -> np.ndarray:
+def embed_text(text: str, cfg: EmbedderConfig,
+               slots: dict[str, tuple[int, float]] | None = None) -> np.ndarray:
     """Embed one text. Unit norm, or the zero vector when no n-grams exist.
 
     The zero vector is the unnormalizable case; callers can detect it with
     a norm check. Deterministic: same (text, cfg) always gives the same
     vector, and token order only matters through the n-grams themselves.
+    `slots` memoises n-gram -> (bucket, sign) across calls with the same
+    cfg, so each distinct n-gram is hashed once; embed_texts keeps one for
+    the length of its call.
     """
-    vec = np.zeros(cfg.dim, dtype=np.float64)
+    if slots is None:
+        slots = {}
     tokens = TOKEN_RE.findall(text.lower())
     key = _hash_key(cfg.seed)
+    buckets, signs = [], []
     lo, hi = cfg.ngram_range
     for n in range(lo, hi + 1):
         for i in range(len(tokens) - n + 1):
             gram = " ".join(tokens[i:i + n])
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest()
-            h = int.from_bytes(digest, "little")
-            sign = 1.0 if (h >> 63) & 1 else -1.0
-            vec[h % cfg.dim] += sign
+            slot = slots.get(gram)
+            if slot is None:
+                digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest()
+                h = int.from_bytes(digest, "little")
+                slot = slots[gram] = (h % cfg.dim, 1.0 if (h >> 63) & 1 else -1.0)
+            buckets.append(slot[0])
+            signs.append(slot[1])
+    # every entry is a sum of +-1.0, an exact integer, so the order of the
+    # additions cannot change a bit
+    vec = np.bincount(np.array(buckets, dtype=np.intp), weights=signs, minlength=cfg.dim)
     norm = float(np.linalg.norm(vec))
     if norm > 0.0:
         vec /= norm
     return vec.astype(np.float32)
+
+
+def _id_index(ids: list[str]) -> dict[str, int]:
+    index: dict[str, int] = {}
+    for i, rid in enumerate(ids):
+        if rid in index:
+            raise ValueError(f"duplicate id {rid!r}")
+        index[rid] = i
+    return index
 
 
 @dataclass
@@ -100,11 +121,7 @@ class EmbeddingMatrix:
         if len(self.ids) != self.data.shape[0]:
             raise ValueError(
                 f"{len(self.ids)} ids for {self.data.shape[0]} rows")
-        self._index = {}
-        for i, rid in enumerate(self.ids):
-            if rid in self._index:
-                raise ValueError(f"duplicate id {rid!r}")
-            self._index[rid] = i
+        self._index = _id_index(self.ids)
         # one 1-D norm per row, as cosine_similarity takes it: the axis=1 form
         # sums in another order and differs in the last bits
         self.norms = np.array(
@@ -128,12 +145,18 @@ class EmbeddingMatrix:
 
 
 def embed_texts(items, cfg: EmbedderConfig) -> EmbeddingMatrix:
-    """Embed an iterable of (id, text) pairs into one matrix."""
-    ids, rows = [], []
-    for rid, text in items:
-        ids.append(str(rid))
-        rows.append(embed_text(text, cfg))
-    data = np.vstack(rows) if rows else np.zeros((0, cfg.dim), dtype=np.float32)
+    """Embed an iterable of (id, text) pairs into one matrix.
+
+    A duplicate id fails before any text is embedded. Each distinct n-gram
+    is hashed once per call; the memo is freed when the call returns.
+    """
+    items = list(items)
+    ids = [str(rid) for rid, _ in items]
+    _id_index(ids)
+    data = np.empty((len(items), cfg.dim), dtype=np.float32)
+    slots: dict[str, tuple[int, float]] = {}
+    for i, (_, text) in enumerate(items):
+        data[i] = embed_text(text, cfg, slots)
     return EmbeddingMatrix(ids=ids, data=data)
 
 

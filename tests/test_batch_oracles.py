@@ -1,7 +1,8 @@
-"""The batch cosine kernel, sampler, feature builder, trainer and scorer
-against the code they replaced.
+"""The memoised embedder, the batch cosine kernel, sampler, feature builder,
+trainer and scorer against the code they replaced.
 
-`cosine_scores` scores a block of queries against a block of rows in one
+`embed_texts` hashes each distinct n-gram once per call and `embed_text`
+accumulates a row with one `np.bincount`; `cosine_scores` scores a block of queries against a block of rows in one
 product; `sample_context` samples a whole partition in one call, scores
 each annotator's pool for all its posts at once and memoises each pair's
 cosine scores across conditions; `build_features` stores a
@@ -9,20 +10,30 @@ partition's features once per distinct post and item sequence; `train`
 gathers each batch from that block; `predict` scores a partition's feature
 rows in one product. The per-pair code, the dense feature matrix and the
 dense trainer they replaced are kept below as oracles, and the results must
-equal them exactly: the same score bits, the same context ids in the same order with the same
+equal them exactly: the same embedding bits, the same score bits, the same context ids in the same order with the same
 similarity floats, feature rows equal element for element, the same
 weights, bias and losses bit for bit, and the same class for every row.
 """
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dlab.embed
 import dlab.sampler
 from dlab.disclosure import HighLevelCategory, attach_clusters, build_profiles
-from dlab.embed import EmbedderConfig, EmbeddingMatrix, cosine_scores
+from dlab.embed import (
+    TOKEN_RE,
+    EmbedderConfig,
+    EmbeddingMatrix,
+    cosine_scores,
+    embed_text,
+    embed_texts,
+)
 from dlab.model import ModelParams, TrainConfig, build_features, encode_labels, predict, train
 from dlab.pipeline import cluster_comments, embed_corpus, embed_sentences
 from dlab.sampler import (
@@ -44,6 +55,26 @@ ECFG = EmbedderConfig(dim=64, ngram_range=(1, 2), seed=0)
 
 # ---------------------------------------------------------------------------
 # oracles: the per-pair code
+
+def oracle_embed_text(text, cfg):
+    """One text's vector, one blake2b hash and one indexed add per n-gram
+    occurrence."""
+    vec = np.zeros(cfg.dim, dtype=np.float64)
+    tokens = TOKEN_RE.findall(text.lower())
+    key = cfg.seed.to_bytes(8, "little", signed=False)
+    lo, hi = cfg.ngram_range
+    for n in range(lo, hi + 1):
+        for i in range(len(tokens) - n + 1):
+            gram = " ".join(tokens[i:i + n])
+            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest()
+            h = int.from_bytes(digest, "little")
+            sign = 1.0 if (h >> 63) & 1 else -1.0
+            vec[h % cfg.dim] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec.astype(np.float32)
+
 
 def oracle_cosine_scores(query, rows, norms):
     """One query's cosines against a block of rows, one BLAS dot per row."""
@@ -264,6 +295,41 @@ def configs():
     return [SamplerConfig(strategy=strategy, max_samples=3, seed=5, category_filter=filt)
             for strategy in STRATEGIES
             for filt in (FILTERS[1:] if strategy == "similar_comments" else []) + FILTERS[:1]]
+
+
+# ---------------------------------------------------------------------------
+# the embedder
+
+# apostrophes, digits, non-ASCII letters (separators for the ASCII tokenizer),
+# mixed case and words that repeat within a text
+EMBED_WORDS = ["the", "The", "cat", "CAT", "don't", "I'm", "'", "''", "42", "x9",
+               "café", "naïve", "ß", "İ", "東京", "a", "a", "b"]
+EMBED_SEPARATORS = [" ", "  ", ", ", "! ", "\n", "-", ""]
+
+
+@st.composite
+def embed_texts_strategy(draw):
+    words = st.lists(st.tuples(st.sampled_from(EMBED_WORDS), st.sampled_from(EMBED_SEPARATORS)),
+                     max_size=14).map(lambda pairs: "".join(w + sep for w, sep in pairs))
+    return draw(st.lists(st.one_of(words, st.text(max_size=30), st.just("")), max_size=8))
+
+
+@pytest.mark.parametrize("dim", [8, 1024, 4096])
+@pytest.mark.parametrize("ngram_range", [(1, 1), (1, 2), (2, 3)])
+@settings(max_examples=40, deadline=None)
+@given(texts=embed_texts_strategy())
+def test_embed_rows_match_per_gram_oracle(ngram_range, dim, texts):
+    cfg = EmbedderConfig(dim=dim, ngram_range=ngram_range, seed=7)
+    items = [(f"t{i}", text) for i, text in enumerate(texts)]
+    matrix = embed_texts(items, cfg)
+    # the same texts in reversed order fill the n-gram memo in another order
+    backwards = embed_texts(items[::-1], cfg)
+    assert matrix.data.shape == (len(texts), dim)
+    for rid, text in items:
+        want = oracle_embed_text(text, cfg).view(np.int32)
+        assert np.array_equal(matrix.row(rid).view(np.int32), want)
+        assert np.array_equal(backwards.row(rid).view(np.int32), want)
+        assert np.array_equal(embed_text(text, cfg).view(np.int32), want)
 
 
 # ---------------------------------------------------------------------------

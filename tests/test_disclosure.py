@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dlab.disclosure
 from dlab.corpus import Comment, Corpus, Post, Verdict
 from dlab.disclosure import (
     PHRASES,
@@ -23,6 +24,7 @@ from dlab.disclosure import (
     ngram_stats,
     segment_sentences,
 )
+from dlab.synthgen import PopulationSpec, generate_population
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +313,50 @@ def test_phrase_matching_prefers_longest_alternative():
     text = "I have a hard time with mornings"
     m = next(iter_phrase_matches(text))
     assert text[m.start():m.end()] == "I have a hard time"
+
+
+# the filter's earlier form, one lookbehind inside each alternative
+ORACLE_PHRASE_RE = re.compile(
+    "|".join(r"(?<!\w)" + re.escape(p) + r"(?!\w)"
+             for p in sorted(PHRASES, key=len, reverse=True)),
+    re.IGNORECASE,
+)
+
+# whole phrases and their words, word characters that glue onto them, and
+# boundaries; case is flipped per character below
+PHRASE_FRAGMENTS = sorted({w for p in PHRASES for w in [p, *p.split()]})
+GLUE = ["x", "_", "9", "é", "'", " ", "  ", ".", ",", "!", "-", "\n", "ve", "m"]
+
+
+@st.composite
+def phrase_texts(draw):
+    parts = draw(st.lists(st.sampled_from(PHRASE_FRAGMENTS + GLUE), max_size=12))
+    text = "".join(parts)
+    flips = draw(st.lists(st.booleans(), min_size=len(text), max_size=len(text)))
+    return "".join(ch.swapcase() if flip else ch for ch, flip in zip(text, flips))
+
+
+def _spans(matches):
+    return [(m.start(), m.end(), m.group()) for m in matches]
+
+
+@settings(max_examples=400)
+@given(phrase_texts())
+def test_phrase_regex_matches_per_alternative_oracle(text):
+    assert _spans(iter_phrase_matches(text)) == _spans(ORACLE_PHRASE_RE.finditer(text))
+    assert matches_phrase_filter(text) == (ORACLE_PHRASE_RE.search(text) is not None)
+
+
+def test_ngram_stats_match_per_alternative_oracle(monkeypatch):
+    corpus, _ = generate_population(PopulationSpec(
+        n_annotators=6, n_posts=4, comments_per_annotator=(5, 8),
+        verdicts_per_annotator=(2, 3), seed=4))
+    tables = {(n, pos): ngram_stats(corpus, n, pos) for n in (1, 2, 3) for pos in ("before", "after")}
+    # synthgen sentences open with their phrase, so no trigram precedes a match end
+    assert all(table for key, table in tables.items() if key != (3, "before"))
+    monkeypatch.setattr(dlab.disclosure, "_PHRASE_RE", ORACLE_PHRASE_RE)
+    for (n, pos), table in tables.items():
+        assert ngram_stats(corpus, n, pos) == table
 
 
 def test_phrase_list_is_exactly_the_published_set():

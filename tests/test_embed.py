@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+import dlab.embed
 from dlab.embed import (
     EmbedderConfig,
     EmbeddingMatrix,
@@ -84,6 +85,25 @@ def test_embed_texts_and_matrix_lookup():
 def test_matrix_duplicate_ids_rejected():
     with pytest.raises(ValueError, match="duplicate id"):
         embed_texts([("a", "x"), ("a", "y")], CFG)
+
+
+def test_embed_texts_checks_ids_before_embedding(monkeypatch):
+    calls = []
+    real = dlab.embed.embed_text
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    # embed_texts calls embed_text through the module, once per text
+    monkeypatch.setattr(dlab.embed, "embed_text", counted)
+    with pytest.raises(ValueError, match="duplicate id 'a'"):
+        embed_texts([("a", "x"), ("b", "y"), ("a", "z")], CFG)
+    with pytest.raises(ValueError, match="duplicate id '1'"):
+        embed_texts([(1, "x"), ("1", "y")], CFG)
+    assert calls == []
+    embed_texts([("a", "x y"), ("b", "x y")], CFG)
+    assert calls == ["x y", "x y"]
 
 
 def test_matrix_shape_validation():
