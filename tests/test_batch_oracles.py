@@ -2,17 +2,19 @@
 trainer and scorer against the code they replaced.
 
 `embed_texts` hashes each distinct n-gram once per call and `embed_text`
-accumulates a row with one `np.bincount`; `cosine_scores` scores a block of queries against a block of rows in one
-product; `sample_context` samples a whole partition in one call, scores
-each annotator's pool for all its posts at once and memoises each pair's
-cosine scores across conditions; `build_features` stores a
-partition's features once per distinct post and item sequence; `train`
-gathers each batch from that block; `predict` scores a partition's feature
-rows in one product. The per-pair code, the dense feature matrix and the
-dense trainer they replaced are kept below as oracles, and the results must
-equal them exactly: the same embedding bits, the same score bits, the same context ids in the same order with the same
-similarity floats, feature rows equal element for element, the same
-weights, bias and losses bit for bit, and the same class for every row.
+accumulates a row with one `np.bincount`; `cosine_scores` scores a block of
+queries against a block of rows in one product; `sample_context` samples a
+whole partition in one call, scores each annotator's pool for all its posts
+at once and memoises each pair's cosine scores across conditions;
+`build_features` stores a partition's features once per distinct post and
+item sequence; `train` gathers each batch from that block; `predict` scores
+a partition's feature rows in one product. The per-gram embedder, the
+per-pair code, the dense feature matrix and the dense trainer they replaced
+are kept below as oracles, and the results must equal them exactly: the
+same embedding bits, the same score bits, the same context ids in the same
+order with the same similarity floats, feature rows equal element for
+element, the same weights, bias and losses bit for bit, and the same class
+for every row.
 """
 import hashlib
 import math

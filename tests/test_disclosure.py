@@ -315,7 +315,7 @@ def test_phrase_matching_prefers_longest_alternative():
     assert text[m.start():m.end()] == "I have a hard time"
 
 
-# the filter's earlier form, one lookbehind inside each alternative
+# the oracle: one lookbehind inside each alternative
 ORACLE_PHRASE_RE = re.compile(
     "|".join(r"(?<!\w)" + re.escape(p) + r"(?!\w)"
              for p in sorted(PHRASES, key=len, reverse=True)),

@@ -82,12 +82,7 @@ def test_embed_texts_and_matrix_lookup():
     assert m.norms[2] == 0.0  # "!!!" has no n-grams
 
 
-def test_matrix_duplicate_ids_rejected():
-    with pytest.raises(ValueError, match="duplicate id"):
-        embed_texts([("a", "x"), ("a", "y")], CFG)
-
-
-def test_embed_texts_checks_ids_before_embedding(monkeypatch):
+def test_matrix_duplicate_ids_rejected(monkeypatch):
     calls = []
     real = dlab.embed.embed_text
 
@@ -95,7 +90,8 @@ def test_embed_texts_checks_ids_before_embedding(monkeypatch):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    # embed_texts calls embed_text through the module, once per text
+    # embed_texts calls embed_text through the module, once per text, and
+    # checks the ids before the first call
     monkeypatch.setattr(dlab.embed, "embed_text", counted)
     with pytest.raises(ValueError, match="duplicate id 'a'"):
         embed_texts([("a", "x"), ("b", "y"), ("a", "z")], CFG)
