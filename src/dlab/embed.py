@@ -60,19 +60,18 @@ def _hash_key(seed: int) -> bytes:
     return seed.to_bytes(8, "little", signed=False)
 
 
-def embed_text(text: str, cfg: EmbedderConfig,
-               slots: dict[str, tuple[int, float]] | None = None) -> np.ndarray:
+def embed_text(text: str, cfg: EmbedderConfig, *,
+               _slots: dict[str, tuple[int, float]] | None = None) -> np.ndarray:
     """Embed one text. Unit norm, or the zero vector when no n-grams exist.
 
     The zero vector is the unnormalizable case; callers can detect it with
     a norm check. Deterministic: same (text, cfg) always gives the same
     vector, and token order only matters through the n-grams themselves.
-    `slots` memoises n-gram -> (bucket, sign) across calls with the same
-    cfg, so each distinct n-gram is hashed once; embed_texts keeps one for
-    the length of its call.
+    `_slots` is embed_texts' memo of n-gram -> (bucket, sign): it holds
+    buckets and signs for one cfg only, so it must be a fresh dict for each
+    cfg and never be shared with a call under another cfg.
     """
-    if slots is None:
-        slots = {}
+    slots = {} if _slots is None else _slots
     tokens = TOKEN_RE.findall(text.lower())
     key = _hash_key(cfg.seed)
     buckets, signs = [], []
@@ -156,7 +155,7 @@ def embed_texts(items, cfg: EmbedderConfig) -> EmbeddingMatrix:
     data = np.empty((len(items), cfg.dim), dtype=np.float32)
     slots: dict[str, tuple[int, float]] = {}
     for i, (_, text) in enumerate(items):
-        data[i] = embed_text(text, cfg, slots)
+        data[i] = embed_text(text, cfg, _slots=slots)
     return EmbeddingMatrix(ids=ids, data=data)
 
 
