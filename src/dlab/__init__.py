@@ -26,6 +26,7 @@ from .disclosure import (
     DisclosureSpan,
     HighLevelCategory,
     LowLevelCategory,
+    extract_corpus,
     extract_disclosures,
     matches_phrase_filter,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "embed_texts",
     "evaluate",
     "export_embeddings",
+    "extract_corpus",
     "extract_disclosures",
     "filter_annotators",
     "generate_population",

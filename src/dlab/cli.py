@@ -46,7 +46,7 @@ from .disclosure import (
     build_profiles,
     comment_profile,
     default_patterns,
-    extract_disclosures,
+    extract_corpus,
     ngram_stats,
     span_record,
     write_audit_file,
@@ -197,9 +197,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_extract(args) -> int:
     corpus = _load_comments(args.comments)
-    pats = _patterns(args)
-    spans = {cid: extract_disclosures(corpus.comments[cid], pats)
-             for cid in sorted(corpus.comments)}
+    spans = extract_corpus(corpus, _patterns(args))
     write_jsonl(args.spans_out, ({
         "comment_id": span.comment_id,
         "sentence_index": span.sentence_index,

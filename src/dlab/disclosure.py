@@ -191,35 +191,52 @@ def _as_comment(c: Comment | str) -> Comment:
     return c
 
 
-def extract_disclosures(c: Comment | str, patterns: PatternSet | None = None) -> list[DisclosureSpan]:
+def extract_disclosures(c: Comment | str, patterns: PatternSet | None = None, *,
+                        _memo: dict | None = None) -> list[DisclosureSpan]:
     """Run every category pattern over every sentence of a comment.
 
     Matching never crosses sentence boundaries (patterns are applied to the
     sentence slice), offsets are into the full comment text, and spans come
     back in document order. A sentence can emit several categories.
+
+    `_memo` maps a sentence text to the (category, start, end) of its
+    non-empty matches, offsets within the sentence. It holds the matches of
+    one pattern set, so it must be a fresh dict per pattern set; only
+    `extract_corpus` passes one.
     """
     comment = _as_comment(c)
     pats = patterns or default_patterns()
+    memo = {} if _memo is None else _memo
     out: list[DisclosureSpan] = []
     text = comment.text
     for sent_idx, (a, b) in enumerate(comment.sentence_spans()):
         sentence = text[a:b]
-        for cat in LowLevelCategory:
-            for m in pats.compiled[cat].finditer(sentence):
-                if m.start() == m.end():
-                    continue
-                out.append(
-                    DisclosureSpan(
-                        comment_id=comment.id,
-                        sentence_index=sent_idx,
-                        category=cat,
-                        start=a + m.start(),
-                        end=a + m.end(),
-                        matched_text=sentence[m.start():m.end()],
-                    )
-                )
+        found = memo.get(sentence)
+        if found is None:
+            found = memo[sentence] = tuple(
+                (cat, m.start(), m.end())
+                for cat, regex in pats.compiled.items()
+                for m in regex.finditer(sentence)
+                if m.start() != m.end()
+            )
+        out.extend(DisclosureSpan(comment.id, sent_idx, cat, a + start, a + end,
+                                  sentence[start:end])
+                   for cat, start, end in found)
     out.sort(key=lambda s: (s.start, s.end, _CATEGORY_ORDER[s.category]))
     return out
+
+
+def extract_corpus(corpus: Corpus,
+                   patterns: PatternSet | None = None) -> dict[str, list[DisclosureSpan]]:
+    """The disclosure spans of every comment, in sorted id order.
+
+    Each distinct sentence text is matched once per call; the memo is freed
+    when the call returns.
+    """
+    pats = patterns or default_patterns()
+    memo: dict = {}
+    return {cid: extract_disclosures(corpus.comments[cid], pats, _memo=memo)
+            for cid in sorted(corpus.comments)}
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +307,7 @@ def audit_sample(corpus: Corpus, group: HighLevelCategory | str, n: int,
     if n < 0:
         raise ValueError("sample size must be non-negative")
     group = _as_high_level(group)
-    pats = patterns or default_patterns()
-    spans = {cid: extract_disclosures(corpus.comments[cid], pats)
-             for cid in sorted(corpus.comments)}
+    spans = extract_corpus(corpus, patterns)
     candidates = [cid for cid, found in spans.items()
                   if any(s.high_level is group for s in found)]
     if not candidates:
@@ -365,12 +380,12 @@ def comment_profile(comment: Comment, spans: list[DisclosureSpan]) -> CategoryPr
 
 def build_profiles(corpus: Corpus,
                    patterns: PatternSet | None = None) -> dict[str, CategoryProfile]:
-    """Theory categories of every comment; attach_clusters adds cluster ids."""
-    pats = patterns or default_patterns()
-    return {
-        cid: comment_profile(corpus.comments[cid], extract_disclosures(corpus.comments[cid], pats))
-        for cid in sorted(corpus.comments)
-    }
+    """Theory categories of every comment; attach_clusters adds cluster ids.
+
+    Each distinct sentence text is matched once per call (`extract_corpus`).
+    """
+    return {cid: comment_profile(corpus.comments[cid], found)
+            for cid, found in extract_corpus(corpus, patterns).items()}
 
 
 def attach_clusters(profiles: dict[str, CategoryProfile],

@@ -1,20 +1,21 @@
-"""The memoised embedder, the batch cosine kernel, sampler, feature builder,
-trainer and scorer against the code they replaced.
+"""The memoised extractor and embedder, the batch cosine kernel, sampler,
+feature builder, trainer and scorer against the code they replaced.
 
-`embed_texts` hashes each distinct n-gram once per call and `embed_text`
+`extract_corpus` matches the category patterns once per distinct sentence
+text; `embed_texts` hashes each distinct n-gram once per call and `embed_text`
 accumulates a row with one `np.bincount`; `cosine_scores` scores a block of
 queries against a block of rows in one product; `sample_context` samples a
 whole partition in one call, scores each annotator's pool for all its posts
 at once and memoises each pair's cosine scores across conditions;
 `build_features` stores a partition's features once per distinct post and
 item sequence; `train` gathers each batch from that block; `predict` scores
-a partition's feature rows in one product. The per-gram embedder, the
-per-pair code, the dense feature matrix and the dense trainer they replaced
-are kept below as oracles, and the results must equal them exactly: the
-same embedding bits, the same score bits, the same context ids in the same
-order with the same similarity floats, feature rows equal element for
-element, the same weights, bias and losses bit for bit, and the same class
-for every row.
+a partition's feature rows in one product. The per-comment extractor, the
+per-gram embedder, the per-pair code, the dense feature matrix and the
+dense trainer they replaced are kept below as oracles, and the results must
+equal them exactly: the same spans, the same embedding bits, the same score
+bits, the same context ids in the same order with the same similarity
+floats, feature rows equal element for element, the same weights, bias and
+losses bit for bit, and the same class for every row.
 """
 import hashlib
 import math
@@ -27,7 +28,18 @@ from hypothesis import strategies as st
 
 import dlab.embed
 import dlab.sampler
-from dlab.disclosure import HighLevelCategory, attach_clusters, build_profiles
+from dlab.corpus import Comment, Corpus
+from dlab.disclosure import (
+    DisclosureSpan,
+    HighLevelCategory,
+    LowLevelCategory,
+    PatternSet,
+    attach_clusters,
+    build_profiles,
+    comment_profile,
+    default_patterns,
+    extract_corpus,
+)
 from dlab.embed import (
     TOKEN_RE,
     EmbedderConfig,
@@ -56,7 +68,33 @@ ECFG = EmbedderConfig(dim=64, ngram_range=(1, 2), seed=0)
 
 
 # ---------------------------------------------------------------------------
-# oracles: the per-pair code
+# oracles: the per-comment and per-pair code
+
+def oracle_extract_disclosures(comment, pats):
+    """One comment's spans: every category pattern run over every sentence,
+    with no memo."""
+    out = []
+    text = comment.text
+    for sent_idx, (a, b) in enumerate(comment.sentence_spans()):
+        sentence = text[a:b]
+        for cat in LowLevelCategory:
+            for m in pats.compiled[cat].finditer(sentence):
+                if m.start() == m.end():
+                    continue
+                out.append(DisclosureSpan(
+                    comment_id=comment.id, sentence_index=sent_idx, category=cat,
+                    start=a + m.start(), end=a + m.end(),
+                    matched_text=sentence[m.start():m.end()]))
+    order = {c: i for i, c in enumerate(LowLevelCategory)}
+    out.sort(key=lambda s: (s.start, s.end, order[s.category]))
+    return out
+
+
+def oracle_extract_corpus(corpus, pats):
+    """Every comment's spans, one fresh extraction per comment."""
+    return {cid: oracle_extract_disclosures(corpus.comments[cid], pats)
+            for cid in sorted(corpus.comments)}
+
 
 def oracle_embed_text(text, cfg):
     """One text's vector, one blake2b hash and one indexed add per n-gram
@@ -297,6 +335,70 @@ def configs():
     return [SamplerConfig(strategy=strategy, max_samples=3, seed=5, category_filter=filt)
             for strategy in STRATEGIES
             for filt in (FILTERS[1:] if strategy == "similar_comments" else []) + FILTERS[:1]]
+
+
+# ---------------------------------------------------------------------------
+# the extractor
+
+# sentences that carry one category, several overlapping ones, or none, with
+# and without their own end punctuation
+EXTRACT_SENTENCES = [
+    "I'm 23 and a nurse.", "Im 23 and most of my paycheck goes to textbooks.",
+    "My brother eats my leftovers!", "I think people should call first?",
+    "I have three old bikes", "24F here.", "NTA.", "Edit: I work as a night nurse",
+    "I like hiking, I love rain.", "i LIKE cats and I like dogs", "The elevator is broken.",
+    "I am a woman", "",
+]
+EXTRACT_SEPARATORS = [" ", "  ", "\n", "\n\n", "! ", "?! ", ""]
+
+
+def empty_matching_patterns():
+    """The default patterns with Hobby able to match the empty string."""
+    raw = dict(default_patterns().raw)
+    raw[LowLevelCategory.HOBBY] = "(?:I like)?"
+    return PatternSet.loads(PatternSet.dumps(raw))
+
+
+@st.composite
+def extract_corpus_strategy(draw):
+    """A corpus whose comments draw from a small pool of sentences, so one
+    sentence recurs at other offsets, in other comments and at other sentence
+    indices, after newline and !? boundaries."""
+    keys = draw(st.lists(st.integers(0, 99), unique=True, max_size=6))
+    sentence = st.tuples(st.sampled_from(EXTRACT_SENTENCES), st.sampled_from(EXTRACT_SEPARATORS))
+    comments = {}
+    for k in keys:
+        lead = draw(st.sampled_from(["", " ", "\n", "NTA. "]))
+        parts = draw(st.lists(sentence, max_size=6))
+        comments[f"c{k}"] = Comment(id=f"c{k}", author_id="a",
+                                    text=lead + "".join(s + sep for s, sep in parts))
+    return Corpus(posts={}, comments=comments, verdicts=[])
+
+
+def fresh_copy(corpus):
+    """The corpus with new Comment objects, so no sentence spans are cached."""
+    return Corpus(posts={}, verdicts=[], comments={
+        cid: Comment(id=c.id, author_id=c.author_id, text=c.text)
+        for cid, c in corpus.comments.items()})
+
+
+@pytest.mark.parametrize("patterns", [default_patterns, empty_matching_patterns],
+                         ids=["default", "empty-match"])
+@settings(max_examples=60, deadline=None)
+@given(corpus=extract_corpus_strategy())
+def test_extract_corpus_matches_per_comment_oracle(patterns, corpus):
+    pats = patterns()
+    want = oracle_extract_corpus(fresh_copy(corpus), pats)
+    got = extract_corpus(corpus, pats)
+    assert list(got) == sorted(corpus.comments)
+    # span equality compares comment id, sentence index, category, offsets
+    # and matched text
+    assert got == want
+    for cid, spans in got.items():
+        text = corpus.comments[cid].text
+        assert all(text[s.start:s.end] == s.matched_text != "" for s in spans)
+    assert build_profiles(fresh_copy(corpus), pats) == {
+        cid: comment_profile(corpus.comments[cid], spans) for cid, spans in want.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
-"""The package's import graph, read from the source of src/dlab."""
+"""The package's import graph, read from the source of src/dlab, and the
+imports that the test session's warning filters must let through."""
 import ast
+import importlib
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -29,3 +32,16 @@ def test_import_graph_has_no_cycle():
         list(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
+
+
+def test_hypothesis_failure_report_imports_under_warning_filters(monkeypatch):
+    # hypothesis imports hypothesis.extra._patching, and with it libcst, to
+    # report a falsifying example; a warning raised as an error there ends
+    # the whole session in an INTERNALERROR instead of one failed test.
+    # importorskip imports with warnings ignored, so the modules it loads are
+    # dropped and imported again under the session's filters.
+    pytest.importorskip("libcst")
+    for name in [m for m in sys.modules
+                 if m.split(".")[0] == "libcst" or m == "hypothesis.extra._patching"]:
+        monkeypatch.delitem(sys.modules, name)
+    importlib.import_module("hypothesis.extra._patching")

@@ -634,12 +634,11 @@ def test_cli_extract_runs_extraction_once_per_comment(tmp_path, corpus_files, mo
     calls = []
     extract = dlab.disclosure.extract_disclosures
 
-    def counted(comment, patterns=None):
+    def counted(comment, patterns=None, **kw):
         calls.append(comment.id)
-        return extract(comment, patterns)
+        return extract(comment, patterns, **kw)
 
     monkeypatch.setattr(dlab.disclosure, "extract_disclosures", counted)
-    monkeypatch.setattr(dlab.cli, "extract_disclosures", counted)
     assert main(["extract", "--comments", str(comments), "--spans-out", str(tmp_path / "s"),
                  "--profiles-out", str(tmp_path / "p")]) == 0
     assert calls == ["c1", "c2", "c3"]
