@@ -15,6 +15,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy imports its random module on first use; import it here, with the
+# rest of the program, rather than inside the first k-means call
+import numpy.random  # noqa: F401
 
 from .corpus import write_jsonl
 from .embed import EmbeddingMatrix, read_checksummed_text, write_checksummed_text

@@ -57,12 +57,12 @@ def segment_sentences(text: str) -> list[tuple[int, int]]:
     spans: list[tuple[int, int]] = []
 
     def push(a: int, b: int) -> None:
-        while a < b and text[a].isspace():
-            a += 1
-        while b > a and text[b - 1].isspace():
-            b -= 1
-        if a < b:
-            spans.append((a, b))
+        # str.strip trims exactly the characters str.isspace accepts
+        piece = text[a:b]
+        kept = piece.lstrip()
+        if kept:
+            a += len(piece) - len(kept)
+            spans.append((a, a + len(kept.rstrip())))
 
     pos = 0
     for m in _BOUNDARY_RE.finditer(text):

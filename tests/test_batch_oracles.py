@@ -1,21 +1,24 @@
-"""The memoised extractor and embedder, the batch cosine kernel, sampler,
-feature builder, trainer and scorer against the code they replaced.
+"""The sentence splitter, the memoised extractor and embedder, the batch
+cosine kernel, sampler, feature builder, trainer and scorer against the code
+they replaced.
 
-`extract_corpus` matches the category patterns once per distinct sentence
-text; `embed_texts` hashes each distinct n-gram once per call and `embed_text`
-accumulates a row with one `np.bincount`; `cosine_scores` scores a block of
-queries against a block of rows in one product; `sample_context` samples a
-whole partition in one call, scores each annotator's pool for all its posts
-at once and memoises each pair's cosine scores across conditions;
-`build_features` stores a partition's features once per distinct post and
-item sequence; `train` gathers each batch from that block; `predict` scores
-a partition's feature rows in one product. The per-comment extractor, the
-per-gram embedder, the per-pair code, the dense feature matrix and the
-dense trainer they replaced are kept below as oracles, and the results must
-equal them exactly: the same spans, the same embedding bits, the same score
-bits, the same context ids in the same order with the same similarity
-floats, feature rows equal element for element, the same weights, bias and
-losses bit for bit, and the same class for every row.
+`segment_sentences` trims each span with `str.strip` on the slice instead of
+one `isspace` test per character; `extract_corpus` matches the category
+patterns once per distinct sentence text; `embed_texts` hashes each distinct
+n-gram once per call and `embed_text` accumulates a row with one
+`np.bincount`; `cosine_scores` scores a block of queries against a block of
+rows in one product; `sample_context` samples a whole partition in one call,
+scores each annotator's pool for all its posts at once and memoises each
+pair's cosine scores across conditions; `build_features` stores a
+partition's features once per distinct post and item sequence; `train`
+gathers each batch from that block; `predict` scores a partition's feature
+rows in one product. The character-wise trim, the per-comment extractor, the
+per-gram embedder, the per-pair code, the dense feature matrix and the dense
+trainer they replaced are kept below as oracles, and the results must equal
+them exactly: the same spans, the same embedding bits, the same score bits,
+the same context ids in the same order with the same similarity floats,
+feature rows equal element for element, the same weights, bias and losses
+bit for bit, and the same class for every row.
 """
 import hashlib
 import math
@@ -28,7 +31,7 @@ from hypothesis import strategies as st
 
 import dlab.embed
 import dlab.sampler
-from dlab.corpus import Comment, Corpus
+from dlab.corpus import _BOUNDARY_RE, Comment, Corpus, segment_sentences
 from dlab.disclosure import (
     DisclosureSpan,
     HighLevelCategory,
@@ -69,6 +72,27 @@ ECFG = EmbedderConfig(dim=64, ngram_range=(1, 2), seed=0)
 
 # ---------------------------------------------------------------------------
 # oracles: the per-comment and per-pair code
+
+def oracle_segment_sentences(text):
+    """Sentence spans, each trimmed one `isspace` test per character."""
+    spans = []
+
+    def push(a, b):
+        while a < b and text[a].isspace():
+            a += 1
+        while b > a and text[b - 1].isspace():
+            b -= 1
+        if a < b:
+            spans.append((a, b))
+
+    pos = 0
+    for m in _BOUNDARY_RE.finditer(text):
+        end = m.start() if text[m.start()] in "\r\n" else m.end()
+        push(pos, end)
+        pos = m.end()
+    push(pos, len(text))
+    return spans
+
 
 def oracle_extract_disclosures(comment, pats):
     """One comment's spans: every category pattern run over every sentence,
@@ -350,6 +374,18 @@ EXTRACT_SENTENCES = [
     "I am a woman", "",
 ]
 EXTRACT_SEPARATORS = [" ", "  ", "\n", "\n\n", "! ", "?! ", ""]
+
+
+# terminators, newline runs, and whitespace that is not ASCII: the file and
+# unit separators, NEL, a thin space and the ideographic space
+SEGMENT_CHARS = list(".!?\r\n \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2009\u3000\xa0") + [
+    "a", "Z", "3", ".5", "é", "東"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(SEGMENT_CHARS), max_size=40).map("".join))
+def test_segment_sentences_matches_charwise_trim_oracle(text):
+    assert segment_sentences(text) == oracle_segment_sentences(text)
 
 
 def empty_matching_patterns():

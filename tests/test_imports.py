@@ -1,12 +1,17 @@
-"""The package's import graph, read from the source of src/dlab, and the
-imports that the test session's warning filters must let through."""
+"""The package's import graph, read from the source of src/dlab, the
+imports that the test session's warning filters must let through, and a
+run that must not import scipy."""
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
+
+from tests.test_pipeline_cli import SYNTH_INI
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dlab"
 
@@ -45,3 +50,25 @@ def test_hypothesis_failure_report_imports_under_warning_filters(monkeypatch):
                  if m.split(".")[0] == "libcst" or m == "hypothesis.extra._patching"]:
         monkeypatch.delitem(sys.modules, name)
     importlib.import_module("hypothesis.extra._patching")
+
+
+def test_package_and_a_run_need_no_scipy(tmp_path):
+    # scipy is a test dependency only; with sys.modules["scipy"] set to None
+    # any import of it, top-level or lazy, raises ImportError
+    ini = tmp_path / "run.ini"
+    ini.write_text(SYNTH_INI, encoding="utf-8")
+    script = f"""
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None
+import dlab
+for info in pkgutil.iter_modules(dlab.__path__):
+    importlib.import_module("dlab." + info.name)
+from dlab.pipeline import parse_config, run_pipeline
+rows = run_pipeline(parse_config({str(ini)!r}, {{"run.out": {str(tmp_path / "out")!r}}}))
+assert any(row["p_vs_baseline"] is not None for row in rows), rows
+"""
+    path = [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,9 +1,13 @@
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dlab.model
 from dlab.embed import EmbeddingMatrix
 from dlab.model import (
     LABELS,
@@ -21,6 +25,8 @@ from dlab.model import (
     save_model,
     significance_test,
     train,
+    _log_beta_half,
+    _student_t_two_sided,
 )
 from dlab.sampler import ContextItem, ContextSet
 
@@ -331,6 +337,79 @@ def test_significance_zero_variance_conventions():
     t, p = significance_test([0, 0], [1, 1])
     assert t == -math.inf and p == 0.0
     assert significance_test([1, 1], [1, 1]) == (0.0, 1.0)
+
+
+# the two-sided tail in closed form, written without cancellation: Cauchy's
+# 1 - 2/π atan(t) at df = 1, and 1 - t/s with s = sqrt(2+t²) at df = 2
+@pytest.mark.parametrize("t", [1e-8, 0.3, 1.0, 2.5, 12.0, 60.0, 1e6])
+def test_two_sided_tail_closed_forms(t):
+    s = math.sqrt(2.0 + t * t)
+    assert _student_t_two_sided(t, 1.0) == pytest.approx(2.0 / math.pi * math.atan(1.0 / t), rel=1e-12, abs=0.0)
+    assert _student_t_two_sided(-t, 2.0) == pytest.approx(2.0 / (s * (s + t)), rel=1e-12, abs=0.0)
+
+
+# log B(a, 1/2) from mpmath at 40 digits; the lgamma difference is off by
+# 2.4e-14 relative at a = 50 and by 1.4e-10 at a = 1e6
+@pytest.mark.parametrize("a, want", [
+    (3.0, 0.064538521137571171673), (50.0, -1.3811466014510411259),
+    (80.0, -1.6170858845842899801), (500.0, -2.5346891063280624009),
+    (5e4, -4.8375216992804415099), (1e6, -6.335390211057436965),
+])
+def test_log_beta_half_matches_mpmath(a, want):
+    assert _log_beta_half(a) == pytest.approx(want, rel=2e-15, abs=0.0)
+
+
+@pytest.fixture(scope="module")
+def stdtr():
+    return pytest.importorskip("scipy.special").stdtr
+
+
+def reference_two_sided(stdtr, t, df):
+    return min(1.0, max(0.0, 2.0 * float(stdtr(df, -abs(t)))))
+
+
+# no difference, then tails below the smallest normal float: 1.0e-313 at
+# t = 38 (mpmath), and one that underflows outright
+TAIL_EDGES = [(0.0, 1.0, 1.0), (0.0, 37.5, 1.0), (5e-324, 3.0, 1.0),
+              (38.0, 1e5, 0.0), (60.0, 1e5, 0.0)]
+
+
+@pytest.mark.parametrize("t, df, want", TAIL_EDGES)
+def test_two_sided_tail_edges(t, df, want):
+    assert _student_t_two_sided(t, df) == want
+
+
+@pytest.mark.parametrize("t, df", [(t, df) for t, df, _ in TAIL_EDGES] + [
+    (0.7, 1.0), (9.0, 1.0), (0.7, 2.0), (9.0, 2.0),
+    (-3.1, 17.25), (45.0, 400.0), (2.0, 1e5), (1.96, 1e6),
+])
+def test_two_sided_tail_edge_cases_match_scipy(stdtr, t, df):
+    assert format(_student_t_two_sided(t, df), ".6g") == format(reference_two_sided(stdtr, t, df), ".6g")
+
+
+# |t| starts at 1e-6: below about 1e-8 at df = 1, scipy's own tail reads
+# exactly 1.0; the closed-form test covers that range
+@settings(max_examples=400, deadline=None)
+@given(log_df=st.floats(0.0, math.log(1e5)),
+       t=st.one_of(st.just(0.0), st.floats(1e-6, 60.0), st.floats(-60.0, -1e-6)))
+def test_two_sided_tail_matches_scipy(stdtr, log_df, t):
+    df = math.exp(log_df)
+    p = _student_t_two_sided(t, df)
+    want = reference_two_sided(stdtr, t, df)
+    if want < sys.float_info.min:
+        # scipy reads most such tails as 0 and leaves some subnormal
+        assert p == 0.0
+        return
+    assert abs(p - want) <= 1e-10 * want
+    # the printed p agrees, unless a .6g rounding boundary lies inside the gap
+    assert format(want, ".6g") in {format(p * (1.0 - 1e-10), ".6g"),
+                                   format(p * (1.0 + 1e-10), ".6g")}
+
+
+def test_two_sided_tail_raises_when_the_fraction_does_not_converge(monkeypatch):
+    monkeypatch.setattr(dlab.model, "_FRACTION_MAX_TERMS", 3)
+    with pytest.raises(ArithmeticError):
+        _student_t_two_sided(1.8, 1e5)
 
 
 def test_significance_needs_two_per_side():
