@@ -149,14 +149,19 @@ def _patterns(args) -> PatternSet:
     return default_patterns()
 
 
-def _profiles(args, corpus: Corpus) -> dict:
+def _cluster_model(args):
+    """The --cluster-model, or None when none is given."""
+    if not args.cluster_model:
+        return None
+    _require_files(args.cluster_model)
+    return load_cluster_model(args.cluster_model)
+
+
+def _profiles(args, corpus: Corpus, model) -> dict:
     """Theory profiles of the corpus comments, with the cluster ids of
-    --cluster-model when one is given."""
+    `model` when there is one."""
     profiles = build_profiles(corpus, _patterns(args))
-    if args.cluster_model:
-        _require_files(args.cluster_model)
-        profiles = attach_clusters(profiles, load_cluster_model(args.cluster_model).assignment)
-    return profiles
+    return attach_clusters(profiles, model.assignment) if model else profiles
 
 
 def _embed_cfg(args) -> EmbedderConfig:
@@ -247,17 +252,20 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    model = _cluster_model(args)
+    try:
+        filters = CategoryFilter.parse(args.category, model.k if model else None)
+    except ValueError as exc:
+        raise UsageError(f"--category: {exc}")
+    if len(filters) != 1:
+        raise UsageError(f"--category {args.category!r} stands for {len(filters)} "
+                         "categories; give one")
+    sampler_cfg = SamplerConfig(strategy=args.strategy, max_samples=args.max_samples,
+                                category_filter=filters[0], seed=args.seed)
     corpus = _load_corpus(args)
-    profiles = _profiles(args, corpus)
+    profiles = _profiles(args, corpus, model)
     cfg = _embed_cfg(args)
     matrix = embed_corpus(corpus, cfg)
-    sampler_cfg = SamplerConfig(
-        strategy=args.strategy,
-        max_samples=args.max_samples,
-        category_filter=(CategoryFilter.parse(args.category)
-                         if args.category not in (None, "none") else None),
-        seed=args.seed,
-    )
     sentences = embed_sentences(corpus, cfg) if args.strategy in SENTENCE_STRATEGIES else None
     contexts = sample_context([(v.annotator_id, v.post_id) for v in corpus.verdicts],
                               corpus, matrix, profiles, cfg=sampler_cfg, sentences=sentences)
@@ -289,15 +297,15 @@ def _features_for(args, corpus, indices):
 
 
 def _cmd_train(args) -> int:
-    corpus = _load_corpus(args)
-    _require_files(args.contexts, args.split)
-    split = load_split(args.split)
-    features, y = _features_for(args, corpus, split.indices("train"))
     tc = TrainConfig(
         epochs=args.epochs, learning_rate=args.learning_rate,
         focal_gamma=args.focal_gamma, focal_alpha=args.focal_alpha,
         batch_size=args.batch_size, seed=args.seed,
     )
+    corpus = _load_corpus(args)
+    _require_files(args.contexts, args.split)
+    split = load_split(args.split)
+    features, y = _features_for(args, corpus, split.indices("train"))
     params = train(features, y, tc)
     save_model(params, args.model_out)
     print(f"trained on {len(y)} examples; final loss "
@@ -332,7 +340,7 @@ def _cmd_analyze(args) -> int:
     if args.what == "coverage":
         _require_files(args.contexts, args.cluster_model)
         corpus = _load_comments(args.comments)
-        profiles = _profiles(args, corpus)
+        profiles = _profiles(args, corpus, _cluster_model(args))
         contexts = load_contexts(args.contexts, corpus)
         table = category_coverage(contexts, profiles)
         write_tsv(args.out, [
@@ -485,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns")
     p.add_argument("--strategy", choices=STRATEGIES, required=True)
     p.add_argument("--max-samples", type=positive_int, required=True)
-    p.add_argument("--category")
+    p.add_argument("--category", default="none")
     p.add_argument("--cluster-model")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -578,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--print-effective-config", action="store_true")
     p.set_defaults(func=_cmd_run)
 

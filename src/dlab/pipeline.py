@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import configparser
 import json
-import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -23,10 +22,10 @@ import numpy as np
 from . import __version__
 from .cluster import ClusterModel, kmeans, truncated_svd
 from .corpus import (MAX_COMMENTS, MIN_COMMENTS, SPLIT_KINDS, SPLIT_RATIOS, Corpus,
-                     filter_annotators, ingest_corpus, make_split, save_split,
+                     CorpusError, filter_annotators, ingest_corpus, make_split, save_split,
                      validate_comment_bounds, validate_ratios, verify_split, write_json,
                      write_tsv)
-from .disclosure import CategoryProfile, HighLevelCategory, attach_clusters, build_profiles
+from .disclosure import CategoryProfile, attach_clusters, build_profiles
 from .embed import EmbedderConfig, EmbeddingMatrix, embed_texts, import_embeddings
 from .model import (TrainConfig, build_features, encode_labels, evaluate, significance_test,
                     train)
@@ -316,28 +315,12 @@ def build_conditions(cfg: ExperimentConfig) -> list[Condition]:
     """The baselines, then one grid cell with its sampler settings per
     strategy, sample size and category filter. A cell the sampler rejects
     raises ValueError; bad category tokens and duplicate names ConfigError."""
-    filters: list[CategoryFilter | None] = []
-    for token in cfg.categories:
-        if token == "none":
-            filters.append(None)
-        elif token == "theory:*":
-            filters.extend(CategoryFilter(theory=c) for c in HighLevelCategory)
-        elif token == "cluster:*":
-            if not cfg.cluster_enabled:
-                raise ConfigError("cluster:* requires [cluster] enabled")
-            filters.extend(CategoryFilter(cluster=i) for i in range(cfg.cluster_k))
-        else:
-            try:
-                filt = CategoryFilter.parse(token)
-            except ValueError as exc:
-                raise ConfigError(str(exc))
-            if filt.cluster is not None:
-                if not cfg.cluster_enabled:
-                    raise ConfigError(f"{token!r} requires [cluster] enabled")
-                if not 0 <= filt.cluster < cfg.cluster_k:
-                    raise ConfigError(
-                        f"cluster id {filt.cluster} out of range for k={cfg.cluster_k}")
-            filters.append(filt)
+    clusters = cfg.cluster_k if cfg.cluster_enabled else None
+    try:
+        filters = [filt for token in cfg.categories
+                   for filt in CategoryFilter.parse(token, clusters)]
+    except ValueError as exc:
+        raise ConfigError(f"[sampler] categories: {exc}")
 
     conditions = [Condition(name=b) for b in cfg.baselines]
     seed = derive_seed(cfg.seed, "sampler")
@@ -517,14 +500,14 @@ def cluster_comments(embeddings: EmbeddingMatrix, profiles: dict[str, CategoryPr
     return kmeans(reduced, k, seed=kmeans_seed), reduced
 
 
-def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> list[dict]:
+def run_pipeline(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Execute the configured experiment; returns the report rows.
 
-    Conditions are independent and may run in a process pool (workers > 1,
-    or the DLAB_WORKERS environment variable); results are merged in
-    configured order so parallel and sequential runs emit identical bytes.
-    The pool uses the platform's start method; where that is not fork, a
-    script must make a workers > 1 call under `if __name__ == "__main__":`.
+    Conditions are independent and may run in a process pool (workers > 1);
+    results are merged in configured order so parallel and sequential runs
+    emit identical bytes. The pool uses the platform's start method; where
+    that is not fork, a script must make a workers > 1 call under
+    `if __name__ == "__main__":`.
     """
     cfg.validate()
     outdir = Path(cfg.out)
@@ -564,8 +547,6 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> list[dict
     if cfg.save_contexts:
         (outdir / "contexts").mkdir(exist_ok=True)
 
-    if workers is None:
-        workers = int(os.environ.get("DLAB_WORKERS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(state,)) as pool:
@@ -615,6 +596,10 @@ def _run_condition_global(condition: Condition) -> dict:
 # ---------------------------------------------------------------------------
 # report output
 
+REPORT_COLUMNS = ("condition", "n_train", "n_test", "five_plus_pct", "accuracy", "macro_f1",
+                  "acc_runs", "f1_runs", "t_vs_baseline", "p_vs_baseline")
+
+
 def _fmt(value, spec: str = ".6f") -> str:
     if value is None:
         return ""
@@ -625,8 +610,7 @@ def write_report_tsv(rows: list[dict], cfg: ExperimentConfig, path) -> None:
     """Condition rows with pinned formatting and embedded provenance."""
     lines = [[f"# dlab {__version__} report"]]
     lines += [[f"# {cfg_line}"] for cfg_line in effective_config_text(cfg).strip().split("\n")]
-    lines.append(["condition", "n_train", "n_test", "five_plus_pct", "accuracy",
-                  "macro_f1", "acc_runs", "f1_runs", "t_vs_baseline", "p_vs_baseline"])
+    lines.append(REPORT_COLUMNS)
     for row in rows:
         lines.append([
             row["condition"],
@@ -644,15 +628,16 @@ def write_report_tsv(rows: list[dict], cfg: ExperimentConfig, path) -> None:
 
 
 def read_report_tsv(path) -> list[dict]:
-    rows = []
+    """The rows of a report as strings keyed by REPORT_COLUMNS; a file with
+    another header, or a row with another field count, is a CorpusError."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    data = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not data:
-        return rows
-    header = data[0].split("\t")
-    for ln in data[1:]:
-        rows.append(dict(zip(header, ln.split("\t"))))
-    return rows
+    data = [(n, ln.split("\t")) for n, ln in enumerate(lines, 1) if ln and not ln.startswith("#")]
+    if not data or tuple(data[0][1]) != REPORT_COLUMNS:
+        raise CorpusError(f"{path}: report header is not {' '.join(REPORT_COLUMNS)}")
+    for n, fields in data[1:]:
+        if len(fields) != len(REPORT_COLUMNS):
+            raise CorpusError(f"{path} line {n}: {len(fields)} fields, not {len(REPORT_COLUMNS)}")
+    return [dict(zip(REPORT_COLUMNS, fields)) for _, fields in data[1:]]
 
 
 def merge_reports(paths, layout: str, out_path) -> None:

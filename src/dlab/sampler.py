@@ -54,20 +54,27 @@ class CategoryFilter:
         return f"cluster:{self.cluster}"
 
     @classmethod
-    def parse(cls, token: str) -> "CategoryFilter":
-        """Inverse of label(): 'theory:<Category>' or 'cluster:<id>'."""
+    def parse(cls, token: str, clusters: int | None) -> list["CategoryFilter | None"]:
+        """The filters a category token stands for: [None] for 'none', the
+        filter whose label() it is, or its whole family for 'theory:*' and
+        'cluster:*'. `clusters` is the number of clusters the profiles carry,
+        None when they carry none."""
+        if token == "none":
+            return [None]
         family, _, value = token.partition(":")
         if family == "theory":
-            try:
-                return cls(theory=HighLevelCategory(value))
-            except ValueError:
-                raise ValueError(f"unknown theory category {value!r}")
-        if family == "cluster":
-            try:
-                return cls(cluster=int(value))
-            except ValueError:
-                raise ValueError(f"cluster id must be an integer, got {value!r}")
-        raise ValueError(f"bad category token {token!r}")
+            filters = [cls(theory=c) for c in HighLevelCategory]
+        elif family == "cluster" and clusters is not None:
+            filters = [cls(cluster=i) for i in range(clusters)]
+        elif family == "cluster":
+            raise ValueError(f"{token!r} filters by cluster, but there are no clusters")
+        else:
+            raise ValueError(f"bad category token {token!r}")
+        chosen = [f for f in filters if token in (f"{family}:*", f.label())]
+        if not chosen:
+            raise ValueError(f"unknown theory category {value!r}" if family == "theory" else
+                             f"cluster id {value!r} out of range for k={clusters}")
+        return chosen
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ import pytest
 import dlab.cli
 import dlab.disclosure
 from dlab.cli import main
-from dlab.corpus import ingest_corpus
+from dlab.cluster import ClusterModel, save_cluster_model
+from dlab.corpus import CorpusError, ingest_corpus
 from dlab.embed import EmbeddingMatrix, cosine_similarity, embed_text, export_embeddings
 from dlab.pipeline import (
     CONFIG_KEYS,
@@ -19,6 +20,7 @@ from dlab.pipeline import (
     ExperimentConfig,
     build_conditions,
     effective_config_text,
+    embed_corpus,
     merge_reports,
     parse_config,
     read_report_tsv,
@@ -335,6 +337,67 @@ def test_build_conditions_cluster_rules():
     assert names[1:] == [f"similar_comments-k5-cluster:{i}" for i in range(3)]
 
 
+# each token's verdict from `dlab run` with [cluster] k = 3 and with
+# clustering off; `dlab sample` gives the same one with a k = 3 cluster model
+# and with none, except that it takes one category and so no wildcard
+CATEGORY_TOKENS = {
+    "none": (True, True),
+    "theory:Demographics": (True, True),
+    "theory:*": (True, True),
+    "theory:Nope": (False, False),
+    "cluster:0": (True, False),
+    "cluster:2": (True, False),
+    "cluster:3": (False, False),
+    "cluster:9": (False, False),
+    "cluster:*": (True, False),
+    "cluster:x": (False, False),
+    "bogus": (False, False),
+}
+
+
+@pytest.fixture(scope="module")
+def sample_inputs(tmp_path_factory):
+    """A tiny corpus on disk and a k = 3 cluster model over its comments."""
+    root = tmp_path_factory.mktemp("sample")
+    spec = PopulationSpec(n_annotators=3, n_posts=4, comments_per_annotator=(3, 3),
+                          verdicts_per_annotator=(2, 2), seed=4)
+    corpus, truth = generate_population(spec)
+    paths = write_population(corpus, truth, root / "data")
+    eligible = [cid for cid, prof in sorted(dlab.disclosure.build_profiles(corpus).items())
+                if prof.passes_phrase_filter]
+    model = root / "k3.model"
+    save_cluster_model(ClusterModel(k=3, centroids=np.zeros((3, 4)), inertia=0.0, seed=0,
+                                    assignment={cid: i % 3 for i, cid in enumerate(eligible)}),
+                       model)
+    flags = [arg for name in ("posts", "comments", "verdicts")
+             for arg in (f"--{name}", str(paths[name]))]
+    return root, flags, model
+
+
+@pytest.mark.parametrize("token", list(CATEGORY_TOKENS))
+def test_category_tokens_mean_the_same_to_run_and_sample(token, sample_inputs, capsys):
+    root, corpus_flags, model = sample_inputs
+    expected = CATEGORY_TOKENS[token]
+    for clusters, accepted in zip((3, None), expected):
+        cfg = ExperimentConfig(corpus_paths=("p", "c", "v"), categories=(token,),
+                               cluster_enabled=clusters is not None, cluster_k=clusters or 10)
+        try:
+            build_conditions(cfg)
+        except ConfigError:
+            assert not accepted
+        else:
+            assert accepted
+        out = root / f"{token.replace(':', '_').replace('*', 'all')}-{clusters}.jsonl"
+        code = main(["sample", *corpus_flags, "--dim", "64", "--strategy", "similar_comments",
+                     "--max-samples", "3", "--category", token, "--out", str(out),
+                     *(["--cluster-model", str(model)] if clusters else [])])
+        if accepted and not token.endswith(":*"):
+            assert code == 0 and out.is_file()
+        else:
+            assert code == 1 and not out.exists()
+            assert "--category" in capsys.readouterr().err
+
+
 def test_build_conditions_duplicates_rejected():
     cfg = ExperimentConfig(
         corpus_paths=("p", "c", "v"),
@@ -479,6 +542,29 @@ def test_pipeline_report_roundtrip(synth_run):
     assert parsed[0]["t_vs_baseline"] == ""
 
 
+def test_pipeline_embx_run_matches_hashed_run(synth_run, tmp_path):
+    # vectors exported from the hashed embedder and read back through
+    # [embed] embx give the run the same rows, so the same artifacts
+    ini, outdir, cfg, _ = synth_run
+    corpus, _ = ingest_corpus(*(outdir / "synth" / f"{n}.jsonl"
+                                for n in ("posts", "comments", "verdicts")))
+    embx = tmp_path / "vectors.embx"
+    export_embeddings(embed_corpus(corpus, cfg.embedder_config()), embx)
+    out = tmp_path / "out"
+    run_pipeline(parse_config(ini, {"run.out": str(out), "embed.embx": str(embx)}))
+
+    def files(root):
+        return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+                if p.is_file() and p.parent.name in ("contexts", root.name)
+                and p.name not in ("report.tsv", "effective.cfg")}
+
+    assert files(out) == files(outdir) and "split.jsonl" in files(out)
+    hashed, imported = (set((root / "report.tsv").read_text().splitlines())
+                        for root in (outdir, out))
+    assert hashed ^ imported == {"# embx_path = None", f"# embx_path = {embx}",
+                                 f"# out = {outdir}", f"# out = {out}"}
+
+
 def test_pipeline_corpus_path_route(tmp_path):
     spec = PopulationSpec(
         n_annotators=6, n_posts=15, comments_per_annotator=(4, 6),
@@ -568,6 +654,26 @@ def test_merge_reports_layouts(tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda lines: [ln.replace("\tfive_plus_pct", "").replace("\tmacro_f1", "")
+                    for ln in lines], "report header"),
+    (lambda lines: [ln for ln in lines if ln.startswith("#")], "report header"),
+    (lambda lines: lines[:-1] + [lines[-1] + "\textra"], r"a\.tsv line \d+: 11 fields, not 10"),
+], ids=["columns-missing", "no-header", "extra-field"])
+def test_report_of_another_shape_is_data_error(tmp_path, capsys, edit, message):
+    cfg = ExperimentConfig(corpus_paths=("p", "c", "v"))
+    report = tmp_path / "a.tsv"
+    _fake_report(report, cfg, [("no_comments", 0.60, 0.40), ("similar_comments-k1", 0.65, 0.45)])
+    assert [row["condition"] for row in read_report_tsv(report)] == [
+        "no_comments", "similar_comments-k1"]
+    report.write_text("\n".join(edit(report.read_text().splitlines())) + "\n")
+    out = tmp_path / "merged.tsv"
+    assert main(["report", "--layout", "category", "--out", str(out), str(report)]) == 2
+    assert f"{report}" in capsys.readouterr().err and not out.exists()
+    with pytest.raises(CorpusError, match=message):
+        read_report_tsv(report)
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -627,6 +733,23 @@ def test_cli_sample_and_train_sizes_below_bound_are_usage_errors(command, flag, 
               *argv, flag, value])
     assert exc.value.code == 1
     assert f"argument {flag}: must be >= {bound}, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cli_run_workers_below_one_is_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", "exp.ini", "--workers", value])
+    assert exc.value.code == 1
+    assert f"argument --workers: must be >= 1, got {value}" in capsys.readouterr().err
+
+
+def test_cli_train_checks_its_settings_before_reading_inputs(capsys):
+    # the inputs do not exist; the bad learning rate is reported first
+    code = main(["train", "--posts", "p", "--comments", "c", "--verdicts", "v",
+                 "--contexts", "x", "--split", "s", "--model-out", "m",
+                 "--learning-rate", "-1"])
+    err = capsys.readouterr().err
+    assert code == 1 and "learning_rate" in err and "input not found" not in err
 
 
 def test_cli_extract_runs_extraction_once_per_comment(tmp_path, corpus_files, monkeypatch):
