@@ -50,13 +50,14 @@ def truncated_svd(matrix: EmbeddingMatrix, target_dim: int, seed: int = 0,
     """
     if target_dim < 1:
         raise ValueError(f"target_dim must be >= 1, got {target_dim}")
-    n, d = matrix.data.shape
+    n, d = len(matrix), matrix.dim
     if target_dim > min(n, d):
         raise ValueError(f"target_dim {target_dim} exceeds min(n, d) = {min(n, d)}")
     rng = np.random.default_rng(seed)
-    A = matrix.data.astype(np.float64)
+    # the one dense copy of the rows, centered in place
+    A = matrix.take(range(n), dtype=np.float64)
     mean = A.mean(axis=0)
-    A = A - mean
+    A -= mean
 
     q = min(target_dim + _SVD_OVERSAMPLE, min(n, d))
     sketch = rng.standard_normal((d, q))
@@ -82,7 +83,7 @@ def truncated_svd(matrix: EmbeddingMatrix, target_dim: int, seed: int = 0,
         components[dead] = 0.0
 
     projected = (A @ components.T).astype(np.float32)
-    reduced = EmbeddingMatrix(ids=list(matrix.ids), data=projected)
+    reduced = EmbeddingMatrix.from_dense(list(matrix.ids), projected)
     if return_components:
         return reduced, components, mean
     return reduced
@@ -148,7 +149,7 @@ def kmeans(matrix: EmbeddingMatrix, k: int, seed: int = 0) -> ClusterModel:
     n = len(matrix)
     if not (1 <= k <= n):
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    data = matrix.data.astype(np.float64)
+    data = matrix.take(range(n), dtype=np.float64)
     rng = np.random.default_rng(seed)
     centroids = kmeans_plus_plus_init(data, k, rng)
 
@@ -209,8 +210,8 @@ def silhouette(matrix: EmbeddingMatrix, model: ClusterModel) -> SilhouetteReport
     if model.k < 2:
         raise ValueError("silhouette needs at least two clusters")
     ids = matrix.ids
-    data = matrix.data.astype(np.float64)
     n = len(ids)
+    data = matrix.take(range(n), dtype=np.float64)
     labels = np.array([model.assignment[rid] for rid in ids], dtype=np.int64)
     counts = np.bincount(labels, minlength=model.k)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import os
 import re
 import struct
 from dataclasses import dataclass, field
@@ -24,6 +25,9 @@ _HEADER = struct.Struct("<4sHIQ")  # magic, version, dim, rows
 _CHECKSUM_BYTES = 8
 # float64 values of one row chunk cosine_scores converts at a time (1 MB)
 _SCORE_CHUNK_FLOATS = 1 << 17
+# float32 bytes of one chunk of dense rows: embed_texts embeds into one, and
+# EMBX files are written and read in them
+_CHUNK_BYTES = 1 << 18
 
 
 class EmbxError(ValueError):
@@ -106,61 +110,137 @@ def _id_index(ids: list[str]) -> dict[str, int]:
 
 @dataclass
 class EmbeddingMatrix:
-    """Dense float32 matrix with aligned, unique string ids."""
+    """float32 rows with aligned, unique string ids, stored once as CSR.
+
+    Row i holds `values[indptr[i]:indptr[i + 1]]` at the ascending int32
+    columns `indices[indptr[i]:indptr[i + 1]]`, and +0.0 everywhere else;
+    `norms[i]` is the float64 norm of the dense row. Besides the ids, memory
+    is 8 bytes per stored entry plus 16 bytes per row, not 4 * dim bytes per
+    row. `take` is the one way to dense rows.
+    """
 
     ids: list[str]
-    data: np.ndarray
-    norms: np.ndarray = field(init=False, repr=False)
+    dim: int
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    norms: np.ndarray = field(repr=False)
     _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data, dtype=np.float32)
-        if self.data.ndim != 2:
-            raise ValueError(f"data must be 2-D, got shape {self.data.shape}")
-        if len(self.ids) != self.data.shape[0]:
-            raise ValueError(
-                f"{len(self.ids)} ids for {self.data.shape[0]} rows")
         self._index = _id_index(self.ids)
-        # one 1-D norm per row, as cosine_similarity takes it: the axis=1 form
-        # sums in another order and differs in the last bits
-        self.norms = np.array(
-            [np.linalg.norm(row.astype(np.float64)) for row in self.data], dtype=np.float64)
 
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
+    @classmethod
+    def from_dense(cls, ids, data) -> EmbeddingMatrix:
+        """The matrix of a dense (rows, dim) array, converted to float32."""
+        data = np.ascontiguousarray(data, dtype=np.float32)
+        if data.ndim != 2:
+            raise ValueError(f"data must be 2-D, got shape {data.shape}")
+        if len(ids) != data.shape[0]:
+            raise ValueError(f"{len(ids)} ids for {data.shape[0]} rows")
+        step = _chunk_rows(data.shape[1], len(data))
+        parts = [_sparse_rows(data[start:start + step]) for start in range(0, len(data), step)]
+        return _from_parts(list(ids), data.shape[1], parts, sum(part[1].size for part in parts))
 
     def __len__(self) -> int:
-        return self.data.shape[0]
+        return len(self.ids)
 
     def __contains__(self, rid: str) -> bool:
         return rid in self._index
 
     def row(self, rid: str) -> np.ndarray:
-        return self.data[self._index[rid]]
+        return self.take([self._index[rid]])[0]
 
     def row_index(self, rid: str) -> int:
         return self._index[rid]
+
+    def take(self, rows, dtype=np.float32) -> np.ndarray:
+        """A new dense (len(rows), dim) array of the given rows, in the given
+        order, repeats allowed. Each row is bit-equal to the float32 row it
+        was stored from; dtype=np.float64 converts it exactly."""
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        # entry j of the gather sits at its row's start plus j minus the
+        # gather position of that row's first entry
+        firsts = np.cumsum(counts) - counts
+        positions = np.arange(int(counts.sum())) + np.repeat(starts - firsts, counts)
+        out = np.zeros((rows.size, self.dim), dtype=dtype)
+        # one flat scatter: each entry's output row offset plus its column
+        targets = np.repeat(np.arange(rows.size) * self.dim, counts) + self.indices[positions]
+        out.reshape(-1)[targets] = self.values[positions]
+        return out
+
+
+def _chunk_rows(dim: int, rows: int) -> int:
+    """Rows per chunk of about _CHUNK_BYTES of float32 values."""
+    return max(1, _CHUNK_BYTES // (4 * dim)) if dim else max(1, rows)
+
+
+def _sparse_rows(chunk: np.ndarray) -> tuple:
+    """The set entries of a dense float32 (r, dim) chunk: each row's entry
+    count, the int32 columns and float32 values row after row, and each
+    row's norm.
+
+    An entry is set when any of its bits is, so a -0.0 is kept and
+    EmbeddingMatrix.take gives each row back bit for bit. Each norm is the
+    1-D norm of the dense row, as cosine_similarity takes it: the norm of
+    the set values alone, or the axis=1 form, sums in another order and
+    differs in the last bits.
+    """
+    flat = (chunk.view(np.int32) != 0).ravel().nonzero()[0]
+    rows, cols = np.divmod(flat, chunk.shape[1])
+    dense = chunk.astype(np.float64)[:, None, :]
+    # a stack of 1×d · d×1 products: numpy hands each to the BLAS dot that
+    # np.linalg.norm's x.dot(x) reaches, so each norm keeps its summation order
+    norms = np.sqrt(np.matmul(dense, dense.transpose(0, 2, 1))[:, 0, 0])
+    return (np.bincount(rows, minlength=len(chunk)), cols.astype(np.int32),
+            chunk.ravel()[flat], norms)
+
+
+def _from_parts(ids: list[str], dim: int, parts, nnz: int) -> EmbeddingMatrix:
+    """A matrix filled from the _sparse_rows parts of its row chunks, in
+    order, with nnz entries in all, into CSR arrays allocated once."""
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    indices = np.empty(nnz, dtype=np.int32)
+    values = np.empty(nnz, dtype=np.float32)
+    norms = np.empty(len(ids), dtype=np.float64)
+    start = 0
+    for counts, cols, chunk_values, chunk_norms in parts:
+        stop, lo = start + len(counts), indptr[start]
+        indices[lo:lo + cols.size] = cols
+        values[lo:lo + cols.size] = chunk_values
+        indptr[start + 1:stop + 1] = lo + np.cumsum(counts)
+        norms[start:stop] = chunk_norms
+        start = stop
+    return EmbeddingMatrix(ids, dim, indptr, indices, values, norms)
 
 
 def embed_texts(items, cfg: EmbedderConfig) -> EmbeddingMatrix:
     """Embed an iterable of (id, text) pairs into one matrix.
 
     A duplicate id fails before any text is embedded. Each distinct n-gram
-    is hashed once per call; the memo is freed when the call returns.
+    is hashed once per call; the memo is freed when the call returns. The
+    dense rows are kept in one reused chunk of about 256 KB until their set
+    entries are taken.
     """
     items = list(items)
     ids = [str(rid) for rid, _ in items]
     _id_index(ids)
-    data = np.empty((len(items), cfg.dim), dtype=np.float32)
     slots: dict[str, tuple[int, float]] = {}
-    for i, (_, text) in enumerate(items):
-        data[i] = embed_text(text, cfg, _slots=slots)
-    return EmbeddingMatrix(ids=ids, data=data)
+    step = _chunk_rows(cfg.dim, len(items))
+    buffer = np.empty((min(step, len(items)), cfg.dim), dtype=np.float32)
+    parts = []
+    for start in range(0, len(items), step):
+        chunk = buffer[:min(step, len(items) - start)]
+        for j, (_, text) in enumerate(items[start:start + step]):
+            chunk[j] = embed_text(text, cfg, _slots=slots)
+        parts.append(_sparse_rows(chunk))
+    return _from_parts(ids, cfg.dim, parts, sum(part[1].size for part in parts))
 
 
 def export_embeddings(matrix: EmbeddingMatrix, path) -> None:
-    """Write the EMBX binary format.
+    """Write the EMBX binary format, streamed in row chunks.
 
     Layout: magic "EMBX", u16 version, u32 dim, u64 rows (all little
     endian), float32 row-major payload, newline-terminated UTF-8 ids, and
@@ -169,48 +249,71 @@ def export_embeddings(matrix: EmbeddingMatrix, path) -> None:
     for rid in matrix.ids:
         if "\n" in rid or "\r" in rid:
             raise ValueError(f"id {rid!r} contains a newline")
-    buf = bytearray()
-    buf += _HEADER.pack(EMBX_MAGIC, EMBX_VERSION, matrix.dim, len(matrix))
-    buf += np.ascontiguousarray(matrix.data, dtype="<f4").tobytes()
-    for rid in matrix.ids:
-        buf += rid.encode("utf-8") + b"\n"
-    checksum = hashlib.blake2b(bytes(buf), digest_size=_CHECKSUM_BYTES).digest()
-    Path(path).write_bytes(bytes(buf) + checksum)
+    digest = hashlib.blake2b(digest_size=_CHECKSUM_BYTES)
+    step = _chunk_rows(matrix.dim, len(matrix))
+    with open(path, "wb") as out:
+        def write(part) -> None:
+            digest.update(part)
+            out.write(part)
+
+        write(_HEADER.pack(EMBX_MAGIC, EMBX_VERSION, matrix.dim, len(matrix)))
+        for start in range(0, len(matrix), step):
+            rows = range(start, min(start + step, len(matrix)))
+            write(matrix.take(rows).astype("<f4", copy=False))
+        write(b"".join(rid.encode("utf-8") + b"\n" for rid in matrix.ids))
+        out.write(digest.digest())
+
+
+def _read_row_chunks(stream, rows: int, dim: int):
+    """Read `rows` float32 rows of `dim` values in chunks: (raw bytes, (r, dim) array)."""
+    step = _chunk_rows(dim, rows)
+    for start in range(0, rows, step):
+        count = min(step, rows - start)
+        raw = stream.read(count * dim * 4)
+        yield raw, np.frombuffer(raw, dtype="<f4").reshape(count, dim)
 
 
 def import_embeddings(path) -> EmbeddingMatrix:
-    """Read an EMBX file; round-trips export_embeddings bit-exactly."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 4 or blob[:4] != EMBX_MAGIC:
-        raise EmbxMagicError(f"{path}: bad magic")
-    if len(blob) < _HEADER.size:
-        raise EmbxChecksumError(f"{path}: truncated header")
-    _, version, dim, rows = _HEADER.unpack_from(blob)
-    if version != EMBX_VERSION:
-        raise EmbxMagicError(f"{path}: unsupported version {version}")
-    float_bytes = rows * dim * 4
-    min_len = _HEADER.size + float_bytes + _CHECKSUM_BYTES
-    if len(blob) < min_len:
-        raise EmbxChecksumError(f"{path}: truncated file")
-    payload, checksum = blob[:-_CHECKSUM_BYTES], blob[-_CHECKSUM_BYTES:]
-    expected = hashlib.blake2b(payload, digest_size=_CHECKSUM_BYTES).digest()
-    if checksum != expected:
-        raise EmbxChecksumError(f"{path}: checksum mismatch")
-    data = np.frombuffer(
-        payload, dtype="<f4", count=rows * dim, offset=_HEADER.size
-    ).reshape(rows, dim).copy()
-    id_block = payload[_HEADER.size + float_bytes:]
-    if rows == 0:
-        ids = []
-        if id_block:
-            raise EmbxRowCountError(f"{path}: id block present for 0 rows")
-    else:
-        if not id_block.endswith(b"\n"):
-            raise EmbxRowCountError(f"{path}: id block not newline-terminated")
-        ids = id_block[:-1].decode("utf-8").split("\n")
-    if len(ids) != rows:
-        raise EmbxRowCountError(f"{path}: header says {rows} rows, id block has {len(ids)}")
-    return EmbeddingMatrix(ids=ids, data=data)
+    """Read an EMBX file; round-trips export_embeddings bit-exactly.
+
+    Two streamed passes in row chunks: the first checks the checksum and
+    counts the set entries, the second fills the CSR arrays.
+    """
+    with open(path, "rb") as stream:
+        size = os.fstat(stream.fileno()).st_size
+        head = stream.read(_HEADER.size)
+        if len(head) < 4 or head[:4] != EMBX_MAGIC:
+            raise EmbxMagicError(f"{path}: bad magic")
+        if len(head) < _HEADER.size:
+            raise EmbxChecksumError(f"{path}: truncated header")
+        _, version, dim, rows = _HEADER.unpack(head)
+        if version != EMBX_VERSION:
+            raise EmbxMagicError(f"{path}: unsupported version {version}")
+        float_bytes = rows * dim * 4
+        if size < _HEADER.size + float_bytes + _CHECKSUM_BYTES:
+            raise EmbxChecksumError(f"{path}: truncated file")
+        digest = hashlib.blake2b(head, digest_size=_CHECKSUM_BYTES)
+        nnz = 0
+        for raw, chunk in _read_row_chunks(stream, rows, dim):
+            digest.update(raw)
+            nnz += int(np.count_nonzero(chunk.view("<i4")))
+        id_block = stream.read(size - _HEADER.size - float_bytes - _CHECKSUM_BYTES)
+        digest.update(id_block)
+        if stream.read() != digest.digest():
+            raise EmbxChecksumError(f"{path}: checksum mismatch")
+        if rows == 0:
+            ids = []
+            if id_block:
+                raise EmbxRowCountError(f"{path}: id block present for 0 rows")
+        else:
+            if not id_block.endswith(b"\n"):
+                raise EmbxRowCountError(f"{path}: id block not newline-terminated")
+            ids = id_block[:-1].decode("utf-8").split("\n")
+        if len(ids) != rows:
+            raise EmbxRowCountError(f"{path}: header says {rows} rows, id block has {len(ids)}")
+        stream.seek(_HEADER.size)
+        parts = (_sparse_rows(chunk) for _, chunk in _read_row_chunks(stream, rows, dim))
+        return _from_parts(ids, dim, parts, nnz)
 
 
 def text_checksum(body: str) -> str:
@@ -310,5 +413,9 @@ def top_k_similar(query: np.ndarray, matrix: EmbeddingMatrix, k: int,
     exclude = exclude or frozenset()
     keep = [i for i, rid in enumerate(matrix.ids) if rid not in exclude]
     ids = [matrix.ids[i] for i in keep]
-    scores = cosine_scores(query[None, :], matrix.data[keep], matrix.norms[keep])[0]
+    # scored in row chunks, so that no dense copy of the whole matrix is made
+    step = max(1, _SCORE_CHUNK_FLOATS // matrix.dim)
+    scores = np.concatenate([np.empty(0)] + [
+        cosine_scores(query[None, :], matrix.take(chunk), matrix.norms[chunk])[0]
+        for chunk in (keep[start:start + step] for start in range(0, len(keep), step))])
     return [(ids[i], score) for i, score in rank_scores(scores, ids, k)]

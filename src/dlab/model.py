@@ -122,11 +122,11 @@ def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
         index.append((posts[ctx.post_id], half))
 
     block = np.zeros((1 + len(posts) + len(firsts), d))
-    block[1:1 + len(posts)] = embeddings.data[post_rows]
+    block[1:1 + len(posts)] = embeddings.take(post_rows)
     for half, ctx in enumerate(firsts, start=1 + len(posts)):
-        stacked = np.empty((len(ctx.items), d))
+        cols, values = [], []
         all_unit = True
-        for j, item in enumerate(ctx.items):
+        for item in ctx.items:
             matrix, key = ((embeddings, item.source_comment_id) if item.unit == "comment"
                            else (sentences, item.text))
             if matrix is None or key not in matrix:
@@ -135,9 +135,15 @@ def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
             if matrix.dim != d:
                 raise ValueError(f"context dim {matrix.dim} != post dim {d}")
             row = matrix.row_index(key)
-            stacked[j] = matrix.data[row]
+            lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
+            cols.append(matrix.indices[lo:hi])
+            values.append(matrix.values[lo:hi])
             all_unit = all_unit and abs(matrix.norms[row] - 1.0) <= 1e-3
-        mean = stacked.mean(axis=0)
+        # each column's stored values summed in item order from +0.0, as the
+        # dense rows' mean(axis=0) sums them: adding their +0.0 entries
+        # changes no partial sum, which is never -0.0
+        mean = np.bincount(np.concatenate(cols), weights=np.concatenate(values),
+                           minlength=d) / len(ctx.items)
         mean_norm = float(np.linalg.norm(mean))
         if all_unit and mean_norm > 0.0:
             mean = mean / mean_norm

@@ -491,10 +491,8 @@ def cluster_comments(embeddings: EmbeddingMatrix, profiles: dict[str, CategoryPr
     eligible = [cid for cid in sorted(profiles) if profiles[cid].passes_phrase_filter]
     if len(eligible) < k:
         raise ConfigError(f"only {len(eligible)} phrase-filtered comments for k={k}")
-    sub = EmbeddingMatrix(
-        ids=eligible,
-        data=np.vstack([embeddings.row(cid) for cid in eligible]),
-    )
+    sub = EmbeddingMatrix.from_dense(
+        eligible, embeddings.take([embeddings.row_index(cid) for cid in eligible]))
     target = min(reduce_dim, len(eligible), sub.dim)
     reduced = truncated_svd(sub, target, seed=svd_seed)
     return kmeans(reduced, k, seed=kmeans_seed), reduced

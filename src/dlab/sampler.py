@@ -196,8 +196,8 @@ def sample_context(pairs, corpus: Corpus,
     for annotator_id, posts in unscored.items():
         rows = [matrix.row_index(text if unit == "sentence" else cid)
                 for cid, _, text in pools[annotator_id][0]]
-        queries = embeddings.data[[embeddings.row_index(post_id) for post_id in posts]]
-        block = cosine_scores(queries, matrix.data[rows], matrix.norms[rows])
+        queries = embeddings.take([embeddings.row_index(post_id) for post_id in posts])
+        block = cosine_scores(queries, matrix.take(rows), matrix.norms[rows])
         for post_id, row in zip(posts, block):
             scores[(unit, annotator_id, post_id)] = row
 

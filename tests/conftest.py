@@ -61,3 +61,8 @@ def corpus_files(tmp_path):
     for path, recs in zip(paths, (posts, comments, verdicts)):
         write_jsonl(path, recs)
     return paths
+
+
+def dense(matrix):
+    """Every row of an EmbeddingMatrix as one dense float32 array."""
+    return matrix.take(range(len(matrix)))

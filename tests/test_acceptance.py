@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import dense
 from test_disclosure import GOLDEN
 
 from dlab.cluster import kmeans, kmeans_plus_plus_init, silhouette, truncated_svd
@@ -192,7 +193,7 @@ def test_criterion_3_numerical_oracles():
         for center in (np.zeros(6), np.full(6, 4.0), np.full(6, -4.0),
                        np.array([4.0, -4.0, 4.0, -4.0, 4.0, -4.0]))
     ])
-    matrix = EmbeddingMatrix(ids=[f"r{i:02d}" for i in range(48)], data=blobs)
+    matrix = EmbeddingMatrix.from_dense([f"r{i:02d}" for i in range(48)], blobs)
     model = kmeans(matrix, k=4, seed=5)
     want_labels, want_inertia = lloyd_oracle(blobs.astype(np.float64), 4, seed=5)
     got_labels = np.array([model.assignment[rid] for rid in matrix.ids])
@@ -212,10 +213,10 @@ def test_criterion_3_numerical_oracles():
     rng = np.random.default_rng(11)
     rows = rng.normal(size=(40, 8))
     ids = [f"v{i:02d}" for i in range(40)]
-    ranked = EmbeddingMatrix(ids=ids, data=rows)
+    ranked = EmbeddingMatrix.from_dense(ids, rows)
     query = rng.normal(size=8)
     got = top_k_similar(query, ranked, k=7)
-    data64 = ranked.data.astype(np.float64)
+    data64 = dense(ranked).astype(np.float64)
     sims = data64 @ query / (np.linalg.norm(data64, axis=1) * np.linalg.norm(query))
     brute = sorted(zip(ids, np.clip(sims, -1.0, 1.0)), key=lambda p: (-p[1], p[0]))[:7]
     assert [rid for rid, _ in got] == [rid for rid, _ in brute]
@@ -226,10 +227,11 @@ def test_criterion_3_numerical_oracles():
     # covers the full 10-dim row space here, so agreement is tight
     rng = np.random.default_rng(13)
     wide = rng.normal(size=(30, 10))
-    svd_matrix = EmbeddingMatrix(ids=[f"s{i:02d}" for i in range(30)], data=wide)
+    svd_matrix = EmbeddingMatrix.from_dense([f"s{i:02d}" for i in range(30)], wide)
     reduced = truncated_svd(svd_matrix, target_dim=4, seed=3)
-    captured = float((reduced.data.astype(np.float64) ** 2).sum())
-    centered = svd_matrix.data.astype(np.float64) - svd_matrix.data.astype(np.float64).mean(axis=0)
+    captured = float((dense(reduced).astype(np.float64) ** 2).sum())
+    wide64 = dense(svd_matrix).astype(np.float64)
+    centered = wide64 - wide64.mean(axis=0)
     singulars = np.linalg.svd(centered, compute_uv=False)
     want_captured = float((singulars[:4] ** 2).sum())
     assert captured == pytest.approx(want_captured, rel=1e-4)
@@ -396,14 +398,14 @@ def test_criterion_6_determinism(tmp_path):
 
     # embedding container round-trips bit-exactly
     rng = np.random.default_rng(21)
-    matrix = EmbeddingMatrix(ids=[f"e{i}" for i in range(17)],
-                             data=rng.normal(size=(17, 12)).astype(np.float32))
+    matrix = EmbeddingMatrix.from_dense([f"e{i}" for i in range(17)],
+                                        rng.normal(size=(17, 12)).astype(np.float32))
     path = tmp_path / "round.embx"
     export_embeddings(matrix, path)
     loaded = import_embeddings(path)
     assert loaded.ids == matrix.ids
-    assert loaded.data.dtype == matrix.data.dtype
-    assert np.array_equal(loaded.data, matrix.data)
+    assert dense(loaded).dtype == dense(matrix).dtype
+    assert np.array_equal(dense(loaded), dense(matrix))
     second_path = tmp_path / "round2.embx"
     export_embeddings(loaded, second_path)
     assert second_path.read_bytes() == path.read_bytes()

@@ -6,19 +6,22 @@ they replaced.
 one `isspace` test per character; `extract_corpus` matches the category
 patterns once per distinct sentence text; `embed_texts` hashes each distinct
 n-gram once per call and `embed_text` accumulates a row with one
-`np.bincount`; `cosine_scores` scores a block of queries against a block of
-rows in one product; `sample_context` samples a whole partition in one call,
-scores each annotator's pool for all its posts at once and memoises each
-pair's cosine scores across conditions; `build_features` stores a
-partition's features once per distinct post and item sequence; `train`
-gathers each batch from that block; `predict` scores a partition's feature
-rows in one product. The character-wise trim, the per-comment extractor, the
-per-gram embedder, the per-pair code, the dense feature matrix and the dense
+`np.bincount`; `EmbeddingMatrix` stores rows as CSR and `take` gathers dense
+ones; `cosine_scores` scores a block of queries against a block of rows in
+one product; `sample_context` samples a whole partition in one call, scores
+each annotator's pool for all its posts at once and memoises each pair's
+cosine scores across conditions; `build_features` stores a partition's
+features once per distinct post and item sequence and sums each context
+mean from the items' stored entries; `train` gathers each batch from that
+block; `predict` scores a partition's feature rows in one product. The
+character-wise trim, the per-comment extractor, the per-gram embedder, the
+dense row array, the per-pair code, the dense feature matrix and the dense
 trainer they replaced are kept below as oracles, and the results must equal
-them exactly: the same spans, the same embedding bits, the same score bits,
-the same context ids in the same order with the same similarity floats,
-feature rows equal element for element, the same weights, bias and losses
-bit for bit, and the same class for every row.
+them exactly: the same spans, the same embedding bits, the same rows and
+norms bit for bit, the same score bits, the same context ids in the same
+order with the same similarity floats, feature rows equal element for
+element, the same weights, bias and losses bit for bit, and the same class
+for every row.
 """
 import hashlib
 import math
@@ -28,6 +31,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import dense
 
 import dlab.embed
 import dlab.sampler
@@ -181,7 +185,7 @@ def oracle_sample_context(annotator_id, post_id, corpus, embeddings, profiles, c
             matrix, row_ids = ((sentences, [text for _, _, text in units]) if unit == "sentence"
                                else (embeddings, candidates))
             rows = [matrix.row_index(rid) for rid in row_ids]
-            scores = oracle_cosine_scores(embeddings.row(post_id), matrix.data[rows],
+            scores = oracle_cosine_scores(embeddings.row(post_id), matrix.take(rows),
                                           matrix.norms[rows]).tolist()
             keys = [(cid, text) for cid, _, text in units]
             ranked = sorted(range(len(units)), key=lambda i: (-scores[i], keys[i]))
@@ -222,7 +226,7 @@ def oracle_dense_features(contexts, embeddings, sentences=None):
     build_features returned it before it stored each distinct half once."""
     d = embeddings.dim
     X = np.zeros((len(contexts), 2 * d))
-    X[:, :d] = embeddings.data[[embeddings.row_index(ctx.post_id) for ctx in contexts]]
+    X[:, :d] = embeddings.take([embeddings.row_index(ctx.post_id) for ctx in contexts])
     for i, ctx in enumerate(contexts):
         if not ctx.items:
             continue
@@ -232,7 +236,7 @@ def oracle_dense_features(contexts, embeddings, sentences=None):
             matrix, key = ((embeddings, item.source_comment_id) if item.unit == "comment"
                            else (sentences, item.text))
             row = matrix.row_index(key)
-            stacked[j] = matrix.data[row]
+            stacked[j] = matrix.take([row])[0]
             all_unit = all_unit and abs(matrix.norms[row] - 1.0) <= 1e-3
         mean = stacked.mean(axis=0)
         mean_norm = float(np.linalg.norm(mean))
@@ -334,7 +338,7 @@ def rescaled(matrix, scales):
     """The matrix with row i scaled by scales[i % len(scales)]: non-unit and
     all-zero rows."""
     factors = np.array([scales[i % len(scales)] for i in range(len(matrix))], dtype=np.float32)
-    return EmbeddingMatrix(ids=list(matrix.ids), data=matrix.data * factors[:, None])
+    return EmbeddingMatrix.from_dense(list(matrix.ids), dense(matrix) * factors[:, None])
 
 
 def randomized(matrix, seed):
@@ -342,9 +346,9 @@ def randomized(matrix, seed):
     float32 rows of like magnitude sum exactly in float64, in any order, but
     these do not, so a mean taken in another item order shows in its bits."""
     rng = np.random.default_rng(seed)
-    shape = matrix.data.shape
+    shape = (len(matrix), matrix.dim)
     data = rng.normal(size=shape) * np.exp2(rng.integers(-40, 41, size=shape))
-    return EmbeddingMatrix(ids=list(matrix.ids), data=data)
+    return EmbeddingMatrix.from_dense(list(matrix.ids), data)
 
 
 FILTERS = [None] + [CategoryFilter(theory=c) for c in HighLevelCategory] + \
@@ -464,12 +468,55 @@ def test_embed_rows_match_per_gram_oracle(ngram_range, dim, texts):
     matrix = embed_texts(items, cfg)
     # the same texts in reversed order fill the n-gram memo in another order
     backwards = embed_texts(items[::-1], cfg)
-    assert matrix.data.shape == (len(texts), dim)
+    assert dense(matrix).shape == (len(texts), dim)
     for rid, text in items:
         want = oracle_embed_text(text, cfg).view(np.int32)
         assert np.array_equal(matrix.row(rid).view(np.int32), want)
         assert np.array_equal(backwards.row(rid).view(np.int32), want)
         assert np.array_equal(embed_text(text, cfg).view(np.int32), want)
+        # the norm of the dense row
+        assert matrix.norms[matrix.row_index(rid)] == np.linalg.norm(
+            want.view(np.float32).astype(np.float64))
+
+
+# ---------------------------------------------------------------------------
+# the row store
+
+@st.composite
+def stored_rows(draw, dim):
+    """Dense float32 rows, all-zero ones among them: rows with a few entries
+    anywhere, -0.0, subnormals, infinities and NaN included, and rows of up
+    to 60 normal draws, whose norm sums in another order when the zeros are
+    left out; and a selection of them, empty, unsorted or repeating."""
+    rows = np.zeros((draw(st.integers(0, 6)), dim), dtype=np.float32)
+    for row in rows:
+        if draw(st.booleans()):
+            rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+            cols = rng.choice(dim, min(dim, draw(st.integers(0, 60))), replace=False)
+            row[cols] = rng.standard_normal(cols.size)
+        for col, value in draw(st.lists(st.tuples(st.integers(0, dim - 1), st.floats(width=32)),
+                                        max_size=12)):
+            row[col] = value
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), max_size=9)) if len(rows) else []
+    return rows, picks
+
+
+@pytest.mark.parametrize("dim", [8, 1024, 4096])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_take_matches_dense_oracle(dim, data):
+    rows, picks = data.draw(stored_rows(dim))
+    ids = [f"r{i}" for i in range(len(rows))]
+    matrix = EmbeddingMatrix.from_dense(ids, rows)
+    for selection in (picks, list(range(len(rows))), []):
+        got = matrix.take(selection)
+        assert got.dtype == np.float32 and got.shape == (len(selection), dim)
+        assert np.array_equal(got.view(np.int32), rows[selection].view(np.int32))
+        assert np.array_equal(matrix.take(selection, dtype=np.float64).view(np.int64),
+                              rows[selection].astype(np.float64).view(np.int64))
+    # each norm is the 1-D norm of the dense row
+    want = np.array([np.linalg.norm(row.astype(np.float64)) for row in rows], dtype=np.float64)
+    assert np.array_equal(matrix.norms.view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +541,7 @@ def test_cosine_scores_match_per_row_oracle(dim, chunk_rows, monkeypatch):
     # rows far from unit norm, in both directions
     rows[20:30] *= np.float32(1e20)
     rows[30:40] *= np.float32(1e-20)
-    norms = EmbeddingMatrix(ids=[f"r{i}" for i in range(n)], data=rows).norms
+    norms = EmbeddingMatrix.from_dense([f"r{i}" for i in range(n)], rows).norms
     queries = np.vstack([
         rng.standard_normal((3, dim)).astype(np.float32),
         np.zeros((1, dim), dtype=np.float32),  # a zero query
@@ -585,7 +632,7 @@ def test_grouped_memo_fill_matches_per_pair_oracle(world, monkeypatch):
             units, _ = annotator_pool(corpus, a, None, None, unit)
             rows = [matrix.row_index(text if unit == "sentence" else cid)
                     for cid, _, text in units]
-            assert same_bits(scores, oracle_cosine_scores(embeddings.row(p), matrix.data[rows],
+            assert same_bits(scores, oracle_cosine_scores(embeddings.row(p), matrix.take(rows),
                                                           matrix.norms[rows]))
 
 
@@ -634,6 +681,27 @@ def test_feature_matrix_matches_per_pair_oracle(world, scales):
         assert len(features.block) <= 1 + len({c.post_id for c in contexts}) + len(sequences)
     # one half-row per distinct post and per annotator's pool, not two per pair
     assert len(build_features(partitions[1], embeddings).block) < len(pairs)
+
+
+def test_feature_mean_sums_each_column_in_item_order():
+    # column 2 cancels: 1 - 1 + 2^-60 in item order, but 2^-60 - 1 + 1 = 0
+    # in reverse; column 5 stores -0.0 in every item, column 6 in two of three
+    d = 8
+    rows = np.zeros((4, d), dtype=np.float32)
+    rows[0] = 3.0  # the post
+    rows[1, [0, 2]] = 0.5, 1.0
+    rows[2, 2] = -1.0
+    rows[3, 2] = 2.0 ** -60
+    rows[1:4, 5] = -0.0
+    rows[[1, 3], 6] = -0.0
+    matrix = EmbeddingMatrix.from_dense(["p", "c1", "c2", "c3"], rows)
+    items = [ContextItem(cid, cid, None, "comment") for cid in ("c1", "c2", "c3")]
+    contexts = [ContextSet("a", "p", items), ContextSet("a", "p", items[::-1])]
+    X = build_features(contexts, matrix).rows()
+    assert same_bits(X, oracle_dense_features(contexts, matrix))
+    assert X[0, d + 2] == 2.0 ** -60 / 3 and X[1, d + 2] == 0.0
+    # the dense mean sums from +0.0, so a column of -0.0 entries averages to +0.0
+    assert not np.signbit(X[:, d + 5:d + 7]).any()
 
 
 # ---------------------------------------------------------------------------

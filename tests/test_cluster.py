@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import dense
 
 from dlab.cluster import (
     ClusterModel,
@@ -23,7 +24,7 @@ from dlab.embed import EmbeddingMatrix
 def random_matrix(n, d, seed):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((n, d)).astype(np.float32)
-    return EmbeddingMatrix(ids=[f"r{i:03d}" for i in range(n)], data=data)
+    return EmbeddingMatrix.from_dense([f"r{i:03d}" for i in range(n)], data)
 
 
 # ---------------------------------------------------------------------------
@@ -33,12 +34,12 @@ def test_svd_captured_variance_matches_dense_oracle():
     m = random_matrix(40, 20, seed=5)
     t = 5
     reduced = truncated_svd(m, t, seed=1)
-    captured = float((reduced.data.astype(np.float64) ** 2).sum())
-    A = m.data.astype(np.float64)
+    captured = float((dense(reduced).astype(np.float64) ** 2).sum())
+    A = dense(m).astype(np.float64)
     svals = np.linalg.svd(A - A.mean(axis=0), compute_uv=False)
     want = float((svals[:t] ** 2).sum())
     assert captured == pytest.approx(want, rel=1e-4)
-    assert reduced.ids == m.ids and reduced.data.shape == (40, t)
+    assert reduced.ids == m.ids and dense(reduced).shape == (40, t)
 
 
 def test_svd_components_orthonormal():
@@ -51,9 +52,9 @@ def test_svd_components_orthonormal():
 def test_svd_reconstructs_low_rank_data():
     rng = np.random.default_rng(3)
     data = (rng.standard_normal((25, 3)) @ rng.standard_normal((3, 10))).astype(np.float32)
-    m = EmbeddingMatrix(ids=[f"x{i}" for i in range(25)], data=data)
+    m = EmbeddingMatrix.from_dense([f"x{i}" for i in range(25)], data)
     reduced, components, mean = truncated_svd(m, 3, seed=2, return_components=True)
-    recon = reduced.data.astype(np.float64) @ components + mean
+    recon = dense(reduced).astype(np.float64) @ components + mean
     assert np.allclose(recon, data, atol=1e-5)
 
 
@@ -64,19 +65,19 @@ def test_svd_rank_deficient_pads_and_warns():
     col1 = np.arange(8, dtype=np.float64)
     col2 = np.array([3, -1, 4, -1, 5, -9, 2, 6], dtype=np.float64)
     data = (np.outer(a, col1) + np.outer(c, col2)).astype(np.float32)
-    m = EmbeddingMatrix(ids=[f"x{i}" for i in range(20)], data=data)
+    m = EmbeddingMatrix.from_dense([f"x{i}" for i in range(20)], data)
     with pytest.warns(UserWarning, match="rank"):
         reduced, components, _ = truncated_svd(m, 5, seed=0, return_components=True)
     assert not components[2:].any()
-    assert not reduced.data[:, 2:].any()
-    assert reduced.data[:, :2].any()
+    assert not dense(reduced)[:, 2:].any()
+    assert dense(reduced)[:, :2].any()
 
 
 def test_svd_deterministic_and_validated():
     m = random_matrix(16, 10, seed=8)
     a = truncated_svd(m, 3, seed=5)
     b = truncated_svd(m, 3, seed=5)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(dense(a), dense(b))
     with pytest.raises(ValueError):
         truncated_svd(m, 0)
     with pytest.raises(ValueError):
@@ -126,7 +127,7 @@ def lloyd_oracle(data, k, seed):
 def test_kmeans_matches_lloyd_oracle(n, d, k, seed):
     m = random_matrix(n, d, seed=seed + 100)
     model = kmeans(m, k, seed=seed)
-    want_labels, want_inertia = lloyd_oracle(m.data, k, seed)
+    want_labels, want_inertia = lloyd_oracle(dense(m), k, seed)
     got_labels = np.array([model.assignment[rid] for rid in m.ids])
     assert np.array_equal(got_labels, want_labels)
     assert model.inertia == pytest.approx(want_inertia, abs=1e-9)
@@ -141,7 +142,7 @@ def test_kmeans_k_equals_n_distinct_points():
 
 def test_kmeans_two_blobs_of_duplicates():
     data = np.array([[0.0, 0.0]] * 4 + [[9.0, 9.0]] * 3, dtype=np.float32)
-    m = EmbeddingMatrix(ids=[f"p{i}" for i in range(7)], data=data)
+    m = EmbeddingMatrix.from_dense([f"p{i}" for i in range(7)], data)
     model = kmeans(m, 2, seed=0)
     assert model.inertia == pytest.approx(0.0, abs=1e-12)
     left = {model.assignment[f"p{i}"] for i in range(4)}
@@ -174,7 +175,7 @@ def test_kmeans_deterministic_and_validated():
 
 
 def test_kmeans_seeding_varies_with_rng():
-    data = np.asarray(random_matrix(64, 3, seed=1).data, dtype=np.float64)
+    data = np.asarray(dense(random_matrix(64, 3, seed=1)), dtype=np.float64)
     a = kmeans_plus_plus_init(data, 4, np.random.default_rng(0))
     b = kmeans_plus_plus_init(data, 4, np.random.default_rng(1))
     assert not np.array_equal(a, b)
@@ -185,7 +186,7 @@ def test_kmeans_seeding_varies_with_rng():
 
 def silhouette_oracle(matrix, model):
     ids = matrix.ids
-    X = matrix.data.astype(np.float64)
+    X = dense(matrix).astype(np.float64)
     labels = [model.assignment[rid] for rid in ids]
     out = {}
     for i, rid in enumerate(ids):
@@ -236,7 +237,7 @@ def test_silhouette_memory_is_bounded_by_bytes():
 
 def test_silhouette_singleton_scores_zero():
     data = np.array([[0, 0], [0.1, 0], [9, 9]], dtype=np.float32)
-    m = EmbeddingMatrix(ids=["a", "b", "lone"], data=data)
+    m = EmbeddingMatrix.from_dense(["a", "b", "lone"], data)
     model = ClusterModel(k=2, centroids=np.zeros((2, 2)),
                          assignment={"a": 0, "b": 0, "lone": 1},
                          inertia=0.0, seed=0)
@@ -249,8 +250,8 @@ def test_silhouette_separated_blobs_near_one():
     rng = np.random.default_rng(2)
     blob_a = rng.normal(0.0, 0.01, size=(10, 3))
     blob_b = rng.normal(50.0, 0.01, size=(10, 3))
-    m = EmbeddingMatrix(ids=[f"p{i}" for i in range(20)],
-                        data=np.vstack([blob_a, blob_b]).astype(np.float32))
+    m = EmbeddingMatrix.from_dense([f"p{i}" for i in range(20)],
+                                   np.vstack([blob_a, blob_b]).astype(np.float32))
     model = kmeans(m, 2, seed=0)
     assert silhouette(m, model).mean > 0.99
 
@@ -315,7 +316,7 @@ def test_cluster_model_invalid_assignment_caught(tmp_path):
 
 def test_nearest_to_centroid_orders_and_ties():
     data = np.array([[1, 0], [0, 1], [2, 0], [0, 0]], dtype=np.float32)
-    m = EmbeddingMatrix(ids=["a", "b", "c", "d"], data=data)
+    m = EmbeddingMatrix.from_dense(["a", "b", "c", "d"], data)
     model = ClusterModel(k=1, centroids=np.zeros((1, 2)),
                          assignment={i: 0 for i in m.ids}, inertia=0.0, seed=0)
     assert nearest_to_centroid(model, m, 0, 3) == ["d", "a", "b"]

@@ -1,8 +1,10 @@
 import hashlib
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import dense
 
 import dlab.embed
 from dlab.embed import (
@@ -102,11 +104,22 @@ def test_matrix_duplicate_ids_rejected(monkeypatch):
     assert calls == ["x y", "x y"]
 
 
+def test_embed_texts_rows_do_not_depend_on_the_chunk_size(monkeypatch):
+    items = [(f"t{i}", f"word{i} shared words {i % 3}") for i in range(10)] + [("none", "!!")]
+    whole = embed_texts(items, CFG)
+    # three rows per chunk: the last chunk is shorter than the buffer
+    monkeypatch.setattr(dlab.embed, "_CHUNK_BYTES", 3 * 4 * CFG.dim)
+    chunked = embed_texts(items, CFG)
+    assert np.array_equal(dense(chunked).view(np.int32), dense(whole).view(np.int32))
+    assert np.array_equal(chunked.norms.view(np.int64), whole.norms.view(np.int64))
+    assert np.array_equal(dense(whole)[-1], np.zeros(CFG.dim)) and whole.norms[-1] == 0.0
+
+
 def test_matrix_shape_validation():
     with pytest.raises(ValueError):
-        EmbeddingMatrix(ids=["a"], data=np.zeros((2, 4), dtype=np.float32))
+        EmbeddingMatrix.from_dense(["a"], np.zeros((2, 4), dtype=np.float32))
     with pytest.raises(ValueError):
-        EmbeddingMatrix(ids=["a"], data=np.zeros(4, dtype=np.float32))
+        EmbeddingMatrix.from_dense(["a"], np.zeros(4, dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +136,8 @@ def test_embx_roundtrip_bit_exact(tmp_path):
     export_embeddings(m, path)
     back = import_embeddings(path)
     assert back.ids == m.ids
-    assert np.array_equal(back.data, m.data)
-    assert back.data.dtype == np.float32
+    assert np.array_equal(dense(back), dense(m))
+    assert dense(back).dtype == np.float32
     # export is byte-stable
     export_embeddings(back, tmp_path / "m2.embx")
     assert path.read_bytes() == (tmp_path / "m2.embx").read_bytes()
@@ -142,7 +155,7 @@ def test_embx_matches_independent_writer(tmp_path):
     path.write_bytes(buf)
     m = import_embeddings(path)
     assert m.ids == ids
-    assert np.array_equal(m.data, rows)
+    assert np.array_equal(dense(m), rows)
     # and our writer produces those exact bytes back
     export_embeddings(m, tmp_path / "ours.embx")
     assert (tmp_path / "ours.embx").read_bytes() == buf
@@ -157,14 +170,72 @@ def test_embx_read_by_independent_reader(tmp_path):
     assert (magic, version, dim, rows) == (b"EMBX", 1, 64, 3)
     payload_end = 18 + rows * dim * 4
     data = np.frombuffer(blob, dtype="<f4", count=rows * dim, offset=18).reshape(rows, dim)
-    assert np.array_equal(data, m.data)
+    assert np.array_equal(data, dense(m))
     ids = blob[payload_end:-8].decode().rstrip("\n").split("\n")
     assert ids == m.ids
     assert blob[-8:] == hashlib.blake2b(blob[:-8], digest_size=8).digest()
 
 
+def oracle_export_embeddings(ids, rows, path):
+    """The dense writer export_embeddings replaced: the whole file built in
+    one buffer, then checksummed."""
+    buf = bytearray()
+    buf += struct.pack("<4sHIQ", b"EMBX", 1, rows.shape[1], rows.shape[0])
+    buf += np.ascontiguousarray(rows, dtype="<f4").tobytes()
+    for rid in ids:
+        buf += rid.encode("utf-8") + b"\n"
+    checksum = hashlib.blake2b(bytes(buf), digest_size=8).digest()
+    Path(path).write_bytes(bytes(buf) + checksum)
+
+
+def embx_cases():
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((7, 24)).astype(np.float32)
+    rows[2] = 0.0  # an all-zero row
+    rows[4, ::2] = -0.0
+    rows[5, 3], rows[5, 7], rows[6, 1] = np.nan, np.inf, np.float32(1e-45)  # a subnormal
+    sample = _sample_matrix()
+    return [
+        (["idA", "idB", "é", "x y", "5", "", "last"], rows),
+        (sample.ids, dense(sample)),
+        ([], np.zeros((0, 16), dtype=np.float32)),
+    ]
+
+
+# the default chunk, one row per chunk, and three rows per chunk, so chunk
+# boundaries fall inside the payload
+@pytest.mark.parametrize("chunk_rows", [None, 1, 3])
+def test_embx_streams_the_dense_writers_bytes(tmp_path, monkeypatch, chunk_rows):
+    for case, (ids, rows) in enumerate(embx_cases()):
+        if chunk_rows is not None:
+            monkeypatch.setattr(dlab.embed, "_CHUNK_BYTES", chunk_rows * 4 * rows.shape[1] + 5)
+        matrix = EmbeddingMatrix.from_dense(ids, rows)
+        path, want = tmp_path / f"{case}.embx", tmp_path / f"{case}-oracle.embx"
+        export_embeddings(matrix, path)
+        oracle_export_embeddings(ids, rows, want)
+        assert path.read_bytes() == want.read_bytes()
+        back = import_embeddings(path)
+        assert back.ids == ids and back.dim == rows.shape[1]
+        assert np.array_equal(dense(back).view(np.int32), rows.view(np.int32))
+        assert np.array_equal(back.norms.view(np.int64), matrix.norms.view(np.int64))
+        export_embeddings(back, tmp_path / "again.embx")
+        assert (tmp_path / "again.embx").read_bytes() == want.read_bytes()
+
+
+def test_hashed_matrix_memory_is_proportional_to_its_entries():
+    texts = [(f"t{i}", " ".join(f"w{(i * 7 + j) % 97}" for j in range(30))) for i in range(300)]
+    matrix = embed_texts(texts, EmbedderConfig(dim=4096))
+    arrays = [value for value in vars(matrix).values() if isinstance(value, np.ndarray)]
+    # no (rows, dim) array, nor any array of rows x dim entries
+    assert all(a.ndim == 1 and a.size < len(matrix) * 4096 // 20 for a in arrays)
+    nnz = matrix.values.size
+    assert matrix.indices.size == nnz and 0 < nnz
+    # int32 column and float32 value per entry; int64 indptr and float64 norm per row
+    assert sum(a.nbytes for a in arrays) <= 8 * nnz + 16 * len(matrix) + 8
+
+
 def test_embx_empty_matrix_roundtrip(tmp_path):
-    m = EmbeddingMatrix(ids=[], data=np.zeros((0, 16), dtype=np.float32))
+    m = EmbeddingMatrix.from_dense([], np.zeros((0, 16), dtype=np.float32))
     path = tmp_path / "empty.embx"
     export_embeddings(m, path)
     back = import_embeddings(path)
@@ -172,7 +243,7 @@ def test_embx_empty_matrix_roundtrip(tmp_path):
 
 
 def test_embx_newline_in_id_rejected(tmp_path):
-    m = EmbeddingMatrix(ids=["a\nb"], data=np.zeros((1, 8), dtype=np.float32))
+    m = EmbeddingMatrix.from_dense(["a\nb"], np.zeros((1, 8), dtype=np.float32))
     with pytest.raises(ValueError, match="newline"):
         export_embeddings(m, tmp_path / "x.embx")
 
@@ -222,6 +293,26 @@ def test_embx_truncation_is_checksum_error(tmp_path):
         import_embeddings(path)
 
 
+def test_embx_checks_run_in_order(tmp_path):
+    # magic, truncated header, version, truncated file, checksum: each file
+    # fails the named check and later ones too, and the named one must win
+    path = tmp_path / "m.embx"
+    export_embeddings(_sample_matrix(), path)
+    blob = path.read_bytes()
+    bad_version = blob[:4] + struct.pack("<H", 9) + blob[6:]
+    cases = [
+        (b"EMB", EmbxMagicError, "bad magic"),
+        (b"EMBX\x01", EmbxChecksumError, "truncated header"),
+        (bad_version[:40], EmbxMagicError, "version"),
+        (blob[:40], EmbxChecksumError, "truncated file"),
+        (blob[:-9] + b"\x00" + blob[-8:], EmbxChecksumError, "checksum mismatch"),
+    ]
+    for data, error, message in cases:
+        path.write_bytes(data)
+        with pytest.raises(error, match=message):
+            import_embeddings(path)
+
+
 def test_embx_row_count_mismatch(tmp_path):
     m = _sample_matrix()
     path = tmp_path / "m.embx"
@@ -263,7 +354,7 @@ def brute_top_k(query, matrix, k, exclude=frozenset()):
 def test_top_k_matches_brute_force():
     rng = np.random.default_rng(11)
     data = rng.standard_normal((20, 8)).astype(np.float32)
-    matrix = EmbeddingMatrix(ids=[f"r{i:02d}" for i in range(20)], data=data)
+    matrix = EmbeddingMatrix.from_dense([f"r{i:02d}" for i in range(20)], data)
     query = rng.standard_normal(8)
     for k in (1, 3, 20, 50):
         got = top_k_similar(query, matrix, k)
@@ -288,18 +379,18 @@ def test_rank_by_cosine_matches_scalar_oracle(n, dim, seed):
     data[::3] = data[0]
     data[-3:] = data[0]
     data[n // 2] = 0.0  # an all-zero row
-    matrix = EmbeddingMatrix(ids=[f"r{i}" for i in range(n)], data=data)
+    matrix = EmbeddingMatrix.from_dense([f"r{i}" for i in range(n)], data)
     # keys in shuffled order, so exact ties among the duplicates break by key;
     # the (cid, text) keys repeat, as a comment that repeats a sentence does
     shuffled = [f"k{i:03d}" for i in rng.permutation(n)]
     tuples = [("c0" if i % 2 else "c1", f"s{i % 5}") for i in range(n)]
     queries = np.vstack([rng.standard_normal(dim), data[0], np.zeros(dim)])
     # every query in one call
-    block = cosine_scores(queries, matrix.data, matrix.norms)
+    block = cosine_scores(queries, dense(matrix), matrix.norms)
     assert block.shape == (len(queries), n)
     for query, scores in zip(queries, block):
         for keys in (shuffled, tuples):
-            assert rank_scores(scores, keys, n) == scalar_ranking(query, matrix.data, keys)
+            assert rank_scores(scores, keys, n) == scalar_ranking(query, dense(matrix), keys)
 
 
 def test_rank_scores_top_k_is_the_full_sort_prefix():
@@ -326,8 +417,7 @@ def test_rank_scores_top_k_is_the_full_sort_prefix():
 
 def test_top_k_tie_broken_by_id():
     row = np.array([1.0, 0.0], dtype=np.float32)
-    matrix = EmbeddingMatrix(
-        ids=["zz", "aa", "mm"], data=np.vstack([row, row, row]))
+    matrix = EmbeddingMatrix.from_dense(["zz", "aa", "mm"], np.vstack([row, row, row]))
     got = top_k_similar(np.array([1.0, 0.0]), matrix, 3)
     assert [rid for rid, _ in got] == ["aa", "mm", "zz"]
     assert all(s == 1.0 for _, s in got)
@@ -335,7 +425,7 @@ def test_top_k_tie_broken_by_id():
 
 def test_top_k_exclude_and_zero_norms():
     data = np.array([[1, 0], [0, 0], [0.6, 0.8]], dtype=np.float32)
-    matrix = EmbeddingMatrix(ids=["a", "z", "b"], data=data)
+    matrix = EmbeddingMatrix.from_dense(["a", "z", "b"], data)
     got = top_k_similar(np.array([1.0, 0.0]), matrix, 3, exclude={"a"})
     assert [rid for rid, _ in got] == ["b", "z"]
     assert got[1][1] == 0.0  # the zero row scores 0, never NaN

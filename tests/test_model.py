@@ -464,7 +464,7 @@ def unit(v):
 
 
 def test_build_features_empty_context_zero_block():
-    matrix = EmbeddingMatrix(ids=["p"], data=np.array([unit([1.0, 2.0, 2.0])]))
+    matrix = EmbeddingMatrix.from_dense(["p"], np.array([unit([1.0, 2.0, 2.0])]))
     features = build_features([ContextSet("a", "p", [])], matrix)
     assert features.index.tolist() == [[1, 0]]
     X = features.rows()
@@ -480,9 +480,8 @@ def test_build_features_renormalizes_unit_mean():
         ContextItem("c1", "one", None, "comment"),
         ContextItem("c2", "two", None, "comment"),
     ])
-    matrix = EmbeddingMatrix(ids=["p", "c1", "c2"],
-                             data=np.array([unit([1.0, 1.0]), unit([1.0, 0.0]),
-                                            unit([0.0, 1.0])]))
+    matrix = EmbeddingMatrix.from_dense(
+        ["p", "c1", "c2"], np.array([unit([1.0, 1.0]), unit([1.0, 0.0]), unit([0.0, 1.0])]))
     context_part = build_features([ctx], matrix).rows()[0, 2:]
     assert np.linalg.norm(context_part) == pytest.approx(1.0, abs=1e-12)
     assert context_part == pytest.approx(unit([1.0, 1.0]))
@@ -493,17 +492,17 @@ def test_build_features_plain_mean_for_non_unit_vectors():
         ContextItem("c1", "one", None, "comment"),
         ContextItem("c2", "two", None, "comment"),
     ])
-    matrix = EmbeddingMatrix(ids=["p", "c1", "c2"],
-                             data=np.array([[0.0, 1.0], [2.0, 0.0], [0.0, 0.0]]))
+    matrix = EmbeddingMatrix.from_dense(["p", "c1", "c2"],
+                                        np.array([[0.0, 1.0], [2.0, 0.0], [0.0, 0.0]]))
     assert np.array_equal(build_features([ctx], matrix).rows()[0, 2:], np.array([1.0, 0.0]))
 
 
 def test_build_features_comment_and_sentence_resolution():
-    matrix = EmbeddingMatrix(ids=["p", "c1", "one sentence"],
-                             data=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
-                                           dtype=np.float32))
-    sentences = EmbeddingMatrix(ids=["c1", "one sentence"],
-                                data=np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.float32))
+    matrix = EmbeddingMatrix.from_dense(
+        ["p", "c1", "one sentence"],
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], dtype=np.float32))
+    sentences = EmbeddingMatrix.from_dense(
+        ["c1", "one sentence"], np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.float32))
     ctx = ContextSet("a", "p", [
         ContextItem("c1", "whole comment", None, "comment"),
         ContextItem("c1", "one sentence", None, "sentence", sentence_index=0),
@@ -517,14 +516,14 @@ def test_build_features_comment_and_sentence_resolution():
 
 
 def test_build_features_error_paths():
-    matrix = EmbeddingMatrix(ids=["p"], data=np.zeros((1, 2)))
+    matrix = EmbeddingMatrix.from_dense(["p"], np.zeros((1, 2)))
     ctx = ContextSet("a", "p", [ContextItem("c9", "text", None, "comment")])
     with pytest.raises(ValueError, match="resolve"):
         build_features([ctx], matrix)
     sentence = ContextSet("a", "p", [ContextItem("c9", "text", None, "sentence", 0)])
     with pytest.raises(ValueError, match="dim"):
         build_features([sentence], matrix,
-                       sentences=EmbeddingMatrix(ids=["text"], data=np.zeros((1, 3))))
+                       sentences=EmbeddingMatrix.from_dense(["text"], np.zeros((1, 3))))
     with pytest.raises(KeyError):
         build_features([ContextSet("a", "p9", [])], matrix)
 

@@ -250,7 +250,7 @@ def test_embx_with_sentence_strategy_fails_at_parse_time(tmp_path, capsys):
     # an EMBX file has no sentence rows, and hashed sentence vectors would
     # live in another space than its post rows
     embx = tmp_path / "vectors.embx"
-    export_embeddings(EmbeddingMatrix(ids=["p1"], data=np.ones((1, 64))), embx)
+    export_embeddings(EmbeddingMatrix.from_dense(["p1"], np.ones((1, 64))), embx)
     path = tmp_path / "exp.ini"
     path.write_text(MINIMAL_CORPUS_INI + f"\n[embed]\nembx = {embx}\ndim = 256\n")
     out = tmp_path / "out"
