@@ -33,7 +33,6 @@ from .disclosure import (
 from .embed import (
     EmbedderConfig,
     EmbeddingMatrix,
-    cosine_similarity,
     embed_text,
     embed_texts,
     export_embeddings,
@@ -76,7 +75,6 @@ __all__ = [
     "TrainConfig",
     "Verdict",
     "build_features",
-    "cosine_similarity",
     "embed_text",
     "embed_texts",
     "evaluate",

@@ -336,6 +336,14 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _correctness(path) -> list:
+    """The per-example correctness list of an evaluation report JSON."""
+    report = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(report, dict) or not isinstance(report.get("correctness"), list):
+        raise CorpusError(f"{path}: not an evaluation report (no 'correctness' list)")
+    return report["correctness"]
+
+
 def _cmd_analyze(args) -> int:
     if args.what == "coverage":
         _require_files(args.contexts, args.cluster_model)
@@ -376,9 +384,7 @@ def _cmd_analyze(args) -> int:
         print(f"sampled={len(records)}")
     elif args.what == "significance":
         _require_files(args.report_a, args.report_b)
-        a = json.loads(Path(args.report_a).read_text(encoding="utf-8"))
-        b = json.loads(Path(args.report_b).read_text(encoding="utf-8"))
-        t, p = significance_test(a["correctness"], b["correctness"])
+        t, p = significance_test(_correctness(args.report_a), _correctness(args.report_b))
         print(f"t={t:.4f} p={p:.6g}")
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown analyze target {args.what!r}")
@@ -476,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model-out", required=True)
     p.add_argument("--inspect-out")
-    p.add_argument("--inspect-n", type=int, default=5)
+    p.add_argument("--inspect-n", type=non_negative_int, default=5)
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("split", help="make and verify a train/val/test split")
@@ -544,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--comments", required=True)
     pa.add_argument("--n", type=int, choices=(1, 2, 3), required=True)
     pa.add_argument("--position", choices=("before", "after"), required=True)
-    pa.add_argument("--top", type=int, default=0)
+    pa.add_argument("--top", type=non_negative_int, default=0)
     pa.add_argument("--out", required=True)
     pa.set_defaults(func=_cmd_analyze)
 
@@ -552,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--comments", required=True)
     pa.add_argument("--patterns")
     pa.add_argument("--category", required=True)
-    pa.add_argument("--n", type=int, default=20)
+    pa.add_argument("--n", type=non_negative_int, default=20)
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--out", required=True)
     pa.set_defaults(func=_cmd_analyze)

@@ -23,7 +23,7 @@ EMBX_MAGIC = b"EMBX"
 EMBX_VERSION = 1
 _HEADER = struct.Struct("<4sHIQ")  # magic, version, dim, rows
 _CHECKSUM_BYTES = 8
-# float64 values of one row chunk cosine_scores converts at a time (1 MB)
+# float64 values of one row chunk cosine_scores reads at a time (1 MB)
 _SCORE_CHUNK_FLOATS = 1 << 17
 # float32 bytes of one chunk of dense rows: embed_texts embeds into one, and
 # EMBX files are written and read in them
@@ -184,9 +184,9 @@ def _sparse_rows(chunk: np.ndarray) -> tuple:
 
     An entry is set when any of its bits is, so a -0.0 is kept and
     EmbeddingMatrix.take gives each row back bit for bit. Each norm is the
-    1-D norm of the dense row, as cosine_similarity takes it: the norm of
-    the set values alone, or the axis=1 form, sums in another order and
-    differs in the last bits.
+    1-D norm of the dense row, as the scalar cosine oracle in
+    tests/test_batch_oracles.py takes it: the norm of the set values alone,
+    or the axis=1 form, sums in another order and differs in the last bits.
     """
     flat = (chunk.view(np.int32) != 0).ravel().nonzero()[0]
     rows, cols = np.divmod(flat, chunk.shape[1])
@@ -341,43 +341,34 @@ def read_checksummed_text(path, error: type[Exception]) -> list[str]:
     return lines[:-1]
 
 
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine in [-1, 1]; zero-norm inputs map to 0 by convention."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(min(1.0, max(-1.0, float(u @ v) / (nu * nv))))
+def cosine_scores(queries: np.ndarray, matrix: EmbeddingMatrix, rows) -> np.ndarray:
+    """(q, n) cosines of a (q, d) block of queries against the matrix rows
+    at positions `rows` (repeats allowed).
 
-
-def cosine_scores(queries: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """(q, n) cosines of a (q, d) block of queries against an (n, d) block
-    of matrix rows.
-
-    `norms` are the rows' stored norms (EmbeddingMatrix.norms). Each score
-    equals cosine_similarity(query, row) bit for bit: zero-norm rows and a
-    zero-norm query score 0, and scores are clipped to [-1, 1]. A score
-    depends on its own query and row only, so the rows are converted to
-    float64 and scored in chunks of at most _SCORE_CHUNK_FLOATS values, and
-    scores of a sub-block are the matching entries of the block's scores.
+    Each score equals the scalar cosine of query and row bit for bit (the
+    oracle in tests/test_batch_oracles.py): zero-norm rows and a zero-norm
+    query score 0, and scores are clipped to [-1, 1]. The row norms are the
+    stored ones (EmbeddingMatrix.norms). Only rows of non-zero norm are
+    read, as float64 in chunks of at most _SCORE_CHUNK_FLOATS values, so one
+    chunk of at most 1 MB is alive at a time. A score depends on its own
+    query and row only, so scores of a sub-block are the matching entries of
+    the block's scores.
     """
     queries = np.asarray(queries, dtype=np.float64)
-    # one 1-D norm per query, as cosine_similarity takes it (norm(axis=1)
+    rows = np.asarray(rows, dtype=np.intp)
+    norms = matrix.norms[rows]
+    # one 1-D norm per query, as the scalar cosine takes it (norm(axis=1)
     # sums in another order)
     qnorms = np.array([np.linalg.norm(query) for query in queries], dtype=np.float64)
-    scores = np.zeros((len(queries), len(norms)), dtype=np.float64)
+    scores = np.zeros((len(queries), rows.size), dtype=np.float64)
     live_q, live = np.flatnonzero(qnorms > 0.0), np.flatnonzero(norms > 0.0)
     if not (live_q.size and live.size):
         return scores
     live_queries = queries[live_q][:, None, :, None]
-    step = max(1, _SCORE_CHUNK_FLOATS // rows.shape[1])
+    step = max(1, _SCORE_CHUNK_FLOATS // matrix.dim)
     for start in range(0, live.size, step):
         chunk = live[start:start + step]
-        rows64 = np.asarray(rows[chunk], dtype=np.float64)
+        rows64 = matrix.take(rows[chunk], dtype=np.float64)
         # a stack of 1×d · d×1 products: numpy hands each to the BLAS dot that
         # a single `row @ query` reaches, so every score keeps its summation
         # order; a matrix-vector product `rows @ query` sums in another order
@@ -413,9 +404,5 @@ def top_k_similar(query: np.ndarray, matrix: EmbeddingMatrix, k: int,
     exclude = exclude or frozenset()
     keep = [i for i, rid in enumerate(matrix.ids) if rid not in exclude]
     ids = [matrix.ids[i] for i in keep]
-    # scored in row chunks, so that no dense copy of the whole matrix is made
-    step = max(1, _SCORE_CHUNK_FLOATS // matrix.dim)
-    scores = np.concatenate([np.empty(0)] + [
-        cosine_scores(query[None, :], matrix.take(chunk), matrix.norms[chunk])[0]
-        for chunk in (keep[start:start + step] for start in range(0, len(keep), step))])
+    scores = cosine_scores(query[None, :], matrix, keep)[0]
     return [(ids[i], score) for i, score in rank_scores(scores, ids, k)]

@@ -163,8 +163,8 @@ def sample_context(pairs, corpus: Corpus,
     by (unit, annotator, post); passing one dict to every call on the same
     corpus and matrices scores each pair once, whatever the category filter.
     The pairs a call must score are scored per annotator: its pool rows
-    against all its posts in one cosine_scores call, so one annotator's pool
-    rows (pool size x dim float32) are alive at a time.
+    against all its posts in one cosine_scores call, which reads the rows
+    from the matrix one chunk of at most 1 MB at a time.
     """
     unit = "sentence" if cfg.strategy in SENTENCE_STRATEGIES else "comment"
     similar = cfg.strategy.startswith("similar_")
@@ -197,7 +197,7 @@ def sample_context(pairs, corpus: Corpus,
         rows = [matrix.row_index(text if unit == "sentence" else cid)
                 for cid, _, text in pools[annotator_id][0]]
         queries = embeddings.take([embeddings.row_index(post_id) for post_id in posts])
-        block = cosine_scores(queries, matrix.take(rows), matrix.norms[rows])
+        block = cosine_scores(queries, matrix, rows)
         for post_id, row in zip(posts, block):
             scores[(unit, annotator_id, post_id)] = row
 

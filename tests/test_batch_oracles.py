@@ -7,16 +7,17 @@ one `isspace` test per character; `extract_corpus` matches the category
 patterns once per distinct sentence text; `embed_texts` hashes each distinct
 n-gram once per call and `embed_text` accumulates a row with one
 `np.bincount`; `EmbeddingMatrix` stores rows as CSR and `take` gathers dense
-ones; `cosine_scores` scores a block of queries against a block of rows in
-one product; `sample_context` samples a whole partition in one call, scores
-each annotator's pool for all its posts at once and memoises each pair's
-cosine scores across conditions; `build_features` stores a partition's
-features once per distinct post and item sequence and sums each context
-mean from the items' stored entries; `train` gathers each batch from that
-block; `predict` scores a partition's feature rows in one product. The
-character-wise trim, the per-comment extractor, the per-gram embedder, the
-dense row array, the per-pair code, the dense feature matrix and the dense
-trainer they replaced are kept below as oracles, and the results must equal
+ones; `cosine_scores` scores a block of queries against matrix rows it
+reads in chunks, one product per chunk; `sample_context` samples a whole
+partition in one call, scores each annotator's pool for all its posts at
+once and memoises each pair's cosine scores across conditions;
+`build_features` stores a partition's features once per distinct post and
+item sequence and sums each context mean from the items' stored entries;
+`train` gathers each batch from that block; `predict` scores a partition's
+feature rows in one product. The character-wise trim, the per-comment
+extractor, the per-gram embedder, the dense row array, the scalar cosine,
+the per-pair code, the dense feature matrix and the dense trainer they
+replaced are kept below as oracles, and the results must equal
 them exactly: the same spans, the same embedding bits, the same rows and
 norms bit for bit, the same score bits, the same context ids in the same
 order with the same similarity floats, feature rows equal element for
@@ -142,6 +143,20 @@ def oracle_embed_text(text, cfg):
     if norm > 0.0:
         vec /= norm
     return vec.astype(np.float32)
+
+
+def cosine_similarity(u, v):
+    """The scalar cosine, in [-1, 1]; zero-norm inputs map to 0 by
+    convention. Every score of `cosine_scores` must equal it bit for bit."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(min(1.0, max(-1.0, float(u @ v) / (nu * nv))))
 
 
 def oracle_cosine_scores(query, rows, norms):
@@ -527,7 +542,7 @@ def same_bits(a, b):
 
 
 # default chunks, one row per chunk, and four rows per chunk, so chunk
-# boundaries fall between the live rows of every block
+# boundaries fall between the live rows of every selection
 @pytest.mark.parametrize("chunk_rows", [None, 1, 4])
 @pytest.mark.parametrize("dim", [7, 64, 1023, 1024])
 def test_cosine_scores_match_per_row_oracle(dim, chunk_rows, monkeypatch):
@@ -541,20 +556,25 @@ def test_cosine_scores_match_per_row_oracle(dim, chunk_rows, monkeypatch):
     # rows far from unit norm, in both directions
     rows[20:30] *= np.float32(1e20)
     rows[30:40] *= np.float32(1e-20)
-    norms = EmbeddingMatrix.from_dense([f"r{i}" for i in range(n)], rows).norms
+    matrix = EmbeddingMatrix.from_dense([f"r{i}" for i in range(n)], rows)
     queries = np.vstack([
         rng.standard_normal((3, dim)).astype(np.float32),
         np.zeros((1, dim), dtype=np.float32),  # a zero query
         rows[0][None, :],  # a query equal to a row
         rows[25][None, :] * np.float32(1e-20),
     ])
-    # the whole block, reversed, one row, one zero row, and a scattered subset
-    for idx in (np.arange(n), np.arange(n)[::-1], [0], [5], [3, 5, 25, 35, 40]):
-        got = cosine_scores(queries, rows[idx], norms[idx])
+    # the whole matrix, reversed, one row, one zero row, only zero rows, a
+    # scattered subset, repeated positions, and no rows
+    for idx in (np.arange(n), np.arange(n)[::-1], [0], [5], [17, 5], [3, 5, 25, 35, 40],
+                [25, 3, 25, 17, 40, 0, 3, 3], []):
+        idx = np.asarray(idx, dtype=np.intp)
+        got = cosine_scores(queries, matrix, idx)
         assert got.shape == (len(queries), len(idx))
         for query, scores in zip(queries, got):
-            assert same_bits(scores, oracle_cosine_scores(query, rows[idx], norms[idx]))
-    got = cosine_scores(queries, rows, norms)
+            assert same_bits(scores, oracle_cosine_scores(query, rows[idx], matrix.norms[idx]))
+            assert same_bits(scores, np.array([cosine_similarity(query, rows[i]) for i in idx],
+                                              dtype=np.float64))
+    got = cosine_scores(queries, matrix, range(n))
     assert not got[3].any() and not got[:, [5, 17]].any()
     assert abs(got[4, 0] - 1.0) < 1e-12 and np.abs(got).max() <= 1.0
 
@@ -591,9 +611,9 @@ def test_grouped_memo_fill_matches_per_pair_oracle(world, monkeypatch):
     corpus, embeddings, sentences, profiles, pairs = world
     calls = []
 
-    def counted(queries, rows, norms):
+    def counted(queries, matrix, rows):
         calls.append(len(queries))
-        return cosine_scores(queries, rows, norms)
+        return cosine_scores(queries, matrix, rows)
 
     monkeypatch.setattr(dlab.sampler, "cosine_scores", counted)
     # an earlier call, filtered or on part of the partition, scores some of

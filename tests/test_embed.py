@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import dense
+from test_batch_oracles import cosine_similarity, same_bits
 
 import dlab.embed
 from dlab.embed import (
@@ -14,7 +15,6 @@ from dlab.embed import (
     EmbxMagicError,
     EmbxRowCountError,
     cosine_scores,
-    cosine_similarity,
     embed_text,
     embed_texts,
     export_embeddings,
@@ -351,16 +351,22 @@ def brute_top_k(query, matrix, k, exclude=frozenset()):
     return rows[:k]
 
 
-def test_top_k_matches_brute_force():
+def test_top_k_matches_brute_force(monkeypatch):
     rng = np.random.default_rng(11)
     data = rng.standard_normal((20, 8)).astype(np.float32)
+    data[7] = 0.0  # a zero row
     matrix = EmbeddingMatrix.from_dense([f"r{i:02d}" for i in range(20)], data)
     query = rng.standard_normal(8)
-    for k in (1, 3, 20, 50):
-        got = top_k_similar(query, matrix, k)
-        want = brute_top_k(query, matrix, k)
-        assert [rid for rid, _ in got] == [rid for rid, _ in want]
-        assert np.allclose([s for _, s in got], [s for _, s in want], atol=1e-12)
+    # the default chunk, then chunks of one and of three rows, which split
+    # the scored rows
+    for chunk_floats in (dlab.embed._SCORE_CHUNK_FLOATS, 8, 3 * 8 + 7):
+        monkeypatch.setattr(dlab.embed, "_SCORE_CHUNK_FLOATS", chunk_floats)
+        for exclude in (frozenset(), {"r00", "r07", "r13", "r19"}):
+            for k in (1, 3, 20, 50):
+                got = top_k_similar(query, matrix, k, exclude=exclude)
+                want = brute_top_k(query, matrix, k, exclude)
+                assert [rid for rid, _ in got] == [rid for rid, _ in want]
+                assert same_bits(np.array([s for _, s in got]), np.array([s for _, s in want]))
 
 
 def scalar_ranking(query, rows, keys):
@@ -386,7 +392,7 @@ def test_rank_by_cosine_matches_scalar_oracle(n, dim, seed):
     tuples = [("c0" if i % 2 else "c1", f"s{i % 5}") for i in range(n)]
     queries = np.vstack([rng.standard_normal(dim), data[0], np.zeros(dim)])
     # every query in one call
-    block = cosine_scores(queries, dense(matrix), matrix.norms)
+    block = cosine_scores(queries, matrix, range(n))
     assert block.shape == (len(queries), n)
     for query, scores in zip(queries, block):
         for keys in (shuffled, tuples):

@@ -7,13 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_batch_oracles import cosine_similarity
 
 import dlab.cli
 import dlab.disclosure
 from dlab.cli import main
 from dlab.cluster import ClusterModel, save_cluster_model
 from dlab.corpus import CorpusError, ingest_corpus
-from dlab.embed import EmbeddingMatrix, cosine_similarity, embed_text, export_embeddings
+from dlab.embed import EmbeddingMatrix, embed_text, export_embeddings
 from dlab.pipeline import (
     CONFIG_KEYS,
     ConfigError,
@@ -707,30 +708,41 @@ def test_cli_missing_input_is_usage_error(tmp_path, capsys):
         assert f"input not found: {tmp_path / missing}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--k", "--reduce-dim"])
-def test_cli_cluster_sizes_below_one_are_usage_errors(flag, capsys):
+@pytest.mark.parametrize("flag,value,bound", [
+    ("--k", "0", 1),
+    ("--reduce-dim", "0", 1),
+    ("--inspect-n", "-1", 0),
+], ids=["--k", "--reduce-dim", "--inspect-n"])
+def test_cli_cluster_sizes_below_one_are_usage_errors(flag, value, bound, capsys):
     # rejected while parsing, before the comments file is read
-    argv = {"--k": "3", "--reduce-dim": "4", flag: "0"}
+    argv = {"--k": "3", "--reduce-dim": "4", flag: value}
     with pytest.raises(SystemExit) as exc:
         main(["cluster", "--comments", "c", "--model-out", "m",
               *(tok for item in argv.items() for tok in item)])
     assert exc.value.code == 1
-    assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+    assert f"argument {flag}: must be >= {bound}, got {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,flag,value,bound", [
     ("sample", "--max-samples", "0", 1),
     ("train", "--batch-size", "0", 1),
     ("train", "--epochs", "-1", 0),
+    ("ngrams", "--top", "-1", 0),
+    ("audit", "--n", "-1", 0),
 ])
 def test_cli_sample_and_train_sizes_below_bound_are_usage_errors(command, flag, value, bound,
                                                                   capsys):
-    # rejected while parsing, before the corpus is read or embedded
-    argv = {"sample": ["--strategy", "random_comments", "--max-samples", "3", "--out", "o"],
-            "train": ["--contexts", "c", "--split", "s", "--model-out", "m"]}[command]
+    # rejected while parsing, before any input is read or embedded
+    corpus = ["--posts", "p", "--comments", "c", "--verdicts", "v"]
+    argv = {"sample": ["sample", *corpus, "--strategy", "random_comments",
+                       "--max-samples", "3", "--out", "o"],
+            "train": ["train", *corpus, "--contexts", "c", "--split", "s", "--model-out", "m"],
+            "ngrams": ["analyze", "ngrams", "--comments", "c", "--n", "1",
+                       "--position", "before", "--out", "o"],
+            "audit": ["analyze", "audit", "--comments", "c", "--category", "Age",
+                      "--out", "o"]}[command]
     with pytest.raises(SystemExit) as exc:
-        main([command, "--posts", "p", "--comments", "c", "--verdicts", "v",
-              *argv, flag, value])
+        main([*argv, flag, value])
     assert exc.value.code == 1
     assert f"argument {flag}: must be >= {bound}, got {value}" in capsys.readouterr().err
 
@@ -812,6 +824,18 @@ def test_cli_malformed_data_is_data_error(tmp_path, capsys):
                  "--model-out", str(tmp_path / "model.txt")])
     assert code == 2
     assert "contexts.jsonl line 1: unknown unit 'paragraph'" in capsys.readouterr().err
+
+    # significance inputs that are not evaluation reports: no correctness
+    # list, a correctness that is not a list, and not an object at all
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"correctness": [1, 0, 1]}))
+    for name, payload in (("counts.json", {"n": 3}), ("text.json", {"correctness": "101"}),
+                          ("list.json", [1, 2])):
+        (tmp_path / name).write_text(json.dumps(payload))
+        code = main(["analyze", "significance", "--report-a", str(report),
+                     "--report-b", str(tmp_path / name)])
+        assert code == 2
+        assert f"{tmp_path / name}: not an evaluation report" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("ini,flags", [

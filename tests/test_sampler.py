@@ -1,11 +1,12 @@
 import json
 
 import pytest
+from test_batch_oracles import cosine_similarity
 
 from dlab.corpus import (Comment, Corpus, CorpusError, Post, Verdict, load_split, make_split,
                          save_split)
 from dlab.disclosure import HighLevelCategory, attach_clusters, build_profiles
-from dlab.embed import EmbedderConfig, cosine_similarity, embed_text
+from dlab.embed import EmbedderConfig, embed_text
 from dlab.pipeline import embed_corpus, embed_sentences
 from dlab.sampler import (
     BoxStats,
