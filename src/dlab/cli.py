@@ -32,7 +32,6 @@ from .corpus import (
     make_split,
     read_comments,
     save_split,
-    verify_split,
     write_corpus,
     write_json,
     write_jsonl,
@@ -55,8 +54,6 @@ from .embed import EmbedderConfig, EmbxError, export_embeddings
 from .model import (
     ModelFileError,
     TrainConfig,
-    build_features,
-    encode_labels,
     evaluate,
     load_model,
     save_model,
@@ -64,29 +61,31 @@ from .model import (
     train,
 )
 from .pipeline import (
+    Condition,
     ConfigError,
     ExperimentConfig,
     InvariantViolation,
+    check_split,
     cluster_comments,
+    condition_contexts,
+    condition_state,
     effective_config_text,
     embed_corpus,
-    embed_sentences,
     float_pair,
     merge_reports,
     parse_config,
+    partition_data,
     ratio_triple,
     run_pipeline,
     section_fields,
 )
 from .sampler import (
-    SENTENCE_STRATEGIES,
     STRATEGIES,
     CategoryFilter,
     SamplerConfig,
     category_coverage,
     dump_contexts,
     load_contexts,
-    sample_context,
     similar_post_diversity,
 )
 from .synthgen import (JUDGMENT_RULES, PopulationSpec, SynthesisError, generate_population,
@@ -240,14 +239,10 @@ def _cmd_cluster(args) -> int:
 def _cmd_split(args) -> int:
     corpus = _load_corpus(args)
     spec = make_split(corpus, args.kind, args.ratios, seed=args.seed)
-    report = verify_split(spec, corpus)
+    check_split(spec, corpus)
     save_split(spec, args.out)
     sizes = spec.sizes()
     print(f"train={sizes['train']} val={sizes['val']} test={sizes['test']}")
-    if not report.ok:
-        for msg in report.messages():
-            print(f"violation: {msg}", file=sys.stderr)
-        return 3
     return 0
 
 
@@ -263,27 +258,24 @@ def _cmd_sample(args) -> int:
     sampler_cfg = SamplerConfig(strategy=args.strategy, max_samples=args.max_samples,
                                 category_filter=filters[0], seed=args.seed)
     corpus = _load_corpus(args)
-    profiles = _profiles(args, corpus, model)
-    cfg = _embed_cfg(args)
-    matrix = embed_corpus(corpus, cfg)
-    sentences = embed_sentences(corpus, cfg) if args.strategy in SENTENCE_STRATEGIES else None
-    contexts = sample_context([(v.annotator_id, v.post_id) for v in corpus.verdicts],
-                              corpus, matrix, profiles, cfg=sampler_cfg, sentences=sentences)
+    state = condition_state(corpus, _embed_cfg(args), {sampler_cfg.unit},
+                            profiles=_profiles(args, corpus, model))
+    contexts = condition_contexts(state, Condition(args.strategy, sampler_cfg),
+                                  range(len(corpus.verdicts)))
     dump_contexts(contexts, args.out)
     print(f"contexts={len(contexts)}")
     return 0
 
 
-def _features_for(args, corpus, indices):
-    """Features and class indices of the verdicts in `indices`, with
-    their contexts from --contexts."""
-    cfg = _embed_cfg(args)
-    matrix = embed_corpus(corpus, cfg)
+def _partition_data(args, corpus, partition):
+    """Features and class indices of the verdicts in one partition of the
+    --split, which must pass check_split, with their contexts from
+    --contexts."""
+    split = load_split(args.split)
+    check_split(split, corpus)
+    indices = split.indices(partition)
     loaded = load_contexts(args.contexts, corpus)
     by_pair = {(c.annotator_id, c.post_id): c for c in loaded}
-    sentences = None
-    if any(item.unit == "sentence" for c in loaded for item in c.items):
-        sentences = embed_sentences(corpus, cfg)
     contexts = []
     for vi in indices:
         v = corpus.verdicts[vi]
@@ -292,8 +284,9 @@ def _features_for(args, corpus, indices):
         except KeyError:
             raise CorpusError(
                 f"contexts file lacks pair ({v.annotator_id}, {v.post_id})")
-    return (build_features(contexts, matrix, sentences),
-            encode_labels(corpus.verdicts[vi].label for vi in indices))
+    state = condition_state(corpus, _embed_cfg(args),
+                            {item.unit for c in loaded for item in c.items})
+    return partition_data(state, contexts, indices)
 
 
 def _cmd_train(args) -> int:
@@ -304,8 +297,7 @@ def _cmd_train(args) -> int:
     )
     corpus = _load_corpus(args)
     _require_files(args.contexts, args.split)
-    split = load_split(args.split)
-    features, y = _features_for(args, corpus, split.indices("train"))
+    features, y = _partition_data(args, corpus, "train")
     params = train(features, y, tc)
     save_model(params, args.model_out)
     print(f"trained on {len(y)} examples; final loss "
@@ -318,8 +310,10 @@ def _cmd_evaluate(args) -> int:
     corpus = _load_corpus(args)
     _require_files(args.model, args.contexts, args.split)
     params = load_model(args.model)
-    split = load_split(args.split)
-    report = evaluate(params, *_features_for(args, corpus, split.indices(args.partition)))
+    if params.weights.shape[1] != 2 * args.dim:
+        raise ModelFileError(f"{args.model}: model has feature_dim {params.weights.shape[1]}, "
+                             f"but --dim {args.dim} gives features of dim {2 * args.dim}")
+    report = evaluate(params, *_partition_data(args, corpus, args.partition))
     payload = {
         "n": report.n,
         "accuracy": report.accuracy,
@@ -337,11 +331,15 @@ def _cmd_evaluate(args) -> int:
 
 
 def _correctness(path) -> list:
-    """The per-example correctness list of an evaluation report JSON."""
+    """The per-example correctness list of an evaluation report JSON: two
+    or more numbers."""
     report = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(report, dict) or not isinstance(report.get("correctness"), list):
         raise CorpusError(f"{path}: not an evaluation report (no 'correctness' list)")
-    return report["correctness"]
+    values = report["correctness"]
+    if len(values) < 2 or not all(isinstance(v, (int, float)) for v in values):
+        raise CorpusError(f"{path}: 'correctness' must hold two or more numbers")
+    return values
 
 
 def _cmd_analyze(args) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .corpus import write_jsonl
-from .embed import EmbeddingMatrix, read_checksummed_text, write_checksummed_text
+from .embed import EmbeddingMatrix, read_checksummed_container, write_checksummed_text
 
 _CONVERGENCE_TOL = 1e-4
 _MAX_ITERS = 300
@@ -283,20 +283,19 @@ def save_cluster_model(model: ClusterModel, path) -> None:
 
 
 def load_cluster_model(path) -> ClusterModel:
-    lines = read_checksummed_text(path, ClusterModelError)
-    if len(lines) < 2:
-        raise ClusterModelError(f"{path}: malformed cluster model file")
-    header = json.loads(lines[0])
-    k, dim = int(header["k"]), int(header["dim"])
-    payload = base64.b64decode(lines[1])
-    centroids = np.frombuffer(payload, dtype="<f4").reshape(k, dim).astype(np.float64)
+    header, (centroids,), lines = read_checksummed_container(
+        path, ClusterModelError, {"k": int, "dim": int, "seed": int, "inertia": float},
+        lambda h: [("<f4", (h["k"], h["dim"]))])
     assignment: dict[str, int] = {}
-    for line in lines[2:]:
-        rec = json.loads(line)
-        assignment[str(rec["comment_id"])] = int(rec["cluster"])
+    for line in lines:
+        try:
+            rec = json.loads(line)
+            assignment[str(rec["comment_id"])] = int(rec["cluster"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ClusterModelError(f"{path}: malformed assignment line ({exc})")
     model = ClusterModel(
-        k=k, centroids=centroids, assignment=assignment,
-        inertia=float(header["inertia"]), seed=int(header["seed"]),
+        k=header["k"], centroids=centroids.astype(np.float64), assignment=assignment,
+        inertia=header["inertia"], seed=header["seed"],
     )
     model.check_invariants()
     return model

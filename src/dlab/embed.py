@@ -7,8 +7,11 @@ as long as (dim, ngram_range, seed) agree.
 """
 from __future__ import annotations
 
+import base64
 import hashlib
 import heapq
+import json
+import math
 import os
 import re
 import struct
@@ -339,6 +342,38 @@ def read_checksummed_text(path, error: type[Exception]) -> list[str]:
     if text_checksum(body) != lines[-1].split(" ", 1)[1].strip():
         raise error(f"{path}: checksum mismatch")
     return lines[:-1]
+
+
+def read_checksummed_container(path, error: type[Exception], fields: dict, payloads):
+    """The header, payload arrays and remaining body lines of a file written
+    by write_checksummed_text whose body is a JSON header line, then one
+    base64 line per payload.
+
+    `fields` maps each key the header must hold to its converter, and
+    `payloads(header)` gives the (dtype, shape) of each payload from the
+    converted header. A missing or unconvertible key, or a payload that is
+    missing or of another size, raises `error` naming the file.
+    """
+    lines = read_checksummed_text(path, error)
+    try:
+        raw = json.loads(lines[0]) if lines else {}
+        header = {key: convert(raw[key]) for key, convert in fields.items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise error(f"{path}: malformed header ({type(exc).__name__}: {exc})")
+    layout = payloads(header)
+    if len(lines) < 1 + len(layout):
+        raise error(f"{path}: malformed file, {len(layout)} payload lines expected")
+    arrays = []
+    for line, (dtype, shape) in zip(lines[1:], layout):
+        try:
+            data = base64.b64decode(line)
+        except ValueError as exc:
+            raise error(f"{path}: payload is not base64 ({exc})")
+        size = np.dtype(dtype).itemsize * math.prod(shape)
+        if len(data) != size:
+            raise error(f"{path}: payload of {len(data)} bytes, header gives {size}")
+        arrays.append(np.frombuffer(data, dtype=dtype).reshape(shape))
+    return header, arrays, lines[1 + len(layout):]
 
 
 def cosine_scores(queries: np.ndarray, matrix: EmbeddingMatrix, rows) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .corpus import VERDICT_LABELS
-from .embed import EmbeddingMatrix, read_checksummed_text, write_checksummed_text
+from .embed import EmbeddingMatrix, read_checksummed_container, write_checksummed_text
 from .sampler import ContextSet
 
 logger = logging.getLogger(__name__)
@@ -501,16 +501,15 @@ def save_model(params: ModelParams, path) -> None:
 
 
 def load_model(path) -> ModelParams:
-    lines = read_checksummed_text(path, ModelFileError)
-    if len(lines) != 3:
+    header, (weights, bias), rest = read_checksummed_container(
+        path, ModelFileError,
+        {"feature_dim": int, "gamma": float, "alpha": tuple, "seed": int, "epochs": int,
+         "learning_rate": float, "loss_history": list},
+        lambda h: [("<f8", (2, h["feature_dim"])), ("<f8", (2,))])
+    if rest:
         raise ModelFileError(f"{path}: malformed model file")
-    header = json.loads(lines[0])
-    dim = int(header["feature_dim"])
-    weights = np.frombuffer(base64.b64decode(lines[1]), dtype="<f8").reshape(2, dim).copy()
-    bias = np.frombuffer(base64.b64decode(lines[2]), dtype="<f8").copy()
     return ModelParams(
-        weights=weights, bias=bias, gamma=float(header["gamma"]),
-        alpha=tuple(header["alpha"]), seed=int(header["seed"]),
-        epochs=int(header["epochs"]), learning_rate=float(header["learning_rate"]),
-        loss_history=list(header["loss_history"]),
+        weights=weights.copy(), bias=bias.copy(), gamma=header["gamma"],
+        alpha=header["alpha"], seed=header["seed"], epochs=header["epochs"],
+        learning_rate=header["learning_rate"], loss_history=header["loss_history"],
     )

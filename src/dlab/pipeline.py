@@ -22,13 +22,13 @@ import numpy as np
 from . import __version__
 from .cluster import ClusterModel, kmeans, truncated_svd
 from .corpus import (MAX_COMMENTS, MIN_COMMENTS, SPLIT_KINDS, SPLIT_RATIOS, Corpus,
-                     CorpusError, filter_annotators, ingest_corpus, make_split, save_split,
-                     validate_comment_bounds, validate_ratios, verify_split, write_json,
-                     write_tsv)
+                     CorpusError, SplitSpec, filter_annotators, ingest_corpus, make_split,
+                     save_split, validate_comment_bounds, validate_ratios, verify_split,
+                     write_json, write_tsv)
 from .disclosure import CategoryProfile, attach_clusters, build_profiles
 from .embed import EmbedderConfig, EmbeddingMatrix, embed_texts, import_embeddings
-from .model import (TrainConfig, build_features, encode_labels, evaluate, significance_test,
-                    train)
+from .model import (Features, TrainConfig, build_features, encode_labels, evaluate,
+                    significance_test, train)
 from .sampler import (
     SENTENCE_STRATEGIES,
     CategoryFilter,
@@ -347,16 +347,29 @@ _build_grid = build_conditions
 
 @dataclass
 class RunState:
-    cfg: ExperimentConfig
+    """What sampling and features read. A run adds its config and the
+    verdict indices of its train and test partitions."""
     corpus: Corpus
     embeddings: EmbeddingMatrix
-    profiles: dict[str, CategoryProfile]
-    train_pairs: list[int]  # verdict indices
-    test_pairs: list[int]
-    sentences: EmbeddingMatrix | None  # only when a condition samples sentences
+    sentences: EmbeddingMatrix | None  # only when some context unit is a sentence
+    profiles: dict[str, CategoryProfile] | None = None  # None: no category filters
+    cfg: ExperimentConfig | None = None
+    train_pairs: list[int] = field(default_factory=list)
+    test_pairs: list[int] = field(default_factory=list)
     # each pair's cosine scores over its annotator's whole pool, filled by
     # sample_context as the grid runs and shared by every condition
     scores: dict = field(default_factory=dict)
+
+
+def condition_state(corpus: Corpus, embed_cfg: EmbedderConfig, units, *,
+                    embeddings: EmbeddingMatrix | None = None, **fields) -> RunState:
+    """The state for contexts of `units`: the corpus matrix (embedded unless
+    given) and, when the units include "sentence", the matrix of the corpus's
+    sentence texts. `fields` set the other RunState fields."""
+    if embeddings is None:
+        embeddings = embed_corpus(corpus, embed_cfg)
+    sentences = embed_sentences(corpus, embed_cfg) if "sentence" in units else None
+    return RunState(corpus=corpus, embeddings=embeddings, sentences=sentences, **fields)
 
 
 _SHARED: RunState | None = None
@@ -367,8 +380,10 @@ def _init_worker(state: RunState) -> None:
     _SHARED = state
 
 
-def _condition_contexts(state: RunState, condition: Condition,
-                        verdict_indices: list[int]) -> list[ContextSet]:
+def condition_contexts(state: RunState, condition: Condition,
+                       verdict_indices) -> list[ContextSet]:
+    """The contexts of the verdicts at `verdict_indices` under the condition:
+    empty, the annotator's whole pool, or the sampler's draw."""
     corpus = state.corpus
     pairs = [(corpus.verdicts[vi].annotator_id, corpus.verdicts[vi].post_id)
              for vi in verdict_indices]
@@ -378,6 +393,14 @@ def _condition_contexts(state: RunState, condition: Condition,
         return full_pool_context(pairs, corpus)
     return sample_context(pairs, corpus, state.embeddings, state.profiles,
                           cfg=condition.sampler, sentences=state.sentences, scores=state.scores)
+
+
+def partition_data(state: RunState, contexts: list[ContextSet],
+                   indices: list[int]) -> tuple[Features, np.ndarray]:
+    """The features of a partition's contexts and the class indices of its
+    verdicts, the verdicts at `indices` in context order."""
+    return (build_features(contexts, state.embeddings, state.sentences),
+            encode_labels(state.corpus.verdicts[vi].label for vi in indices))
 
 
 def _five_plus_pct(state: RunState, condition: Condition) -> float:
@@ -400,9 +423,8 @@ def run_condition(state: RunState, condition: Condition) -> dict:
     data = {}
     contexts = []
     for part, indices in (("train", state.train_pairs), ("test", state.test_pairs)):
-        part_contexts = _condition_contexts(state, condition, indices)
-        data[part] = (build_features(part_contexts, state.embeddings, state.sentences),
-                      encode_labels(state.corpus.verdicts[vi].label for vi in indices))
+        part_contexts = condition_contexts(state, condition, indices)
+        data[part] = partition_data(state, part_contexts, indices)
         contexts += part_contexts
     if cfg.save_contexts:
         dump_contexts(contexts, Path(cfg.out) / "contexts" / f"{condition.name}.jsonl")
@@ -498,6 +520,15 @@ def cluster_comments(embeddings: EmbeddingMatrix, profiles: dict[str, CategoryPr
     return kmeans(reduced, k, seed=kmeans_seed), reduced
 
 
+def check_split(split: SplitSpec, corpus: Corpus) -> None:
+    """Raise InvariantViolation, naming the first violations, when the
+    split fails verify_split against the corpus."""
+    violations = verify_split(split, corpus)
+    if not violations.ok:
+        raise InvariantViolation(
+            "split verification failed: " + "; ".join(violations.messages()[:5]))
+
+
 def run_pipeline(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Execute the configured experiment; returns the report rows.
 
@@ -527,21 +558,14 @@ def run_pipeline(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
 
     split = make_split(corpus, cfg.split_kind, cfg.split_ratios,
                        seed=derive_seed(cfg.seed, "split"))
-    violations = verify_split(split, corpus)
-    if not violations.ok:
-        raise InvariantViolation(
-            "split verification failed: " + "; ".join(violations.messages()[:5]))
+    check_split(split, corpus)
     save_split(split, outdir / "split.jsonl")
 
     conditions = build_conditions(cfg)
-    sentences = None
-    if any(c.sampler and c.sampler.strategy in SENTENCE_STRATEGIES for c in conditions):
-        sentences = embed_sentences(corpus, cfg.embedder_config())
-    state = RunState(
-        cfg=cfg, corpus=corpus, embeddings=embeddings, profiles=profiles,
-        train_pairs=split.indices("train"), test_pairs=split.indices("test"),
-        sentences=sentences,
-    )
+    state = condition_state(
+        corpus, cfg.embedder_config(), {c.sampler.unit for c in conditions if c.sampler},
+        embeddings=embeddings, cfg=cfg, profiles=profiles,
+        train_pairs=split.indices("train"), test_pairs=split.indices("test"))
     if cfg.save_contexts:
         (outdir / "contexts").mkdir(exist_ok=True)
 

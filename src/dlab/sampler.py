@@ -99,6 +99,11 @@ class SamplerConfig:
                 f"max_samples <= {_REPLICATION_MAX_SAMPLES}; got "
                 f"{self.strategy} / {self.max_samples}")
 
+    @property
+    def unit(self) -> str:
+        """What the strategy samples: "comment" or "sentence"."""
+        return "sentence" if self.strategy in SENTENCE_STRATEGIES else "comment"
+
 
 @dataclass(frozen=True)
 class ContextItem:
@@ -166,7 +171,7 @@ def sample_context(pairs, corpus: Corpus,
     against all its posts in one cosine_scores call, which reads the rows
     from the matrix one chunk of at most 1 MB at a time.
     """
-    unit = "sentence" if cfg.strategy in SENTENCE_STRATEGIES else "comment"
+    unit = cfg.unit
     similar = cfg.strategy.startswith("similar_")
     scores = {} if scores is None else scores
     pools: dict[str, tuple] = {}

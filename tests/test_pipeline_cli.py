@@ -11,10 +11,11 @@ from test_batch_oracles import cosine_similarity
 
 import dlab.cli
 import dlab.disclosure
+import dlab.pipeline
 from dlab.cli import main
 from dlab.cluster import ClusterModel, save_cluster_model
 from dlab.corpus import CorpusError, ingest_corpus
-from dlab.embed import EmbeddingMatrix, embed_text, export_embeddings
+from dlab.embed import EmbeddingMatrix, embed_text, export_embeddings, write_checksummed_text
 from dlab.pipeline import (
     CONFIG_KEYS,
     ConfigError,
@@ -826,16 +827,23 @@ def test_cli_malformed_data_is_data_error(tmp_path, capsys):
     assert "contexts.jsonl line 1: unknown unit 'paragraph'" in capsys.readouterr().err
 
     # significance inputs that are not evaluation reports: no correctness
-    # list, a correctness that is not a list, and not an object at all
+    # list, a correctness that is not a list, not an object at all, and
+    # correctness lists that are not two or more numbers
     report = tmp_path / "report.json"
     report.write_text(json.dumps({"correctness": [1, 0, 1]}))
-    for name, payload in (("counts.json", {"n": 3}), ("text.json", {"correctness": "101"}),
-                          ("list.json", [1, 2])):
+    not_report, too_few = "not an evaluation report", "'correctness' must hold two or more numbers"
+    for name, payload, message in (
+        ("counts.json", {"n": 3}, not_report),
+        ("text.json", {"correctness": "101"}, not_report),
+        ("list.json", [1, 2], not_report),
+        ("letters.json", {"correctness": ["a", "b"]}, too_few),
+        ("single.json", {"correctness": [1]}, too_few),
+    ):
         (tmp_path / name).write_text(json.dumps(payload))
         code = main(["analyze", "significance", "--report-a", str(report),
                      "--report-b", str(tmp_path / name)])
         assert code == 2
-        assert f"{tmp_path / name}: not an evaluation report" in capsys.readouterr().err
+        assert f"{tmp_path / name}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("ini,flags", [
@@ -978,3 +986,161 @@ def test_cli_full_chain(tmp_path, capsys):
                  "--category", "Demographics", "--n", "5", "--seed", "1",
                  "--out", str(d / "audit.jsonl")]) == 0
     assert len((d / "audit.jsonl").read_text().splitlines()) == 5
+
+
+def test_cli_stage_chain_reproduces_a_run_condition(tmp_path):
+    # `dlab sample`, `train` and `evaluate` with the seeds a run derives from
+    # its own write each condition's contexts and score its accuracy
+    spec = PopulationSpec(n_annotators=6, n_posts=20, comments_per_annotator=(4, 6),
+                          verdicts_per_annotator=(8, 10), seed=5)
+    corpus, truth = generate_population(spec)
+    paths = write_population(corpus, truth, tmp_path / "data")
+    corpus, _ = ingest_corpus(paths["posts"], paths["comments"], paths["verdicts"])
+    seed, run = 11, tmp_path / "run"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"""\
+[corpus]
+posts = {paths['posts']}
+comments = {paths['comments']}
+verdicts = {paths['verdicts']}
+min_comments = 0
+
+[embed]
+dim = 128
+
+[split]
+ratios = 0.6,0.2,0.2
+
+[sampler]
+strategies = similar_comments,similar_sentences,random_comments
+max_samples = 3
+
+[train]
+epochs = 3
+runs = 1
+
+[run]
+seed = {seed}
+out = {run}
+""")
+    rows = {row["condition"]: row for row in run_pipeline(parse_config(ini))}
+    files = [arg for name in ("posts", "comments", "verdicts")
+             for arg in (f"--{name}", str(paths[name]))]
+    files += ["--dim", "128", "--embed-seed", str(derive_seed(seed, "embed"))]
+    split = ["--split", str(run / "split.jsonl")]
+    for strategy in ("similar_comments", "similar_sentences", "random_comments"):
+        name = f"{strategy}-k3"
+        ctx, model, report = (tmp_path / f"{name}.{ext}" for ext in ("jsonl", "model", "json"))
+        assert main(["sample", *files, "--strategy", strategy, "--max-samples", "3",
+                     "--seed", str(derive_seed(seed, "sampler")), "--out", str(ctx)]) == 0
+        sampled = {(c.annotator_id, c.post_id): c for c in load_contexts(ctx, corpus)}
+        dumped = load_contexts(run / "contexts" / f"{name}.jsonl", corpus)
+        assert len(dumped) == rows[name]["n_train"] + rows[name]["n_test"]
+        assert all(sampled[c.annotator_id, c.post_id] == c for c in dumped)
+
+        assert main(["train", *files, "--contexts", str(ctx), *split, "--epochs", "3",
+                     "--seed", str(derive_seed(seed, "train", name)),
+                     "--model-out", str(model)]) == 0
+        assert main(["evaluate", *files, "--model", str(model), "--contexts", str(ctx),
+                     *split, "--report-out", str(report)]) == 0
+        evaluated = json.loads(report.read_text())
+        assert evaluated["n"] == rows[name]["n_test"]
+        assert f"{evaluated['accuracy']:.6f}" == f"{rows[name]['acc_runs'][0]:.6f}"
+
+
+@pytest.fixture(scope="module")
+def staged(sample_inputs):
+    """sample_inputs' corpus with a verdict split, sampled contexts and a
+    model trained on them at dim 64."""
+    root, files, _ = sample_inputs
+    inputs = {"--contexts": str(root / "ctx.jsonl"), "--split": str(root / "split.jsonl")}
+    assert main(["split", *files, "--kind", "verdict", "--out", inputs["--split"]]) == 0
+    assert main(["sample", *files, "--dim", "64", "--strategy", "random_comments",
+                 "--max-samples", "2", "--out", inputs["--contexts"]]) == 0
+    assert main(["train", *files, "--dim", "64", *(a for kv in inputs.items() for a in kv),
+                 "--epochs", "1", "--model-out", str(root / "model.txt")]) == 0
+    return root, files, inputs
+
+
+def _no_embedding(monkeypatch):
+    def embed_texts(*args, **kwargs):
+        raise AssertionError("embedded before the inputs were checked")
+
+    monkeypatch.setattr(dlab.pipeline, "embed_texts", embed_texts)
+
+
+def _stage_argv(command, root, files, inputs, dim="64", model=None):
+    argv = [command, *files, "--dim", dim, *(a for kv in inputs.items() for a in kv)]
+    if command == "train":
+        return [*argv, "--model-out", str(root / "unused.model")]
+    return [*argv, "--model", str(model or root / "model.txt"),
+            "--report-out", str(root / "unused.json")]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda rows: [*rows, {"verdict_index": 999, "partition": "test"}],
+     "coverage: 999: assignment for unknown verdict index"),
+    (lambda rows: rows[:-1], "verdict not assigned"),
+], ids=["unknown-index", "missing-verdict"])
+def test_cli_train_and_evaluate_verify_the_split(staged, tmp_path, monkeypatch, capsys, edit,
+                                                message):
+    root, files, inputs = staged
+    header, *rows = Path(inputs["--split"]).read_text().splitlines()
+    write_jsonl(tmp_path / "split.jsonl", [json.loads(header),
+                                           *edit([json.loads(row) for row in rows])])
+    _no_embedding(monkeypatch)
+    for command in ("train", "evaluate"):
+        code = main(_stage_argv(command, root, files,
+                                {**inputs, "--split": str(tmp_path / "split.jsonl")}))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "invariant violation: split verification failed" in err and message in err
+
+
+def test_cli_split_writes_no_split_that_fails_the_check(staged, tmp_path, monkeypatch, capsys):
+    root, files, _ = staged
+    make_split = dlab.cli.make_split
+
+    def leaky(corpus, *args, **kwargs):
+        spec = make_split(corpus, *args, **kwargs)
+        spec.assignment.pop(0)
+        return spec
+
+    monkeypatch.setattr(dlab.cli, "make_split", leaky)
+    out = tmp_path / "split.jsonl"
+    assert main(["split", *files, "--kind", "verdict", "--out", str(out)]) == 3
+    assert "coverage: 0: verdict not assigned" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_evaluate_checks_the_model_dim_before_embedding(staged, monkeypatch, capsys):
+    root, files, inputs = staged
+    _no_embedding(monkeypatch)
+    assert main(_stage_argv("evaluate", root, files, inputs, dim="128")) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {root / 'model.txt'}: model has feature_dim 128" in err
+    assert "--dim 128 gives features of dim 256" in err
+
+
+@pytest.mark.parametrize("command,body,message", [
+    ("evaluate", "{}\n", "malformed header (KeyError: 'feature_dim')"),
+    ("evaluate", "MODEL\nAAAA\nAAAA\n", "payload of 3 bytes, header gives 2048"),
+    ("sample", '{"k": 2}\n', "malformed header (KeyError: 'dim')"),
+    ("sample", '{"k": 2, "dim": 3, "seed": 0, "inertia": 0.0}\nAAAA\n',
+     "payload of 3 bytes, header gives 24"),
+], ids=["model-header", "model-payload", "cluster-header", "cluster-payload"])
+def test_cli_malformed_model_files_are_data_errors(staged, tmp_path, capsys, command, body,
+                                                  message):
+    root, files, inputs = staged
+    model = tmp_path / "broken.model"
+    header = dict(feature_dim=128, gamma=2.0, alpha=[0.5, 0.5], seed=0, epochs=1,
+                  learning_rate=0.01, loss_history=[])
+    write_checksummed_text(model, body.replace("MODEL", json.dumps(header)))
+    if command == "evaluate":
+        argv = _stage_argv(command, root, files, inputs, model=model)
+    else:
+        argv = ["sample", *files, "--strategy", "similar_comments", "--max-samples", "2",
+                "--category", "cluster:0", "--cluster-model", str(model),
+                "--out", str(tmp_path / "unused.jsonl")]
+    assert main(argv) == 2
+    assert f"data error: {model}: {message}" in capsys.readouterr().err
