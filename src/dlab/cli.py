@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -168,6 +169,12 @@ def _embed_cfg(args) -> EmbedderConfig:
         dim=args.dim, ngram_range=(args.ngram_lo, args.ngram_hi), seed=args.embed_seed)
 
 
+def _embed_flags(cfg: EmbedderConfig) -> str:
+    """The embed flags that give `cfg`."""
+    lo, hi = cfg.ngram_range
+    return f"--dim {cfg.dim} --ngram-lo {lo} --ngram-hi {hi} --embed-seed {cfg.seed}"
+
+
 def _add_corpus_flags(p) -> None:
     p.add_argument("--posts", required=True)
     p.add_argument("--comments", required=True)
@@ -298,7 +305,7 @@ def _cmd_train(args) -> int:
     corpus = _load_corpus(args)
     _require_files(args.contexts, args.split)
     features, y = _partition_data(args, corpus, "train")
-    params = train(features, y, tc)
+    params = replace(train(features, y, tc), embedder=_embed_cfg(args))
     save_model(params, args.model_out)
     print(f"trained on {len(y)} examples; final loss "
           f"{params.loss_history[-1]:.6f}" if params.loss_history else
@@ -313,6 +320,11 @@ def _cmd_evaluate(args) -> int:
     if params.weights.shape[1] != 2 * args.dim:
         raise ModelFileError(f"{args.model}: model has feature_dim {params.weights.shape[1]}, "
                              f"but --dim {args.dim} gives features of dim {2 * args.dim}")
+    if params.embedder is None:
+        raise ModelFileError(f"{args.model}: model header records no embedder config")
+    if params.embedder != _embed_cfg(args):
+        raise ModelFileError(f"{args.model}: model was trained with "
+                             f"{_embed_flags(params.embedder)}, not {_embed_flags(_embed_cfg(args))}")
     report = evaluate(params, *_partition_data(args, corpus, args.partition))
     payload = {
         "n": report.n,

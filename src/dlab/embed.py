@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import heapq
 import json
 import math
 import os
@@ -344,12 +343,14 @@ def read_checksummed_text(path, error: type[Exception]) -> list[str]:
     return lines[:-1]
 
 
-def read_checksummed_container(path, error: type[Exception], fields: dict, payloads):
+def read_checksummed_container(path, error: type[Exception], fields: dict, payloads,
+                               optional: dict | None = None):
     """The header, payload arrays and remaining body lines of a file written
     by write_checksummed_text whose body is a JSON header line, then one
     base64 line per payload.
 
     `fields` maps each key the header must hold to its converter, and
+    `optional` each key it may hold; an absent optional key reads as None.
     `payloads(header)` gives the (dtype, shape) of each payload from the
     converted header. A missing or unconvertible key, or a payload that is
     missing or of another size, raises `error` naming the file.
@@ -358,6 +359,8 @@ def read_checksummed_container(path, error: type[Exception], fields: dict, paylo
     try:
         raw = json.loads(lines[0]) if lines else {}
         header = {key: convert(raw[key]) for key, convert in fields.items()}
+        header.update((key, convert(raw[key]) if key in raw else None)
+                      for key, convert in (optional or {}).items())
     except (KeyError, TypeError, ValueError) as exc:
         raise error(f"{path}: malformed header ({type(exc).__name__}: {exc})")
     layout = payloads(header)
@@ -414,14 +417,17 @@ def cosine_scores(queries: np.ndarray, matrix: EmbeddingMatrix, rows) -> np.ndar
     return scores
 
 
-def rank_scores(scores: np.ndarray, keys: list, k: int) -> list[tuple[int, float]]:
-    """The first k (position, score) pairs by descending score, then
-    ascending key."""
-    values = scores.tolist()
-    # documented as equal to sorted(...)[:k], ties included; on pools of
-    # 500 rows and more it is two to three times faster than the full sort
-    order = heapq.nsmallest(k, range(len(keys)), key=lambda i: (-values[i], keys[i]))
-    return [(i, values[i]) for i in order]
+def rank_scores(scores: np.ndarray, order, k: int) -> list[tuple[int, float]]:
+    """The first k (position, score) pairs of the positions in `order` by
+    descending score, then by their place in `order`.
+
+    `order` lists the candidate positions by ascending key, equal keys by
+    position, so the result is the full sort by (-score, key, position)
+    cut at k: one stable argsort, in which -0.0 and 0.0 tie.
+    """
+    order = np.asarray(order, dtype=np.intp)
+    ranked = order[(-scores[order]).argsort(kind="stable")[:k]]
+    return list(zip(ranked.tolist(), scores[ranked].tolist()))
 
 
 def top_k_similar(query: np.ndarray, matrix: EmbeddingMatrix, k: int,
@@ -440,4 +446,5 @@ def top_k_similar(query: np.ndarray, matrix: EmbeddingMatrix, k: int,
     keep = [i for i, rid in enumerate(matrix.ids) if rid not in exclude]
     ids = [matrix.ids[i] for i in keep]
     scores = cosine_scores(query[None, :], matrix, keep)[0]
-    return [(ids[i], score) for i, score in rank_scores(scores, ids, k)]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return [(ids[i], score) for i, score in rank_scores(scores, order, k)]

@@ -13,7 +13,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 # numpy imports its random module on first use; import it here, with the
@@ -21,7 +21,8 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .corpus import VERDICT_LABELS
-from .embed import EmbeddingMatrix, read_checksummed_container, write_checksummed_text
+from .embed import (EmbedderConfig, EmbeddingMatrix, read_checksummed_container,
+                    write_checksummed_text)
 from .sampler import ContextSet
 
 logger = logging.getLogger(__name__)
@@ -221,6 +222,8 @@ class ModelParams:
     learning_rate: float
     # mean training loss after each epoch
     loss_history: list[float] = field(default_factory=list)
+    # the embedder whose rows the features were built from, when known
+    embedder: EmbedderConfig | None = None
 
 
 def _inverse_frequency_alpha(y: np.ndarray) -> tuple[float, float]:
@@ -481,7 +484,8 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
 
 def save_model(params: ModelParams, path) -> None:
     """Text container: JSON header, base64 little-endian float64 weights and
-    bias, trailing checksum line."""
+    bias, trailing checksum line. The header holds the embedder config
+    (dim, ngram_range, seed) only when the params carry one."""
     header = {
         "feature_dim": int(params.weights.shape[1]),
         "gamma": params.gamma,
@@ -491,6 +495,8 @@ def save_model(params: ModelParams, path) -> None:
         "learning_rate": params.learning_rate,
         "loss_history": params.loss_history,
     }
+    if params.embedder is not None:
+        header["embedder"] = asdict(params.embedder)
     wbytes = np.ascontiguousarray(params.weights, dtype="<f8").tobytes()
     bbytes = np.ascontiguousarray(params.bias, dtype="<f8").tobytes()
     write_checksummed_text(path, (
@@ -505,11 +511,20 @@ def load_model(path) -> ModelParams:
         path, ModelFileError,
         {"feature_dim": int, "gamma": float, "alpha": tuple, "seed": int, "epochs": int,
          "learning_rate": float, "loss_history": list},
-        lambda h: [("<f8", (2, h["feature_dim"])), ("<f8", (2,))])
+        lambda h: [("<f8", (2, h["feature_dim"])), ("<f8", (2,))],
+        optional={"embedder": _embedder_config})
     if rest:
         raise ModelFileError(f"{path}: malformed model file")
     return ModelParams(
         weights=weights.copy(), bias=bias.copy(), gamma=header["gamma"],
         alpha=header["alpha"], seed=header["seed"], epochs=header["epochs"],
         learning_rate=header["learning_rate"], loss_history=header["loss_history"],
+        embedder=header["embedder"],
     )
+
+
+def _embedder_config(raw: dict) -> EmbedderConfig:
+    """The EmbedderConfig of a model header's "embedder" entry."""
+    lo, hi = raw["ngram_range"]
+    return EmbedderConfig(dim=int(raw["dim"]), ngram_range=(int(lo), int(hi)),
+                          seed=int(raw["seed"]))

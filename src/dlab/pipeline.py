@@ -13,7 +13,6 @@ from __future__ import annotations
 import configparser
 import json
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -570,6 +569,9 @@ def run_pipeline(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
         (outdir / "contexts").mkdir(exist_ok=True)
 
     if workers > 1:
+        # imported here, so that a sequential run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(state,)) as pool:
             rows = list(pool.map(_run_condition_global, conditions))

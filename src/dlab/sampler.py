@@ -8,15 +8,17 @@ reproducible regardless of evaluation order.
 """
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError, iter_jsonl, write_jsonl
+from .corpus import Corpus, CorpusError, iter_jsonl
 from .disclosure import CategoryProfile, HighLevelCategory
 from .embed import EmbeddingMatrix, cosine_scores, rank_scores
 from .seeds import derive_seed
@@ -184,14 +186,17 @@ def sample_context(pairs, corpus: Corpus,
         if annotator_id not in pools:
             units, admitted = annotator_pool(corpus, annotator_id, profiles,
                                              cfg.category_filter, unit)
-            candidates = [units[i] for i in admitted]
-            pools[annotator_id] = (units, admitted, candidates,
-                                   [(cid, text) for cid, _, text in candidates])
+            if similar:
+                # by (comment id, text), equal keys in pool order: the key
+                # order rank_scores breaks score ties by
+                admitted = np.array(sorted(admitted, key=lambda i: (units[i][0], units[i][2])),
+                                    dtype=np.intp)
+            pools[annotator_id] = (units, admitted)
         if not similar:
             continue
         if unit == "sentence" and sentences is None:
             raise ValueError("similar_sentences requires a sentence matrix")
-        if pools[annotator_id][2]:
+        if len(pools[annotator_id][1]):
             if embeddings is None or post_id not in embeddings:
                 raise ValueError(f"no embedding for post {post_id!r}")
             if (unit, annotator_id, post_id) not in scores:
@@ -208,15 +213,15 @@ def sample_context(pairs, corpus: Corpus,
 
     out = []
     for annotator_id, post_id in pairs:
-        units, admitted, candidates, keys = pools[annotator_id]
+        units, admitted = pools[annotator_id]
         if not similar:
             rng = random.Random(derive_seed(cfg.seed, annotator_id, post_id))
-            chosen = [(u, None) for u in
-                      rng.sample(candidates, min(cfg.max_samples, len(candidates)))]
-        elif candidates:
-            ranked = rank_scores(scores[(unit, annotator_id, post_id)][admitted], keys,
+            chosen = [(units[i], None) for i in
+                      rng.sample(admitted, min(cfg.max_samples, len(admitted)))]
+        elif len(admitted):
+            ranked = rank_scores(scores[(unit, annotator_id, post_id)], admitted,
                                  cfg.max_samples)
-            chosen = [(candidates[i], score) for i, score in ranked]
+            chosen = [(units[i], score) for i, score in ranked]
         else:
             chosen = []
         items = [ContextItem(cid, text, score, unit, sentence_index=idx)
@@ -361,15 +366,44 @@ def similar_post_diversity(contexts: list[ContextSet], corpus: Corpus) -> Divers
 # ---------------------------------------------------------------------------
 # serialization
 
+_CONTEXT_LINE = '{"annotator_id": %s, "post_id": %s, "items": [%s]}\n'
+_CONTEXT_ITEM = '{"comment_id": %s, "similarity": %s, "unit": %s, "sentence_index": %s}'
+
+
+class _Quoted(dict):
+    """JSON string literals of the strings looked up, each encoded once."""
+
+    def __missing__(self, text: str) -> str:
+        quoted = self[text] = encode_basestring(text)
+        return quoted
+
+
+def _json_number(value) -> str:
+    """An int, float or None as json.dumps writes it."""
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
 def dump_contexts(contexts: list[ContextSet], path) -> None:
-    """JSONL: one context per line; texts are re-derivable from the corpus."""
-    write_jsonl(path, ({
-        "annotator_id": ctx.annotator_id,
-        "post_id": ctx.post_id,
-        "items": [{"comment_id": item.source_comment_id, "similarity": item.similarity,
-                   "unit": item.unit, "sentence_index": item.sentence_index}
-                  for item in ctx.items],
-    } for ctx in contexts))
+    """JSONL: one context per line; texts are re-derivable from the corpus.
+
+    Each line is the one json.dumps(record, ensure_ascii=False) writes for
+    {"annotator_id", "post_id", "items": [{"comment_id", "similarity",
+    "unit", "sentence_index"}, ...]}, filled into a template.
+    """
+    quoted = _Quoted()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_CONTEXT_LINE % (
+            quoted[ctx.annotator_id], quoted[ctx.post_id], ", ".join([
+                _CONTEXT_ITEM % (quoted[item.source_comment_id], _json_number(item.similarity),
+                                 quoted[item.unit], _json_number(item.sentence_index))
+                for item in ctx.items]))
+            for ctx in contexts)
 
 
 def load_contexts(path, corpus: Corpus) -> list[ContextSet]:

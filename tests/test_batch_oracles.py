@@ -11,22 +11,29 @@ ones; `cosine_scores` scores a block of queries against matrix rows it
 reads in chunks, one product per chunk; `sample_context` samples a whole
 partition in one call, scores each annotator's pool for all its posts at
 once and memoises each pair's cosine scores across conditions;
+`rank_scores` ranks a pool in key order with one stable argsort;
+`dump_contexts` fills each context line into a template;
 `build_features` stores a partition's features once per distinct post and
 item sequence and sums each context mean from the items' stored entries;
 `train` gathers each batch from that block; `predict` scores a partition's
 feature rows in one product. The character-wise trim, the per-comment
 extractor, the per-gram embedder, the dense row array, the scalar cosine,
-the per-pair code, the dense feature matrix and the dense trainer they
-replaced are kept below as oracles, and the results must equal
-them exactly: the same spans, the same embedding bits, the same rows and
-norms bit for bit, the same score bits, the same context ids in the same
-order with the same similarity floats, feature rows equal element for
-element, the same weights, bias and losses bit for bit, and the same class
-for every row.
+the per-pair code, the `heapq.nsmallest` ranking, the `json.dumps` writer,
+the dense feature matrix and the dense trainer they replaced are kept
+below as oracles, and the results must equal them exactly: the same spans,
+the same embedding bits, the same rows and norms bit for bit, the same
+score bits, the same context ids in the same order with the same
+similarity floats, the same context file bytes, feature rows equal element
+for element, the same weights, bias and losses bit for bit, and the same
+class for every row.
 """
 import hashlib
+import heapq
+import json
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +43,9 @@ from conftest import dense
 
 import dlab.embed
 import dlab.sampler
-from dlab.corpus import _BOUNDARY_RE, Comment, Corpus, segment_sentences
+from dlab.corpus import _BOUNDARY_RE, Comment, Corpus, Post, Verdict, segment_sentences
 from dlab.disclosure import (
+    CategoryProfile,
     DisclosureSpan,
     HighLevelCategory,
     LowLevelCategory,
@@ -66,7 +74,9 @@ from dlab.sampler import (
     ContextSet,
     SamplerConfig,
     annotator_pool,
+    dump_contexts,
     full_pool_context,
+    load_contexts,
     sample_context,
 )
 from dlab.seeds import derive_seed
@@ -171,8 +181,38 @@ def oracle_cosine_scores(query, rows, norms):
     return scores
 
 
+def oracle_full_sort(scores, keys, k):
+    """The first k (position, score) pairs of the full sort by descending
+    score, then ascending key."""
+    values = scores.tolist()
+    return [(i, values[i]) for i in sorted(range(len(keys)),
+                                           key=lambda i: (-values[i], keys[i]))[:k]]
+
+
+def oracle_rank_scores(scores, keys, k):
+    """The same pairs from heapq.nsmallest over one (-score, key) tuple per
+    candidate."""
+    values = scores.tolist()
+    order = heapq.nsmallest(k, range(len(keys)), key=lambda i: (-values[i], keys[i]))
+    return [(i, values[i]) for i in order]
+
+
+def oracle_dump_contexts(contexts, path):
+    """JSONL, one json.dumps(record, ensure_ascii=False) per context."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for ctx in contexts:
+            fh.write(json.dumps({
+                "annotator_id": ctx.annotator_id,
+                "post_id": ctx.post_id,
+                "items": [{"comment_id": item.source_comment_id,
+                           "similarity": item.similarity,
+                           "unit": item.unit, "sentence_index": item.sentence_index}
+                          for item in ctx.items],
+            }, ensure_ascii=False) + "\n")
+
+
 def oracle_sample_context(annotator_id, post_id, corpus, embeddings, profiles, cfg,
-                          sentences=None):
+                          sentences=None, rank=oracle_full_sort):
     """One pair's context: the pool filtered first, then ranked or drawn."""
     if annotator_id not in corpus.annotator_index:
         raise ValueError(f"unknown annotator {annotator_id!r}")
@@ -201,10 +241,9 @@ def oracle_sample_context(annotator_id, post_id, corpus, embeddings, profiles, c
                                else (embeddings, candidates))
             rows = [matrix.row_index(rid) for rid in row_ids]
             scores = oracle_cosine_scores(embeddings.row(post_id), matrix.take(rows),
-                                          matrix.norms[rows]).tolist()
+                                          matrix.norms[rows])
             keys = [(cid, text) for cid, _, text in units]
-            ranked = sorted(range(len(units)), key=lambda i: (-scores[i], keys[i]))
-            chosen = [(units[i], scores[i]) for i in ranked[:cfg.max_samples]]
+            chosen = [(units[i], score) for i, score in rank(scores, keys, cfg.max_samples)]
     items = [ContextItem(cid, text, score, unit, sentence_index=idx)
              for (cid, idx, text), score in chosen]
     return ContextSet(annotator_id=annotator_id, post_id=post_id, items=items)
@@ -592,9 +631,14 @@ def test_batch_sampler_matches_per_pair_oracle(world, scales):
     for cfg in configs():
         want = [oracle_sample_context(a, p, corpus, embeddings, profiles, cfg, sentences)
                 for a, p in pairs]
+        # the full sort and heapq.nsmallest rank alike
+        assert want == [oracle_sample_context(a, p, corpus, embeddings, profiles, cfg,
+                                              sentences, rank=oracle_rank_scores)
+                        for a, p in pairs]
         got = sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
                              sentences=sentences, scores=memo)
         assert got == want, (cfg.strategy, cfg.category_filter)
+        assert signed(got) == signed(want)
         # without a memo too
         assert sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
                               sentences=sentences) == want
@@ -654,6 +698,123 @@ def test_grouped_memo_fill_matches_per_pair_oracle(world, monkeypatch):
                     for cid, _, text in units]
             assert same_bits(scores, oracle_cosine_scores(embeddings.row(p), matrix.take(rows),
                                                           matrix.norms[rows]))
+
+
+def signed(contexts):
+    """Each context's items with their similarity's repr, which tells -0.0
+    from 0.0 and shows NaN, where ContextItem equality does neither."""
+    return [(ctx.annotator_id, ctx.post_id,
+             [(item.source_comment_id, item.text, repr(item.similarity), item.unit,
+               item.sentence_index) for item in ctx.items]) for ctx in contexts]
+
+
+@pytest.fixture(scope="module")
+def tied_world():
+    """Pools whose keys repeat: comments c1 and c2 share a text, c0 and c3
+    repeat a sentence, so (comment id, text) keys repeat among sentences;
+    "solo" has one comment. Hand-made profiles put the comments in theory
+    categories and clusters."""
+    texts = {"c0": ("judge", "Same here. Same here."), "c1": ("judge", "Same here."),
+             "c2": ("judge", "Same here."),
+             "c3": ("judge", "I am a nurse. Same here. I am a nurse."),
+             "c4": ("judge", "Other words here."), "s0": ("solo", "Only one.")}
+    corpus = Corpus(
+        posts={pid: Post(id=pid, author_id="op", title=pid, body="same words")
+               for pid in ("p0", "p1")},
+        comments={cid: Comment(id=cid, author_id=aid, text=text)
+                  for cid, (aid, text) in texts.items()},
+        verdicts=[Verdict(pid, aid, "NTA") for pid in ("p0", "p1") for aid in ("judge", "solo")])
+    categories = list(HighLevelCategory)
+    profiles = {cid: CategoryProfile(cid, frozenset(categories[i % 4:i % 4 + 2]), True,
+                                     cluster_id=i % 2)
+                for i, cid in enumerate(texts)}
+    return (corpus, embed_corpus(corpus, ECFG), embed_sentences(corpus, ECFG), profiles,
+            [(v.annotator_id, v.post_id) for v in corpus.verdicts])
+
+
+TIED_SCORES = [1.0, 0.5, 5e-324, 0.0, -0.0, -5e-324, -0.5, -1.0]
+TIED_FILTERS = [None] + [CategoryFilter(theory=c) for c in HighLevelCategory] + [
+    CategoryFilter(cluster=i) for i in range(2)]
+TIED_CONFIGS = [SamplerConfig(strategy="similar_comments", max_samples=k, category_filter=filt)
+                for k in (1, 3, 5) for filt in TIED_FILTERS] + [
+    SamplerConfig(strategy="similar_sentences", max_samples=k) for k in (1, 3, 20)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sampler_ranks_tied_pools_as_nsmallest_oracle(tied_world, data):
+    # exact ties, -0.0 beside 0.0, repeated keys, and k above the pool size,
+    # on score vectors put into the memo, so no cosine can break a tie
+    corpus, embeddings, sentences, profiles, pairs = tied_world
+    memo = {}
+    for unit in ("comment", "sentence"):
+        for a, p in pairs:
+            units, _ = annotator_pool(corpus, a, None, None, unit)
+            memo[unit, a, p] = np.array(data.draw(st.lists(
+                st.sampled_from(TIED_SCORES), min_size=len(units), max_size=len(units))))
+    for cfg in TIED_CONFIGS:
+        want = []
+        for a, p in pairs:
+            units, admitted = annotator_pool(corpus, a, profiles, cfg.category_filter, cfg.unit)
+            candidates = [units[i] for i in admitted]
+            ranked = oracle_rank_scores(memo[cfg.unit, a, p][admitted],
+                                        [(cid, text) for cid, _, text in candidates],
+                                        cfg.max_samples)
+            want.append(ContextSet(a, p, [
+                ContextItem(candidates[i][0], candidates[i][2], score, cfg.unit,
+                            sentence_index=candidates[i][1]) for i, score in ranked]))
+        got = sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
+                             sentences=sentences, scores=dict(memo))
+        assert signed(got) == signed(want), cfg
+
+
+# ids with JSON's escapes, other control characters, characters Python's
+# str.splitlines breaks at, non-ASCII and astral characters
+ID_CHARS = list('"\\/ a\x00\x08\t\n\x0c\r\x1f\x7f\x85\u2028\u2029\xe9\u6771') + [
+    "\U0001f600", "\U0010ffff"]
+SIMILARITIES = [None, 0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060, 1.0, -1.0, math.nan, math.inf,
+                -math.inf, 0.1, 1 / 3]
+
+
+@st.composite
+def dumped_contexts(draw):
+    """A corpus of comments and contexts whose items name its comments and
+    sentences, with any similarity and, for comment items, any sentence index."""
+    ids = st.text(st.sampled_from(ID_CHARS), max_size=5) | st.text(max_size=5)
+    texts = st.lists(st.sampled_from(["Same here.", "I am a nurse.", "Hm"]), max_size=3)
+    comments = {}
+    for cid in draw(st.lists(ids, min_size=1, max_size=4, unique=True)):
+        comments[cid] = Comment(id=cid, author_id="a", text=" ".join(draw(texts)))
+    contexts = []
+    for _ in range(draw(st.integers(0, 4))):
+        items = []
+        for _ in range(draw(st.integers(0, 4))):
+            comment = comments[draw(st.sampled_from(sorted(comments)))]
+            similarity = draw(st.sampled_from(SIMILARITIES) | st.floats())
+            spans = comment.sentence_spans()
+            if spans and draw(st.booleans()):
+                index = draw(st.integers(0, len(spans) - 1))
+                a, b = spans[index]
+                items.append(ContextItem(comment.id, comment.text[a:b], similarity, "sentence",
+                                         sentence_index=index))
+            else:
+                index = draw(st.none() | st.integers())
+                items.append(ContextItem(comment.id, comment.text, similarity, "comment",
+                                         sentence_index=index))
+        contexts.append(ContextSet(draw(ids), draw(ids), items))
+    return Corpus(posts={}, comments=comments, verdicts=[]), contexts
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=dumped_contexts())
+def test_dump_contexts_matches_json_dumps_oracle(drawn):
+    corpus, contexts = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.jsonl", Path(tmp) / "want.jsonl"
+        dump_contexts(contexts, got)
+        oracle_dump_contexts(contexts, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert signed(load_contexts(got, corpus)) == signed(contexts)
 
 
 # ---------------------------------------------------------------------------

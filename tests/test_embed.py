@@ -369,6 +369,12 @@ def test_top_k_matches_brute_force(monkeypatch):
                 assert same_bits(np.array([s for _, s in got]), np.array([s for _, s in want]))
 
 
+def key_order(keys):
+    """The positions of `keys` by ascending key, equal keys by position: the
+    order rank_scores breaks score ties by."""
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
 def scalar_ranking(query, rows, keys):
     """The ranking rank_scores(cosine_scores(...)) must reproduce: one cosine_similarity per
     row, sorted by descending score, then ascending key (stable)."""
@@ -396,7 +402,8 @@ def test_rank_by_cosine_matches_scalar_oracle(n, dim, seed):
     assert block.shape == (len(queries), n)
     for query, scores in zip(queries, block):
         for keys in (shuffled, tuples):
-            assert rank_scores(scores, keys, n) == scalar_ranking(query, dense(matrix), keys)
+            assert rank_scores(scores, key_order(keys), n) == scalar_ranking(
+                query, dense(matrix), keys)
 
 
 def test_rank_scores_top_k_is_the_full_sort_prefix():
@@ -415,10 +422,14 @@ def test_rank_scores_top_k_is_the_full_sort_prefix():
         # the full stable sort by descending score, then ascending key
         full = [(i, values[i]) for i in sorted(range(n), key=lambda i: (-values[i], keys[i]))]
         for k in (1, 5, n, n + 3):
-            got = rank_scores(scores, keys, k)
+            got = rank_scores(scores, key_order(keys), k)
             assert got == full[:k]
             # the signs of the zeros come through as well
             assert [np.signbit(s) for _, s in got] == [np.signbit(s) for _, s in full[:k]]
+            # a category filter's positions, taken in key order
+            admitted = [i for i in key_order(keys) if i % 3]
+            assert rank_scores(scores, admitted, k) == [p for p in full if p[0] % 3][:k]
+        assert rank_scores(scores, [], 5) == []
 
 
 def test_top_k_tie_broken_by_id():

@@ -52,6 +52,14 @@ def test_hypothesis_failure_report_imports_under_warning_filters(monkeypatch):
     importlib.import_module("hypothesis.extra._patching")
 
 
+def run_python(script: str) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter that imports dlab from src."""
+    path = [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 def test_package_and_a_run_need_no_scipy(tmp_path):
     # scipy is a test dependency only; with sys.modules["scipy"] set to None
     # any import of it, top-level or lazy, raises ImportError
@@ -67,8 +75,22 @@ from dlab.pipeline import parse_config, run_pipeline
 rows = run_pipeline(parse_config({str(ini)!r}, {{"run.out": {str(tmp_path / "out")!r}}}))
 assert any(row["p_vs_baseline"] is not None for row in rows), rows
 """
-    path = [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_sequential_run_loads_no_multiprocessing(tmp_path):
+    # only a run with workers > 1 needs a process pool
+    ini = tmp_path / "run.ini"
+    ini.write_text(SYNTH_INI, encoding="utf-8")
+    script = f"""
+import sys
+import dlab.cli
+from dlab.pipeline import parse_config, run_pipeline
+run_pipeline(parse_config({str(ini)!r}, {{"run.out": {str(tmp_path / "out")!r}}}))
+loaded = [m for m in sys.modules if m.split(".")[0] == "multiprocessing"
+          or m == "concurrent.futures.process"]
+assert not loaded, loaded
+"""
+    proc = run_python(script)
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 import math
 import statistics
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dlab.model
-from dlab.embed import EmbeddingMatrix
+from dlab.embed import EmbedderConfig, EmbeddingMatrix
 from dlab.model import (
     LABELS,
     Features,
@@ -433,6 +434,11 @@ def test_model_roundtrip(tmp_path):
     assert back.gamma == params.gamma and back.alpha == params.alpha
     assert back.seed == params.seed and back.epochs == params.epochs
     assert back.loss_history == params.loss_history
+    assert back.embedder is None and "embedder" not in path.read_text()
+    # the embedder config, when the params carry one
+    embedder = EmbedderConfig(dim=64, ngram_range=(2, 3), seed=7)
+    save_model(replace(params, embedder=embedder), path)
+    assert load_model(path).embedder == embedder
 
 
 def test_model_file_tamper_detected(tmp_path):

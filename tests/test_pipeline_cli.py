@@ -16,6 +16,7 @@ from dlab.cli import main
 from dlab.cluster import ClusterModel, save_cluster_model
 from dlab.corpus import CorpusError, ingest_corpus
 from dlab.embed import EmbeddingMatrix, embed_text, export_embeddings, write_checksummed_text
+from dlab.model import load_model, save_model
 from dlab.pipeline import (
     CONFIG_KEYS,
     ConfigError,
@@ -1120,6 +1121,30 @@ def test_cli_evaluate_checks_the_model_dim_before_embedding(staged, monkeypatch,
     err = capsys.readouterr().err
     assert f"data error: {root / 'model.txt'}: model has feature_dim 128" in err
     assert "--dim 128 gives features of dim 256" in err
+
+
+@pytest.mark.parametrize("flags", [["--embed-seed", "99"], ["--ngram-lo", "2"],
+                                   ["--ngram-hi", "1"]], ids=["seed", "ngram-lo", "ngram-hi"])
+def test_cli_evaluate_checks_the_model_embedder_before_embedding(staged, monkeypatch, capsys,
+                                                                 flags):
+    # features of another embedder score a model as if they were its own
+    root, files, inputs = staged
+    _no_embedding(monkeypatch)
+    assert main([*_stage_argv("evaluate", root, files, inputs), *flags]) == 2
+    err = capsys.readouterr().err
+    trained = "--dim 64 --ngram-lo 1 --ngram-hi 2 --embed-seed 0"
+    assert f"data error: {root / 'model.txt'}: model was trained with {trained}, not " in err
+    assert " ".join(flags) in err.rsplit(", not ", 1)[1]
+
+
+def test_cli_evaluate_needs_the_model_embedder(staged, tmp_path, monkeypatch, capsys):
+    root, files, inputs = staged
+    model = tmp_path / "no-embedder.model"
+    save_model(dataclasses.replace(load_model(root / "model.txt"), embedder=None), model)
+    _no_embedding(monkeypatch)
+    assert main(_stage_argv("evaluate", root, files, inputs, model=model)) == 2
+    assert (f"data error: {model}: model header records no embedder config"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command,body,message", [
