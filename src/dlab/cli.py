@@ -169,12 +169,6 @@ def _embed_cfg(args) -> EmbedderConfig:
         dim=args.dim, ngram_range=(args.ngram_lo, args.ngram_hi), seed=args.embed_seed)
 
 
-def _embed_flags(cfg: EmbedderConfig) -> str:
-    """The embed flags that give `cfg`."""
-    lo, hi = cfg.ngram_range
-    return f"--dim {cfg.dim} --ngram-lo {lo} --ngram-hi {hi} --embed-seed {cfg.seed}"
-
-
 def _add_corpus_flags(p) -> None:
     p.add_argument("--posts", required=True)
     p.add_argument("--comments", required=True)
@@ -229,8 +223,7 @@ def _cmd_cluster(args) -> int:
     corpus = _load_comments(args.comments)
     profiles = build_profiles(corpus, _patterns(args))
     model, reduced = cluster_comments(
-        embed_corpus(corpus, _embed_cfg(args)), profiles, args.k, args.reduce_dim,
-        svd_seed=args.seed, kmeans_seed=args.seed)
+        embed_corpus(corpus, _embed_cfg(args)), profiles, args.k, args.reduce_dim, args.seed)
     save_cluster_model(model, args.model_out)
     sil = silhouette(reduced, model) if args.k >= 2 else None
     if args.inspect_out:
@@ -274,13 +267,15 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _partition_data(args, corpus, partition):
+def _partition_data(args, corpus, partition, embed_cfg):
     """Features and class indices of the verdicts in one partition of the
-    --split, which must pass check_split, with their contexts from
-    --contexts."""
+    --split, which must pass check_split and hold some verdict there, with
+    their contexts from --contexts and rows from `embed_cfg`."""
     split = load_split(args.split)
     check_split(split, corpus)
     indices = split.indices(partition)
+    if not indices:
+        raise CorpusError(f"{args.split}: the {partition} partition is empty")
     loaded = load_contexts(args.contexts, corpus)
     by_pair = {(c.annotator_id, c.post_id): c for c in loaded}
     contexts = []
@@ -291,8 +286,7 @@ def _partition_data(args, corpus, partition):
         except KeyError:
             raise CorpusError(
                 f"contexts file lacks pair ({v.annotator_id}, {v.post_id})")
-    state = condition_state(corpus, _embed_cfg(args),
-                            {item.unit for c in loaded for item in c.items})
+    state = condition_state(corpus, embed_cfg, {item.unit for c in loaded for item in c.items})
     return partition_data(state, contexts, indices)
 
 
@@ -304,8 +298,9 @@ def _cmd_train(args) -> int:
     )
     corpus = _load_corpus(args)
     _require_files(args.contexts, args.split)
-    features, y = _partition_data(args, corpus, "train")
-    params = replace(train(features, y, tc), embedder=_embed_cfg(args))
+    embed_cfg = _embed_cfg(args)
+    features, y = _partition_data(args, corpus, "train", embed_cfg)
+    params = replace(train(features, y, tc), embedder=embed_cfg)
     save_model(params, args.model_out)
     print(f"trained on {len(y)} examples; final loss "
           f"{params.loss_history[-1]:.6f}" if params.loss_history else
@@ -317,15 +312,12 @@ def _cmd_evaluate(args) -> int:
     corpus = _load_corpus(args)
     _require_files(args.model, args.contexts, args.split)
     params = load_model(args.model)
-    if params.weights.shape[1] != 2 * args.dim:
-        raise ModelFileError(f"{args.model}: model has feature_dim {params.weights.shape[1]}, "
-                             f"but --dim {args.dim} gives features of dim {2 * args.dim}")
     if params.embedder is None:
         raise ModelFileError(f"{args.model}: model header records no embedder config")
-    if params.embedder != _embed_cfg(args):
-        raise ModelFileError(f"{args.model}: model was trained with "
-                             f"{_embed_flags(params.embedder)}, not {_embed_flags(_embed_cfg(args))}")
-    report = evaluate(params, *_partition_data(args, corpus, args.partition))
+    if params.weights.shape[1] != 2 * params.embedder.dim:
+        raise ModelFileError(f"{args.model}: model has feature_dim {params.weights.shape[1]}, "
+                             f"not twice its embedder dim {params.embedder.dim}")
+    report = evaluate(params, *_partition_data(args, corpus, args.partition, params.embedder))
     payload = {
         "n": report.n,
         "accuracy": report.accuracy,
@@ -354,50 +346,59 @@ def _correctness(path) -> list:
     return values
 
 
-def _cmd_analyze(args) -> int:
-    if args.what == "coverage":
-        _require_files(args.contexts, args.cluster_model)
-        corpus = _load_comments(args.comments)
-        profiles = _profiles(args, corpus, _cluster_model(args))
-        contexts = load_contexts(args.contexts, corpus)
-        table = category_coverage(contexts, profiles)
-        write_tsv(args.out, [
-            ["family", "bucket", "percent"],
-            *(["theory", bucket, f"{pct:.2f}"] for bucket, pct in table.theory_pct.items()),
-            *(["cluster", bucket, f"{pct:.2f}"] for bucket, pct in table.cluster_pct.items()),
-        ])
-        print(f"items={table.n_items}")
-    elif args.what == "diversity":
-        _require_files(args.contexts)
-        corpus = _load_comments(args.comments)
-        contexts = load_contexts(args.contexts, corpus)
-        report = similar_post_diversity(contexts, corpus)
-        rows = [["measure", "lower_whisker", "q1", "median", "q3", "upper_whisker", "n"]]
-        for measure, box, values in (("coverage", report.coverage, report.coverage_values),
-                                     ("rank_ratio", report.rank_ratio, report.rank_ratio_values)):
-            if box is not None:
-                rows.append([measure, *(f"{v:.4f}" for v in (
-                    box.lower_whisker, box.q1, box.median, box.q3, box.upper_whisker)),
-                    str(len(values))])
-        write_tsv(args.out, rows)
-        print(f"annotators={len(report.coverage_values)}")
-    elif args.what == "ngrams":
-        corpus = _load_comments(args.comments)
-        rows = ngram_stats(corpus, args.n, args.position)
-        kept = rows[:args.top] if args.top else rows
-        write_tsv(args.out, [["ngram", "count"], *([gram, str(count)] for gram, count in kept)])
-        print(f"ngrams={len(rows)}")
-    elif args.what == "audit":
-        corpus = _load_comments(args.comments)
-        records = audit_sample(corpus, args.category, args.n, args.seed, _patterns(args))
-        write_audit_file(records, args.out)
-        print(f"sampled={len(records)}")
-    elif args.what == "significance":
-        _require_files(args.report_a, args.report_b)
-        t, p = significance_test(_correctness(args.report_a), _correctness(args.report_b))
-        print(f"t={t:.4f} p={p:.6g}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown analyze target {args.what!r}")
+def _cmd_coverage(args) -> int:
+    _require_files(args.contexts, args.cluster_model)
+    corpus = _load_comments(args.comments)
+    profiles = _profiles(args, corpus, _cluster_model(args))
+    contexts = load_contexts(args.contexts, corpus)
+    table = category_coverage(contexts, profiles)
+    write_tsv(args.out, [
+        ["family", "bucket", "percent"],
+        *(["theory", bucket, f"{pct:.2f}"] for bucket, pct in table.theory_pct.items()),
+        *(["cluster", bucket, f"{pct:.2f}"] for bucket, pct in table.cluster_pct.items()),
+    ])
+    print(f"items={table.n_items}")
+    return 0
+
+
+def _cmd_diversity(args) -> int:
+    _require_files(args.contexts)
+    corpus = _load_comments(args.comments)
+    contexts = load_contexts(args.contexts, corpus)
+    report = similar_post_diversity(contexts, corpus)
+    rows = [["measure", "lower_whisker", "q1", "median", "q3", "upper_whisker", "n"]]
+    for measure, box, values in (("coverage", report.coverage, report.coverage_values),
+                                 ("rank_ratio", report.rank_ratio, report.rank_ratio_values)):
+        if box is not None:
+            rows.append([measure, *(f"{v:.4f}" for v in (
+                box.lower_whisker, box.q1, box.median, box.q3, box.upper_whisker)),
+                str(len(values))])
+    write_tsv(args.out, rows)
+    print(f"annotators={len(report.coverage_values)}")
+    return 0
+
+
+def _cmd_ngrams(args) -> int:
+    corpus = _load_comments(args.comments)
+    rows = ngram_stats(corpus, args.n, args.position)
+    kept = rows[:args.top] if args.top else rows
+    write_tsv(args.out, [["ngram", "count"], *([gram, str(count)] for gram, count in kept)])
+    print(f"ngrams={len(rows)}")
+    return 0
+
+
+def _cmd_audit(args) -> int:
+    corpus = _load_comments(args.comments)
+    records = audit_sample(corpus, args.category, args.n, args.seed, _patterns(args))
+    write_audit_file(records, args.out)
+    print(f"sampled={len(records)}")
+    return 0
+
+
+def _cmd_significance(args) -> int:
+    _require_files(args.report_a, args.report_b)
+    t, p = significance_test(_correctness(args.report_a), _correctness(args.report_b))
+    print(f"t={t:.4f} p={p:.6g}")
     return 0
 
 
@@ -413,8 +414,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_embed(args) -> int:
     corpus = _load_corpus(args)
-    cfg = _embed_cfg(args)
-    matrix = embed_corpus(corpus, cfg)
+    matrix = embed_corpus(corpus, _embed_cfg(args))
     export_embeddings(matrix, args.out)
     print(f"rows={len(matrix)} dim={matrix.dim}")
     return 0
@@ -531,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="evaluate a saved model on a partition")
     _add_corpus_flags(p)
-    _add_embed_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--contexts", required=True)
     p.add_argument("--split", required=True)
@@ -548,13 +547,13 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--patterns")
     pa.add_argument("--cluster-model")
     pa.add_argument("--out", required=True)
-    pa.set_defaults(func=_cmd_analyze)
+    pa.set_defaults(func=_cmd_coverage)
 
     pa = asub.add_parser("diversity")
     pa.add_argument("--contexts", required=True)
     pa.add_argument("--comments", required=True)
     pa.add_argument("--out", required=True)
-    pa.set_defaults(func=_cmd_analyze)
+    pa.set_defaults(func=_cmd_diversity)
 
     pa = asub.add_parser("ngrams")
     pa.add_argument("--comments", required=True)
@@ -562,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--position", choices=("before", "after"), required=True)
     pa.add_argument("--top", type=non_negative_int, default=0)
     pa.add_argument("--out", required=True)
-    pa.set_defaults(func=_cmd_analyze)
+    pa.set_defaults(func=_cmd_ngrams)
 
     pa = asub.add_parser("audit")
     pa.add_argument("--comments", required=True)
@@ -571,12 +570,12 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--n", type=non_negative_int, default=20)
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--out", required=True)
-    pa.set_defaults(func=_cmd_analyze)
+    pa.set_defaults(func=_cmd_audit)
 
     pa = asub.add_parser("significance")
     pa.add_argument("--report-a", required=True)
     pa.add_argument("--report-b", required=True)
-    pa.set_defaults(func=_cmd_analyze)
+    pa.set_defaults(func=_cmd_significance)
 
     p = sub.add_parser("synth", help="generate a synthetic population")
     p.add_argument("--annotators", dest="n_annotators", type=int,

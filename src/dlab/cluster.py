@@ -8,7 +8,6 @@ approximate.
 """
 from __future__ import annotations
 
-import base64
 import json
 import random
 import warnings
@@ -20,7 +19,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .corpus import write_jsonl
-from .embed import EmbeddingMatrix, read_checksummed_container, write_checksummed_text
+from .embed import EmbeddingMatrix, read_checksummed_container, write_checksummed_container
 
 _CONVERGENCE_TOL = 1e-4
 _MAX_ITERS = 300
@@ -274,12 +273,10 @@ def save_cluster_model(model: ClusterModel, path) -> None:
         "seed": model.seed,
         "inertia": model.inertia,
     }
-    lines = [json.dumps(header, sort_keys=True)]
-    payload = np.ascontiguousarray(model.centroids, dtype="<f4").tobytes()
-    lines.append(base64.b64encode(payload).decode("ascii"))
-    for cid in sorted(model.assignment):
-        lines.append(json.dumps({"comment_id": cid, "cluster": model.assignment[cid]}))
-    write_checksummed_text(path, "\n".join(lines) + "\n")
+    write_checksummed_container(
+        path, header, [np.asarray(model.centroids, dtype="<f4")],
+        [json.dumps({"comment_id": cid, "cluster": model.assignment[cid]})
+         for cid in sorted(model.assignment)])
 
 
 def load_cluster_model(path) -> ClusterModel:

@@ -343,11 +343,19 @@ def read_checksummed_text(path, error: type[Exception]) -> list[str]:
     return lines[:-1]
 
 
+def write_checksummed_container(path, header: dict, payloads, lines=()) -> None:
+    """Write, by write_checksummed_text, the JSON header (sorted keys), one
+    base64 line of each payload array's row-major bytes, then `lines`."""
+    body = [json.dumps(header, sort_keys=True)]
+    body += [base64.b64encode(np.asarray(a).tobytes()).decode("ascii") for a in payloads]
+    body += lines
+    write_checksummed_text(path, "\n".join(body) + "\n")
+
+
 def read_checksummed_container(path, error: type[Exception], fields: dict, payloads,
                                optional: dict | None = None):
     """The header, payload arrays and remaining body lines of a file written
-    by write_checksummed_text whose body is a JSON header line, then one
-    base64 line per payload.
+    by write_checksummed_container.
 
     `fields` maps each key the header must hold to its converter, and
     `optional` each key it may hold; an absent optional key reads as None.

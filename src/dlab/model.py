@@ -8,8 +8,6 @@ gradient; gamma=0 recovers alpha-weighted cross-entropy exactly.
 """
 from __future__ import annotations
 
-import base64
-import json
 import logging
 import math
 import sys
@@ -22,7 +20,7 @@ import numpy.random  # noqa: F401
 
 from .corpus import VERDICT_LABELS
 from .embed import (EmbedderConfig, EmbeddingMatrix, read_checksummed_container,
-                    write_checksummed_text)
+                    write_checksummed_container)
 from .sampler import ContextSet
 
 logger = logging.getLogger(__name__)
@@ -497,13 +495,8 @@ def save_model(params: ModelParams, path) -> None:
     }
     if params.embedder is not None:
         header["embedder"] = asdict(params.embedder)
-    wbytes = np.ascontiguousarray(params.weights, dtype="<f8").tobytes()
-    bbytes = np.ascontiguousarray(params.bias, dtype="<f8").tobytes()
-    write_checksummed_text(path, (
-        json.dumps(header, sort_keys=True) + "\n"
-        + base64.b64encode(wbytes).decode("ascii") + "\n"
-        + base64.b64encode(bbytes).decode("ascii") + "\n"
-    ))
+    write_checksummed_container(path, header, [np.asarray(params.weights, dtype="<f8"),
+                                               np.asarray(params.bias, dtype="<f8")])
 
 
 def load_model(path) -> ModelParams:

@@ -502,12 +502,12 @@ def _build_embeddings(cfg: ExperimentConfig, corpus: Corpus) -> EmbeddingMatrix:
 
 
 def cluster_comments(embeddings: EmbeddingMatrix, profiles: dict[str, CategoryProfile],
-                     k: int, reduce_dim: int, svd_seed: int,
-                     kmeans_seed: int) -> tuple[ClusterModel, EmbeddingMatrix]:
+                     k: int, reduce_dim: int, seed: int) -> tuple[ClusterModel, EmbeddingMatrix]:
     """k-means over the SVD-reduced embeddings of the phrase-filtered comments.
 
-    Returns the model and the reduced matrix it was fitted on. The reduced
-    dimension is clamped to what the eligible rows allow.
+    Returns the model and the reduced matrix it was fitted on. The SVD and
+    k-means seeds derive from `seed`, a run's seed. The reduced dimension
+    is clamped to what the eligible rows allow.
     """
     eligible = [cid for cid in sorted(profiles) if profiles[cid].passes_phrase_filter]
     if len(eligible) < k:
@@ -515,8 +515,8 @@ def cluster_comments(embeddings: EmbeddingMatrix, profiles: dict[str, CategoryPr
     sub = EmbeddingMatrix.from_dense(
         eligible, embeddings.take([embeddings.row_index(cid) for cid in eligible]))
     target = min(reduce_dim, len(eligible), sub.dim)
-    reduced = truncated_svd(sub, target, seed=svd_seed)
-    return kmeans(reduced, k, seed=kmeans_seed), reduced
+    reduced = truncated_svd(sub, target, seed=derive_seed(seed, "svd"))
+    return kmeans(reduced, k, seed=derive_seed(seed, "kmeans")), reduced
 
 
 def check_split(split: SplitSpec, corpus: Corpus) -> None:
@@ -550,21 +550,23 @@ def run_pipeline(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
 
     profiles = build_profiles(corpus)
     if cfg.cluster_enabled:
-        model, _ = cluster_comments(
-            embeddings, profiles, cfg.cluster_k, cfg.reduce_dim,
-            svd_seed=derive_seed(cfg.seed, "svd"), kmeans_seed=derive_seed(cfg.seed, "kmeans"))
+        model, _ = cluster_comments(embeddings, profiles, cfg.cluster_k, cfg.reduce_dim, cfg.seed)
         profiles = attach_clusters(profiles, model.assignment)
 
     split = make_split(corpus, cfg.split_kind, cfg.split_ratios,
                        seed=derive_seed(cfg.seed, "split"))
     check_split(split, corpus)
+    train_pairs, test_pairs = split.indices("train"), split.indices("test")
+    if not train_pairs or not test_pairs:
+        sizes = ", ".join(f"{part} {n}" for part, n in split.sizes().items())
+        raise ConfigError(f"the split leaves the train or test partition empty ({sizes} verdicts)")
     save_split(split, outdir / "split.jsonl")
 
     conditions = build_conditions(cfg)
     state = condition_state(
         corpus, cfg.embedder_config(), {c.sampler.unit for c in conditions if c.sampler},
         embeddings=embeddings, cfg=cfg, profiles=profiles,
-        train_pairs=split.indices("train"), test_pairs=split.indices("test"))
+        train_pairs=train_pairs, test_pairs=test_pairs)
     if cfg.save_contexts:
         (outdir / "contexts").mkdir(exist_ok=True)
 
@@ -591,8 +593,8 @@ def run_pipeline(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
             row["t_vs_baseline"] = t
             row["p_vs_baseline"] = p
 
-    test_labels = [corpus.verdicts[i].label for i in state.test_pairs]
-    nta_share = test_labels.count("NTA") / len(test_labels) if test_labels else 0.0
+    test_labels = [corpus.verdicts[i].label for i in test_pairs]
+    nta_share = test_labels.count("NTA") / len(test_labels)
     summary = {
         "version": __version__,
         "n_annotators": len(corpus.annotators()),

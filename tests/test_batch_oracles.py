@@ -381,7 +381,7 @@ def world():
     embeddings = embed_corpus(corpus, ECFG)
     sentences = embed_sentences(corpus, ECFG)
     profiles = build_profiles(corpus)
-    model, _ = cluster_comments(embeddings, profiles, 3, 4, svd_seed=1, kmeans_seed=1)
+    model, _ = cluster_comments(embeddings, profiles, 3, 4, 1)
     profiles = attach_clusters(profiles, model.assignment)
     pairs = [(v.annotator_id, v.post_id) for v in corpus.verdicts]
     pairs.append(("silent", min(corpus.posts)))

@@ -15,7 +15,8 @@ import dlab.pipeline
 from dlab.cli import main
 from dlab.cluster import ClusterModel, save_cluster_model
 from dlab.corpus import CorpusError, ingest_corpus
-from dlab.embed import EmbeddingMatrix, embed_text, export_embeddings, write_checksummed_text
+from dlab.embed import (EmbedderConfig, EmbeddingMatrix, embed_text, export_embeddings,
+                        write_checksummed_text)
 from dlab.model import load_model, save_model
 from dlab.pipeline import (
     CONFIG_KEYS,
@@ -537,6 +538,19 @@ def test_pipeline_sentence_strategies(tmp_path):
         assert all(i.unit == "sentence" and i.similarity is None for i in ctx.items)
 
 
+def test_pipeline_empty_partition_is_data_error(tmp_path, capsys):
+    # three posts split by situation at 0.8/0.1/0.1 put every verdict in train
+    (tmp_path / "exp.ini").write_text(
+        "[synth]\nenabled = true\nn_annotators = 6\nn_posts = 3\nverdicts_lo = 3\n"
+        "verdicts_hi = 3\n\n[corpus]\nmin_comments = 1\n\n[train]\nruns = 1\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "exp.ini"), "--seed", "1",
+                 "--out", str(out)]) == 2
+    assert ("data error: the split leaves the train or test partition empty "
+            "(train 18, val 0, test 0 verdicts)") in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["synth"]
+
+
 def test_pipeline_report_roundtrip(synth_run):
     _, outdir, _, rows = synth_run
     parsed = read_report_tsv(outdir / "report.tsv")
@@ -956,8 +970,7 @@ def test_cli_full_chain(tmp_path, capsys):
                  "--epochs", "2", "--seed", "5",
                  "--model-out", str(d / "model.txt")]) == 0
 
-    assert main(["evaluate", *corpus_flags, *embed_flags,
-                 "--model", str(d / "model.txt"),
+    assert main(["evaluate", *corpus_flags, "--model", str(d / "model.txt"),
                  "--contexts", str(d / "ctx.jsonl"), "--split", str(d / "split.jsonl"),
                  "--partition", "test",
                  "--report-out", str(d / "eval.json")]) == 0
@@ -991,15 +1004,18 @@ def test_cli_full_chain(tmp_path, capsys):
 
 def test_cli_stage_chain_reproduces_a_run_condition(tmp_path):
     # `dlab sample`, `train` and `evaluate` with the seeds a run derives from
-    # its own write each condition's contexts and score its accuracy
+    # its own write each condition's contexts and score its accuracy, and
+    # `dlab cluster --seed` with the run's seed fits the run's clusters
     spec = PopulationSpec(n_annotators=6, n_posts=20, comments_per_annotator=(4, 6),
                           verdicts_per_annotator=(8, 10), seed=5)
     corpus, truth = generate_population(spec)
     paths = write_population(corpus, truth, tmp_path / "data")
     corpus, _ = ingest_corpus(paths["posts"], paths["comments"], paths["verdicts"])
-    seed, run = 11, tmp_path / "run"
-    ini = tmp_path / "exp.ini"
-    ini.write_text(f"""\
+    seed = 11
+
+    def run(name, sections):
+        ini = tmp_path / f"{name}.ini"
+        ini.write_text(f"""\
 [corpus]
 posts = {paths['posts']}
 comments = {paths['comments']}
@@ -1012,9 +1028,7 @@ dim = 128
 [split]
 ratios = 0.6,0.2,0.2
 
-[sampler]
-strategies = similar_comments,similar_sentences,random_comments
-max_samples = 3
+{sections}
 
 [train]
 epochs = 3
@@ -1022,31 +1036,53 @@ runs = 1
 
 [run]
 seed = {seed}
-out = {run}
+out = {tmp_path / name}
 """)
-    rows = {row["condition"]: row for row in run_pipeline(parse_config(ini))}
-    files = [arg for name in ("posts", "comments", "verdicts")
-             for arg in (f"--{name}", str(paths[name]))]
-    files += ["--dim", "128", "--embed-seed", str(derive_seed(seed, "embed"))]
-    split = ["--split", str(run / "split.jsonl")]
-    for strategy in ("similar_comments", "similar_sentences", "random_comments"):
-        name = f"{strategy}-k3"
-        ctx, model, report = (tmp_path / f"{name}.{ext}" for ext in ("jsonl", "model", "json"))
-        assert main(["sample", *files, "--strategy", strategy, "--max-samples", "3",
+        return tmp_path / name, {row["condition"]: row for row in run_pipeline(parse_config(ini))}
+
+    def sample_like_the_run(out, rows, name, *flags):
+        ctx = tmp_path / f"{out.name}-{name}.jsonl"
+        assert main(["sample", *files, *embed, "--max-samples", "3", *flags,
                      "--seed", str(derive_seed(seed, "sampler")), "--out", str(ctx)]) == 0
         sampled = {(c.annotator_id, c.post_id): c for c in load_contexts(ctx, corpus)}
-        dumped = load_contexts(run / "contexts" / f"{name}.jsonl", corpus)
+        dumped = load_contexts(out / "contexts" / f"{name}.jsonl", corpus)
         assert len(dumped) == rows[name]["n_train"] + rows[name]["n_test"]
         assert all(sampled[c.annotator_id, c.post_id] == c for c in dumped)
+        return ctx, dumped
 
-        assert main(["train", *files, "--contexts", str(ctx), *split, "--epochs", "3",
+    files = [arg for name in ("posts", "comments", "verdicts")
+             for arg in (f"--{name}", str(paths[name]))]
+    embed = ["--dim", "128", "--embed-seed", str(derive_seed(seed, "embed"))]
+    out, rows = run("run", "[sampler]\nstrategies = similar_comments,similar_sentences,"
+                           "random_comments\nmax_samples = 3")
+    split = ["--split", str(out / "split.jsonl")]
+    for strategy in ("similar_comments", "similar_sentences", "random_comments"):
+        name = f"{strategy}-k3"
+        ctx, _ = sample_like_the_run(out, rows, name, "--strategy", strategy)
+        model, report = tmp_path / f"{name}.model", tmp_path / f"{name}.json"
+        assert main(["train", *files, *embed, "--contexts", str(ctx), *split, "--epochs", "3",
                      "--seed", str(derive_seed(seed, "train", name)),
                      "--model-out", str(model)]) == 0
+        # the embedder comes from the model
         assert main(["evaluate", *files, "--model", str(model), "--contexts", str(ctx),
                      *split, "--report-out", str(report)]) == 0
         evaluated = json.loads(report.read_text())
         assert evaluated["n"] == rows[name]["n_test"]
         assert f"{evaluated['accuracy']:.6f}" == f"{rows[name]['acc_runs'][0]:.6f}"
+
+    out, rows = run("clustered", "[cluster]\nenabled = true\nk = 3\n\n[sampler]\n"
+                                 "strategies = similar_comments\nmax_samples = 3\n"
+                                 "categories = none,theory:*,cluster:*")
+    clusters = tmp_path / "k3.model"
+    assert main(["cluster", "--comments", str(paths["comments"]), *embed, "--k", "3",
+                 "--seed", str(seed), "--model-out", str(clusters)]) == 0
+    filtered = [name for name in rows if name.startswith("similar_comments-k3-")]
+    assert len(filtered) == 7
+    for name in filtered:
+        category = name.removeprefix("similar_comments-k3-")
+        _, dumped = sample_like_the_run(out, rows, name, "--strategy", "similar_comments",
+                                        "--category", category, "--cluster-model", str(clusters))
+        assert any(c.items for c in dumped) or category.startswith("theory:")
 
 
 @pytest.fixture(scope="module")
@@ -1070,10 +1106,10 @@ def _no_embedding(monkeypatch):
     monkeypatch.setattr(dlab.pipeline, "embed_texts", embed_texts)
 
 
-def _stage_argv(command, root, files, inputs, dim="64", model=None):
-    argv = [command, *files, "--dim", dim, *(a for kv in inputs.items() for a in kv)]
+def _stage_argv(command, root, files, inputs, model=None):
+    argv = [command, *files, *(a for kv in inputs.items() for a in kv)]
     if command == "train":
-        return [*argv, "--model-out", str(root / "unused.model")]
+        return [*argv, "--dim", "64", "--model-out", str(root / "unused.model")]
     return [*argv, "--model", str(model or root / "model.txt"),
             "--report-out", str(root / "unused.json")]
 
@@ -1098,6 +1134,20 @@ def test_cli_train_and_evaluate_verify_the_split(staged, tmp_path, monkeypatch, 
         assert "invariant violation: split verification failed" in err and message in err
 
 
+@pytest.mark.parametrize("command,empty", [("train", "train"), ("evaluate", "test")])
+def test_cli_train_and_evaluate_reject_an_empty_partition(staged, tmp_path, monkeypatch, capsys,
+                                                         command, empty):
+    root, files, inputs = staged
+    header, *rows = Path(inputs["--split"]).read_text().splitlines()
+    other = "test" if empty == "train" else "train"
+    split = tmp_path / "split.jsonl"
+    write_jsonl(split, [json.loads(header), *({**json.loads(row), "partition": other}
+                                              for row in rows)])
+    _no_embedding(monkeypatch)
+    assert main(_stage_argv(command, root, files, {**inputs, "--split": str(split)})) == 2
+    assert f"data error: {split}: the {empty} partition is empty" in capsys.readouterr().err
+
+
 def test_cli_split_writes_no_split_that_fails_the_check(staged, tmp_path, monkeypatch, capsys):
     root, files, _ = staged
     make_split = dlab.cli.make_split
@@ -1114,27 +1164,17 @@ def test_cli_split_writes_no_split_that_fails_the_check(staged, tmp_path, monkey
     assert not out.exists()
 
 
-def test_cli_evaluate_checks_the_model_dim_before_embedding(staged, monkeypatch, capsys):
+def test_cli_evaluate_checks_the_model_dim_before_embedding(staged, tmp_path, monkeypatch,
+                                                           capsys):
+    # features from the header's embedder would not fit the weights
     root, files, inputs = staged
+    model = tmp_path / "dim-128.model"
+    save_model(dataclasses.replace(load_model(root / "model.txt"),
+                                   embedder=EmbedderConfig(dim=128)), model)
     _no_embedding(monkeypatch)
-    assert main(_stage_argv("evaluate", root, files, inputs, dim="128")) == 2
-    err = capsys.readouterr().err
-    assert f"data error: {root / 'model.txt'}: model has feature_dim 128" in err
-    assert "--dim 128 gives features of dim 256" in err
-
-
-@pytest.mark.parametrize("flags", [["--embed-seed", "99"], ["--ngram-lo", "2"],
-                                   ["--ngram-hi", "1"]], ids=["seed", "ngram-lo", "ngram-hi"])
-def test_cli_evaluate_checks_the_model_embedder_before_embedding(staged, monkeypatch, capsys,
-                                                                 flags):
-    # features of another embedder score a model as if they were its own
-    root, files, inputs = staged
-    _no_embedding(monkeypatch)
-    assert main([*_stage_argv("evaluate", root, files, inputs), *flags]) == 2
-    err = capsys.readouterr().err
-    trained = "--dim 64 --ngram-lo 1 --ngram-hi 2 --embed-seed 0"
-    assert f"data error: {root / 'model.txt'}: model was trained with {trained}, not " in err
-    assert " ".join(flags) in err.rsplit(", not ", 1)[1]
+    assert main(_stage_argv("evaluate", root, files, inputs, model=model)) == 2
+    assert (f"data error: {model}: model has feature_dim 128, not twice its embedder dim 128"
+            in capsys.readouterr().err)
 
 
 def test_cli_evaluate_needs_the_model_embedder(staged, tmp_path, monkeypatch, capsys):
