@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -270,14 +270,25 @@ def _cmd_sample(args) -> int:
 def _partition_data(args, corpus, partition, embed_cfg):
     """Features and class indices of the verdicts in one partition of the
     --split, which must pass check_split and hold some verdict there, with
-    their contexts from --contexts and rows from `embed_cfg`."""
+    their contexts from --contexts and rows from `embed_cfg`. The contexts
+    must list each pair once and hold only comments its annotator wrote."""
     split = load_split(args.split)
     check_split(split, corpus)
     indices = split.indices(partition)
     if not indices:
         raise CorpusError(f"{args.split}: the {partition} partition is empty")
     loaded = load_contexts(args.contexts, corpus)
-    by_pair = {(c.annotator_id, c.post_id): c for c in loaded}
+    by_pair = {}
+    for c in loaded:
+        where = f"{args.contexts}: pair ({c.annotator_id}, {c.post_id})"
+        if (c.annotator_id, c.post_id) in by_pair:
+            raise CorpusError(f"{where} is listed twice")
+        for item in c.items:
+            author = corpus.comments[item.source_comment_id].author_id
+            if author != c.annotator_id:
+                raise CorpusError(f"{where} holds comment {item.source_comment_id!r} "
+                                  f"by annotator {author!r}")
+        by_pair[(c.annotator_id, c.post_id)] = c
     contexts = []
     for vi in indices:
         v = corpus.verdicts[vi]
@@ -318,18 +329,7 @@ def _cmd_evaluate(args) -> int:
         raise ModelFileError(f"{args.model}: model has feature_dim {params.weights.shape[1]}, "
                              f"not twice its embedder dim {params.embedder.dim}")
     report = evaluate(params, *_partition_data(args, corpus, args.partition, params.embedder))
-    payload = {
-        "n": report.n,
-        "accuracy": report.accuracy,
-        "macro_f1": report.macro_f1,
-        "per_class": {
-            lab: {"precision": m.precision, "recall": m.recall,
-                  "f1": m.f1, "support": m.support}
-            for lab, m in report.per_class.items()
-        },
-        "correctness": report.correctness.tolist(),
-    }
-    write_json(args.report_out, payload)
+    write_json(args.report_out, {**asdict(report), "correctness": report.correctness.tolist()})
     print(f"n={report.n} accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f}")
     return 0
 

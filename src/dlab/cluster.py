@@ -264,15 +264,16 @@ def nearest_to_centroid(model: ClusterModel, matrix: EmbeddingMatrix,
 # ---------------------------------------------------------------------------
 # serialization and inspection
 
+# each header key of a cluster-model file but dim, with the converter
+# load_cluster_model reads it with
+_CLUSTER_HEADER = {"k": int, "seed": int, "inertia": float}
+
+
 def save_cluster_model(model: ClusterModel, path) -> None:
     """Single-file container: JSON header, base64 float32 centroid payload
     (little-endian row-major), assignment JSONL, and a trailing checksum."""
-    header = {
-        "k": model.k,
-        "dim": int(model.centroids.shape[1]),
-        "seed": model.seed,
-        "inertia": model.inertia,
-    }
+    header = {key: getattr(model, key) for key in _CLUSTER_HEADER}
+    header["dim"] = int(model.centroids.shape[1])
     write_checksummed_container(
         path, header, [np.asarray(model.centroids, dtype="<f4")],
         [json.dumps({"comment_id": cid, "cluster": model.assignment[cid]})
@@ -281,7 +282,7 @@ def save_cluster_model(model: ClusterModel, path) -> None:
 
 def load_cluster_model(path) -> ClusterModel:
     header, (centroids,), lines = read_checksummed_container(
-        path, ClusterModelError, {"k": int, "dim": int, "seed": int, "inertia": float},
+        path, ClusterModelError, {"dim": int, **_CLUSTER_HEADER},
         lambda h: [("<f4", (h["k"], h["dim"]))])
     assignment: dict[str, int] = {}
     for line in lines:
@@ -290,10 +291,8 @@ def load_cluster_model(path) -> ClusterModel:
             assignment[str(rec["comment_id"])] = int(rec["cluster"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ClusterModelError(f"{path}: malformed assignment line ({exc})")
-    model = ClusterModel(
-        k=header["k"], centroids=centroids.astype(np.float64), assignment=assignment,
-        inertia=header["inertia"], seed=header["seed"],
-    )
+    model = ClusterModel(centroids=centroids.astype(np.float64), assignment=assignment,
+                         **{key: header[key] for key in _CLUSTER_HEADER})
     model.check_invariants()
     return model
 

@@ -12,7 +12,7 @@ import math
 import random
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 VERDICT_LABELS = ("NTA", "YTA")
@@ -165,13 +165,7 @@ class IngestReport:
         return len(self.self_verdicts_dropped)
 
     def to_dict(self) -> dict:
-        return {
-            "n_posts": self.n_posts,
-            "n_comments": self.n_comments,
-            "n_verdicts": self.n_verdicts,
-            "n_self_verdicts_dropped": self.n_self_verdicts_dropped,
-            "self_verdicts_dropped": [list(t) for t in self.self_verdicts_dropped],
-        }
+        return {**asdict(self), "n_self_verdicts_dropped": self.n_self_verdicts_dropped}
 
 
 def iter_jsonl(path: Path):
@@ -388,6 +382,12 @@ class SplitSpec:
         return out
 
 
+def _split_kind(raw) -> str:
+    if raw not in SPLIT_KINDS:
+        raise ValueError(f"unknown split kind {raw!r}; expected one of {SPLIT_KINDS}")
+    return raw
+
+
 def validate_ratios(ratios) -> tuple[float, float, float]:
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3:
@@ -422,8 +422,7 @@ def make_split(corpus: Corpus, kind: str, ratios=SPLIT_RATIOS, seed: int = 0) ->
     the partition with the largest remaining verdict-count deficit, so
     partition sizes track the ratios as closely as group sizes allow.
     """
-    if kind not in SPLIT_KINDS:
-        raise ValueError(f"unknown split kind {kind!r}; expected one of {SPLIT_KINDS}")
+    kind = _split_kind(kind)
     ratios = validate_ratios(ratios)
     n = len(corpus.verdicts)
     if n == 0:
@@ -465,7 +464,7 @@ def make_split(corpus: Corpus, kind: str, ratios=SPLIT_RATIOS, seed: int = 0) ->
 
 @dataclass
 class SplitViolation:
-    kind: str  # "coverage" | "shared_post" | "shared_annotator"
+    kind: str  # "kind" | "coverage" | "shared_post" | "shared_annotator"
     subject: str
     detail: str
 
@@ -485,11 +484,14 @@ class SplitReport:
 def verify_split(spec: SplitSpec, corpus: Corpus) -> SplitReport:
     """Check a split against the corpus; empty report iff all invariants hold.
 
-    Every verdict must be assigned to exactly one known partition; under
-    situation (author) splits no post (annotator) may appear in two
-    partitions. Violating ids are listed individually.
+    The kind must be one of SPLIT_KINDS and every verdict must be assigned
+    to exactly one known partition; under situation (author) splits no post
+    (annotator) may appear in two partitions. Violating ids are listed
+    individually.
     """
     report = SplitReport()
+    if spec.kind not in SPLIT_KINDS:
+        report.violations.append(SplitViolation("kind", spec.kind, "unknown split kind"))
     n = len(corpus.verdicts)
     expected = set(range(n))
     got = set(spec.assignment)
@@ -521,31 +523,39 @@ def verify_split(spec: SplitSpec, corpus: Corpus) -> SplitReport:
     return report
 
 
+def _split_ratios(raw) -> tuple[float, float, float]:
+    if not (isinstance(raw, list) and len(raw) == 3 and all(type(r) in (int, float) for r in raw)):
+        raise ValueError(f"ratios must be three numbers, got {raw!r}")
+    return tuple(float(r) for r in raw)
+
+
+# each key of a split file's header line, in written order, with the
+# converter load_split reads it with
+_SPLIT_HEADER = {"kind": _split_kind, "ratios": _split_ratios, "seed": int}
+
+
 def save_split(spec: SplitSpec, path) -> None:
     """Write a split as JSONL: a header object, then one row per verdict."""
-    header = {"kind": spec.kind, "ratios": list(spec.ratios), "seed": spec.seed}
+    header = {key: getattr(spec, key) for key in _SPLIT_HEADER}
     write_jsonl(path, [header, *({"verdict_index": i, "partition": spec.assignment[i]}
                                  for i in sorted(spec.assignment))])
 
 
 def load_split(path) -> SplitSpec:
+    """The split save_split wrote to `path`; a missing or malformed header
+    value or a bad row is a CorpusError naming the file."""
     path = Path(path)
     rows = list(iter_jsonl(path))
     if not rows:
         raise CorpusError(f"{path.name}: empty split file")
-    _, header = rows[0]
-    for key in ("kind", "ratios", "seed"):
-        if key not in header:
-            raise CorpusError(f"{path.name}: split header missing {key!r}")
+    try:
+        header = {key: convert(rows[0][1][key]) for key, convert in _SPLIT_HEADER.items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorpusError(f"{path.name}: malformed split header ({type(exc).__name__}: {exc})")
     assignment: dict[int, str] = {}
     for lineno, rec in rows[1:]:
         try:
             assignment[int(rec["verdict_index"])] = str(rec["partition"])
         except (KeyError, TypeError, ValueError):
             raise CorpusError(f"{path.name} line {lineno}: bad split row")
-    return SplitSpec(
-        kind=str(header["kind"]),
-        ratios=tuple(float(r) for r in header["ratios"]),
-        seed=int(header["seed"]),
-        assignment=assignment,
-    )
+    return SplitSpec(assignment=assignment, **header)

@@ -480,19 +480,18 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 # serialization
 
+# each header key of a model file but feature_dim and embedder, with the
+# converter load_model reads it with
+_MODEL_HEADER = {"gamma": float, "alpha": tuple, "seed": int, "epochs": int,
+                 "learning_rate": float, "loss_history": list}
+
+
 def save_model(params: ModelParams, path) -> None:
     """Text container: JSON header, base64 little-endian float64 weights and
     bias, trailing checksum line. The header holds the embedder config
     (dim, ngram_range, seed) only when the params carry one."""
-    header = {
-        "feature_dim": int(params.weights.shape[1]),
-        "gamma": params.gamma,
-        "alpha": list(params.alpha),
-        "seed": params.seed,
-        "epochs": params.epochs,
-        "learning_rate": params.learning_rate,
-        "loss_history": params.loss_history,
-    }
+    header = {key: getattr(params, key) for key in _MODEL_HEADER}
+    header["feature_dim"] = int(params.weights.shape[1])
     if params.embedder is not None:
         header["embedder"] = asdict(params.embedder)
     write_checksummed_container(path, header, [np.asarray(params.weights, dtype="<f8"),
@@ -501,19 +500,13 @@ def save_model(params: ModelParams, path) -> None:
 
 def load_model(path) -> ModelParams:
     header, (weights, bias), rest = read_checksummed_container(
-        path, ModelFileError,
-        {"feature_dim": int, "gamma": float, "alpha": tuple, "seed": int, "epochs": int,
-         "learning_rate": float, "loss_history": list},
+        path, ModelFileError, {"feature_dim": int, **_MODEL_HEADER},
         lambda h: [("<f8", (2, h["feature_dim"])), ("<f8", (2,))],
         optional={"embedder": _embedder_config})
     if rest:
         raise ModelFileError(f"{path}: malformed model file")
-    return ModelParams(
-        weights=weights.copy(), bias=bias.copy(), gamma=header["gamma"],
-        alpha=header["alpha"], seed=header["seed"], epochs=header["epochs"],
-        learning_rate=header["learning_rate"], loss_history=header["loss_history"],
-        embedder=header["embedder"],
-    )
+    return ModelParams(weights=weights.copy(), bias=bias.copy(), embedder=header["embedder"],
+                       **{key: header[key] for key in _MODEL_HEADER})
 
 
 def _embedder_config(raw: dict) -> EmbedderConfig:

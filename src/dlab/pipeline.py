@@ -622,34 +622,37 @@ def _run_condition_global(condition: Condition) -> dict:
 # ---------------------------------------------------------------------------
 # report output
 
-REPORT_COLUMNS = ("condition", "n_train", "n_test", "five_plus_pct", "accuracy", "macro_f1",
-                  "acc_runs", "f1_runs", "t_vs_baseline", "p_vs_baseline")
-
-
 def _fmt(value, spec: str = ".6f") -> str:
     if value is None:
         return ""
     return format(value, spec)
 
 
+def _fmt_runs(values) -> str:
+    return ";".join(_fmt(v) for v in values)
+
+
+# each report column, in order, with the formatter of its row value
+REPORT_COLUMNS = {
+    "condition": str,
+    "n_train": str,
+    "n_test": str,
+    "five_plus_pct": lambda v: _fmt(v, ".1f"),
+    "accuracy": _fmt,
+    "macro_f1": _fmt,
+    "acc_runs": _fmt_runs,
+    "f1_runs": _fmt_runs,
+    "t_vs_baseline": lambda v: _fmt(v, ".4f"),
+    "p_vs_baseline": lambda v: _fmt(v, ".6g"),
+}
+
+
 def write_report_tsv(rows: list[dict], cfg: ExperimentConfig, path) -> None:
     """Condition rows with pinned formatting and embedded provenance."""
     lines = [[f"# dlab {__version__} report"]]
     lines += [[f"# {cfg_line}"] for cfg_line in effective_config_text(cfg).strip().split("\n")]
-    lines.append(REPORT_COLUMNS)
-    for row in rows:
-        lines.append([
-            row["condition"],
-            str(row["n_train"]),
-            str(row["n_test"]),
-            _fmt(row["five_plus_pct"], ".1f"),
-            _fmt(row["accuracy"]),
-            _fmt(row["macro_f1"]),
-            ";".join(_fmt(a) for a in row["acc_runs"]),
-            ";".join(_fmt(f) for f in row["f1_runs"]),
-            _fmt(row.get("t_vs_baseline"), ".4f"),
-            _fmt(row.get("p_vs_baseline"), ".6g"),
-        ])
+    lines.append(list(REPORT_COLUMNS))
+    lines += [[fmt(row[col]) for col, fmt in REPORT_COLUMNS.items()] for row in rows]
     write_tsv(path, lines)
 
 
@@ -658,7 +661,7 @@ def read_report_tsv(path) -> list[dict]:
     another header, or a row with another field count, is a CorpusError."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     data = [(n, ln.split("\t")) for n, ln in enumerate(lines, 1) if ln and not ln.startswith("#")]
-    if not data or tuple(data[0][1]) != REPORT_COLUMNS:
+    if not data or tuple(data[0][1]) != tuple(REPORT_COLUMNS):
         raise CorpusError(f"{path}: report header is not {' '.join(REPORT_COLUMNS)}")
     for n, fields in data[1:]:
         if len(fields) != len(REPORT_COLUMNS):

@@ -209,6 +209,16 @@ def test_criterion_3_numerical_oracles():
         assert abs(sil.per_point[rid] - want_scores[i]) <= 1e-7
     assert abs(sil.mean - float(want_scores.mean())) <= 1e-7
 
+    # three distinct points, each four times: k-means++ draws a point that
+    # coincides with a centroid, and Lloyd re-seeds a cluster that empties
+    repeated = np.repeat(rng.normal(size=(3, 6)), 4, axis=0)
+    repeated_matrix = EmbeddingMatrix.from_dense([f"d{i:02d}" for i in range(12)], repeated)
+    for k in (4, 5):
+        for seed in (0, 1, 2):
+            model_k = kmeans(repeated_matrix, k=k, seed=seed)
+            want_k, _ = lloyd_oracle(dense(repeated_matrix).astype(np.float64), k, seed)
+            assert [model_k.assignment[rid] for rid in repeated_matrix.ids] == want_k.tolist()
+
     # exact top-k vs a brute-force ranking on 40 rows
     rng = np.random.default_rng(11)
     rows = rng.normal(size=(40, 8))

@@ -276,6 +276,13 @@ def test_verify_split_catches_missing_coverage():
     assert not report.ok
 
 
+def test_verify_split_reports_an_unknown_kind():
+    corpus = _random_corpus(random.Random(4), 6, 4, 20)
+    spec = make_split(corpus, "verdict", seed=0)
+    spec.kind = "bogus"
+    assert verify_split(spec, corpus).messages() == ["kind: bogus: unknown split kind"]
+
+
 def test_split_determinism_and_seed_sensitivity():
     corpus = _random_corpus(random.Random(5), 12, 6, 60)
     a = make_split(corpus, "situation", seed=11)

@@ -15,6 +15,7 @@ import dlab.pipeline
 from dlab.cli import main
 from dlab.cluster import ClusterModel, save_cluster_model
 from dlab.corpus import CorpusError, ingest_corpus
+from dlab.disclosure import LowLevelCategory, PatternSet, default_patterns
 from dlab.embed import (EmbedderConfig, EmbeddingMatrix, embed_text, export_embeddings,
                         write_checksummed_text)
 from dlab.model import load_model, save_model
@@ -801,6 +802,69 @@ def test_cli_extract_runs_extraction_once_per_comment(tmp_path, corpus_files, mo
     ]
 
 
+def test_cli_extract_reads_a_pattern_file(tmp_path, corpus_files, capsys):
+    comments = str(corpus_files[1])
+    raw = dict(default_patterns().raw)
+    raw[LowLevelCategory.POSSESSION] = r"\bthe bus\b"
+    patterns = tmp_path / "patterns.txt"
+    patterns.write_text(PatternSet.dumps(raw))
+    spans = {}
+    for name, flags in (("default", []), ("custom", ["--patterns", str(patterns)])):
+        spans[name] = tmp_path / f"{name}.jsonl"
+        assert main(["extract", "--comments", comments, *flags,
+                     "--spans-out", str(spans[name])]) == 0
+    default, custom = (path.read_text().splitlines() for path in spans.values())
+    assert [json.loads(line) for line in custom if line not in default] == [
+        {"comment_id": "c2", "sentence_index": 0, "category": "Possession",
+         "high_level": "Experiences", "start": 0, "end": 7, "matched_text": "The bus"}]
+    assert capsys.readouterr().out.splitlines() == ["comments=3 spans=3", "comments=3 spans=4"]
+
+    # a pattern file edited after its checksum was stamped
+    patterns.write_text(PatternSet.dumps(raw).replace("[Age]", "[Age] ", 1))
+    out = tmp_path / "tampered.jsonl"
+    assert main(["extract", "--comments", comments, "--patterns", str(patterns),
+                 "--spans-out", str(out)]) == 2
+    assert "data error: pattern checksum mismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_prints_its_rows_and_report_merges_them(tmp_path, capsys):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(SYNTH_INI.replace("baselines = no_comments",
+                                     "baselines = no_comments,all_comments"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(ini), "--out", str(out)]) == 0
+    rows = read_report_tsv(out / "report.tsv")
+    printed = capsys.readouterr().out.splitlines()
+    assert [row["condition"] for row in rows] == [
+        "no_comments", "all_comments", "similar_comments-k3"]
+    assert len(printed) == len(rows)
+    for line, row in zip(printed, rows):
+        name, acc, f1, *p = line.split(" ")
+        assert name == f"{row['condition']}:"
+        assert abs(float(acc.removeprefix("acc=")) - float(row["accuracy"])) <= 5.1e-5
+        assert abs(float(f1.removeprefix("f1=")) - float(row["macro_f1"])) <= 5.1e-5
+        # a p-value against the baseline on every row but the baseline's
+        assert bool(p) == (row["condition"] != "no_comments")
+
+    # all_comments gives each pair its annotator's whole pool, in id order
+    corpus, _ = ingest_corpus(*(out / "synth" / f"{n}.jsonl"
+                                for n in ("posts", "comments", "verdicts")))
+    dumped = load_contexts(out / "contexts" / "all_comments.jsonl", corpus)
+    assert dumped
+    for context in dumped:
+        assert [item.source_comment_id for item in context.items] == sorted(
+            cid for cid, c in corpus.comments.items() if c.author_id == context.annotator_id)
+        assert all(item.unit == "comment" and item.similarity is None for item in context.items)
+
+    grid = tmp_path / "grid.tsv"
+    assert main(["report", "--layout", "grid", "--out", str(grid), str(out / "report.tsv")]) == 0
+    assert capsys.readouterr().out == f"wrote {grid}\n"
+    k3 = rows[2]
+    assert grid.read_text().splitlines() == [
+        "strategy\tacc@3\tf1@3", f"similar_comments\t{k3['accuracy']}\t{k3['macro_f1']}"]
+
+
 def test_cli_malformed_data_is_data_error(tmp_path, capsys):
     posts = tmp_path / "posts.jsonl"
     posts.write_text('{"id": "p1", "author_id": "op1", "title": "t", "body": "b"}\n'
@@ -840,6 +904,23 @@ def test_cli_malformed_data_is_data_error(tmp_path, capsys):
                  "--model-out", str(tmp_path / "model.txt")])
     assert code == 2
     assert "contexts.jsonl line 1: unknown unit 'paragraph'" in capsys.readouterr().err
+
+    # split headers whose ratios are not three numbers, whose seed is not an
+    # integer, or whose kind is unknown; the split is read before the contexts
+    for header, message in (
+        ({"kind": "verdict", "ratios": "abc", "seed": 0}, "ratios must be three numbers"),
+        ({"kind": "verdict", "ratios": [1.0, 0.0, 0.0], "seed": "x"}, "invalid literal for int()"),
+        ({"kind": "bogus", "ratios": [1.0, 0.0, 0.0], "seed": 0}, "unknown split kind 'bogus'"),
+    ):
+        write_jsonl(tmp_path / "split.jsonl", [header, {"verdict_index": 0, "partition": "train"}])
+        code = main(["train", "--posts", str(tmp_path / "good_posts.jsonl"),
+                     "--comments", str(tmp_path / "comments.jsonl"),
+                     "--verdicts", str(tmp_path / "verdicts.jsonl"), "--dim", "64",
+                     "--contexts", str(contexts), "--split", str(tmp_path / "split.jsonl"),
+                     "--model-out", str(tmp_path / "model.txt")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "data error: split.jsonl: malformed split header" in err and message in err
 
     # significance inputs that are not evaluation reports: no correctness
     # list, a correctness that is not a list, not an object at all, and
@@ -1146,6 +1227,37 @@ def test_cli_train_and_evaluate_reject_an_empty_partition(staged, tmp_path, monk
     _no_embedding(monkeypatch)
     assert main(_stage_argv(command, root, files, {**inputs, "--split": str(split)})) == 2
     assert f"data error: {split}: the {empty} partition is empty" in capsys.readouterr().err
+
+
+def _repeated_pair(records):
+    first = records[0]
+    return [*records, first], first, "is listed twice"
+
+
+def _comment_of_another_annotator(records):
+    first = records[0]
+    other = next(r for r in records if r["annotator_id"] != first["annotator_id"] and r["items"])
+    item = other["items"][0]
+    return ([{**first, "items": [item]}, *records[1:]], first,
+            f"holds comment {item['comment_id']!r} by annotator {other['annotator_id']!r}")
+
+
+@pytest.mark.parametrize("edit", [_repeated_pair, _comment_of_another_annotator],
+                         ids=["repeated-pair", "another-annotator"])
+def test_cli_train_and_evaluate_reject_leaky_or_repeated_contexts(staged, tmp_path, monkeypatch,
+                                                                 capsys, edit):
+    root, files, inputs = staged
+    records, first, message = edit([json.loads(line) for line in
+                                    Path(inputs["--contexts"]).read_text().splitlines()])
+    contexts = tmp_path / "contexts.jsonl"
+    write_jsonl(contexts, records)
+    _no_embedding(monkeypatch)
+    # the staged split's test partition is empty, so evaluate reads train's
+    for command, extra in (("train", []), ("evaluate", ["--partition", "train"])):
+        argv = _stage_argv(command, root, files, {**inputs, "--contexts": str(contexts)})
+        assert main([*argv, *extra]) == 2
+        assert (f"data error: {contexts}: pair ({first['annotator_id']}, {first['post_id']}) "
+                f"{message}" in capsys.readouterr().err)
 
 
 def test_cli_split_writes_no_split_that_fails_the_check(staged, tmp_path, monkeypatch, capsys):
