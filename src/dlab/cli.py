@@ -143,7 +143,7 @@ def _load_comments(comments_path) -> Corpus:
 
 
 def _patterns(args) -> PatternSet:
-    if getattr(args, "patterns", None):
+    if args.patterns:
         _require_files(args.patterns)
         return PatternSet.load(args.patterns)
     return default_patterns()
@@ -159,9 +159,15 @@ def _cluster_model(args):
 
 def _profiles(args, corpus: Corpus, model) -> dict:
     """Theory profiles of the corpus comments, with the cluster ids of
-    `model` when there is one."""
+    `model` when there is one; a model that gives a comment failing the
+    phrase filter a cluster id is a data error naming --cluster-model."""
     profiles = build_profiles(corpus, _patterns(args))
-    return attach_clusters(profiles, model.assignment) if model else profiles
+    if model is None:
+        return profiles
+    try:
+        return attach_clusters(profiles, model.assignment)
+    except ValueError as exc:
+        raise ClusterModelError(f"{args.cluster_model}: {exc}")
 
 
 def _embed_cfg(args) -> EmbedderConfig:
@@ -221,7 +227,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_cluster(args) -> int:
     corpus = _load_comments(args.comments)
-    profiles = build_profiles(corpus, _patterns(args))
+    profiles = build_profiles(corpus)
     model, reduced = cluster_comments(
         embed_corpus(corpus, _embed_cfg(args)), profiles, args.k, args.reduce_dim, args.seed)
     save_cluster_model(model, args.model_out)
@@ -239,7 +245,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_split(args) -> int:
     corpus = _load_corpus(args)
     spec = make_split(corpus, args.kind, args.ratios, seed=args.seed)
-    check_split(spec, corpus)
+    check_split(spec, corpus, "train", "test")
     save_split(spec, args.out)
     sizes = spec.sizes()
     print(f"train={sizes['train']} val={sizes['val']} test={sizes['test']}")
@@ -269,14 +275,12 @@ def _cmd_sample(args) -> int:
 
 def _partition_data(args, corpus, partition, embed_cfg):
     """Features and class indices of the verdicts in one partition of the
-    --split, which must pass check_split and hold some verdict there, with
-    their contexts from --contexts and rows from `embed_cfg`. The contexts
-    must list each pair once and hold only comments its annotator wrote."""
+    --split, which must pass check_split with that partition, with their
+    contexts from --contexts and rows from `embed_cfg`. The contexts must
+    list each pair once and hold only comments its annotator wrote."""
     split = load_split(args.split)
-    check_split(split, corpus)
+    check_split(split, corpus, partition)
     indices = split.indices(partition)
-    if not indices:
-        raise CorpusError(f"{args.split}: the {partition} partition is empty")
     loaded = load_contexts(args.contexts, corpus)
     by_pair = {}
     for c in loaded:
@@ -323,11 +327,6 @@ def _cmd_evaluate(args) -> int:
     corpus = _load_corpus(args)
     _require_files(args.model, args.contexts, args.split)
     params = load_model(args.model)
-    if params.embedder is None:
-        raise ModelFileError(f"{args.model}: model header records no embedder config")
-    if params.weights.shape[1] != 2 * params.embedder.dim:
-        raise ModelFileError(f"{args.model}: model has feature_dim {params.weights.shape[1]}, "
-                             f"not twice its embedder dim {params.embedder.dim}")
     report = evaluate(params, *_partition_data(args, corpus, args.partition, params.embedder))
     write_json(args.report_out, {**asdict(report), "correctness": report.correctness.tolist()})
     print(f"n={report.n} accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f}")
@@ -485,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="cluster phrase-filtered comments")
     p.add_argument("--comments", required=True)
-    p.add_argument("--patterns")
     _add_embed_flags(p)
     p.add_argument("--k", type=positive_int, required=True)
     p.add_argument("--reduce-dim", type=positive_int, default=ExperimentConfig.reduce_dim)

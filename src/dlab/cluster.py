@@ -18,7 +18,7 @@ import numpy as np
 # rest of the program, rather than inside the first k-means call
 import numpy.random  # noqa: F401
 
-from .corpus import write_jsonl
+from .corpus import json_int, write_jsonl
 from .embed import EmbeddingMatrix, read_checksummed_container, write_checksummed_container
 
 _CONVERGENCE_TOL = 1e-4
@@ -266,7 +266,7 @@ def nearest_to_centroid(model: ClusterModel, matrix: EmbeddingMatrix,
 
 # each header key of a cluster-model file but dim, with the converter
 # load_cluster_model reads it with
-_CLUSTER_HEADER = {"k": int, "seed": int, "inertia": float}
+_CLUSTER_HEADER = {"k": json_int, "seed": json_int, "inertia": float}
 
 
 def save_cluster_model(model: ClusterModel, path) -> None:
@@ -282,18 +282,21 @@ def save_cluster_model(model: ClusterModel, path) -> None:
 
 def load_cluster_model(path) -> ClusterModel:
     header, (centroids,), lines = read_checksummed_container(
-        path, ClusterModelError, {"dim": int, **_CLUSTER_HEADER},
+        path, ClusterModelError, {"dim": json_int, **_CLUSTER_HEADER},
         lambda h: [("<f4", (h["k"], h["dim"]))])
     assignment: dict[str, int] = {}
     for line in lines:
         try:
             rec = json.loads(line)
-            assignment[str(rec["comment_id"])] = int(rec["cluster"])
+            assignment[str(rec["comment_id"])] = json_int(rec["cluster"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ClusterModelError(f"{path}: malformed assignment line ({exc})")
     model = ClusterModel(centroids=centroids.astype(np.float64), assignment=assignment,
                          **{key: header[key] for key in _CLUSTER_HEADER})
-    model.check_invariants()
+    try:
+        model.check_invariants()
+    except ValueError as exc:
+        raise ClusterModelError(f"{path}: {exc}")
     return model
 
 

@@ -523,15 +523,28 @@ def verify_split(spec: SplitSpec, corpus: Corpus) -> SplitReport:
     return report
 
 
-def _split_ratios(raw) -> tuple[float, float, float]:
-    if not (isinstance(raw, list) and len(raw) == 3 and all(type(r) in (int, float) for r in raw)):
-        raise ValueError(f"ratios must be three numbers, got {raw!r}")
+def json_int(raw) -> int:
+    """A JSON integer of a record dlab wrote; a bool, float or string is a
+    ValueError, not coerced."""
+    if type(raw) is not int:
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return raw
+
+
+def json_numbers(raw, n: int | None = None, finite: bool = True) -> tuple[float, ...]:
+    """The floats of a JSON list of numbers, n of them when n is given and
+    each finite when `finite`; a bool or string entry is a ValueError."""
+    if not (isinstance(raw, list) and (n is None or len(raw) == n) and all(
+            type(r) in (int, float) and (math.isfinite(r) or not finite) for r in raw)):
+        raise ValueError(f"expected {n or 'a list of'}{' finite' if finite else ''} numbers, "
+                         f"got {raw!r}")
     return tuple(float(r) for r in raw)
 
 
 # each key of a split file's header line, in written order, with the
 # converter load_split reads it with
-_SPLIT_HEADER = {"kind": _split_kind, "ratios": _split_ratios, "seed": int}
+_SPLIT_HEADER = {"kind": _split_kind, "ratios": lambda raw: json_numbers(raw, 3),
+                 "seed": json_int}
 
 
 def save_split(spec: SplitSpec, path) -> None:
@@ -555,7 +568,7 @@ def load_split(path) -> SplitSpec:
     assignment: dict[int, str] = {}
     for lineno, rec in rows[1:]:
         try:
-            assignment[int(rec["verdict_index"])] = str(rec["partition"])
+            assignment[json_int(rec["verdict_index"])] = str(rec["partition"])
         except (KeyError, TypeError, ValueError):
             raise CorpusError(f"{path.name} line {lineno}: bad split row")
     return SplitSpec(assignment=assignment, **header)

@@ -352,13 +352,11 @@ def write_checksummed_container(path, header: dict, payloads, lines=()) -> None:
     write_checksummed_text(path, "\n".join(body) + "\n")
 
 
-def read_checksummed_container(path, error: type[Exception], fields: dict, payloads,
-                               optional: dict | None = None):
+def read_checksummed_container(path, error: type[Exception], fields: dict, payloads):
     """The header, payload arrays and remaining body lines of a file written
     by write_checksummed_container.
 
-    `fields` maps each key the header must hold to its converter, and
-    `optional` each key it may hold; an absent optional key reads as None.
+    `fields` maps each key the header must hold to its converter.
     `payloads(header)` gives the (dtype, shape) of each payload from the
     converted header. A missing or unconvertible key, or a payload that is
     missing or of another size, raises `error` naming the file.
@@ -367,8 +365,6 @@ def read_checksummed_container(path, error: type[Exception], fields: dict, paylo
     try:
         raw = json.loads(lines[0]) if lines else {}
         header = {key: convert(raw[key]) for key, convert in fields.items()}
-        header.update((key, convert(raw[key]) if key in raw else None)
-                      for key, convert in (optional or {}).items())
     except (KeyError, TypeError, ValueError) as exc:
         raise error(f"{path}: malformed header ({type(exc).__name__}: {exc})")
     layout = payloads(header)

@@ -18,7 +18,7 @@ import numpy as np
 # rest of the program, rather than inside the first training call
 import numpy.random  # noqa: F401
 
-from .corpus import VERDICT_LABELS
+from .corpus import VERDICT_LABELS, json_int, json_numbers
 from .embed import (EmbedderConfig, EmbeddingMatrix, read_checksummed_container,
                     write_checksummed_container)
 from .sampler import ContextSet
@@ -220,7 +220,7 @@ class ModelParams:
     learning_rate: float
     # mean training loss after each epoch
     loss_history: list[float] = field(default_factory=list)
-    # the embedder whose rows the features were built from, when known
+    # the embedder whose rows the features were built from
     embedder: EmbedderConfig | None = None
 
 
@@ -482,29 +482,36 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
 
 # each header key of a model file but feature_dim and embedder, with the
 # converter load_model reads it with
-_MODEL_HEADER = {"gamma": float, "alpha": tuple, "seed": int, "epochs": int,
-                 "learning_rate": float, "loss_history": list}
+_MODEL_HEADER = {"gamma": float, "alpha": lambda raw: json_numbers(raw, 2), "seed": json_int,
+                 "epochs": json_int, "learning_rate": float,
+                 "loss_history": lambda raw: list(json_numbers(raw, finite=False))}
 
 
 def save_model(params: ModelParams, path) -> None:
     """Text container: JSON header, base64 little-endian float64 weights and
     bias, trailing checksum line. The header holds the embedder config
-    (dim, ngram_range, seed) only when the params carry one."""
+    (dim, ngram_range, seed), so params without one are a ValueError."""
+    if params.embedder is None:
+        raise ValueError("model params carry no embedder config")
     header = {key: getattr(params, key) for key in _MODEL_HEADER}
     header["feature_dim"] = int(params.weights.shape[1])
-    if params.embedder is not None:
-        header["embedder"] = asdict(params.embedder)
+    header["embedder"] = asdict(params.embedder)
     write_checksummed_container(path, header, [np.asarray(params.weights, dtype="<f8"),
                                                np.asarray(params.bias, dtype="<f8")])
 
 
 def load_model(path) -> ModelParams:
+    """The params save_model wrote; a malformed file, or a feature_dim not
+    twice the embedder's dim, is a ModelFileError naming the file."""
     header, (weights, bias), rest = read_checksummed_container(
-        path, ModelFileError, {"feature_dim": int, **_MODEL_HEADER},
-        lambda h: [("<f8", (2, h["feature_dim"])), ("<f8", (2,))],
-        optional={"embedder": _embedder_config})
+        path, ModelFileError,
+        {"feature_dim": json_int, "embedder": _embedder_config, **_MODEL_HEADER},
+        lambda h: [("<f8", (2, h["feature_dim"])), ("<f8", (2,))])
     if rest:
         raise ModelFileError(f"{path}: malformed model file")
+    if header["feature_dim"] != 2 * header["embedder"].dim:
+        raise ModelFileError(f"{path}: model has feature_dim {header['feature_dim']}, "
+                             f"not twice its embedder dim {header['embedder'].dim}")
     return ModelParams(weights=weights.copy(), bias=bias.copy(), embedder=header["embedder"],
                        **{key: header[key] for key in _MODEL_HEADER})
 
@@ -512,5 +519,5 @@ def load_model(path) -> ModelParams:
 def _embedder_config(raw: dict) -> EmbedderConfig:
     """The EmbedderConfig of a model header's "embedder" entry."""
     lo, hi = raw["ngram_range"]
-    return EmbedderConfig(dim=int(raw["dim"]), ngram_range=(int(lo), int(hi)),
-                          seed=int(raw["seed"]))
+    return EmbedderConfig(dim=json_int(raw["dim"]), ngram_range=(json_int(lo), json_int(hi)),
+                          seed=json_int(raw["seed"]))

@@ -519,13 +519,19 @@ def cluster_comments(embeddings: EmbeddingMatrix, profiles: dict[str, CategoryPr
     return kmeans(reduced, k, seed=derive_seed(seed, "kmeans")), reduced
 
 
-def check_split(split: SplitSpec, corpus: Corpus) -> None:
+def check_split(split: SplitSpec, corpus: Corpus, *partitions: str) -> None:
     """Raise InvariantViolation, naming the first violations, when the
-    split fails verify_split against the corpus."""
+    split fails verify_split against the corpus, and ConfigError when one
+    of the named partitions holds no verdict."""
     violations = verify_split(split, corpus)
     if not violations.ok:
         raise InvariantViolation(
             "split verification failed: " + "; ".join(violations.messages()[:5]))
+    sizes = split.sizes()
+    for part in partitions:
+        if not sizes[part]:
+            counts = ", ".join(f"{p} {n}" for p, n in sizes.items())
+            raise ConfigError(f"the split leaves the {part} partition empty ({counts} verdicts)")
 
 
 def run_pipeline(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
@@ -555,11 +561,8 @@ def run_pipeline(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
 
     split = make_split(corpus, cfg.split_kind, cfg.split_ratios,
                        seed=derive_seed(cfg.seed, "split"))
-    check_split(split, corpus)
+    check_split(split, corpus, "train", "test")
     train_pairs, test_pairs = split.indices("train"), split.indices("test")
-    if not train_pairs or not test_pairs:
-        sizes = ", ".join(f"{part} {n}" for part, n in split.sizes().items())
-        raise ConfigError(f"the split leaves the train or test partition empty ({sizes} verdicts)")
     save_split(split, outdir / "split.jsonl")
 
     conditions = build_conditions(cfg)

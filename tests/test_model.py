@@ -423,9 +423,17 @@ def test_significance_needs_two_per_side():
 # ---------------------------------------------------------------------------
 # serialization
 
+def trained_with_embedder(n, cfg):
+    """Params trained on separable_dataset's rows padded to 16 features, the
+    feature dim of an 8-dim embedder, which they carry."""
+    X, y = separable_dataset(n=n)
+    params = train(factored(np.pad(X.rows(), ((0, 0), (0, 14)))), y, cfg)
+    return replace(params, embedder=EmbedderConfig(dim=8, ngram_range=(2, 3), seed=7))
+
+
 def test_model_roundtrip(tmp_path):
-    params = train(*separable_dataset(n=16),
-                   TrainConfig(epochs=4, learning_rate=0.05, batch_size=4, seed=2))
+    params = trained_with_embedder(
+        16, TrainConfig(epochs=4, learning_rate=0.05, batch_size=4, seed=2))
     path = tmp_path / "model.txt"
     save_model(params, path)
     back = load_model(path)
@@ -434,16 +442,18 @@ def test_model_roundtrip(tmp_path):
     assert back.gamma == params.gamma and back.alpha == params.alpha
     assert back.seed == params.seed and back.epochs == params.epochs
     assert back.loss_history == params.loss_history
-    assert back.embedder is None and "embedder" not in path.read_text()
-    # the embedder config, when the params carry one
-    embedder = EmbedderConfig(dim=64, ngram_range=(2, 3), seed=7)
-    save_model(replace(params, embedder=embedder), path)
-    assert load_model(path).embedder == embedder
+    assert back.embedder == params.embedder
+    # a model file always records its embedder
+    with pytest.raises(ValueError, match="no embedder config"):
+        save_model(replace(params, embedder=None), path)
+    # and its features are twice the embedder's dim
+    save_model(replace(params, embedder=EmbedderConfig(dim=16)), path)
+    with pytest.raises(ModelFileError, match="feature_dim 16, not twice its embedder dim 16"):
+        load_model(path)
 
 
 def test_model_file_tamper_detected(tmp_path):
-    params = train(*separable_dataset(n=8),
-                   TrainConfig(epochs=1, learning_rate=0.05))
+    params = trained_with_embedder(8, TrainConfig(epochs=1, learning_rate=0.05))
     path = tmp_path / "model.txt"
     save_model(params, path)
     text = path.read_text()

@@ -13,12 +13,12 @@ import dlab.cli
 import dlab.disclosure
 import dlab.pipeline
 from dlab.cli import main
-from dlab.cluster import ClusterModel, save_cluster_model
-from dlab.corpus import CorpusError, ingest_corpus
+from dlab.cluster import ClusterModel, ClusterModelError, load_cluster_model, save_cluster_model
+from dlab.corpus import CorpusError, ingest_corpus, load_split
 from dlab.disclosure import LowLevelCategory, PatternSet, default_patterns
 from dlab.embed import (EmbedderConfig, EmbeddingMatrix, embed_text, export_embeddings,
-                        write_checksummed_text)
-from dlab.model import load_model, save_model
+                        read_checksummed_text, write_checksummed_text)
+from dlab.model import ModelFileError, ModelParams, load_model, save_model
 from dlab.pipeline import (
     CONFIG_KEYS,
     ConfigError,
@@ -547,7 +547,7 @@ def test_pipeline_empty_partition_is_data_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(tmp_path / "exp.ini"), "--seed", "1",
                  "--out", str(out)]) == 2
-    assert ("data error: the split leaves the train or test partition empty "
+    assert ("data error: the split leaves the test partition empty "
             "(train 18, val 0, test 0 verdicts)") in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == ["synth"]
 
@@ -725,19 +725,21 @@ def test_cli_missing_input_is_usage_error(tmp_path, capsys):
         assert f"input not found: {tmp_path / missing}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value,bound", [
-    ("--k", "0", 1),
-    ("--reduce-dim", "0", 1),
-    ("--inspect-n", "-1", 0),
-], ids=["--k", "--reduce-dim", "--inspect-n"])
-def test_cli_cluster_sizes_below_one_are_usage_errors(flag, value, bound, capsys):
+@pytest.mark.parametrize("flag,value,message", [
+    ("--k", "0", "argument --k: must be >= 1, got 0"),
+    ("--reduce-dim", "0", "argument --reduce-dim: must be >= 1, got 0"),
+    ("--inspect-n", "-1", "argument --inspect-n: must be >= 0, got -1"),
+    # eligibility is the fixed phrase filter, so a pattern file is no option
+    ("--patterns", "p.txt", "unrecognized arguments: --patterns p.txt"),
+], ids=["--k", "--reduce-dim", "--inspect-n", "--patterns"])
+def test_cli_cluster_sizes_below_one_are_usage_errors(flag, value, message, capsys):
     # rejected while parsing, before the comments file is read
     argv = {"--k": "3", "--reduce-dim": "4", flag: value}
     with pytest.raises(SystemExit) as exc:
         main(["cluster", "--comments", "c", "--model-out", "m",
               *(tok for item in argv.items() for tok in item)])
     assert exc.value.code == 1
-    assert f"argument {flag}: must be >= {bound}, got {value}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,flag,value,bound", [
@@ -908,8 +910,9 @@ def test_cli_malformed_data_is_data_error(tmp_path, capsys):
     # split headers whose ratios are not three numbers, whose seed is not an
     # integer, or whose kind is unknown; the split is read before the contexts
     for header, message in (
-        ({"kind": "verdict", "ratios": "abc", "seed": 0}, "ratios must be three numbers"),
-        ({"kind": "verdict", "ratios": [1.0, 0.0, 0.0], "seed": "x"}, "invalid literal for int()"),
+        ({"kind": "verdict", "ratios": "abc", "seed": 0}, "expected 3 finite numbers, got 'abc'"),
+        ({"kind": "verdict", "ratios": [1.0, 0.0, 0.0], "seed": "x"},
+         "expected an integer, got 'x'"),
         ({"kind": "bogus", "ratios": [1.0, 0.0, 0.0], "seed": 0}, "unknown split kind 'bogus'"),
     ):
         write_jsonl(tmp_path / "split.jsonl", [header, {"verdict_index": 0, "partition": "train"}])
@@ -1168,11 +1171,12 @@ out = {tmp_path / name}
 
 @pytest.fixture(scope="module")
 def staged(sample_inputs):
-    """sample_inputs' corpus with a verdict split, sampled contexts and a
-    model trained on them at dim 64."""
+    """sample_inputs' corpus with a 4/1/1 verdict split, sampled contexts and
+    a model trained on them at dim 64."""
     root, files, _ = sample_inputs
     inputs = {"--contexts": str(root / "ctx.jsonl"), "--split": str(root / "split.jsonl")}
-    assert main(["split", *files, "--kind", "verdict", "--out", inputs["--split"]]) == 0
+    assert main(["split", *files, "--kind", "verdict", "--ratios", "0.6,0.2,0.2",
+                 "--out", inputs["--split"]]) == 0
     assert main(["sample", *files, "--dim", "64", "--strategy", "random_comments",
                  "--max-samples", "2", "--out", inputs["--contexts"]]) == 0
     assert main(["train", *files, "--dim", "64", *(a for kv in inputs.items() for a in kv),
@@ -1226,7 +1230,7 @@ def test_cli_train_and_evaluate_reject_an_empty_partition(staged, tmp_path, monk
                                               for row in rows)])
     _no_embedding(monkeypatch)
     assert main(_stage_argv(command, root, files, {**inputs, "--split": str(split)})) == 2
-    assert f"data error: {split}: the {empty} partition is empty" in capsys.readouterr().err
+    assert f"data error: the split leaves the {empty} partition empty" in capsys.readouterr().err
 
 
 def _repeated_pair(records):
@@ -1252,16 +1256,16 @@ def test_cli_train_and_evaluate_reject_leaky_or_repeated_contexts(staged, tmp_pa
     contexts = tmp_path / "contexts.jsonl"
     write_jsonl(contexts, records)
     _no_embedding(monkeypatch)
-    # the staged split's test partition is empty, so evaluate reads train's
-    for command, extra in (("train", []), ("evaluate", ["--partition", "train"])):
+    for command in ("train", "evaluate"):
         argv = _stage_argv(command, root, files, {**inputs, "--contexts": str(contexts)})
-        assert main([*argv, *extra]) == 2
+        assert main(argv) == 2
         assert (f"data error: {contexts}: pair ({first['annotator_id']}, {first['post_id']}) "
                 f"{message}" in capsys.readouterr().err)
 
 
-def test_cli_split_writes_no_split_that_fails_the_check(staged, tmp_path, monkeypatch, capsys):
-    root, files, _ = staged
+def test_cli_split_writes_no_split_that_fails_the_check(sample_inputs, tmp_path, monkeypatch,
+                                                      capsys):
+    _, files, _ = sample_inputs
     make_split = dlab.cli.make_split
 
     def leaky(corpus, *args, **kwargs):
@@ -1269,10 +1273,17 @@ def test_cli_split_writes_no_split_that_fails_the_check(staged, tmp_path, monkey
         spec.assignment.pop(0)
         return spec
 
-    monkeypatch.setattr(dlab.cli, "make_split", leaky)
     out = tmp_path / "split.jsonl"
-    assert main(["split", *files, "--kind", "verdict", "--out", str(out)]) == 3
+    argv = ["split", *files, "--kind", "verdict", "--out", str(out)]
+    with monkeypatch.context() as patch:
+        patch.setattr(dlab.cli, "make_split", leaky)
+        assert main(argv) == 3
     assert "coverage: 0: verdict not assigned" in capsys.readouterr().err
+    assert not out.exists()
+    # at the default ratios the 6 verdicts of sample_inputs' corpus split 5/1/0
+    assert main(argv) == 2
+    assert ("data error: the split leaves the test partition empty "
+            "(train 5, val 1, test 0 verdicts)") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1291,11 +1302,14 @@ def test_cli_evaluate_checks_the_model_dim_before_embedding(staged, tmp_path, mo
 
 def test_cli_evaluate_needs_the_model_embedder(staged, tmp_path, monkeypatch, capsys):
     root, files, inputs = staged
+    header, *payloads = read_checksummed_text(root / "model.txt", ValueError)
+    header = json.loads(header)
+    del header["embedder"]
     model = tmp_path / "no-embedder.model"
-    save_model(dataclasses.replace(load_model(root / "model.txt"), embedder=None), model)
+    write_checksummed_text(model, "\n".join([json.dumps(header), *payloads]) + "\n")
     _no_embedding(monkeypatch)
     assert main(_stage_argv("evaluate", root, files, inputs, model=model)) == 2
-    assert (f"data error: {model}: model header records no embedder config"
+    assert (f"data error: {model}: malformed header (KeyError: 'embedder')"
             in capsys.readouterr().err)
 
 
@@ -1311,7 +1325,8 @@ def test_cli_malformed_model_files_are_data_errors(staged, tmp_path, capsys, com
     root, files, inputs = staged
     model = tmp_path / "broken.model"
     header = dict(feature_dim=128, gamma=2.0, alpha=[0.5, 0.5], seed=0, epochs=1,
-                  learning_rate=0.01, loss_history=[])
+                  learning_rate=0.01, loss_history=[],
+                  embedder=dict(dim=64, ngram_range=[1, 2], seed=0))
     write_checksummed_text(model, body.replace("MODEL", json.dumps(header)))
     if command == "evaluate":
         argv = _stage_argv(command, root, files, inputs, model=model)
@@ -1321,3 +1336,86 @@ def test_cli_malformed_model_files_are_data_errors(staged, tmp_path, capsys, com
                 "--out", str(tmp_path / "unused.jsonl")]
     assert main(argv) == 2
     assert f"data error: {model}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sample", "coverage"])
+def test_cli_cluster_model_of_another_corpus_is_a_data_error(sample_inputs, tmp_path, monkeypatch,
+                                                             capsys, command):
+    # c000003 fails the phrase filter, so no clustering of this corpus
+    # gives it a cluster id
+    _, files, _ = sample_inputs
+    model = tmp_path / "mismatched.model"
+    save_cluster_model(ClusterModel(k=1, centroids=np.zeros((1, 4)), inertia=0.0, seed=0,
+                                    assignment={"c000003": 0}), model)
+    contexts = tmp_path / "contexts.jsonl"
+    contexts.write_text("")
+    _no_embedding(monkeypatch)
+    argv = {"sample": ["sample", *files, "--strategy", "random_comments", "--max-samples", "2"],
+            "coverage": ["analyze", "coverage", "--contexts", str(contexts),
+                         "--comments", files[3]]}[command]
+    assert main([*argv, "--cluster-model", str(model), "--out", str(tmp_path / "unused")]) == 2
+    assert (f"data error: {model}: comment 'c000003' has a cluster id but fails the phrase "
+            "filter" in capsys.readouterr().err)
+
+
+def _written_record(kind, path):
+    """A split, model or cluster-model file as dlab writes it, and the
+    function that reads it back."""
+    if kind == "split":
+        write_jsonl(path, [{"kind": "verdict", "ratios": [0.6, 0.2, 0.2], "seed": 0},
+                           {"verdict_index": 0, "partition": "train"}])
+        return load_split
+    if kind == "model":
+        save_model(ModelParams(weights=np.zeros((2, 16)), bias=np.zeros(2), gamma=2.0,
+                               alpha=(0.5, 0.5), seed=3, epochs=2, learning_rate=0.01,
+                               loss_history=[0.5, float("nan")],
+                               embedder=EmbedderConfig(dim=8)), path)
+        return load_model
+    save_cluster_model(ClusterModel(k=2, centroids=np.zeros((2, 3)), inertia=0.0, seed=0,
+                                    assignment={"c1": 0, "c2": 1}), path)
+    return load_cluster_model
+
+
+@pytest.mark.parametrize("kind,key,values", [
+    ("split", "seed", (2.7, True, "3")),
+    ("split", "ratios", ("abc", [0.6, 0.4], [0.6, 0.2, "0.2"], [0.6, 0.2, float("inf")])),
+    ("split", "verdict_index", (0.9, True, "0")),
+    ("model", "feature_dim", (16.9, 16.0, "16")),
+    ("model", "seed", (2.7, True, "3")),
+    ("model", "epochs", (2.7, True, "2")),
+    ("model", "alpha", ("ab", [0.5], [0.5, True], [0.5, float("nan")])),
+    ("model", "loss_history", ("xyz", [0.5, "x"], [0.5, False])),
+    ("model", "embedder.dim", (8.9, 8.0, "8")),
+    ("model", "embedder.ngram_range", ("ab", [1, 2.0], [True, 2])),
+    ("model", "embedder.seed", (2.7, True, "3")),
+    ("cluster", "k", (2.5, 2.0, "2")),
+    ("cluster", "seed", (2.7, True, "3")),
+    ("cluster", "dim", (3.5, 3.0, "3")),
+    ("cluster", "cluster", (0.9, False, "0", 2)),
+])
+def test_record_integers_and_number_lists_are_read_strictly(tmp_path, kind, key, values):
+    # a value json.loads gives as another type, a list of the wrong length
+    # or with a non-number entry, a non-finite ratio or alpha, and a cluster
+    # id outside [0, k) are data errors naming the file, not truncated or
+    # coerced; a NaN loss reads back. Split and cluster rows hold
+    # verdict_index and cluster
+    path = tmp_path / f"record.{kind}"
+    read = _written_record(kind, path)
+    read(path)
+    error = {"split": CorpusError, "model": ModelFileError, "cluster": ClusterModelError}[kind]
+    assert error in dlab.cli._DATA_ERRORS
+    lines = (path.read_text().splitlines() if kind == "split"
+             else read_checksummed_text(path, ValueError))
+    outer, _, inner = key.partition(".")
+    at = next(n for n, line in enumerate(lines)
+              if line.startswith("{") and outer in json.loads(line))
+    for value in values:
+        record = json.loads(lines[at])
+        record[outer] = {**record[outer], inner: value} if inner else value
+        body = "\n".join([*lines[:at], json.dumps(record), *lines[at + 1:]]) + "\n"
+        if kind == "split":
+            path.write_text(body)
+        else:
+            write_checksummed_text(path, body)
+        with pytest.raises(error, match=re.escape(path.name)):
+            read(path)
