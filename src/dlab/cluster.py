@@ -18,7 +18,7 @@ import numpy as np
 # rest of the program, rather than inside the first k-means call
 import numpy.random  # noqa: F401
 
-from .corpus import json_int, write_jsonl
+from .corpus import json_int, json_number, write_jsonl
 from .embed import EmbeddingMatrix, read_checksummed_container, write_checksummed_container
 
 _CONVERGENCE_TOL = 1e-4
@@ -266,7 +266,7 @@ def nearest_to_centroid(model: ClusterModel, matrix: EmbeddingMatrix,
 
 # each header key of a cluster-model file but dim, with the converter
 # load_cluster_model reads it with
-_CLUSTER_HEADER = {"k": json_int, "seed": json_int, "inertia": float}
+_CLUSTER_HEADER = {"k": json_int, "seed": json_int, "inertia": json_number}
 
 
 def save_cluster_model(model: ClusterModel, path) -> None:

@@ -531,6 +531,14 @@ def json_int(raw) -> int:
     return raw
 
 
+def json_number(raw) -> float:
+    """A finite JSON number of a record dlab wrote, as a float; a bool,
+    string or non-finite value is a ValueError, not coerced."""
+    if not (type(raw) in (int, float) and math.isfinite(raw)):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return float(raw)
+
+
 def json_numbers(raw, n: int | None = None, finite: bool = True) -> tuple[float, ...]:
     """The floats of a JSON list of numbers, n of them when n is given and
     each finite when `finite`; a bool or string entry is a ValueError."""

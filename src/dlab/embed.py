@@ -60,6 +60,9 @@ class EmbedderConfig:
         lo, hi = self.ngram_range
         if not (1 <= lo <= hi):
             raise ValueError(f"bad ngram_range {self.ngram_range}")
+        # the hash key is the seed's 8 unsigned little-endian bytes
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"embedder seed must lie in [0, 2**64), got {self.seed}")
 
 
 def _hash_key(seed: int) -> bytes:

@@ -3,8 +3,9 @@
 Features concatenate the post embedding with the mean of the sampled
 context embeddings (zero half when the context is empty), so the context
 route and the post-only baseline share one architecture; each distinct half
-is stored once. Training is mini-batch Adam on focal loss with an analytic
-gradient; gamma=0 recovers alpha-weighted cross-entropy exactly.
+is stored once, on the columns some half stores. Training is mini-batch Adam
+on focal loss with an analytic gradient over those columns; gamma=0 recovers
+alpha-weighted cross-entropy exactly.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 # rest of the program, rather than inside the first training call
 import numpy.random  # noqa: F401
 
-from .corpus import VERDICT_LABELS, json_int, json_numbers
+from .corpus import VERDICT_LABELS, json_int, json_number, json_numbers
 from .embed import (EmbedderConfig, EmbeddingMatrix, read_checksummed_container,
                     write_checksummed_container)
 from .sampler import ContextSet
@@ -53,15 +54,22 @@ def encode_labels(labels) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Features:
-    """n feature rows stored once per distinct half.
+    """n feature rows stored once per distinct half, on the columns some
+    half sets.
 
-    `block` is a (u, d) float64 array of half-rows and `index` an (n, 2)
-    integer array; row i is [block[index[i, 0]] ‖ block[index[i, 1]]]. Train
-    gathers batches with a clipping `np.take`, so the index is checked here:
-    an entry outside [0, u) raises ValueError instead of being clamped.
+    `block` is a (u, k) float64 array of half-rows and `index` an (n, 2)
+    integer array. `columns` is the ascending k positions, within a half of
+    `width` d, that the block's columns hold; every other position of every
+    half is +0.0. So row i is [h(index[i, 0]) ‖ h(index[i, 1])], where h(j)
+    is the d-vector that holds block[j] at `columns`. By default the block
+    holds every position: columns = arange(k), width = k. Train gathers
+    batches with a clipping `np.take`, so the index is checked here: an
+    entry outside [0, u) raises ValueError instead of being clamped.
     """
     block: np.ndarray
     index: np.ndarray
+    columns: np.ndarray = None
+    width: int = None
 
     def __post_init__(self):
         block, index = self.block, self.index
@@ -73,17 +81,32 @@ class Features:
             raise ValueError("index must be an (n, 2) integer array")
         if index.size and (index.min() < 0 or index.max() >= len(block)):
             raise ValueError(f"index entries must lie in [0, {len(block)})")
+        k = block.shape[1]
+        if self.columns is None:
+            object.__setattr__(self, "columns", np.arange(k))
+        if self.width is None:
+            object.__setattr__(self, "width", k)
+        columns, width = self.columns, self.width
+        if not (isinstance(width, (int, np.integer)) and width >= 0):
+            raise ValueError(f"width must be a non-negative integer, got {width!r}")
+        if not (isinstance(columns, np.ndarray) and columns.ndim == 1
+                and np.issubdtype(columns.dtype, np.integer) and len(columns) == k):
+            raise ValueError(f"columns must be a 1-D integer array of {k} block columns")
+        if k and (columns[0] < 0 or columns[-1] >= width or (np.diff(columns) <= 0).any()):
+            raise ValueError(f"columns must ascend strictly within [0, {width})")
 
     def __len__(self) -> int:
         return len(self.index)
 
     @property
     def dim(self) -> int:
-        return 2 * self.block.shape[1]
+        return 2 * self.width
 
     def rows(self) -> np.ndarray:
-        """The dense (n, 2d) feature matrix."""
-        return self.block[self.index].reshape(len(self.index), self.dim)
+        """The dense (n, 2d) feature matrix, +0.0 off the stored columns."""
+        halves = np.zeros((len(self.block), self.width))
+        halves[:, self.columns] = self.block
+        return halves[self.index].reshape(len(self.index), self.dim)
 
 
 def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
@@ -98,7 +121,9 @@ def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
     matrices' stored norms, within 1e-3) it is re-normalized to unit,
     keeping the two halves on the same scale. An empty context yields an
     exact zero half, block row 0. Each distinct post and each distinct
-    sequence of item keys gets one block row, computed once.
+    sequence of item keys gets one block row, computed once. The block keeps
+    only the columns that some post row or context item row stores; every
+    other column of every half is exactly +0.0.
     """
     d = embeddings.dim
     posts: dict[str, int] = {}
@@ -120,11 +145,15 @@ def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
             half = sequences[key]
         index.append((posts[ctx.post_id], half))
 
-    block = np.zeros((1 + len(posts) + len(firsts), d))
-    block[1:1 + len(posts)] = embeddings.take(post_rows)
-    for half, ctx in enumerate(firsts, start=1 + len(posts)):
-        cols, values = [], []
-        all_unit = True
+    # pass 1: each sequence's item rows, and the columns that a post row or
+    # an item row stores, marked once per distinct row (a set entry is any
+    # set bit, so a stored -0.0 keeps its column)
+    post_block = embeddings.take(post_rows)
+    stored = post_block.view(np.int32).any(axis=0)
+    marked: set[tuple[bool, int]] = set()
+    item_rows = []
+    for ctx in firsts:
+        rows = []
         for item in ctx.items:
             matrix, key = ((embeddings, item.source_comment_id) if item.unit == "comment"
                            else (sentences, item.text))
@@ -134,6 +163,21 @@ def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
             if matrix.dim != d:
                 raise ValueError(f"context dim {matrix.dim} != post dim {d}")
             row = matrix.row_index(key)
+            rows.append((matrix, row))
+            mark = (matrix is embeddings, row)
+            if mark not in marked:
+                marked.add(mark)
+                stored[matrix.indices[matrix.indptr[row]:matrix.indptr[row + 1]]] = True
+        item_rows.append(rows)
+    columns = np.flatnonzero(stored)
+
+    # pass 2: the block on those columns; every other entry is +0.0
+    block = np.zeros((1 + len(posts) + len(firsts), len(columns)))
+    block[1:1 + len(posts)] = np.take(post_block, columns, axis=1)
+    for half, rows in enumerate(item_rows, start=1 + len(posts)):
+        cols, values = [], []
+        all_unit = True
+        for matrix, row in rows:
             lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
             cols.append(matrix.indices[lo:hi])
             values.append(matrix.values[lo:hi])
@@ -142,12 +186,13 @@ def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
         # dense rows' mean(axis=0) sums them: adding their +0.0 entries
         # changes no partial sum, which is never -0.0
         mean = np.bincount(np.concatenate(cols), weights=np.concatenate(values),
-                           minlength=d) / len(ctx.items)
+                           minlength=d) / len(rows)
         mean_norm = float(np.linalg.norm(mean))
         if all_unit and mean_norm > 0.0:
             mean = mean / mean_norm
-        block[half] = mean
-    return Features(block, np.array(index, dtype=np.int64).reshape(len(contexts), 2))
+        block[half] = mean[columns]
+    return Features(block, np.array(index, dtype=np.int64).reshape(len(contexts), 2),
+                    columns, d)
 
 
 def focal_loss_batch(z: np.ndarray, y: np.ndarray, alpha_t: np.ndarray,
@@ -247,14 +292,18 @@ def train(features: Features, y, cfg: TrainConfig) -> ModelParams:
 
     features: n rows (build_features), y: (n,) class indices
     (encode_labels). Each batch's rows are gathered from the small feature
-    block into one reused buffer. Deterministic for a fixed config seed;
-    learning_rate 0 leaves the zero parameters untouched by construction.
+    block into one reused buffer, on the block's stored columns only: the
+    logits sum over those columns, and the weights of the others, whose
+    gradient is exactly zero at every step, are never touched. The returned
+    weights hold the fitted columns at `features.columns` of each half and
+    +0.0 elsewhere. Deterministic for a fixed config seed; learning_rate 0
+    leaves the zero parameters untouched by construction.
     """
     y = _check_labels(features, y)
     if not len(y):
         raise ValueError("empty training set")
-    n, dim = len(y), features.dim
-    block, index = features.block, features.index
+    block, index, columns = features.block, features.index, features.columns
+    n, dim = len(y), 2 * block.shape[1]
     alpha = cfg.focal_alpha or _inverse_frequency_alpha(y)
     alpha_arr = np.asarray(alpha, dtype=np.float64)
     gamma = float(cfg.focal_gamma)
@@ -299,16 +348,20 @@ def train(features: Features, y, cfg: TrainConfig) -> ModelParams:
         history.append(epoch_loss / n)
         logger.debug("epoch %d: mean loss %.6f", epoch + 1, history[-1])
 
+    weights = np.zeros((2, 2, features.width))
+    weights[:, :, columns] = W.reshape(2, 2, -1)
     return ModelParams(
-        weights=W, bias=b, gamma=gamma, alpha=(float(alpha[0]), float(alpha[1])),
-        seed=cfg.seed, epochs=cfg.epochs, learning_rate=cfg.learning_rate,
-        loss_history=history,
+        weights=weights.reshape(2, features.dim), bias=b, gamma=gamma,
+        alpha=(float(alpha[0]), float(alpha[1])), seed=cfg.seed, epochs=cfg.epochs,
+        learning_rate=cfg.learning_rate, loss_history=history,
     )
 
 
 def predict(params: ModelParams, features: Features) -> np.ndarray:
     """Class indices of the feature rows from the logits X @ W.T + b over
-    their dense matrix X, the product train fits; exact ties go to NTA."""
+    their dense matrix X (Features.rows), one full-width product; exact ties
+    go to NTA. Train sums its logits over the stored columns alone, so its
+    logits and these can differ in the last bits."""
     z = features.rows() @ params.weights.T + params.bias
     return (z[:, 1] > z[:, 0]).astype(np.int64)
 
@@ -482,8 +535,8 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
 
 # each header key of a model file but feature_dim and embedder, with the
 # converter load_model reads it with
-_MODEL_HEADER = {"gamma": float, "alpha": lambda raw: json_numbers(raw, 2), "seed": json_int,
-                 "epochs": json_int, "learning_rate": float,
+_MODEL_HEADER = {"gamma": json_number, "alpha": lambda raw: json_numbers(raw, 2),
+                 "seed": json_int, "epochs": json_int, "learning_rate": json_number,
                  "loss_history": lambda raw: list(json_numbers(raw, finite=False))}
 
 

@@ -15,8 +15,9 @@ once and memoises each pair's cosine scores across conditions;
 `dump_contexts` fills each context line into a template;
 `build_features` stores a partition's features once per distinct post and
 item sequence and sums each context mean from the items' stored entries;
-`train` gathers each batch from that block; `predict` scores a partition's
-feature rows in one product. The character-wise trim, the per-comment
+`train` gathers each batch from that block, on the columns some row
+stores, and fits only those; `predict` scores a partition's feature rows
+in one product. The character-wise trim, the per-comment
 extractor, the per-gram embedder, the dense row array, the scalar cosine,
 the per-pair code, the `heapq.nsmallest` ranking, the `json.dumps` writer,
 the dense feature matrix and the dense trainer they replaced are kept
@@ -24,8 +25,9 @@ below as oracles, and the results must equal them exactly: the same spans,
 the same embedding bits, the same rows and norms bit for bit, the same
 score bits, the same context ids in the same order with the same
 similarity floats, the same context file bytes, feature rows equal element
-for element, the same weights, bias and losses bit for bit, and the same
-class for every row.
+for element, the same weights, bias and losses bit for bit (the dense
+trainer's logits summed over the same stored columns; over every column,
+the two differ in the last bits only), and the same class for every row.
 """
 import hashlib
 import heapq
@@ -324,10 +326,13 @@ def oracle_focal_loss_batch(z, y, alpha_t, gamma):
     return losses, (alpha_t * coeff)[:, None] * (p - onehot)
 
 
-def oracle_dense_train(X, y, cfg):
+def oracle_dense_train(X, y, cfg, columns=None):
     """(weights, bias, loss history): mini-batch Adam over rows copied out of
-    a dense X, with separate W and b updates."""
+    a dense X, with separate W and b updates. The logits sum over the
+    half-row `columns` of each half, as train's do over the stored columns;
+    every column by default. The gradient and the updates stay full-width."""
     n, dim = X.shape
+    cols = np.arange(dim) if columns is None else np.r_[columns, dim // 2 + columns]
     # inverse class frequency unless the config sets the weights
     alpha = cfg.focal_alpha or len(y) / (2.0 * np.bincount(y, minlength=2))
     alpha_t = np.asarray(alpha, dtype=np.float64)[y]
@@ -343,8 +348,10 @@ def oracle_dense_train(X, y, cfg):
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             Xb, yb = X[idx], y[idx]
-            losses, gz = oracle_focal_loss_batch(Xb @ W.T + b, yb, alpha_t[idx],
-                                                 float(cfg.focal_gamma))
+            # C-ordered copies of the columns: a fancy index along axis 1
+            # is Fortran-ordered, which BLAS sums in another order
+            z = np.take(Xb, cols, axis=1) @ np.take(W, cols, axis=1).T + b
+            losses, gz = oracle_focal_loss_batch(z, yb, alpha_t[idx], float(cfg.focal_gamma))
             epoch_loss += float(losses.sum())
             gz /= len(idx)
             gW = gz.T @ Xb
@@ -900,12 +907,24 @@ TRAIN_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("cfg", TRAIN_CONFIGS.values(), ids=TRAIN_CONFIGS.keys())
-def test_train_matches_dense_oracle(world, cfg):
-    corpus, embeddings, sentences, profiles, pairs = world
+# the world's rows at the benchmark's dim: its partitions store a few
+# hundred of the 1,024 columns of each half
+WIDE = EmbedderConfig(dim=1024, ngram_range=(1, 2), seed=0)
+
+
+@pytest.fixture(scope="module")
+def wide_matrices(world):
+    corpus = world[0]
+    return embed_corpus(corpus, WIDE), embed_sentences(corpus, WIDE)
+
+
+def train_partitions(world, embeddings, sentences):
+    """The world's pairs under three kinds of context, sampled from the
+    given matrices, and their class indices."""
+    corpus, _, _, profiles, pairs = world
     y = encode_labels([v.label for v in corpus.verdicts] + ["NTA"])
     assert len(y) == len(pairs) and len(pairs) % 32 and len(pairs) < 1000
-    partitions = {
+    return y, {
         # sentence items, and an empty context for the silent annotator
         "sentences": sample_context(pairs, corpus, embeddings, profiles, sentences=sentences,
                                     cfg=SamplerConfig(strategy="similar_sentences",
@@ -914,16 +933,87 @@ def test_train_matches_dense_oracle(world, cfg):
         "full-pool": full_pool_context(pairs, corpus),
         "empty": [ContextSet(a, p, []) for a, p in pairs],
     }
+
+
+@pytest.mark.parametrize("cfg", TRAIN_CONFIGS.values(), ids=TRAIN_CONFIGS.keys())
+def test_train_matches_dense_oracle(world, wide_matrices, cfg):
+    for embeddings, sentences in (world[1:3], wide_matrices):
+        y, partitions = train_partitions(world, embeddings, sentences)
+        for name, contexts in partitions.items():
+            features = build_features(contexts, embeddings, sentences)
+            W, b, history = oracle_dense_train(
+                oracle_dense_features(contexts, embeddings, sentences), y, cfg,
+                features.columns)
+            params = train(features, y, cfg)
+            assert np.array_equal(params.weights, W), name
+            assert np.array_equal(params.bias, b), name
+            assert params.loss_history == history, name
+            assert all(math.isfinite(loss) for loss in history)
+            assert params.weights.any() == (cfg.learning_rate > 0)
+
+
+@pytest.mark.parametrize("cfg", TRAIN_CONFIGS.values(), ids=TRAIN_CONFIGS.keys())
+def test_train_on_every_column_matches_full_width_oracle(world, cfg):
+    # dense random rows store every column, so train's logits sum over the
+    # whole width, as the full-width oracle's do
+    embeddings, sentences = randomized(world[1], 1), randomized(world[2], 2)
+    y, partitions = train_partitions(world, embeddings, sentences)
     for name, contexts in partitions.items():
         features = build_features(contexts, embeddings, sentences)
-        W, b, history = oracle_dense_train(
-            oracle_dense_features(contexts, embeddings, sentences), y, cfg)
+        assert features.columns.tolist() == list(range(embeddings.dim)), name
+        W, b, history = oracle_dense_train(features.rows(), y, cfg)
         params = train(features, y, cfg)
-        assert np.array_equal(params.weights, W), name
-        assert np.array_equal(params.bias, b), name
+        assert same_bits(params.weights, W), name
+        assert same_bits(params.bias, b), name
         assert params.loss_history == history, name
-        assert all(math.isfinite(loss) for loss in history)
-        assert params.weights.any() == (cfg.learning_rate > 0)
+
+
+@pytest.mark.parametrize("cfg", TRAIN_CONFIGS.values(), ids=TRAIN_CONFIGS.keys())
+def test_train_on_stored_columns_stays_near_full_width_oracle(world, wide_matrices, cfg):
+    # logits summed over the stored columns alone differ from full-width
+    # ones in the last bits; the weights stay within 1e-12 of the largest
+    # weight, and every row gets the class the full-width weights give it
+    y, partitions = train_partitions(world, *wide_matrices)
+    for name, contexts in partitions.items():
+        features = build_features(contexts, *wide_matrices)
+        assert len(features.columns) < features.width, name
+        W, b, _ = oracle_dense_train(features.rows(), y, cfg)
+        params = train(features, y, cfg)
+        assert np.abs(params.weights - W).max() <= 1e-12 * np.abs(W).max(), name
+        full = ModelParams(weights=W, bias=b, gamma=cfg.focal_gamma, alpha=params.alpha,
+                           seed=cfg.seed, epochs=cfg.epochs, learning_rate=cfg.learning_rate)
+        assert np.array_equal(predict(params, features), predict(full, features)), name
+
+
+def test_train_leaves_unstored_columns_exactly_zero(world, wide_matrices):
+    y, partitions = train_partitions(world, *wide_matrices)
+    for name, contexts in partitions.items():
+        features = build_features(contexts, *wide_matrices)
+        params = train(features, y, TrainConfig(epochs=3, learning_rate=0.05, seed=1))
+        unstored = np.ones(features.width, dtype=bool)
+        unstored[features.columns] = False
+        assert unstored.any(), name
+        # +0.0, not -0.0
+        halves = params.weights.reshape(2, 2, features.width)
+        assert not halves[:, :, unstored].view(np.int64).any(), name
+        assert halves[:, :, features.columns].any(), name
+
+
+def test_train_without_stored_columns_fits_zero_weights(world):
+    corpus, embeddings, _, _, pairs = world
+    # every post and comment row empty, as for texts without an n-gram
+    zero = EmbeddingMatrix.from_dense(embeddings.ids, np.zeros((len(embeddings), embeddings.dim)))
+    y = encode_labels([v.label for v in corpus.verdicts] + ["NTA"])
+    cfg = TrainConfig(epochs=2, learning_rate=0.05, batch_size=7, seed=1)
+    for contexts in (full_pool_context(pairs, corpus), [ContextSet(a, p, []) for a, p in pairs]):
+        features = build_features(contexts, zero)
+        assert features.block.shape[1] == 0 and features.width == zero.dim
+        params = train(features, y, cfg)
+        assert params.weights.shape == (2, 2 * zero.dim)
+        assert not params.weights.view(np.int64).any()
+        W, b, history = oracle_dense_train(features.rows(), y, cfg, features.columns)
+        assert same_bits(params.weights, W) and same_bits(params.bias, b)
+        assert params.loss_history == history
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,11 @@ def test_embedder_config_validation():
         EmbedderConfig(dim=4)
     with pytest.raises(ValueError):
         EmbedderConfig(ngram_range=(2, 1))
+    # the hash key is the seed's 8 unsigned bytes
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            EmbedderConfig(seed=seed)
+    assert embed_text("a b", EmbedderConfig(dim=8, seed=2 ** 64 - 1)).shape == (8,)
     with pytest.raises(TypeError):  # hashed n-grams are the only embedder
         EmbedderConfig(kind="learned")
 

@@ -486,9 +486,11 @@ def test_build_features_empty_context_zero_block():
     X = features.rows()
     assert X.dtype == np.float64 and X.shape == (1, 6)
     assert np.array_equal(X[0], np.concatenate([matrix.row("p"), np.zeros(3)]))
+    assert features.columns.tolist() == [0, 1, 2] and features.width == 3
+    # no row stores a column: the block keeps the zero half, on no columns
     empty = build_features([], matrix)
     assert len(empty) == 0 and empty.rows().shape == (0, 6)
-    assert np.array_equal(empty.block, np.zeros((1, 3)))
+    assert empty.block.shape == (1, 0) and empty.columns.size == 0 and empty.width == 3
 
 
 def test_build_features_renormalizes_unit_mean():
@@ -575,3 +577,29 @@ def test_features_index_entries_must_address_the_block():
             Features(BLOCK, np.array([[1, 0], [2, bad]]))
     with pytest.raises(ValueError, match=r"\[0, 0\)"):
         Features(np.zeros((0, 2)), np.array([[0, 0]]))
+
+
+def test_features_store_columns_of_a_wider_half():
+    features = Features(BLOCK, INDEX)
+    assert features.columns.tolist() == [0, 1] and features.width == 2 and features.dim == 4
+    # the block's columns scatter to their positions in zero halves
+    block = np.array([[0.0, 0.0], [1.0, -2.0]])
+    sparse = Features(block, np.array([[1, 0], [0, 1]]), np.array([1, 3]), 5)
+    assert sparse.dim == 10
+    assert sparse.rows().tolist() == [[0, 1, 0, -2, 0] + [0] * 5, [0] * 5 + [0, 1, 0, -2, 0]]
+    assert Features(block, np.array([[1, 0]]), np.array([0, 1], dtype=np.int32)).width == 2
+
+
+def test_features_columns_must_ascend_within_the_width():
+    # unsorted, repeated, out of range, the wrong length or shape, not integers
+    for bad in (np.array([1, 0]), np.array([1, 1]), np.array([-1, 1]), np.array([1, 4]),
+                np.array([0, 1, 2]), np.array([0]), np.array([[0, 1]]), np.array([0.0, 1.0]),
+                [0, 1]):
+        with pytest.raises(ValueError, match="columns"):
+            Features(BLOCK, INDEX, bad, 4)
+    for bad in (-1, 2.0, "4"):
+        with pytest.raises(ValueError, match="width"):
+            Features(BLOCK, INDEX, np.array([0, 1]), bad)
+    # columns beyond the default width, which is the block's
+    with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        Features(BLOCK, INDEX, np.array([0, 2]))

@@ -139,6 +139,20 @@ def test_parse_config_rejects_unknowns(tmp_path):
         parse_config(path)
 
 
+def test_parse_config_embedder_seed_is_derived_in_range(tmp_path, capsys):
+    # the embedder seed has no key of its own: [embed] seed fails at parse
+    # time, and any [run] seed derives one in [0, 2**64)
+    path = tmp_path / "exp.ini"
+    path.write_text(MINIMAL_CORPUS_INI + "\n[embed]\nseed = -1\n")
+    with pytest.raises(ConfigError, match=r"unknown key 'seed' in section \[embed\]"):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2 and not out.exists()
+    assert "unknown key 'seed'" in capsys.readouterr().err
+    path.write_text(MINIMAL_CORPUS_INI)
+    assert 0 <= parse_config(path, {"run.seed": "-1"}).embedder_config().seed < 2 ** 64
+
+
 def test_parse_config_value_errors(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(MINIMAL_CORPUS_INI + "\n[train]\nepochs = soon\n")
@@ -1313,6 +1327,30 @@ def test_cli_evaluate_needs_the_model_embedder(staged, tmp_path, monkeypatch, ca
             in capsys.readouterr().err)
 
 
+def test_cli_evaluate_rejects_a_negative_embedder_seed(staged, tmp_path, monkeypatch, capsys):
+    # the embedder hashes with the seed's 8 unsigned bytes
+    root, files, inputs = staged
+    header, *payloads = read_checksummed_text(root / "model.txt", ValueError)
+    header = json.loads(header)
+    header["embedder"]["seed"] = -1
+    model = tmp_path / "negative-seed.model"
+    write_checksummed_text(model, "\n".join([json.dumps(header), *payloads]) + "\n")
+    _no_embedding(monkeypatch)
+    assert main(_stage_argv("evaluate", root, files, inputs, model=model)) == 2
+    assert (f"data error: {model}: malformed header (ValueError: embedder seed must lie in "
+            "[0, 2**64), got -1)" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_cli_embedder_seed_out_of_range_is_usage_error(sample_inputs, tmp_path, capsys, seed):
+    _, files, _ = sample_inputs
+    out = tmp_path / "vectors.embx"
+    assert main(["embed", *files, "--dim", "64", "--embed-seed", seed, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"dlab: embedder seed must lie in [0, 2**64), got {seed}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("command,body,message", [
     ("evaluate", "{}\n", "malformed header (KeyError: 'feature_dim')"),
     ("evaluate", "MODEL\nAAAA\nAAAA\n", "payload of 3 bytes, header gives 2048"),
@@ -1392,11 +1430,16 @@ def _written_record(kind, path):
     ("cluster", "seed", (2.7, True, "3")),
     ("cluster", "dim", (3.5, 3.0, "3")),
     ("cluster", "cluster", (0.9, False, "0", 2)),
+    ("model", "embedder.seed", (-1, 2 ** 64)),
+    ("model", "gamma", ("2", True, float("nan"))),
+    ("model", "learning_rate", ("0.01", True, float("inf"))),
+    ("cluster", "inertia", ("0.0", False, float("inf"))),
 ])
 def test_record_integers_and_number_lists_are_read_strictly(tmp_path, kind, key, values):
     # a value json.loads gives as another type, a list of the wrong length
-    # or with a non-number entry, a non-finite ratio or alpha, and a cluster
-    # id outside [0, k) are data errors naming the file, not truncated or
+    # or with a non-number entry, a non-finite ratio, alpha, gamma, learning
+    # rate or inertia, an embedder seed outside [0, 2**64) and a cluster id
+    # outside [0, k) are data errors naming the file, not truncated or
     # coerced; a NaN loss reads back. Split and cluster rows hold
     # verdict_index and cluster
     path = tmp_path / f"record.{kind}"
