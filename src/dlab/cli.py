@@ -23,14 +23,12 @@ from .corpus import (
     MAX_COMMENTS,
     MIN_COMMENTS,
     PARTITIONS,
-    SPLIT_KINDS,
-    SPLIT_RATIOS,
     Corpus,
     CorpusError,
     filter_annotators,
     ingest_corpus,
+    json_numbers,
     load_split,
-    make_split,
     read_comments,
     save_split,
     write_corpus,
@@ -51,10 +49,9 @@ from .disclosure import (
     span_record,
     write_audit_file,
 )
-from .embed import EmbedderConfig, EmbxError, export_embeddings
+from .embed import EmbxError, export_embeddings
 from .model import (
     ModelFileError,
-    TrainConfig,
     evaluate,
     load_model,
     save_model,
@@ -66,24 +63,22 @@ from .pipeline import (
     ConfigError,
     ExperimentConfig,
     InvariantViolation,
+    build_conditions,
     check_split,
-    cluster_comments,
     condition_contexts,
     condition_state,
     effective_config_text,
-    embed_corpus,
-    float_pair,
     merge_reports,
     parse_config,
     partition_data,
-    ratio_triple,
     run_pipeline,
     section_fields,
+    setup_corpus,
+    setup_embeddings,
+    setup_profiles,
+    setup_split,
 )
 from .sampler import (
-    STRATEGIES,
-    CategoryFilter,
-    SamplerConfig,
     category_coverage,
     dump_contexts,
     load_contexts,
@@ -131,10 +126,34 @@ def _require_files(*paths) -> None:
             raise UsageError(f"input not found: {p}")
 
 
-def _load_corpus(args) -> Corpus:
-    _require_files(args.posts, args.comments, args.verdicts)
-    corpus, _ = ingest_corpus(args.posts, args.comments, args.verdicts)
-    return corpus
+def _config(path, overrides=None) -> ExperimentConfig:
+    """The run config at `path` with `overrides`; the config and the corpus
+    and EMBX files it names must exist."""
+    _require_files(path)
+    cfg = parse_config(path, overrides)
+    _require_files(*(cfg.corpus_paths or ()), cfg.embx_path)
+    return cfg
+
+
+def _model_config(args) -> ExperimentConfig:
+    """The --config of train or evaluate, which embed with the hashed
+    embedder a model file records; --contexts and --split must exist."""
+    cfg = _config(args.config)
+    if cfg.embx_path:
+        raise ConfigError("[embed] embx: a model file records the hashed embedder its "
+                          "features came from, so train and evaluate take no imported "
+                          "embeddings")
+    _require_files(args.contexts, args.split)
+    return cfg
+
+
+def _condition(cfg: ExperimentConfig, name: str) -> Condition:
+    """The condition of the config's grid that report.tsv calls `name`."""
+    conditions = {c.name: c for c in build_conditions(cfg)}
+    if name not in conditions:
+        raise UsageError(f"--condition {name!r} is not in the config's grid; "
+                         f"it has {', '.join(conditions)}")
+    return conditions[name]
 
 
 def _load_comments(comments_path) -> Corpus:
@@ -149,43 +168,18 @@ def _patterns(args) -> PatternSet:
     return default_patterns()
 
 
-def _cluster_model(args):
-    """The --cluster-model, or None when none is given."""
-    if not args.cluster_model:
-        return None
-    _require_files(args.cluster_model)
-    return load_cluster_model(args.cluster_model)
-
-
-def _profiles(args, corpus: Corpus, model) -> dict:
+def _profiles(args, corpus: Corpus) -> dict:
     """Theory profiles of the corpus comments, with the cluster ids of
-    `model` when there is one; a model that gives a comment failing the
-    phrase filter a cluster id is a data error naming --cluster-model."""
+    --cluster-model when one is given; a model that gives a comment failing
+    the phrase filter a cluster id is a data error naming the file."""
     profiles = build_profiles(corpus, _patterns(args))
-    if model is None:
+    if not args.cluster_model:
         return profiles
+    model = load_cluster_model(args.cluster_model)
     try:
         return attach_clusters(profiles, model.assignment)
     except ValueError as exc:
         raise ClusterModelError(f"{args.cluster_model}: {exc}")
-
-
-def _embed_cfg(args) -> EmbedderConfig:
-    return EmbedderConfig(
-        dim=args.dim, ngram_range=(args.ngram_lo, args.ngram_hi), seed=args.embed_seed)
-
-
-def _add_corpus_flags(p) -> None:
-    p.add_argument("--posts", required=True)
-    p.add_argument("--comments", required=True)
-    p.add_argument("--verdicts", required=True)
-
-
-def _add_embed_flags(p) -> None:
-    p.add_argument("--dim", type=int, default=EmbedderConfig.dim)
-    p.add_argument("--ngram-lo", type=int, default=EmbedderConfig.ngram_range[0])
-    p.add_argument("--ngram-hi", type=int, default=EmbedderConfig.ngram_range[1])
-    p.add_argument("--embed-seed", type=int, default=EmbedderConfig.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -226,26 +220,26 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    corpus = _load_comments(args.comments)
-    profiles = build_profiles(corpus)
-    model, reduced = cluster_comments(
-        embed_corpus(corpus, _embed_cfg(args)), profiles, args.k, args.reduce_dim, args.seed)
+    cfg = _config(args.config)
+    if not cfg.cluster_enabled:
+        raise ConfigError("dlab cluster fits a run's clusters; the config needs "
+                          "[cluster] enabled = true")
+    corpus = setup_corpus(cfg)[0]
+    _, (model, reduced) = setup_profiles(cfg, corpus, setup_embeddings(cfg, corpus))
     save_cluster_model(model, args.model_out)
-    sil = silhouette(reduced, model) if args.k >= 2 else None
     if args.inspect_out:
         texts = {cid: corpus.comments[cid].text for cid in reduced.ids}
-        write_inspection_file(model, reduced, texts, args.inspect_n, args.seed, args.inspect_out)
-    msg = f"k={args.k} inertia={model.inertia:.4f}"
-    if sil is not None:
-        msg += f" silhouette={sil.mean:.4f}"
+        write_inspection_file(model, reduced, texts, args.inspect_n, cfg.seed, args.inspect_out)
+    msg = f"k={model.k} inertia={model.inertia:.4f}"
+    if model.k >= 2:
+        msg += f" silhouette={silhouette(reduced, model).mean:.4f}"
     print(msg)
     return 0
 
 
 def _cmd_split(args) -> int:
-    corpus = _load_corpus(args)
-    spec = make_split(corpus, args.kind, args.ratios, seed=args.seed)
-    check_split(spec, corpus, "train", "test")
+    cfg = _config(args.config)
+    spec = setup_split(cfg, setup_corpus(cfg)[0])
     save_split(spec, args.out)
     sizes = spec.sizes()
     print(f"train={sizes['train']} val={sizes['val']} test={sizes['test']}")
@@ -253,31 +247,26 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    model = _cluster_model(args)
-    try:
-        filters = CategoryFilter.parse(args.category, model.k if model else None)
-    except ValueError as exc:
-        raise UsageError(f"--category: {exc}")
-    if len(filters) != 1:
-        raise UsageError(f"--category {args.category!r} stands for {len(filters)} "
-                         "categories; give one")
-    sampler_cfg = SamplerConfig(strategy=args.strategy, max_samples=args.max_samples,
-                                category_filter=filters[0], seed=args.seed)
-    corpus = _load_corpus(args)
-    state = condition_state(corpus, _embed_cfg(args), {sampler_cfg.unit},
-                            profiles=_profiles(args, corpus, model))
-    contexts = condition_contexts(state, Condition(args.strategy, sampler_cfg),
-                                  range(len(corpus.verdicts)))
+    cfg = _config(args.config)
+    condition = _condition(cfg, args.condition)
+    corpus = setup_corpus(cfg)[0]
+    embeddings = setup_embeddings(cfg, corpus)
+    profiles, _ = setup_profiles(cfg, corpus, embeddings)
+    units = {condition.sampler.unit} if condition.sampler else set()
+    state = condition_state(corpus, cfg.embedder_config(), units,
+                            embeddings=embeddings, profiles=profiles)
+    contexts = condition_contexts(state, condition, range(len(corpus.verdicts)))
     dump_contexts(contexts, args.out)
     print(f"contexts={len(contexts)}")
     return 0
 
 
-def _partition_data(args, corpus, partition, embed_cfg):
+def _partition_data(args, cfg, partition, embed_cfg):
     """Features and class indices of the verdicts in one partition of the
     --split, which must pass check_split with that partition, with their
     contexts from --contexts and rows from `embed_cfg`. The contexts must
     list each pair once and hold only comments its annotator wrote."""
+    corpus = setup_corpus(cfg)[0]
     split = load_split(args.split)
     check_split(split, corpus, partition)
     indices = split.indices(partition)
@@ -306,16 +295,12 @@ def _partition_data(args, corpus, partition, embed_cfg):
 
 
 def _cmd_train(args) -> int:
-    tc = TrainConfig(
-        epochs=args.epochs, learning_rate=args.learning_rate,
-        focal_gamma=args.focal_gamma, focal_alpha=args.focal_alpha,
-        batch_size=args.batch_size, seed=args.seed,
-    )
-    corpus = _load_corpus(args)
-    _require_files(args.contexts, args.split)
-    embed_cfg = _embed_cfg(args)
-    features, y = _partition_data(args, corpus, "train", embed_cfg)
-    params = replace(train(features, y, tc), embedder=embed_cfg)
+    cfg = _model_config(args)
+    # a run's first fit of the condition
+    train_cfg = cfg.train_config(_condition(cfg, args.condition).name)
+    embed_cfg = cfg.embedder_config()
+    features, y = _partition_data(args, cfg, "train", embed_cfg)
+    params = replace(train(features, y, train_cfg), embedder=embed_cfg)
     save_model(params, args.model_out)
     print(f"trained on {len(y)} examples; final loss "
           f"{params.loss_history[-1]:.6f}" if params.loss_history else
@@ -324,31 +309,34 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    corpus = _load_corpus(args)
-    _require_files(args.model, args.contexts, args.split)
+    cfg = _model_config(args)
+    _require_files(args.model)
     params = load_model(args.model)
-    report = evaluate(params, *_partition_data(args, corpus, args.partition, params.embedder))
+    report = evaluate(params, *_partition_data(args, cfg, args.partition, params.embedder))
     write_json(args.report_out, {**asdict(report), "correctness": report.correctness.tolist()})
     print(f"n={report.n} accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f}")
     return 0
 
 
-def _correctness(path) -> list:
+def _correctness(path) -> tuple[float, ...]:
     """The per-example correctness list of an evaluation report JSON: two
-    or more numbers."""
+    or more finite numbers, each in [0, 1]."""
     report = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(report, dict) or not isinstance(report.get("correctness"), list):
         raise CorpusError(f"{path}: not an evaluation report (no 'correctness' list)")
-    values = report["correctness"]
-    if len(values) < 2 or not all(isinstance(v, (int, float)) for v in values):
-        raise CorpusError(f"{path}: 'correctness' must hold two or more numbers")
+    try:
+        values = json_numbers(report["correctness"])
+    except ValueError:
+        values = ()
+    if len(values) < 2 or not all(0.0 <= v <= 1.0 for v in values):
+        raise CorpusError(f"{path}: 'correctness' must hold two or more numbers in [0, 1]")
     return values
 
 
 def _cmd_coverage(args) -> int:
     _require_files(args.contexts, args.cluster_model)
     corpus = _load_comments(args.comments)
-    profiles = _profiles(args, corpus, _cluster_model(args))
+    profiles = _profiles(args, corpus)
     contexts = load_contexts(args.contexts, corpus)
     table = category_coverage(contexts, profiles)
     write_tsv(args.out, [
@@ -412,15 +400,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    corpus = _load_corpus(args)
-    matrix = embed_corpus(corpus, _embed_cfg(args))
+    cfg = _config(args.config)
+    matrix = setup_embeddings(cfg, setup_corpus(cfg)[0])
     export_embeddings(matrix, args.out)
     print(f"rows={len(matrix)} dim={matrix.dim}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    _require_files(args.config)
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
@@ -433,12 +420,11 @@ def _cmd_run(args) -> int:
         overrides["run.seed"] = str(args.seed)
     if args.out:
         overrides["run.out"] = args.out
-    cfg = parse_config(args.config, overrides)
     if args.print_effective_config:
-        sys.stdout.write(effective_config_text(cfg))
+        _require_files(args.config)
+        sys.stdout.write(effective_config_text(parse_config(args.config, overrides)))
         return 0
-    _require_files(*(cfg.corpus_paths or ()), cfg.embx_path)
-    rows = run_pipeline(cfg, workers=args.workers)
+    rows = run_pipeline(_config(args.config, overrides), workers=args.workers)
     for row in rows:
         p = row.get("p_vs_baseline")
         suffix = f" p={p:.4g}" if p is not None else ""
@@ -457,13 +443,24 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # parser wiring
 
+def _stage(sub, name: str, func, text: str, *flags: str) -> argparse.ArgumentParser:
+    """A stage command's parser with --config and the other required `flags`."""
+    p = sub.add_parser(name, help=text)
+    for flag in ("--config", *flags):
+        p.add_argument(flag, required=True)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"dlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("ingest", help="validate and filter a corpus")
-    _add_corpus_flags(p)
+    p.add_argument("--posts", required=True)
+    p.add_argument("--comments", required=True)
+    p.add_argument("--verdicts", required=True)
     p.add_argument("--min-comments", type=int, default=MIN_COMMENTS)
     p.add_argument("--max-comments", type=int, default=MAX_COMMENTS)
     p.add_argument("--out", required=True)
@@ -476,65 +473,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles-out")
     p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("embed", help="embed a corpus into an EMBX file")
-    _add_corpus_flags(p)
-    _add_embed_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_embed)
-
-    p = sub.add_parser("cluster", help="cluster phrase-filtered comments")
-    p.add_argument("--comments", required=True)
-    _add_embed_flags(p)
-    p.add_argument("--k", type=positive_int, required=True)
-    p.add_argument("--reduce-dim", type=positive_int, default=ExperimentConfig.reduce_dim)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--model-out", required=True)
+    # the stage commands read every setting from a `dlab run` config
+    _stage(sub, "embed", _cmd_embed, "embed a run's corpus into an EMBX file", "--out")
+    p = _stage(sub, "cluster", _cmd_cluster, "fit a run's clusters of phrase-filtered comments",
+               "--model-out")
     p.add_argument("--inspect-out")
     p.add_argument("--inspect-n", type=non_negative_int, default=5)
-    p.set_defaults(func=_cmd_cluster)
-
-    p = sub.add_parser("split", help="make and verify a train/val/test split")
-    _add_corpus_flags(p)
-    p.add_argument("--kind", choices=SPLIT_KINDS, required=True)
-    p.add_argument("--ratios", type=ratio_triple, default=SPLIT_RATIOS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_split)
-
-    p = sub.add_parser("sample", help="sample contexts for every verdict pair")
-    _add_corpus_flags(p)
-    _add_embed_flags(p)
-    p.add_argument("--patterns")
-    p.add_argument("--strategy", choices=STRATEGIES, required=True)
-    p.add_argument("--max-samples", type=positive_int, required=True)
-    p.add_argument("--category", default="none")
-    p.add_argument("--cluster-model")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("train", help="train a verdict model from dumped contexts")
-    _add_corpus_flags(p)
-    _add_embed_flags(p)
-    p.add_argument("--contexts", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--epochs", type=non_negative_int, default=TrainConfig.epochs)
-    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--focal-gamma", type=float, default=TrainConfig.focal_gamma)
-    p.add_argument("--focal-alpha", type=float_pair)
-    p.add_argument("--batch-size", type=positive_int, default=TrainConfig.batch_size)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--model-out", required=True)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("evaluate", help="evaluate a saved model on a partition")
-    _add_corpus_flags(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--contexts", required=True)
-    p.add_argument("--split", required=True)
+    _stage(sub, "split", _cmd_split, "make and verify a run's train/val/test split", "--out")
+    _stage(sub, "sample", _cmd_sample, "sample a run condition's context of every verdict pair",
+           "--condition", "--out")
+    _stage(sub, "train", _cmd_train, "fit a run condition's first model on dumped contexts",
+           "--condition", "--contexts", "--split", "--model-out")
+    p = _stage(sub, "evaluate", _cmd_evaluate, "evaluate a saved model on a partition",
+               "--model", "--contexts", "--split", "--report-out")
     p.add_argument("--partition", choices=PARTITIONS, default="test")
-    p.add_argument("--report-out", required=True)
-    p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("analyze", help="coverage, diversity, ngrams, audit, significance")
     asub = p.add_subparsers(dest="what", required=True, parser_class=_Parser)

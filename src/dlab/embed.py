@@ -55,6 +55,12 @@ class EmbedderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # the hash key and the bucket arithmetic take Python ints; a bool
+        # would hash as 0 or 1
+        for name, value in (("dim", self.dim), ("ngram_range", self.ngram_range[0]),
+                            ("ngram_range", self.ngram_range[-1]), ("seed", self.seed)):
+            if type(value) is not int:
+                raise ValueError(f"embedder {name} must hold integers, got {value!r}")
         if self.dim < 8:
             raise ValueError(f"dim must be >= 8, got {self.dim}")
         lo, hi = self.ngram_range

@@ -432,7 +432,9 @@ def significance_test(correct_a, correct_b) -> tuple[float, float]:
 
     Returns (t, two-sided p) with Welch-Satterthwaite degrees of freedom.
     Conventions: two zero-variance samples give (0, 1) when the means are
-    equal and (±inf, 0) otherwise. Needs at least two examples per side.
+    equal and (±inf, 0) otherwise. Needs at least two finite examples per
+    side; a variance that is not finite, or overflows when squared, is a
+    ValueError.
 
     The two-sided tail is the regularized incomplete beta I_x(df/2, 1/2) at
     x = df/(df+t²), summed as a continued fraction (`_student_t_two_sided`).
@@ -447,9 +449,15 @@ def significance_test(correct_a, correct_b) -> tuple[float, float]:
     b = np.asarray(correct_b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1 or a.size < 2 or b.size < 2:
         raise ValueError("need at least two observations per sample")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("observations must be finite")
     na, nb = a.size, b.size
-    ma, mb = float(a.mean()), float(b.mean())
-    va, vb = float(a.var(ddof=1)), float(b.var(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ma, mb = float(a.mean()), float(b.mean())
+        va, vb = float(a.var(ddof=1)), float(b.var(ddof=1))
+    # the degrees of freedom square the variances
+    if not math.isfinite((va + vb) * (va + vb)):
+        raise ValueError("a sample variance is not finite, or overflows when squared")
     if va == 0.0 and vb == 0.0:
         if ma == mb:
             return 0.0, 1.0

@@ -21,9 +21,9 @@ import numpy as np
 from . import __version__
 from .cluster import ClusterModel, kmeans, truncated_svd
 from .corpus import (MAX_COMMENTS, MIN_COMMENTS, SPLIT_KINDS, SPLIT_RATIOS, Corpus,
-                     CorpusError, SplitSpec, filter_annotators, ingest_corpus, make_split,
-                     save_split, validate_comment_bounds, validate_ratios, verify_split,
-                     write_json, write_tsv)
+                     CorpusError, FilterReport, SplitSpec, filter_annotators, ingest_corpus,
+                     make_split, save_split, validate_comment_bounds, validate_ratios,
+                     verify_split, write_json, write_tsv)
 from .disclosure import CategoryProfile, attach_clusters, build_profiles
 from .embed import EmbedderConfig, EmbeddingMatrix, embed_texts, import_embeddings
 from .model import (Features, TrainConfig, build_features, encode_labels, evaluate,
@@ -109,7 +109,7 @@ class ExperimentConfig:
             # from the hashed embedder would live in another space
             raise ConfigError("[embed] embx cannot be combined with sentence strategies")
         try:
-            self.train_config(seed=0)
+            self.train_config("")
             self.embedder_config()
             validate_ratios(self.split_ratios)
             validate_comment_bounds(self.min_comments, self.max_comments)
@@ -121,11 +121,12 @@ class ExperimentConfig:
         return EmbedderConfig(dim=self.embed_dim, ngram_range=self.ngram_range,
                               seed=derive_seed(self.seed, "embed"))
 
-    def train_config(self, seed: int) -> TrainConfig:
+    def train_config(self, condition: str, run: int = 0) -> TrainConfig:
+        """The settings of the condition's fit number `run` (from 0)."""
         return TrainConfig(
             epochs=self.epochs, learning_rate=self.learning_rate,
             focal_gamma=self.focal_gamma, focal_alpha=self.focal_alpha,
-            batch_size=self.batch_size, seed=seed,
+            batch_size=self.batch_size, seed=derive_seed(self.seed, "train", condition) + run,
         )
 
 
@@ -429,9 +430,8 @@ def run_condition(state: RunState, condition: Condition) -> dict:
         dump_contexts(contexts, Path(cfg.out) / "contexts" / f"{condition.name}.jsonl")
 
     reports = []
-    base_seed = derive_seed(cfg.seed, "train", condition.name)
     for run_idx in range(cfg.runs):
-        params = train(*data["train"], cfg.train_config(base_seed + run_idx))
+        params = train(*data["train"], cfg.train_config(condition.name, run_idx))
         reports.append(evaluate(params, *data["test"]))
 
     acc_runs = [r.accuracy for r in reports]
@@ -452,22 +452,8 @@ def run_condition(state: RunState, condition: Condition) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the full run
-
-def _load_or_synthesize(cfg: ExperimentConfig, outdir: Path):
-    if cfg.synth is not None:
-        corpus, ground_truth = generate_population(cfg.synth)
-        write_population(corpus, ground_truth, outdir / "synth")
-        ingest_report = {
-            "n_posts": len(corpus.posts),
-            "n_comments": len(corpus.comments),
-            "n_verdicts": len(corpus.verdicts),
-            "synthesized": True,
-        }
-        return corpus, ingest_report
-    corpus, report = ingest_corpus(*cfg.corpus_paths)
-    return corpus, report.to_dict()
-
+# set-up: what a run fixes before its conditions. These functions write
+# nothing; run_pipeline and the stage commands of the CLI compose them.
 
 def embed_corpus(corpus: Corpus, embed_cfg: EmbedderConfig) -> EmbeddingMatrix:
     """One matrix of the post query texts then the comments, each in id order."""
@@ -486,19 +472,6 @@ def embed_sentences(corpus: Corpus, embed_cfg: EmbedderConfig) -> EmbeddingMatri
     texts = sorted({comment.text[a:b] for comment in corpus.comments.values()
                     for a, b in comment.sentence_spans()})
     return embed_texts([(text, text) for text in texts], embed_cfg)
-
-
-def _build_embeddings(cfg: ExperimentConfig, corpus: Corpus) -> EmbeddingMatrix:
-    if cfg.embx_path:
-        matrix = import_embeddings(cfg.embx_path)
-        missing = [pid for pid in corpus.posts if pid not in matrix]
-        missing += [cid for cid in corpus.comments if cid not in matrix]
-        if missing:
-            raise ConfigError(
-                f"imported embeddings lack {len(missing)} corpus ids "
-                f"(first: {sorted(missing)[:3]})")
-        return matrix
-    return embed_corpus(corpus, cfg.embedder_config())
 
 
 def cluster_comments(embeddings: EmbeddingMatrix, profiles: dict[str, CategoryProfile],
@@ -534,6 +507,71 @@ def check_split(split: SplitSpec, corpus: Corpus, *partitions: str) -> None:
             raise ConfigError(f"the split leaves the {part} partition empty ({counts} verdicts)")
 
 
+def setup_corpus(cfg: ExperimentConfig) -> tuple[Corpus, dict, FilterReport,
+                                                  tuple[Corpus, dict] | None]:
+    """The config's corpus after the annotator filter, its ingest and filter
+    reports, and for [synth] the population as generated with its ground
+    truth (None for [corpus] files). ConfigError when no verdict survives
+    the filter."""
+    population = None
+    if cfg.synth is not None:
+        population = generate_population(cfg.synth)
+        corpus = population[0]
+        ingest_report = {
+            "n_posts": len(corpus.posts),
+            "n_comments": len(corpus.comments),
+            "n_verdicts": len(corpus.verdicts),
+            "synthesized": True,
+        }
+    else:
+        corpus, report = ingest_corpus(*cfg.corpus_paths)
+        ingest_report = report.to_dict()
+    corpus, filter_report = filter_annotators(corpus, cfg.min_comments, cfg.max_comments)
+    if not corpus.verdicts:
+        raise ConfigError("no verdicts survive annotator filtering")
+    return corpus, ingest_report, filter_report, population
+
+
+def setup_embeddings(cfg: ExperimentConfig, corpus: Corpus) -> EmbeddingMatrix:
+    """The [embed] embx file's matrix, which must hold every post and comment
+    id of the corpus, or else the corpus embedded with the config's embedder."""
+    if cfg.embx_path:
+        matrix = import_embeddings(cfg.embx_path)
+        missing = [pid for pid in corpus.posts if pid not in matrix]
+        missing += [cid for cid in corpus.comments if cid not in matrix]
+        if missing:
+            raise ConfigError(
+                f"imported embeddings lack {len(missing)} corpus ids "
+                f"(first: {sorted(missing)[:3]})")
+        return matrix
+    return embed_corpus(corpus, cfg.embedder_config())
+
+
+def setup_profiles(cfg: ExperimentConfig, corpus: Corpus, embeddings: EmbeddingMatrix
+                   ) -> tuple[dict[str, CategoryProfile],
+                              tuple[ClusterModel, EmbeddingMatrix] | None]:
+    """The theory profiles of the corpus comments and, when [cluster] is
+    enabled, their cluster ids with the cluster model and the reduced matrix
+    it was fitted on (None when clustering is off)."""
+    profiles = build_profiles(corpus)
+    if not cfg.cluster_enabled:
+        return profiles, None
+    clusters = cluster_comments(embeddings, profiles, cfg.cluster_k, cfg.reduce_dim, cfg.seed)
+    return attach_clusters(profiles, clusters[0].assignment), clusters
+
+
+def setup_split(cfg: ExperimentConfig, corpus: Corpus) -> SplitSpec:
+    """The run's split of the corpus verdicts, which check_split has passed
+    with non-empty train and test partitions."""
+    split = make_split(corpus, cfg.split_kind, cfg.split_ratios,
+                       seed=derive_seed(cfg.seed, "split"))
+    check_split(split, corpus, "train", "test")
+    return split
+
+
+# ---------------------------------------------------------------------------
+# the full run
+
 def run_pipeline(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Execute the configured experiment; returns the report rows.
 
@@ -547,21 +585,12 @@ def run_pipeline(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    corpus, ingest_report = _load_or_synthesize(cfg, outdir)
-    corpus, filter_report = filter_annotators(corpus, cfg.min_comments, cfg.max_comments)
-    if not corpus.verdicts:
-        raise ConfigError("no verdicts survive annotator filtering")
-
-    embeddings = _build_embeddings(cfg, corpus)
-
-    profiles = build_profiles(corpus)
-    if cfg.cluster_enabled:
-        model, _ = cluster_comments(embeddings, profiles, cfg.cluster_k, cfg.reduce_dim, cfg.seed)
-        profiles = attach_clusters(profiles, model.assignment)
-
-    split = make_split(corpus, cfg.split_kind, cfg.split_ratios,
-                       seed=derive_seed(cfg.seed, "split"))
-    check_split(split, corpus, "train", "test")
+    corpus, ingest_report, filter_report, population = setup_corpus(cfg)
+    if population is not None:
+        write_population(*population, outdir / "synth")
+    embeddings = setup_embeddings(cfg, corpus)
+    profiles, _ = setup_profiles(cfg, corpus, embeddings)
+    split = setup_split(cfg, corpus)
     train_pairs, test_pairs = split.indices("train"), split.indices("test")
     save_split(split, outdir / "split.jsonl")
 

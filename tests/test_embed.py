@@ -79,6 +79,16 @@ def test_embedder_config_validation():
         EmbedderConfig(kind="learned")
 
 
+@pytest.mark.parametrize("settings", [
+    dict(dim=8, seed=2.5), dict(ngram_range=(1, 2.5)), dict(dim=8.5), dict(seed=True),
+    dict(dim=True), dict(ngram_range=(True, 2)), dict(seed=np.uint64(3)),
+], ids=["seed-2.5", "ngram-2.5", "dim-8.5", "seed-True", "dim-True", "ngram-True", "seed-uint64"])
+def test_embedder_config_takes_only_integers(settings):
+    # a float would fail in embed_text, not here, and a bool would hash as 0 or 1
+    with pytest.raises(ValueError, match="must hold integers"):
+        EmbedderConfig(**settings)
+
+
 # ---------------------------------------------------------------------------
 # the matrix
 

@@ -420,6 +420,16 @@ def test_significance_needs_two_per_side():
         significance_test([0, 1], [])
 
 
+@pytest.mark.parametrize("sample", [
+    [math.nan, 1, 0], [math.inf, 1, 0], [1e308, -1e308, 1e308], [1e150, -1e150, 0],
+], ids=["nan", "inf", "variance-overflows", "variance-squared-overflows"])
+def test_significance_rejects_non_finite_input_and_variance(sample):
+    # NaN once read as t=nan p=0, and an infinite variance as t=0 p=0
+    for a, b in ((sample, [1, 0, 1]), ([1, 0, 1], sample)):
+        with pytest.raises(ValueError, match="finite"):
+            significance_test(a, b)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -83,6 +83,27 @@ seed = 7
 baseline = no_comments
 """
 
+# the settings of a staged test corpus: no annotator filter, dim 64;
+# `extra` adds sections other than [corpus] and [embed]
+STAGE_INI = """\
+[corpus]
+posts = {data}/posts.jsonl
+comments = {data}/comments.jsonl
+verdicts = {data}/verdicts.jsonl
+min_comments = 0
+
+[embed]
+dim = 64
+
+{extra}
+"""
+
+
+def write_stage_config(path, data, extra="") -> str:
+    """A `dlab run` config at `path` over the corpus files in `data`."""
+    path.write_text(STAGE_INI.format(data=data, extra=extra))
+    return str(path)
+
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -357,8 +378,7 @@ def test_build_conditions_cluster_rules():
 
 
 # each token's verdict from `dlab run` with [cluster] k = 3 and with
-# clustering off; `dlab sample` gives the same one with a k = 3 cluster model
-# and with none, except that it takes one category and so no wildcard
+# clustering off; `dlab sample` reads the same grid from the same config
 CATEGORY_TOKENS = {
     "none": (True, True),
     "theory:Demographics": (True, True),
@@ -376,45 +396,44 @@ CATEGORY_TOKENS = {
 
 @pytest.fixture(scope="module")
 def sample_inputs(tmp_path_factory):
-    """A tiny corpus on disk and a k = 3 cluster model over its comments."""
+    """A tiny corpus on disk and the directory of its files."""
     root = tmp_path_factory.mktemp("sample")
     spec = PopulationSpec(n_annotators=3, n_posts=4, comments_per_annotator=(3, 3),
                           verdicts_per_annotator=(2, 2), seed=4)
-    corpus, truth = generate_population(spec)
-    paths = write_population(corpus, truth, root / "data")
-    eligible = [cid for cid, prof in sorted(dlab.disclosure.build_profiles(corpus).items())
-                if prof.passes_phrase_filter]
-    model = root / "k3.model"
-    save_cluster_model(ClusterModel(k=3, centroids=np.zeros((3, 4)), inertia=0.0, seed=0,
-                                    assignment={cid: i % 3 for i, cid in enumerate(eligible)}),
-                       model)
-    flags = [arg for name in ("posts", "comments", "verdicts")
-             for arg in (f"--{name}", str(paths[name]))]
-    return root, flags, model
+    write_population(*generate_population(spec), root / "data")
+    return root, root / "data"
 
 
 @pytest.mark.parametrize("token", list(CATEGORY_TOKENS))
-def test_category_tokens_mean_the_same_to_run_and_sample(token, sample_inputs, capsys):
-    root, corpus_flags, model = sample_inputs
+def test_category_tokens_mean_the_same_to_run_and_sample(token, sample_inputs, tmp_path,
+                                                         capsys):
+    # `dlab sample --condition` takes every name of the grid a token gives,
+    # and a token the grid rejects fails the config before anything is read
+    _, data = sample_inputs
     expected = CATEGORY_TOKENS[token]
     for clusters, accepted in zip((3, None), expected):
         cfg = ExperimentConfig(corpus_paths=("p", "c", "v"), categories=(token,),
-                               cluster_enabled=clusters is not None, cluster_k=clusters or 10)
+                               max_samples_list=(3,), cluster_enabled=clusters is not None,
+                               cluster_k=clusters or 10)
         try:
-            build_conditions(cfg)
+            names = [c.name for c in build_conditions(cfg)]
         except ConfigError:
             assert not accepted
+            names = ["no_comments"]
         else:
             assert accepted
-        out = root / f"{token.replace(':', '_').replace('*', 'all')}-{clusters}.jsonl"
-        code = main(["sample", *corpus_flags, "--dim", "64", "--strategy", "similar_comments",
-                     "--max-samples", "3", "--category", token, "--out", str(out),
-                     *(["--cluster-model", str(model)] if clusters else [])])
-        if accepted and not token.endswith(":*"):
-            assert code == 0 and out.is_file()
-        else:
-            assert code == 1 and not out.exists()
-            assert "--category" in capsys.readouterr().err
+        config = write_stage_config(
+            tmp_path / f"{clusters}.ini", data,
+            f"[cluster]\nenabled = {clusters is not None}\nk = {clusters or 10}\n\n"
+            f"[sampler]\nmax_samples = 3\ncategories = {token}\n")
+        for name in names:
+            out = tmp_path / f"{clusters}-{name.replace(':', '_')}.jsonl"
+            code = main(["sample", "--config", config, "--condition", name, "--out", str(out)])
+            if accepted:
+                assert code == 0 and len(out.read_text().splitlines()) == 6
+            else:
+                assert code == 2 and not out.exists()
+                assert "[sampler] categories" in capsys.readouterr().err
 
 
 def test_build_conditions_duplicates_rejected():
@@ -740,18 +759,17 @@ def test_cli_missing_input_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value,message", [
-    ("--k", "0", "argument --k: must be >= 1, got 0"),
-    ("--reduce-dim", "0", "argument --reduce-dim: must be >= 1, got 0"),
+    # k and reduce_dim are [cluster] keys of the config
+    ("--k", "0", "unrecognized arguments: --k 0"),
+    ("--reduce-dim", "0", "unrecognized arguments: --reduce-dim 0"),
     ("--inspect-n", "-1", "argument --inspect-n: must be >= 0, got -1"),
     # eligibility is the fixed phrase filter, so a pattern file is no option
     ("--patterns", "p.txt", "unrecognized arguments: --patterns p.txt"),
 ], ids=["--k", "--reduce-dim", "--inspect-n", "--patterns"])
 def test_cli_cluster_sizes_below_one_are_usage_errors(flag, value, message, capsys):
-    # rejected while parsing, before the comments file is read
-    argv = {"--k": "3", "--reduce-dim": "4", flag: value}
+    # rejected while parsing, before the config is read
     with pytest.raises(SystemExit) as exc:
-        main(["cluster", "--comments", "c", "--model-out", "m",
-              *(tok for item in argv.items() for tok in item)])
+        main(["cluster", "--config", "c.ini", "--model-out", "m", flag, value])
     assert exc.value.code == 1
     assert message in capsys.readouterr().err
 
@@ -765,11 +783,11 @@ def test_cli_cluster_sizes_below_one_are_usage_errors(flag, value, message, caps
 ])
 def test_cli_sample_and_train_sizes_below_bound_are_usage_errors(command, flag, value, bound,
                                                                   capsys):
-    # rejected while parsing, before any input is read or embedded
-    corpus = ["--posts", "p", "--comments", "c", "--verdicts", "v"]
-    argv = {"sample": ["sample", *corpus, "--strategy", "random_comments",
-                       "--max-samples", "3", "--out", "o"],
-            "train": ["train", *corpus, "--contexts", "c", "--split", "s", "--model-out", "m"],
+    # rejected while parsing, before any input is read or embedded; sample
+    # and train take their sizes from the config, so the flags are unknown
+    stage = ["--config", "c.ini", "--condition", "no_comments"]
+    argv = {"sample": ["sample", *stage, "--out", "o"],
+            "train": ["train", *stage, "--contexts", "c", "--split", "s", "--model-out", "m"],
             "ngrams": ["analyze", "ngrams", "--comments", "c", "--n", "1",
                        "--position", "before", "--out", "o"],
             "audit": ["analyze", "audit", "--comments", "c", "--category", "Age",
@@ -777,7 +795,45 @@ def test_cli_sample_and_train_sizes_below_bound_are_usage_errors(command, flag, 
     with pytest.raises(SystemExit) as exc:
         main([*argv, flag, value])
     assert exc.value.code == 1
-    assert f"argument {flag}: must be >= {bound}, got {value}" in capsys.readouterr().err
+    assert (f"argument {flag}: must be >= {bound}, got {value}" if command in ("ngrams", "audit")
+            else f"unrecognized arguments: {flag} {value}") in capsys.readouterr().err
+
+
+# each stage command's required flags beside --config
+STAGE_FLAGS = {"embed": ["--out"], "cluster": ["--model-out"], "split": ["--out"],
+               "sample": ["--condition", "--out"],
+               "train": ["--condition", "--contexts", "--split", "--model-out"],
+               "evaluate": ["--model", "--contexts", "--split", "--report-out"]}
+
+
+def _stage_argv_with(command, config, value) -> list[str]:
+    """A stage command over `config` with `value` for each other flag."""
+    return [command, "--config", str(config),
+            *(arg for flag in STAGE_FLAGS[command] for arg in (flag, str(value)))]
+
+
+@pytest.mark.parametrize("command,key,value,message", [
+    ("embed", "embed.dim", "4", "dim must be >= 8, got 4"),
+    ("cluster", "cluster.k", "0", "[cluster] k must be >= 1, got 0"),
+    ("cluster", "cluster.reduce_dim", "0", "[cluster] reduce_dim must be >= 1, got 0"),
+    ("split", "split.ratios", "0.5,0.5,0.5", "ratios must sum to 1"),
+    ("sample", "sampler.max_samples", "0", "max_samples must be >= 1, got 0"),
+    ("train", "train.batch_size", "0", "batch_size must be >= 1"),
+    ("train", "train.epochs", "-1", "epochs must be >= 0"),
+    ("evaluate", "corpus.min_comments", "600", "bad bounds: min_comments=600"),
+], ids=["embed-dim", "cluster-k", "cluster-reduce_dim", "split-ratios", "sample-max_samples",
+        "train-batch_size", "train-epochs", "evaluate-min_comments"])
+def test_cli_stage_settings_are_config_errors(tmp_path, capsys, command, key, value, message):
+    # the config's settings are checked as `dlab run` checks them (exit 2),
+    # before the stage looks for its corpus files, which do not exist
+    section, name = key.split(".")
+    config = tmp_path / "stage.ini"
+    config.write_text(MINIMAL_CORPUS_INI + ("" if section == "corpus" else f"[{section}]\n")
+                      + f"{name} = {value}\n")
+    out = tmp_path / "out"
+    assert main(_stage_argv_with(command, config, out)) == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert f"data error: {message}" in err and "input not found" not in err
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -788,13 +844,13 @@ def test_cli_run_workers_below_one_is_usage_error(value, capsys):
     assert f"argument --workers: must be >= 1, got {value}" in capsys.readouterr().err
 
 
-def test_cli_train_checks_its_settings_before_reading_inputs(capsys):
-    # the inputs do not exist; the bad learning rate is reported first
-    code = main(["train", "--posts", "p", "--comments", "c", "--verdicts", "v",
-                 "--contexts", "x", "--split", "s", "--model-out", "m",
-                 "--learning-rate", "-1"])
+def test_cli_train_checks_its_settings_before_reading_inputs(tmp_path, capsys):
+    # the inputs do not exist; the config's bad learning rate is reported first
+    config = tmp_path / "stage.ini"
+    config.write_text(MINIMAL_CORPUS_INI + "[train]\nlearning_rate = -1\n")
+    code = main(_stage_argv_with("train", config, tmp_path / "x"))
     err = capsys.readouterr().err
-    assert code == 1 and "learning_rate" in err and "input not found" not in err
+    assert code == 2 and "learning_rate" in err and "input not found" not in err
 
 
 def test_cli_extract_runs_extraction_once_per_comment(tmp_path, corpus_files, monkeypatch):
@@ -913,11 +969,11 @@ def test_cli_malformed_data_is_data_error(tmp_path, capsys):
                  {"verdict_index": 0, "partition": "train"}])
     write_jsonl(contexts, [{"annotator_id": "a1", "post_id": "p1", "items": [
         {"comment_id": "c1", "similarity": None, "unit": "paragraph", "sentence_index": None}]}])
-    code = main(["train", "--posts", str(tmp_path / "good_posts.jsonl"),
-                 "--comments", str(tmp_path / "comments.jsonl"),
-                 "--verdicts", str(tmp_path / "verdicts.jsonl"), "--dim", "64",
-                 "--contexts", str(contexts), "--split", str(tmp_path / "split.jsonl"),
-                 "--model-out", str(tmp_path / "model.txt")])
+    (tmp_path / "good_posts.jsonl").replace(tmp_path / "posts.jsonl")
+    train = ["train", "--config", write_stage_config(tmp_path / "stage.ini", tmp_path),
+             "--condition", "no_comments", "--contexts", str(contexts),
+             "--split", str(tmp_path / "split.jsonl"), "--model-out", str(tmp_path / "model.txt")]
+    code = main(train)
     assert code == 2
     assert "contexts.jsonl line 1: unknown unit 'paragraph'" in capsys.readouterr().err
 
@@ -930,27 +986,28 @@ def test_cli_malformed_data_is_data_error(tmp_path, capsys):
         ({"kind": "bogus", "ratios": [1.0, 0.0, 0.0], "seed": 0}, "unknown split kind 'bogus'"),
     ):
         write_jsonl(tmp_path / "split.jsonl", [header, {"verdict_index": 0, "partition": "train"}])
-        code = main(["train", "--posts", str(tmp_path / "good_posts.jsonl"),
-                     "--comments", str(tmp_path / "comments.jsonl"),
-                     "--verdicts", str(tmp_path / "verdicts.jsonl"), "--dim", "64",
-                     "--contexts", str(contexts), "--split", str(tmp_path / "split.jsonl"),
-                     "--model-out", str(tmp_path / "model.txt")])
+        code = main(train)
         err = capsys.readouterr().err
         assert code == 2
         assert "data error: split.jsonl: malformed split header" in err and message in err
 
     # significance inputs that are not evaluation reports: no correctness
     # list, a correctness that is not a list, not an object at all, and
-    # correctness lists that are not two or more numbers
+    # correctness lists that are not two or more finite numbers in [0, 1]
+    # (a NaN, numbers whose variance overflows, JSON booleans)
     report = tmp_path / "report.json"
     report.write_text(json.dumps({"correctness": [1, 0, 1]}))
-    not_report, too_few = "not an evaluation report", "'correctness' must hold two or more numbers"
+    not_report = "not an evaluation report"
+    bad_values = "'correctness' must hold two or more numbers in [0, 1]"
     for name, payload, message in (
         ("counts.json", {"n": 3}, not_report),
         ("text.json", {"correctness": "101"}, not_report),
         ("list.json", [1, 2], not_report),
-        ("letters.json", {"correctness": ["a", "b"]}, too_few),
-        ("single.json", {"correctness": [1]}, too_few),
+        ("letters.json", {"correctness": ["a", "b"]}, bad_values),
+        ("single.json", {"correctness": [1]}, bad_values),
+        ("nan.json", {"correctness": [float("nan"), 1, 0]}, bad_values),
+        ("huge.json", {"correctness": [1e308, -1e308, 1e308]}, bad_values),
+        ("bools.json", {"correctness": [True, False, True]}, bad_values),
     ):
         (tmp_path / name).write_text(json.dumps(payload))
         code = main(["analyze", "significance", "--report-a", str(report),
@@ -1011,20 +1068,19 @@ def test_cli_synth_flags_build_the_synth_section_population(tmp_path, monkeypatc
     assert specs == [PopulationSpec(), dataclasses.replace(parse_config(ini).synth, seed=5)]
 
 
-def test_cli_train_focal_alpha_takes_two_numbers(capsys):
-    # the flag goes through the config file's converter, so a bad pair is a
-    # usage error before any input is read
-    files = ["--posts", "p", "--comments", "c", "--verdicts", "v", "--contexts", "x",
-             "--split", "s", "--model-out", "m"]
-    with pytest.raises(SystemExit) as exc:
-        main(["train", *files, "--focal-alpha", "0.3"])
-    assert exc.value.code == 1
-    assert "--focal-alpha" in capsys.readouterr().err
+def test_cli_train_focal_alpha_takes_two_numbers(tmp_path, capsys):
+    # [train] focal_alpha goes through the config file's converter, so a bad
+    # pair is a config error before any input is read
+    config = tmp_path / "stage.ini"
+    config.write_text(MINIMAL_CORPUS_INI + "[train]\nfocal_alpha = 0.3\n")
+    assert main(_stage_argv_with("train", config, tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert "[train] focal_alpha: expected two comma-separated numbers" in err
+    assert "input not found" not in err
 
 
 def test_cli_full_chain(tmp_path, capsys):
     d = tmp_path
-    embed_flags = ["--dim", "256"]
 
     assert main(["synth", "--annotators", "8", "--posts", "16",
                  "--comments-lo", "3", "--comments-hi", "5",
@@ -1035,40 +1091,34 @@ def test_cli_full_chain(tmp_path, capsys):
     assert main(["ingest", "--posts", raw[0], "--comments", raw[1],
                  "--verdicts", raw[2], "--min-comments", "1",
                  "--max-comments", "99", "--out", str(d / "corpus")]) == 0
-    trio = []
     for name in ("posts", "comments", "verdicts"):
-        path = d / "corpus" / f"{name}.jsonl"
-        assert path.is_file()
-        trio += [f"--{name}", str(path)] if name != "posts" else [f"--{name}", str(path)]
-    corpus_flags = trio
+        assert (d / "corpus" / f"{name}.jsonl").is_file()
+    config = ["--config", write_stage_config(
+        d / "stage.ini", d / "corpus",
+        "[cluster]\nenabled = true\nk = 3\nreduce_dim = 4\n\n"
+        "[split]\nkind = verdict\nratios = 0.7,0.1,0.2\n\n"
+        "[sampler]\nmax_samples = 3\n\n[train]\nepochs = 2\n\n[run]\nseed = 5\n")]
+    condition = ["--condition", "similar_comments-k3"]
 
     assert main(["extract", "--comments", str(d / "corpus" / "comments.jsonl"),
                  "--spans-out", str(d / "spans.jsonl"),
                  "--profiles-out", str(d / "profiles.jsonl")]) == 0
     assert (d / "spans.jsonl").is_file() and (d / "profiles.jsonl").is_file()
 
-    assert main(["embed", *corpus_flags, *embed_flags,
-                 "--out", str(d / "vectors.embx")]) == 0
+    assert main(["embed", *config, "--out", str(d / "vectors.embx")]) == 0
 
-    assert main(["cluster", "--comments", str(d / "corpus" / "comments.jsonl"),
-                 *embed_flags, "--k", "3", "--reduce-dim", "4",
-                 "--model-out", str(d / "clusters.model"),
+    assert main(["cluster", *config, "--model-out", str(d / "clusters.model"),
                  "--inspect-out", str(d / "inspect.jsonl")]) == 0
 
-    assert main(["split", *corpus_flags, "--kind", "verdict",
-                 "--ratios", "0.7,0.1,0.2", "--seed", "5",
-                 "--out", str(d / "split.jsonl")]) == 0
+    assert main(["split", *config, "--out", str(d / "split.jsonl")]) == 0
 
-    assert main(["sample", *corpus_flags, *embed_flags,
-                 "--strategy", "similar_comments", "--max-samples", "3",
-                 "--seed", "5", "--out", str(d / "ctx.jsonl")]) == 0
+    assert main(["sample", *config, *condition, "--out", str(d / "ctx.jsonl")]) == 0
 
-    assert main(["train", *corpus_flags, *embed_flags,
+    assert main(["train", *config, *condition,
                  "--contexts", str(d / "ctx.jsonl"), "--split", str(d / "split.jsonl"),
-                 "--epochs", "2", "--seed", "5",
                  "--model-out", str(d / "model.txt")]) == 0
 
-    assert main(["evaluate", *corpus_flags, "--model", str(d / "model.txt"),
+    assert main(["evaluate", *config, "--model", str(d / "model.txt"),
                  "--contexts", str(d / "ctx.jsonl"), "--split", str(d / "split.jsonl"),
                  "--partition", "test",
                  "--report-out", str(d / "eval.json")]) == 0
@@ -1101,101 +1151,117 @@ def test_cli_full_chain(tmp_path, capsys):
 
 
 def test_cli_stage_chain_reproduces_a_run_condition(tmp_path):
-    # `dlab sample`, `train` and `evaluate` with the seeds a run derives from
-    # its own write each condition's contexts and score its accuracy, and
-    # `dlab cluster --seed` with the run's seed fits the run's clusters
+    # given a run's config, `dlab split` writes the run's split, `dlab sample
+    # --condition` each condition's contexts, `train` and `evaluate` score
+    # the condition's first fit, and `dlab cluster` fits the run's clusters
     spec = PopulationSpec(n_annotators=6, n_posts=20, comments_per_annotator=(4, 6),
                           verdicts_per_annotator=(8, 10), seed=5)
     corpus, truth = generate_population(spec)
     paths = write_population(corpus, truth, tmp_path / "data")
-    corpus, _ = ingest_corpus(paths["posts"], paths["comments"], paths["verdicts"])
-    seed = 11
+    sources = {
+        # each filter drops some annotators: three of the corpus files' six
+        # have four comments, and two of the synthesized six have five
+        "corpus": "[corpus]\n" + "".join(f"{n} = {paths[n]}\n"
+                                        for n in ("posts", "comments", "verdicts"))
+                  + "min_comments = 5\n",
+        "synth": "[synth]\nenabled = true\nn_annotators = 6\nn_posts = 20\ncomments_lo = 4\n"
+                 "comments_hi = 6\nverdicts_lo = 8\nverdicts_hi = 10\n\n"
+                 "[corpus]\nmin_comments = 6\n",
+    }
+    grids = {
+        "grid": "[sampler]\nstrategies = similar_comments,similar_sentences,random_comments\n"
+                "baselines = no_comments,all_comments\n",
+        "clustered": "[cluster]\nenabled = true\nk = 3\n\n"
+                     "[sampler]\ncategories = none,theory:*,cluster:*\n",
+    }
 
-    def run(name, sections):
+    def run_and_stage(name, sections, embed="dim = 128", train=True):
         ini = tmp_path / f"{name}.ini"
-        ini.write_text(f"""\
-[corpus]
-posts = {paths['posts']}
-comments = {paths['comments']}
-verdicts = {paths['verdicts']}
-min_comments = 0
+        ini.write_text(f"{sections}\n[embed]\n{embed}\n\n[split]\nratios = 0.6,0.2,0.2\n\n"
+                       f"[train]\nepochs = 3\nruns = 1\n\n[run]\nseed = 11\n"
+                       f"out = {tmp_path / name}\n".replace("[sampler]\n",
+                                                             "[sampler]\nmax_samples = 3\n"))
+        out = tmp_path / name
+        fits = []  # runs = 1, so one fit per condition, in grid order
+        fit_model = dlab.pipeline.train
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dlab.pipeline, "train",
+                          lambda *a: fits.append(fit_model(*a)) or fits[-1])
+            rows = {row["condition"]: row for row in run_pipeline(parse_config(ini))}
+        config = ["--config", str(ini)]
+        split = tmp_path / f"{name}-split.jsonl"
+        assert main(["split", *config, "--out", str(split)]) == 0
+        assert split.read_bytes() == (out / "split.jsonl").read_bytes()
+        for (condition, row), fit in zip(rows.items(), fits):
+            ctx, model, report = (tmp_path / f"{name}-{condition}.{ext}"
+                                  for ext in ("jsonl", "model", "json"))
+            assert main(["sample", *config, "--condition", condition, "--out", str(ctx)]) == 0
+            dumped = (out / "contexts" / f"{condition}.jsonl").read_text().splitlines()
+            assert len(dumped) == row["n_train"] + row["n_test"]
+            assert set(dumped) <= set(ctx.read_text().splitlines())
+            if not train:
+                continue
+            inputs = ["--contexts", str(ctx), "--split", str(split)]
+            assert main(["train", *config, "--condition", condition, *inputs,
+                         "--model-out", str(model)]) == 0
+            trained = load_model(model)
+            assert trained.seed == fit.seed and trained.loss_history == fit.loss_history
+            assert trained.weights.tobytes() == fit.weights.tobytes()
+            assert main(["evaluate", *config, "--model", str(model), *inputs,
+                         "--report-out", str(report)]) == 0
+            evaluated = json.loads(report.read_text())
+            assert evaluated["n"] == row["n_test"]
+            assert f"{evaluated['accuracy']:.6f}" == f"{row['acc_runs'][0]:.6f}"
+        return ini, out, rows
 
-[embed]
-dim = 128
+    for source, sections in sources.items():
+        _, out, rows = run_and_stage(f"{source}-grid", sections + grids["grid"])
+        assert list(rows) == ["no_comments", "all_comments", "similar_comments-k3",
+                              "similar_sentences-k3", "random_comments-k3"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert 0 < summary["filter"]["n_annotators_kept"] < summary["filter"]["n_annotators_before"]
 
-[split]
-ratios = 0.6,0.2,0.2
+        ini, out, rows = run_and_stage(f"{source}-clustered", sections + grids["clustered"])
+        assert len([name for name in rows if name.startswith("similar_comments-k3-")]) == 7
+        clusters = tmp_path / f"{source}-k3.model"
+        assert main(["cluster", "--config", str(ini), "--model-out", str(clusters)]) == 0
+        assignment = load_cluster_model(clusters).assignment
+        for cluster in range(3):
+            items = [item for c in load_contexts(
+                out / "contexts" / f"similar_comments-k3-cluster:{cluster}.jsonl",
+                ingest_corpus(*(paths[n] for n in ("posts", "comments", "verdicts")))[0]
+                if source == "corpus" else generate_population(parse_config(ini).synth)[0])
+                for item in c.items]
+            assert items and all(assignment[i.source_comment_id] == cluster for i in items)
 
-{sections}
-
-[train]
-epochs = 3
-runs = 1
-
-[run]
-seed = {seed}
-out = {tmp_path / name}
-""")
-        return tmp_path / name, {row["condition"]: row for row in run_pipeline(parse_config(ini))}
-
-    def sample_like_the_run(out, rows, name, *flags):
-        ctx = tmp_path / f"{out.name}-{name}.jsonl"
-        assert main(["sample", *files, *embed, "--max-samples", "3", *flags,
-                     "--seed", str(derive_seed(seed, "sampler")), "--out", str(ctx)]) == 0
-        sampled = {(c.annotator_id, c.post_id): c for c in load_contexts(ctx, corpus)}
-        dumped = load_contexts(out / "contexts" / f"{name}.jsonl", corpus)
-        assert len(dumped) == rows[name]["n_train"] + rows[name]["n_test"]
-        assert all(sampled[c.annotator_id, c.post_id] == c for c in dumped)
-        return ctx, dumped
-
-    files = [arg for name in ("posts", "comments", "verdicts")
-             for arg in (f"--{name}", str(paths[name]))]
-    embed = ["--dim", "128", "--embed-seed", str(derive_seed(seed, "embed"))]
-    out, rows = run("run", "[sampler]\nstrategies = similar_comments,similar_sentences,"
-                           "random_comments\nmax_samples = 3")
-    split = ["--split", str(out / "split.jsonl")]
-    for strategy in ("similar_comments", "similar_sentences", "random_comments"):
-        name = f"{strategy}-k3"
-        ctx, _ = sample_like_the_run(out, rows, name, "--strategy", strategy)
-        model, report = tmp_path / f"{name}.model", tmp_path / f"{name}.json"
-        assert main(["train", *files, *embed, "--contexts", str(ctx), *split, "--epochs", "3",
-                     "--seed", str(derive_seed(seed, "train", name)),
-                     "--model-out", str(model)]) == 0
-        # the embedder comes from the model
-        assert main(["evaluate", *files, "--model", str(model), "--contexts", str(ctx),
-                     *split, "--report-out", str(report)]) == 0
-        evaluated = json.loads(report.read_text())
-        assert evaluated["n"] == rows[name]["n_test"]
-        assert f"{evaluated['accuracy']:.6f}" == f"{rows[name]['acc_runs'][0]:.6f}"
-
-    out, rows = run("clustered", "[cluster]\nenabled = true\nk = 3\n\n[sampler]\n"
-                                 "strategies = similar_comments\nmax_samples = 3\n"
-                                 "categories = none,theory:*,cluster:*")
-    clusters = tmp_path / "k3.model"
-    assert main(["cluster", "--comments", str(paths["comments"]), *embed, "--k", "3",
-                 "--seed", str(seed), "--model-out", str(clusters)]) == 0
-    filtered = [name for name in rows if name.startswith("similar_comments-k3-")]
-    assert len(filtered) == 7
-    for name in filtered:
-        category = name.removeprefix("similar_comments-k3-")
-        _, dumped = sample_like_the_run(out, rows, name, "--strategy", "similar_comments",
-                                        "--category", category, "--cluster-model", str(clusters))
-        assert any(c.items for c in dumped) or category.startswith("theory:")
+    # the run's vectors exported by `dlab embed` and imported through
+    # [embed] embx, which train and evaluate refuse
+    sections = sources["corpus"] + "[sampler]\nstrategies = similar_comments,random_comments\n"
+    ini, _, _ = run_and_stage("hashed", sections, train=False)
+    embx = tmp_path / "vectors.embx"
+    assert main(["embed", "--config", str(ini), "--out", str(embx)]) == 0
+    _, out, rows = run_and_stage("imported", sections, f"embx = {embx}", train=False)
+    for condition in rows:
+        assert ((out / "contexts" / f"{condition}.jsonl").read_bytes()
+                == (tmp_path / "hashed" / "contexts" / f"{condition}.jsonl").read_bytes())
 
 
 @pytest.fixture(scope="module")
 def staged(sample_inputs):
-    """sample_inputs' corpus with a 4/1/1 verdict split, sampled contexts and
-    a model trained on them at dim 64."""
-    root, files, _ = sample_inputs
+    """sample_inputs' corpus with a 4/1/1 verdict split, random_comments-k2
+    contexts and that condition's model at dim 64, and their config."""
+    root, data = sample_inputs
+    config = write_stage_config(
+        root / "staged.ini", data, "[split]\nkind = verdict\nratios = 0.6,0.2,0.2\n\n"
+        "[sampler]\nstrategies = random_comments\nmax_samples = 2\n\n[train]\nepochs = 1\n")
     inputs = {"--contexts": str(root / "ctx.jsonl"), "--split": str(root / "split.jsonl")}
-    assert main(["split", *files, "--kind", "verdict", "--ratios", "0.6,0.2,0.2",
-                 "--out", inputs["--split"]]) == 0
-    assert main(["sample", *files, "--dim", "64", "--strategy", "random_comments",
-                 "--max-samples", "2", "--out", inputs["--contexts"]]) == 0
-    assert main(["train", *files, "--dim", "64", *(a for kv in inputs.items() for a in kv),
-                 "--epochs", "1", "--model-out", str(root / "model.txt")]) == 0
-    return root, files, inputs
+    condition = ["--condition", "random_comments-k2"]
+    assert main(["split", "--config", config, "--out", inputs["--split"]]) == 0
+    assert main(["sample", "--config", config, *condition, "--out", inputs["--contexts"]]) == 0
+    assert main(["train", "--config", config, *condition,
+                 *(a for kv in inputs.items() for a in kv),
+                 "--model-out", str(root / "model.txt")]) == 0
+    return root, config, inputs
 
 
 def _no_embedding(monkeypatch):
@@ -1205,10 +1271,11 @@ def _no_embedding(monkeypatch):
     monkeypatch.setattr(dlab.pipeline, "embed_texts", embed_texts)
 
 
-def _stage_argv(command, root, files, inputs, model=None):
-    argv = [command, *files, *(a for kv in inputs.items() for a in kv)]
+def _stage_argv(command, root, config, inputs, model=None):
+    argv = [command, "--config", config, *(a for kv in inputs.items() for a in kv)]
     if command == "train":
-        return [*argv, "--dim", "64", "--model-out", str(root / "unused.model")]
+        return [*argv, "--condition", "random_comments-k2",
+                "--model-out", str(root / "unused.model")]
     return [*argv, "--model", str(model or root / "model.txt"),
             "--report-out", str(root / "unused.json")]
 
@@ -1220,13 +1287,13 @@ def _stage_argv(command, root, files, inputs, model=None):
 ], ids=["unknown-index", "missing-verdict"])
 def test_cli_train_and_evaluate_verify_the_split(staged, tmp_path, monkeypatch, capsys, edit,
                                                 message):
-    root, files, inputs = staged
+    root, config, inputs = staged
     header, *rows = Path(inputs["--split"]).read_text().splitlines()
     write_jsonl(tmp_path / "split.jsonl", [json.loads(header),
                                            *edit([json.loads(row) for row in rows])])
     _no_embedding(monkeypatch)
     for command in ("train", "evaluate"):
-        code = main(_stage_argv(command, root, files,
+        code = main(_stage_argv(command, root, config,
                                 {**inputs, "--split": str(tmp_path / "split.jsonl")}))
         err = capsys.readouterr().err
         assert code == 3
@@ -1236,14 +1303,14 @@ def test_cli_train_and_evaluate_verify_the_split(staged, tmp_path, monkeypatch, 
 @pytest.mark.parametrize("command,empty", [("train", "train"), ("evaluate", "test")])
 def test_cli_train_and_evaluate_reject_an_empty_partition(staged, tmp_path, monkeypatch, capsys,
                                                          command, empty):
-    root, files, inputs = staged
+    root, config, inputs = staged
     header, *rows = Path(inputs["--split"]).read_text().splitlines()
     other = "test" if empty == "train" else "train"
     split = tmp_path / "split.jsonl"
     write_jsonl(split, [json.loads(header), *({**json.loads(row), "partition": other}
                                               for row in rows)])
     _no_embedding(monkeypatch)
-    assert main(_stage_argv(command, root, files, {**inputs, "--split": str(split)})) == 2
+    assert main(_stage_argv(command, root, config, {**inputs, "--split": str(split)})) == 2
     assert f"data error: the split leaves the {empty} partition empty" in capsys.readouterr().err
 
 
@@ -1264,14 +1331,14 @@ def _comment_of_another_annotator(records):
                          ids=["repeated-pair", "another-annotator"])
 def test_cli_train_and_evaluate_reject_leaky_or_repeated_contexts(staged, tmp_path, monkeypatch,
                                                                  capsys, edit):
-    root, files, inputs = staged
+    root, config, inputs = staged
     records, first, message = edit([json.loads(line) for line in
                                     Path(inputs["--contexts"]).read_text().splitlines()])
     contexts = tmp_path / "contexts.jsonl"
     write_jsonl(contexts, records)
     _no_embedding(monkeypatch)
     for command in ("train", "evaluate"):
-        argv = _stage_argv(command, root, files, {**inputs, "--contexts": str(contexts)})
+        argv = _stage_argv(command, root, config, {**inputs, "--contexts": str(contexts)})
         assert main(argv) == 2
         assert (f"data error: {contexts}: pair ({first['annotator_id']}, {first['post_id']}) "
                 f"{message}" in capsys.readouterr().err)
@@ -1279,8 +1346,8 @@ def test_cli_train_and_evaluate_reject_leaky_or_repeated_contexts(staged, tmp_pa
 
 def test_cli_split_writes_no_split_that_fails_the_check(sample_inputs, tmp_path, monkeypatch,
                                                       capsys):
-    _, files, _ = sample_inputs
-    make_split = dlab.cli.make_split
+    _, data = sample_inputs
+    make_split = dlab.pipeline.make_split
 
     def leaky(corpus, *args, **kwargs):
         spec = make_split(corpus, *args, **kwargs)
@@ -1288,9 +1355,11 @@ def test_cli_split_writes_no_split_that_fails_the_check(sample_inputs, tmp_path,
         return spec
 
     out = tmp_path / "split.jsonl"
-    argv = ["split", *files, "--kind", "verdict", "--out", str(out)]
+    argv = ["split", "--config", write_stage_config(tmp_path / "stage.ini", data,
+                                                    "[split]\nkind = verdict\n"),
+            "--out", str(out)]
     with monkeypatch.context() as patch:
-        patch.setattr(dlab.cli, "make_split", leaky)
+        patch.setattr(dlab.pipeline, "make_split", leaky)
         assert main(argv) == 3
     assert "coverage: 0: verdict not assigned" in capsys.readouterr().err
     assert not out.exists()
@@ -1304,93 +1373,116 @@ def test_cli_split_writes_no_split_that_fails_the_check(sample_inputs, tmp_path,
 def test_cli_evaluate_checks_the_model_dim_before_embedding(staged, tmp_path, monkeypatch,
                                                            capsys):
     # features from the header's embedder would not fit the weights
-    root, files, inputs = staged
+    root, config, inputs = staged
     model = tmp_path / "dim-128.model"
     save_model(dataclasses.replace(load_model(root / "model.txt"),
                                    embedder=EmbedderConfig(dim=128)), model)
     _no_embedding(monkeypatch)
-    assert main(_stage_argv("evaluate", root, files, inputs, model=model)) == 2
+    assert main(_stage_argv("evaluate", root, config, inputs, model=model)) == 2
     assert (f"data error: {model}: model has feature_dim 128, not twice its embedder dim 128"
             in capsys.readouterr().err)
 
 
 def test_cli_evaluate_needs_the_model_embedder(staged, tmp_path, monkeypatch, capsys):
-    root, files, inputs = staged
+    root, config, inputs = staged
     header, *payloads = read_checksummed_text(root / "model.txt", ValueError)
     header = json.loads(header)
     del header["embedder"]
     model = tmp_path / "no-embedder.model"
     write_checksummed_text(model, "\n".join([json.dumps(header), *payloads]) + "\n")
     _no_embedding(monkeypatch)
-    assert main(_stage_argv("evaluate", root, files, inputs, model=model)) == 2
+    assert main(_stage_argv("evaluate", root, config, inputs, model=model)) == 2
     assert (f"data error: {model}: malformed header (KeyError: 'embedder')"
             in capsys.readouterr().err)
 
 
 def test_cli_evaluate_rejects_a_negative_embedder_seed(staged, tmp_path, monkeypatch, capsys):
     # the embedder hashes with the seed's 8 unsigned bytes
-    root, files, inputs = staged
+    root, config, inputs = staged
     header, *payloads = read_checksummed_text(root / "model.txt", ValueError)
     header = json.loads(header)
     header["embedder"]["seed"] = -1
     model = tmp_path / "negative-seed.model"
     write_checksummed_text(model, "\n".join([json.dumps(header), *payloads]) + "\n")
     _no_embedding(monkeypatch)
-    assert main(_stage_argv("evaluate", root, files, inputs, model=model)) == 2
+    assert main(_stage_argv("evaluate", root, config, inputs, model=model)) == 2
     assert (f"data error: {model}: malformed header (ValueError: embedder seed must lie in "
             "[0, 2**64), got -1)" in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
-def test_cli_embedder_seed_out_of_range_is_usage_error(sample_inputs, tmp_path, capsys, seed):
-    _, files, _ = sample_inputs
-    out = tmp_path / "vectors.embx"
-    assert main(["embed", *files, "--dim", "64", "--embed-seed", seed, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert f"dlab: embedder seed must lie in [0, 2**64), got {seed}" in err
-    assert "Traceback" not in err and not out.exists()
+@pytest.mark.parametrize("command", ["sample", "train"])
+def test_cli_unknown_condition_is_usage_error_naming_the_grid(staged, tmp_path, monkeypatch,
+                                                             capsys, command):
+    _, config, inputs = staged
+    outs = {"sample": ["--out", str(tmp_path / "unused.jsonl")],
+            "train": [*(a for kv in inputs.items() for a in kv),
+                      "--model-out", str(tmp_path / "unused.model")]}[command]
+    _no_embedding(monkeypatch)
+    assert main([command, "--config", config, "--condition", "random_comments-k5", *outs]) == 1
+    assert ("dlab: --condition 'random_comments-k5' is not in the config's grid; it has "
+            "no_comments, random_comments-k2") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_cli_train_and_evaluate_refuse_imported_embeddings(staged, tmp_path, capsys, command):
+    # a model file records the hashed embedder its features came from
+    root, config, inputs = staged
+    embx = tmp_path / "vectors.embx"
+    embx.write_text("")
+    imported = tmp_path / "imported.ini"
+    imported.write_text(Path(config).read_text().replace("dim = 64", f"embx = {embx}"))
+    argv = _stage_argv(command, root, str(imported), inputs)
+    assert main(argv) == 2
+    assert "data error: [embed] embx: a model file records" in capsys.readouterr().err
+    assert not Path(argv[-1]).exists()
+
+
+def test_cli_cluster_needs_the_config_clusters(staged, tmp_path, capsys):
+    _, config, _ = staged
+    out = tmp_path / "clusters.model"
+    assert main(["cluster", "--config", config, "--model-out", str(out)]) == 2
+    assert "needs [cluster] enabled = true" in capsys.readouterr().err and not out.exists()
 
 
 @pytest.mark.parametrize("command,body,message", [
     ("evaluate", "{}\n", "malformed header (KeyError: 'feature_dim')"),
     ("evaluate", "MODEL\nAAAA\nAAAA\n", "payload of 3 bytes, header gives 2048"),
-    ("sample", '{"k": 2}\n', "malformed header (KeyError: 'dim')"),
-    ("sample", '{"k": 2, "dim": 3, "seed": 0, "inertia": 0.0}\nAAAA\n',
+    ("coverage", '{"k": 2}\n', "malformed header (KeyError: 'dim')"),
+    ("coverage", '{"k": 2, "dim": 3, "seed": 0, "inertia": 0.0}\nAAAA\n',
      "payload of 3 bytes, header gives 24"),
 ], ids=["model-header", "model-payload", "cluster-header", "cluster-payload"])
 def test_cli_malformed_model_files_are_data_errors(staged, tmp_path, capsys, command, body,
                                                   message):
-    root, files, inputs = staged
+    root, config, inputs = staged
     model = tmp_path / "broken.model"
     header = dict(feature_dim=128, gamma=2.0, alpha=[0.5, 0.5], seed=0, epochs=1,
                   learning_rate=0.01, loss_history=[],
                   embedder=dict(dim=64, ngram_range=[1, 2], seed=0))
     write_checksummed_text(model, body.replace("MODEL", json.dumps(header)))
     if command == "evaluate":
-        argv = _stage_argv(command, root, files, inputs, model=model)
+        argv = _stage_argv(command, root, config, inputs, model=model)
     else:
-        argv = ["sample", *files, "--strategy", "similar_comments", "--max-samples", "2",
-                "--category", "cluster:0", "--cluster-model", str(model),
-                "--out", str(tmp_path / "unused.jsonl")]
+        argv = ["analyze", "coverage", "--contexts", inputs["--contexts"],
+                "--comments", str(root / "data" / "comments.jsonl"),
+                "--cluster-model", str(model), "--out", str(tmp_path / "unused.tsv")]
     assert main(argv) == 2
     assert f"data error: {model}: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["sample", "coverage"])
+@pytest.mark.parametrize("command", ["coverage"])
 def test_cli_cluster_model_of_another_corpus_is_a_data_error(sample_inputs, tmp_path, monkeypatch,
                                                              capsys, command):
     # c000003 fails the phrase filter, so no clustering of this corpus
     # gives it a cluster id
-    _, files, _ = sample_inputs
+    _, data = sample_inputs
     model = tmp_path / "mismatched.model"
     save_cluster_model(ClusterModel(k=1, centroids=np.zeros((1, 4)), inertia=0.0, seed=0,
                                     assignment={"c000003": 0}), model)
     contexts = tmp_path / "contexts.jsonl"
     contexts.write_text("")
     _no_embedding(monkeypatch)
-    argv = {"sample": ["sample", *files, "--strategy", "random_comments", "--max-samples", "2"],
-            "coverage": ["analyze", "coverage", "--contexts", str(contexts),
-                         "--comments", files[3]]}[command]
+    argv = ["analyze", command, "--contexts", str(contexts),
+            "--comments", str(data / "comments.jsonl")]
     assert main([*argv, "--cluster-model", str(model), "--out", str(tmp_path / "unused")]) == 2
     assert (f"data error: {model}: comment 'c000003' has a cluster id but fails the phrase "
             "filter" in capsys.readouterr().err)
