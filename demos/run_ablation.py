@@ -25,6 +25,8 @@ BASE = {
         "verdicts_lo": "10",
         "verdicts_hi": "15",
     },
+    # comments_lo above, so the annotator filter keeps every annotator
+    "corpus": {"min_comments": "10"},
     "embed": {"dim": "512"},
     "split": {"kind": "situation", "ratios": "0.8,0.1,0.1"},
     "sampler": {

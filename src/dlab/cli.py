@@ -20,13 +20,9 @@ from .cluster import (
     write_inspection_file,
 )
 from .corpus import (
-    MAX_COMMENTS,
-    MIN_COMMENTS,
     PARTITIONS,
     Corpus,
     CorpusError,
-    filter_annotators,
-    ingest_corpus,
     json_numbers,
     load_split,
     read_comments,
@@ -72,7 +68,6 @@ from .pipeline import (
     parse_config,
     partition_data,
     run_pipeline,
-    section_fields,
     setup_corpus,
     setup_embeddings,
     setup_profiles,
@@ -84,8 +79,7 @@ from .sampler import (
     load_contexts,
     similar_post_diversity,
 )
-from .synthgen import (JUDGMENT_RULES, PopulationSpec, SynthesisError, generate_population,
-                       write_population)
+from .synthgen import SynthesisError, generate_population, write_population
 
 _DATA_ERRORS = (
     CorpusError, EmbxError, PatternError, ModelFileError, ClusterModelError,
@@ -186,17 +180,14 @@ def _profiles(args, corpus: Corpus) -> dict:
 # subcommand handlers
 
 def _cmd_ingest(args) -> int:
-    _require_files(args.posts, args.comments, args.verdicts)
-    corpus, report = ingest_corpus(args.posts, args.comments, args.verdicts)
-    filtered, filter_report = filter_annotators(corpus, args.min_comments, args.max_comments)
+    corpus, ingest_report, filter_report, _ = setup_corpus(_config(args.config))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_corpus(filtered, outdir)
-    write_json(outdir / "ingest_report.json", report.to_dict())
+    write_corpus(corpus, outdir)
+    write_json(outdir / "ingest_report.json", ingest_report)
     write_json(outdir / "filter_report.json", filter_report.to_dict())
-    print(f"posts={report.n_posts} comments={report.n_comments} "
-          f"verdicts_kept={filter_report.n_verdicts_kept} "
-          f"self_verdicts_dropped={report.n_self_verdicts_dropped}")
+    print(f"annotators_kept={filter_report.n_annotators_kept} "
+          f"verdicts_kept={filter_report.n_verdicts_kept}")
     return 0
 
 
@@ -253,19 +244,19 @@ def _cmd_sample(args) -> int:
     embeddings = setup_embeddings(cfg, corpus)
     profiles, _ = setup_profiles(cfg, corpus, embeddings)
     units = {condition.sampler.unit} if condition.sampler else set()
-    state = condition_state(corpus, cfg.embedder_config(), units,
-                            embeddings=embeddings, profiles=profiles)
+    state = condition_state(cfg, corpus, units, embeddings=embeddings, profiles=profiles)
     contexts = condition_contexts(state, condition, range(len(corpus.verdicts)))
     dump_contexts(contexts, args.out)
     print(f"contexts={len(contexts)}")
     return 0
 
 
-def _partition_data(args, cfg, partition, embed_cfg):
+def _partition_data(args, cfg, partition):
     """Features and class indices of the verdicts in one partition of the
     --split, which must pass check_split with that partition, with their
-    contexts from --contexts and rows from `embed_cfg`. The contexts must
-    list each pair once and hold only comments its annotator wrote."""
+    contexts from --contexts and rows from the config's embedder. The
+    contexts must list each pair once and hold only comments its annotator
+    wrote."""
     corpus = setup_corpus(cfg)[0]
     split = load_split(args.split)
     check_split(split, corpus, partition)
@@ -290,7 +281,7 @@ def _partition_data(args, cfg, partition, embed_cfg):
         except KeyError:
             raise CorpusError(
                 f"contexts file lacks pair ({v.annotator_id}, {v.post_id})")
-    state = condition_state(corpus, embed_cfg, {item.unit for c in loaded for item in c.items})
+    state = condition_state(cfg, corpus, {item.unit for c in loaded for item in c.items})
     return partition_data(state, contexts, indices)
 
 
@@ -298,9 +289,8 @@ def _cmd_train(args) -> int:
     cfg = _model_config(args)
     # a run's first fit of the condition
     train_cfg = cfg.train_config(_condition(cfg, args.condition).name)
-    embed_cfg = cfg.embedder_config()
-    features, y = _partition_data(args, cfg, "train", embed_cfg)
-    params = replace(train(features, y, train_cfg), embedder=embed_cfg)
+    features, y = _partition_data(args, cfg, "train")
+    params = replace(train(features, y, train_cfg), embedder=cfg.embedder_config())
     save_model(params, args.model_out)
     print(f"trained on {len(y)} examples; final loss "
           f"{params.loss_history[-1]:.6f}" if params.loss_history else
@@ -312,7 +302,10 @@ def _cmd_evaluate(args) -> int:
     cfg = _model_config(args)
     _require_files(args.model)
     params = load_model(args.model)
-    report = evaluate(params, *_partition_data(args, cfg, args.partition, params.embedder))
+    if params.embedder != cfg.embedder_config():
+        raise ModelFileError(f"{args.model}: model embedder {params.embedder} is not the "
+                             f"config's {cfg.embedder_config()}")
+    report = evaluate(params, *_partition_data(args, cfg, args.partition))
     write_json(args.report_out, {**asdict(report), "correctness": report.correctness.tolist()})
     print(f"n={report.n} accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f}")
     return 0
@@ -390,9 +383,11 @@ def _cmd_significance(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    # the flags' destinations are the [synth] keys of a config file
-    spec = PopulationSpec(**section_fields("synth", vars(args)), seed=args.seed)
-    corpus, ground_truth = generate_population(spec)
+    cfg = _config(args.config)
+    if cfg.synth is None:
+        raise ConfigError("dlab synth writes a run's population; the config needs "
+                          "[synth] enabled = true")
+    corpus, ground_truth = generate_population(cfg.synth)
     paths = write_population(corpus, ground_truth, args.out)
     print(f"posts={len(corpus.posts)} comments={len(corpus.comments)} "
           f"verdicts={len(corpus.verdicts)} -> {paths['posts'].parent}")
@@ -457,15 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("ingest", help="validate and filter a corpus")
-    p.add_argument("--posts", required=True)
-    p.add_argument("--comments", required=True)
-    p.add_argument("--verdicts", required=True)
-    p.add_argument("--min-comments", type=int, default=MIN_COMMENTS)
-    p.add_argument("--max-comments", type=int, default=MAX_COMMENTS)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_ingest)
-
     p = sub.add_parser("extract", help="extract disclosure spans and profiles")
     p.add_argument("--comments", required=True)
     p.add_argument("--patterns")
@@ -474,6 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_extract)
 
     # the stage commands read every setting from a `dlab run` config
+    _stage(sub, "synth", _cmd_synth, "write a run's synthetic population", "--out")
+    _stage(sub, "ingest", _cmd_ingest, "write a run's corpus after the annotator filter",
+           "--out")
     _stage(sub, "embed", _cmd_embed, "embed a run's corpus into an EMBX file", "--out")
     p = _stage(sub, "cluster", _cmd_cluster, "fit a run's clusters of phrase-filtered comments",
                "--model-out")
@@ -526,25 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--report-a", required=True)
     pa.add_argument("--report-b", required=True)
     pa.set_defaults(func=_cmd_significance)
-
-    p = sub.add_parser("synth", help="generate a synthetic population")
-    p.add_argument("--annotators", dest="n_annotators", type=int,
-                   default=PopulationSpec.n_annotators)
-    p.add_argument("--posts", dest="n_posts", type=int, default=PopulationSpec.n_posts)
-    p.add_argument("--comments-lo", type=int, default=PopulationSpec.comments_per_annotator[0])
-    p.add_argument("--comments-hi", type=int, default=PopulationSpec.comments_per_annotator[1])
-    p.add_argument("--verdicts-lo", type=int, default=PopulationSpec.verdicts_per_annotator[0])
-    p.add_argument("--verdicts-hi", type=int, default=PopulationSpec.verdicts_per_annotator[1])
-    p.add_argument("--rule", dest="judgment_rule", choices=JUDGMENT_RULES,
-                   default=PopulationSpec.judgment_rule)
-    p.add_argument("--nta-base-rate", type=float, default=PopulationSpec.nta_base_rate)
-    p.add_argument("--mix-demographics", type=float)
-    p.add_argument("--mix-experiences", type=float)
-    p.add_argument("--mix-attitudes", type=float)
-    p.add_argument("--mix-relationships", type=float)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("run", help="run a full experiment from an INI config")
     p.add_argument("--config", required=True)

@@ -217,11 +217,11 @@ CONFIG_KEYS: dict[tuple[str, str], tuple[str | None, int | str | None, Callable[
 }
 
 
-def section_fields(section: str, values) -> dict:
+def _section_fields(section: str, values) -> dict:
     """The dataclass fields that one section's keys set.
 
     `values` maps the section's keys to converted values; a key that is
-    absent or None leaves its field at the default. Entries given for a
+    absent leaves its field at the default. Entries given for a
     dict field replace the whole default; items given for a tuple field
     replace only their own.
     """
@@ -277,13 +277,13 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentCon
     fields: dict = {}
     for section, given in values.items():
         if section != "synth":
-            fields.update(section_fields(section, given))
+            fields.update(_section_fields(section, given))
     if None in fields.get("corpus_paths", ()):
         raise ConfigError("[corpus] needs posts, comments, and verdicts paths")
     if values["synth"].get("enabled"):
         seed = derive_seed(fields.get("seed", ExperimentConfig.seed), "synth")
         try:
-            fields["synth"] = PopulationSpec(**section_fields("synth", values["synth"]),
+            fields["synth"] = PopulationSpec(**_section_fields("synth", values["synth"]),
                                              seed=seed)
         except ValueError as exc:
             raise ConfigError(f"bad config value: {exc}")
@@ -347,13 +347,13 @@ _build_grid = build_conditions
 
 @dataclass
 class RunState:
-    """What sampling and features read. A run adds its config and the
-    verdict indices of its train and test partitions."""
+    """What sampling and features read, and the config it was set up from.
+    A run adds the verdict indices of its train and test partitions."""
+    cfg: ExperimentConfig
     corpus: Corpus
     embeddings: EmbeddingMatrix
     sentences: EmbeddingMatrix | None  # only when some context unit is a sentence
     profiles: dict[str, CategoryProfile] | None = None  # None: no category filters
-    cfg: ExperimentConfig | None = None
     train_pairs: list[int] = field(default_factory=list)
     test_pairs: list[int] = field(default_factory=list)
     # each pair's cosine scores over its annotator's whole pool, filled by
@@ -361,15 +361,16 @@ class RunState:
     scores: dict = field(default_factory=dict)
 
 
-def condition_state(corpus: Corpus, embed_cfg: EmbedderConfig, units, *,
+def condition_state(cfg: ExperimentConfig, corpus: Corpus, units, *,
                     embeddings: EmbeddingMatrix | None = None, **fields) -> RunState:
-    """The state for contexts of `units`: the corpus matrix (embedded unless
-    given) and, when the units include "sentence", the matrix of the corpus's
-    sentence texts. `fields` set the other RunState fields."""
+    """The state for contexts of `units`: the corpus matrix (setup_embeddings'
+    unless given) and, when the units include "sentence", the matrix of the
+    corpus's sentence texts from the config's embedder. `fields` set the
+    other RunState fields."""
     if embeddings is None:
-        embeddings = embed_corpus(corpus, embed_cfg)
-    sentences = embed_sentences(corpus, embed_cfg) if "sentence" in units else None
-    return RunState(corpus=corpus, embeddings=embeddings, sentences=sentences, **fields)
+        embeddings = setup_embeddings(cfg, corpus)
+    sentences = embed_sentences(corpus, cfg.embedder_config()) if "sentence" in units else None
+    return RunState(cfg=cfg, corpus=corpus, embeddings=embeddings, sentences=sentences, **fields)
 
 
 _SHARED: RunState | None = None
@@ -596,9 +597,8 @@ def run_pipeline(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
 
     conditions = build_conditions(cfg)
     state = condition_state(
-        corpus, cfg.embedder_config(), {c.sampler.unit for c in conditions if c.sampler},
-        embeddings=embeddings, cfg=cfg, profiles=profiles,
-        train_pairs=train_pairs, test_pairs=test_pairs)
+        cfg, corpus, {c.sampler.unit for c in conditions if c.sampler},
+        embeddings=embeddings, profiles=profiles, train_pairs=train_pairs, test_pairs=test_pairs)
     if cfg.save_contexts:
         (outdir / "contexts").mkdir(exist_ok=True)
 
@@ -706,7 +706,8 @@ def merge_reports(paths, layout: str, out_path) -> None:
 
     layout "category": one row per condition with 5+%/accuracy/macro F1.
     layout "grid": strategies (plus any category suffix, so filtered
-    conditions keep their own row) as rows, sample sizes as columns.
+    conditions keep their own row) as rows, sample sizes as columns; a
+    condition given twice has one cell, so it is a CorpusError.
     """
     rows = []
     for p in paths:
@@ -729,7 +730,9 @@ def merge_reports(paths, layout: str, out_path) -> None:
                 continue
             counts.add(m)
             key = f"{strategy}-{category}" if category else strategy
-            cells.setdefault(key, {})[m] = (row["accuracy"], row["macro_f1"])
+            if m in cells.setdefault(key, {}):
+                raise CorpusError(f"condition {name!r} appears more than once in the grid")
+            cells[key][m] = (row["accuracy"], row["macro_f1"])
         ordered = sorted(counts)
         lines = [["strategy", "\t".join(f"acc@{m}\tf1@{m}" for m in ordered)]]
         for strategy in sorted(cells):

@@ -705,6 +705,24 @@ def test_merge_reports_layouts(tmp_path):
     assert len(lines) == 5
 
 
+def test_report_grid_refuses_a_repeated_condition(tmp_path, capsys):
+    # the grid has one cell per condition, so a repeat would overwrite it
+    cfg = ExperimentConfig(corpus_paths=("p", "c", "v"))
+    report = tmp_path / "a.tsv"
+    _fake_report(report, cfg, [("no_comments", 0.60, 0.40), ("similar_comments-k1", 0.65, 0.45)])
+    grid = tmp_path / "grid.tsv"
+    assert main(["report", "--layout", "grid", "--out", str(grid), str(report), str(report)]) == 2
+    assert ("data error: condition 'similar_comments-k1' appears more than once in the grid"
+            in capsys.readouterr().err)
+    assert not grid.exists()
+    # the category layout lists every row
+    table = tmp_path / "category.tsv"
+    assert main(["report", "--layout", "category", "--out", str(table),
+                 str(report), str(report)]) == 0
+    assert [ln.split("\t")[0] for ln in table.read_text().splitlines()[1:]] == [
+        "no_comments", "similar_comments-k1"] * 2
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda lines: [ln.replace("\tfive_plus_pct", "").replace("\tmacro_f1", "")
                     for ln in lines], "report header"),
@@ -736,12 +754,13 @@ def test_cli_requires_a_subcommand(capsys):
 
 
 def test_cli_missing_input_is_usage_error(tmp_path, capsys):
-    code = main(["ingest", "--posts", str(tmp_path / "nope.jsonl"),
-                 "--comments", str(tmp_path / "nope2.jsonl"),
-                 "--verdicts", str(tmp_path / "nope3.jsonl"),
-                 "--out", str(tmp_path / "out")])
-    assert code == 1
-    assert "nope.jsonl" in capsys.readouterr().err
+    # a stage command's config, and the corpus files it names, must exist
+    out = tmp_path / "out"
+    for config, missing in ((tmp_path / "nope.ini", "nope.ini"),
+                            (write_stage_config(tmp_path / "stage.ini", tmp_path), "posts.jsonl")):
+        assert main(["ingest", "--config", str(config), "--out", str(out)]) == 1
+        assert f"input not found: {tmp_path / missing}" in capsys.readouterr().err
+        assert not out.exists()
 
     # analyze checks --contexts (and coverage's --cluster-model) up front
     ctx = tmp_path / "ctx.jsonl"
@@ -800,7 +819,8 @@ def test_cli_sample_and_train_sizes_below_bound_are_usage_errors(command, flag, 
 
 
 # each stage command's required flags beside --config
-STAGE_FLAGS = {"embed": ["--out"], "cluster": ["--model-out"], "split": ["--out"],
+STAGE_FLAGS = {"synth": ["--out"], "ingest": ["--out"], "embed": ["--out"],
+               "cluster": ["--model-out"], "split": ["--out"],
                "sample": ["--condition", "--out"],
                "train": ["--condition", "--contexts", "--split", "--model-out"],
                "evaluate": ["--model", "--contexts", "--split", "--report-out"]}
@@ -813,6 +833,8 @@ def _stage_argv_with(command, config, value) -> list[str]:
 
 
 @pytest.mark.parametrize("command,key,value,message", [
+    ("synth", "split.kind", "bogus", "unknown split kind 'bogus'"),
+    ("ingest", "corpus.max_comments", "-1", "bad bounds: min_comments=20 max_comments=-1"),
     ("embed", "embed.dim", "4", "dim must be >= 8, got 4"),
     ("cluster", "cluster.k", "0", "[cluster] k must be >= 1, got 0"),
     ("cluster", "cluster.reduce_dim", "0", "[cluster] reduce_dim must be >= 1, got 0"),
@@ -821,8 +843,8 @@ def _stage_argv_with(command, config, value) -> list[str]:
     ("train", "train.batch_size", "0", "batch_size must be >= 1"),
     ("train", "train.epochs", "-1", "epochs must be >= 0"),
     ("evaluate", "corpus.min_comments", "600", "bad bounds: min_comments=600"),
-], ids=["embed-dim", "cluster-k", "cluster-reduce_dim", "split-ratios", "sample-max_samples",
-        "train-batch_size", "train-epochs", "evaluate-min_comments"])
+], ids=["synth-split_kind", "ingest-max_comments", "embed-dim", "cluster-k",
+        "cluster-reduce_dim", "split-ratios", "sample-max_samples", "train-batch_size", "train-epochs", "evaluate-min_comments"])
 def test_cli_stage_settings_are_config_errors(tmp_path, capsys, command, key, value, message):
     # the config's settings are checked as `dlab run` checks them (exit 2),
     # before the stage looks for its corpus files, which do not exist
@@ -945,12 +967,11 @@ def test_cli_malformed_data_is_data_error(tmp_path, capsys):
                 [{"id": "c1", "author_id": "a1", "text": "hi there."}])
     write_jsonl(tmp_path / "verdicts.jsonl",
                 [{"post_id": "p1", "annotator_id": "a1", "label": "NTA"}])
-    code = main(["ingest", "--posts", str(posts),
-                 "--comments", str(tmp_path / "comments.jsonl"),
-                 "--verdicts", str(tmp_path / "verdicts.jsonl"),
-                 "--out", str(tmp_path / "out")])
+    config = write_stage_config(tmp_path / "stage.ini", tmp_path)
+    code = main(["ingest", "--config", config, "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "line 2" in capsys.readouterr().err
+    assert "posts.jsonl line 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
     # a contexts line that is not a context record
     contexts = tmp_path / "contexts.jsonl"
@@ -970,9 +991,8 @@ def test_cli_malformed_data_is_data_error(tmp_path, capsys):
     write_jsonl(contexts, [{"annotator_id": "a1", "post_id": "p1", "items": [
         {"comment_id": "c1", "similarity": None, "unit": "paragraph", "sentence_index": None}]}])
     (tmp_path / "good_posts.jsonl").replace(tmp_path / "posts.jsonl")
-    train = ["train", "--config", write_stage_config(tmp_path / "stage.ini", tmp_path),
-             "--condition", "no_comments", "--contexts", str(contexts),
-             "--split", str(tmp_path / "split.jsonl"), "--model-out", str(tmp_path / "model.txt")]
+    train = ["train", "--config", config, "--condition", "no_comments",
+             "--contexts", str(contexts), "--split", str(tmp_path / "split.jsonl"), "--model-out", str(tmp_path / "model.txt")]
     code = main(train)
     assert code == 2
     assert "contexts.jsonl line 1: unknown unit 'paragraph'" in capsys.readouterr().err
@@ -1044,28 +1064,60 @@ def test_cli_print_effective_config(tmp_path, capsys):
     assert f"synth.seed = {baseline.synth.seed}" in out
 
 
-def test_cli_synth_flags_build_the_synth_section_population(tmp_path, monkeypatch):
-    specs = []
+def _files(directory) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(Path(directory).iterdir())}
 
-    class Generated(Exception):
-        pass
 
-    def record(spec):
-        specs.append(spec)
-        raise Generated
+def test_cli_synth_writes_the_run_population(tmp_path):
+    # `dlab synth` writes the synth/ directory of `dlab run` on the same
+    # config, its mix_ keys included; `dlab run --seed 5` is [run] seed = 5
+    ini = SYNTH_INI.replace("[corpus]", "mix_demographics = 0.9\nmix_attitudes = 0.1\n\n[corpus]")
+    configs = {seed: tmp_path / f"seed{seed}.ini" for seed in (5, 7)}
+    for seed, config in configs.items():
+        config.write_text(ini.replace("seed = 7\n", f"seed = {seed}\n"))
+    assert main(["run", "--config", str(configs[7]), "--seed", "5",
+                 "--out", str(tmp_path / "run")]) == 0
+    population = _files(tmp_path / "run" / "synth")
+    assert list(population) == ["comments.jsonl", "ground_truth.jsonl", "posts.jsonl",
+                                "verdicts.jsonl"]
+    for seed, config in configs.items():
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / str(seed))]) == 0
+        assert (_files(tmp_path / str(seed)) == population) == (seed == 5)
 
-    monkeypatch.setattr(dlab.cli, "generate_population", record)
-    with pytest.raises(Generated):
-        main(["synth", "--out", str(tmp_path / "raw")])
-    with pytest.raises(Generated):
-        main(["synth", "--annotators", "8", "--posts", "20", "--comments-lo", "4",
-              "--comments-hi", "6", "--verdicts-lo", "6", "--verdicts-hi", "8",
-              "--mix-demographics", "0.9", "--mix-attitudes", "0.1", "--seed", "5",
-              "--out", str(tmp_path / "raw")])
-    ini = tmp_path / "exp.ini"
-    ini.write_text(SYNTH_INI.replace(
-        "[corpus]", "mix_demographics = 0.9\nmix_attitudes = 0.1\n\n[corpus]"))
-    assert specs == [PopulationSpec(), dataclasses.replace(parse_config(ini).synth, seed=5)]
+
+def test_cli_synth_needs_the_config_population(sample_inputs, tmp_path, capsys):
+    _, data = sample_inputs
+    out = tmp_path / "synth"
+    assert main(["synth", "--config", write_stage_config(tmp_path / "stage.ini", data),
+                 "--out", str(out)]) == 2
+    assert "needs [synth] enabled = true" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("source", ["synth", "corpus"])
+def test_cli_ingest_writes_the_run_reports(tmp_path, source):
+    # `dlab ingest` writes the filtered corpus and the ingest and filter
+    # entries of the run's summary.json; min_comments = 5 drops annotators
+    ini = SYNTH_INI.replace("min_comments = 1", "min_comments = 5").replace(
+        "n_annotators = 8", "n_annotators = 16")
+    config = tmp_path / "exp.ini"
+    config.write_text(ini)
+    if source == "corpus":
+        # the [synth] population's files, read through [corpus]
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+        paths = "".join(f"{n} = {tmp_path / 'data' / n}.jsonl\n"
+                        for n in ("posts", "comments", "verdicts"))
+        config.write_text(ini[ini.index("[corpus]"):].replace("[corpus]\n", "[corpus]\n" + paths))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "corpus")]) == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert 0 < summary["filter"]["n_annotators_kept"] < summary["filter"]["n_annotators_before"]
+    assert summary["ingest"].get("synthesized", False) == (source == "synth")
+    for name in ("ingest", "filter"):
+        report = json.loads((tmp_path / "corpus" / f"{name}_report.json").read_text())
+        assert report == summary[name]
+    corpus, _ = ingest_corpus(*(tmp_path / "corpus" / f"{n}.jsonl"
+                                for n in ("posts", "comments", "verdicts")))
+    assert len(corpus.verdicts) == summary["n_verdicts"] == summary["filter"]["n_verdicts_kept"]
 
 
 def test_cli_train_focal_alpha_takes_two_numbers(tmp_path, capsys):
@@ -1082,15 +1134,15 @@ def test_cli_train_focal_alpha_takes_two_numbers(tmp_path, capsys):
 def test_cli_full_chain(tmp_path, capsys):
     d = tmp_path
 
-    assert main(["synth", "--annotators", "8", "--posts", "16",
-                 "--comments-lo", "3", "--comments-hi", "5",
-                 "--verdicts-lo", "5", "--verdicts-hi", "7",
-                 "--seed", "3", "--out", str(d / "raw")]) == 0
-    raw = [str(d / "raw" / f"{n}.jsonl") for n in ("posts", "comments", "verdicts")]
+    (d / "synth.ini").write_text(
+        "[synth]\nenabled = true\nn_annotators = 8\nn_posts = 16\ncomments_lo = 3\n"
+        "comments_hi = 5\nverdicts_lo = 5\nverdicts_hi = 7\n\n[run]\nseed = 3\n")
+    assert main(["synth", "--config", str(d / "synth.ini"), "--out", str(d / "raw")]) == 0
 
-    assert main(["ingest", "--posts", raw[0], "--comments", raw[1],
-                 "--verdicts", raw[2], "--min-comments", "1",
-                 "--max-comments", "99", "--out", str(d / "corpus")]) == 0
+    (d / "ingest.ini").write_text("[corpus]\n" + "".join(
+        f"{n} = {d / 'raw' / n}.jsonl\n" for n in ("posts", "comments", "verdicts"))
+        + "min_comments = 1\nmax_comments = 99\n")
+    assert main(["ingest", "--config", str(d / "ingest.ini"), "--out", str(d / "corpus")]) == 0
     for name in ("posts", "comments", "verdicts"):
         assert (d / "corpus" / f"{name}.jsonl").is_file()
     config = ["--config", write_stage_config(
@@ -1408,6 +1460,26 @@ def test_cli_evaluate_rejects_a_negative_embedder_seed(staged, tmp_path, monkeyp
     assert main(_stage_argv("evaluate", root, config, inputs, model=model)) == 2
     assert (f"data error: {model}: malformed header (ValueError: embedder seed must lie in "
             "[0, 2**64), got -1)" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ini: ini.replace("dim = 64", "dim = 128"),
+    lambda ini: ini + "\n[run]\nseed = 9\n",
+], ids=["embed-dim", "run-seed"])
+def test_cli_evaluate_refuses_a_model_of_another_embedder(staged, tmp_path, monkeypatch, capsys,
+                                                         edit):
+    # evaluate embeds with the config's embedder, which must be the one the
+    # model's features came from
+    root, config, inputs = staged
+    other = tmp_path / "other.ini"
+    other.write_text(edit(Path(config).read_text()))
+    model = root / "model.txt"
+    _no_embedding(monkeypatch)
+    argv = _stage_argv("evaluate", root, str(other), inputs)
+    assert main(argv) == 2
+    assert (f"data error: {model}: model embedder {load_model(model).embedder} is not the "
+            f"config's {parse_config(other).embedder_config()}" in capsys.readouterr().err)
+    assert not Path(argv[-1]).exists()
 
 
 @pytest.mark.parametrize("command", ["sample", "train"])
