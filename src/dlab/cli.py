@@ -1,7 +1,8 @@
 """Command-line surface: one subcommand per module boundary plus `run`.
 
-Exit codes: 0 success, 1 usage error (bad flags, missing inputs), 2 data
-error (malformed files), 3 invariant violation (e.g. a leaky split).
+Exit codes: 0 success, 1 usage error (bad flags, missing inputs, an output
+that cannot be written), 2 data error (malformed files), 3 invariant
+violation (e.g. a leaky split).
 """
 from __future__ import annotations
 
@@ -12,13 +13,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .cluster import (
-    ClusterModelError,
-    load_cluster_model,
-    save_cluster_model,
-    silhouette,
-    write_inspection_file,
-)
+from .cluster import ClusterModelError, save_cluster_model, silhouette, write_inspection_file
 from .corpus import (
     PARTITIONS,
     Corpus,
@@ -35,9 +30,7 @@ from .corpus import (
 from .disclosure import (
     PatternError,
     PatternSet,
-    attach_clusters,
     audit_sample,
-    build_profiles,
     comment_profile,
     default_patterns,
     extract_corpus,
@@ -60,6 +53,7 @@ from .pipeline import (
     ExperimentConfig,
     InvariantViolation,
     build_conditions,
+    check_contexts,
     check_split,
     condition_contexts,
     condition_state,
@@ -73,12 +67,7 @@ from .pipeline import (
     setup_profiles,
     setup_split,
 )
-from .sampler import (
-    category_coverage,
-    dump_contexts,
-    load_contexts,
-    similar_post_diversity,
-)
+from .sampler import category_coverage, dump_contexts, similar_post_diversity
 from .synthgen import SynthesisError, generate_population, write_population
 
 _DATA_ERRORS = (
@@ -162,20 +151,6 @@ def _patterns(args) -> PatternSet:
     return default_patterns()
 
 
-def _profiles(args, corpus: Corpus) -> dict:
-    """Theory profiles of the corpus comments, with the cluster ids of
-    --cluster-model when one is given; a model that gives a comment failing
-    the phrase filter a cluster id is a data error naming the file."""
-    profiles = build_profiles(corpus, _patterns(args))
-    if not args.cluster_model:
-        return profiles
-    model = load_cluster_model(args.cluster_model)
-    try:
-        return attach_clusters(profiles, model.assignment)
-    except ValueError as exc:
-        raise ClusterModelError(f"{args.cluster_model}: {exc}")
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -216,7 +191,7 @@ def _cmd_cluster(args) -> int:
         raise ConfigError("dlab cluster fits a run's clusters; the config needs "
                           "[cluster] enabled = true")
     corpus = setup_corpus(cfg)[0]
-    _, (model, reduced) = setup_profiles(cfg, corpus, setup_embeddings(cfg, corpus))
+    _, (model, reduced) = setup_profiles(cfg, corpus)
     save_cluster_model(model, args.model_out)
     if args.inspect_out:
         texts = {cid: corpus.comments[cid].text for cid in reduced.ids}
@@ -254,25 +229,14 @@ def _cmd_sample(args) -> int:
 def _partition_data(args, cfg, partition):
     """Features and class indices of the verdicts in one partition of the
     --split, which must pass check_split with that partition, with their
-    contexts from --contexts and rows from the config's embedder. The
-    contexts must list each pair once and hold only comments its annotator
-    wrote."""
+    contexts from --contexts, which must pass check_contexts and hold every
+    one of their pairs, and rows from the config's embedder."""
     corpus = setup_corpus(cfg)[0]
     split = load_split(args.split)
     check_split(split, corpus, partition)
     indices = split.indices(partition)
-    loaded = load_contexts(args.contexts, corpus)
-    by_pair = {}
-    for c in loaded:
-        where = f"{args.contexts}: pair ({c.annotator_id}, {c.post_id})"
-        if (c.annotator_id, c.post_id) in by_pair:
-            raise CorpusError(f"{where} is listed twice")
-        for item in c.items:
-            author = corpus.comments[item.source_comment_id].author_id
-            if author != c.annotator_id:
-                raise CorpusError(f"{where} holds comment {item.source_comment_id!r} "
-                                  f"by annotator {author!r}")
-        by_pair[(c.annotator_id, c.post_id)] = c
+    loaded = check_contexts(args.contexts, corpus)
+    by_pair = {(c.annotator_id, c.post_id): c for c in loaded}
     contexts = []
     for vi in indices:
         v = corpus.verdicts[vi]
@@ -326,12 +290,18 @@ def _correctness(path) -> tuple[float, ...]:
     return values
 
 
+def _run_contexts(args) -> tuple[ExperimentConfig, Corpus, list]:
+    """The --config, its run's corpus and the --contexts file, which must
+    pass check_contexts against that corpus."""
+    cfg = _config(args.config)
+    _require_files(args.contexts)
+    corpus = setup_corpus(cfg)[0]
+    return cfg, corpus, check_contexts(args.contexts, corpus)
+
+
 def _cmd_coverage(args) -> int:
-    _require_files(args.contexts, args.cluster_model)
-    corpus = _load_comments(args.comments)
-    profiles = _profiles(args, corpus)
-    contexts = load_contexts(args.contexts, corpus)
-    table = category_coverage(contexts, profiles)
+    cfg, corpus, contexts = _run_contexts(args)
+    table = category_coverage(contexts, setup_profiles(cfg, corpus)[0])
     write_tsv(args.out, [
         ["family", "bucket", "percent"],
         *(["theory", bucket, f"{pct:.2f}"] for bucket, pct in table.theory_pct.items()),
@@ -342,9 +312,7 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_diversity(args) -> int:
-    _require_files(args.contexts)
-    corpus = _load_comments(args.comments)
-    contexts = load_contexts(args.contexts, corpus)
+    _, corpus, contexts = _run_contexts(args)
     report = similar_post_diversity(contexts, corpus)
     rows = [["measure", "lower_whisker", "q1", "median", "q3", "upper_whisker", "n"]]
     for measure, box, values in (("coverage", report.coverage, report.coverage_values),
@@ -480,19 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="coverage, diversity, ngrams, audit, significance")
     asub = p.add_subparsers(dest="what", required=True, parser_class=_Parser)
 
-    pa = asub.add_parser("coverage")
-    pa.add_argument("--contexts", required=True)
-    pa.add_argument("--comments", required=True)
-    pa.add_argument("--patterns")
-    pa.add_argument("--cluster-model")
-    pa.add_argument("--out", required=True)
-    pa.set_defaults(func=_cmd_coverage)
-
-    pa = asub.add_parser("diversity")
-    pa.add_argument("--contexts", required=True)
-    pa.add_argument("--comments", required=True)
-    pa.add_argument("--out", required=True)
-    pa.set_defaults(func=_cmd_diversity)
+    _stage(asub, "coverage", _cmd_coverage, "category and cluster shares of a run's contexts",
+           "--contexts", "--out")
+    _stage(asub, "diversity", _cmd_diversity, "how much of each pool a run's contexts draw",
+           "--contexts", "--out")
 
     pa = asub.add_parser("ngrams")
     pa.add_argument("--comments", required=True)
@@ -538,6 +497,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # every output lands in its directory, made here when missing
+        for key, value in vars(args).items():
+            if value and (key == "out" or key.endswith("_out")):
+                Path(value).parent.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except SystemExit:
         raise
@@ -550,7 +513,7 @@ def main(argv=None) -> int:
     except _DATA_ERRORS as exc:
         print(f"dlab: data error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"dlab: {exc}", file=sys.stderr)
         return 1
 

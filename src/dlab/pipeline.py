@@ -36,6 +36,7 @@ from .sampler import (
     annotator_pool,
     dump_contexts,
     full_pool_context,
+    load_contexts,
     sample_context,
 )
 from .seeds import derive_seed
@@ -508,6 +509,25 @@ def check_split(split: SplitSpec, corpus: Corpus, *partitions: str) -> None:
             raise ConfigError(f"the split leaves the {part} partition empty ({counts} verdicts)")
 
 
+def check_contexts(path, corpus: Corpus) -> list[ContextSet]:
+    """The contexts of the file at `path`, read against the corpus; a
+    CorpusError naming the file when it lists a pair twice or gives a pair a
+    comment another annotator wrote."""
+    contexts = load_contexts(path, corpus)
+    seen = set()
+    for c in contexts:
+        where = f"{path}: pair ({c.annotator_id}, {c.post_id})"
+        if (c.annotator_id, c.post_id) in seen:
+            raise CorpusError(f"{where} is listed twice")
+        seen.add((c.annotator_id, c.post_id))
+        for item in c.items:
+            author = corpus.comments[item.source_comment_id].author_id
+            if author != c.annotator_id:
+                raise CorpusError(f"{where} holds comment {item.source_comment_id!r} "
+                                  f"by annotator {author!r}")
+    return contexts
+
+
 def setup_corpus(cfg: ExperimentConfig) -> tuple[Corpus, dict, FilterReport,
                                                   tuple[Corpus, dict] | None]:
     """The config's corpus after the annotator filter, its ingest and filter
@@ -548,15 +568,19 @@ def setup_embeddings(cfg: ExperimentConfig, corpus: Corpus) -> EmbeddingMatrix:
     return embed_corpus(corpus, cfg.embedder_config())
 
 
-def setup_profiles(cfg: ExperimentConfig, corpus: Corpus, embeddings: EmbeddingMatrix
+def setup_profiles(cfg: ExperimentConfig, corpus: Corpus,
+                   embeddings: EmbeddingMatrix | None = None
                    ) -> tuple[dict[str, CategoryProfile],
                               tuple[ClusterModel, EmbeddingMatrix] | None]:
     """The theory profiles of the corpus comments and, when [cluster] is
     enabled, their cluster ids with the cluster model and the reduced matrix
-    it was fitted on (None when clustering is off)."""
+    it was fitted on (None when clustering is off). The clusters are fitted
+    on `embeddings`, setup_embeddings' unless given."""
     profiles = build_profiles(corpus)
     if not cfg.cluster_enabled:
         return profiles, None
+    if embeddings is None:
+        embeddings = setup_embeddings(cfg, corpus)
     clusters = cluster_comments(embeddings, profiles, cfg.cluster_k, cfg.reduce_dim, cfg.seed)
     return attach_clusters(profiles, clusters[0].assignment), clusters
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from dlab.cluster import (
     truncated_svd,
     write_inspection_file,
 )
-from dlab.embed import EmbeddingMatrix
+from dlab.embed import EmbeddingMatrix, write_checksummed_text
 
 
 def random_matrix(n, d, seed):
@@ -308,6 +309,20 @@ def test_cluster_model_invalid_assignment_caught(tmp_path):
     path = tmp_path / "clusters.model"
     save_cluster_model(model, path)
     with pytest.raises(ValueError, match="invalid cluster"):
+        load_cluster_model(path)
+
+
+@pytest.mark.parametrize("body,message", [
+    ('{"k": 2}\n', "malformed header (KeyError: 'dim')"),
+    ('{"k": 2, "dim": 3, "seed": 0, "inertia": 0.0}\nAAAA\n',
+     "payload of 3 bytes, header gives 24"),
+], ids=["cluster-header", "cluster-payload"])
+def test_cluster_model_malformed_file_caught(tmp_path, body, message):
+    # a well-checksummed file whose header lacks a key or whose payload is
+    # not k x dim float32 values is an error naming the file
+    path = tmp_path / "broken.model"
+    write_checksummed_text(path, body)
+    with pytest.raises(ClusterModelError, match=re.escape(f"{path}: {message}")):
         load_cluster_model(path)
 
 

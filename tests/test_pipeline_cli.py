@@ -753,28 +753,24 @@ def test_cli_requires_a_subcommand(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
-def test_cli_missing_input_is_usage_error(tmp_path, capsys):
+def test_cli_missing_input_is_usage_error(sample_inputs, tmp_path, capsys):
     # a stage command's config, and the corpus files it names, must exist
     out = tmp_path / "out"
     for config, missing in ((tmp_path / "nope.ini", "nope.ini"),
                             (write_stage_config(tmp_path / "stage.ini", tmp_path), "posts.jsonl")):
-        assert main(["ingest", "--config", str(config), "--out", str(out)]) == 1
-        assert f"input not found: {tmp_path / missing}" in capsys.readouterr().err
-        assert not out.exists()
+        for command in STAGE_FLAGS:
+            assert main(_stage_argv_with(command, config, out)) == 1
+            assert f"input not found: {tmp_path / missing}" in capsys.readouterr().err
+            assert not out.exists()
 
-    # analyze checks --contexts (and coverage's --cluster-model) up front
-    ctx = tmp_path / "ctx.jsonl"
-    ctx.write_text("")
-    for argv, missing in (
-        (["coverage", "--contexts", str(tmp_path / "nope.jsonl")], "nope.jsonl"),
-        (["coverage", "--contexts", str(ctx), "--cluster-model",
-          str(tmp_path / "nope.model")], "nope.model"),
-        (["diversity", "--contexts", str(tmp_path / "nope.jsonl")], "nope.jsonl"),
-    ):
-        code = main(["analyze", *argv, "--comments", str(ctx),
-                     "--out", str(tmp_path / "out.tsv")])
+    # coverage and diversity check --contexts before reading the corpus
+    config = write_stage_config(tmp_path / "run.ini", sample_inputs[1])
+    for command in ("coverage", "diversity"):
+        code = main(["analyze", command, "--config", config,
+                     "--contexts", str(tmp_path / "nope.jsonl"), "--out", str(out)])
         assert code == 1
-        assert f"input not found: {tmp_path / missing}" in capsys.readouterr().err
+        assert f"input not found: {tmp_path / 'nope.jsonl'}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value,message", [
@@ -823,12 +819,14 @@ STAGE_FLAGS = {"synth": ["--out"], "ingest": ["--out"], "embed": ["--out"],
                "cluster": ["--model-out"], "split": ["--out"],
                "sample": ["--condition", "--out"],
                "train": ["--condition", "--contexts", "--split", "--model-out"],
-               "evaluate": ["--model", "--contexts", "--split", "--report-out"]}
+               "evaluate": ["--model", "--contexts", "--split", "--report-out"],
+               "coverage": ["--contexts", "--out"], "diversity": ["--contexts", "--out"]}
 
 
 def _stage_argv_with(command, config, value) -> list[str]:
     """A stage command over `config` with `value` for each other flag."""
-    return [command, "--config", str(config),
+    return [*(["analyze"] if command in ("coverage", "diversity") else []),
+            command, "--config", str(config),
             *(arg for flag in STAGE_FLAGS[command] for arg in (flag, str(value)))]
 
 
@@ -843,8 +841,11 @@ def _stage_argv_with(command, config, value) -> list[str]:
     ("train", "train.batch_size", "0", "batch_size must be >= 1"),
     ("train", "train.epochs", "-1", "epochs must be >= 0"),
     ("evaluate", "corpus.min_comments", "600", "bad bounds: min_comments=600"),
+    ("coverage", "cluster.k", "0", "[cluster] k must be >= 1, got 0"),
+    ("diversity", "corpus.min_comments", "600", "bad bounds: min_comments=600"),
 ], ids=["synth-split_kind", "ingest-max_comments", "embed-dim", "cluster-k",
-        "cluster-reduce_dim", "split-ratios", "sample-max_samples", "train-batch_size", "train-epochs", "evaluate-min_comments"])
+        "cluster-reduce_dim", "split-ratios", "sample-max_samples", "train-batch_size",
+        "train-epochs", "evaluate-min_comments", "coverage-cluster_k", "diversity-min_comments"])
 def test_cli_stage_settings_are_config_errors(tmp_path, capsys, command, key, value, message):
     # the config's settings are checked as `dlab run` checks them (exit 2),
     # before the stage looks for its corpus files, which do not exist
@@ -974,23 +975,21 @@ def test_cli_malformed_data_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
     # a contexts line that is not a context record
+    write_jsonl(tmp_path / "posts.jsonl",
+                [{"id": "p1", "author_id": "op1", "title": "t", "body": "b"}])
     contexts = tmp_path / "contexts.jsonl"
     contexts.write_text("[]\n")
-    code = main(["analyze", "diversity", "--contexts", str(contexts),
-                 "--comments", str(tmp_path / "comments.jsonl"),
+    code = main(["analyze", "diversity", "--config", config, "--contexts", str(contexts),
                  "--out", str(tmp_path / "diversity.tsv")])
     assert code == 2
     assert "contexts.jsonl line 1: record is not an object" in capsys.readouterr().err
 
     # a context item whose unit is neither comment nor sentence
-    write_jsonl(tmp_path / "good_posts.jsonl",
-                [{"id": "p1", "author_id": "op1", "title": "t", "body": "b"}])
     write_jsonl(tmp_path / "split.jsonl",
                 [{"kind": "verdict", "ratios": [1.0, 0.0, 0.0], "seed": 0},
                  {"verdict_index": 0, "partition": "train"}])
     write_jsonl(contexts, [{"annotator_id": "a1", "post_id": "p1", "items": [
         {"comment_id": "c1", "similarity": None, "unit": "paragraph", "sentence_index": None}]}])
-    (tmp_path / "good_posts.jsonl").replace(tmp_path / "posts.jsonl")
     train = ["train", "--config", config, "--condition", "no_comments",
              "--contexts", str(contexts), "--split", str(tmp_path / "split.jsonl"), "--model-out", str(tmp_path / "model.txt")]
     code = main(train)
@@ -1182,14 +1181,11 @@ def test_cli_full_chain(tmp_path, capsys):
                  "--report-b", str(d / "eval.json")]) == 0
     assert "p=1" in capsys.readouterr().out
 
-    assert main(["analyze", "coverage", "--contexts", str(d / "ctx.jsonl"),
-                 "--comments", str(d / "corpus" / "comments.jsonl"),
-                 "--cluster-model", str(d / "clusters.model"),
+    assert main(["analyze", "coverage", *config, "--contexts", str(d / "ctx.jsonl"),
                  "--out", str(d / "coverage.tsv")]) == 0
     assert (d / "coverage.tsv").read_text().startswith("family\tbucket\tpercent")
 
-    assert main(["analyze", "diversity", "--contexts", str(d / "ctx.jsonl"),
-                 "--comments", str(d / "corpus" / "comments.jsonl"),
+    assert main(["analyze", "diversity", *config, "--contexts", str(d / "ctx.jsonl"),
                  "--out", str(d / "diversity.tsv")]) == 0
 
     assert main(["analyze", "ngrams", "--comments", str(d / "corpus" / "comments.jsonl"),
@@ -1324,6 +1320,9 @@ def _no_embedding(monkeypatch):
 
 
 def _stage_argv(command, root, config, inputs, model=None):
+    if command in ("coverage", "diversity"):
+        return ["analyze", command, "--config", config, "--contexts", inputs["--contexts"],
+                "--out", str(root / "unused.tsv")]
     argv = [command, "--config", config, *(a for kv in inputs.items() for a in kv)]
     if command == "train":
         return [*argv, "--condition", "random_comments-k2",
@@ -1379,21 +1378,23 @@ def _comment_of_another_annotator(records):
             f"holds comment {item['comment_id']!r} by annotator {other['annotator_id']!r}")
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "coverage", "diversity"])
 @pytest.mark.parametrize("edit", [_repeated_pair, _comment_of_another_annotator],
                          ids=["repeated-pair", "another-annotator"])
 def test_cli_train_and_evaluate_reject_leaky_or_repeated_contexts(staged, tmp_path, monkeypatch,
-                                                                 capsys, edit):
+                                                                 capsys, edit, command):
+    # every reader of --contexts applies check_contexts
     root, config, inputs = staged
     records, first, message = edit([json.loads(line) for line in
                                     Path(inputs["--contexts"]).read_text().splitlines()])
     contexts = tmp_path / "contexts.jsonl"
     write_jsonl(contexts, records)
     _no_embedding(monkeypatch)
-    for command in ("train", "evaluate"):
-        argv = _stage_argv(command, root, config, {**inputs, "--contexts": str(contexts)})
-        assert main(argv) == 2
-        assert (f"data error: {contexts}: pair ({first['annotator_id']}, {first['post_id']}) "
-                f"{message}" in capsys.readouterr().err)
+    argv = _stage_argv(command, root, config, {**inputs, "--contexts": str(contexts)})
+    assert main(argv) == 2
+    assert (f"data error: {contexts}: pair ({first['annotator_id']}, {first['post_id']}) "
+            f"{message}" in capsys.readouterr().err)
+    assert not Path(argv[-1]).exists()
 
 
 def test_cli_split_writes_no_split_that_fails_the_check(sample_inputs, tmp_path, monkeypatch,
@@ -1516,48 +1517,70 @@ def test_cli_cluster_needs_the_config_clusters(staged, tmp_path, capsys):
     assert "needs [cluster] enabled = true" in capsys.readouterr().err and not out.exists()
 
 
-@pytest.mark.parametrize("command,body,message", [
-    ("evaluate", "{}\n", "malformed header (KeyError: 'feature_dim')"),
-    ("evaluate", "MODEL\nAAAA\nAAAA\n", "payload of 3 bytes, header gives 2048"),
-    ("coverage", '{"k": 2}\n', "malformed header (KeyError: 'dim')"),
-    ("coverage", '{"k": 2, "dim": 3, "seed": 0, "inertia": 0.0}\nAAAA\n',
-     "payload of 3 bytes, header gives 24"),
-], ids=["model-header", "model-payload", "cluster-header", "cluster-payload"])
-def test_cli_malformed_model_files_are_data_errors(staged, tmp_path, capsys, command, body,
-                                                  message):
+@pytest.mark.parametrize("body,message", [
+    ("{}\n", "malformed header (KeyError: 'feature_dim')"),
+    ("MODEL\nAAAA\nAAAA\n", "payload of 3 bytes, header gives 2048"),
+], ids=["model-header", "model-payload"])
+def test_cli_malformed_model_files_are_data_errors(staged, tmp_path, capsys, body, message):
     root, config, inputs = staged
     model = tmp_path / "broken.model"
     header = dict(feature_dim=128, gamma=2.0, alpha=[0.5, 0.5], seed=0, epochs=1,
                   learning_rate=0.01, loss_history=[],
                   embedder=dict(dim=64, ngram_range=[1, 2], seed=0))
     write_checksummed_text(model, body.replace("MODEL", json.dumps(header)))
-    if command == "evaluate":
-        argv = _stage_argv(command, root, config, inputs, model=model)
-    else:
-        argv = ["analyze", "coverage", "--contexts", inputs["--contexts"],
-                "--comments", str(root / "data" / "comments.jsonl"),
-                "--cluster-model", str(model), "--out", str(tmp_path / "unused.tsv")]
-    assert main(argv) == 2
+    assert main(_stage_argv("evaluate", root, config, inputs, model=model)) == 2
     assert f"data error: {model}: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["coverage"])
-def test_cli_cluster_model_of_another_corpus_is_a_data_error(sample_inputs, tmp_path, monkeypatch,
-                                                             capsys, command):
-    # c000003 fails the phrase filter, so no clustering of this corpus
-    # gives it a cluster id
-    _, data = sample_inputs
-    model = tmp_path / "mismatched.model"
-    save_cluster_model(ClusterModel(k=1, centroids=np.zeros((1, 4)), inertia=0.0, seed=0,
-                                    assignment={"c000003": 0}), model)
-    contexts = tmp_path / "contexts.jsonl"
-    contexts.write_text("")
-    _no_embedding(monkeypatch)
-    argv = ["analyze", command, "--contexts", str(contexts),
-            "--comments", str(data / "comments.jsonl")]
-    assert main([*argv, "--cluster-model", str(model), "--out", str(tmp_path / "unused")]) == 2
-    assert (f"data error: {model}: comment 'c000003' has a cluster id but fails the phrase "
-            "filter" in capsys.readouterr().err)
+@pytest.mark.parametrize("argv,flag", [
+    ("synth --config {synth}", "--out"),
+    ("ingest --config {config}", "--out"),
+    ("extract --comments {data}/comments.jsonl", "--spans-out"),
+    ("extract --comments {data}/comments.jsonl --spans-out {tmp}/spans.jsonl", "--profiles-out"),
+    ("embed --config {config}", "--out"),
+    ("cluster --config {clustered}", "--model-out"),
+    ("cluster --config {clustered} --model-out {tmp}/clusters.model", "--inspect-out"),
+    ("split --config {config}", "--out"),
+    ("sample --config {config} --condition random_comments-k2", "--out"),
+    ("train --config {config} --condition random_comments-k2 --contexts {contexts} "
+     "--split {split}", "--model-out"),
+    ("evaluate --config {config} --model {model} --contexts {contexts} --split {split}",
+     "--report-out"),
+    ("analyze coverage --config {config} --contexts {contexts}", "--out"),
+    ("analyze diversity --config {config} --contexts {contexts}", "--out"),
+    ("analyze ngrams --comments {data}/comments.jsonl --n 1 --position before", "--out"),
+    ("analyze audit --comments {data}/comments.jsonl --category Demographics", "--out"),
+    ("run --config {synth}", "--out"),
+    ("report --layout category {report}", "--out"),
+], ids=lambda value: (value.lstrip("-") if value.startswith("--")
+                      else value.removeprefix("analyze ").split()[0]))
+def test_cli_outputs_make_their_directories(staged, tmp_path, capsys, argv, flag):
+    # an output goes into its directory, made when missing; an output whose
+    # directory cannot be made is a usage error of one line
+    root, config, inputs = staged
+    synth, clustered, report = tmp_path / "synth.ini", tmp_path / "clustered.ini", tmp_path / "r.tsv"
+    synth.write_text(SYNTH_INI)
+    clustered.write_text(Path(config).read_text() + "\n[cluster]\nenabled = true\nk = 3\n")
+    _fake_report(report, parse_config(config), [("no_comments", 0.6, 0.4)])
+    argv = argv.format(config=config, synth=synth, clustered=clustered, report=report,
+                       data=root / "data", tmp=tmp_path, model=root / "model.txt",
+                       contexts=inputs["--contexts"], split=inputs["--split"]).split()
+    out = tmp_path / "a" / "b" / "output"
+    assert main([*argv, flag, str(out)]) == 0 and out.exists()
+    capsys.readouterr()
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    assert main([*argv, flag, str(blocked / "output")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"dlab: [Errno 17] File exists: '{blocked}'") and err.count("\n") == 1
+
+
+def test_cli_run_out_over_a_file_is_usage_error(staged, tmp_path, capsys):
+    _, config, _ = staged
+    out = tmp_path / "out"
+    out.write_text("")
+    assert main(["run", "--config", config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"dlab: [Errno 17] File exists: '{out}'\n"
 
 
 def _written_record(kind, path):
