@@ -42,6 +42,7 @@ from .embed import (
 from .model import (
     EvalReport,
     Features,
+    Fits,
     ModelParams,
     TrainConfig,
     build_features,
@@ -65,6 +66,7 @@ __all__ = [
     "EmbeddingMatrix",
     "EvalReport",
     "Features",
+    "Fits",
     "HighLevelCategory",
     "LowLevelCategory",
     "ModelParams",

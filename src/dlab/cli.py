@@ -254,7 +254,7 @@ def _cmd_train(args) -> int:
     # a run's first fit of the condition
     train_cfg = cfg.train_config(_condition(cfg, args.condition).name)
     features, y = _partition_data(args, cfg, "train")
-    params = replace(train(features, y, train_cfg), embedder=cfg.embedder_config())
+    params = replace(train(features, y, train_cfg).params[0], embedder=cfg.embedder_config())
     save_model(params, args.model_out)
     print(f"trained on {len(y)} examples; final loss "
           f"{params.loss_history[-1]:.6f}" if params.loss_history else

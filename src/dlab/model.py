@@ -287,57 +287,86 @@ def _check_labels(features: Features, y) -> np.ndarray:
     return y.astype(np.int64)
 
 
-def train(features: Features, y, cfg: TrainConfig) -> ModelParams:
-    """Mini-batch Adam on focal loss from zero-initialized parameters.
+@dataclass(frozen=True)
+class Fits:
+    """The fits of one `train` call, fit r seeded cfg.seed + r.
+
+    `epochs` is the number of lockstep epochs the call ran, cfg.epochs.
+    perfbench's tracer adds it up over `train` results to report the time
+    per epoch; it can go once perfbench reads the run's trace.json
+    (ROADMAP item 3).
+    """
+    params: tuple[ModelParams, ...]
+    epochs: int
+
+
+def train(features: Features, y, cfg: TrainConfig, runs: int = 1) -> Fits:
+    """`runs` fits of mini-batch Adam on focal loss from zero-initialized
+    parameters, fit r seeded cfg.seed + r.
 
     features: n rows (build_features), y: (n,) class indices
-    (encode_labels). Each batch's rows are gathered from the small feature
-    block into one reused buffer, on the block's stored columns only: the
-    logits sum over those columns, and the weights of the others, whose
-    gradient is exactly zero at every step, are never touched. The returned
-    weights hold the fitted columns at `features.columns` of each half and
-    +0.0 elsewhere. Deterministic for a fixed config seed; learning_rate 0
-    leaves the zero parameters untouched by construction.
+    (encode_labels). The fits step in lockstep: each epoch draws one
+    permutation from each fit's own generator, and each step gathers the
+    fits' batches into one reused runs x min(batch, n) x 2 x k buffer of
+    the feature block's k stored columns, then takes its logits, focal
+    loss, gradients and Adam update in one call each over every fit. Each
+    of those calls works on each fit's slice alone (one BLAS product per
+    slice, lane-wise ufuncs, a sum along that fit's rows), so fit r is bit
+    for bit the single fit seeded cfg.seed + r. The logits sum over the
+    stored columns, and the weights of the others, whose gradient is
+    exactly zero at every step, are never touched: each fit's weights hold
+    the fitted columns at `features.columns` of each half and +0.0
+    elsewhere. Each fit owns its weights and bias. learning_rate 0 leaves
+    the zero parameters untouched by construction.
     """
+    if isinstance(runs, bool) or not isinstance(runs, (int, np.integer)) or runs < 1:
+        raise ValueError(f"runs must be an integer >= 1, got {runs!r}")
     y = _check_labels(features, y)
     if not len(y):
         raise ValueError("empty training set")
     block, index, columns = features.block, features.index, features.columns
-    n, dim = len(y), 2 * block.shape[1]
+    n, k = len(y), block.shape[1]
+    dim = 2 * k
     alpha = cfg.focal_alpha or _inverse_frequency_alpha(y)
     alpha_arr = np.asarray(alpha, dtype=np.float64)
     gamma = float(cfg.focal_gamma)
 
-    # W and b are views of one parameter array, as are their gradients, so
-    # one Adam update covers both
-    params = np.zeros((2, dim + 1))
-    W, b = params[:, :dim], params[:, dim]
+    # each fit's W and b are views of one parameter array, as are their
+    # gradients, so one Adam update covers every fit's W and b; W_T holds
+    # each fit's W transposed, b each fit's bias as a (1, 2) row
+    params = np.zeros((runs, 2, dim + 1))
+    W_T, b = params[:, :, :dim].transpose(0, 2, 1), params[:, None, :, dim]
     grad = np.empty_like(params)
-    gW, gb = grad[:, :dim], grad[:, dim]
+    gW, gb = grad[:, :, :dim], grad[:, :, dim]
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
     alpha_t = alpha_arr[y]
-    buf = np.empty((min(cfg.batch_size, n), 2, block.shape[1]))
+    buf = np.empty(runs * min(cfg.batch_size, n) * dim)
 
-    rng = np.random.default_rng(cfg.seed)
-    history: list[float] = []
+    rngs = [np.random.default_rng(cfg.seed + r) for r in range(runs)]
+    history = np.empty((runs, cfg.epochs))
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
+        order = np.stack([rng.permutation(n) for rng in rngs])
+        order_pairs, order_y, order_alpha = index[order], y[order], alpha_t[order]
+        epoch_loss = np.zeros(runs)
         for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            rows = len(idx)
+            stop = min(start + cfg.batch_size, n)
+            rows = stop - start
             # mode "raise" would buffer out; Features has checked the index
-            Xb = np.take(block, index[idx], axis=0, out=buf[:rows],
-                         mode="clip").reshape(rows, dim)
-            losses, gz = focal_loss_batch(Xb @ W.T + b, y[idx], alpha_t[idx], gamma)
-            epoch_loss += float(losses.sum())
+            Xb = np.take(block, order_pairs[:, start:stop], axis=0, mode="clip",
+                         out=buf[:runs * rows * dim].reshape(runs, rows, 2, k),
+                         ).reshape(runs, rows, dim)
+            losses, gz = focal_loss_batch((Xb @ W_T + b).reshape(-1, 2),
+                                          order_y[:, start:stop].ravel(),
+                                          order_alpha[:, start:stop].ravel(), gamma)
+            epoch_loss += losses.reshape(runs, rows).sum(axis=1)
             gz /= rows
-            np.matmul(gz.T, Xb, out=gW)
-            gz.sum(axis=0, out=gb)
+            gz = gz.reshape(runs, rows, 2)
+            np.matmul(gz.transpose(0, 2, 1), Xb, out=gW)
+            gz.sum(axis=1, out=gb)
 
             step += 1
             m *= beta1; m += (1 - beta1) * grad
@@ -345,16 +374,20 @@ def train(features: Features, y, cfg: TrainConfig) -> ModelParams:
             mhat = m / (1 - beta1 ** step)
             vhat = v / (1 - beta2 ** step)
             params -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
-        history.append(epoch_loss / n)
-        logger.debug("epoch %d: mean loss %.6f", epoch + 1, history[-1])
+        history[:, epoch] = epoch_loss / n
+        logger.debug("epoch %d: mean losses %s", epoch + 1, history[:, epoch])
 
-    weights = np.zeros((2, 2, features.width))
-    weights[:, :, columns] = W.reshape(2, 2, -1)
-    return ModelParams(
-        weights=weights.reshape(2, features.dim), bias=b, gamma=gamma,
-        alpha=(float(alpha[0]), float(alpha[1])), seed=cfg.seed, epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate, loss_history=history,
-    )
+    fits = []
+    for r in range(runs):
+        weights = np.zeros((2, 2, features.width))
+        weights[:, :, columns] = params[r, :, :dim].reshape(2, 2, -1)
+        fits.append(ModelParams(
+            weights=weights.reshape(2, features.dim), bias=params[r, :, dim].copy(),
+            gamma=gamma, alpha=(float(alpha[0]), float(alpha[1])), seed=cfg.seed + r,
+            epochs=cfg.epochs, learning_rate=cfg.learning_rate,
+            loss_history=history[r].tolist(),
+        ))
+    return Fits(tuple(fits), cfg.epochs)
 
 
 def predict(params: ModelParams, features: Features) -> np.ndarray:

@@ -122,12 +122,13 @@ class ExperimentConfig:
         return EmbedderConfig(dim=self.embed_dim, ngram_range=self.ngram_range,
                               seed=derive_seed(self.seed, "embed"))
 
-    def train_config(self, condition: str, run: int = 0) -> TrainConfig:
-        """The settings of the condition's fit number `run` (from 0)."""
+    def train_config(self, condition: str) -> TrainConfig:
+        """The settings of the condition's fits; `train` seeds fit r with
+        the config's seed + r."""
         return TrainConfig(
             epochs=self.epochs, learning_rate=self.learning_rate,
             focal_gamma=self.focal_gamma, focal_alpha=self.focal_alpha,
-            batch_size=self.batch_size, seed=derive_seed(self.seed, "train", condition) + run,
+            batch_size=self.batch_size, seed=derive_seed(self.seed, "train", condition),
         )
 
 
@@ -419,8 +420,8 @@ def _five_plus_pct(state: RunState, condition: Condition) -> float:
 
 def run_condition(state: RunState, condition: Condition) -> dict:
     """Sample each partition's contexts and build its features once,
-    dump the contexts when the run saves them, then train cfg.runs models,
-    evaluate each, aggregate."""
+    dump the contexts when the run saves them, then train cfg.runs models
+    in one lockstep call, evaluate each, aggregate."""
     cfg = state.cfg
     data = {}
     contexts = []
@@ -431,10 +432,8 @@ def run_condition(state: RunState, condition: Condition) -> dict:
     if cfg.save_contexts:
         dump_contexts(contexts, Path(cfg.out) / "contexts" / f"{condition.name}.jsonl")
 
-    reports = []
-    for run_idx in range(cfg.runs):
-        params = train(*data["train"], cfg.train_config(condition.name, run_idx))
-        reports.append(evaluate(params, *data["test"]))
+    fits = train(*data["train"], cfg.train_config(condition.name), cfg.runs)
+    reports = [evaluate(params, *data["test"]) for params in fits.params]
 
     acc_runs = [r.accuracy for r in reports]
     f1_runs = [r.macro_f1 for r in reports]

@@ -287,7 +287,7 @@ def run_condition(world, sampler_cfg):
                                       matrix, profiles, cfg=sampler_cfg)
         datasets[part] = (build_features(contexts, matrix),
                           encode_labels(v.label for v in verdicts))
-    params = train(*datasets["train"], TRAIN_CFG)
+    params = train(*datasets["train"], TRAIN_CFG).params[0]
     X_test, y_test = datasets["test"]
     return compute_report(y_test, predict(params, X_test))
 

@@ -16,7 +16,8 @@ once and memoises each pair's cosine scores across conditions;
 `build_features` stores a partition's features once per distinct post and
 item sequence and sums each context mean from the items' stored entries;
 `train` gathers each batch from that block, on the columns some row
-stores, and fits only those; `predict` scores a partition's feature rows
+stores, fits only those, and steps every fit of a call in lockstep;
+`predict` scores a partition's feature rows
 in one product. The character-wise trim, the per-comment
 extractor, the per-gram embedder, the dense row array, the scalar cosine,
 the per-pair code, the `heapq.nsmallest` ranking, the `json.dumps` writer,
@@ -35,6 +36,7 @@ import json
 import math
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -904,6 +906,8 @@ TRAIN_CONFIGS = {
     "lr0": TrainConfig(epochs=2, learning_rate=0.0, batch_size=32, seed=4),
     # one batch larger than n
     "n-below-batch": TrainConfig(epochs=4, learning_rate=0.05, batch_size=1000, seed=5),
+    # one row per step
+    "batch1": TrainConfig(epochs=2, learning_rate=0.01, batch_size=1, seed=6),
 }
 
 
@@ -935,21 +939,36 @@ def train_partitions(world, embeddings, sentences):
     }
 
 
+def lockstep_fits(features, y, cfg, X, columns=None):
+    """(runs, fit, oracle) for every fit of a runs = 1, 3 and 5 train call,
+    where the oracle is the dense trainer's fit seeded cfg.seed + r for
+    fit r: fit r of each call is the single fit of that seed."""
+    oracles = [oracle_dense_train(X, y, replace(cfg, seed=cfg.seed + r), columns)
+               for r in range(5)]
+    for runs in (1, 3, 5):
+        fits = train(features, y, cfg, runs)
+        assert fits.epochs == cfg.epochs and len(fits.params) == runs
+        for r, params in enumerate(fits.params):
+            assert params.seed == cfg.seed + r
+            yield runs, params, oracles[r]
+
+
 @pytest.mark.parametrize("cfg", TRAIN_CONFIGS.values(), ids=TRAIN_CONFIGS.keys())
 def test_train_matches_dense_oracle(world, wide_matrices, cfg):
     for embeddings, sentences in (world[1:3], wide_matrices):
         y, partitions = train_partitions(world, embeddings, sentences)
         for name, contexts in partitions.items():
-            features = build_features(contexts, embeddings, sentences)
-            W, b, history = oracle_dense_train(
-                oracle_dense_features(contexts, embeddings, sentences), y, cfg,
-                features.columns)
-            params = train(features, y, cfg)
-            assert np.array_equal(params.weights, W), name
-            assert np.array_equal(params.bias, b), name
-            assert params.loss_history == history, name
-            assert all(math.isfinite(loss) for loss in history)
-            assert params.weights.any() == (cfg.learning_rate > 0)
+            # every row, and 33 rows, whose last batch of 32 is one row
+            for n in (len(y), 33):
+                features = build_features(contexts[:n], embeddings, sentences)
+                X = oracle_dense_features(contexts[:n], embeddings, sentences)
+                for runs, params, (W, b, history) in lockstep_fits(
+                        features, y[:n], cfg, X, features.columns):
+                    assert np.array_equal(params.weights, W), (name, n, runs)
+                    assert np.array_equal(params.bias, b), (name, n, runs)
+                    assert params.loss_history == history, (name, n, runs)
+                    assert all(math.isfinite(loss) for loss in history)
+                    assert params.weights.any() == (cfg.learning_rate > 0)
 
 
 @pytest.mark.parametrize("cfg", TRAIN_CONFIGS.values(), ids=TRAIN_CONFIGS.keys())
@@ -961,11 +980,22 @@ def test_train_on_every_column_matches_full_width_oracle(world, cfg):
     for name, contexts in partitions.items():
         features = build_features(contexts, embeddings, sentences)
         assert features.columns.tolist() == list(range(embeddings.dim)), name
-        W, b, history = oracle_dense_train(features.rows(), y, cfg)
-        params = train(features, y, cfg)
-        assert same_bits(params.weights, W), name
-        assert same_bits(params.bias, b), name
-        assert params.loss_history == history, name
+        for runs, params, (W, b, history) in lockstep_fits(features, y, cfg, features.rows()):
+            assert same_bits(params.weights, W), (name, runs)
+            assert same_bits(params.bias, b), (name, runs)
+            assert params.loss_history == history, (name, runs)
+
+
+def test_lockstep_fit_equals_single_fit_of_its_seed(world, wide_matrices):
+    y, partitions = train_partitions(world, *wide_matrices)
+    for cfg in TRAIN_CONFIGS.values():
+        for name, contexts in partitions.items():
+            features = build_features(contexts, *wide_matrices)
+            for r, params in enumerate(train(features, y, cfg, 5).params):
+                single, = train(features, y, replace(cfg, seed=cfg.seed + r)).params
+                assert same_bits(params.weights, single.weights), (name, r)
+                assert same_bits(params.bias, single.bias), (name, r)
+                assert params.loss_history == single.loss_history, (name, r)
 
 
 @pytest.mark.parametrize("cfg", TRAIN_CONFIGS.values(), ids=TRAIN_CONFIGS.keys())
@@ -978,7 +1008,7 @@ def test_train_on_stored_columns_stays_near_full_width_oracle(world, wide_matric
         features = build_features(contexts, *wide_matrices)
         assert len(features.columns) < features.width, name
         W, b, _ = oracle_dense_train(features.rows(), y, cfg)
-        params = train(features, y, cfg)
+        params, = train(features, y, cfg).params
         assert np.abs(params.weights - W).max() <= 1e-12 * np.abs(W).max(), name
         full = ModelParams(weights=W, bias=b, gamma=cfg.focal_gamma, alpha=params.alpha,
                            seed=cfg.seed, epochs=cfg.epochs, learning_rate=cfg.learning_rate)
@@ -989,7 +1019,7 @@ def test_train_leaves_unstored_columns_exactly_zero(world, wide_matrices):
     y, partitions = train_partitions(world, *wide_matrices)
     for name, contexts in partitions.items():
         features = build_features(contexts, *wide_matrices)
-        params = train(features, y, TrainConfig(epochs=3, learning_rate=0.05, seed=1))
+        params, = train(features, y, TrainConfig(epochs=3, learning_rate=0.05, seed=1)).params
         unstored = np.ones(features.width, dtype=bool)
         unstored[features.columns] = False
         assert unstored.any(), name
@@ -1008,12 +1038,12 @@ def test_train_without_stored_columns_fits_zero_weights(world):
     for contexts in (full_pool_context(pairs, corpus), [ContextSet(a, p, []) for a, p in pairs]):
         features = build_features(contexts, zero)
         assert features.block.shape[1] == 0 and features.width == zero.dim
-        params = train(features, y, cfg)
-        assert params.weights.shape == (2, 2 * zero.dim)
-        assert not params.weights.view(np.int64).any()
-        W, b, history = oracle_dense_train(features.rows(), y, cfg, features.columns)
-        assert same_bits(params.weights, W) and same_bits(params.bias, b)
-        assert params.loss_history == history
+        for runs, params, (W, b, history) in lockstep_fits(
+                features, y, cfg, features.rows(), features.columns):
+            assert params.weights.shape == (2, 2 * zero.dim)
+            assert not params.weights.view(np.int64).any()
+            assert same_bits(params.weights, W) and same_bits(params.bias, b)
+            assert params.loss_history == history
 
 
 # ---------------------------------------------------------------------------
@@ -1040,7 +1070,8 @@ def test_batch_predict_matches_per_row_oracle(world):
     for features, y in datasets:
         X = features.rows()
         dim = X.shape[1]
-        models = [train(features, y, TrainConfig(epochs=epochs, seed=3)) for epochs in (1, 10)]
+        models = [train(features, y, TrainConfig(epochs=epochs, seed=3)).params[0]
+                  for epochs in (1, 10)]
         # zero parameters, and equal non-zero rows: every logit pair ties exactly
         ties = [ModelParams(weights=w, bias=np.full(2, b), gamma=2.0, alpha=(0.5, 0.5),
                             seed=0, epochs=0, learning_rate=0.0)

@@ -156,7 +156,7 @@ def separable_dataset(n=40, seed=0, spread=0.2):
 def test_train_fits_separable_data():
     X, y = separable_dataset()
     cfg = TrainConfig(epochs=150, learning_rate=0.05, batch_size=8, seed=1)
-    params = train(X, y, cfg)
+    params = train(X, y, cfg).params[0]
     report = evaluate(params, X, y)
     assert report.accuracy == 1.0
     assert params.loss_history[-1] < params.loss_history[0]
@@ -166,7 +166,7 @@ def test_train_fits_separable_data():
 def test_train_zero_learning_rate_keeps_zero_params():
     X, y = separable_dataset(n=16)
     cfg = TrainConfig(epochs=3, learning_rate=0.0, batch_size=4, seed=0)
-    params = train(X, y, cfg)
+    params = train(X, y, cfg).params[0]
     assert not params.weights.any()
     assert not params.bias.any()
     # constant loss at the zero point, every epoch
@@ -176,18 +176,19 @@ def test_train_zero_learning_rate_keeps_zero_params():
 def test_train_deterministic_and_seed_sensitive():
     X, y = separable_dataset(n=40)
     cfg = TrainConfig(epochs=3, learning_rate=0.01, batch_size=8, seed=5)
-    a, b = train(X, y, cfg), train(X, y, cfg)
+    a, b = train(X, y, cfg).params[0], train(X, y, cfg).params[0]
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.bias, b.bias)
     assert a.loss_history == b.loss_history
-    other = train(X, y, TrainConfig(epochs=3, learning_rate=0.01, batch_size=8, seed=6))
+    other = train(X, y, TrainConfig(epochs=3, learning_rate=0.01, batch_size=8, seed=6)).params[0]
     assert not np.array_equal(a.weights, other.weights)
 
 
 def test_train_default_alpha_is_inverse_frequency():
     # 3 NTA to 1 YTA: alpha = (n/(2*3), n/(2*1)) = (2/3, 2)
     X = factored([[1.0, 0.0]] * 3 + [[0.0, 1.0]])
-    params = train(X, encode_labels(["NTA"] * 3 + ["YTA"]), TrainConfig(epochs=1, learning_rate=0.01))
+    params = train(X, encode_labels(["NTA"] * 3 + ["YTA"]),
+                   TrainConfig(epochs=1, learning_rate=0.01)).params[0]
     assert params.alpha == pytest.approx((2.0 / 3.0, 2.0))
 
 
@@ -195,8 +196,32 @@ def test_train_single_class_needs_explicit_alpha():
     X, y = factored([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0])
     with pytest.raises(ValueError, match="lacks a class"):
         train(X, y, TrainConfig(epochs=1))
-    params = train(X, y, TrainConfig(epochs=1, focal_alpha=(0.5, 0.5)))
+    params = train(X, y, TrainConfig(epochs=1, focal_alpha=(0.5, 0.5))).params[0]
     assert params.alpha == (0.5, 0.5)
+
+
+def test_train_fits_own_their_arrays():
+    X, y = separable_dataset(n=16)
+    fits = train(X, y, TrainConfig(epochs=2, learning_rate=0.05, batch_size=4), runs=3)
+    kept = [(params.weights.copy(), params.bias.copy()) for params in fits.params]
+    assert not np.array_equal(kept[0][0], kept[1][0])
+    fits.params[0].weights[:] = 7.0
+    fits.params[1].bias[:] = 7.0
+    assert np.array_equal(fits.params[0].bias, kept[0][1])
+    assert np.array_equal(fits.params[1].weights, kept[1][0])
+    assert np.array_equal(fits.params[2].weights, kept[2][0])
+    assert np.array_equal(fits.params[2].bias, kept[2][1])
+    # no array is a view into a larger one, such as the parameters of every fit
+    arrays = [a for params in fits.params for a in (params.weights, params.bias)]
+    assert all(a.base is None or a.base.size == a.size for a in arrays)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
+
+
+@pytest.mark.parametrize("runs", [0, -1, 2.0, 2.5, True, "2", None])
+def test_train_rejects_runs_other_than_a_positive_integer(runs):
+    X, y = separable_dataset(n=4)
+    with pytest.raises(ValueError, match="runs"):
+        train(X, y, TrainConfig(epochs=1), runs)
 
 
 def test_train_validation():
@@ -437,7 +462,7 @@ def trained_with_embedder(n, cfg):
     """Params trained on separable_dataset's rows padded to 16 features, the
     feature dim of an 8-dim embedder, which they carry."""
     X, y = separable_dataset(n=n)
-    params = train(factored(np.pad(X.rows(), ((0, 0), (0, 14)))), y, cfg)
+    params = train(factored(np.pad(X.rows(), ((0, 0), (0, 14)))), y, cfg).params[0]
     return replace(params, embedder=EmbedderConfig(dim=8, ngram_range=(2, 3), seed=7))
 
 

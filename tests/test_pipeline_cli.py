@@ -1230,7 +1230,7 @@ def test_cli_stage_chain_reproduces_a_run_condition(tmp_path):
                        f"out = {tmp_path / name}\n".replace("[sampler]\n",
                                                              "[sampler]\nmax_samples = 3\n"))
         out = tmp_path / name
-        fits = []  # runs = 1, so one fit per condition, in grid order
+        fits = []  # one train call per condition, in grid order
         fit_model = dlab.pipeline.train
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dlab.pipeline, "train",
@@ -1240,7 +1240,8 @@ def test_cli_stage_chain_reproduces_a_run_condition(tmp_path):
         split = tmp_path / f"{name}-split.jsonl"
         assert main(["split", *config, "--out", str(split)]) == 0
         assert split.read_bytes() == (out / "split.jsonl").read_bytes()
-        for (condition, row), fit in zip(rows.items(), fits):
+        # runs = 1, so each call made one fit
+        for (condition, row), (fit,) in zip(rows.items(), (f.params for f in fits)):
             ctx, model, report = (tmp_path / f"{name}-{condition}.{ext}"
                                   for ext in ("jsonl", "model", "json"))
             assert main(["sample", *config, "--condition", condition, "--out", str(ctx)]) == 0
