@@ -3,9 +3,10 @@
 Features concatenate the post embedding with the mean of the sampled
 context embeddings (zero half when the context is empty), so the context
 route and the post-only baseline share one architecture; each distinct half
-is stored once, on the columns some half stores. Training is mini-batch Adam
-on focal loss with an analytic gradient over those columns; gamma=0 recovers
-alpha-weighted cross-entropy exactly.
+is stored once, the post halves on the columns some post row stores and the
+context halves on the columns some context item row stores. Training is
+mini-batch Adam on focal loss with an analytic gradient over each half's
+own columns; gamma=0 recovers alpha-weighted cross-entropy exactly.
 """
 from __future__ import annotations
 
@@ -54,46 +55,60 @@ def encode_labels(labels) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Features:
-    """n feature rows stored once per distinct half, on the columns some
-    half sets.
+    """n feature rows, each distinct half stored once, on its own half's
+    stored columns.
 
-    `block` is a (u, k) float64 array of half-rows and `index` an (n, 2)
-    integer array. `columns` is the ascending k positions, within a half of
-    `width` d, that the block's columns hold; every other position of every
-    half is +0.0. So row i is [h(index[i, 0]) ‖ h(index[i, 1])], where h(j)
-    is the d-vector that holds block[j] at `columns`. By default the block
-    holds every position: columns = arange(k), width = k. Train gathers
-    batches with a clipping `np.take`, so the index is checked here: an
-    entry outside [0, u) raises ValueError instead of being clamped.
+    `posts` is a (P, kp) and `contexts` an (S, kc) float64 array of
+    half-rows, and `index` an (n, 2) integer array: `index[:, 0]` addresses
+    `posts` and `index[:, 1]` addresses `contexts`. `post_columns` and
+    `context_columns` are the ascending kp and kc positions, within a half
+    of `width` d, that each block's columns hold; every other position of a
+    half is +0.0. So row i is [p(index[i, 0]) ‖ c(index[i, 1])], where p(j)
+    is the d-vector that holds posts[j] at `post_columns` and c(j) the one
+    that holds contexts[j] at `context_columns`. By default a block holds
+    the first positions of its half, columns = arange(k), and the width is
+    the wider block's k. Train gathers batches with a clipping `np.take`,
+    so the index is checked here: an entry outside its block's rows raises
+    ValueError instead of being clamped.
     """
-    block: np.ndarray
+    posts: np.ndarray
+    contexts: np.ndarray
     index: np.ndarray
-    columns: np.ndarray = None
+    post_columns: np.ndarray = None
+    context_columns: np.ndarray = None
     width: int = None
 
     def __post_init__(self):
-        block, index = self.block, self.index
-        if not (isinstance(block, np.ndarray) and block.ndim == 2
-                and block.dtype == np.float64):
-            raise ValueError("block must be a 2-D float64 array")
+        index = self.index
         if not (isinstance(index, np.ndarray) and index.ndim == 2 and index.shape[1] == 2
                 and np.issubdtype(index.dtype, np.integer)):
             raise ValueError("index must be an (n, 2) integer array")
-        if index.size and (index.min() < 0 or index.max() >= len(block)):
-            raise ValueError(f"index entries must lie in [0, {len(block)})")
-        k = block.shape[1]
-        if self.columns is None:
-            object.__setattr__(self, "columns", np.arange(k))
+        halves = (("post", self.posts, "post_columns"),
+                  ("context", self.contexts, "context_columns"))
+        for name, block, _ in halves:
+            if not (isinstance(block, np.ndarray) and block.ndim == 2
+                    and block.dtype == np.float64):
+                raise ValueError(f"the {name} block must be a 2-D float64 array")
         if self.width is None:
-            object.__setattr__(self, "width", k)
-        columns, width = self.columns, self.width
+            object.__setattr__(self, "width", max(self.posts.shape[1], self.contexts.shape[1]))
+        width = self.width
         if not (isinstance(width, (int, np.integer)) and width >= 0):
             raise ValueError(f"width must be a non-negative integer, got {width!r}")
-        if not (isinstance(columns, np.ndarray) and columns.ndim == 1
-                and np.issubdtype(columns.dtype, np.integer) and len(columns) == k):
-            raise ValueError(f"columns must be a 1-D integer array of {k} block columns")
-        if k and (columns[0] < 0 or columns[-1] >= width or (np.diff(columns) <= 0).any()):
-            raise ValueError(f"columns must ascend strictly within [0, {width})")
+        for half, (name, block, attr) in enumerate(halves):
+            u, k = block.shape
+            entries = index[:, half]
+            if entries.size and (entries.min() < 0 or entries.max() >= u):
+                raise ValueError(f"index[:, {half}] entries must lie in [0, {u}), "
+                                 f"the rows of the {name} block")
+            if getattr(self, attr) is None:
+                object.__setattr__(self, attr, np.arange(k))
+            columns = getattr(self, attr)
+            if not (isinstance(columns, np.ndarray) and columns.ndim == 1
+                    and np.issubdtype(columns.dtype, np.integer) and len(columns) == k):
+                raise ValueError(f"{attr} must be a 1-D integer array of the {name} "
+                                 f"block's {k} columns")
+            if k and (columns[0] < 0 or columns[-1] >= width or (np.diff(columns) <= 0).any()):
+                raise ValueError(f"{attr} must ascend strictly within [0, {width})")
 
     def __len__(self) -> int:
         return len(self.index)
@@ -103,10 +118,12 @@ class Features:
         return 2 * self.width
 
     def rows(self) -> np.ndarray:
-        """The dense (n, 2d) feature matrix, +0.0 off the stored columns."""
-        halves = np.zeros((len(self.block), self.width))
-        halves[:, self.columns] = self.block
-        return halves[self.index].reshape(len(self.index), self.dim)
+        """The dense (n, 2d) feature matrix, +0.0 off each half's stored
+        columns."""
+        X = np.zeros((len(self.index), self.dim))
+        X[:, self.post_columns] = self.posts[self.index[:, 0]]
+        X[:, self.width + self.context_columns] = self.contexts[self.index[:, 1]]
+        return X
 
 
 def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
@@ -119,17 +136,17 @@ def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
     `sentences` (pipeline.embed_sentences) by their text. The mean is taken
     over the item rows in item order; if every item row is unit norm (by the
     matrices' stored norms, within 1e-3) it is re-normalized to unit,
-    keeping the two halves on the same scale. An empty context yields an
-    exact zero half, block row 0. Each distinct post and each distinct
-    sequence of item keys gets one block row, computed once. The block keeps
-    only the columns that some post row or context item row stores; every
-    other column of every half is exactly +0.0.
+    keeping the two halves on the same scale. Each distinct post gets one
+    post block row, and each distinct sequence of item keys one context
+    block row, computed once; an empty context yields an exact zero half,
+    context block row 0. The post block keeps only the columns that some
+    post row stores, and the context block only those that some context
+    item row stores; every other column of each half is exactly +0.0.
     """
     d = embeddings.dim
     posts: dict[str, int] = {}
     for ctx in contexts:
-        posts.setdefault(ctx.post_id, 1 + len(posts))
-    post_rows = [embeddings.row_index(pid) for pid in posts]
+        posts.setdefault(ctx.post_id, len(posts))
     # the first context of each distinct item sequence, and its block row
     sequences: dict[tuple, int] = {}
     firsts: list[ContextSet] = []
@@ -140,16 +157,20 @@ def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
             key = tuple((item.unit, item.source_comment_id if item.unit == "comment"
                          else item.text) for item in ctx.items)
             if key not in sequences:
-                sequences[key] = 1 + len(posts) + len(firsts)
+                sequences[key] = 1 + len(firsts)
                 firsts.append(ctx)
             half = sequences[key]
         index.append((posts[ctx.post_id], half))
 
-    # pass 1: each sequence's item rows, and the columns that a post row or
-    # an item row stores, marked once per distinct row (a set entry is any
-    # set bit, so a stored -0.0 keeps its column)
-    post_block = embeddings.take(post_rows)
-    stored = post_block.view(np.int32).any(axis=0)
+    # the columns that a post row stores, and the post block on them (a set
+    # entry is any set bit, so a stored -0.0 keeps its column)
+    post_rows = embeddings.take([embeddings.row_index(pid) for pid in posts])
+    post_columns = np.flatnonzero(post_rows.view(np.int32).any(axis=0))
+    post_block = np.take(post_rows, post_columns, axis=1).astype(np.float64)
+
+    # pass 1: each sequence's item rows, and the columns that an item row
+    # stores, marked once per distinct row
+    stored = np.zeros(d, dtype=bool)
     marked: set[tuple[bool, int]] = set()
     item_rows = []
     for ctx in firsts:
@@ -169,12 +190,11 @@ def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
                 marked.add(mark)
                 stored[matrix.indices[matrix.indptr[row]:matrix.indptr[row + 1]]] = True
         item_rows.append(rows)
-    columns = np.flatnonzero(stored)
+    context_columns = np.flatnonzero(stored)
 
-    # pass 2: the block on those columns; every other entry is +0.0
-    block = np.zeros((1 + len(posts) + len(firsts), len(columns)))
-    block[1:1 + len(posts)] = np.take(post_block, columns, axis=1)
-    for half, rows in enumerate(item_rows, start=1 + len(posts)):
+    # pass 2: the context block on those columns, row 0 the empty context
+    context_block = np.zeros((1 + len(firsts), len(context_columns)))
+    for half, rows in enumerate(item_rows, start=1):
         cols, values = [], []
         all_unit = True
         for matrix, row in rows:
@@ -190,9 +210,14 @@ def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
         mean_norm = float(np.linalg.norm(mean))
         if all_unit and mean_norm > 0.0:
             mean = mean / mean_norm
-        block[half] = mean[columns]
-    return Features(block, np.array(index, dtype=np.int64).reshape(len(contexts), 2),
-                    columns, d)
+        context_block[half] = mean[context_columns]
+    return Features(post_block, context_block,
+                    np.array(index, dtype=np.int64).reshape(len(contexts), 2),
+                    post_columns, context_columns, d)
+
+
+# each row's one-hot class mask is its label against these class indices
+_CLASSES = np.arange(len(LABELS))
 
 
 def focal_loss_batch(z: np.ndarray, y: np.ndarray, alpha_t: np.ndarray,
@@ -202,29 +227,32 @@ def focal_loss_batch(z: np.ndarray, y: np.ndarray, alpha_t: np.ndarray,
     z: (n, 2) logits, y: (n,) true class indices, alpha_t: (n,) weight of
     each row's true class. FL = -alpha_t (1 - p_t)^gamma log p_t with
     p = softmax(z); gamma=0 reduces to alpha-weighted cross-entropy. The
-    gradient handles p_t -> 1 (its limit is 0) without blowing up.
+    gradient handles p_t -> 1 (its limit is 0) without blowing up. Each
+    row's true class is selected with `np.where` from its two classes, so
+    the kernel indexes nothing by position or mask.
     """
-    rows = np.arange(len(y))
-    zmax = z.max(axis=1, keepdims=True)
-    logp = z - (zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True)))
+    onehot = y[:, None] == _CLASSES
+    yta = onehot[:, 1]
+    zmax = np.maximum(z[:, 0], z[:, 1])[:, None]
+    e = np.exp(z - zmax)
+    logp = z - (zmax + np.log(e[:, 0] + e[:, 1])[:, None])
     p = np.exp(logp)
-    pt = p[rows, y]
-    log_pt = logp[rows, y]
+    pt = np.where(yta, p[:, 1], p[:, 0])
+    log_pt = np.where(yta, logp[:, 1], logp[:, 0])
     one_minus = 1.0 - pt
+    focal = one_minus ** gamma
     if gamma == 0.0:
-        coeff = np.ones_like(pt)
+        weight = alpha_t
     else:
-        # limit of (1-p)^g - g p (1-p)^{g-1} log p as p -> 1 is 0
-        coeff = np.zeros_like(pt)
-        live = one_minus > 0.0
-        coeff[live] = (
-            one_minus[live] ** gamma
-            - gamma * pt[live] * one_minus[live] ** (gamma - 1.0) * log_pt[live]
-        )
-    losses = -alpha_t * one_minus ** gamma * log_pt
-    # (alpha_t coeff) (p - onehot(y)), built in p
-    p[rows, y] -= 1.0
-    p *= (alpha_t * coeff)[:, None]
+        # limit of (1-p)^g - g p (1-p)^{g-1} log p as p -> 1 is 0; at p = 1
+        # the second term can read 0 * inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coeff = focal - gamma * pt * one_minus ** (gamma - 1.0) * log_pt
+        weight = alpha_t * np.where(one_minus > 0.0, coeff, 0.0)
+    losses = -alpha_t * focal * log_pt
+    # (alpha_t coeff) (p - onehot(y))
+    p -= onehot
+    p *= weight[:, None]
     return losses, p
 
 
@@ -239,12 +267,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name, low in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
+            # a numpy integer would reach the model file's JSON header
+            object.__setattr__(self, name, int(value))
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if not (math.isfinite(self.focal_gamma) and self.focal_gamma >= 0):
             raise ValueError(f"focal_gamma must be finite and >= 0, got {self.focal_gamma}")
         if self.focal_alpha is not None and not (
@@ -307,82 +339,104 @@ def train(features: Features, y, cfg: TrainConfig, runs: int = 1) -> Fits:
     features: n rows (build_features), y: (n,) class indices
     (encode_labels). The fits step in lockstep: each epoch draws one
     permutation from each fit's own generator, and each step gathers the
-    fits' batches into one reused runs x min(batch, n) x 2 x k buffer of
-    the feature block's k stored columns, then takes its logits, focal
-    loss, gradients and Adam update in one call each over every fit. Each
-    of those calls works on each fit's slice alone (one BLAS product per
-    slice, lane-wise ufuncs, a sum along that fit's rows), so fit r is bit
-    for bit the single fit seeded cfg.seed + r. The logits sum over the
-    stored columns, and the weights of the others, whose gradient is
-    exactly zero at every step, are never touched: each fit's weights hold
-    the fitted columns at `features.columns` of each half and +0.0
-    elsewhere. Each fit owns its weights and bias. learning_rate 0 leaves
-    the zero parameters untouched by construction.
+    fits' batches into two reused buffers, runs x min(batch, n) x kp of the
+    post block and runs x min(batch, n) x kc of the context block. A step
+    takes the logits as the post half's product plus the context half's
+    product plus the bias, in that order, then the focal loss, one gradient
+    product per half and the Adam update, in one call each over every fit.
+    Each of those calls works on each fit's slice alone (one BLAS product
+    per slice, lane-wise ufuncs, a sum along that fit's rows), so fit r is
+    bit for bit the single fit seeded cfg.seed + r. A half's weights off its
+    own stored columns have a gradient of exactly zero at every step, so
+    they are never touched: each fit's weights hold the fitted post weights
+    at `features.post_columns` of the post half, the fitted context weights
+    at `features.context_columns` of the context half, and +0.0 elsewhere.
+    Each fit owns its weights and bias. learning_rate 0 leaves the zero
+    parameters untouched by construction.
     """
     if isinstance(runs, bool) or not isinstance(runs, (int, np.integer)) or runs < 1:
         raise ValueError(f"runs must be an integer >= 1, got {runs!r}")
     y = _check_labels(features, y)
     if not len(y):
         raise ValueError("empty training set")
-    block, index, columns = features.block, features.index, features.columns
-    n, k = len(y), block.shape[1]
-    dim = 2 * k
+    posts, contexts, index = features.posts, features.contexts, features.index
+    n, kp, kc = len(y), posts.shape[1], contexts.shape[1]
+    k = kp + kc
     alpha = cfg.focal_alpha or _inverse_frequency_alpha(y)
     alpha_arr = np.asarray(alpha, dtype=np.float64)
     gamma = float(cfg.focal_gamma)
 
-    # each fit's W and b are views of one parameter array, as are their
-    # gradients, so one Adam update covers every fit's W and b; W_T holds
-    # each fit's W transposed, b each fit's bias as a (1, 2) row
-    params = np.zeros((runs, 2, dim + 1))
-    W_T, b = params[:, :, :dim].transpose(0, 2, 1), params[:, None, :, dim]
+    # each fit's post weights, context weights and bias are views of one
+    # parameter row per class, as are their gradients, so one Adam update
+    # covers them all; Wp_T and Wc_T hold each fit's half weights
+    # transposed, b each fit's bias as a (1, 2) row
+    params = np.zeros((runs, 2, k + 1))
+    Wp_T, Wc_T = params[:, :, :kp].transpose(0, 2, 1), params[:, :, kp:k].transpose(0, 2, 1)
+    b = params[:, None, :, k]
     grad = np.empty_like(params)
-    gW, gb = grad[:, :, :dim], grad[:, :, dim]
+    gWp, gWc, gb = grad[:, :, :kp], grad[:, :, kp:k], grad[:, :, k]
     m = np.zeros_like(params)
     v = np.zeros_like(params)
+    # the update's two scratch arrays
+    update, scale = np.empty_like(params), np.empty_like(params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
     alpha_t = alpha_arr[y]
-    buf = np.empty(runs * min(cfg.batch_size, n) * dim)
+    post_index, context_index = index[:, 0], index[:, 1]
+    size = runs * min(cfg.batch_size, n)
+    post_buf, context_buf = np.empty(size * kp), np.empty(size * kc)
+    z_buf, context_z_buf = np.empty(size * 2), np.empty(size * 2)
 
     rngs = [np.random.default_rng(cfg.seed + r) for r in range(runs)]
     history = np.empty((runs, cfg.epochs))
     for epoch in range(cfg.epochs):
         order = np.stack([rng.permutation(n) for rng in rngs])
-        order_pairs, order_y, order_alpha = index[order], y[order], alpha_t[order]
+        order_posts, order_contexts = post_index[order], context_index[order]
+        order_y, order_alpha = y[order], alpha_t[order]
         epoch_loss = np.zeros(runs)
         for start in range(0, n, cfg.batch_size):
             stop = min(start + cfg.batch_size, n)
             rows = stop - start
+            size = runs * rows
             # mode "raise" would buffer out; Features has checked the index
-            Xb = np.take(block, order_pairs[:, start:stop], axis=0, mode="clip",
-                         out=buf[:runs * rows * dim].reshape(runs, rows, 2, k),
-                         ).reshape(runs, rows, dim)
-            losses, gz = focal_loss_batch((Xb @ W_T + b).reshape(-1, 2),
-                                          order_y[:, start:stop].ravel(),
+            Xp = np.take(posts, order_posts[:, start:stop], axis=0, mode="clip",
+                         out=post_buf[:size * kp].reshape(runs, rows, kp))
+            Xc = np.take(contexts, order_contexts[:, start:stop], axis=0, mode="clip",
+                         out=context_buf[:size * kc].reshape(runs, rows, kc))
+            z = np.matmul(Xp, Wp_T, out=z_buf[:size * 2].reshape(runs, rows, 2))
+            z += np.matmul(Xc, Wc_T, out=context_z_buf[:size * 2].reshape(runs, rows, 2))
+            z += b
+            losses, gz = focal_loss_batch(z.reshape(size, 2), order_y[:, start:stop].ravel(),
                                           order_alpha[:, start:stop].ravel(), gamma)
             epoch_loss += losses.reshape(runs, rows).sum(axis=1)
             gz /= rows
             gz = gz.reshape(runs, rows, 2)
-            np.matmul(gz.transpose(0, 2, 1), Xb, out=gW)
+            np.matmul(gz.transpose(0, 2, 1), Xp, out=gWp)
+            np.matmul(gz.transpose(0, 2, 1), Xc, out=gWc)
             gz.sum(axis=1, out=gb)
 
+            # Adam: m and v in place, then params -= lr mhat / (sqrt(vhat) + eps)
             step += 1
-            m *= beta1; m += (1 - beta1) * grad
-            v *= beta2; v += (1 - beta2) * grad ** 2
-            mhat = m / (1 - beta1 ** step)
-            vhat = v / (1 - beta2 ** step)
-            params -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
+            m *= beta1; m += np.multiply(grad, 1 - beta1, out=update)
+            v *= beta2; v += np.multiply(np.square(grad, out=update), 1 - beta2, out=update)
+            np.divide(m, 1 - beta1 ** step, out=update)
+            np.divide(v, 1 - beta2 ** step, out=scale)
+            np.sqrt(scale, out=scale)
+            scale += eps
+            update *= cfg.learning_rate
+            update /= scale
+            params -= update
         history[:, epoch] = epoch_loss / n
         logger.debug("epoch %d: mean losses %s", epoch + 1, history[:, epoch])
 
     fits = []
     for r in range(runs):
         weights = np.zeros((2, 2, features.width))
-        weights[:, :, columns] = params[r, :, :dim].reshape(2, 2, -1)
+        weights[:, 0, features.post_columns] = params[r, :, :kp]
+        weights[:, 1, features.context_columns] = params[r, :, kp:k]
         fits.append(ModelParams(
-            weights=weights.reshape(2, features.dim), bias=params[r, :, dim].copy(),
+            weights=weights.reshape(2, features.dim), bias=params[r, :, k].copy(),
             gamma=gamma, alpha=(float(alpha[0]), float(alpha[1])), seed=cfg.seed + r,
             epochs=cfg.epochs, learning_rate=cfg.learning_rate,
             loss_history=history[r].tolist(),
@@ -393,8 +447,8 @@ def train(features: Features, y, cfg: TrainConfig, runs: int = 1) -> Fits:
 def predict(params: ModelParams, features: Features) -> np.ndarray:
     """Class indices of the feature rows from the logits X @ W.T + b over
     their dense matrix X (Features.rows), one full-width product; exact ties
-    go to NTA. Train sums its logits over the stored columns alone, so its
-    logits and these can differ in the last bits."""
+    go to NTA. Train sums its logits half by half over each half's stored
+    columns, so its logits and these can differ in the last bits."""
     z = features.rows() @ params.weights.T + params.bias
     return (z[:, 1] > z[:, 0]).astype(np.int64)
 

@@ -12,7 +12,7 @@ import math
 import random
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -107,13 +107,29 @@ class SamplerConfig:
         return "sentence" if self.strategy in SENTENCE_STRATEGIES else "comment"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ContextItem:
     source_comment_id: str
     text: str
     similarity: float | None  # None under random strategies
     unit: str  # "comment" | "sentence"
     sentence_index: int | None = None
+
+    def __init__(self, source_comment_id: str, text: str, similarity: float | None,
+                 unit: str, sentence_index: int | None = None):
+        # the generated frozen __init__ sets each field through
+        # object.__setattr__; the slots' own setters build an item in about
+        # half the time, and the frozen __setattr__ still refuses every
+        # later assignment
+        _set_source_comment_id(self, source_comment_id)
+        _set_text(self, text)
+        _set_similarity(self, similarity)
+        _set_unit(self, unit)
+        _set_sentence_index(self, sentence_index)
+
+
+(_set_source_comment_id, _set_text, _set_similarity, _set_unit,
+ _set_sentence_index) = (getattr(ContextItem, f.name).__set__ for f in fields(ContextItem))
 
 
 @dataclass

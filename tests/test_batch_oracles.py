@@ -15,8 +15,9 @@ once and memoises each pair's cosine scores across conditions;
 `dump_contexts` fills each context line into a template;
 `build_features` stores a partition's features once per distinct post and
 item sequence and sums each context mean from the items' stored entries;
-`train` gathers each batch from that block, on the columns some row
-stores, fits only those, and steps every fit of a call in lockstep;
+`train` gathers each batch from the post and context blocks, each on the
+columns some row of its half stores, fits only those, sums the logits
+half by half, and steps every fit of a call in lockstep;
 `predict` scores a partition's feature rows
 in one product. The character-wise trim, the per-comment
 extractor, the per-gram embedder, the dense row array, the scalar cosine,
@@ -27,8 +28,9 @@ the same embedding bits, the same rows and norms bit for bit, the same
 score bits, the same context ids in the same order with the same
 similarity floats, the same context file bytes, feature rows equal element
 for element, the same weights, bias and losses bit for bit (the dense
-trainer's logits summed over the same stored columns; over every column,
-the two differ in the last bits only), and the same class for every row.
+trainer's logits summed half by half over the same stored columns; as one
+product over every column, the two differ in the last bits only), and the
+same class for every row.
 """
 import hashlib
 import heapq
@@ -330,11 +332,13 @@ def oracle_focal_loss_batch(z, y, alpha_t, gamma):
 
 def oracle_dense_train(X, y, cfg, columns=None):
     """(weights, bias, loss history): mini-batch Adam over rows copied out of
-    a dense X, with separate W and b updates. The logits sum over the
-    half-row `columns` of each half, as train's do over the stored columns;
-    every column by default. The gradient and the updates stay full-width."""
+    a dense X, with separate W and b updates. Given `columns`, a pair of
+    half-row column sets, the logits are the post half's product over the
+    first set plus the context half's product over the second, then plus
+    the bias, in train's order; by default they are one product over every
+    column plus the bias. The gradient and the updates stay full-width."""
     n, dim = X.shape
-    cols = np.arange(dim) if columns is None else np.r_[columns, dim // 2 + columns]
+    halves = [np.arange(dim)] if columns is None else [columns[0], dim // 2 + columns[1]]
     # inverse class frequency unless the config sets the weights
     alpha = cfg.focal_alpha or len(y) / (2.0 * np.bincount(y, minlength=2))
     alpha_t = np.asarray(alpha, dtype=np.float64)[y]
@@ -352,7 +356,10 @@ def oracle_dense_train(X, y, cfg, columns=None):
             Xb, yb = X[idx], y[idx]
             # C-ordered copies of the columns: a fancy index along axis 1
             # is Fortran-ordered, which BLAS sums in another order
-            z = np.take(Xb, cols, axis=1) @ np.take(W, cols, axis=1).T + b
+            z = np.take(Xb, halves[0], axis=1) @ np.take(W, halves[0], axis=1).T
+            for cols in halves[1:]:
+                z += np.take(Xb, cols, axis=1) @ np.take(W, cols, axis=1).T
+            z += b
             losses, gz = oracle_focal_loss_batch(z, yb, alpha_t[idx], float(cfg.focal_gamma))
             epoch_loss += float(losses.sum())
             gz /= len(idx)
@@ -868,9 +875,11 @@ def test_feature_matrix_matches_per_pair_oracle(world, scales):
         sequences = {tuple((item.unit, item.text if item.unit == "sentence"
                             else item.source_comment_id) for item in ctx.items)
                      for ctx in contexts if ctx.items}
-        assert len(features.block) <= 1 + len({c.post_id for c in contexts}) + len(sequences)
+        assert len(features.posts) == len({c.post_id for c in contexts})
+        assert len(features.contexts) <= 1 + len(sequences)
     # one half-row per distinct post and per annotator's pool, not two per pair
-    assert len(build_features(partitions[1], embeddings).block) < len(pairs)
+    pooled = build_features(partitions[1], embeddings)
+    assert len(pooled.posts) + len(pooled.contexts) < len(pairs)
 
 
 def test_feature_mean_sums_each_column_in_item_order():
@@ -939,6 +948,11 @@ def train_partitions(world, embeddings, sentences):
     }
 
 
+def half_columns(features):
+    """The stored columns of each half, as oracle_dense_train takes them."""
+    return features.post_columns, features.context_columns
+
+
 def lockstep_fits(features, y, cfg, X, columns=None):
     """(runs, fit, oracle) for every fit of a runs = 1, 3 and 5 train call,
     where the oracle is the dense trainer's fit seeded cfg.seed + r for
@@ -963,7 +977,7 @@ def test_train_matches_dense_oracle(world, wide_matrices, cfg):
                 features = build_features(contexts[:n], embeddings, sentences)
                 X = oracle_dense_features(contexts[:n], embeddings, sentences)
                 for runs, params, (W, b, history) in lockstep_fits(
-                        features, y[:n], cfg, X, features.columns):
+                        features, y[:n], cfg, X, half_columns(features)):
                     assert np.array_equal(params.weights, W), (name, n, runs)
                     assert np.array_equal(params.bias, b), (name, n, runs)
                     assert params.loss_history == history, (name, n, runs)
@@ -973,14 +987,19 @@ def test_train_matches_dense_oracle(world, wide_matrices, cfg):
 
 @pytest.mark.parametrize("cfg", TRAIN_CONFIGS.values(), ids=TRAIN_CONFIGS.keys())
 def test_train_on_every_column_matches_full_width_oracle(world, cfg):
-    # dense random rows store every column, so train's logits sum over the
-    # whole width, as the full-width oracle's do
+    # dense random rows store every column, so train's logits sum each
+    # half's product over the whole half, as the oracle's do over every
+    # column of each half
     embeddings, sentences = randomized(world[1], 1), randomized(world[2], 2)
     y, partitions = train_partitions(world, embeddings, sentences)
+    every = np.arange(embeddings.dim)
     for name, contexts in partitions.items():
         features = build_features(contexts, embeddings, sentences)
-        assert features.columns.tolist() == list(range(embeddings.dim)), name
-        for runs, params, (W, b, history) in lockstep_fits(features, y, cfg, features.rows()):
+        assert features.post_columns.tolist() == every.tolist(), name
+        if name != "empty":
+            assert features.context_columns.tolist() == every.tolist(), name
+        for runs, params, (W, b, history) in lockstep_fits(
+                features, y, cfg, features.rows(), half_columns(features)):
             assert same_bits(params.weights, W), (name, runs)
             assert same_bits(params.bias, b), (name, runs)
             assert params.loss_history == history, (name, runs)
@@ -1006,7 +1025,8 @@ def test_train_on_stored_columns_stays_near_full_width_oracle(world, wide_matric
     y, partitions = train_partitions(world, *wide_matrices)
     for name, contexts in partitions.items():
         features = build_features(contexts, *wide_matrices)
-        assert len(features.columns) < features.width, name
+        assert len(features.post_columns) < features.width, name
+        assert len(features.context_columns) < features.width, name
         W, b, _ = oracle_dense_train(features.rows(), y, cfg)
         params, = train(features, y, cfg).params
         assert np.abs(params.weights - W).max() <= 1e-12 * np.abs(W).max(), name
@@ -1020,13 +1040,33 @@ def test_train_leaves_unstored_columns_exactly_zero(world, wide_matrices):
     for name, contexts in partitions.items():
         features = build_features(contexts, *wide_matrices)
         params, = train(features, y, TrainConfig(epochs=3, learning_rate=0.05, seed=1)).params
-        unstored = np.ones(features.width, dtype=bool)
-        unstored[features.columns] = False
-        assert unstored.any(), name
-        # +0.0, not -0.0
         halves = params.weights.reshape(2, 2, features.width)
-        assert not halves[:, :, unstored].view(np.int64).any(), name
-        assert halves[:, :, features.columns].any(), name
+        for half, columns in enumerate(half_columns(features)):
+            unstored = np.ones(features.width, dtype=bool)
+            unstored[columns] = False
+            assert unstored.any(), (name, half)
+            # +0.0, not -0.0
+            assert not halves[:, half, unstored].view(np.int64).any(), (name, half)
+            assert halves[:, half, columns].any() == bool(len(columns)), (name, half)
+        # the post half stores columns, and only the empty contexts none
+        assert len(features.post_columns), name
+        assert (len(features.context_columns) == 0) == (name == "empty"), name
+
+
+def test_train_on_empty_contexts_fits_zero_context_weights(world, wide_matrices):
+    # no_comments: every context is empty, so the context half stores no
+    # column and trains no weight, and its weights are all +0.0
+    corpus, _, _, _, pairs = world
+    embeddings = wide_matrices[0]
+    y = encode_labels([v.label for v in corpus.verdicts] + ["NTA"])
+    features = build_features([ContextSet(a, p, []) for a, p in pairs], embeddings)
+    assert features.contexts.shape == (1, 0) and features.context_columns.size == 0
+    assert not features.index[:, 1].any()
+    for params in train(features, y, TrainConfig(epochs=3, learning_rate=0.05, seed=1),
+                        3).params:
+        halves = params.weights.reshape(2, 2, features.width)
+        assert not halves[:, 1].view(np.int64).any()
+        assert halves[:, 0, features.post_columns].all()
 
 
 def test_train_without_stored_columns_fits_zero_weights(world):
@@ -1037,9 +1077,10 @@ def test_train_without_stored_columns_fits_zero_weights(world):
     cfg = TrainConfig(epochs=2, learning_rate=0.05, batch_size=7, seed=1)
     for contexts in (full_pool_context(pairs, corpus), [ContextSet(a, p, []) for a, p in pairs]):
         features = build_features(contexts, zero)
-        assert features.block.shape[1] == 0 and features.width == zero.dim
+        assert features.posts.shape[1] == features.contexts.shape[1] == 0
+        assert features.width == zero.dim
         for runs, params, (W, b, history) in lockstep_fits(
-                features, y, cfg, features.rows(), features.columns):
+                features, y, cfg, features.rows(), half_columns(features)):
             assert params.weights.shape == (2, 2 * zero.dim)
             assert not params.weights.view(np.int64).any()
             assert same_bits(params.weights, W) and same_bits(params.bias, b)

@@ -134,11 +134,13 @@ def test_focal_batch_kernel_matches_scalar_oracle(gamma):
 # training
 
 def factored(X):
-    """Features whose rows are the rows of X: each row's two halves become
-    two rows of the block."""
+    """Features whose rows are the rows of X: row i's post half is row i of
+    the post block, and its context half row i of the context block."""
     X = np.asarray(X, dtype=np.float64)
     n, dim = X.shape
-    return Features(X.reshape(2 * n, dim // 2), np.arange(2 * n).reshape(n, 2))
+    rows = np.arange(n)
+    return Features(X[:, :dim // 2].copy(), X[:, dim // 2:].copy(),
+                    np.stack([rows, rows], axis=1))
 
 
 def separable_dataset(n=40, seed=0, spread=0.2):
@@ -215,6 +217,29 @@ def test_train_fits_own_their_arrays():
     arrays = [a for params in fits.params for a in (params.weights, params.bias)]
     assert all(a.base is None or a.base.size == a.size for a in arrays)
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
+
+
+@pytest.mark.parametrize("key, value", [("epochs", 2.5), ("epochs", 24.0), ("epochs", True),
+                                        ("epochs", "3"), ("batch_size", 4.0),
+                                        ("batch_size", False), ("batch_size", np.float64(8)),
+                                        ("seed", 2.5), ("seed", True), ("seed", None)])
+def test_train_config_needs_integer_epochs_batch_size_and_seed(key, value):
+    # refused at construction, not later inside train
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        TrainConfig(**{key: value})
+    with pytest.raises(ValueError, match=f"{key} must be >= "):
+        TrainConfig(**{key: -1})
+
+
+def test_train_config_takes_numpy_integers_as_ints(tmp_path):
+    cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), learning_rate=0.05,
+                      seed=np.uint8(3))
+    assert [type(v) for v in (cfg.epochs, cfg.batch_size, cfg.seed)] == [int] * 3
+    params = trained_with_embedder(10, cfg)
+    assert params.epochs == 2 and len(params.loss_history) == 2 and params.seed == 3
+    # the model header is JSON, which takes no numpy integer
+    save_model(params, tmp_path / "model.txt")
+    assert load_model(tmp_path / "model.txt").seed == 3
 
 
 @pytest.mark.parametrize("runs", [0, -1, 2.0, 2.5, True, "2", None])
@@ -517,15 +542,35 @@ def unit(v):
 def test_build_features_empty_context_zero_block():
     matrix = EmbeddingMatrix.from_dense(["p"], np.array([unit([1.0, 2.0, 2.0])]))
     features = build_features([ContextSet("a", "p", [])], matrix)
-    assert features.index.tolist() == [[1, 0]]
+    assert features.index.tolist() == [[0, 0]]
     X = features.rows()
     assert X.dtype == np.float64 and X.shape == (1, 6)
     assert np.array_equal(X[0], np.concatenate([matrix.row("p"), np.zeros(3)]))
-    assert features.columns.tolist() == [0, 1, 2] and features.width == 3
-    # no row stores a column: the block keeps the zero half, on no columns
+    assert features.post_columns.tolist() == [0, 1, 2] and features.width == 3
+    # the context half stores no column: its block is the zero half alone
+    assert features.contexts.shape == (1, 0) and features.context_columns.size == 0
+    # no row stores a column: no post row, and the zero context half
     empty = build_features([], matrix)
     assert len(empty) == 0 and empty.rows().shape == (0, 6)
-    assert empty.block.shape == (1, 0) and empty.columns.size == 0 and empty.width == 3
+    assert empty.posts.shape == (0, 0) and empty.contexts.shape == (1, 0)
+    assert empty.post_columns.size == empty.context_columns.size == 0 and empty.width == 3
+
+
+def test_build_features_stores_each_half_on_its_own_columns():
+    # the post stores columns 0 and 1, the context items 1 and 3
+    matrix = EmbeddingMatrix.from_dense(
+        ["p", "c1", "c2"], np.array([[2.0, 1.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0],
+                                     [0.0, 0.0, 0.0, -1.0]]))
+    items = [ContextItem(cid, cid, None, "comment") for cid in ("c1", "c2")]
+    contexts = [ContextSet("a", "p", items), ContextSet("b", "p", [])]
+    features = build_features(contexts, matrix)
+    assert features.post_columns.tolist() == [0, 1]
+    assert features.context_columns.tolist() == [1, 3]
+    assert features.posts.tolist() == [[2.0, 1.0]]
+    assert features.contexts.tolist() == [[0.0, 0.0], [1.5, -0.5]]
+    assert features.index.tolist() == [[0, 1], [0, 0]]
+    assert features.rows().tolist() == [[2, 1, 0, 0, 0, 1.5, 0, -0.5],
+                                        [2, 1, 0, 0, 0, 0, 0, 0]]
 
 
 def test_build_features_renormalizes_unit_mean():
@@ -581,48 +626,62 @@ def test_build_features_error_paths():
         build_features([ContextSet("a", "p9", [])], matrix)
 
 
-BLOCK, INDEX = np.zeros((3, 2)), np.array([[1, 0], [2, 2]])
+POSTS, CONTEXTS, INDEX = np.zeros((3, 2)), np.zeros((3, 2)), np.array([[1, 0], [2, 2]])
 
 
 def test_features_accept_any_integer_index():
-    assert len(Features(BLOCK, INDEX)) == 2
-    assert len(Features(BLOCK, INDEX.astype(np.int32))) == 2
-    assert len(Features(np.zeros((0, 2)), np.zeros((0, 2), dtype=np.int64))) == 0
+    assert len(Features(POSTS, CONTEXTS, INDEX)) == 2
+    assert len(Features(POSTS, CONTEXTS, INDEX.astype(np.int32))) == 2
+    assert len(Features(np.zeros((0, 2)), np.zeros((0, 2)),
+                        np.zeros((0, 2), dtype=np.int64))) == 0
 
 
 def test_features_block_must_be_2d_float64():
     for bad in (np.zeros(6), np.zeros((3, 2, 1)), np.zeros((3, 2), dtype=np.float32),
                 [[0.0, 0.0]] * 3):
-        with pytest.raises(ValueError, match="block"):
-            Features(bad, INDEX)
+        with pytest.raises(ValueError, match="post block"):
+            Features(bad, CONTEXTS, INDEX)
+        with pytest.raises(ValueError, match="context block"):
+            Features(POSTS, bad, INDEX)
 
 
 def test_features_index_must_be_n_by_2_integers():
     for bad in (np.array([1, 0]), np.zeros((2, 3), dtype=np.int64),
                 INDEX.astype(np.float64), INDEX.tolist()):
         with pytest.raises(ValueError, match="index"):
-            Features(BLOCK, bad)
+            Features(POSTS, CONTEXTS, bad)
 
 
 def test_features_index_entries_must_address_the_block():
     # train gathers with a clipping take, which would clamp a bad entry
-    # silently
+    # silently; each index column addresses its own block
     for bad in (-1, 3):
-        with pytest.raises(ValueError, match=r"\[0, 3\)"):
-            Features(BLOCK, np.array([[1, 0], [2, bad]]))
+        with pytest.raises(ValueError, match=r"index\[:, 0\].*\[0, 3\).*post"):
+            Features(POSTS, CONTEXTS, np.array([[1, 0], [bad, 2]]))
+        with pytest.raises(ValueError, match=r"index\[:, 1\].*\[0, 3\).*context"):
+            Features(POSTS, CONTEXTS, np.array([[1, 0], [2, bad]]))
+    # an entry of the post block's rows beyond the context block's
+    with pytest.raises(ValueError, match=r"index\[:, 1\].*\[0, 2\)"):
+        Features(POSTS, np.zeros((2, 2)), INDEX)
     with pytest.raises(ValueError, match=r"\[0, 0\)"):
-        Features(np.zeros((0, 2)), np.array([[0, 0]]))
+        Features(np.zeros((0, 2)), CONTEXTS, np.array([[0, 0]]))
 
 
 def test_features_store_columns_of_a_wider_half():
-    features = Features(BLOCK, INDEX)
-    assert features.columns.tolist() == [0, 1] and features.width == 2 and features.dim == 4
-    # the block's columns scatter to their positions in zero halves
-    block = np.array([[0.0, 0.0], [1.0, -2.0]])
-    sparse = Features(block, np.array([[1, 0], [0, 1]]), np.array([1, 3]), 5)
+    features = Features(POSTS, CONTEXTS, INDEX)
+    assert features.post_columns.tolist() == features.context_columns.tolist() == [0, 1]
+    assert features.width == 2 and features.dim == 4
+    # each block's columns scatter to their positions in its zero half
+    posts, contexts = np.array([[1.0, -2.0]]), np.array([[0.0], [3.0]])
+    sparse = Features(posts, contexts, np.array([[0, 0], [0, 1]]),
+                      np.array([1, 3]), np.array([4]), 5)
     assert sparse.dim == 10
-    assert sparse.rows().tolist() == [[0, 1, 0, -2, 0] + [0] * 5, [0] * 5 + [0, 1, 0, -2, 0]]
-    assert Features(block, np.array([[1, 0]]), np.array([0, 1], dtype=np.int32)).width == 2
+    assert sparse.rows().tolist() == [[0, 1, 0, -2, 0] + [0] * 5,
+                                      [0, 1, 0, -2, 0] + [0, 0, 0, 0, 3]]
+    # the default width is the wider block's
+    assert Features(posts, np.zeros((1, 0)), np.array([[0, 0]]),
+                    np.array([0, 1], dtype=np.int32)).width == 2
+    assert Features(np.zeros((1, 0)), np.zeros((1, 3)), np.array([[0, 0]])).width == 3
 
 
 def test_features_columns_must_ascend_within_the_width():
@@ -630,11 +689,14 @@ def test_features_columns_must_ascend_within_the_width():
     for bad in (np.array([1, 0]), np.array([1, 1]), np.array([-1, 1]), np.array([1, 4]),
                 np.array([0, 1, 2]), np.array([0]), np.array([[0, 1]]), np.array([0.0, 1.0]),
                 [0, 1]):
-        with pytest.raises(ValueError, match="columns"):
-            Features(BLOCK, INDEX, bad, 4)
+        for attr in ("post_columns", "context_columns"):
+            with pytest.raises(ValueError, match=attr):
+                Features(POSTS, CONTEXTS, INDEX, **{attr: bad}, width=4)
     for bad in (-1, 2.0, "4"):
         with pytest.raises(ValueError, match="width"):
-            Features(BLOCK, INDEX, np.array([0, 1]), bad)
-    # columns beyond the default width, which is the block's
-    with pytest.raises(ValueError, match=r"\[0, 2\)"):
-        Features(BLOCK, INDEX, np.array([0, 2]))
+            Features(POSTS, CONTEXTS, INDEX, np.array([0, 1]), np.array([0, 1]), bad)
+    # columns beyond the default width, which is the wider block's
+    with pytest.raises(ValueError, match=r"post_columns.*\[0, 2\)"):
+        Features(POSTS, CONTEXTS, INDEX, np.array([0, 2]))
+    with pytest.raises(ValueError, match=r"context_columns.*\[0, 2\)"):
+        Features(POSTS, CONTEXTS, INDEX, context_columns=np.array([0, 2]))

@@ -467,3 +467,33 @@ def test_non_ascii_ids_round_trip(tmp_path):
     spec = make_split(corpus, "verdict", seed=0)
     save_split(spec, tmp_path / "split.jsonl")
     assert load_split(tmp_path / "split.jsonl") == spec
+
+
+def test_context_item_behaves_as_a_frozen_record():
+    import dataclasses
+    import pickle
+
+    item = ContextItem("c1", "text", 0.5, "sentence", 2)
+    fields = ("c1", "text", 0.5, "sentence", 2)
+    # positional and keyword construction, and the sentence_index default
+    assert item == ContextItem(source_comment_id="c1", text="text", similarity=0.5,
+                               unit="sentence", sentence_index=2)
+    assert ContextItem("c1", "text", None, "comment").sentence_index is None
+    assert [f.name for f in dataclasses.fields(ContextItem)] == [
+        "source_comment_id", "text", "similarity", "unit", "sentence_index"]
+    assert repr(item) == ("ContextItem(source_comment_id='c1', text='text', similarity=0.5, "
+                          "unit='sentence', sentence_index=2)")
+    with pytest.raises(TypeError):
+        ContextItem("c1", "text", 0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        item.text = "other"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del item.similarity
+    assert hash(item) == hash(fields)
+    assert dataclasses.replace(item, similarity=0.25).similarity == 0.25
+    assert pickle.loads(pickle.dumps(item)) == item
+    # equal only to another ContextItem of equal fields, in both operand orders
+    assert item != ContextItem("c1", "text", 0.5, "sentence", 3)
+    assert item != fields and fields != item
+    assert not item == fields and not fields == item
+    assert len({item, ContextItem(*fields), fields}) == 2
