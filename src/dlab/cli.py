@@ -1,5 +1,10 @@
 """Command-line surface: one subcommand per module boundary plus `run`.
 
+Every command but `report` and `analyze significance` takes a `dlab run`
+config (--config), reads every setting from it and sets up through the
+library functions `dlab run` calls. Every command categorises with the
+packaged, checksum-verified pattern set, the one every run uses.
+
 Exit codes: 0 success, 1 usage error (bad flags, missing inputs, an output
 that cannot be written), 2 data error (malformed files), 3 invariant
 violation (e.g. a leaky split).
@@ -13,14 +18,13 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .cluster import ClusterModelError, save_cluster_model, silhouette, write_inspection_file
+from .cluster import silhouette, write_inspection_file
 from .corpus import (
     PARTITIONS,
     Corpus,
     CorpusError,
     json_numbers,
     load_split,
-    read_comments,
     save_split,
     write_corpus,
     write_json,
@@ -28,11 +32,10 @@ from .corpus import (
     write_tsv,
 )
 from .disclosure import (
+    HighLevelCategory,
     PatternError,
-    PatternSet,
     audit_sample,
     comment_profile,
-    default_patterns,
     extract_corpus,
     ngram_stats,
     span_record,
@@ -68,11 +71,12 @@ from .pipeline import (
     setup_split,
 )
 from .sampler import category_coverage, dump_contexts, similar_post_diversity
+from .seeds import derive_seed
 from .synthgen import SynthesisError, generate_population, write_population
 
 _DATA_ERRORS = (
-    CorpusError, EmbxError, PatternError, ModelFileError, ClusterModelError,
-    ConfigError, SynthesisError, json.JSONDecodeError, UnicodeDecodeError,
+    CorpusError, EmbxError, PatternError, ModelFileError, ConfigError, SynthesisError,
+    json.JSONDecodeError, UnicodeDecodeError,
 )
 
 
@@ -139,18 +143,6 @@ def _condition(cfg: ExperimentConfig, name: str) -> Condition:
     return conditions[name]
 
 
-def _load_comments(comments_path) -> Corpus:
-    _require_files(comments_path)
-    return Corpus(posts={}, comments=read_comments(comments_path), verdicts=[])
-
-
-def _patterns(args) -> PatternSet:
-    if args.patterns:
-        _require_files(args.patterns)
-        return PatternSet.load(args.patterns)
-    return default_patterns()
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -167,8 +159,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    corpus = _load_comments(args.comments)
-    spans = extract_corpus(corpus, _patterns(args))
+    corpus = setup_corpus(_config(args.config))[0]
+    spans = extract_corpus(corpus)
     write_jsonl(args.spans_out, ({
         "comment_id": span.comment_id,
         "sentence_index": span.sentence_index,
@@ -192,7 +184,8 @@ def _cmd_cluster(args) -> int:
                           "[cluster] enabled = true")
     corpus = setup_corpus(cfg)[0]
     _, (model, reduced) = setup_profiles(cfg, corpus)
-    save_cluster_model(model, args.model_out)
+    write_jsonl(args.out, ({"comment_id": cid, "cluster": model.assignment[cid]}
+                           for cid in sorted(model.assignment)))
     if args.inspect_out:
         texts = {cid: corpus.comments[cid].text for cid in reduced.ids}
         write_inspection_file(model, reduced, texts, args.inspect_n, cfg.seed, args.inspect_out)
@@ -327,8 +320,7 @@ def _cmd_diversity(args) -> int:
 
 
 def _cmd_ngrams(args) -> int:
-    corpus = _load_comments(args.comments)
-    rows = ngram_stats(corpus, args.n, args.position)
+    rows = ngram_stats(setup_corpus(_config(args.config))[0], args.n, args.position)
     kept = rows[:args.top] if args.top else rows
     write_tsv(args.out, [["ngram", "count"], *([gram, str(count)] for gram, count in kept)])
     print(f"ngrams={len(rows)}")
@@ -336,8 +328,9 @@ def _cmd_ngrams(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    corpus = _load_comments(args.comments)
-    records = audit_sample(corpus, args.category, args.n, args.seed, _patterns(args))
+    cfg = _config(args.config)
+    records = audit_sample(setup_corpus(cfg)[0], args.category, args.n,
+                           derive_seed(cfg.seed, "audit"))
     write_audit_file(records, args.out)
     print(f"sampled={len(records)}")
     return 0
@@ -420,20 +413,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("extract", help="extract disclosure spans and profiles")
-    p.add_argument("--comments", required=True)
-    p.add_argument("--patterns")
-    p.add_argument("--spans-out", required=True)
-    p.add_argument("--profiles-out")
-    p.set_defaults(func=_cmd_extract)
-
     # the stage commands read every setting from a `dlab run` config
+    p = _stage(sub, "extract", _cmd_extract, "write a run's disclosure spans and profiles",
+               "--spans-out")
+    p.add_argument("--profiles-out")
     _stage(sub, "synth", _cmd_synth, "write a run's synthetic population", "--out")
     _stage(sub, "ingest", _cmd_ingest, "write a run's corpus after the annotator filter",
            "--out")
     _stage(sub, "embed", _cmd_embed, "embed a run's corpus into an EMBX file", "--out")
     p = _stage(sub, "cluster", _cmd_cluster, "fit a run's clusters of phrase-filtered comments",
-               "--model-out")
+               "--out")
     p.add_argument("--inspect-out")
     p.add_argument("--inspect-n", type=non_negative_int, default=5)
     _stage(sub, "split", _cmd_split, "make and verify a run's train/val/test split", "--out")
@@ -453,22 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
     _stage(asub, "diversity", _cmd_diversity, "how much of each pool a run's contexts draw",
            "--contexts", "--out")
 
-    pa = asub.add_parser("ngrams")
-    pa.add_argument("--comments", required=True)
+    pa = _stage(asub, "ngrams", _cmd_ngrams, "n-gram counts around a run's disclosure phrases",
+                "--out")
     pa.add_argument("--n", type=int, choices=(1, 2, 3), required=True)
     pa.add_argument("--position", choices=("before", "after"), required=True)
     pa.add_argument("--top", type=non_negative_int, default=0)
-    pa.add_argument("--out", required=True)
-    pa.set_defaults(func=_cmd_ngrams)
-
-    pa = asub.add_parser("audit")
-    pa.add_argument("--comments", required=True)
-    pa.add_argument("--patterns")
-    pa.add_argument("--category", required=True)
+    pa = _stage(asub, "audit", _cmd_audit, "sample a run's comments of one category for review",
+                "--out")
+    pa.add_argument("--category", choices=[c.value for c in HighLevelCategory], required=True)
     pa.add_argument("--n", type=non_negative_int, default=20)
-    pa.add_argument("--seed", type=int, default=0)
-    pa.add_argument("--out", required=True)
-    pa.set_defaults(func=_cmd_audit)
 
     pa = asub.add_parser("significance")
     pa.add_argument("--report-a", required=True)

@@ -8,7 +8,6 @@ approximate.
 """
 from __future__ import annotations
 
-import json
 import random
 import warnings
 from dataclasses import dataclass, field
@@ -18,8 +17,8 @@ import numpy as np
 # rest of the program, rather than inside the first k-means call
 import numpy.random  # noqa: F401
 
-from .corpus import json_int, json_number, write_jsonl
-from .embed import EmbeddingMatrix, read_checksummed_container, write_checksummed_container
+from .corpus import write_jsonl
+from .embed import EmbeddingMatrix
 
 _CONVERGENCE_TOL = 1e-4
 _MAX_ITERS = 300
@@ -27,10 +26,6 @@ _SVD_OVERSAMPLE = 10
 _SVD_POWER_ITERS = 2
 # largest (rows, n, dim) float64 difference block silhouette builds at once
 BLOCK_BYTES = 32 * 2**20
-
-
-class ClusterModelError(ValueError):
-    """Bad cluster-model file."""
 
 
 def truncated_svd(matrix: EmbeddingMatrix, target_dim: int, seed: int = 0,
@@ -100,13 +95,6 @@ class ClusterModel:
 
     def members(self, cluster: int) -> list[str]:
         return sorted(cid for cid, c in self.assignment.items() if c == cluster)
-
-    def check_invariants(self) -> None:
-        if self.centroids.shape[0] != self.k:
-            raise ValueError("centroid count != k")
-        for cid, c in self.assignment.items():
-            if not (0 <= c < self.k):
-                raise ValueError(f"comment {cid!r} assigned to invalid cluster {c}")
 
 
 def kmeans_plus_plus_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -262,43 +250,7 @@ def nearest_to_centroid(model: ClusterModel, matrix: EmbeddingMatrix,
 
 
 # ---------------------------------------------------------------------------
-# serialization and inspection
-
-# each header key of a cluster-model file but dim, with the converter
-# load_cluster_model reads it with
-_CLUSTER_HEADER = {"k": json_int, "seed": json_int, "inertia": json_number}
-
-
-def save_cluster_model(model: ClusterModel, path) -> None:
-    """Single-file container: JSON header, base64 float32 centroid payload
-    (little-endian row-major), assignment JSONL, and a trailing checksum."""
-    header = {key: getattr(model, key) for key in _CLUSTER_HEADER}
-    header["dim"] = int(model.centroids.shape[1])
-    write_checksummed_container(
-        path, header, [np.asarray(model.centroids, dtype="<f4")],
-        [json.dumps({"comment_id": cid, "cluster": model.assignment[cid]})
-         for cid in sorted(model.assignment)])
-
-
-def load_cluster_model(path) -> ClusterModel:
-    header, (centroids,), lines = read_checksummed_container(
-        path, ClusterModelError, {"dim": json_int, **_CLUSTER_HEADER},
-        lambda h: [("<f4", (h["k"], h["dim"]))])
-    assignment: dict[str, int] = {}
-    for line in lines:
-        try:
-            rec = json.loads(line)
-            assignment[str(rec["comment_id"])] = json_int(rec["cluster"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ClusterModelError(f"{path}: malformed assignment line ({exc})")
-    model = ClusterModel(centroids=centroids.astype(np.float64), assignment=assignment,
-                         **{key: header[key] for key in _CLUSTER_HEADER})
-    try:
-        model.check_invariants()
-    except ValueError as exc:
-        raise ClusterModelError(f"{path}: {exc}")
-    return model
-
+# inspection
 
 def write_inspection_file(model: ClusterModel, matrix: EmbeddingMatrix,
                           texts: dict[str, str], n: int, seed: int, path) -> None:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 
 from .corpus import Comment, Corpus, segment_sentences, write_jsonl
 from .embed import TOKEN_RE, text_checksum
@@ -127,10 +126,6 @@ class PatternSet:
                 raise PatternError(f"section [{cat.value}] has invalid regex: {exc}")
         return cls(raw=raw, compiled=compiled, checksum=actual)
 
-    @classmethod
-    def load(cls, path) -> "PatternSet":
-        return cls.loads(Path(path).read_text(encoding="utf-8"))
-
     @staticmethod
     def dumps(raw: dict[LowLevelCategory, str]) -> str:
         lines = []
@@ -144,9 +139,6 @@ class PatternSet:
             f"{_CHECKSUM_MARKER} {text_checksum(body)}\n"
         )
         return header + body
-
-    def dump(self, path) -> None:
-        Path(path).write_text(self.dumps(self.raw), encoding="utf-8")
 
 
 @lru_cache(maxsize=1)
@@ -298,7 +290,7 @@ def _as_high_level(group: HighLevelCategory | str) -> HighLevelCategory:
 
 
 def audit_sample(corpus: Corpus, group: HighLevelCategory | str, n: int,
-                 seed: int, patterns: PatternSet | None = None) -> list[AuditRecord]:
+                 seed: int) -> list[AuditRecord]:
     """Uniformly sample (without replacement) comments carrying a category.
 
     Deterministic for a fixed seed. Asking for more than exist returns all
@@ -307,7 +299,7 @@ def audit_sample(corpus: Corpus, group: HighLevelCategory | str, n: int,
     if n < 0:
         raise ValueError("sample size must be non-negative")
     group = _as_high_level(group)
-    spans = extract_corpus(corpus, patterns)
+    spans = extract_corpus(corpus)
     candidates = [cid for cid, found in spans.items()
                   if any(s.high_level is group for s in found)]
     if not candidates:

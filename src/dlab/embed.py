@@ -352,23 +352,23 @@ def read_checksummed_text(path, error: type[Exception]) -> list[str]:
     return lines[:-1]
 
 
-def write_checksummed_container(path, header: dict, payloads, lines=()) -> None:
-    """Write, by write_checksummed_text, the JSON header (sorted keys), one
-    base64 line of each payload array's row-major bytes, then `lines`."""
+def write_checksummed_container(path, header: dict, payloads) -> None:
+    """Write, by write_checksummed_text, the JSON header (sorted keys) and
+    one base64 line of each payload array's row-major bytes."""
     body = [json.dumps(header, sort_keys=True)]
     body += [base64.b64encode(np.asarray(a).tobytes()).decode("ascii") for a in payloads]
-    body += lines
     write_checksummed_text(path, "\n".join(body) + "\n")
 
 
 def read_checksummed_container(path, error: type[Exception], fields: dict, payloads):
-    """The header, payload arrays and remaining body lines of a file written
-    by write_checksummed_container.
+    """The header and payload arrays of a file written by
+    write_checksummed_container.
 
     `fields` maps each key the header must hold to its converter.
     `payloads(header)` gives the (dtype, shape) of each payload from the
-    converted header. A missing or unconvertible key, or a payload that is
-    missing or of another size, raises `error` naming the file.
+    converted header. A missing or unconvertible key, a payload that is
+    missing or of another size, or a line beyond the payloads raises `error`
+    naming the file.
     """
     lines = read_checksummed_text(path, error)
     try:
@@ -377,7 +377,7 @@ def read_checksummed_container(path, error: type[Exception], fields: dict, paylo
     except (KeyError, TypeError, ValueError) as exc:
         raise error(f"{path}: malformed header ({type(exc).__name__}: {exc})")
     layout = payloads(header)
-    if len(lines) < 1 + len(layout):
+    if len(lines) != 1 + len(layout):
         raise error(f"{path}: malformed file, {len(layout)} payload lines expected")
     arrays = []
     for line, (dtype, shape) in zip(lines[1:], layout):
@@ -389,7 +389,7 @@ def read_checksummed_container(path, error: type[Exception], fields: dict, paylo
         if len(data) != size:
             raise error(f"{path}: payload of {len(data)} bytes, header gives {size}")
         arrays.append(np.frombuffer(data, dtype=dtype).reshape(shape))
-    return header, arrays, lines[1 + len(layout):]
+    return header, arrays
 
 
 def cosine_scores(queries: np.ndarray, matrix: EmbeddingMatrix, rows) -> np.ndarray:

@@ -275,15 +275,22 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= {low}")
             # a numpy integer would reach the model file's JSON header
             object.__setattr__(self, name, int(value))
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if not (math.isfinite(self.focal_gamma) and self.focal_gamma >= 0):
-            raise ValueError(f"focal_gamma must be finite and >= 0, got {self.focal_gamma}")
-        if self.focal_alpha is not None and not (
-                len(self.focal_alpha) == 2
-                and all(math.isfinite(a) and a > 0 for a in self.focal_alpha)):
-            raise ValueError(
-                f"focal_alpha must be two finite positive weights, got {self.focal_alpha}")
+        for name in ("learning_rate", "focal_gamma"):
+            value = getattr(self, name)
+            if not (_is_real(value) and math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        alpha = self.focal_alpha
+        if alpha is not None:
+            if not (isinstance(alpha, (tuple, list)) and len(alpha) == 2 and all(
+                    _is_real(a) and math.isfinite(a) and a > 0 for a in alpha)):
+                raise ValueError(f"focal_alpha must be two finite positive weights, got {alpha!r}")
+            object.__setattr__(self, "focal_alpha", tuple(float(a) for a in alpha))
+
+
+def _is_real(value) -> bool:
+    """True for an int or float, numpy's included, and False for a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
 
 
 @dataclass
@@ -651,12 +658,10 @@ def save_model(params: ModelParams, path) -> None:
 def load_model(path) -> ModelParams:
     """The params save_model wrote; a malformed file, or a feature_dim not
     twice the embedder's dim, is a ModelFileError naming the file."""
-    header, (weights, bias), rest = read_checksummed_container(
+    header, (weights, bias) = read_checksummed_container(
         path, ModelFileError,
         {"feature_dim": json_int, "embedder": _embedder_config, **_MODEL_HEADER},
         lambda h: [("<f8", (2, h["feature_dim"])), ("<f8", (2,))])
-    if rest:
-        raise ModelFileError(f"{path}: malformed model file")
     if header["feature_dim"] != 2 * header["embedder"].dim:
         raise ModelFileError(f"{path}: model has feature_dim {header['feature_dim']}, "
                              f"not twice its embedder dim {header['embedder'].dim}")

@@ -1,6 +1,5 @@
 import json
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -9,17 +8,14 @@ from conftest import dense
 
 from dlab.cluster import (
     ClusterModel,
-    ClusterModelError,
     kmeans,
     kmeans_plus_plus_init,
-    load_cluster_model,
     nearest_to_centroid,
-    save_cluster_model,
     silhouette,
     truncated_svd,
     write_inspection_file,
 )
-from dlab.embed import EmbeddingMatrix, write_checksummed_text
+from dlab.embed import EmbeddingMatrix
 
 
 def random_matrix(n, d, seed):
@@ -262,68 +258,6 @@ def test_silhouette_requires_two_clusters():
     model = kmeans(m, 1, seed=0)
     with pytest.raises(ValueError, match="two clusters"):
         silhouette(m, model)
-
-
-# ---------------------------------------------------------------------------
-# model file
-
-def test_cluster_model_roundtrip(tmp_path):
-    m = random_matrix(18, 3, seed=21)
-    model = kmeans(m, 3, seed=4)
-    path = tmp_path / "clusters.model"
-    save_cluster_model(model, path)
-    back = load_cluster_model(path)
-    assert back.k == 3 and back.seed == 4
-    assert back.assignment == model.assignment
-    assert back.inertia == pytest.approx(model.inertia)
-    # centroids pass through a float32 payload
-    want = model.centroids.astype("<f4").astype(np.float64)
-    assert np.array_equal(back.centroids, want)
-    save_cluster_model(back, tmp_path / "again.model")
-    assert (tmp_path / "again.model").read_bytes() == path.read_bytes()
-
-
-def test_cluster_model_tamper_detected(tmp_path):
-    model = kmeans(random_matrix(10, 2, seed=1), 2, seed=0)
-    path = tmp_path / "clusters.model"
-    save_cluster_model(model, path)
-    text = path.read_text()
-    path.write_text(text.replace('"cluster": 0', '"cluster": 1', 1))
-    with pytest.raises(ClusterModelError, match="checksum"):
-        load_cluster_model(path)
-
-
-def test_cluster_model_missing_checksum(tmp_path):
-    model = kmeans(random_matrix(10, 2, seed=1), 2, seed=0)
-    path = tmp_path / "clusters.model"
-    save_cluster_model(model, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(ClusterModelError, match="checksum"):
-        load_cluster_model(path)
-
-
-def test_cluster_model_invalid_assignment_caught(tmp_path):
-    model = kmeans(random_matrix(10, 2, seed=1), 2, seed=0)
-    model.assignment["r000"] = 99  # out of range for k=2
-    path = tmp_path / "clusters.model"
-    save_cluster_model(model, path)
-    with pytest.raises(ValueError, match="invalid cluster"):
-        load_cluster_model(path)
-
-
-@pytest.mark.parametrize("body,message", [
-    ('{"k": 2}\n', "malformed header (KeyError: 'dim')"),
-    ('{"k": 2, "dim": 3, "seed": 0, "inertia": 0.0}\nAAAA\n',
-     "payload of 3 bytes, header gives 24"),
-], ids=["cluster-header", "cluster-payload"])
-def test_cluster_model_malformed_file_caught(tmp_path, body, message):
-    # a well-checksummed file whose header lacks a key or whose payload is
-    # not k x dim float32 values is an error naming the file
-    path = tmp_path / "broken.model"
-    write_checksummed_text(path, body)
-    with pytest.raises(ClusterModelError, match=re.escape(f"{path}: {message}")):
-        load_cluster_model(path)
 
 
 # ---------------------------------------------------------------------------

@@ -240,17 +240,6 @@ def test_pattern_invalid_regex_detected():
         PatternSet.loads(PatternSet.dumps(raw))
 
 
-def test_pattern_roundtrip_via_dump(tmp_path):
-    pats = default_patterns()
-    path = tmp_path / "pats.txt"
-    pats.dump(path)
-    again = PatternSet.load(path)
-    assert again.raw == pats.raw
-    # dumping twice from the same raw set is stable
-    pats.dump(tmp_path / "again.txt")
-    assert (tmp_path / "again.txt").read_text() == path.read_text()
-
-
 # ---------------------------------------------------------------------------
 # phrase filter vs an independent scan oracle
 

@@ -8,7 +8,6 @@ from conftest import dense
 from test_batch_oracles import cosine_similarity, same_bits
 
 import dlab.embed
-from dlab.cluster import ClusterModel, save_cluster_model
 from dlab.embed import (
     EmbedderConfig,
     EmbeddingMatrix,
@@ -344,24 +343,17 @@ def test_embx_row_count_mismatch(tmp_path):
 
 
 def test_checksummed_containers_keep_their_bytes(tmp_path):
-    # a model with a non-contiguous weight view and a cluster model with a
-    # non-ASCII comment id, written from fixed params; the digests are those
-    # of the files each writer wrote before both shared one container writer
+    # a model with a non-contiguous weight view, written from fixed params;
+    # the digest is that of the file save_model wrote before it shared one
+    # container writer
     grid = np.arange(24, dtype=np.float64).reshape(4, 6) / 7.0 - 1.5
     save_model(ModelParams(weights=grid[::2, ::2], bias=np.array([0.25, -0.125]), gamma=2.0,
                            alpha=(0.3, 0.7), seed=5, epochs=3, learning_rate=0.01,
                            loss_history=[0.5, 0.25, 0.125],
                            embedder=EmbedderConfig(dim=64, ngram_range=(1, 2), seed=9)),
                tmp_path / "model.txt")
-    save_cluster_model(ClusterModel(k=2, centroids=grid[:2, 1::2], inertia=1.5, seed=4,
-                                    assignment={"c1": 0, "\u00e72": 1, "c3": 1}),
-                       tmp_path / "clusters.model")
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("model.txt", "clusters.model")}
-    assert digests == {
-        "model.txt": "6d23771661fa5b3543de07c3913bab20c774953678d8532711ea0fbe07700a1c",
-        "clusters.model": "25c70b57436196389fd65c6d0731747411a7735ccc7b575edafb9ae16e2ccb7d",
-    }
+    assert hashlib.sha256((tmp_path / "model.txt").read_bytes()).hexdigest() == (
+        "6d23771661fa5b3543de07c3913bab20c774953678d8532711ea0fbe07700a1c")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dlab.model
-from dlab.embed import EmbedderConfig, EmbeddingMatrix
+from dlab.embed import (EmbedderConfig, EmbeddingMatrix, read_checksummed_text,
+                        write_checksummed_text)
 from dlab.model import (
     LABELS,
     Features,
@@ -229,6 +230,25 @@ def test_train_config_needs_integer_epochs_batch_size_and_seed(key, value):
         TrainConfig(**{key: value})
     with pytest.raises(ValueError, match=f"{key} must be >= "):
         TrainConfig(**{key: -1})
+
+
+@pytest.mark.parametrize("key, value", [("learning_rate", True), ("learning_rate", "0.1"),
+                                        ("learning_rate", None), ("focal_gamma", True),
+                                        ("focal_gamma", "2"), ("focal_alpha", (True, 1)),
+                                        ("focal_alpha", "ab"), ("focal_alpha", (0.5, "1")),
+                                        ("focal_alpha", 0.5)])
+def test_train_config_needs_numbers_in_its_float_fields(key, value):
+    # a bool or a non-number is refused at construction, not trained with or
+    # written to the model file's header
+    with pytest.raises(ValueError, match=key):
+        TrainConfig(**{key: value})
+
+
+def test_train_config_takes_numpy_floats_as_floats():
+    cfg = TrainConfig(learning_rate=np.float32(0.5), focal_gamma=np.int64(2),
+                      focal_alpha=[np.float64(0.25), 1])
+    assert (cfg.learning_rate, cfg.focal_gamma, cfg.focal_alpha) == (0.5, 2.0, (0.25, 1.0))
+    assert [type(v) for v in (cfg.learning_rate, cfg.focal_gamma, *cfg.focal_alpha)] == [float] * 4
 
 
 def test_train_config_takes_numpy_integers_as_ints(tmp_path):
@@ -528,6 +548,11 @@ def test_model_file_malformed(tmp_path):
     path = tmp_path / "model.txt"
     path.write_text("just one line\n")
     with pytest.raises(ModelFileError, match="malformed"):
+        load_model(path)
+    # a well-checksummed file with a line beyond its two payloads
+    save_model(trained_with_embedder(8, TrainConfig(epochs=1)), path)
+    write_checksummed_text(path, "\n".join([*read_checksummed_text(path, ValueError), "{}"]) + "\n")
+    with pytest.raises(ModelFileError, match="malformed file, 2 payload lines expected"):
         load_model(path)
 
 

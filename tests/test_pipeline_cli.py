@@ -13,9 +13,8 @@ import dlab.cli
 import dlab.disclosure
 import dlab.pipeline
 from dlab.cli import main
-from dlab.cluster import ClusterModel, ClusterModelError, load_cluster_model, save_cluster_model
 from dlab.corpus import CorpusError, ingest_corpus, load_split
-from dlab.disclosure import LowLevelCategory, PatternSet, default_patterns
+from dlab.disclosure import audit_sample
 from dlab.embed import (EmbedderConfig, EmbeddingMatrix, embed_text, export_embeddings,
                         read_checksummed_text, write_checksummed_text)
 from dlab.model import ModelFileError, ModelParams, load_model, save_model
@@ -30,6 +29,8 @@ from dlab.pipeline import (
     parse_config,
     read_report_tsv,
     run_pipeline,
+    setup_corpus,
+    setup_profiles,
     write_report_tsv,
 )
 from dlab.sampler import SamplerConfig, load_contexts
@@ -784,7 +785,7 @@ def test_cli_missing_input_is_usage_error(sample_inputs, tmp_path, capsys):
 def test_cli_cluster_sizes_below_one_are_usage_errors(flag, value, message, capsys):
     # rejected while parsing, before the config is read
     with pytest.raises(SystemExit) as exc:
-        main(["cluster", "--config", "c.ini", "--model-out", "m", flag, value])
+        main(["cluster", "--config", "c.ini", "--out", "m", flag, value])
     assert exc.value.code == 1
     assert message in capsys.readouterr().err
 
@@ -803,9 +804,9 @@ def test_cli_sample_and_train_sizes_below_bound_are_usage_errors(command, flag, 
     stage = ["--config", "c.ini", "--condition", "no_comments"]
     argv = {"sample": ["sample", *stage, "--out", "o"],
             "train": ["train", *stage, "--contexts", "c", "--split", "s", "--model-out", "m"],
-            "ngrams": ["analyze", "ngrams", "--comments", "c", "--n", "1",
+            "ngrams": ["analyze", "ngrams", "--config", "c.ini", "--n", "1",
                        "--position", "before", "--out", "o"],
-            "audit": ["analyze", "audit", "--comments", "c", "--category", "Age",
+            "audit": ["analyze", "audit", "--config", "c.ini", "--category", "Demographics",
                       "--out", "o"]}[command]
     with pytest.raises(SystemExit) as exc:
         main([*argv, flag, value])
@@ -814,19 +815,39 @@ def test_cli_sample_and_train_sizes_below_bound_are_usage_errors(command, flag, 
             else f"unrecognized arguments: {flag} {value}") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--category", "Bogus"], "argument --category: invalid choice: 'Bogus'"),
+    (["--category", "Demographics", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["--category", "Demographics", "--patterns", "p"], "unrecognized arguments: --patterns p"),
+    (["--category", "Demographics", "--comments", "c"], "unrecognized arguments: --comments c"),
+], ids=["category", "seed", "patterns", "comments"])
+def test_cli_audit_category_and_dropped_flags_are_usage_errors(argv, message, capsys):
+    # rejected while parsing, before the config (which does not exist) or
+    # any corpus is read; the audit seed derives from the config's seed, and
+    # the categories come from the packaged pattern set
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "audit", "--config", "c.ini", "--out", "o", *argv])
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+
+
 # each stage command's required flags beside --config
-STAGE_FLAGS = {"synth": ["--out"], "ingest": ["--out"], "embed": ["--out"],
-               "cluster": ["--model-out"], "split": ["--out"],
+STAGE_FLAGS = {"synth": ["--out"], "ingest": ["--out"], "extract": ["--spans-out"],
+               "embed": ["--out"], "cluster": ["--out"], "split": ["--out"],
                "sample": ["--condition", "--out"],
                "train": ["--condition", "--contexts", "--split", "--model-out"],
                "evaluate": ["--model", "--contexts", "--split", "--report-out"],
-               "coverage": ["--contexts", "--out"], "diversity": ["--contexts", "--out"]}
+               "coverage": ["--contexts", "--out"], "diversity": ["--contexts", "--out"],
+               "ngrams": ["--out"], "audit": ["--out"]}
+# the required flags of ngrams and audit that name no file
+ANALYSIS_ARGS = {"ngrams": ["--n", "1", "--position", "before"],
+                 "audit": ["--category", "Demographics"]}
 
 
 def _stage_argv_with(command, config, value) -> list[str]:
     """A stage command over `config` with `value` for each other flag."""
-    return [*(["analyze"] if command in ("coverage", "diversity") else []),
-            command, "--config", str(config),
+    return [*(["analyze"] if command in ("coverage", "diversity", *ANALYSIS_ARGS) else []),
+            command, "--config", str(config), *ANALYSIS_ARGS.get(command, ()),
             *(arg for flag in STAGE_FLAGS[command] for arg in (flag, str(value)))]
 
 
@@ -843,9 +864,13 @@ def _stage_argv_with(command, config, value) -> list[str]:
     ("evaluate", "corpus.min_comments", "600", "bad bounds: min_comments=600"),
     ("coverage", "cluster.k", "0", "[cluster] k must be >= 1, got 0"),
     ("diversity", "corpus.min_comments", "600", "bad bounds: min_comments=600"),
+    ("extract", "corpus.max_comments", "-1", "bad bounds: min_comments=20 max_comments=-1"),
+    ("ngrams", "corpus.min_comments", "600", "bad bounds: min_comments=600"),
+    ("audit", "embed.dim", "4", "dim must be >= 8, got 4"),
 ], ids=["synth-split_kind", "ingest-max_comments", "embed-dim", "cluster-k",
         "cluster-reduce_dim", "split-ratios", "sample-max_samples", "train-batch_size",
-        "train-epochs", "evaluate-min_comments", "coverage-cluster_k", "diversity-min_comments"])
+        "train-epochs", "evaluate-min_comments", "coverage-cluster_k", "diversity-min_comments",
+        "extract-max_comments", "ngrams-min_comments", "audit-dim"])
 def test_cli_stage_settings_are_config_errors(tmp_path, capsys, command, key, value, message):
     # the config's settings are checked as `dlab run` checks them (exit 2),
     # before the stage looks for its corpus files, which do not exist
@@ -877,7 +902,7 @@ def test_cli_train_checks_its_settings_before_reading_inputs(tmp_path, capsys):
 
 
 def test_cli_extract_runs_extraction_once_per_comment(tmp_path, corpus_files, monkeypatch):
-    comments = corpus_files[1]
+    config = write_stage_config(tmp_path / "stage.ini", corpus_files[0].parent)
     calls = []
     extract = dlab.disclosure.extract_disclosures
 
@@ -886,7 +911,7 @@ def test_cli_extract_runs_extraction_once_per_comment(tmp_path, corpus_files, mo
         return extract(comment, patterns, **kw)
 
     monkeypatch.setattr(dlab.disclosure, "extract_disclosures", counted)
-    assert main(["extract", "--comments", str(comments), "--spans-out", str(tmp_path / "s"),
+    assert main(["extract", "--config", config, "--spans-out", str(tmp_path / "s"),
                  "--profiles-out", str(tmp_path / "p")]) == 0
     assert calls == ["c1", "c2", "c3"]
     profiles = [json.loads(line) for line in (tmp_path / "p").read_text().splitlines()]
@@ -897,30 +922,35 @@ def test_cli_extract_runs_extraction_once_per_comment(tmp_path, corpus_files, mo
     ]
 
 
-def test_cli_extract_reads_a_pattern_file(tmp_path, corpus_files, capsys):
-    comments = str(corpus_files[1])
-    raw = dict(default_patterns().raw)
-    raw[LowLevelCategory.POSSESSION] = r"\bthe bus\b"
-    patterns = tmp_path / "patterns.txt"
-    patterns.write_text(PatternSet.dumps(raw))
-    spans = {}
-    for name, flags in (("default", []), ("custom", ["--patterns", str(patterns)])):
-        spans[name] = tmp_path / f"{name}.jsonl"
-        assert main(["extract", "--comments", comments, *flags,
-                     "--spans-out", str(spans[name])]) == 0
-    default, custom = (path.read_text().splitlines() for path in spans.values())
-    assert [json.loads(line) for line in custom if line not in default] == [
-        {"comment_id": "c2", "sentence_index": 0, "category": "Possession",
-         "high_level": "Experiences", "start": 0, "end": 7, "matched_text": "The bus"}]
-    assert capsys.readouterr().out.splitlines() == ["comments=3 spans=3", "comments=3 spans=4"]
+@pytest.mark.parametrize("source", ["corpus", "synth"])
+def test_cli_corpus_analyses_read_the_run_corpus(tmp_path, source):
+    # extract writes the profiles the run builds, and audit samples the
+    # run's corpus with the seed derived from the config's seed
+    spec = PopulationSpec(n_annotators=5, n_posts=8, comments_per_annotator=(4, 6),
+                          verdicts_per_annotator=(3, 5), seed=2)
+    if source == "corpus":
+        write_population(*generate_population(spec), tmp_path / "data")
+        config = write_stage_config(tmp_path / "run.ini", tmp_path / "data", "[run]\nseed = 9\n")
+    else:
+        config = tmp_path / "run.ini"
+        config.write_text(SYNTH_INI)
+    cfg = parse_config(config)
+    corpus = setup_corpus(cfg)[0]
+    profiles = tmp_path / "profiles.jsonl"
+    assert main(["extract", "--config", str(config), "--spans-out", str(tmp_path / "spans.jsonl"),
+                 "--profiles-out", str(profiles)]) == 0
+    assert [json.loads(line) for line in profiles.read_text().splitlines()] == [
+        {"comment_id": cid, "theory_categories": sorted(c.value for c in prof.theory_categories),
+         "passes_phrase_filter": prof.passes_phrase_filter}
+        for cid, prof in sorted(setup_profiles(cfg, corpus)[0].items())]
 
-    # a pattern file edited after its checksum was stamped
-    patterns.write_text(PatternSet.dumps(raw).replace("[Age]", "[Age] ", 1))
-    out = tmp_path / "tampered.jsonl"
-    assert main(["extract", "--comments", comments, "--patterns", str(patterns),
-                 "--spans-out", str(out)]) == 2
-    assert "data error: pattern checksum mismatch" in capsys.readouterr().err
-    assert not out.exists()
+    audit = tmp_path / "audit.jsonl"
+    assert main(["analyze", "audit", "--config", str(config), "--category", "Demographics",
+                 "--n", "3", "--out", str(audit)]) == 0
+    sampled = audit_sample(corpus, "Demographics", 3, derive_seed(cfg.seed, "audit"))
+    assert [json.loads(line)["comment_id"] for line in audit.read_text().splitlines()] == [
+        rec.comment_id for rec in sampled]
+    assert len(sampled) == 3
 
 
 def test_cli_run_prints_its_rows_and_report_merges_them(tmp_path, capsys):
@@ -1151,15 +1181,18 @@ def test_cli_full_chain(tmp_path, capsys):
         "[sampler]\nmax_samples = 3\n\n[train]\nepochs = 2\n\n[run]\nseed = 5\n")]
     condition = ["--condition", "similar_comments-k3"]
 
-    assert main(["extract", "--comments", str(d / "corpus" / "comments.jsonl"),
-                 "--spans-out", str(d / "spans.jsonl"),
+    assert main(["extract", *config, "--spans-out", str(d / "spans.jsonl"),
                  "--profiles-out", str(d / "profiles.jsonl")]) == 0
     assert (d / "spans.jsonl").is_file() and (d / "profiles.jsonl").is_file()
 
     assert main(["embed", *config, "--out", str(d / "vectors.embx")]) == 0
 
-    assert main(["cluster", *config, "--model-out", str(d / "clusters.model"),
+    assert main(["cluster", *config, "--out", str(d / "clusters.jsonl"),
                  "--inspect-out", str(d / "inspect.jsonl")]) == 0
+    profiles = [json.loads(line) for line in (d / "profiles.jsonl").read_text().splitlines()]
+    assert [json.loads(line)["comment_id"] for line in
+            (d / "clusters.jsonl").read_text().splitlines()] == [
+        p["comment_id"] for p in profiles if p["passes_phrase_filter"]]
 
     assert main(["split", *config, "--out", str(d / "split.jsonl")]) == 0
 
@@ -1188,12 +1221,10 @@ def test_cli_full_chain(tmp_path, capsys):
     assert main(["analyze", "diversity", *config, "--contexts", str(d / "ctx.jsonl"),
                  "--out", str(d / "diversity.tsv")]) == 0
 
-    assert main(["analyze", "ngrams", "--comments", str(d / "corpus" / "comments.jsonl"),
-                 "--n", "1", "--position", "before", "--top", "10",
+    assert main(["analyze", "ngrams", *config, "--n", "1", "--position", "before", "--top", "10",
                  "--out", str(d / "ngrams.tsv")]) == 0
 
-    assert main(["analyze", "audit", "--comments", str(d / "corpus" / "comments.jsonl"),
-                 "--category", "Demographics", "--n", "5", "--seed", "1",
+    assert main(["analyze", "audit", *config, "--category", "Demographics", "--n", "5",
                  "--out", str(d / "audit.jsonl")]) == 0
     assert len((d / "audit.jsonl").read_text().splitlines()) == 5
 
@@ -1272,9 +1303,10 @@ def test_cli_stage_chain_reproduces_a_run_condition(tmp_path):
 
         ini, out, rows = run_and_stage(f"{source}-clustered", sections + grids["clustered"])
         assert len([name for name in rows if name.startswith("similar_comments-k3-")]) == 7
-        clusters = tmp_path / f"{source}-k3.model"
-        assert main(["cluster", "--config", str(ini), "--model-out", str(clusters)]) == 0
-        assignment = load_cluster_model(clusters).assignment
+        clusters = tmp_path / f"{source}-k3.jsonl"
+        assert main(["cluster", "--config", str(ini), "--out", str(clusters)]) == 0
+        assignment = {rec["comment_id"]: rec["cluster"] for rec in map(
+            json.loads, clusters.read_text().splitlines())}
         for cluster in range(3):
             items = [item for c in load_contexts(
                 out / "contexts" / f"similar_comments-k3-cluster:{cluster}.jsonl",
@@ -1513,8 +1545,8 @@ def test_cli_train_and_evaluate_refuse_imported_embeddings(staged, tmp_path, cap
 
 def test_cli_cluster_needs_the_config_clusters(staged, tmp_path, capsys):
     _, config, _ = staged
-    out = tmp_path / "clusters.model"
-    assert main(["cluster", "--config", config, "--model-out", str(out)]) == 2
+    out = tmp_path / "clusters.jsonl"
+    assert main(["cluster", "--config", config, "--out", str(out)]) == 2
     assert "needs [cluster] enabled = true" in capsys.readouterr().err and not out.exists()
 
 
@@ -1536,11 +1568,11 @@ def test_cli_malformed_model_files_are_data_errors(staged, tmp_path, capsys, bod
 @pytest.mark.parametrize("argv,flag", [
     ("synth --config {synth}", "--out"),
     ("ingest --config {config}", "--out"),
-    ("extract --comments {data}/comments.jsonl", "--spans-out"),
-    ("extract --comments {data}/comments.jsonl --spans-out {tmp}/spans.jsonl", "--profiles-out"),
+    ("extract --config {config}", "--spans-out"),
+    ("extract --config {config} --spans-out {tmp}/spans.jsonl", "--profiles-out"),
     ("embed --config {config}", "--out"),
-    ("cluster --config {clustered}", "--model-out"),
-    ("cluster --config {clustered} --model-out {tmp}/clusters.model", "--inspect-out"),
+    ("cluster --config {clustered}", "--out"),
+    ("cluster --config {clustered} --out {tmp}/clusters.jsonl", "--inspect-out"),
     ("split --config {config}", "--out"),
     ("sample --config {config} --condition random_comments-k2", "--out"),
     ("train --config {config} --condition random_comments-k2 --contexts {contexts} "
@@ -1549,8 +1581,8 @@ def test_cli_malformed_model_files_are_data_errors(staged, tmp_path, capsys, bod
      "--report-out"),
     ("analyze coverage --config {config} --contexts {contexts}", "--out"),
     ("analyze diversity --config {config} --contexts {contexts}", "--out"),
-    ("analyze ngrams --comments {data}/comments.jsonl --n 1 --position before", "--out"),
-    ("analyze audit --comments {data}/comments.jsonl --category Demographics", "--out"),
+    ("analyze ngrams --config {config} --n 1 --position before", "--out"),
+    ("analyze audit --config {config} --category Demographics", "--out"),
     ("run --config {synth}", "--out"),
     ("report --layout category {report}", "--out"),
 ], ids=lambda value: (value.lstrip("-") if value.startswith("--")
@@ -1564,7 +1596,7 @@ def test_cli_outputs_make_their_directories(staged, tmp_path, capsys, argv, flag
     clustered.write_text(Path(config).read_text() + "\n[cluster]\nenabled = true\nk = 3\n")
     _fake_report(report, parse_config(config), [("no_comments", 0.6, 0.4)])
     argv = argv.format(config=config, synth=synth, clustered=clustered, report=report,
-                       data=root / "data", tmp=tmp_path, model=root / "model.txt",
+                       tmp=tmp_path, model=root / "model.txt",
                        contexts=inputs["--contexts"], split=inputs["--split"]).split()
     out = tmp_path / "a" / "b" / "output"
     assert main([*argv, flag, str(out)]) == 0 and out.exists()
@@ -1585,8 +1617,8 @@ def test_cli_run_out_over_a_file_is_usage_error(staged, tmp_path, capsys):
 
 
 def _written_record(kind, path):
-    """A split, model or cluster-model file as dlab writes it, and the
-    function that reads it back."""
+    """A split or model file as dlab writes it, and the function that reads
+    it back."""
     if kind == "split":
         write_jsonl(path, [{"kind": "verdict", "ratios": [0.6, 0.2, 0.2], "seed": 0},
                            {"verdict_index": 0, "partition": "train"}])
@@ -1597,9 +1629,6 @@ def _written_record(kind, path):
                                loss_history=[0.5, float("nan")],
                                embedder=EmbedderConfig(dim=8)), path)
         return load_model
-    save_cluster_model(ClusterModel(k=2, centroids=np.zeros((2, 3)), inertia=0.0, seed=0,
-                                    assignment={"c1": 0, "c2": 1}), path)
-    return load_cluster_model
 
 
 @pytest.mark.parametrize("kind,key,values", [
@@ -1614,26 +1643,20 @@ def _written_record(kind, path):
     ("model", "embedder.dim", (8.9, 8.0, "8")),
     ("model", "embedder.ngram_range", ("ab", [1, 2.0], [True, 2])),
     ("model", "embedder.seed", (2.7, True, "3")),
-    ("cluster", "k", (2.5, 2.0, "2")),
-    ("cluster", "seed", (2.7, True, "3")),
-    ("cluster", "dim", (3.5, 3.0, "3")),
-    ("cluster", "cluster", (0.9, False, "0", 2)),
     ("model", "embedder.seed", (-1, 2 ** 64)),
     ("model", "gamma", ("2", True, float("nan"))),
     ("model", "learning_rate", ("0.01", True, float("inf"))),
-    ("cluster", "inertia", ("0.0", False, float("inf"))),
 ])
 def test_record_integers_and_number_lists_are_read_strictly(tmp_path, kind, key, values):
     # a value json.loads gives as another type, a list of the wrong length
-    # or with a non-number entry, a non-finite ratio, alpha, gamma, learning
-    # rate or inertia, an embedder seed outside [0, 2**64) and a cluster id
-    # outside [0, k) are data errors naming the file, not truncated or
-    # coerced; a NaN loss reads back. Split and cluster rows hold
-    # verdict_index and cluster
+    # or with a non-number entry, a non-finite ratio, alpha, gamma or
+    # learning rate, and an embedder seed outside [0, 2**64) are data errors
+    # naming the file, not truncated or coerced; a NaN loss reads back.
+    # Split rows hold verdict_index
     path = tmp_path / f"record.{kind}"
     read = _written_record(kind, path)
     read(path)
-    error = {"split": CorpusError, "model": ModelFileError, "cluster": ClusterModelError}[kind]
+    error = {"split": CorpusError, "model": ModelFileError}[kind]
     assert error in dlab.cli._DATA_ERRORS
     lines = (path.read_text().splitlines() if kind == "split"
              else read_checksummed_text(path, ValueError))
