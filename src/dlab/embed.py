@@ -25,7 +25,8 @@ EMBX_MAGIC = b"EMBX"
 EMBX_VERSION = 1
 _HEADER = struct.Struct("<4sHIQ")  # magic, version, dim, rows
 _CHECKSUM_BYTES = 8
-# float64 values of one row chunk cosine_scores reads at a time (1 MB)
+# float64 products of one chunk of cosine_scores, queries times stored
+# entries (1 MB)
 _SCORE_CHUNK_FLOATS = 1 << 17
 # float32 bytes of one chunk of dense rows: embed_texts embeds into one, and
 # EMBX files are written and read in them
@@ -172,15 +173,36 @@ class EmbeddingMatrix:
         rows = np.asarray(rows, dtype=np.intp)
         starts = self.indptr[rows]
         counts = self.indptr[rows + 1] - starts
-        # entry j of the gather sits at its row's start plus j minus the
-        # gather position of that row's first entry
-        firsts = np.cumsum(counts) - counts
-        positions = np.arange(int(counts.sum())) + np.repeat(starts - firsts, counts)
+        positions = ranges(starts, counts)
         out = np.zeros((rows.size, self.dim), dtype=dtype)
         # one flat scatter: each entry's output row offset plus its column
         targets = np.repeat(np.arange(rows.size) * self.dim, counts) + self.indices[positions]
         out.reshape(-1)[targets] = self.values[positions]
         return out
+
+
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The integer ranges [starts[i], starts[i] + counts[i]) one after
+    another, as one array: the positions of some rows' stored entries."""
+    # entry j sits at its range's start plus j minus the place of that
+    # range's first entry
+    out = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    out += np.arange(out.size)
+    return out
+
+
+def chunks(sizes: np.ndarray, budget: int, most: int | None = None):
+    """(start, stop) bounds of consecutive runs of `sizes` that sum to at
+    most `budget` and hold at most `most` entries, but at least one."""
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < len(ends):
+        stop = int(np.searchsorted(ends, ends[start] - sizes[start] + budget, side="right"))
+        stop = max(stop, start + 1)
+        if most is not None:
+            stop = min(stop, start + most)
+        yield start, stop
+        start = stop
 
 
 def _chunk_rows(dim: int, rows: int) -> int:
@@ -392,41 +414,67 @@ def read_checksummed_container(path, error: type[Exception], fields: dict, paylo
     return header, arrays
 
 
+def _stored_dots(queries: np.ndarray, matrix: EmbeddingMatrix, starts: np.ndarray,
+                 counts: np.ndarray) -> np.ndarray:
+    """(q, r) dots of float64 queries with r rows of the matrix, given by
+    where their stored entries start and how many there are: each row's
+    first product plus numpy's pairwise sum of the others, in column order.
+    Every row stores at least one entry. The products are freed on return,
+    before the next chunk's are made."""
+    positions = ranges(starts, counts)
+    products = np.take(queries, matrix.indices[positions], axis=1)
+    products *= matrix.values[positions]
+    return np.add.reduceat(products, np.cumsum(counts) - counts, axis=1)
+
+
 def cosine_scores(queries: np.ndarray, matrix: EmbeddingMatrix, rows) -> np.ndarray:
     """(q, n) cosines of a (q, d) block of queries against the matrix rows
     at positions `rows` (repeats allowed).
 
-    Each score equals the scalar cosine of query and row bit for bit (the
-    oracle in tests/test_batch_oracles.py): zero-norm rows and a zero-norm
-    query score 0, and scores are clipped to [-1, 1]. The row norms are the
-    stored ones (EmbeddingMatrix.norms). Only rows of non-zero norm are
-    read, as float64 in chunks of at most _SCORE_CHUNK_FLOATS values, so one
-    chunk of at most 1 MB is alive at a time. A score depends on its own
-    query and row only, so scores of a sub-block are the matching entries of
-    the block's scores.
+    A score is the dot product over the row's stored entries, in column
+    order: the first product plus numpy's pairwise sum of the others
+    (`np.add.reduceat`), then + 0.0, so a zero dot is +0.0. It divides by
+    the stored row norm (EmbeddingMatrix.norms) times the query's 1-D norm
+    and is clipped to [-1, 1]; zero-norm rows and a zero-norm query score
+    0. The dot is a fixed numpy sum, not a BLAS dot, so it does not depend
+    on the BLAS build or its threads (the norms are 1-D BLAS dots, as
+    np.linalg.norm takes them); a score lies within nnz * 2**-53 of the
+    cosine of the exactly summed dot, plus the division's rounding. Only rows of non-zero norm are
+    read, in blocks of queries and chunks of rows whose products, queries
+    times the chunk's stored entries, stay within _SCORE_CHUNK_FLOATS
+    values (1 MB), unless one row alone stores more. A score depends on its
+    own query and row only, so scores of a sub-block are the matching
+    entries of the block's scores.
     """
-    queries = np.asarray(queries, dtype=np.float64)
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != matrix.dim:
+        raise ValueError(f"queries of shape {queries.shape} for a matrix of dim {matrix.dim}")
     rows = np.asarray(rows, dtype=np.intp)
     norms = matrix.norms[rows]
-    # one 1-D norm per query, as the scalar cosine takes it (norm(axis=1)
-    # sums in another order)
-    qnorms = np.array([np.linalg.norm(query) for query in queries], dtype=np.float64)
+    # one 1-D norm per query, from a stack of 1×d · d×1 products: numpy
+    # hands each to the BLAS dot that np.linalg.norm's x.dot(x) reaches
+    # (norm(axis=1) sums in another order)
+    qnorms = np.sqrt(np.matmul(queries[:, None, :], queries[:, :, None])[:, 0, 0])
     scores = np.zeros((len(queries), rows.size), dtype=np.float64)
     live_q, live = np.flatnonzero(qnorms > 0.0), np.flatnonzero(norms > 0.0)
     if not (live_q.size and live.size):
         return scores
-    live_queries = queries[live_q][:, None, :, None]
-    step = max(1, _SCORE_CHUNK_FLOATS // matrix.dim)
-    for start in range(0, live.size, step):
-        chunk = live[start:start + step]
-        rows64 = matrix.take(rows[chunk], dtype=np.float64)
-        # a stack of 1×d · d×1 products: numpy hands each to the BLAS dot that
-        # a single `row @ query` reaches, so every score keeps its summation
-        # order; a matrix-vector product `rows @ query` sums in another order
-        # and differs in the last bits
-        dots = np.matmul(rows64[None, :, None, :], live_queries)[..., 0, 0]
-        scores[np.ix_(live_q, chunk)] = np.clip(
-            dots / (norms[chunk] * qnorms[live_q, None]), -1.0, 1.0)
+    # a row of non-zero norm stores at least one entry
+    starts = matrix.indptr[rows[live]]
+    counts = matrix.indptr[rows[live] + 1] - starts
+    dots = np.empty((len(queries), live.size))
+    # blocks of queries, views and not copies, small enough that one
+    # block's products with any row, which stores at most d entries, stay
+    # within the budget
+    q_step = max(1, _SCORE_CHUNK_FLOATS // matrix.dim)
+    for q in range(0, len(queries), q_step):
+        block = queries[q:q + q_step]
+        for lo, hi in chunks(counts, _SCORE_CHUNK_FLOATS // len(block)):
+            dots[q:q + len(block), lo:hi] = _stored_dots(block, matrix, starts[lo:hi],
+                                                         counts[lo:hi])
+    dots += 0.0
+    scores[np.ix_(live_q, live)] = np.clip(
+        dots[live_q] / (norms[live] * qnorms[live_q, None]), -1.0, 1.0)
     return scores
 
 

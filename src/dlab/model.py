@@ -21,8 +21,8 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .corpus import VERDICT_LABELS, json_int, json_number, json_numbers
-from .embed import (EmbedderConfig, EmbeddingMatrix, read_checksummed_container,
-                    write_checksummed_container)
+from .embed import (EmbedderConfig, EmbeddingMatrix, chunks, ranges,
+                    read_checksummed_container, write_checksummed_container)
 from .sampler import ContextSet
 
 logger = logging.getLogger(__name__)
@@ -30,6 +30,9 @@ logger = logging.getLogger(__name__)
 # class index 0 is the majority class; prediction ties resolve to it
 LABELS = VERDICT_LABELS
 _LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
+# float64 values of the block of context means build_features sums at a
+# time (256 KB)
+_MEAN_CHUNK_FLOATS = 1 << 15
 
 
 class ModelFileError(ValueError):
@@ -142,6 +145,8 @@ def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
     context block row 0. The post block keeps only the columns that some
     post row stores, and the context block only those that some context
     item row stores; every other column of each half is exactly +0.0.
+    The means are summed in chunks of sequences, each into a (sequences x
+    d) block of at most _MEAN_CHUNK_FLOATS values (256 KB).
     """
     d = embeddings.dim
     posts: dict[str, int] = {}
@@ -154,8 +159,8 @@ def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
     for ctx in contexts:
         half = 0
         if ctx.items:
-            key = tuple((item.unit, item.source_comment_id if item.unit == "comment"
-                         else item.text) for item in ctx.items)
+            key = tuple([(item.unit, item.source_comment_id if item.unit == "comment"
+                          else item.text) for item in ctx.items])
             if key not in sequences:
                 sequences[key] = 1 + len(firsts)
                 firsts.append(ctx)
@@ -168,49 +173,85 @@ def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
     post_columns = np.flatnonzero(post_rows.view(np.int32).any(axis=0))
     post_block = np.take(post_rows, post_columns, axis=1).astype(np.float64)
 
-    # pass 1: each sequence's item rows, and the columns that an item row
-    # stores, marked once per distinct row
-    stored = np.zeros(d, dtype=bool)
-    marked: set[tuple[bool, int]] = set()
-    item_rows = []
-    for ctx in firsts:
-        rows = []
-        for item in ctx.items:
-            matrix, key = ((embeddings, item.source_comment_id) if item.unit == "comment"
-                           else (sentences, item.text))
-            if matrix is None or key not in matrix:
-                raise ValueError(
-                    f"cannot resolve a vector for context item {item.source_comment_id!r}")
-            if matrix.dim != d:
-                raise ValueError(f"context dim {matrix.dim} != post dim {d}")
-            row = matrix.row_index(key)
-            rows.append((matrix, row))
-            mark = (matrix is embeddings, row)
-            if mark not in marked:
-                marked.add(mark)
-                stored[matrix.indices[matrix.indptr[row]:matrix.indptr[row + 1]]] = True
-        item_rows.append(rows)
-    context_columns = np.flatnonzero(stored)
+    # pass 1: each distinct item, keyed as in its sequence's key, resolved
+    # once to its row and whether that row is a sentence row; and the
+    # distinct item of each item
+    distinct: dict[tuple, int] = {}
+    rows, in_sentences, item_ids = [], [], []
+    for key, ctx in zip(sequences, firsts):
+        for part, item in zip(key, ctx.items):
+            i = distinct.get(part)
+            if i is None:
+                matrix = embeddings if item.unit == "comment" else sentences
+                if matrix is None or part[1] not in matrix:
+                    raise ValueError(
+                        f"cannot resolve a vector for context item {item.source_comment_id!r}")
+                if matrix.dim != d:
+                    raise ValueError(f"context dim {matrix.dim} != post dim {d}")
+                i = distinct[part] = len(rows)
+                rows.append(matrix.row_index(part[1]))
+                in_sentences.append(matrix is not embeddings)
+            item_ids.append(i)
 
-    # pass 2: the context block on those columns, row 0 the empty context
+    # each distinct item's stored entries, where they start in its matrix
+    # and how many, and whether its row is unit norm (by the stored norm,
+    # within 1e-3); the columns that they store, marked in chunks of rows.
+    # Only the matrices that some item resolves against are read.
+    rows, in_sentences = np.array(rows, dtype=np.intp), np.array(in_sentences, dtype=bool)
+    starts, counts = np.empty(len(rows), dtype=np.int64), np.empty(len(rows), dtype=np.int64)
+    unit_norm = np.empty(len(rows), dtype=bool)
+    stored = np.zeros(d, dtype=bool)
+    matrices = [(flag, matrix) for flag, matrix in ((False, embeddings), (True, sentences))
+                if (in_sentences == flag).any()]
+    for flag, matrix in matrices:
+        mine = in_sentences == flag
+        starts[mine] = matrix.indptr[rows[mine]]
+        counts[mine] = matrix.indptr[rows[mine] + 1] - starts[mine]
+        unit_norm[mine] = np.abs(matrix.norms[rows[mine]] - 1.0) <= 1e-3
+        for lo, hi in chunks(counts[mine], _MEAN_CHUNK_FLOATS):
+            stored[matrix.indices[ranges(starts[mine][lo:hi], counts[mine][lo:hi])]] = True
+    context_columns = np.flatnonzero(stored)
+    # the same for each item, through its distinct item
+    item_ids = np.array(item_ids, dtype=np.intp)
+    starts, counts = starts[item_ids], counts[item_ids]
+    in_sentences, unit_norm = in_sentences[item_ids], unit_norm[item_ids]
+    # each sequence's item count, as a float for the mean, and first item
+    lengths = np.array([len(ctx.items) for ctx in firsts], dtype=np.int64)
+    divisors = lengths.astype(np.float64)
+    item_starts = np.cumsum(lengths) - lengths
+
+    # pass 2: the context block on those columns, row 0 the empty context,
+    # in chunks of sequences: one bincount of the chunk's item entries into a
+    # (sequences x d) block of at most _MEAN_CHUNK_FLOATS values, holding at
+    # most that many entries unless one sequence alone holds more
     context_block = np.zeros((1 + len(firsts), len(context_columns)))
-    for half, rows in enumerate(item_rows, start=1):
-        cols, values = [], []
-        all_unit = True
-        for matrix, row in rows:
-            lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
-            cols.append(matrix.indices[lo:hi])
-            values.append(matrix.values[lo:hi])
-            all_unit = all_unit and abs(matrix.norms[row] - 1.0) <= 1e-3
+    for lo, hi in chunks(np.add.reduceat(counts, item_starts), _MEAN_CHUNK_FLOATS,
+                         max(1, _MEAN_CHUNK_FLOATS // max(d, 1))):
+        first, last = item_starts[lo], item_starts[hi - 1] + lengths[hi - 1]
+        entries = counts[first:last]
+        # the entries of the chunk's items one after another, in item order
+        positions = ranges(starts[first:last], entries)
+        cols = np.empty(positions.size, dtype=np.int64)
+        values = np.empty(positions.size, dtype=np.float32)
+        for flag, matrix in matrices:
+            mine = np.repeat(in_sentences[first:last] == flag, entries)
+            cols[mine] = matrix.indices[positions[mine]]
+            values[mine] = matrix.values[positions[mine]]
         # each column's stored values summed in item order from +0.0, as the
         # dense rows' mean(axis=0) sums them: adding their +0.0 entries
-        # changes no partial sum, which is never -0.0
-        mean = np.bincount(np.concatenate(cols), weights=np.concatenate(values),
-                           minlength=d) / len(rows)
-        mean_norm = float(np.linalg.norm(mean))
-        if all_unit and mean_norm > 0.0:
-            mean = mean / mean_norm
-        context_block[half] = mean[context_columns]
+        # changes no partial sum, which is never -0.0 (over no entry at all
+        # bincount counts in integers)
+        cols += np.repeat(np.repeat(np.arange(hi - lo) * d, lengths[lo:hi]), entries)
+        means = np.bincount(cols, weights=values, minlength=(hi - lo) * d).astype(
+            np.float64, copy=False).reshape(hi - lo, d)
+        means /= divisors[lo:hi, None]
+        # a stack of 1×d · d×1 products: numpy hands each to the BLAS dot
+        # that np.linalg.norm's x.dot(x) reaches, so each norm keeps its order
+        norms = np.sqrt(np.matmul(means[:, None, :], means[:, :, None])[:, 0, 0])
+        rescale = np.logical_and.reduceat(unit_norm[first:last], item_starts[lo:hi] - first)
+        rescale &= norms > 0.0
+        means[rescale] /= norms[rescale, None]
+        np.take(means, context_columns, axis=1, out=context_block[1 + lo:1 + hi])
     return Features(post_block, context_block,
                     np.array(index, dtype=np.int64).reshape(len(contexts), 2),
                     post_columns, context_columns, d)
@@ -395,27 +436,34 @@ def train(features: Features, y, cfg: TrainConfig, runs: int = 1) -> Fits:
     post_buf, context_buf = np.empty(size * kp), np.empty(size * kc)
     z_buf, context_z_buf = np.empty(size * 2), np.empty(size * 2)
 
+    # the epoch's (runs, n) orders laid out batch-major: each batch's
+    # (runs, rows) block one after another, so a batch is one contiguous slice
+    batches = range(0, n, cfg.batch_size)
+    layout = np.concatenate([(np.arange(runs)[:, None] * n
+                              + np.arange(start, min(start + cfg.batch_size, n))).ravel()
+                             for start in batches])
     rngs = [np.random.default_rng(cfg.seed + r) for r in range(runs)]
     history = np.empty((runs, cfg.epochs))
     for epoch in range(cfg.epochs):
-        order = np.stack([rng.permutation(n) for rng in rngs])
+        order = np.stack([rng.permutation(n) for rng in rngs]).ravel()[layout]
         order_posts, order_contexts = post_index[order], context_index[order]
         order_y, order_alpha = y[order], alpha_t[order]
         epoch_loss = np.zeros(runs)
-        for start in range(0, n, cfg.batch_size):
+        for start in batches:
             stop = min(start + cfg.batch_size, n)
             rows = stop - start
             size = runs * rows
+            batch = slice(runs * start, runs * stop)
             # mode "raise" would buffer out; Features has checked the index
-            Xp = np.take(posts, order_posts[:, start:stop], axis=0, mode="clip",
+            Xp = np.take(posts, order_posts[batch].reshape(runs, rows), axis=0, mode="clip",
                          out=post_buf[:size * kp].reshape(runs, rows, kp))
-            Xc = np.take(contexts, order_contexts[:, start:stop], axis=0, mode="clip",
+            Xc = np.take(contexts, order_contexts[batch].reshape(runs, rows), axis=0, mode="clip",
                          out=context_buf[:size * kc].reshape(runs, rows, kc))
             z = np.matmul(Xp, Wp_T, out=z_buf[:size * 2].reshape(runs, rows, 2))
             z += np.matmul(Xc, Wc_T, out=context_z_buf[:size * 2].reshape(runs, rows, 2))
             z += b
-            losses, gz = focal_loss_batch(z.reshape(size, 2), order_y[:, start:stop].ravel(),
-                                          order_alpha[:, start:stop].ravel(), gamma)
+            losses, gz = focal_loss_batch(z.reshape(size, 2), order_y[batch],
+                                          order_alpha[batch], gamma)
             epoch_loss += losses.reshape(runs, rows).sum(axis=1)
             gz /= rows
             gz = gz.reshape(runs, rows, 2)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -66,3 +67,19 @@ def corpus_files(tmp_path):
 def dense(matrix):
     """Every row of an EmbeddingMatrix as one dense float32 array."""
     return matrix.take(range(len(matrix)))
+
+
+def traced_peak(call):
+    """The result of call() and the peak of the memory its allocations held
+    at once, in bytes, as tracemalloc counts it (numpy's arrays included)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()

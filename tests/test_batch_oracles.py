@@ -7,14 +7,16 @@ one `isspace` test per character; `extract_corpus` matches the category
 patterns once per distinct sentence text; `embed_texts` hashes each distinct
 n-gram once per call and `embed_text` accumulates a row with one
 `np.bincount`; `EmbeddingMatrix` stores rows as CSR and `take` gathers dense
-ones; `cosine_scores` scores a block of queries against matrix rows it
-reads in chunks, one product per chunk; `sample_context` samples a whole
+ones; `cosine_scores` scores a block of queries against matrix rows over
+their stored entries, in chunks, summing each row's products in a fixed
+numpy order; `sample_context` samples a whole
 partition in one call, scores each annotator's pool for all its posts at
 once and memoises each pair's cosine scores across conditions;
 `rank_scores` ranks a pool in key order with one stable argsort;
 `dump_contexts` fills each context line into a template;
 `build_features` stores a partition's features once per distinct post and
-item sequence and sums each context mean from the items' stored entries;
+item sequence and sums the context means of a chunk of sequences with one
+`np.bincount` of their items' stored entries;
 `train` gathers each batch from the post and context blocks, each on the
 columns some row of its half stores, fits only those, sums the logits
 half by half, and steps every fit of a call in lockstep;
@@ -22,15 +24,18 @@ half by half, and steps every fit of a call in lockstep;
 in one product. The character-wise trim, the per-comment
 extractor, the per-gram embedder, the dense row array, the scalar cosine,
 the per-pair code, the `heapq.nsmallest` ranking, the `json.dumps` writer,
-the dense feature matrix and the dense trainer they replaced are kept
-below as oracles, and the results must equal them exactly: the same spans,
-the same embedding bits, the same rows and norms bit for bit, the same
-score bits, the same context ids in the same order with the same
-similarity floats, the same context file bytes, feature rows equal element
-for element, the same weights, bias and losses bit for bit (the dense
-trainer's logits summed half by half over the same stored columns; as one
-product over every column, the two differ in the last bits only), and the
-same class for every row.
+the per-sequence means, the dense feature matrix and the dense trainer they
+replaced are kept below as oracles, and the results must equal them
+exactly: the same spans, the same embedding bits, the same rows and norms
+bit for bit, the same context ids in the same order with the same
+similarity floats, the same context file bytes, features bit for bit, the
+same weights, bias and losses bit for bit (the dense trainer's logits
+summed half by half over the same stored columns; as one product over every
+column, the two differ in the last bits only), and the same class for every
+row. The cosine kernel sums in another order than the scalar cosine's BLAS
+dot: its scores equal, bit for bit, a per-row sum in its own order
+(`stored_order_cosine`) and lie within nnz * 2**-53 of an exactly summed
+cosine; on synthgen rows they also equal the scalar cosine's bit for bit.
 """
 import hashlib
 import heapq
@@ -48,6 +53,7 @@ from hypothesis import strategies as st
 from conftest import dense
 
 import dlab.embed
+import dlab.model
 import dlab.sampler
 from dlab.corpus import _BOUNDARY_RE, Comment, Corpus, Post, Verdict, segment_sentences
 from dlab.disclosure import (
@@ -70,7 +76,8 @@ from dlab.embed import (
     embed_text,
     embed_texts,
 )
-from dlab.model import ModelParams, TrainConfig, build_features, encode_labels, predict, train
+from dlab.model import (Features, ModelParams, TrainConfig, build_features, encode_labels,
+                        predict, train)
 from dlab.pipeline import cluster_comments, embed_corpus, embed_sentences
 from dlab.sampler import (
     SENTENCE_STRATEGIES,
@@ -176,7 +183,9 @@ def cosine_similarity(u, v):
 
 
 def oracle_cosine_scores(query, rows, norms):
-    """One query's cosines against a block of rows, one BLAS dot per row."""
+    """One query's cosines against a block of dense rows, one BLAS dot per
+    row. On synthgen rows every score of `cosine_scores` equals it bit for
+    bit; on arbitrary rows the two sum in another order."""
     query = np.asarray(query, dtype=np.float64)
     scores = np.zeros(len(norms), dtype=np.float64)
     qnorm = float(np.linalg.norm(query))
@@ -185,6 +194,43 @@ def oracle_cosine_scores(query, rows, norms):
         dots = np.array([np.asarray(rows[i], dtype=np.float64) @ query for i in live])
         scores[live] = np.clip(dots / (norms[live] * qnorm), -1.0, 1.0)
     return scores
+
+
+def stored_order_cosine(query, matrix, row):
+    """One score as `cosine_scores` defines it, row by row: the query times
+    the row's stored entries in column order, summed as the first product
+    plus `np.add.reduce` of the others, then + 0.0, over the stored row norm
+    times the query's norm, clipped to [-1, 1]; 0 for a zero-norm query or
+    row."""
+    query = np.asarray(query, dtype=np.float64)
+    qnorm, norm = float(np.linalg.norm(query)), matrix.norms[row]
+    if not (qnorm > 0.0 and norm > 0.0):
+        return 0.0
+    lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
+    products = query[matrix.indices[lo:hi]] * matrix.values[lo:hi].astype(np.float64)
+    dot = products[0] + np.add.reduce(products[1:]) + 0.0
+    return float(min(1.0, max(-1.0, dot / (norm * qnorm))))
+
+
+# the unit roundoff of float64
+U = 2.0 ** -53
+
+
+def assert_near_fsum_cosine(score, query, matrix, row):
+    """`score` lies within nnz * u of the cosine whose dot is the exactly
+    rounded sum (math.fsum) of the row's nnz stored products, plus the
+    division's rounding: the dot-product bound (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 2002, section 3.1) on products
+    whose sum of magnitudes is at most the norms' product."""
+    query = np.asarray(query, dtype=np.float64)
+    qnorm, norm = float(np.linalg.norm(query)), matrix.norms[row]
+    if not (qnorm > 0.0 and norm > 0.0):
+        assert score == 0.0
+        return
+    lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
+    products = query[matrix.indices[lo:hi]] * matrix.values[lo:hi].astype(np.float64)
+    exact = min(1.0, max(-1.0, math.fsum(products.tolist()) / (norm * qnorm)))
+    assert abs(score - exact) <= (hi - lo) * U + 2 * U * abs(exact), (score, exact, hi - lo)
 
 
 def oracle_full_sort(scores, keys, k):
@@ -304,6 +350,57 @@ def oracle_dense_features(contexts, embeddings, sentences=None):
             mean = mean / mean_norm
         X[i, d:] = mean
     return X
+
+
+def oracle_build_features(contexts, embeddings, sentences=None):
+    """The factored features with one mean per distinct item sequence,
+    summed by its own full-width bincount, divided, normed by
+    np.linalg.norm and cut to the context columns, sequence by sequence."""
+    d = embeddings.dim
+    posts, sequences, firsts, index = {}, {}, [], []
+    for ctx in contexts:
+        posts.setdefault(ctx.post_id, len(posts))
+    for ctx in contexts:
+        half = 0
+        if ctx.items:
+            key = tuple((item.unit, item.source_comment_id if item.unit == "comment"
+                         else item.text) for item in ctx.items)
+            if key not in sequences:
+                sequences[key] = 1 + len(firsts)
+                firsts.append(ctx)
+            half = sequences[key]
+        index.append((posts[ctx.post_id], half))
+    post_rows = embeddings.take([embeddings.row_index(pid) for pid in posts])
+    post_columns = np.flatnonzero(post_rows.view(np.int32).any(axis=0))
+    stored = np.zeros(d, dtype=bool)
+    item_rows = []
+    for ctx in firsts:
+        rows = []
+        for item in ctx.items:
+            matrix, key = ((embeddings, item.source_comment_id) if item.unit == "comment"
+                           else (sentences, item.text))
+            row = matrix.row_index(key)
+            rows.append((matrix, row))
+            stored[matrix.indices[matrix.indptr[row]:matrix.indptr[row + 1]]] = True
+        item_rows.append(rows)
+    context_columns = np.flatnonzero(stored)
+    context_block = np.zeros((1 + len(firsts), len(context_columns)))
+    for half, rows in enumerate(item_rows, start=1):
+        cols, values, all_unit = [], [], True
+        for matrix, row in rows:
+            lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
+            cols.append(matrix.indices[lo:hi])
+            values.append(matrix.values[lo:hi])
+            all_unit = all_unit and abs(matrix.norms[row] - 1.0) <= 1e-3
+        mean = np.bincount(np.concatenate(cols), weights=np.concatenate(values),
+                           minlength=d) / len(rows)
+        mean_norm = float(np.linalg.norm(mean))
+        if all_unit and mean_norm > 0.0:
+            mean = mean / mean_norm
+        context_block[half] = mean[context_columns]
+    return Features(np.take(post_rows, post_columns, axis=1).astype(np.float64), context_block,
+                    np.array(index, dtype=np.int64).reshape(len(contexts), 2),
+                    post_columns, context_columns, d)
 
 
 def oracle_focal_loss_batch(z, y, alpha_t, gamma):
@@ -596,8 +693,9 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-# default chunks, one row per chunk, and four rows per chunk, so chunk
-# boundaries fall between the live rows of every selection
+# the default budget, then budgets that cut the queries into blocks of one
+# and of four and the rows into chunks of one to a few, so chunk boundaries
+# fall between the live rows of every selection
 @pytest.mark.parametrize("chunk_rows", [None, 1, 4])
 @pytest.mark.parametrize("dim", [7, 64, 1023, 1024])
 def test_cosine_scores_match_per_row_oracle(dim, chunk_rows, monkeypatch):
@@ -608,6 +706,11 @@ def test_cosine_scores_match_per_row_oracle(dim, chunk_rows, monkeypatch):
     rows = rng.standard_normal((n, dim)).astype(np.float32)
     rows[5] = rows[17] = 0.0  # all-zero rows
     rows[n - 1] = rows[0]
+    # rows that store a few entries, one entry, and -0.0 beside a value
+    rows[10:15] *= rng.random((5, dim)) < 0.1
+    rows[15] = 0.0
+    rows[15, dim // 2] = -3.0
+    rows[16, ::2] = -0.0
     # rows far from unit norm, in both directions
     rows[20:30] *= np.float32(1e20)
     rows[30:40] *= np.float32(1e-20)
@@ -618,20 +721,52 @@ def test_cosine_scores_match_per_row_oracle(dim, chunk_rows, monkeypatch):
         rows[0][None, :],  # a query equal to a row
         rows[25][None, :] * np.float32(1e-20),
     ])
+    # a query that is 0 where row 15 stores its one entry: the dot is -0.0
+    # before + 0.0
+    queries[0, dim // 2] = 0.0
     # the whole matrix, reversed, one row, one zero row, only zero rows, a
     # scattered subset, repeated positions, and no rows
     for idx in (np.arange(n), np.arange(n)[::-1], [0], [5], [17, 5], [3, 5, 25, 35, 40],
-                [25, 3, 25, 17, 40, 0, 3, 3], []):
+                [25, 3, 25, 17, 40, 0, 3, 3], [12, 15, 16], []):
         idx = np.asarray(idx, dtype=np.intp)
         got = cosine_scores(queries, matrix, idx)
         assert got.shape == (len(queries), len(idx))
         for query, scores in zip(queries, got):
-            assert same_bits(scores, oracle_cosine_scores(query, rows[idx], matrix.norms[idx]))
-            assert same_bits(scores, np.array([cosine_similarity(query, rows[i]) for i in idx],
-                                              dtype=np.float64))
+            assert same_bits(scores, np.array([stored_order_cosine(query, matrix, i)
+                                               for i in idx], dtype=np.float64))
     got = cosine_scores(queries, matrix, range(n))
+    for query, scores in zip(queries, got):
+        for row, score in enumerate(scores):
+            assert_near_fsum_cosine(score, query, matrix, row)
     assert not got[3].any() and not got[:, [5, 17]].any()
+    # a zero dot scores +0.0
+    assert got[0, 15] == 0.0 and not (np.signbit(got) & (got == 0.0)).any()
     assert abs(got[4, 0] - 1.0) < 1e-12 and np.abs(got).max() <= 1.0
+
+
+def test_cosine_scores_match_dense_oracle_on_synthgen_rows(world, wide_matrices):
+    # a hashed n-gram row holds a few multiples of one float32 magnitude,
+    # so on synthgen text the stored-entry sum and the dense BLAS dot round
+    # alike: every post's score against every comment and every sentence,
+    # the pools the sampler ranks, equals the dense oracle's bit for bit, at
+    # dims 64 and 1024
+    corpus, embeddings, sentences, _, _ = world
+    for embeddings, sentences in ((embeddings, sentences), wide_matrices):
+        queries = embeddings.take([embeddings.row_index(pid) for pid in sorted(corpus.posts)])
+        for matrix, pool in ((embeddings, [embeddings.row_index(cid) for cid in corpus.comments]),
+                             (sentences, range(len(sentences)))):
+            got = cosine_scores(queries, matrix, pool)
+            rows = matrix.take(pool)
+            for query, scores in zip(queries, got):
+                assert same_bits(scores, oracle_cosine_scores(query, rows, matrix.norms[pool]))
+
+
+def test_cosine_scores_refuse_queries_of_another_dim(world):
+    embeddings = world[1]
+    with pytest.raises(ValueError, match="dim"):
+        cosine_scores(np.zeros((2, embeddings.dim + 1)), embeddings, [0])
+    with pytest.raises(ValueError, match="dim"):
+        cosine_scores(np.zeros(embeddings.dim), embeddings, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -836,10 +971,16 @@ def test_dump_contexts_matches_json_dumps_oracle(drawn):
 # ---------------------------------------------------------------------------
 # the feature matrix
 
-@pytest.mark.parametrize("scales", [(1.0,), (1.0, 2.5, 0.0, 0.3), (1.0005, 0.9995, 1.01),
-                                    "random"],
-                         ids=["unit", "non-unit", "near-unit", "random"])
-def test_feature_matrix_matches_per_pair_oracle(world, scales):
+FEATURE_SCALES = {"unit": (1.0,), "non-unit": (1.0, 2.5, 0.0, 0.3),
+                  "near-unit": (1.0005, 0.9995, 1.01), "random": "random"}
+
+
+def feature_partitions(world, scales):
+    """The world's matrices, rescaled (zero and non-unit rows among them) or
+    made dense and random, and partitions of their pairs' contexts: empty
+    contexts, the full pool, every sampler config's, a context that mixes
+    comment and sentence items, a partition whose pairs repeat, and the full
+    pool beside its items reversed."""
     corpus, embeddings, sentences, profiles, pairs = world
     if scales == "random":
         embeddings, sentences = randomized(embeddings, 1), randomized(sentences, 2)
@@ -853,12 +994,13 @@ def test_feature_matrix_matches_per_pair_oracle(world, scales):
     for cfg in configs():
         partitions.append(sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
                                          sentences=sentences, scores=memo))
-    # a context mixing comment items (the full pool) and sentence items
-    # (similar_sentences, the last config)
+    # a context alternating sentence items (similar_sentences, the last
+    # config) and comment items (the full pool)
     sentence_ctx = partitions[-1][0]
     mixed = ContextSet(sentence_ctx.annotator_id, sentence_ctx.post_id,
-                       partitions[1][0].items[:2] + sentence_ctx.items[:2])
-    assert {item.unit for item in mixed.items} == {"comment", "sentence"}
+                       [item for pair in zip(sentence_ctx.items, partitions[1][0].items[:2])
+                        for item in pair])
+    assert [item.unit for item in mixed.items] == ["sentence", "comment"] * 2
     partitions.append([mixed])
     # every pair of one partition twice (the full pool's contexts already
     # repeat per annotator), and each context beside its items reversed: the
@@ -866,6 +1008,21 @@ def test_feature_matrix_matches_per_pair_oracle(world, scales):
     partitions.append(partitions[-2] * 2)
     partitions.append(partitions[1] + [ContextSet(c.annotator_id, c.post_id, c.items[::-1])
                                        for c in partitions[1]])
+    # contexts of zero rows only (scaled by 0.0, they store -0.0 entries),
+    # beside others
+    zero = [ContextItem(cid, corpus.comments[cid].text, None, "comment")
+            for cid in sorted(corpus.comments) if not embeddings.norms[embeddings.row_index(cid)]]
+    if zero:
+        a, p = pairs[0]
+        partitions.append([ContextSet(a, p, zero[:1]), ContextSet(a, p, zero[:3])]
+                          + partitions[1][:2])
+    return embeddings, sentences, partitions
+
+
+@pytest.mark.parametrize("scales", FEATURE_SCALES.values(), ids=FEATURE_SCALES.keys())
+def test_feature_matrix_matches_per_pair_oracle(world, scales):
+    corpus, _, _, _, pairs = world
+    embeddings, sentences, partitions = feature_partitions(world, scales)
     for contexts in partitions:
         features = build_features(contexts, embeddings, sentences)
         X = features.rows()
@@ -880,6 +1037,48 @@ def test_feature_matrix_matches_per_pair_oracle(world, scales):
     # one half-row per distinct post and per annotator's pool, not two per pair
     pooled = build_features(partitions[1], embeddings)
     assert len(pooled.posts) + len(pooled.contexts) < len(pairs)
+
+
+def same_features(a, b):
+    """Two Features with the same blocks, index, columns and width, bit for bit."""
+    return (same_bits(a.posts, b.posts) and same_bits(a.contexts, b.contexts)
+            and np.array_equal(a.index, b.index) and a.width == b.width
+            and np.array_equal(a.post_columns, b.post_columns)
+            and np.array_equal(a.context_columns, b.context_columns))
+
+
+@pytest.mark.parametrize("scales", FEATURE_SCALES.values(), ids=FEATURE_SCALES.keys())
+def test_build_features_matches_per_sequence_oracle(world, scales, monkeypatch):
+    embeddings, sentences, partitions = feature_partitions(world, scales)
+    d = embeddings.dim
+    # the default chunks; one sequence per chunk; and three sequences per
+    # block but at most 3d + 1 entries, which cuts the longer sequences'
+    # chunks by their entries
+    for chunk_floats in (dlab.model._MEAN_CHUNK_FLOATS, 1, 3 * d + 1):
+        monkeypatch.setattr(dlab.model, "_MEAN_CHUNK_FLOATS", chunk_floats)
+        for contexts in partitions:
+            assert same_features(build_features(contexts, embeddings, sentences),
+                                 oracle_build_features(contexts, embeddings, sentences))
+
+
+@pytest.mark.parametrize("chunk_floats", [None, 1])
+def test_build_features_over_rows_that_store_no_entry(chunk_floats, monkeypatch):
+    # +0.0 rows store no entry: a chunk of such items alone sums over no
+    # entry at all, and its means are +0.0, unscaled
+    if chunk_floats is not None:
+        monkeypatch.setattr(dlab.model, "_MEAN_CHUNK_FLOATS", chunk_floats)
+    rows = np.zeros((4, 8), dtype=np.float32)
+    rows[0, 0] = rows[3, 1] = 1.0
+    matrix = EmbeddingMatrix.from_dense(["p", "z1", "z2", "c"], rows)
+    assert matrix.indptr[1] == matrix.indptr[3]
+    item = {cid: ContextItem(cid, cid, None, "comment") for cid in ("z1", "z2", "c")}
+    contexts = [ContextSet("a", "p", [item["z1"]]), ContextSet("a", "p", [item["z1"], item["z2"]]),
+                ContextSet("a", "p", [item["z2"], item["c"]]), ContextSet("a", "p", [])]
+    features = build_features(contexts, matrix)
+    assert same_features(features, oracle_build_features(contexts, matrix))
+    assert features.context_columns.tolist() == [1]
+    assert features.contexts.tolist() == [[0.0], [0.0], [0.0], [0.5]]
+    assert not np.signbit(features.contexts).any()
 
 
 def test_feature_mean_sums_each_column_in_item_order():

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import dense
-from test_batch_oracles import cosine_similarity, same_bits
+from conftest import dense, traced_peak
+from test_batch_oracles import cosine_similarity, same_bits, stored_order_cosine
 
 import dlab.embed
 from dlab.embed import (
@@ -376,7 +376,7 @@ def brute_top_k(query, matrix, k, exclude=frozenset()):
     for rid in matrix.ids:
         if rid in exclude:
             continue
-        rows.append((rid, cosine_similarity(query, matrix.row(rid))))
+        rows.append((rid, stored_order_cosine(query, matrix, matrix.row_index(rid))))
     rows.sort(key=lambda t: (-t[1], t[0]))
     return rows[:k]
 
@@ -399,16 +399,38 @@ def test_top_k_matches_brute_force(monkeypatch):
                 assert same_bits(np.array([s for _, s in got]), np.array([s for _, s in want]))
 
 
+@pytest.mark.parametrize("n_queries", [1, 64])
+def test_cosine_scores_peak_memory_stays_near_the_chunk_budget(n_queries):
+    # 400 rows at dim 4096, 12.5 MB as dense float64 rows: 399 rows of 35
+    # stored entries and one fully dense row, whose products with 64
+    # queries take 2 MB unless the queries are cut into blocks as well
+    rng = np.random.default_rng(7)
+    dim, n = 4096, 400
+    rows = np.zeros((n, dim), dtype=np.float32)
+    for row in rows:
+        cols = rng.choice(dim, 35, replace=False)
+        row[cols] = rng.standard_normal(cols.size)
+    rows[n // 2] = rng.standard_normal(dim)
+    matrix = EmbeddingMatrix.from_dense([f"r{i}" for i in range(n)], rows)
+    queries = rng.standard_normal((n_queries, dim))
+    scores, peak = traced_peak(lambda: cosine_scores(queries, matrix, range(n)))
+    assert scores.shape == (n_queries, n) and scores[:, n // 2].any()
+    # the scores, the dots they are taken from, and one chunk's products of
+    # at most _SCORE_CHUNK_FLOATS values beside its entry positions
+    assert peak <= 2 * scores.nbytes + dlab.embed._SCORE_CHUNK_FLOATS * 8 * 3 // 2
+
+
 def key_order(keys):
     """The positions of `keys` by ascending key, equal keys by position: the
     order rank_scores breaks score ties by."""
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
-def scalar_ranking(query, rows, keys):
-    """The ranking rank_scores(cosine_scores(...)) must reproduce: one cosine_similarity per
-    row, sorted by descending score, then ascending key (stable)."""
-    scored = [(i, cosine_similarity(query, rows[i])) for i in range(len(keys))]
+def scalar_ranking(query, matrix, keys):
+    """The ranking rank_scores(cosine_scores(...)) must reproduce: one
+    stored_order_cosine per row, sorted by descending score, then ascending
+    key (stable)."""
+    scored = [(i, stored_order_cosine(query, matrix, i)) for i in range(len(keys))]
     return sorted(scored, key=lambda pair: (-pair[1], keys[pair[0]]))
 
 
@@ -432,8 +454,7 @@ def test_rank_by_cosine_matches_scalar_oracle(n, dim, seed):
     assert block.shape == (len(queries), n)
     for query, scores in zip(queries, block):
         for keys in (shuffled, tuples):
-            assert rank_scores(scores, key_order(keys), n) == scalar_ranking(
-                query, dense(matrix), keys)
+            assert rank_scores(scores, key_order(keys), n) == scalar_ranking(query, matrix, keys)
 
 
 def test_rank_scores_top_k_is_the_full_sort_prefix():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import traced_peak
 
 import dlab.model
 from dlab.embed import (EmbedderConfig, EmbeddingMatrix, read_checksummed_text,
@@ -649,6 +650,32 @@ def test_build_features_error_paths():
                        sentences=EmbeddingMatrix.from_dense(["text"], np.zeros((1, 3))))
     with pytest.raises(KeyError):
         build_features([ContextSet("a", "p9", [])], matrix)
+
+
+def test_build_features_peak_memory_stays_near_its_outputs():
+    # 1,000 distinct sequences of 5 items over 300 unit rows at dim 4096,
+    # 9.8 MB as dense float64 rows, whose entries lie in 256 columns: the
+    # means are summed in blocks of at most _MEAN_CHUNK_FLOATS values, not
+    # in one (sequences x d) block of 32 MB or from every entry at once
+    rng = np.random.default_rng(5)
+    dim, n = 4096, 300
+    rows = np.zeros((n + 20, dim), dtype=np.float32)
+    for row in rows:
+        cols = rng.choice(256, 35, replace=False)
+        row[cols] = rng.standard_normal(cols.size)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    matrix = EmbeddingMatrix.from_dense([f"c{i}" for i in range(n)]
+                                        + [f"p{i}" for i in range(20)], rows)
+    contexts = [ContextSet("a", f"p{i % 20}", [
+        ContextItem(f"c{j}", "", None, "comment") for j in rng.choice(n, 5, replace=False)])
+        for i in range(1000)]
+    features, peak = traced_peak(lambda: build_features(contexts, matrix))
+    assert features.contexts.shape == (1001, 256)
+    outputs = sum(a.nbytes for a in (features.posts, features.contexts, features.index,
+                                     features.post_columns, features.context_columns))
+    # beside the features: the keys and index of 1,000 contexts, and one
+    # block of means with its entries
+    assert peak <= outputs + 10 * dlab.model._MEAN_CHUNK_FLOATS * 8
 
 
 POSTS, CONTEXTS, INDEX = np.zeros((3, 2)), np.zeros((3, 2)), np.array([[1, 0], [2, 2]])
