@@ -40,19 +40,24 @@ class ModelFileError(ValueError):
 
 
 def _label_index(label) -> int:
+    """The class index of a label string, or of an integer class index 0 or
+    1 (Python or numpy, not a bool); anything else is a ValueError."""
     if isinstance(label, str):
         try:
             return _LABEL_INDEX[label]
         except KeyError:
             raise ValueError(f"unknown label {label!r}; expected one of {LABELS}")
-    idx = int(label)
-    if idx not in (0, 1):
+    if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+        raise ValueError(f"a label must be one of {LABELS} or a class index 0 or 1, "
+                         f"got {label!r}")
+    if label not in (0, 1):
         raise ValueError(f"label index must be 0 or 1, got {label}")
-    return idx
+    return int(label)
 
 
 def encode_labels(labels) -> np.ndarray:
-    """Class indices (0 NTA, 1 YTA) of an iterable of labels or indices."""
+    """Class indices (0 NTA, 1 YTA) of an iterable of label strings or
+    integer class indices."""
     return np.array([_label_index(label) for label in labels], dtype=np.int64)
 
 
@@ -259,20 +264,25 @@ def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
 
 # each row's one-hot class mask is its label against these class indices
 _CLASSES = np.arange(len(LABELS))
+# below every non-zero 1 - p_t (at least 2^-53), and finite raised to any
+# power in (-1, 0)
+_TINY = np.finfo(np.float64).tiny
 
 
 def focal_loss_batch(z: np.ndarray, y: np.ndarray, alpha_t: np.ndarray,
                      gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-row focal losses and their exact gradients with respect to the logits.
 
-    z: (n, 2) logits, y: (n,) true class indices, alpha_t: (n,) weight of
-    each row's true class. FL = -alpha_t (1 - p_t)^gamma log p_t with
-    p = softmax(z); gamma=0 reduces to alpha-weighted cross-entropy. The
-    gradient handles p_t -> 1 (its limit is 0) without blowing up. Each
-    row's true class is selected with `np.where` from its two classes, so
-    the kernel indexes nothing by position or mask.
+    z: (n, 2) logits, y: (n,) true class indices or their (n, 2) one-hot
+    class mask `y[:, None] == [0, 1]` (train builds the mask once per
+    epoch), alpha_t: (n,) weight of each row's true class. FL = -alpha_t
+    (1 - p_t)^gamma log p_t with p = softmax(z); gamma=0 reduces to
+    alpha-weighted cross-entropy. The gradient handles p_t -> 1 (its limit
+    is 0) without blowing up or warning. Each row's true class is selected
+    with `np.where` from its two classes, so the kernel indexes nothing by
+    position or mask.
     """
-    onehot = y[:, None] == _CLASSES
+    onehot = y if y.ndim == 2 else y[:, None] == _CLASSES
     yta = onehot[:, 1]
     zmax = np.maximum(z[:, 0], z[:, 1])[:, None]
     e = np.exp(z - zmax)
@@ -285,10 +295,12 @@ def focal_loss_batch(z: np.ndarray, y: np.ndarray, alpha_t: np.ndarray,
     if gamma == 0.0:
         weight = alpha_t
     else:
-        # limit of (1-p)^g - g p (1-p)^{g-1} log p as p -> 1 is 0; at p = 1
-        # the second term can read 0 * inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coeff = focal - gamma * pt * one_minus ** (gamma - 1.0) * log_pt
+        # limit of (1-p)^g - g p (1-p)^{g-1} log p as p -> 1 is 0. Below
+        # g = 1, 0^(g-1) would divide by zero, so the base of a row at p = 1
+        # is raised from 0 to _TINY; that row's coefficient is dropped
+        # below, and every other row keeps its base
+        base = one_minus if gamma >= 1.0 else np.maximum(one_minus, _TINY)
+        coeff = focal - gamma * pt * base ** (gamma - 1.0) * log_pt
         weight = alpha_t * np.where(one_minus > 0.0, coeff, 0.0)
     losses = -alpha_t * focal * log_pt
     # (alpha_t coeff) (p - onehot(y))
@@ -358,11 +370,13 @@ def _inverse_frequency_alpha(y: np.ndarray) -> tuple[float, float]:
     return (n / (2.0 * counts[0]), n / (2.0 * counts[1]))
 
 
-def _check_labels(features: Features, y) -> np.ndarray:
+def _check_labels(features: Features | np.ndarray, y) -> np.ndarray:
+    """y as int64 class indices, one per feature row; an array of anything
+    but integers 0 and 1 (floats and bools included) is a ValueError."""
     y = np.asarray(y)
     if y.shape != (len(features),):
         raise ValueError(f"need y of shape ({len(features)},), got {y.shape}")
-    if not np.isin(y, (0, 1)).all():
+    if y.size and (y.dtype.kind not in "iu" or not ((y == 0) | (y == 1)).all()):
         raise ValueError("labels must be class indices 0 (NTA) or 1 (YTA)")
     return y.astype(np.int64)
 
@@ -388,10 +402,13 @@ def train(features: Features, y, cfg: TrainConfig, runs: int = 1) -> Fits:
     (encode_labels). The fits step in lockstep: each epoch draws one
     permutation from each fit's own generator, and each step gathers the
     fits' batches into two reused buffers, runs x min(batch, n) x kp of the
-    post block and runs x min(batch, n) x kc of the context block. A step
-    takes the logits as the post half's product plus the context half's
-    product plus the bias, in that order, then the focal loss, one gradient
-    product per half and the Adam update, in one call each over every fit.
+    post block and runs x min(batch, n) x kc of the context block. The
+    epoch's row indices, class masks and class weights are gathered once per
+    epoch, and each batch's views of them and of the buffers are made once
+    per call, so a step makes only its arithmetic calls. A step takes the
+    logits as the post half's product plus the context half's product plus
+    the bias, in that order, then the focal loss, one gradient product per
+    half and the Adam update, in one call each over every fit.
     Each of those calls works on each fit's slice alone (one BLAS product
     per slice, lane-wise ufuncs, a sum along that fit's rows), so fit r is
     bit for bit the single fit seeded cfg.seed + r. A half's weights off its
@@ -430,46 +447,68 @@ def train(features: Features, y, cfg: TrainConfig, runs: int = 1) -> Fits:
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
-    alpha_t = alpha_arr[y]
-    post_index, context_index = index[:, 0], index[:, 1]
-    size = runs * min(cfg.batch_size, n)
-    post_buf, context_buf = np.empty(size * kp), np.empty(size * kc)
-    z_buf, context_z_buf = np.empty(size * 2), np.empty(size * 2)
-
     # the epoch's (runs, n) orders laid out batch-major: each batch's
-    # (runs, rows) block one after another, so a batch is one contiguous slice
+    # (runs, rows) block one after another, so a batch is one contiguous
+    # slice. Each epoch gathers its rows' post and context indices, class
+    # masks and class weights into these arrays, once.
     batches = range(0, n, cfg.batch_size)
     layout = np.concatenate([(np.arange(runs)[:, None] * n
                               + np.arange(start, min(start + cfg.batch_size, n))).ravel()
                              for start in batches])
+    post_index, context_index = index[:, 0], index[:, 1]
+    order_posts = np.empty(runs * n, dtype=post_index.dtype)
+    order_contexts = np.empty(runs * n, dtype=context_index.dtype)
+    order_onehot = np.empty((runs * n, 2), dtype=bool)
+    order_alpha = np.empty(runs * n)
+    alpha_t = alpha_arr[y]
+
+    # each batch's views of those arrays, and of the two gather buffers and
+    # the two logit buffers, made once: every full batch shares one set of
+    # buffer views, and a shorter last batch has its own
+    size = runs * min(cfg.batch_size, n)
+    post_buf, context_buf = np.empty(size * kp), np.empty(size * kc)
+    z_buf, context_z_buf = np.empty(size * 2), np.empty(size * 2)
+    buffers = {}
+    steps = []
+    for start in batches:
+        rows = min(start + cfg.batch_size, n) - start
+        size = runs * rows
+        if rows not in buffers:
+            z = z_buf[:size * 2].reshape(runs, rows, 2)
+            buffers[rows] = (post_buf[:size * kp].reshape(runs, rows, kp),
+                             context_buf[:size * kc].reshape(runs, rows, kc),
+                             z, z.reshape(size, 2),
+                             context_z_buf[:size * 2].reshape(runs, rows, 2))
+        batch = slice(runs * start, runs * start + size)
+        steps.append((rows, order_posts[batch].reshape(runs, rows),
+                      order_contexts[batch].reshape(runs, rows), order_onehot[batch],
+                      order_alpha[batch], *buffers[rows]))
+
+    add = np.add.reduce
     rngs = [np.random.default_rng(cfg.seed + r) for r in range(runs)]
     history = np.empty((runs, cfg.epochs))
     for epoch in range(cfg.epochs):
         order = np.stack([rng.permutation(n) for rng in rngs]).ravel()[layout]
-        order_posts, order_contexts = post_index[order], context_index[order]
-        order_y, order_alpha = y[order], alpha_t[order]
+        post_index.take(order, out=order_posts)
+        context_index.take(order, out=order_contexts)
+        np.equal(y.take(order)[:, None], _CLASSES, out=order_onehot)
+        alpha_t.take(order, out=order_alpha)
         epoch_loss = np.zeros(runs)
-        for start in batches:
-            stop = min(start + cfg.batch_size, n)
-            rows = stop - start
-            size = runs * rows
-            batch = slice(runs * start, runs * stop)
+        for rows, batch_posts, batch_contexts, onehot, batch_alpha, Xp, Xc, z, z2, cz in steps:
             # mode "raise" would buffer out; Features has checked the index
-            Xp = np.take(posts, order_posts[batch].reshape(runs, rows), axis=0, mode="clip",
-                         out=post_buf[:size * kp].reshape(runs, rows, kp))
-            Xc = np.take(contexts, order_contexts[batch].reshape(runs, rows), axis=0, mode="clip",
-                         out=context_buf[:size * kc].reshape(runs, rows, kc))
-            z = np.matmul(Xp, Wp_T, out=z_buf[:size * 2].reshape(runs, rows, 2))
-            z += np.matmul(Xc, Wc_T, out=context_z_buf[:size * 2].reshape(runs, rows, 2))
+            posts.take(batch_posts, axis=0, out=Xp, mode="clip")
+            contexts.take(batch_contexts, axis=0, out=Xc, mode="clip")
+            np.matmul(Xp, Wp_T, out=z)
+            z += np.matmul(Xc, Wc_T, out=cz)
             z += b
-            losses, gz = focal_loss_batch(z.reshape(size, 2), order_y[batch],
-                                          order_alpha[batch], gamma)
-            epoch_loss += losses.reshape(runs, rows).sum(axis=1)
+            losses, gz = focal_loss_batch(z2, onehot, batch_alpha, gamma)
+            epoch_loss += add(losses.reshape(runs, rows), axis=1)
             gz /= rows
             gz = gz.reshape(runs, rows, 2)
-            np.matmul(gz.transpose(0, 2, 1), Xp, out=gWp)
-            np.matmul(gz.transpose(0, 2, 1), Xc, out=gWc)
-            gz.sum(axis=1, out=gb)
+            gz_T = gz.transpose(0, 2, 1)
+            np.matmul(gz_T, Xp, out=gWp)
+            np.matmul(gz_T, Xc, out=gWc)
+            add(gz, axis=1, out=gb)
 
             # Adam: m and v in place, then params -= lr mhat / (sqrt(vhat) + eps)
             step += 1
@@ -499,12 +538,15 @@ def train(features: Features, y, cfg: TrainConfig, runs: int = 1) -> Fits:
     return Fits(tuple(fits), cfg.epochs)
 
 
-def predict(params: ModelParams, features: Features) -> np.ndarray:
+def predict(params: ModelParams, features: Features | np.ndarray) -> np.ndarray:
     """Class indices of the feature rows from the logits X @ W.T + b over
-    their dense matrix X (Features.rows), one full-width product; exact ties
-    go to NTA. Train sums its logits half by half over each half's stored
-    columns, so its logits and these can differ in the last bits."""
-    z = features.rows() @ params.weights.T + params.bias
+    their dense matrix X, one full-width product; exact ties go to NTA.
+    `features` is a Features, whose `rows()` X is, or X itself, which a
+    caller scoring several fits on the same rows builds once. Train sums its
+    logits half by half over each half's stored columns, so its logits and
+    these can differ in the last bits."""
+    X = features.rows() if isinstance(features, Features) else features
+    z = X @ params.weights.T + params.bias
     return (z[:, 1] > z[:, 0]).astype(np.int64)
 
 
@@ -533,10 +575,13 @@ def compute_report(y_true, y_pred) -> EvalReport:
     Zero denominators score 0; a class absent from both truth and
     predictions contributes F1 = 0 to the macro average, with a warning.
     """
+    return _report(encode_labels(y_true), encode_labels(y_pred))
+
+
+def _report(yt: np.ndarray, yp: np.ndarray) -> EvalReport:
+    """compute_report over int64 class-index arrays."""
     import warnings as _warnings
 
-    yt = np.array([_label_index(v) for v in y_true], dtype=np.int64)
-    yp = np.array([_label_index(v) for v in y_pred], dtype=np.int64)
     if yt.shape != yp.shape or yt.size == 0:
         raise ValueError("y_true and y_pred must be equal-length and non-empty")
     correctness = (yt == yp).astype(np.int64)
@@ -563,10 +608,10 @@ def compute_report(y_true, y_pred) -> EvalReport:
     )
 
 
-def evaluate(params: ModelParams, features: Features, y) -> EvalReport:
-    """Score the model on the feature rows with class indices y."""
-    y = _check_labels(features, y)
-    return compute_report(y, predict(params, features))
+def evaluate(params: ModelParams, features: Features | np.ndarray, y) -> EvalReport:
+    """Score the model on the feature rows with class indices y; the rows
+    are a Features or its dense matrix, as `predict` takes them."""
+    return _report(_check_labels(features, y), predict(params, features))
 
 
 def significance_test(correct_a, correct_b) -> tuple[float, float]:

@@ -421,7 +421,8 @@ def _five_plus_pct(state: RunState, condition: Condition) -> float:
 def run_condition(state: RunState, condition: Condition) -> dict:
     """Sample each partition's contexts and build its features once,
     dump the contexts when the run saves them, then train cfg.runs models
-    in one lockstep call, evaluate each, aggregate."""
+    in one lockstep call, evaluate each on one dense test matrix,
+    aggregate."""
     cfg = state.cfg
     data = {}
     contexts = []
@@ -433,7 +434,9 @@ def run_condition(state: RunState, condition: Condition) -> dict:
         dump_contexts(contexts, Path(cfg.out) / "contexts" / f"{condition.name}.jsonl")
 
     fits = train(*data["train"], cfg.train_config(condition.name), cfg.runs)
-    reports = [evaluate(params, *data["test"]) for params in fits.params]
+    test_features, test_y = data["test"]
+    test_rows = test_features.rows()
+    reports = [evaluate(params, test_rows, test_y) for params in fits.params]
 
     acc_runs = [r.accuracy for r in reports]
     f1_runs = [r.macro_f1 for r in reports]

@@ -1286,6 +1286,34 @@ def test_train_without_stored_columns_fits_zero_weights(world):
             assert params.loss_history == history
 
 
+@pytest.mark.parametrize("gamma", [0.5, 2.0])
+def test_train_matches_dense_oracle_where_rows_saturate(gamma):
+    # post halves ±40 apart by class and a large learning rate: within a few
+    # steps most rows' true-class probability rounds to exactly 1.0, where
+    # the focal coefficient's (1 - p_t)^(gamma - 1) reads 0^-0.5 at
+    # gamma 0.5; a floating-point warning there would fail the test
+    rng = np.random.default_rng(11)
+    n, width = 40, 3
+    y = np.arange(n) % 2
+    posts = rng.normal(0.0, 1.0, (n, width))
+    posts[:, 0] += np.where(y == 1, 20.0, -20.0)
+    contexts = rng.normal(0.0, 1.0, (4, width))
+    index = np.stack([np.arange(n), np.arange(n) % 4], axis=1)
+    features = Features(posts, contexts, index)
+    cfg = TrainConfig(epochs=6, learning_rate=0.5, focal_gamma=gamma, batch_size=8, seed=3)
+    X = features.rows()
+    W, b, _ = oracle_dense_train(X, y, cfg, half_columns(features))
+    z = X @ W.T + b
+    logp = z - np.logaddexp(z[:, :1], z[:, 1:])
+    assert (np.exp(logp[np.arange(n), y]) == 1.0).sum() >= n // 2
+    for runs, params, (W, b, history) in lockstep_fits(features, y, cfg, X,
+                                                       half_columns(features)):
+        if runs > 3:
+            break
+        assert same_bits(params.weights, W) and same_bits(params.bias, b), runs
+        assert params.loss_history == history, runs
+
+
 # ---------------------------------------------------------------------------
 # scoring
 

@@ -305,6 +305,40 @@ def test_train_validation():
         encode_labels(["MAYBE"])
 
 
+@pytest.mark.parametrize("label", [0.7, 1.9, 1.0, 0.0, np.float64(1.0), True, False,
+                                   np.bool_(True), None, 1 + 0j])
+def test_labels_are_label_strings_or_integer_indices(label):
+    # a float, integral or not, or a bool is no class index; int() would
+    # have read 0.7 as 0 and 1.9 as 1
+    with pytest.raises(ValueError):
+        encode_labels(["NTA", label])
+    with pytest.raises(ValueError):
+        compute_report([label, 1], [0, 1])
+    with pytest.raises(ValueError):
+        compute_report([0, 1], [0, label])
+
+
+def test_labels_take_python_and_numpy_integer_indices():
+    assert encode_labels([np.int64(1), np.int32(0), np.uint8(1), 0, "YTA"]).tolist() == [
+        1, 0, 1, 0, 1]
+    assert compute_report(np.array([0, 1]), np.array([0, 1], dtype=np.int8)).accuracy == 1.0
+    for bad in (2, -1, np.int64(2)):
+        with pytest.raises(ValueError, match="0 or 1"):
+            encode_labels([bad])
+
+
+def test_train_and_evaluate_take_integer_label_arrays_only():
+    features = factored([[1.0, 0.0], [0.0, 1.0]])
+    params = ModelParams(weights=np.zeros((2, 2)), bias=np.zeros(2), gamma=2.0,
+                         alpha=(0.5, 0.5), seed=0, epochs=0, learning_rate=0.0)
+    for y in (np.array([0.0, 1.0]), np.array([False, True]), np.array(["NTA", "YTA"])):
+        with pytest.raises(ValueError, match="labels"):
+            train(features, y, TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match="labels"):
+            evaluate(params, features, y)
+    assert evaluate(params, features, np.array([0, 1], dtype=np.uint8)).accuracy == 0.5
+
+
 def test_predict_tie_goes_to_nta():
     params = ModelParams(weights=np.zeros((2, 2)), bias=np.zeros(2), gamma=2.0,
                          alpha=(0.5, 0.5), seed=0, epochs=0, learning_rate=0.0)
@@ -676,6 +710,27 @@ def test_build_features_peak_memory_stays_near_its_outputs():
     # beside the features: the keys and index of 1,000 contexts, and one
     # block of means with its entries
     assert peak <= outputs + 10 * dlab.model._MEAN_CHUNK_FLOATS * 8
+
+
+def test_train_peak_memory_stays_within_its_batch_buffers():
+    # runs 5, batch 32 and blocks 4096 columns wide, the README's largest
+    # batch: its two gather buffers hold 5 x 32 x 8,192 floats (10.5 MB) and
+    # serve every batch, so 10 batches of views that copied would hold ten
+    # times that. Beside them: the parameters, gradient, two Adam moments
+    # and two update scratch arrays, six copies of the parameter state, and
+    # a margin for the fits' weights and the step's small temporaries
+    rng = np.random.default_rng(3)
+    runs, batch, dim, n = 5, 32, 4096, 300
+    features = Features(rng.standard_normal((40, dim)), rng.standard_normal((60, dim)),
+                        np.stack([rng.integers(0, 40, n), rng.integers(0, 60, n)], axis=1))
+    y = np.arange(n) % 2
+    fits, peak = traced_peak(lambda: train(features, y, TrainConfig(
+        epochs=2, batch_size=batch, seed=1), runs))
+    assert len(fits.params) == runs
+    buffers = runs * batch * 2 * dim * 8
+    state = runs * 2 * (2 * dim + 1) * 8
+    assert buffers == 10_485_760
+    assert peak <= buffers + 6 * state + (1 << 20)
 
 
 POSTS, CONTEXTS, INDEX = np.zeros((3, 2)), np.zeros((3, 2)), np.array([[1, 0], [2, 2]])

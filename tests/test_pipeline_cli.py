@@ -11,6 +11,7 @@ from test_batch_oracles import cosine_similarity
 
 import dlab.cli
 import dlab.disclosure
+import dlab.model
 import dlab.pipeline
 from dlab.cli import main
 from dlab.corpus import CorpusError, ingest_corpus, load_split
@@ -474,6 +475,62 @@ def synth_run(tmp_path_factory):
     cfg = parse_config(ini, {"run.out": str(outdir)})
     rows = run_pipeline(cfg)
     return ini, outdir, cfg, rows
+
+
+def test_run_condition_scores_every_fit_as_evaluate_does(tmp_path, monkeypatch):
+    # runs = 3, plus two fits whose logits tie exactly on every row (zero
+    # weights, and equal weight rows): each condition scores all of its fits
+    # on one dense test matrix, and each report equals evaluate over the
+    # test partition's Features field for field
+    ini = tmp_path / "exp.ini"
+    ini.write_text(SYNTH_INI)
+    cfg = parse_config(ini, {"run.out": str(tmp_path / "out"), "train.runs": "3"})
+    partitions, fitted, scored = [], [], []
+    partition_data, train, evaluate = (dlab.pipeline.partition_data, dlab.pipeline.train,
+                                       dlab.pipeline.evaluate)
+
+    def partition(*args):
+        partitions.append(partition_data(*args))
+        return partitions[-1]
+
+    def fit(features, y, train_cfg, runs):
+        fits = train(features, y, train_cfg, runs)
+        assert len(fits.params) == runs == 3
+        ties = tuple(ModelParams(weights=weights, bias=np.full(2, bias), gamma=2.0,
+                                 alpha=(0.5, 0.5), seed=0, epochs=0, learning_rate=0.0)
+                     for weights, bias in (
+                         (np.zeros((2, features.dim)), 0.0),
+                         (np.tile(np.linspace(-1.0, 1.0, features.dim), (2, 1)), 0.25)))
+        fitted.append(fits.params + ties)
+        return dataclasses.replace(fits, params=fitted[-1])
+
+    def score(params, rows, y):
+        scored.append((rows, evaluate(params, rows, y)))
+        return scored[-1][1]
+
+    monkeypatch.setattr(dlab.pipeline, "partition_data", partition)
+    monkeypatch.setattr(dlab.pipeline, "train", fit)
+    monkeypatch.setattr(dlab.pipeline, "evaluate", score)
+    rows = run_pipeline(cfg)
+    assert len(fitted) == len(rows) == 2 and len(scored) == 2 * 5
+    for c, (row, fits) in enumerate(zip(rows, fitted)):
+        features, y = partitions[2 * c + 1]
+        reports = scored[5 * c:5 * c + 5]
+        # one matrix, the partition's dense rows, serves every fit
+        assert all(matrix is reports[0][0] for matrix, _ in reports)
+        assert np.array_equal(reports[0][0], features.rows())
+        for params, (_, got) in zip(fits, reports):
+            want = dlab.model.evaluate(params, features, y)
+            assert got.n == want.n
+            assert got.accuracy == want.accuracy and got.macro_f1 == want.macro_f1
+            assert got.per_class == want.per_class
+            assert np.array_equal(got.correctness, want.correctness)
+        # the ties go to NTA
+        for _, got in reports[3:]:
+            assert got.correctness.tolist() == (y == 0).astype(np.int64).tolist()
+        assert row["acc_runs"] == [got.accuracy for _, got in reports]
+        assert row["correctness"] == np.concatenate(
+            [got.correctness for _, got in reports]).tolist()
 
 
 def test_pipeline_rows_and_artifacts(synth_run):
