@@ -51,7 +51,7 @@ from .model import (
     significance_test,
     train,
 )
-from .sampler import ContextItem, ContextSet, SamplerConfig, sample_context
+from .sampler import ContextItem, Contexts, ContextSet, SamplerConfig, sample_context
 from .synthgen import PopulationSpec, generate_population
 
 __all__ = [
@@ -59,6 +59,7 @@ __all__ = [
     "Comment",
     "ContextItem",
     "ContextSet",
+    "Contexts",
     "Corpus",
     "CorpusError",
     "DisclosureSpan",

@@ -70,7 +70,7 @@ from .pipeline import (
     setup_profiles,
     setup_split,
 )
-from .sampler import category_coverage, dump_contexts, similar_post_diversity
+from .sampler import Contexts, category_coverage, dump_contexts, similar_post_diversity
 from .seeds import derive_seed
 from .synthgen import SynthesisError, generate_population, write_population
 
@@ -238,8 +238,9 @@ def _partition_data(args, cfg, partition):
         except KeyError:
             raise CorpusError(
                 f"contexts file lacks pair ({v.annotator_id}, {v.post_id})")
-    state = condition_state(cfg, corpus, {item.unit for c in loaded for item in c.items})
-    return partition_data(state, contexts, indices)
+    state = condition_state(cfg, corpus, {item.unit for c in loaded for item in c.items},
+                            partitions={partition: indices})
+    return partition_data(state, Contexts.from_records(contexts), partition)
 
 
 def _cmd_train(args) -> int:

@@ -478,17 +478,19 @@ def cosine_scores(queries: np.ndarray, matrix: EmbeddingMatrix, rows) -> np.ndar
     return scores
 
 
-def rank_scores(scores: np.ndarray, order, k: int) -> list[tuple[int, float]]:
-    """The first k (position, score) pairs of the positions in `order` by
-    descending score, then by their place in `order`.
+def rank_scores(scores: np.ndarray, order, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of the 2-D `scores`, the first k positions in `order` by
+    descending score, then by their place in `order`, and their scores: two
+    (rows, min(k, len(order))) arrays.
 
     `order` lists the candidate positions by ascending key, equal keys by
-    position, so the result is the full sort by (-score, key, position)
-    cut at k: one stable argsort, in which -0.0 and 0.0 tie.
+    position, so each row is the full sort by (-score, key, position) cut
+    at k: one stable argsort along the rows, in which -0.0 and 0.0 tie.
     """
     order = np.asarray(order, dtype=np.intp)
-    ranked = order[(-scores[order]).argsort(kind="stable")[:k]]
-    return list(zip(ranked.tolist(), scores[ranked].tolist()))
+    block = scores[:, order]
+    chosen = (-block).argsort(axis=1, kind="stable")[:, :k]
+    return order[chosen], block[np.arange(len(block))[:, None], chosen]
 
 
 def top_k_similar(query: np.ndarray, matrix: EmbeddingMatrix, k: int,
@@ -506,6 +508,6 @@ def top_k_similar(query: np.ndarray, matrix: EmbeddingMatrix, k: int,
     exclude = exclude or frozenset()
     keep = [i for i, rid in enumerate(matrix.ids) if rid not in exclude]
     ids = [matrix.ids[i] for i in keep]
-    scores = cosine_scores(query[None, :], matrix, keep)[0]
     order = sorted(range(len(ids)), key=ids.__getitem__)
-    return [(ids[i], score) for i, score in rank_scores(scores, order, k)]
+    chosen, scores = rank_scores(cosine_scores(query[None, :], matrix, keep), order, k)
+    return [(ids[i], score) for i, score in zip(chosen[0].tolist(), scores[0].tolist())]

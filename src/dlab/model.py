@@ -23,7 +23,7 @@ import numpy.random  # noqa: F401
 from .corpus import VERDICT_LABELS, json_int, json_number, json_numbers
 from .embed import (EmbedderConfig, EmbeddingMatrix, chunks, ranges,
                     read_checksummed_container, write_checksummed_container)
-from .sampler import ContextSet
+from .sampler import Contexts
 
 logger = logging.getLogger(__name__)
 
@@ -134,75 +134,71 @@ class Features:
         return X
 
 
-def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
+def build_features(contexts: Contexts, embeddings: EmbeddingMatrix,
                    sentences: EmbeddingMatrix | None = None) -> Features:
     """The features of n contexts, one row each: [post embedding ‖ mean
     context embedding].
 
     The post half is the context's post row of `embeddings`. Comment items
     resolve against `embeddings` by comment id, sentence items against
-    `sentences` (pipeline.embed_sentences) by their text. The mean is taken
-    over the item rows in item order; if every item row is unit norm (by the
-    matrices' stored norms, within 1e-3) it is re-normalized to unit,
-    keeping the two halves on the same scale. Each distinct post gets one
-    post block row, and each distinct sequence of item keys one context
-    block row, computed once; an empty context yields an exact zero half,
-    context block row 0. The post block keeps only the columns that some
-    post row stores, and the context block only those that some context
-    item row stores; every other column of each half is exactly +0.0.
-    The means are summed in chunks of sequences, each into a (sequences x
-    d) block of at most _MEAN_CHUNK_FLOATS values (256 KB).
+    `sentences` (pipeline.embed_sentences) by their text; each unit the
+    items name is resolved once. The mean is taken over the item rows in
+    item order; if every item row is unit norm (by the matrices' stored
+    norms, within 1e-3) it is re-normalized to unit, keeping the two halves
+    on the same scale. Each distinct post gets one post block row, and each
+    distinct sequence of item rows one context block row, computed once; an
+    empty context yields an exact zero half, context block row 0. The post
+    block keeps only the columns that some post row stores, and the context
+    block only those that some context item row stores; every other column
+    of each half is exactly +0.0. The means are summed in chunks of
+    sequences, each into a (sequences x d) block of at most
+    _MEAN_CHUNK_FLOATS values (256 KB).
     """
     d = embeddings.dim
-    posts: dict[str, int] = {}
-    for ctx in contexts:
-        posts.setdefault(ctx.post_id, len(posts))
-    # the first context of each distinct item sequence, and its block row
-    sequences: dict[tuple, int] = {}
-    firsts: list[ContextSet] = []
-    index = []
-    for ctx in contexts:
-        half = 0
-        if ctx.items:
-            key = tuple([(item.unit, item.source_comment_id if item.unit == "comment"
-                          else item.text) for item in ctx.items])
-            if key not in sequences:
-                sequences[key] = 1 + len(firsts)
-                firsts.append(ctx)
-            half = sequences[key]
-        index.append((posts[ctx.post_id], half))
-
+    posts = {pid: i for i, pid in enumerate(dict.fromkeys(contexts.post_ids))}
     # the columns that a post row stores, and the post block on them (a set
     # entry is any set bit, so a stored -0.0 keeps its column)
     post_rows = embeddings.take([embeddings.row_index(pid) for pid in posts])
     post_columns = np.flatnonzero(post_rows.view(np.int32).any(axis=0))
     post_block = np.take(post_rows, post_columns, axis=1).astype(np.float64)
 
-    # pass 1: each distinct item, keyed as in its sequence's key, resolved
-    # once to its row and whether that row is a sentence row; and the
-    # distinct item of each item
-    distinct: dict[tuple, int] = {}
-    rows, in_sentences, item_ids = [], [], []
-    for key, ctx in zip(sequences, firsts):
-        for part, item in zip(key, ctx.items):
-            i = distinct.get(part)
-            if i is None:
-                matrix = embeddings if item.unit == "comment" else sentences
-                if matrix is None or part[1] not in matrix:
-                    raise ValueError(
-                        f"cannot resolve a vector for context item {item.source_comment_id!r}")
-                if matrix.dim != d:
-                    raise ValueError(f"context dim {matrix.dim} != post dim {d}")
-                i = distinct[part] = len(rows)
-                rows.append(matrix.row_index(part[1]))
-                in_sentences.append(matrix is not embeddings)
-            item_ids.append(i)
+    # each unit the items name, resolved once to its row and whether that
+    # row is a sentence row; each item's unit among them
+    units = contexts.units
+    used, lookup = contexts.used_units()
+    item_units = lookup[contexts.positions]
+    in_sentences = units.sentence_index[used] >= 0
+    rows = np.empty(len(used), dtype=np.intp)
+    for flag, matrix in ((False, embeddings), (True, sentences)):
+        mine = np.flatnonzero(in_sentences == flag)
+        if not len(mine):
+            continue
+        keys = units.keys(used[mine].tolist())
+        missing = [i for i, key in zip(used[mine].tolist(), keys)
+                   if matrix is None or key not in matrix]
+        if missing:
+            raise ValueError(
+                f"cannot resolve a vector for context item {units.comment_ids[missing[0]]!r}")
+        if matrix.dim != d:
+            raise ValueError(f"context dim {matrix.dim} != post dim {d}")
+        rows[mine] = list(map(matrix.row_index, keys))
+    # each context's block row: its sequence of (matrix, row) codes, as
+    # bytes, numbered by first appearance after the empty sequence, row 0;
+    # and the first context of each non-empty sequence
+    codes = (2 * rows + in_sentences)[item_units].astype(np.int64, copy=False).tobytes()
+    bounds = (8 * contexts.offsets).tolist()
+    keys = [codes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    sequences = {key: half for half, key in enumerate(dict.fromkeys([b"", *keys]))}
+    index = np.empty((len(contexts), 2), dtype=np.int64)
+    index[:, 0] = list(map(posts.__getitem__, contexts.post_ids))
+    index[:, 1] = list(map(sequences.__getitem__, keys))
+    halves, firsts = np.unique(index[:, 1], return_index=True)
+    firsts = firsts[halves > 0]
 
-    # each distinct item's stored entries, where they start in its matrix
-    # and how many, and whether its row is unit norm (by the stored norm,
-    # within 1e-3); the columns that they store, marked in chunks of rows.
-    # Only the matrices that some item resolves against are read.
-    rows, in_sentences = np.array(rows, dtype=np.intp), np.array(in_sentences, dtype=bool)
+    # each used unit's stored entries, where they start in its matrix and
+    # how many, and whether its row is unit norm (by the stored norm, within
+    # 1e-3); the columns that they store, marked in chunks of rows. Only
+    # the matrices that some item resolves against are read.
     starts, counts = np.empty(len(rows), dtype=np.int64), np.empty(len(rows), dtype=np.int64)
     unit_norm = np.empty(len(rows), dtype=bool)
     stored = np.zeros(d, dtype=bool)
@@ -216,14 +212,14 @@ def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
         for lo, hi in chunks(counts[mine], _MEAN_CHUNK_FLOATS):
             stored[matrix.indices[ranges(starts[mine][lo:hi], counts[mine][lo:hi])]] = True
     context_columns = np.flatnonzero(stored)
-    # the same for each item, through its distinct item
-    item_ids = np.array(item_ids, dtype=np.intp)
-    starts, counts = starts[item_ids], counts[item_ids]
-    in_sentences, unit_norm = in_sentences[item_ids], unit_norm[item_ids]
-    # each sequence's item count, as a float for the mean, and first item
-    lengths = np.array([len(ctx.items) for ctx in firsts], dtype=np.int64)
+    # each sequence's item count, as a float for the mean, and first item;
+    # and the same for each item of the sequences, through its unit
+    lengths = contexts.offsets[firsts + 1] - contexts.offsets[firsts]
     divisors = lengths.astype(np.float64)
     item_starts = np.cumsum(lengths) - lengths
+    item_ids = item_units[ranges(contexts.offsets[firsts], lengths)]
+    starts, counts = starts[item_ids], counts[item_ids]
+    in_sentences, unit_norm = in_sentences[item_ids], unit_norm[item_ids]
 
     # pass 2: the context block on those columns, row 0 the empty context,
     # in chunks of sequences: one bincount of the chunk's item entries into a
@@ -257,9 +253,7 @@ def build_features(contexts: list[ContextSet], embeddings: EmbeddingMatrix,
         rescale &= norms > 0.0
         means[rescale] /= norms[rescale, None]
         np.take(means, context_columns, axis=1, out=context_block[1 + lo:1 + hi])
-    return Features(post_block, context_block,
-                    np.array(index, dtype=np.int64).reshape(len(contexts), 2),
-                    post_columns, context_columns, d)
+    return Features(post_block, context_block, index, post_columns, context_columns, d)
 
 
 # each row's one-hot class mask is its label against these class indices

@@ -31,9 +31,10 @@ from .model import (Features, TrainConfig, build_features, encode_labels, evalua
 from .sampler import (
     SENTENCE_STRATEGIES,
     CategoryFilter,
+    Contexts,
     ContextSet,
+    Pools,
     SamplerConfig,
-    annotator_pool,
     dump_contexts,
     full_pool_context,
     load_contexts,
@@ -350,17 +351,27 @@ _build_grid = build_conditions
 @dataclass
 class RunState:
     """What sampling and features read, and the config it was set up from.
-    A run adds the verdict indices of its train and test partitions."""
+    A run adds the verdict indices of its train and test partitions, whose
+    class indices are encoded once, here."""
     cfg: ExperimentConfig
     corpus: Corpus
     embeddings: EmbeddingMatrix
     sentences: EmbeddingMatrix | None  # only when some context unit is a sentence
     profiles: dict[str, CategoryProfile] | None = None  # None: no category filters
-    train_pairs: list[int] = field(default_factory=list)
-    test_pairs: list[int] = field(default_factory=list)
-    # each pair's cosine scores over its annotator's whole pool, filled by
-    # sample_context as the grid runs and shared by every condition
+    # the verdict indices of each partition the run samples, by name
+    partitions: dict[str, list[int]] = field(default_factory=dict)
+    labels: dict[str, np.ndarray] = field(init=False)
+    # each pair's cosine scores over its annotator's whole pool, and each
+    # annotator's pools and admitted units, filled by sample_context as the
+    # grid runs and shared by every condition
     scores: dict = field(default_factory=dict)
+    pools: Pools = field(init=False)
+
+    def __post_init__(self):
+        verdicts = self.corpus.verdicts
+        self.labels = {part: encode_labels(verdicts[vi].label for vi in indices)
+                       for part, indices in self.partitions.items()}
+        self.pools = Pools(self.corpus, self.profiles)
 
 
 def condition_state(cfg: ExperimentConfig, corpus: Corpus, units, *,
@@ -383,27 +394,27 @@ def _init_worker(state: RunState) -> None:
     _SHARED = state
 
 
-def condition_contexts(state: RunState, condition: Condition,
-                       verdict_indices) -> list[ContextSet]:
+def condition_contexts(state: RunState, condition: Condition, verdict_indices) -> Contexts:
     """The contexts of the verdicts at `verdict_indices` under the condition:
     empty, the annotator's whole pool, or the sampler's draw."""
     corpus = state.corpus
     pairs = [(corpus.verdicts[vi].annotator_id, corpus.verdicts[vi].post_id)
              for vi in verdict_indices]
     if condition.name == "no_comments":
-        return [ContextSet(aid, pid, []) for aid, pid in pairs]
+        return Contexts.empty(pairs)
     if condition.name == "all_comments":
-        return full_pool_context(pairs, corpus)
+        return full_pool_context(pairs, corpus, state.pools)
     return sample_context(pairs, corpus, state.embeddings, state.profiles,
-                          cfg=condition.sampler, sentences=state.sentences, scores=state.scores)
+                          cfg=condition.sampler, sentences=state.sentences, scores=state.scores,
+                          pools=state.pools)
 
 
-def partition_data(state: RunState, contexts: list[ContextSet],
-                   indices: list[int]) -> tuple[Features, np.ndarray]:
-    """The features of a partition's contexts and the class indices of its
-    verdicts, the verdicts at `indices` in context order."""
+def partition_data(state: RunState, contexts: Contexts,
+                   partition: str) -> tuple[Features, np.ndarray]:
+    """The features of a partition's contexts, one per verdict of the
+    partition in order, and the class indices of those verdicts."""
     return (build_features(contexts, state.embeddings, state.sentences),
-            encode_labels(state.corpus.verdicts[vi].label for vi in indices))
+            state.labels[partition])
 
 
 def _five_plus_pct(state: RunState, condition: Condition) -> float:
@@ -413,8 +424,8 @@ def _five_plus_pct(state: RunState, condition: Condition) -> float:
     if condition.name == "no_comments" or not annotators:
         return 0.0
     filt = condition.sampler.category_filter if condition.sampler else None
-    count = sum(len(annotator_pool(state.corpus, aid, state.profiles, filt)[1]) >= 5
-                for aid in annotators)
+    admitted = state.pools.admitted(filt)
+    count = sum(len(admitted[aid]) >= 5 for aid in annotators)
     return 100.0 * count / len(annotators)
 
 
@@ -426,12 +437,12 @@ def run_condition(state: RunState, condition: Condition) -> dict:
     cfg = state.cfg
     data = {}
     contexts = []
-    for part, indices in (("train", state.train_pairs), ("test", state.test_pairs)):
-        part_contexts = condition_contexts(state, condition, indices)
-        data[part] = partition_data(state, part_contexts, indices)
-        contexts += part_contexts
+    for part in ("train", "test"):
+        contexts.append(condition_contexts(state, condition, state.partitions[part]))
+        data[part] = partition_data(state, contexts[-1], part)
     if cfg.save_contexts:
-        dump_contexts(contexts, Path(cfg.out) / "contexts" / f"{condition.name}.jsonl")
+        dump_contexts(Contexts.concat(contexts),
+                      Path(cfg.out) / "contexts" / f"{condition.name}.jsonl")
 
     fits = train(*data["train"], cfg.train_config(condition.name), cfg.runs)
     test_features, test_y = data["test"]
@@ -515,7 +526,7 @@ def check_contexts(path, corpus: Corpus) -> list[ContextSet]:
     """The contexts of the file at `path`, read against the corpus; a
     CorpusError naming the file when it lists a pair twice or gives a pair a
     comment another annotator wrote."""
-    contexts = load_contexts(path, corpus)
+    contexts = load_contexts(path, corpus).records()
     seen = set()
     for c in contexts:
         where = f"{path}: pair ({c.annotator_id}, {c.post_id})"
@@ -618,13 +629,13 @@ def run_pipeline(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     embeddings = setup_embeddings(cfg, corpus)
     profiles, _ = setup_profiles(cfg, corpus, embeddings)
     split = setup_split(cfg, corpus)
-    train_pairs, test_pairs = split.indices("train"), split.indices("test")
+    partitions = {part: split.indices(part) for part in ("train", "test")}
     save_split(split, outdir / "split.jsonl")
 
     conditions = build_conditions(cfg)
     state = condition_state(
         cfg, corpus, {c.sampler.unit for c in conditions if c.sampler},
-        embeddings=embeddings, profiles=profiles, train_pairs=train_pairs, test_pairs=test_pairs)
+        embeddings=embeddings, profiles=profiles, partitions=partitions)
     if cfg.save_contexts:
         (outdir / "contexts").mkdir(exist_ok=True)
 
@@ -651,7 +662,7 @@ def run_pipeline(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
             row["t_vs_baseline"] = t
             row["p_vs_baseline"] = p
 
-    test_labels = [corpus.verdicts[i].label for i in test_pairs]
+    test_labels = [corpus.verdicts[i].label for i in partitions["test"]]
     nta_share = test_labels.count("NTA") / len(test_labels)
     summary = {
         "version": __version__,

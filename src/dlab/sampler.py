@@ -12,7 +12,8 @@ import math
 import random
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .corpus import Corpus, CorpusError, iter_jsonl
 from .disclosure import CategoryProfile, HighLevelCategory
-from .embed import EmbeddingMatrix, cosine_scores, rank_scores
+from .embed import EmbeddingMatrix, chunks, cosine_scores, rank_scores, ranges
 from .seeds import derive_seed
 
 STRATEGIES = (
@@ -107,29 +108,13 @@ class SamplerConfig:
         return "sentence" if self.strategy in SENTENCE_STRATEGIES else "comment"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class ContextItem:
     source_comment_id: str
     text: str
     similarity: float | None  # None under random strategies
     unit: str  # "comment" | "sentence"
     sentence_index: int | None = None
-
-    def __init__(self, source_comment_id: str, text: str, similarity: float | None,
-                 unit: str, sentence_index: int | None = None):
-        # the generated frozen __init__ sets each field through
-        # object.__setattr__; the slots' own setters build an item in about
-        # half the time, and the frozen __setattr__ still refuses every
-        # later assignment
-        _set_source_comment_id(self, source_comment_id)
-        _set_text(self, text)
-        _set_similarity(self, similarity)
-        _set_unit(self, unit)
-        _set_sentence_index(self, sentence_index)
-
-
-(_set_source_comment_id, _set_text, _set_similarity, _set_unit,
- _set_sentence_index) = (getattr(ContextItem, f.name).__set__ for f in fields(ContextItem))
 
 
 @dataclass
@@ -142,27 +127,235 @@ class ContextSet:
         return len(self.items)
 
 
-def annotator_pool(corpus: Corpus, annotator_id: str,
-                   profiles: dict[str, CategoryProfile] | None,
-                   filt: CategoryFilter | None,
-                   unit: str = "comment") -> tuple[list[tuple], list[int]]:
-    """The annotator's whole pool of units, (comment id, sentence index,
-    text) in pool order, and the positions of those the category filter
-    admits (all of them without a filter)."""
-    cids = corpus.annotator_index[annotator_id]
-    if unit == "sentence":
-        units = [
-            (cid, idx, corpus.comments[cid].text[a:b])
-            for cid in cids
-            for idx, (a, b) in enumerate(corpus.comments[cid].sentence_spans())
-        ]
-    else:
-        units = [(cid, None, corpus.comments[cid].text) for cid in cids]
-    if filt is None:
-        return units, list(range(len(units)))
-    if profiles is None:
-        raise ValueError("category filter requires comment profiles")
-    return units, [i for i, (cid, _, _) in enumerate(units) if filt.admits(profiles[cid])]
+@dataclass(frozen=True, eq=False)
+class Units:
+    """A table of context units, each a whole comment or one sentence of it:
+    its comment id, its text, and its sentence index (-1 for a whole
+    comment)."""
+
+    comment_ids: list[str]
+    texts: Sequence[str]
+    sentence_index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.comment_ids)
+
+    def keys(self, positions) -> list[str]:
+        """The matrix key of each unit at `positions`: a comment's id, or a
+        sentence's text."""
+        return [self.texts[i] if s >= 0 else self.comment_ids[i]
+                for i, s in zip(positions, self.sentence_index[positions].tolist())]
+
+
+class _Texts(Sequence):
+    """The texts of a table's units, each read from its comment or cut from
+    it when asked for, so that a run's tables hold no copy of them."""
+
+    def __init__(self, comments: dict, comment_ids: list[str], sentence_index: np.ndarray):
+        self.comments, self.comment_ids = comments, comment_ids
+        self.sentence_index = sentence_index
+
+    def __len__(self) -> int:
+        return len(self.comment_ids)
+
+    def __getitem__(self, i: int) -> str:
+        comment, index = self.comments[self.comment_ids[i]], self.sentence_index[i]
+        if index < 0:
+            return comment.text
+        a, b = comment.sentence_spans()[index]
+        return comment.text[a:b]
+
+
+_NO_UNITS = Units([], [], np.zeros(0, dtype=np.int64))
+
+
+@dataclass(frozen=True, eq=False)
+class Contexts:
+    """The contexts of n (annotator, post) pairs, as columns.
+
+    Context i is the pair (annotator_ids[i], post_ids[i]) and holds the items
+    offsets[i]:offsets[i + 1]; item j is unit positions[j] of `units`, with
+    similarity[j] when the items carry one (`similarity` is None under
+    random strategies and whole pools). records() gives the same contexts
+    as ContextSet records, and from_records() the columns of records.
+    """
+
+    annotator_ids: list[str]
+    post_ids: list[str]
+    offsets: np.ndarray
+    units: Units
+    positions: np.ndarray
+    similarity: np.ndarray | None = None
+
+    def __post_init__(self):
+        n, m = len(self.annotator_ids), len(self.positions)
+        offsets = self.offsets
+        if len(self.post_ids) != n or offsets.shape != (n + 1,):
+            raise ValueError(f"{n} annotator ids need {n} post ids and {n + 1} offsets")
+        if offsets[0] != 0 or offsets[-1] != m or (np.diff(offsets) < 0).any():
+            raise ValueError(f"offsets must rise from 0 to the {m} items")
+        if m and (self.positions.min() < 0 or self.positions.max() >= len(self.units)):
+            raise ValueError(f"item positions must lie in [0, {len(self.units)})")
+        if self.similarity is not None and self.similarity.shape != (m,):
+            raise ValueError(f"similarity must hold one float per item, {m}")
+
+    def __len__(self) -> int:
+        return len(self.annotator_ids)
+
+    def used_units(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table positions that some item names, ascending, and a lookup
+        from table position to place among them: lookup[positions] numbers
+        each item's unit."""
+        named = np.zeros(len(self.units), dtype=bool)
+        named[self.positions] = True
+        used = np.flatnonzero(named)
+        lookup = np.zeros(len(self.units), dtype=np.intp)
+        lookup[used] = np.arange(len(used))
+        return used, lookup
+
+    @classmethod
+    def of(cls, pairs, units: Units, counts, positions,
+           similarity: np.ndarray | None = None) -> "Contexts":
+        """The contexts of `pairs`, pair i holding the next counts[i] items."""
+        offsets = np.zeros(len(pairs) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return cls([a for a, _ in pairs], [p for _, p in pairs], offsets, units,
+                   np.asarray(positions, dtype=np.intp), similarity)
+
+    @classmethod
+    def empty(cls, pairs) -> "Contexts":
+        """An empty context for each pair (No Comments)."""
+        return cls.of(pairs, _NO_UNITS, np.zeros(len(pairs), dtype=np.int64), [])
+
+    @classmethod
+    def concat(cls, parts: list["Contexts"]) -> "Contexts":
+        """The contexts of `parts` one after another. The parts point into
+        one unit table, and carry similarities all or none."""
+        units, sims = parts[0].units, [part.similarity for part in parts]
+        if any(part.units is not units for part in parts):
+            raise ValueError("contexts to concatenate must point into one unit table")
+        missing = [sim is None for sim in sims]
+        if any(missing) and not all(missing):
+            raise ValueError("some contexts carry similarities and others none")
+        shifts = np.cumsum([0] + [len(part.positions) for part in parts])
+        return cls([a for part in parts for a in part.annotator_ids],
+                   [p for part in parts for p in part.post_ids],
+                   np.concatenate([shifts[:1]] + [part.offsets[1:] + shift
+                                                  for part, shift in zip(parts, shifts)]),
+                   units, np.concatenate([part.positions for part in parts]),
+                   None if any(missing) else np.concatenate(sims))
+
+    def records(self) -> list[ContextSet]:
+        """One ContextSet per context, with a ContextItem per item."""
+        units = self.units
+        sims = ([None] * len(self.positions) if self.similarity is None
+                else self.similarity.tolist())
+        items = [ContextItem(units.comment_ids[i], units.texts[i], sim,
+                             "sentence" if s >= 0 else "comment", s if s >= 0 else None)
+                 for i, s, sim in zip(self.positions.tolist(),
+                                      units.sentence_index[self.positions].tolist(), sims)]
+        bounds = self.offsets.tolist()
+        return [ContextSet(a, p, items[lo:hi]) for a, p, lo, hi in
+                zip(self.annotator_ids, self.post_ids, bounds, bounds[1:])]
+
+    @classmethod
+    def from_records(cls, records) -> "Contexts":
+        """The columns of ContextSet records, one unit per item. A comment
+        item has no sentence index and a sentence item one; the items carry
+        a similarity each or none does."""
+        items = [item for ctx in records for item in ctx.items]
+        for item in items:
+            if (item.unit, item.sentence_index is None) not in (("comment", True),
+                                                                ("sentence", False)):
+                raise ValueError(f"a {item.unit!r} item with sentence index "
+                                 f"{item.sentence_index!r}")
+        sims = [item.similarity for item in items]
+        if None in sims and any(sim is not None for sim in sims):
+            raise ValueError("some items carry a similarity and others none")
+        units = Units([item.source_comment_id for item in items], [item.text for item in items],
+                      np.array([-1 if i.sentence_index is None else i.sentence_index
+                                for i in items], dtype=np.int64))
+        return cls.of([(ctx.annotator_id, ctx.post_id) for ctx in records], units,
+                      [len(ctx.items) for ctx in records], np.arange(len(items)),
+                      None if None in sims else np.array(sims, dtype=np.float64))
+
+
+class Pools:
+    """Every annotator's pool of comments and of sentences, and the pool
+    positions each category filter admits, built on first use and kept.
+
+    Each unit's pools lie in one table, an annotator's a run of it in pool
+    order: its comments in id order, or their sentences in order. A run
+    keeps one Pools for all its conditions, as it keeps the scores memo.
+    """
+
+    def __init__(self, corpus: Corpus, profiles: dict[str, CategoryProfile] | None = None):
+        self.corpus, self.profiles = corpus, profiles
+        self._tables: dict[str, tuple[Units, dict[str, tuple[int, int]]]] = {}
+        self._admitted: dict[tuple, range | np.ndarray] = {}
+        self._ranked: dict[tuple, np.ndarray] = {}
+
+    def table(self, unit: str) -> tuple[Units, dict[str, tuple[int, int]]]:
+        """The unit's table and each annotator's (start, stop) in it."""
+        if unit not in self._tables:
+            comments, spans = self.corpus.comments, {}
+            cids, sentence_index = [], []
+            for annotator_id, pool in self.corpus.annotator_index.items():
+                start = len(cids)
+                for cid in pool:
+                    if unit == "sentence":
+                        count = len(comments[cid].sentence_spans())
+                        cids += [cid] * count
+                        sentence_index += range(count)
+                    else:
+                        cids.append(cid)
+                spans[annotator_id] = (start, len(cids))
+            # a comment table's indexes are one -1 seen len(cids) times
+            index = (np.array(sentence_index, dtype=np.int32) if unit == "sentence"
+                     else np.broadcast_to(np.int32(-1), (len(cids),)))
+            self._tables[unit] = (Units(cids, _Texts(comments, cids, index), index), spans)
+        return self._tables[unit]
+
+    def admitted(self, filt: CategoryFilter | None,
+                 unit: str = "comment") -> dict[str, range | np.ndarray]:
+        """Each annotator's table positions of the units the filter admits,
+        in pool order: a range of all of them without a filter."""
+        key = (unit, filt)
+        if key not in self._admitted:
+            units, spans = self.table(unit)
+            if filt is None:
+                admitted = {a: range(*span) for a, span in spans.items()}
+            elif self.profiles is None:
+                raise ValueError("category filter requires comment profiles")
+            else:
+                profiles, cids = self.profiles, units.comment_ids
+                admitted = {a: np.array([i for i in range(*span)
+                                         if filt.admits(profiles[cids[i]])], dtype=np.intp)
+                            for a, span in spans.items()}
+            self._admitted[key] = admitted
+        return self._admitted[key]
+
+    def ranked(self, filt: CategoryFilter | None, unit: str) -> dict[str, np.ndarray]:
+        """Each annotator's admitted units, as places in its pool, by
+        (comment id, text), equal keys in pool order: the key order
+        rank_scores breaks score ties by."""
+        key = (unit, filt)
+        if key not in self._ranked:
+            units, spans = self.table(unit)
+            cids, texts = units.comment_ids, units.texts
+            self._ranked[key] = {
+                a: np.array(sorted(positions, key=lambda i: (cids[i], texts[i])),
+                            dtype=np.int32) - spans[a][0]
+                for a, positions in self.admitted(filt, unit).items()}
+        return self._ranked[key]
+
+
+def _check_pairs(pairs, corpus: Corpus) -> None:
+    for annotator_id, post_id in pairs:
+        if annotator_id not in corpus.annotator_index:
+            raise ValueError(f"unknown annotator {annotator_id!r}")
+        if post_id not in corpus.posts:
+            raise ValueError(f"unknown post {post_id!r}")
 
 
 def sample_context(pairs, corpus: Corpus,
@@ -170,7 +363,8 @@ def sample_context(pairs, corpus: Corpus,
                    profiles: dict[str, CategoryProfile] | None, *,
                    cfg: SamplerConfig,
                    sentences: EmbeddingMatrix | None = None,
-                   scores: dict | None = None) -> list[ContextSet]:
+                   scores: dict | None = None,
+                   pools: Pools | None = None) -> Contexts:
     """Draw up to max_samples context items for each (annotator, post) pair.
 
     Similarity strategies rank the candidate pool by cosine against the post
@@ -179,87 +373,86 @@ def sample_context(pairs, corpus: Corpus,
     the matrix of sentence texts (pipeline.embed_sentences). Random
     strategies sample uniformly without replacement with a per-pair derived
     RNG. Fewer candidates than max_samples returns them all; an empty pool
-    returns an empty context.
+    returns an empty context. The items point into the `pools` table of the
+    strategy's unit.
 
-    Each annotator's pool is built once per call. `scores` memoises each
-    pair's cosine scores over the annotator's whole, unfiltered pool, keyed
-    by (unit, annotator, post); passing one dict to every call on the same
+    `pools` (Pools(corpus, profiles), a new one unless given) keeps each
+    annotator's pool and admitted units. `scores` memoises each pair's
+    cosine scores over the annotator's whole, unfiltered pool, keyed by
+    (unit, annotator, post); passing one dict to every call on the same
     corpus and matrices scores each pair once, whatever the category filter.
     The pairs a call must score are scored per annotator: its pool rows
     against all its posts in one cosine_scores call, which reads the rows
-    from the matrix one chunk of at most 1 MB at a time.
+    from the matrix one chunk of at most 1 MB at a time. Each annotator's
+    pairs are then ranked in one rank_scores call.
     """
-    unit = cfg.unit
-    similar = cfg.strategy.startswith("similar_")
+    if pools is None:
+        pools = Pools(corpus, profiles)
+    elif pools.corpus is not corpus or pools.profiles is not profiles:
+        raise ValueError("pools must be built from the same corpus and profiles")
     scores = {} if scores is None else scores
-    pools: dict[str, tuple] = {}
+    unit, k = cfg.unit, cfg.max_samples
+    _check_pairs(pairs, corpus)
+    units, spans = pools.table(unit)
+    admitted = pools.admitted(cfg.category_filter, unit)
+    if not cfg.strategy.startswith("similar_"):
+        counts, chosen = [], []
+        for annotator_id, post_id in pairs:
+            rng = random.Random(derive_seed(cfg.seed, annotator_id, post_id))
+            drawn = rng.sample(admitted[annotator_id], min(k, len(admitted[annotator_id])))
+            counts.append(len(drawn))
+            chosen += drawn
+        return Contexts.of(pairs, units, counts, chosen)
+
+    if unit == "sentence" and sentences is None:
+        raise ValueError("similar_sentences requires a sentence matrix")
+    groups: dict[str, list[int]] = {}  # annotator -> its pairs' places
     unscored: dict[str, dict[str, None]] = {}  # annotator -> posts, in pair order
-    for annotator_id, post_id in pairs:
-        if annotator_id not in corpus.annotator_index:
-            raise ValueError(f"unknown annotator {annotator_id!r}")
-        if post_id not in corpus.posts:
-            raise ValueError(f"unknown post {post_id!r}")
-        if annotator_id not in pools:
-            units, admitted = annotator_pool(corpus, annotator_id, profiles,
-                                             cfg.category_filter, unit)
-            if similar:
-                # by (comment id, text), equal keys in pool order: the key
-                # order rank_scores breaks score ties by
-                admitted = np.array(sorted(admitted, key=lambda i: (units[i][0], units[i][2])),
-                                    dtype=np.intp)
-            pools[annotator_id] = (units, admitted)
-        if not similar:
-            continue
-        if unit == "sentence" and sentences is None:
-            raise ValueError("similar_sentences requires a sentence matrix")
-        if len(pools[annotator_id][1]):
+    for i, (annotator_id, post_id) in enumerate(pairs):
+        groups.setdefault(annotator_id, []).append(i)
+        if len(admitted[annotator_id]):
             if embeddings is None or post_id not in embeddings:
                 raise ValueError(f"no embedding for post {post_id!r}")
             if (unit, annotator_id, post_id) not in scores:
                 unscored.setdefault(annotator_id, {})[post_id] = None
-
     matrix = sentences if unit == "sentence" else embeddings
     for annotator_id, posts in unscored.items():
-        rows = [matrix.row_index(text if unit == "sentence" else cid)
-                for cid, _, text in pools[annotator_id][0]]
+        rows = [matrix.row_index(key) for key in units.keys(range(*spans[annotator_id]))]
         queries = embeddings.take([embeddings.row_index(post_id) for post_id in posts])
         block = cosine_scores(queries, matrix, rows)
         for post_id, row in zip(posts, block):
             scores[(unit, annotator_id, post_id)] = row
 
-    out = []
-    for annotator_id, post_id in pairs:
-        units, admitted = pools[annotator_id]
-        if not similar:
-            rng = random.Random(derive_seed(cfg.seed, annotator_id, post_id))
-            chosen = [(units[i], None) for i in
-                      rng.sample(admitted, min(cfg.max_samples, len(admitted)))]
-        elif len(admitted):
-            ranked = rank_scores(scores[(unit, annotator_id, post_id)], admitted,
-                                 cfg.max_samples)
-            chosen = [(units[i], score) for i, score in ranked]
-        else:
-            chosen = []
-        items = [ContextItem(cid, text, score, unit, sentence_index=idx)
-                 for (cid, idx, text), score in chosen]
-        out.append(ContextSet(annotator_id=annotator_id, post_id=post_id, items=items))
-    return out
+    # each annotator's pairs ranked at once, their items put in pair order
+    ranked, chosen = pools.ranked(cfg.category_filter, unit), {}
+    counts = np.zeros(len(pairs), dtype=np.int64)
+    for annotator_id, places in groups.items():
+        order = ranked[annotator_id]
+        if len(order):
+            block = np.array([scores[unit, annotator_id, pairs[i][1]] for i in places])
+            chosen[annotator_id] = rank_scores(block, order, k)
+            counts[places] = min(k, len(order))
+    offsets = np.zeros(len(pairs) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    positions = np.empty(offsets[-1], dtype=np.intp)
+    similarity = np.empty(offsets[-1], dtype=np.float64)
+    for annotator_id, (places, values) in chosen.items():
+        slots = offsets[groups[annotator_id]][:, None] + np.arange(places.shape[1])
+        positions[slots] = places + spans[annotator_id][0]
+        similarity[slots] = values
+    return Contexts.of(pairs, units, counts, positions, similarity)
 
 
-def full_pool_context(pairs, corpus: Corpus) -> list[ContextSet]:
+def full_pool_context(pairs, corpus: Corpus, pools: Pools | None = None) -> Contexts:
     """Every background comment of each pair's annotator, in id order (All
-    Comments). Each annotator's items are built once per call."""
-    pools: dict[str, list[ContextItem]] = {}
-    out = []
-    for annotator_id, post_id in pairs:
-        if annotator_id not in pools:
-            if annotator_id not in corpus.annotator_index:
-                raise ValueError(f"unknown annotator {annotator_id!r}")
-            units, _ = annotator_pool(corpus, annotator_id, None, None)
-            pools[annotator_id] = [ContextItem(cid, text, None, "comment")
-                                   for cid, _, text in units]
-        out.append(ContextSet(annotator_id, post_id, list(pools[annotator_id])))
-    return out
+    Comments), pointing into the comment table of `pools` (a new Pools
+    unless given)."""
+    if pools is None:
+        pools = Pools(corpus)
+    _check_pairs(pairs, corpus)
+    units, spans = pools.table("comment")
+    starts, stops = np.array([spans[a] for a, _ in pairs], dtype=np.int64).reshape(-1, 2).T
+    return Contexts.of(pairs, units, stops - starts, ranges(starts, stops - starts))
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +575,12 @@ def similar_post_diversity(contexts: list[ContextSet], corpus: Corpus) -> Divers
 # ---------------------------------------------------------------------------
 # serialization
 
-_CONTEXT_LINE = '{"annotator_id": %s, "post_id": %s, "items": [%s]}\n'
-_CONTEXT_ITEM = '{"comment_id": %s, "similarity": %s, "unit": %s, "sentence_index": %s}'
+_CONTEXT_HEAD = '{"annotator_id": %s, "post_id": %s, "items": ['
+_ITEM_HEAD = '{"comment_id": %s, "similarity": '
+_ITEM_TAILS = (', "unit": "comment", "sentence_index": null}',
+               ', "unit": "sentence", "sentence_index": %d}')
+# context items dump_contexts formats at a time
+_DUMP_CHUNK_ITEMS = 1024
 
 
 class _Quoted(dict):
@@ -394,63 +591,107 @@ class _Quoted(dict):
         return quoted
 
 
-def _json_number(value) -> str:
-    """An int, float or None as json.dumps writes it."""
-    if value is None:
-        return "null"
-    if isinstance(value, int):
-        return int.__repr__(value)
+def _json_number(value: float) -> str:
+    """A float as json.dumps writes it."""
     if math.isfinite(value):
         return float.__repr__(value)
     return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
 
 
-def dump_contexts(contexts: list[ContextSet], path) -> None:
+def dump_contexts(contexts: Contexts, path) -> None:
     """JSONL: one context per line; texts are re-derivable from the corpus.
 
     Each line is the one json.dumps(record, ensure_ascii=False) writes for
     {"annotator_id", "post_id", "items": [{"comment_id", "similarity",
-    "unit", "sentence_index"}, ...]}, filled into a template.
+    "unit", "sentence_index"}, ...]}, filled into a template: the head and
+    tail of each unit an item names are formatted once, and each chunk of
+    contexts (at most _DUMP_CHUNK_ITEMS items, unless one context alone
+    holds more) is written as one join of its line heads, its items' heads,
+    similarities and tails, and its line ends.
     """
     quoted = _Quoted()
+    units, sims, offsets = contexts.units, contexts.similarity, contexts.offsets
+    used, lookup = contexts.used_units()
+    heads = [_ITEM_HEAD % quoted[units.comment_ids[i]] for i in used.tolist()]
+    tails = [_ITEM_TAILS[1] % s if s >= 0 else _ITEM_TAILS[0]
+             for s in units.sentence_index[used].tolist()]
+    if sims is None:
+        heads = [head + "null" + tail for head, tail in zip(heads, tails)]
+    number = float.__repr__ if sims is None or np.isfinite(sims).all() else _json_number
+    # a unit's head after the first item of a context follows a separator;
+    # an item is its head, or its head, similarity and tail
+    heads = np.array(heads + [", " + head for head in heads], dtype=object)
+    tails = np.array(tails, dtype=object)
+    width = 1 if sims is None else 3
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_CONTEXT_LINE % (
-            quoted[ctx.annotator_id], quoted[ctx.post_id], ", ".join([
-                _CONTEXT_ITEM % (quoted[item.source_comment_id], _json_number(item.similarity),
-                                 quoted[item.unit], _json_number(item.sentence_index))
-                for item in ctx.items]))
-            for ctx in contexts)
+        for lo, hi in chunks(np.diff(offsets), _DUMP_CHUNK_ITEMS):
+            first, last = offsets[lo], offsets[hi]
+            starts, counts = offsets[lo:hi] - first, np.diff(offsets[lo:hi + 1])
+            codes = lookup[contexts.positions[first:last]]
+            later = np.ones(len(codes), dtype=bool)
+            later[starts[counts > 0]] = False
+            # each context's pieces: its line head, its items' pieces and its
+            # line end
+            lines = 2 * np.arange(hi - lo)
+            items = np.repeat(lines, counts) + 1 + width * np.arange(len(codes))
+            pieces = np.empty(2 * (hi - lo) + width * len(codes), dtype=object)
+            pieces[lines + width * starts] = list(map(_CONTEXT_HEAD.__mod__, zip(
+                map(quoted.__getitem__, contexts.annotator_ids[lo:hi]),
+                map(quoted.__getitem__, contexts.post_ids[lo:hi]))))
+            pieces[lines + 1 + width * (starts + counts)] = "]}\n"
+            pieces[items] = heads[codes + later * len(used)]
+            if sims is not None:
+                pieces[items + 1] = list(map(number, sims[first:last].tolist()))
+                pieces[items + 2] = tails[codes]
+            fh.write("".join(pieces.tolist()))
 
 
-def load_contexts(path, corpus: Corpus) -> list[ContextSet]:
+def load_contexts(path, corpus: Corpus) -> Contexts:
     """Rebuild dumped contexts, resolving texts against the corpus, so a
     training run can be repeated without re-sampling. A line that is not a
-    dumped context, or names a unit, comment or sentence the corpus lacks,
-    is a CorpusError naming the file and line."""
+    dumped context, names a unit, comment or sentence the corpus lacks, or
+    gives a similarity where an earlier item gave none (or the other way
+    round), is a CorpusError naming the file and line."""
     path = Path(path)
-    out: list[ContextSet] = []
+    pairs, counts, cids, texts, indexes, sims = [], [], [], [], [], []
     for lineno, rec in iter_jsonl(path):
         where = f"{path.name} line {lineno}"
         try:
-            items = [_load_item(it, corpus, where) for it in rec["items"]]
-            out.append(ContextSet(rec["annotator_id"], rec["post_id"], items))
+            for it in rec["items"]:
+                cid, text, index, sim = _load_item(it, corpus, where)
+                if sims and (sim is None) != (sims[0] is None):
+                    raise CorpusError(f"{where}: an item with similarity {sim!r} among items "
+                                      f"with{'out' if sims[0] is None else ''} one")
+                cids.append(cid)
+                texts.append(text)
+                indexes.append(index)
+                sims.append(sim)
+            pairs.append((rec["annotator_id"], rec["post_id"]))
+            counts.append(len(rec["items"]))
         except (KeyError, TypeError) as exc:
             raise CorpusError(f"{where}: malformed context record ({type(exc).__name__}: {exc})")
-    return out
+    return Contexts.of(pairs, Units(cids, texts, np.array(indexes, dtype=np.int64)), counts,
+                       np.arange(len(cids)),
+                       None if not sims or sims[0] is None else np.array(sims, dtype=np.float64))
 
 
-def _load_item(it: dict, corpus: Corpus, where: str) -> ContextItem:
-    cid, index, unit = it["comment_id"], it["sentence_index"], it["unit"]
+def _load_item(it: dict, corpus: Corpus, where: str) -> tuple[str, str, int, float | None]:
+    """An item's comment id, text, sentence index (-1 for a whole comment)
+    and similarity."""
+    cid, index, unit, sim = it["comment_id"], it["sentence_index"], it["unit"], it["similarity"]
     comment = corpus.comments.get(cid)
     if comment is None:
         raise CorpusError(f"{where}: unknown comment {cid!r}")
     if unit not in ("comment", "sentence"):
         raise CorpusError(f"{where}: unknown unit {unit!r}")
-    text = comment.text
-    if unit == "sentence":
-        spans = comment.sentence_spans()
-        if not (isinstance(index, int) and 0 <= index < len(spans)):
-            raise CorpusError(f"{where}: comment {cid!r} has no sentence {index}")
-        a, b = spans[index]
-        text = text[a:b]
-    return ContextItem(cid, text, it["similarity"], unit, sentence_index=index)
+    if not (sim is None or type(sim) in (int, float)):
+        raise CorpusError(f"{where}: similarity {sim!r} is not a number")
+    if unit == "comment":
+        if index is not None:
+            raise CorpusError(f"{where}: comment {cid!r} is whole but has sentence index {index}")
+        return cid, comment.text, -1, sim
+    spans = comment.sentence_spans()
+    if not (type(index) is int and 0 <= index < len(spans)):
+        raise CorpusError(f"{where}: comment {cid!r} has no sentence {index}")
+    a, b = spans[index]
+    return cid, comment.text[a:b], index, sim

@@ -35,7 +35,7 @@ from dlab.model import (
     train,
 )
 from dlab.pipeline import parse_config, run_pipeline
-from dlab.sampler import CategoryFilter, ContextSet, SamplerConfig, sample_context
+from dlab.sampler import CategoryFilter, Contexts, SamplerConfig, sample_context
 from dlab.synthgen import PopulationSpec, generate_population
 
 
@@ -281,7 +281,7 @@ def run_condition(world, sampler_cfg):
     for part in ("train", "test"):
         verdicts = [corpus.verdicts[i] for i in split.indices(part)]
         if sampler_cfg is None:
-            contexts = [ContextSet(v.annotator_id, v.post_id, []) for v in verdicts]
+            contexts = Contexts.empty([(v.annotator_id, v.post_id) for v in verdicts])
         else:
             contexts = sample_context([(v.annotator_id, v.post_id) for v in verdicts], corpus,
                                       matrix, profiles, cfg=sampler_cfg)

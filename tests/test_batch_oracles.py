@@ -45,6 +45,7 @@ import random
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -84,9 +85,10 @@ from dlab.sampler import (
     STRATEGIES,
     CategoryFilter,
     ContextItem,
+    Contexts,
     ContextSet,
+    Pools,
     SamplerConfig,
-    annotator_pool,
     dump_contexts,
     full_pool_context,
     load_contexts,
@@ -261,6 +263,21 @@ def oracle_dump_contexts(contexts, path):
                            "unit": item.unit, "sentence_index": item.sentence_index}
                           for item in ctx.items],
             }, ensure_ascii=False) + "\n")
+
+
+def oracle_annotator_pool(corpus, annotator_id, profiles, filt, unit="comment"):
+    """The annotator's whole pool of units, (comment id, sentence index,
+    text) in pool order, and the positions of those the category filter
+    admits (all of them without a filter)."""
+    cids = corpus.annotator_index[annotator_id]
+    if unit == "sentence":
+        units = [(cid, idx, corpus.comments[cid].text[a:b]) for cid in cids
+                 for idx, (a, b) in enumerate(corpus.comments[cid].sentence_spans())]
+    else:
+        units = [(cid, None, corpus.comments[cid].text) for cid in cids]
+    if filt is None:
+        return units, list(range(len(units)))
+    return units, [i for i, (cid, _, _) in enumerate(units) if filt.admits(profiles[cid])]
 
 
 def oracle_sample_context(annotator_id, post_id, corpus, embeddings, profiles, cfg,
@@ -777,7 +794,7 @@ def test_batch_sampler_matches_per_pair_oracle(world, scales):
     corpus, embeddings, sentences, profiles, pairs = world
     if scales != (1.0,):
         embeddings, sentences = rescaled(embeddings, scales), rescaled(sentences, scales)
-    memo = {}
+    memo, pools = {}, Pools(corpus, profiles)
     empty = filled = 0
     for cfg in configs():
         want = [oracle_sample_context(a, p, corpus, embeddings, profiles, cfg, sentences)
@@ -787,12 +804,12 @@ def test_batch_sampler_matches_per_pair_oracle(world, scales):
                                               sentences, rank=oracle_rank_scores)
                         for a, p in pairs]
         got = sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
-                             sentences=sentences, scores=memo)
+                             sentences=sentences, scores=memo, pools=pools).records()
         assert got == want, (cfg.strategy, cfg.category_filter)
         assert signed(got) == signed(want)
-        # without a memo too
+        # without a memo and pools too
         assert sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
-                              sentences=sentences) == want
+                              sentences=sentences).records() == want
         empty += sum(len(c) == 0 for c in got)
         filled += sum(len(c) > 0 for c in got)
     assert empty > 0 and filled > 0
@@ -832,7 +849,7 @@ def test_grouped_memo_fill_matches_per_pair_oracle(world, monkeypatch):
         assert {True, False} in posts.values()
         calls.clear()
         got = sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
-                             sentences=sentences, scores=memo)
+                             sentences=sentences, scores=memo).records()
         # one kernel call per annotator with unscored posts, each post once
         assert sorted(calls) == sorted(
             len({p for b, p in pairs if b == a and (unit, a, p) not in prefilled})
@@ -844,7 +861,7 @@ def test_grouped_memo_fill_matches_per_pair_oracle(world, monkeypatch):
         assert all(memo[key] is scores for key, scores in prefilled.items())
         matrix = sentences if unit == "sentence" else embeddings
         for (_, a, p), scores in memo.items():
-            units, _ = annotator_pool(corpus, a, None, None, unit)
+            units, _ = oracle_annotator_pool(corpus, a, None, None, unit)
             rows = [matrix.row_index(text if unit == "sentence" else cid)
                     for cid, _, text in units]
             assert same_bits(scores, oracle_cosine_scores(embeddings.row(p), matrix.take(rows),
@@ -862,19 +879,22 @@ def signed(contexts):
 @pytest.fixture(scope="module")
 def tied_world():
     """Pools whose keys repeat: comments c1 and c2 share a text, c0 and c3
-    repeat a sentence, so (comment id, text) keys repeat among sentences;
-    "solo" has one comment. Hand-made profiles put the comments in theory
-    categories and clusters."""
+    repeat a sentence, so (comment id, text) keys repeat among sentences
+    and c3's sentences sort out of pool order; "sölo" has one comment, and
+    the ids of its comment and of one post are not ASCII. Hand-made
+    profiles put the comments in theory categories and clusters, so that
+    some filters admit none of sölo's pool."""
     texts = {"c0": ("judge", "Same here. Same here."), "c1": ("judge", "Same here."),
              "c2": ("judge", "Same here."),
              "c3": ("judge", "I am a nurse. Same here. I am a nurse."),
-             "c4": ("judge", "Other words here."), "s0": ("solo", "Only one.")}
+             "c4": ("judge", "Other words here."), "s0\u6771": ("sölo", "Only one.")}
     corpus = Corpus(
         posts={pid: Post(id=pid, author_id="op", title=pid, body="same words")
-               for pid in ("p0", "p1")},
+               for pid in ("p0", "p1\xe9")},
         comments={cid: Comment(id=cid, author_id=aid, text=text)
                   for cid, (aid, text) in texts.items()},
-        verdicts=[Verdict(pid, aid, "NTA") for pid in ("p0", "p1") for aid in ("judge", "solo")])
+        verdicts=[Verdict(pid, aid, "NTA") for pid in ("p0", "p1\xe9")
+                  for aid in ("judge", "sölo")])
     categories = list(HighLevelCategory)
     profiles = {cid: CategoryProfile(cid, frozenset(categories[i % 4:i % 4 + 2]), True,
                                      cluster_id=i % 2)
@@ -889,6 +909,40 @@ TIED_FILTERS = [None] + [CategoryFilter(theory=c) for c in HighLevelCategory] + 
 TIED_CONFIGS = [SamplerConfig(strategy="similar_comments", max_samples=k, category_filter=filt)
                 for k in (1, 3, 5) for filt in TIED_FILTERS] + [
     SamplerConfig(strategy="similar_sentences", max_samples=k) for k in (1, 3, 20)]
+RANDOM_CONFIGS = [SamplerConfig(strategy=strategy, max_samples=k, seed=7)
+                  for strategy in ("random_comments", "random_sentences") for k in (1, 3, 20)]
+
+
+def drawn_memo(tied_world, data):
+    """A score vector drawn from TIED_SCORES for each unit and pair."""
+    corpus, _, _, _, pairs = tied_world
+    memo = {}
+    for unit in ("comment", "sentence"):
+        for a, p in pairs:
+            units, _ = oracle_annotator_pool(corpus, a, None, None, unit)
+            memo[unit, a, p] = np.array(data.draw(st.lists(
+                st.sampled_from(TIED_SCORES), min_size=len(units), max_size=len(units))))
+    return memo
+
+
+def oracle_memo_contexts(tied_world, memo, cfg):
+    """Each pair's context by the per-pair oracles: the similar strategies
+    rank the pair's memo scores by heapq.nsmallest, the random ones draw."""
+    corpus, _, _, profiles, pairs = tied_world
+    if cfg.strategy.startswith("random_"):
+        return [oracle_sample_context(a, p, corpus, None, profiles, cfg) for a, p in pairs]
+    want = []
+    for a, p in pairs:
+        units, admitted = oracle_annotator_pool(corpus, a, profiles, cfg.category_filter,
+                                                cfg.unit)
+        candidates = [units[i] for i in admitted]
+        ranked = oracle_rank_scores(memo[cfg.unit, a, p][admitted],
+                                    [(cid, text) for cid, _, text in candidates],
+                                    cfg.max_samples)
+        want.append(ContextSet(a, p, [
+            ContextItem(candidates[i][0], candidates[i][2], score, cfg.unit,
+                        sentence_index=candidates[i][1]) for i, score in ranked]))
+    return want
 
 
 @settings(max_examples=60, deadline=None)
@@ -897,51 +951,74 @@ def test_sampler_ranks_tied_pools_as_nsmallest_oracle(tied_world, data):
     # exact ties, -0.0 beside 0.0, repeated keys, and k above the pool size,
     # on score vectors put into the memo, so no cosine can break a tie
     corpus, embeddings, sentences, profiles, pairs = tied_world
-    memo = {}
-    for unit in ("comment", "sentence"):
-        for a, p in pairs:
-            units, _ = annotator_pool(corpus, a, None, None, unit)
-            memo[unit, a, p] = np.array(data.draw(st.lists(
-                st.sampled_from(TIED_SCORES), min_size=len(units), max_size=len(units))))
+    memo = drawn_memo(tied_world, data)
     for cfg in TIED_CONFIGS:
-        want = []
-        for a, p in pairs:
-            units, admitted = annotator_pool(corpus, a, profiles, cfg.category_filter, cfg.unit)
-            candidates = [units[i] for i in admitted]
-            ranked = oracle_rank_scores(memo[cfg.unit, a, p][admitted],
-                                        [(cid, text) for cid, _, text in candidates],
-                                        cfg.max_samples)
-            want.append(ContextSet(a, p, [
-                ContextItem(candidates[i][0], candidates[i][2], score, cfg.unit,
-                            sentence_index=candidates[i][1]) for i, score in ranked]))
+        want = oracle_memo_contexts(tied_world, memo, cfg)
         got = sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
-                             sentences=sentences, scores=dict(memo))
+                             sentences=sentences, scores=dict(memo)).records()
         assert signed(got) == signed(want), cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sampled_contexts_dump_load_and_featurize_as_per_pair_oracles(tied_world, data):
+    # the columns of every strategy, ranked from tied memo scores or drawn,
+    # with filters that admit nothing and k above the pool size: the dump
+    # has the per-pair oracle's bytes, loads back to the same contexts, and
+    # the features are the per-sequence oracle's bit for bit
+    corpus, embeddings, sentences, profiles, pairs = tied_world
+    memo, pools = drawn_memo(tied_world, data), Pools(corpus, profiles)
+    empty = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want_path = Path(tmp) / "got.jsonl", Path(tmp) / "want.jsonl"
+        for cfg in TIED_CONFIGS + RANDOM_CONFIGS:
+            contexts = sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
+                                      sentences=sentences, scores=dict(memo), pools=pools)
+            want = oracle_memo_contexts(tied_world, memo, cfg)
+            assert signed(contexts.records()) == signed(want), cfg
+            assert len(contexts) == len(pairs)
+            oracle_dump_contexts(want, want_path)
+            for chunk_items in (dlab.sampler._DUMP_CHUNK_ITEMS, 4):
+                with mock.patch.object(dlab.sampler, "_DUMP_CHUNK_ITEMS", chunk_items):
+                    dump_contexts(contexts, got)
+                assert got.read_bytes() == want_path.read_bytes(), (cfg, chunk_items)
+            back = load_contexts(got, corpus)
+            assert signed(back.records()) == signed(want), cfg
+            assert np.array_equal(back.offsets, contexts.offsets)
+            assert (back.similarity is None) == (contexts.similarity is None)
+            if contexts.similarity is not None:
+                assert same_bits(back.similarity, contexts.similarity)
+            assert same_features(build_features(contexts, embeddings, sentences),
+                                 oracle_build_features(want, embeddings, sentences)), cfg
+            empty |= {(ctx.annotator_id, cfg.category_filter) for ctx in want if not ctx.items}
+    # sölo's pool holds no Demographics comment and none of cluster 0
+    assert ("sölo", CategoryFilter(cluster=0)) in empty
 
 
 # ids with JSON's escapes, other control characters, characters Python's
 # str.splitlines breaks at, non-ASCII and astral characters
 ID_CHARS = list('"\\/ a\x00\x08\t\n\x0c\r\x1f\x7f\x85\u2028\u2029\xe9\u6771') + [
     "\U0001f600", "\U0010ffff"]
-SIMILARITIES = [None, 0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060, 1.0, -1.0, math.nan, math.inf,
+SIMILARITIES = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060, 1.0, -1.0, math.nan, math.inf,
                 -math.inf, 0.1, 1 / 3]
 
 
 @st.composite
 def dumped_contexts(draw):
     """A corpus of comments and contexts whose items name its comments and
-    sentences, with any similarity and, for comment items, any sentence index."""
+    sentences, each with any similarity or all of them with none."""
     ids = st.text(st.sampled_from(ID_CHARS), max_size=5) | st.text(max_size=5)
     texts = st.lists(st.sampled_from(["Same here.", "I am a nurse.", "Hm"]), max_size=3)
     comments = {}
     for cid in draw(st.lists(ids, min_size=1, max_size=4, unique=True)):
         comments[cid] = Comment(id=cid, author_id="a", text=" ".join(draw(texts)))
     contexts = []
+    similar = draw(st.booleans())
     for _ in range(draw(st.integers(0, 4))):
         items = []
         for _ in range(draw(st.integers(0, 4))):
             comment = comments[draw(st.sampled_from(sorted(comments)))]
-            similarity = draw(st.sampled_from(SIMILARITIES) | st.floats())
+            similarity = draw(st.sampled_from(SIMILARITIES) | st.floats()) if similar else None
             spans = comment.sentence_spans()
             if spans and draw(st.booleans()):
                 index = draw(st.integers(0, len(spans) - 1))
@@ -949,9 +1026,7 @@ def dumped_contexts(draw):
                 items.append(ContextItem(comment.id, comment.text[a:b], similarity, "sentence",
                                          sentence_index=index))
             else:
-                index = draw(st.none() | st.integers())
-                items.append(ContextItem(comment.id, comment.text, similarity, "comment",
-                                         sentence_index=index))
+                items.append(ContextItem(comment.id, comment.text, similarity, "comment"))
         contexts.append(ContextSet(draw(ids), draw(ids), items))
     return Corpus(posts={}, comments=comments, verdicts=[]), contexts
 
@@ -962,10 +1037,13 @@ def test_dump_contexts_matches_json_dumps_oracle(drawn):
     corpus, contexts = drawn
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.jsonl", Path(tmp) / "want.jsonl"
-        dump_contexts(contexts, got)
         oracle_dump_contexts(contexts, want)
-        assert got.read_bytes() == want.read_bytes()
-        assert signed(load_contexts(got, corpus)) == signed(contexts)
+        # in one chunk, and in chunks of one or three items
+        for chunk_items in (dlab.sampler._DUMP_CHUNK_ITEMS, 1, 3):
+            with mock.patch.object(dlab.sampler, "_DUMP_CHUNK_ITEMS", chunk_items):
+                dump_contexts(Contexts.from_records(contexts), got)
+            assert got.read_bytes() == want.read_bytes(), chunk_items
+        assert signed(load_contexts(got, corpus).records()) == signed(contexts)
 
 
 # ---------------------------------------------------------------------------
@@ -986,36 +1064,34 @@ def feature_partitions(world, scales):
         embeddings, sentences = randomized(embeddings, 1), randomized(sentences, 2)
     elif scales != (1.0,):
         embeddings, sentences = rescaled(embeddings, scales), rescaled(sentences, scales)
-    memo = {}
-    partitions = [
-        [ContextSet(a, p, []) for a, p in pairs],
-        full_pool_context(pairs, corpus),
-    ]
+    memo, pools = {}, Pools(corpus, profiles)
+    partitions = [Contexts.empty(pairs), full_pool_context(pairs, corpus, pools)]
     for cfg in configs():
         partitions.append(sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
-                                         sentences=sentences, scores=memo))
+                                         sentences=sentences, scores=memo, pools=pools))
     # a context alternating sentence items (similar_sentences, the last
-    # config) and comment items (the full pool)
-    sentence_ctx = partitions[-1][0]
+    # config, without their similarities) and comment items (the full pool)
+    sentence_ctx, pool_ctx = partitions[-1].records()[0], partitions[1].records()[0]
     mixed = ContextSet(sentence_ctx.annotator_id, sentence_ctx.post_id,
-                       [item for pair in zip(sentence_ctx.items, partitions[1][0].items[:2])
-                        for item in pair])
+                       [item for pair in zip(sentence_ctx.items, pool_ctx.items[:2])
+                        for item in (replace(pair[0], similarity=None), pair[1])])
     assert [item.unit for item in mixed.items] == ["sentence", "comment"] * 2
-    partitions.append([mixed])
+    partitions.append(Contexts.from_records([mixed]))
     # every pair of one partition twice (the full pool's contexts already
     # repeat per annotator), and each context beside its items reversed: the
     # same items in another order are another sequence
-    partitions.append(partitions[-2] * 2)
-    partitions.append(partitions[1] + [ContextSet(c.annotator_id, c.post_id, c.items[::-1])
-                                       for c in partitions[1]])
+    partitions.append(Contexts.concat([partitions[-2]] * 2))
+    pooled = partitions[1].records()
+    partitions.append(Contexts.from_records(
+        pooled + [ContextSet(c.annotator_id, c.post_id, c.items[::-1]) for c in pooled]))
     # contexts of zero rows only (scaled by 0.0, they store -0.0 entries),
     # beside others
     zero = [ContextItem(cid, corpus.comments[cid].text, None, "comment")
             for cid in sorted(corpus.comments) if not embeddings.norms[embeddings.row_index(cid)]]
     if zero:
         a, p = pairs[0]
-        partitions.append([ContextSet(a, p, zero[:1]), ContextSet(a, p, zero[:3])]
-                          + partitions[1][:2])
+        partitions.append(Contexts.from_records(
+            [ContextSet(a, p, zero[:1]), ContextSet(a, p, zero[:3])] + pooled[:2]))
     return embeddings, sentences, partitions
 
 
@@ -1025,14 +1101,15 @@ def test_feature_matrix_matches_per_pair_oracle(world, scales):
     embeddings, sentences, partitions = feature_partitions(world, scales)
     for contexts in partitions:
         features = build_features(contexts, embeddings, sentences)
+        records = contexts.records()
         X = features.rows()
         assert X.dtype == np.float64 and X.flags.c_contiguous
-        assert np.array_equal(X, oracle_features(contexts, embeddings, sentences))
-        assert np.array_equal(X, oracle_dense_features(contexts, embeddings, sentences))
+        assert np.array_equal(X, oracle_features(records, embeddings, sentences))
+        assert np.array_equal(X, oracle_dense_features(records, embeddings, sentences))
         sequences = {tuple((item.unit, item.text if item.unit == "sentence"
                             else item.source_comment_id) for item in ctx.items)
-                     for ctx in contexts if ctx.items}
-        assert len(features.posts) == len({c.post_id for c in contexts})
+                     for ctx in records if ctx.items}
+        assert len(features.posts) == len({c.post_id for c in records})
         assert len(features.contexts) <= 1 + len(sequences)
     # one half-row per distinct post and per annotator's pool, not two per pair
     pooled = build_features(partitions[1], embeddings)
@@ -1058,7 +1135,7 @@ def test_build_features_matches_per_sequence_oracle(world, scales, monkeypatch):
         monkeypatch.setattr(dlab.model, "_MEAN_CHUNK_FLOATS", chunk_floats)
         for contexts in partitions:
             assert same_features(build_features(contexts, embeddings, sentences),
-                                 oracle_build_features(contexts, embeddings, sentences))
+                                 oracle_build_features(contexts.records(), embeddings, sentences))
 
 
 @pytest.mark.parametrize("chunk_floats", [None, 1])
@@ -1074,7 +1151,7 @@ def test_build_features_over_rows_that_store_no_entry(chunk_floats, monkeypatch)
     item = {cid: ContextItem(cid, cid, None, "comment") for cid in ("z1", "z2", "c")}
     contexts = [ContextSet("a", "p", [item["z1"]]), ContextSet("a", "p", [item["z1"], item["z2"]]),
                 ContextSet("a", "p", [item["z2"], item["c"]]), ContextSet("a", "p", [])]
-    features = build_features(contexts, matrix)
+    features = build_features(Contexts.from_records(contexts), matrix)
     assert same_features(features, oracle_build_features(contexts, matrix))
     assert features.context_columns.tolist() == [1]
     assert features.contexts.tolist() == [[0.0], [0.0], [0.0], [0.5]]
@@ -1095,7 +1172,7 @@ def test_feature_mean_sums_each_column_in_item_order():
     matrix = EmbeddingMatrix.from_dense(["p", "c1", "c2", "c3"], rows)
     items = [ContextItem(cid, cid, None, "comment") for cid in ("c1", "c2", "c3")]
     contexts = [ContextSet("a", "p", items), ContextSet("a", "p", items[::-1])]
-    X = build_features(contexts, matrix).rows()
+    X = build_features(Contexts.from_records(contexts), matrix).rows()
     assert same_bits(X, oracle_dense_features(contexts, matrix))
     assert X[0, d + 2] == 2.0 ** -60 / 3 and X[1, d + 2] == 0.0
     # the dense mean sums from +0.0, so a column of -0.0 entries averages to +0.0
@@ -1143,7 +1220,7 @@ def train_partitions(world, embeddings, sentences):
                                                       max_samples=3, seed=5)),
         # one repeated context per annotator
         "full-pool": full_pool_context(pairs, corpus),
-        "empty": [ContextSet(a, p, []) for a, p in pairs],
+        "empty": Contexts.empty(pairs),
     }
 
 
@@ -1173,8 +1250,9 @@ def test_train_matches_dense_oracle(world, wide_matrices, cfg):
         for name, contexts in partitions.items():
             # every row, and 33 rows, whose last batch of 32 is one row
             for n in (len(y), 33):
-                features = build_features(contexts[:n], embeddings, sentences)
-                X = oracle_dense_features(contexts[:n], embeddings, sentences)
+                records = contexts.records()[:n]
+                features = build_features(Contexts.from_records(records), embeddings, sentences)
+                X = oracle_dense_features(records, embeddings, sentences)
                 for runs, params, (W, b, history) in lockstep_fits(
                         features, y[:n], cfg, X, half_columns(features)):
                     assert np.array_equal(params.weights, W), (name, n, runs)
@@ -1258,7 +1336,7 @@ def test_train_on_empty_contexts_fits_zero_context_weights(world, wide_matrices)
     corpus, _, _, _, pairs = world
     embeddings = wide_matrices[0]
     y = encode_labels([v.label for v in corpus.verdicts] + ["NTA"])
-    features = build_features([ContextSet(a, p, []) for a, p in pairs], embeddings)
+    features = build_features(Contexts.empty(pairs), embeddings)
     assert features.contexts.shape == (1, 0) and features.context_columns.size == 0
     assert not features.index[:, 1].any()
     for params in train(features, y, TrainConfig(epochs=3, learning_rate=0.05, seed=1),
@@ -1274,7 +1352,7 @@ def test_train_without_stored_columns_fits_zero_weights(world):
     zero = EmbeddingMatrix.from_dense(embeddings.ids, np.zeros((len(embeddings), embeddings.dim)))
     y = encode_labels([v.label for v in corpus.verdicts] + ["NTA"])
     cfg = TrainConfig(epochs=2, learning_rate=0.05, batch_size=7, seed=1)
-    for contexts in (full_pool_context(pairs, corpus), [ContextSet(a, p, []) for a, p in pairs]):
+    for contexts in (full_pool_context(pairs, corpus), Contexts.empty(pairs)):
         features = build_features(contexts, zero)
         assert features.posts.shape[1] == features.contexts.shape[1] == 0
         assert features.width == zero.dim

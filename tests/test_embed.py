@@ -426,6 +426,13 @@ def key_order(keys):
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
+def ranked(scores, order, k):
+    """rank_scores of one score vector, as (position, score) pairs."""
+    chosen, values = rank_scores(scores[None, :], order, k)
+    assert chosen.shape == values.shape == (1, min(k, len(order)))
+    return list(zip(chosen[0].tolist(), values[0].tolist()))
+
+
 def scalar_ranking(query, matrix, keys):
     """The ranking rank_scores(cosine_scores(...)) must reproduce: one
     stored_order_cosine per row, sorted by descending score, then ascending
@@ -452,9 +459,11 @@ def test_rank_by_cosine_matches_scalar_oracle(n, dim, seed):
     # every query in one call
     block = cosine_scores(queries, matrix, range(n))
     assert block.shape == (len(queries), n)
-    for query, scores in zip(queries, block):
-        for keys in (shuffled, tuples):
-            assert rank_scores(scores, key_order(keys), n) == scalar_ranking(query, matrix, keys)
+    for keys in (shuffled, tuples):
+        # every query's row ranked in one call
+        chosen, values = rank_scores(block, key_order(keys), n)
+        for query, row, row_values in zip(queries, chosen.tolist(), values.tolist()):
+            assert list(zip(row, row_values)) == scalar_ranking(query, matrix, keys)
 
 
 def test_rank_scores_top_k_is_the_full_sort_prefix():
@@ -473,14 +482,21 @@ def test_rank_scores_top_k_is_the_full_sort_prefix():
         # the full stable sort by descending score, then ascending key
         full = [(i, values[i]) for i in sorted(range(n), key=lambda i: (-values[i], keys[i]))]
         for k in (1, 5, n, n + 3):
-            got = rank_scores(scores, key_order(keys), k)
+            got = ranked(scores, key_order(keys), k)
             assert got == full[:k]
             # the signs of the zeros come through as well
             assert [np.signbit(s) for _, s in got] == [np.signbit(s) for _, s in full[:k]]
             # a category filter's positions, taken in key order
             admitted = [i for i in key_order(keys) if i % 3]
-            assert rank_scores(scores, admitted, k) == [p for p in full if p[0] % 3][:k]
-        assert rank_scores(scores, [], 5) == []
+            assert ranked(scores, admitted, k) == [p for p in full if p[0] % 3][:k]
+            # rows ranked in one call rank as each does alone, signs included
+            block = np.vstack([scores, scores[::-1], -scores])
+            chosen, chosen_scores = rank_scores(block, admitted, k)
+            for row, row_chosen, row_values in zip(block, chosen, chosen_scores):
+                alone = ranked(row, admitted, k)
+                assert list(zip(row_chosen.tolist(), row_values.tolist())) == alone
+                assert np.signbit(row_values).tolist() == [bool(np.signbit(v)) for _, v in alone]
+        assert ranked(scores, [], 5) == []
 
 
 def test_top_k_tie_broken_by_id():

@@ -31,7 +31,7 @@ from dlab.model import (
     _log_beta_half,
     _student_t_two_sided,
 )
-from dlab.sampler import ContextItem, ContextSet
+from dlab.sampler import ContextItem, Contexts, ContextSet
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +601,7 @@ def unit(v):
 
 def test_build_features_empty_context_zero_block():
     matrix = EmbeddingMatrix.from_dense(["p"], np.array([unit([1.0, 2.0, 2.0])]))
-    features = build_features([ContextSet("a", "p", [])], matrix)
+    features = build_features(Contexts.empty([("a", "p")]), matrix)
     assert features.index.tolist() == [[0, 0]]
     X = features.rows()
     assert X.dtype == np.float64 and X.shape == (1, 6)
@@ -610,7 +610,7 @@ def test_build_features_empty_context_zero_block():
     # the context half stores no column: its block is the zero half alone
     assert features.contexts.shape == (1, 0) and features.context_columns.size == 0
     # no row stores a column: no post row, and the zero context half
-    empty = build_features([], matrix)
+    empty = build_features(Contexts.empty([]), matrix)
     assert len(empty) == 0 and empty.rows().shape == (0, 6)
     assert empty.posts.shape == (0, 0) and empty.contexts.shape == (1, 0)
     assert empty.post_columns.size == empty.context_columns.size == 0 and empty.width == 3
@@ -623,7 +623,7 @@ def test_build_features_stores_each_half_on_its_own_columns():
                                      [0.0, 0.0, 0.0, -1.0]]))
     items = [ContextItem(cid, cid, None, "comment") for cid in ("c1", "c2")]
     contexts = [ContextSet("a", "p", items), ContextSet("b", "p", [])]
-    features = build_features(contexts, matrix)
+    features = build_features(Contexts.from_records(contexts), matrix)
     assert features.post_columns.tolist() == [0, 1]
     assert features.context_columns.tolist() == [1, 3]
     assert features.posts.tolist() == [[2.0, 1.0]]
@@ -640,7 +640,7 @@ def test_build_features_renormalizes_unit_mean():
     ])
     matrix = EmbeddingMatrix.from_dense(
         ["p", "c1", "c2"], np.array([unit([1.0, 1.0]), unit([1.0, 0.0]), unit([0.0, 1.0])]))
-    context_part = build_features([ctx], matrix).rows()[0, 2:]
+    context_part = build_features(Contexts.from_records([ctx]), matrix).rows()[0, 2:]
     assert np.linalg.norm(context_part) == pytest.approx(1.0, abs=1e-12)
     assert context_part == pytest.approx(unit([1.0, 1.0]))
 
@@ -652,7 +652,8 @@ def test_build_features_plain_mean_for_non_unit_vectors():
     ])
     matrix = EmbeddingMatrix.from_dense(["p", "c1", "c2"],
                                         np.array([[0.0, 1.0], [2.0, 0.0], [0.0, 0.0]]))
-    assert np.array_equal(build_features([ctx], matrix).rows()[0, 2:], np.array([1.0, 0.0]))
+    assert np.array_equal(build_features(Contexts.from_records([ctx]), matrix).rows()[0, 2:],
+                          np.array([1.0, 0.0]))
 
 
 def test_build_features_comment_and_sentence_resolution():
@@ -667,23 +668,24 @@ def test_build_features_comment_and_sentence_resolution():
     ])
     # the comment resolved by id in the comment matrix, the sentence by text
     # in the sentence matrix; both are unit norm, so the mean is renormalized
-    assert build_features([ctx], matrix, sentences).rows()[0, 2:] == \
+    contexts = Contexts.from_records([ctx])
+    assert build_features(contexts, matrix, sentences).rows()[0, 2:] == \
         pytest.approx(unit([1.0, 1.0]))
     with pytest.raises(ValueError, match="resolve"):
-        build_features([ctx], matrix)
+        build_features(contexts, matrix)
 
 
 def test_build_features_error_paths():
     matrix = EmbeddingMatrix.from_dense(["p"], np.zeros((1, 2)))
     ctx = ContextSet("a", "p", [ContextItem("c9", "text", None, "comment")])
     with pytest.raises(ValueError, match="resolve"):
-        build_features([ctx], matrix)
+        build_features(Contexts.from_records([ctx]), matrix)
     sentence = ContextSet("a", "p", [ContextItem("c9", "text", None, "sentence", 0)])
     with pytest.raises(ValueError, match="dim"):
-        build_features([sentence], matrix,
+        build_features(Contexts.from_records([sentence]), matrix,
                        sentences=EmbeddingMatrix.from_dense(["text"], np.zeros((1, 3))))
     with pytest.raises(KeyError):
-        build_features([ContextSet("a", "p9", [])], matrix)
+        build_features(Contexts.empty([("a", "p9")]), matrix)
 
 
 def test_build_features_peak_memory_stays_near_its_outputs():
@@ -700,9 +702,9 @@ def test_build_features_peak_memory_stays_near_its_outputs():
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     matrix = EmbeddingMatrix.from_dense([f"c{i}" for i in range(n)]
                                         + [f"p{i}" for i in range(20)], rows)
-    contexts = [ContextSet("a", f"p{i % 20}", [
+    contexts = Contexts.from_records([ContextSet("a", f"p{i % 20}", [
         ContextItem(f"c{j}", "", None, "comment") for j in rng.choice(n, 5, replace=False)])
-        for i in range(1000)]
+        for i in range(1000)])
     features, peak = traced_peak(lambda: build_features(contexts, matrix))
     assert features.contexts.shape == (1001, 256)
     outputs = sum(a.nbytes for a in (features.posts, features.contexts, features.index,

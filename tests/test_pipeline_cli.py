@@ -619,14 +619,15 @@ def test_pipeline_sentence_strategies(tmp_path):
                                 for n in ("posts", "comments", "verdicts")))
     ecfg = cfg.embedder_config()
     items = 0
-    for ctx in load_contexts(outdir / "contexts" / "similar_sentences-k3.jsonl", corpus):
+    for ctx in load_contexts(outdir / "contexts" / "similar_sentences-k3.jsonl", corpus).records():
         post = embed_text(corpus.posts[ctx.post_id].query_text(), ecfg)
         for item in ctx.items:
             assert item.unit == "sentence"
             assert item.similarity == cosine_similarity(post, embed_text(item.text, ecfg))
             items += 1
     assert items > 0
-    for ctx in load_contexts(outdir / "contexts" / "random_sentences-k3.jsonl", corpus):
+    for ctx in load_contexts(outdir / "contexts" / "random_sentences-k3.jsonl",
+                             corpus).records():
         assert all(i.unit == "sentence" and i.similarity is None for i in ctx.items)
 
 
@@ -1032,7 +1033,7 @@ def test_cli_run_prints_its_rows_and_report_merges_them(tmp_path, capsys):
     # all_comments gives each pair its annotator's whole pool, in id order
     corpus, _ = ingest_corpus(*(out / "synth" / f"{n}.jsonl"
                                 for n in ("posts", "comments", "verdicts")))
-    dumped = load_contexts(out / "contexts" / "all_comments.jsonl", corpus)
+    dumped = load_contexts(out / "contexts" / "all_comments.jsonl", corpus).records()
     assert dumped
     for context in dumped:
         assert [item.source_comment_id for item in context.items] == sorted(
@@ -1368,8 +1369,8 @@ def test_cli_stage_chain_reproduces_a_run_condition(tmp_path):
             items = [item for c in load_contexts(
                 out / "contexts" / f"similar_comments-k3-cluster:{cluster}.jsonl",
                 ingest_corpus(*(paths[n] for n in ("posts", "comments", "verdicts")))[0]
-                if source == "corpus" else generate_population(parse_config(ini).synth)[0])
-                for item in c.items]
+                if source == "corpus" else generate_population(parse_config(ini).synth)[0]
+            ).records() for item in c.items]
             assert items and all(assignment[i.source_comment_id] == cluster for i in items)
 
     # the run's vectors exported by `dlab embed` and imported through

@@ -1,18 +1,24 @@
 import json
 
 import pytest
+from conftest import traced_peak
 from test_batch_oracles import cosine_similarity
 
+import dlab.embed
+import dlab.model
 from dlab.corpus import (Comment, Corpus, CorpusError, Post, Verdict, load_split, make_split,
                          save_split)
 from dlab.disclosure import HighLevelCategory, attach_clusters, build_profiles
 from dlab.embed import EmbedderConfig, embed_text
+from dlab.model import build_features
 from dlab.pipeline import embed_corpus, embed_sentences
 from dlab.sampler import (
     BoxStats,
     CategoryFilter,
     ContextItem,
+    Contexts,
     ContextSet,
+    Pools,
     SamplerConfig,
     STRATEGIES,
     box_stats,
@@ -23,6 +29,7 @@ from dlab.sampler import (
     sample_context,
     similar_post_diversity,
 )
+from dlab.synthgen import PopulationSpec, generate_population
 
 ECFG = EmbedderConfig(dim=128, ngram_range=(1, 2), seed=0)
 
@@ -34,7 +41,7 @@ def vec(text):
 def sample(annotator_id, post_id, corpus, embeddings, profiles, cfg, sentences=None):
     """The context of one pair, through the batch sampler."""
     [ctx] = sample_context([(annotator_id, post_id)], corpus, embeddings, profiles, cfg=cfg,
-                           sentences=sentences)
+                           sentences=sentences).records()
     return ctx
 
 
@@ -296,7 +303,7 @@ def test_sampler_config_validation():
 
 def test_full_pool_context_in_id_order(ranked_corpus):
     pairs = [("judge", "p0"), ("rival", "p0"), ("judge", "p0")]
-    contexts = full_pool_context(pairs, ranked_corpus)
+    contexts = full_pool_context(pairs, ranked_corpus).records()
     assert [(c.annotator_id, c.post_id) for c in contexts] == pairs
     assert [[i.source_comment_id for i in c.items] for c in contexts] == [
         ["ca1", "ca2", "ca3", "ca4"], ["cb1"], ["ca1", "ca2", "ca3", "ca4"]]
@@ -399,18 +406,17 @@ def test_contexts_roundtrip_through_jsonl(tmp_path, ranked_corpus):
         ("cy", "judge", "I bought new shoes."),
     ])
     matrix, sentences = matrices(corpus)
-    contexts = [
-        sample("judge", "p0", corpus, matrix, None,
-                       SamplerConfig(strategy="similar_sentences", max_samples=2, seed=1),
-                       sentences),
-        sample("judge", "p0", corpus, None, None,
-                       SamplerConfig(strategy="random_comments", max_samples=2, seed=1)),
-        ContextSet("judge", "p0", []),
-    ]
+    pairs = [("judge", "p0"), ("judge", "p0")]
     path = tmp_path / "contexts.jsonl"
-    dump_contexts(contexts, path)
-    back = load_contexts(path, corpus)
-    assert back == contexts
+    for strategy in STRATEGIES:
+        contexts = sample_context(pairs, corpus, matrix, None, sentences=sentences,
+                                  cfg=SamplerConfig(strategy=strategy, max_samples=2, seed=1))
+        dump_contexts(contexts, path)
+        back = load_contexts(path, corpus)
+        assert back.records() == contexts.records() and len(back) == 2
+        assert (back.similarity is None) == strategy.startswith("random_")
+    dump_contexts(Contexts.empty(pairs), path)
+    assert load_contexts(path, corpus).records() == [ContextSet("judge", "p0", [])] * 2
 
 
 def context_line(**item):
@@ -432,14 +438,24 @@ def context_line(**item):
     ('{"annotator_id": "judge", "post_id": "p0"}', "line 2: .*KeyError: 'items'"),
     (context_line(unit="comment", sentence_index=None), "line 2: .*KeyError: 'comment_id'"),
     ('{"annotator_id": "judge", ', "line 2: malformed JSON"),
+    (context_line(comment_id="cx", unit="comment", sentence_index=0),
+     "line 2: comment 'cx' is whole but has sentence index 0"),
+    (json.dumps({"annotator_id": "judge", "post_id": "p0", "items": [
+        {"comment_id": "cx", "similarity": "0.5", "unit": "comment", "sentence_index": None}]}),
+     "line 2: similarity '0.5' is not a number"),
+    (json.dumps({"annotator_id": "judge", "post_id": "p0", "items": [
+        {"comment_id": "cx", "similarity": None, "unit": "comment", "sentence_index": None},
+        {"comment_id": "cx", "similarity": 0.5, "unit": "comment", "sentence_index": None}]}),
+     "line 2: an item with similarity 0.5 among items without one"),
 ], ids=["unknown-comment", "sentence-past-end", "negative-sentence", "unknown-unit",
-        "non-object", "missing-items", "missing-comment-id", "bad-json"])
+        "non-object", "missing-items", "missing-comment-id", "bad-json",
+        "whole-comment-with-sentence-index", "similarity-not-a-number", "mixed-similarities"])
 def test_load_contexts_rejects_unknown_items(tmp_path, line, message):
     corpus = build_corpus([
         ("cx", "judge", "My cat knocked the plant again. Taxes are due in spring."),
     ])
     path = tmp_path / "contexts.jsonl"
-    dump_contexts([ContextSet("judge", "p0", [])], path)
+    dump_contexts(Contexts.empty([("judge", "p0")]), path)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(line + "\n")
     with pytest.raises(CorpusError, match=message):
@@ -455,9 +471,9 @@ def test_non_ascii_ids_round_trip(tmp_path):
         ContextItem("c_é", "", 0.25, "sentence", sentence_index=1),
     ])]
     path = tmp_path / "contexts.jsonl"
-    dump_contexts(contexts, path)
+    dump_contexts(Contexts.from_records(contexts), path)
     assert "c_é".encode("utf-8") in path.read_bytes()
-    [ctx] = load_contexts(path, corpus)
+    [ctx] = load_contexts(path, corpus).records()
     assert (ctx.annotator_id, ctx.post_id) == ("a_ü", "p0")
     assert [(i.source_comment_id, i.text, i.similarity, i.unit) for i in ctx.items] == [
         ("c_é", corpus.comments["c_é"].text, 0.5, "comment"),
@@ -497,3 +513,43 @@ def test_context_item_behaves_as_a_frozen_record():
     assert item != fields and fields != item
     assert not item == fields and not fields == item
     assert len({item, ContextItem(*fields), fields}) == 2
+
+
+def test_partition_path_builds_no_per_item_records(tmp_path, monkeypatch):
+    # one partition sampled, featurized and dumped at the README's pool
+    # shape (200-400 comments per annotator, dim 4,096), as a run does it:
+    # no ContextItem or ContextSet is built, and beside the score memo and
+    # the features the path holds the dense post rows (the queries of one
+    # annotator and the post block's source), one block of cosine products
+    # and a few blocks of context means at a time
+    corpus, _ = generate_population(PopulationSpec(
+        n_annotators=4, n_posts=40, comments_per_annotator=(200, 400),
+        verdicts_per_annotator=(20, 30), seed=2))
+    ecfg = EmbedderConfig(dim=4096, ngram_range=(1, 2), seed=0)
+    embeddings, sentences = embed_corpus(corpus, ecfg), embed_sentences(corpus, ecfg)
+    pairs = [(v.annotator_id, v.post_id) for v in corpus.verdicts]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-item record was built")
+
+    for record in (ContextItem, ContextSet):
+        monkeypatch.setattr(record, "__init__", refuse)
+    monkeypatch.setattr(Contexts, "records", refuse)
+    posts = len({p for _, p in pairs})
+    budget = (2 * posts * ecfg.dim * 4 + 2 * dlab.embed._SCORE_CHUNK_FLOATS * 8
+              + 4 * dlab.model._MEAN_CHUNK_FLOATS * 8)
+    for strategy in STRATEGIES:
+        cfg = SamplerConfig(strategy=strategy, max_samples=5, seed=1)
+        memo, pools = {}, Pools(corpus)
+
+        def partition():
+            contexts = sample_context(pairs, corpus, embeddings, None, cfg=cfg,
+                                      sentences=sentences, scores=memo, pools=pools)
+            features = build_features(contexts, embeddings, sentences)
+            dump_contexts(contexts, tmp_path / f"{strategy}.jsonl")
+            return contexts, features
+
+        (contexts, features), peak = traced_peak(partition)
+        assert len(contexts) == len(pairs) and len(contexts.positions) > 3 * len(pairs)
+        outputs = sum(a.nbytes for a in (features.posts, features.contexts, features.index))
+        assert peak <= sum(row.nbytes for row in memo.values()) + outputs + budget, strategy
