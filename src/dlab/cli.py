@@ -212,8 +212,9 @@ def _cmd_sample(args) -> int:
     embeddings = setup_embeddings(cfg, corpus)
     profiles, _ = setup_profiles(cfg, corpus, embeddings)
     units = {condition.sampler.unit} if condition.sampler else set()
-    state = condition_state(cfg, corpus, units, embeddings=embeddings, profiles=profiles)
-    contexts = condition_contexts(state, condition, range(len(corpus.verdicts)))
+    state = condition_state(cfg, corpus, units, embeddings=embeddings, profiles=profiles,
+                            partitions={"all": range(len(corpus.verdicts))})
+    contexts = condition_contexts(state, condition, "all")
     dump_contexts(contexts, args.out)
     print(f"contexts={len(contexts)}")
     return 0

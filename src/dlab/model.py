@@ -242,16 +242,23 @@ def build_features(contexts: Contexts, embeddings: EmbeddingMatrix,
         # dense rows' mean(axis=0) sums them: adding their +0.0 entries
         # changes no partial sum, which is never -0.0 (over no entry at all
         # bincount counts in integers)
-        cols += np.repeat(np.repeat(np.arange(hi - lo) * d, lengths[lo:hi]), entries)
-        means = np.bincount(cols, weights=values, minlength=(hi - lo) * d).astype(
-            np.float64, copy=False).reshape(hi - lo, d)
-        means /= divisors[lo:hi, None]
+        sequence = np.repeat(np.repeat(np.arange(hi - lo), lengths[lo:hi]), entries)
+        cols += sequence * d
+        sums = np.bincount(cols, weights=values, minlength=(hi - lo) * d).astype(
+            np.float64, copy=False)
+        # each sum divided by its item count, and below each mean by its norm
+        # when rescaled (by 1.0, which keeps every bit, when not), only in the
+        # cells that some item stores an entry in: each such cell once per
+        # entry, with the same quotient. Every other cell stays +0.0, as +0.0
+        # divided by a count or a norm is.
+        sums[cols] = sums[cols] / divisors[lo:hi][sequence]
+        means = sums.reshape(hi - lo, d)
         # a stack of 1×d · d×1 products: numpy hands each to the BLAS dot
         # that np.linalg.norm's x.dot(x) reaches, so each norm keeps its order
         norms = np.sqrt(np.matmul(means[:, None, :], means[:, :, None])[:, 0, 0])
         rescale = np.logical_and.reduceat(unit_norm[first:last], item_starts[lo:hi] - first)
         rescale &= norms > 0.0
-        means[rescale] /= norms[rescale, None]
+        sums[cols] = sums[cols] / np.where(rescale, norms, 1.0)[sequence]
         np.take(means, context_columns, axis=1, out=context_block[1 + lo:1 + hi])
     return Features(post_block, context_block, index, post_columns, context_columns, d)
 

@@ -33,7 +33,9 @@ from .sampler import (
     CategoryFilter,
     Contexts,
     ContextSet,
+    JsonNumbers,
     Pools,
+    Ranking,
     SamplerConfig,
     dump_contexts,
     full_pool_context,
@@ -352,7 +354,8 @@ _build_grid = build_conditions
 class RunState:
     """What sampling and features read, and the config it was set up from.
     A run adds the verdict indices of its train and test partitions, whose
-    class indices are encoded once, here."""
+    (annotator, post) pairs are listed and checked against the corpus, and
+    class indices encoded, once, here."""
     cfg: ExperimentConfig
     corpus: Corpus
     embeddings: EmbeddingMatrix
@@ -360,18 +363,39 @@ class RunState:
     profiles: dict[str, CategoryProfile] | None = None  # None: no category filters
     # the verdict indices of each partition the run samples, by name
     partitions: dict[str, list[int]] = field(default_factory=dict)
+    pairs: dict[str, tuple[tuple[str, str], ...]] = field(init=False)
     labels: dict[str, np.ndarray] = field(init=False)
-    # each pair's cosine scores over its annotator's whole pool, and each
-    # annotator's pools and admitted units, filled by sample_context as the
-    # grid runs and shared by every condition
+    # each pair's cosine scores over its annotator's whole pool, each
+    # annotator's pools and admitted units, each partition's ranking per
+    # unit and the JSON text of each similarity dumped, filled as the grid
+    # runs and shared by every condition
     scores: dict = field(default_factory=dict)
     pools: Pools = field(init=False)
+    rankings: dict[tuple[str, str], Ranking] = field(init=False, default_factory=dict)
+    numbers: JsonNumbers = field(init=False, default_factory=JsonNumbers)
 
     def __post_init__(self):
         verdicts = self.corpus.verdicts
+        self.pools = Pools(self.corpus, self.profiles)
+        self.pairs = {part: tuple((verdicts[vi].annotator_id, verdicts[vi].post_id)
+                                  for vi in indices)
+                      for part, indices in self.partitions.items()}
+        for pairs in self.pairs.values():
+            self.pools.check(pairs)
         self.labels = {part: encode_labels(verdicts[vi].label for vi in indices)
                        for part, indices in self.partitions.items()}
-        self.pools = Pools(self.corpus, self.profiles)
+
+    def ranking(self, unit: str, partition: str) -> Ranking:
+        """The ranking of the partition's pairs over pools of `unit`, cut at
+        the largest sample size of the config's grid, or whole when some
+        category filter of the grid selects from it."""
+        key = (unit, partition)
+        if key not in self.rankings:
+            cfg = self.cfg
+            filtered = unit == "comment" and any(token != "none" for token in cfg.categories)
+            self.rankings[key] = Ranking(self.pairs[partition], unit,
+                                         None if filtered else max(cfg.max_samples_list))
+        return self.rankings[key]
 
 
 def condition_state(cfg: ExperimentConfig, corpus: Corpus, units, *,
@@ -394,19 +418,20 @@ def _init_worker(state: RunState) -> None:
     _SHARED = state
 
 
-def condition_contexts(state: RunState, condition: Condition, verdict_indices) -> Contexts:
-    """The contexts of the verdicts at `verdict_indices` under the condition:
-    empty, the annotator's whole pool, or the sampler's draw."""
-    corpus = state.corpus
-    pairs = [(corpus.verdicts[vi].annotator_id, corpus.verdicts[vi].post_id)
-             for vi in verdict_indices]
+def condition_contexts(state: RunState, condition: Condition, partition: str) -> Contexts:
+    """The contexts of the partition's pairs under the condition: empty,
+    the annotator's whole pool, or the sampler's draw; a similarity
+    strategy selects from the partition's ranking."""
+    pairs, sampler = state.pairs[partition], condition.sampler
     if condition.name == "no_comments":
         return Contexts.empty(pairs)
     if condition.name == "all_comments":
-        return full_pool_context(pairs, corpus, state.pools)
-    return sample_context(pairs, corpus, state.embeddings, state.profiles,
-                          cfg=condition.sampler, sentences=state.sentences, scores=state.scores,
-                          pools=state.pools)
+        return full_pool_context(pairs, state.corpus, state.pools)
+    ranking = (state.ranking(sampler.unit, partition)
+               if sampler.strategy.startswith("similar_") else None)
+    return sample_context(pairs, state.corpus, state.embeddings, state.profiles,
+                          cfg=sampler, sentences=state.sentences, scores=state.scores,
+                          pools=state.pools, ranking=ranking)
 
 
 def partition_data(state: RunState, contexts: Contexts,
@@ -438,11 +463,11 @@ def run_condition(state: RunState, condition: Condition) -> dict:
     data = {}
     contexts = []
     for part in ("train", "test"):
-        contexts.append(condition_contexts(state, condition, state.partitions[part]))
+        contexts.append(condition_contexts(state, condition, part))
         data[part] = partition_data(state, contexts[-1], part)
     if cfg.save_contexts:
         dump_contexts(Contexts.concat(contexts),
-                      Path(cfg.out) / "contexts" / f"{condition.name}.jsonl")
+                      Path(cfg.out) / "contexts" / f"{condition.name}.jsonl", state.numbers)
 
     fits = train(*data["train"], cfg.train_config(condition.name), cfg.runs)
     test_features, test_y = data["test"]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 import warnings
 from collections import Counter
 from collections.abc import Sequence
@@ -90,8 +91,15 @@ class SamplerConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        for name in ("max_samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.max_samples < 1:
             raise ValueError(f"max_samples must be >= 1, got {self.max_samples}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         # the reference protocol pairs category filters with similarity
         # ranking over whole comments and at most 5 samples
         if self.category_filter is not None and not (
@@ -281,8 +289,9 @@ class Contexts:
 
 
 class Pools:
-    """Every annotator's pool of comments and of sentences, and the pool
-    positions each category filter admits, built on first use and kept.
+    """Every annotator's pool of comments and of sentences, the units each
+    category filter admits, and the pair lists already checked against the
+    corpus, built on first use and kept.
 
     Each unit's pools lie in one table, an annotator's a run of it in pool
     order: its comments in id order, or their sentences in order. A run
@@ -292,8 +301,10 @@ class Pools:
     def __init__(self, corpus: Corpus, profiles: dict[str, CategoryProfile] | None = None):
         self.corpus, self.profiles = corpus, profiles
         self._tables: dict[str, tuple[Units, dict[str, tuple[int, int]]]] = {}
-        self._admitted: dict[tuple, range | np.ndarray] = {}
-        self._ranked: dict[tuple, np.ndarray] = {}
+        self._masks: dict[tuple, np.ndarray] = {}
+        self._admitted: dict[tuple, dict[str, range | np.ndarray]] = {}
+        self._keyed: dict[str, dict[str, np.ndarray]] = {}
+        self._checked: list[tuple] = []
 
     def table(self, unit: str) -> tuple[Units, dict[str, tuple[int, int]]]:
         """The unit's table and each annotator's (start, stop) in it."""
@@ -316,46 +327,140 @@ class Pools:
             self._tables[unit] = (Units(cids, _Texts(comments, cids, index), index), spans)
         return self._tables[unit]
 
+    def mask(self, filt: CategoryFilter, unit: str = "comment") -> np.ndarray:
+        """Whether the filter admits each unit of the table."""
+        key = (unit, filt)
+        if key not in self._masks:
+            if self.profiles is None:
+                raise ValueError("category filter requires comment profiles")
+            profiles, cids = self.profiles, self.table(unit)[0].comment_ids
+            self._masks[key] = np.fromiter((filt.admits(profiles[cid]) for cid in cids),
+                                           dtype=bool, count=len(cids))
+        return self._masks[key]
+
     def admitted(self, filt: CategoryFilter | None,
                  unit: str = "comment") -> dict[str, range | np.ndarray]:
         """Each annotator's table positions of the units the filter admits,
         in pool order: a range of all of them without a filter."""
         key = (unit, filt)
         if key not in self._admitted:
-            units, spans = self.table(unit)
+            spans = self.table(unit)[1]
             if filt is None:
                 admitted = {a: range(*span) for a, span in spans.items()}
-            elif self.profiles is None:
-                raise ValueError("category filter requires comment profiles")
             else:
-                profiles, cids = self.profiles, units.comment_ids
-                admitted = {a: np.array([i for i in range(*span)
-                                         if filt.admits(profiles[cids[i]])], dtype=np.intp)
-                            for a, span in spans.items()}
+                mask = self.mask(filt, unit)
+                admitted = {a: np.flatnonzero(mask[start:stop]) + start
+                            for a, (start, stop) in spans.items()}
             self._admitted[key] = admitted
         return self._admitted[key]
 
-    def ranked(self, filt: CategoryFilter | None, unit: str) -> dict[str, np.ndarray]:
-        """Each annotator's admitted units, as places in its pool, by
-        (comment id, text), equal keys in pool order: the key order
-        rank_scores breaks score ties by."""
-        key = (unit, filt)
-        if key not in self._ranked:
+    def keyed(self, unit: str) -> dict[str, np.ndarray]:
+        """Each annotator's pool, as places in it, by (comment id, text),
+        equal keys in pool order: the key order rank_scores breaks score
+        ties by."""
+        if unit not in self._keyed:
             units, spans = self.table(unit)
             cids, texts = units.comment_ids, units.texts
-            self._ranked[key] = {
-                a: np.array(sorted(positions, key=lambda i: (cids[i], texts[i])),
-                            dtype=np.int32) - spans[a][0]
-                for a, positions in self.admitted(filt, unit).items()}
-        return self._ranked[key]
+            self._keyed[unit] = {
+                a: np.array(sorted(range(start, stop), key=lambda i: (cids[i], texts[i])),
+                            dtype=np.intp) - start
+                for a, (start, stop) in spans.items()}
+        return self._keyed[unit]
+
+    def check(self, pairs) -> None:
+        """ValueError for the first pair whose annotator or post the corpus
+        lacks. A tuple of pairs that passed is kept, and not checked again."""
+        if any(pairs is seen for seen in self._checked):
+            return
+        corpus = self.corpus
+        for annotator_id, post_id in pairs:
+            if annotator_id not in corpus.annotator_index:
+                raise ValueError(f"unknown annotator {annotator_id!r}")
+            if post_id not in corpus.posts:
+                raise ValueError(f"unknown post {post_id!r}")
+        if isinstance(pairs, tuple):
+            self._checked.append(pairs)
 
 
-def _check_pairs(pairs, corpus: Corpus) -> None:
-    for annotator_id, post_id in pairs:
-        if annotator_id not in corpus.annotator_index:
-            raise ValueError(f"unknown annotator {annotator_id!r}")
-        if post_id not in corpus.posts:
-            raise ValueError(f"unknown post {post_id!r}")
+class Ranking:
+    """Each pair's pool of one unit in rank order, for a list of pairs.
+
+    A pool ranks by descending cosine score against the pair's post, then by
+    (comment id, text), then by pool position: each row of rank_scores over
+    the whole pool, ties and the signs of zero scores included. The units a
+    category filter admits keep that order among themselves, so the first k
+    of them are that filter's ranking cut at k: every similarity condition
+    of the unit, filtered or not, selects its contexts from one Ranking.
+
+    The ranking is kept cut at `depth` entries a pair (None: whole pools),
+    ragged: pair i's entries are offsets[i]:offsets[i + 1], each its place
+    in the pool (uint16, or int32 when a pool holds more than 65,536 units)
+    and its float64 score, 10 bytes an entry. The first sample_context call
+    given the ranking ranks the pairs, from the scores memo; every later
+    call on the same pairs selects from it.
+    """
+
+    def __init__(self, pairs, unit: str, depth: int | None = None):
+        if unit not in ("comment", "sentence"):
+            raise ValueError(f"unknown unit {unit!r}")
+        if depth is not None and depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
+        self.pairs, self.unit, self.depth = pairs, unit, depth
+        self.offsets: np.ndarray | None = None  # None until ranked
+        self.starts = self.places = self.similarity = None
+
+    def serves(self, cfg: SamplerConfig) -> bool:
+        """Whether the cut keeps every entry the sampler can select."""
+        return cfg.unit == self.unit and (self.depth is None or (
+            cfg.category_filter is None and cfg.max_samples <= self.depth))
+
+    def rank(self, scores: dict, pools: Pools) -> None:
+        """Rank each pair's memoised scores, scores[unit, annotator, post]
+        over the annotator's whole pool in `pools`, by the pool's key order:
+        each annotator's pairs in one rank_scores call."""
+        pairs, unit = self.pairs, self.unit
+        spans, keyed = pools.table(unit)[1], pools.keyed(unit)
+        groups: dict[str, list[int]] = {}  # annotator -> its pairs' places
+        for i, (annotator_id, _) in enumerate(pairs):
+            groups.setdefault(annotator_id, []).append(i)
+        sizes = {a: len(keyed[a]) for a in groups}
+        counts = np.zeros(len(pairs), dtype=np.int64)
+        for annotator_id, places in groups.items():
+            counts[places] = min(sizes[annotator_id], self.depth or sizes[annotator_id])
+        offsets = np.zeros(len(pairs) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        widest = max(sizes.values(), default=0)
+        self.places = np.empty(offsets[-1], dtype=np.uint16 if widest <= 1 << 16 else np.int32)
+        self.similarity = np.empty(offsets[-1], dtype=np.float64)
+        for annotator_id, places in groups.items():
+            order = keyed[annotator_id]
+            if len(order):
+                block = np.array([scores[unit, annotator_id, pairs[i][1]] for i in places])
+                chosen, values = rank_scores(block, order, self.depth or len(order))
+                slots = offsets[places][:, None] + np.arange(chosen.shape[1])
+                self.places[slots] = chosen
+                self.similarity[slots] = values
+        self.starts = np.array([spans[a][0] for a, _ in pairs], dtype=np.int64)
+        self.offsets = offsets
+
+    def select(self, admitted: np.ndarray | None, k: int):
+        """Each pair's first k entries whose unit `admitted` (a mask over
+        the table, None for all units) holds: their count per pair, their
+        table positions and their scores, in pair order."""
+        offsets = self.offsets
+        lengths = np.diff(offsets)
+        if admitted is None:
+            counts = np.minimum(lengths, k)
+            chosen = ranges(offsets[:-1], counts)
+        else:
+            held = admitted[np.repeat(self.starts, lengths) + self.places]
+            seen = np.zeros(len(held) + 1, dtype=np.int64)
+            np.cumsum(held, out=seen[1:])
+            before = seen[offsets[:-1]]
+            counts = np.minimum(seen[offsets[1:]] - before, k)
+            chosen = np.flatnonzero(held & (seen[1:] <= np.repeat(before + k, lengths)))
+        return (counts, np.repeat(self.starts, counts) + self.places[chosen],
+                self.similarity[chosen])
 
 
 def sample_context(pairs, corpus: Corpus,
@@ -364,7 +469,8 @@ def sample_context(pairs, corpus: Corpus,
                    cfg: SamplerConfig,
                    sentences: EmbeddingMatrix | None = None,
                    scores: dict | None = None,
-                   pools: Pools | None = None) -> Contexts:
+                   pools: Pools | None = None,
+                   ranking: Ranking | None = None) -> Contexts:
     """Draw up to max_samples context items for each (annotator, post) pair.
 
     Similarity strategies rank the candidate pool by cosine against the post
@@ -383,19 +489,25 @@ def sample_context(pairs, corpus: Corpus,
     corpus and matrices scores each pair once, whatever the category filter.
     The pairs a call must score are scored per annotator: its pool rows
     against all its posts in one cosine_scores call, which reads the rows
-    from the matrix one chunk of at most 1 MB at a time. Each annotator's
-    pairs are then ranked in one rank_scores call.
+    from the matrix one chunk of at most 1 MB at a time.
+
+    A similarity strategy selects from `ranking`, a Ranking of exactly
+    these pairs (the same object) and the strategy's unit, cut deep enough
+    for the sampler; a new one cut at max_samples unless given (at no cut
+    under a category filter). The first call given a ranking scores what
+    the memo lacks and ranks the pairs; passing one ranking, one memo and
+    one Pools to every call on the same pairs ranks each pair once.
     """
     if pools is None:
         pools = Pools(corpus, profiles)
     elif pools.corpus is not corpus or pools.profiles is not profiles:
         raise ValueError("pools must be built from the same corpus and profiles")
     scores = {} if scores is None else scores
-    unit, k = cfg.unit, cfg.max_samples
-    _check_pairs(pairs, corpus)
+    unit, k, filt = cfg.unit, cfg.max_samples, cfg.category_filter
+    pools.check(pairs)
     units, spans = pools.table(unit)
-    admitted = pools.admitted(cfg.category_filter, unit)
     if not cfg.strategy.startswith("similar_"):
+        admitted = pools.admitted(filt, unit)
         counts, chosen = [], []
         for annotator_id, post_id in pairs:
             rng = random.Random(derive_seed(cfg.seed, annotator_id, post_id))
@@ -404,13 +516,32 @@ def sample_context(pairs, corpus: Corpus,
             chosen += drawn
         return Contexts.of(pairs, units, counts, chosen)
 
-    if unit == "sentence" and sentences is None:
-        raise ValueError("similar_sentences requires a sentence matrix")
-    groups: dict[str, list[int]] = {}  # annotator -> its pairs' places
+    if ranking is None:
+        ranking = Ranking(pairs, unit, k if filt is None else None)
+    elif ranking.pairs is not pairs:
+        raise ValueError("the ranking ranks another list of pairs")
+    elif not ranking.serves(cfg):
+        raise ValueError(f"a {ranking.unit} ranking cut at depth {ranking.depth} cannot "
+                         f"serve {cfg.strategy} at k={k} with filter {filt}")
+    if ranking.offsets is None:
+        if unit == "sentence" and sentences is None:
+            raise ValueError("similar_sentences requires a sentence matrix")
+        _score_pools(pairs, unit, embeddings, sentences, scores, units, spans)
+        ranking.rank(scores, pools)
+    mask = None if filt is None else pools.mask(filt, unit)
+    return Contexts.of(pairs, units, *ranking.select(mask, k))
+
+
+def _score_pools(pairs, unit: str, embeddings: EmbeddingMatrix | None,
+                 sentences: EmbeddingMatrix | None, scores: dict, units: Units,
+                 spans: dict[str, tuple[int, int]]) -> None:
+    """Put into `scores` each pair's cosine scores over its annotator's
+    non-empty pool, unless it holds them: per annotator, its pool rows
+    against all its unscored posts in one cosine_scores call."""
     unscored: dict[str, dict[str, None]] = {}  # annotator -> posts, in pair order
-    for i, (annotator_id, post_id) in enumerate(pairs):
-        groups.setdefault(annotator_id, []).append(i)
-        if len(admitted[annotator_id]):
+    for annotator_id, post_id in pairs:
+        start, stop = spans[annotator_id]
+        if stop > start:
             if embeddings is None or post_id not in embeddings:
                 raise ValueError(f"no embedding for post {post_id!r}")
             if (unit, annotator_id, post_id) not in scores:
@@ -423,25 +554,6 @@ def sample_context(pairs, corpus: Corpus,
         for post_id, row in zip(posts, block):
             scores[(unit, annotator_id, post_id)] = row
 
-    # each annotator's pairs ranked at once, their items put in pair order
-    ranked, chosen = pools.ranked(cfg.category_filter, unit), {}
-    counts = np.zeros(len(pairs), dtype=np.int64)
-    for annotator_id, places in groups.items():
-        order = ranked[annotator_id]
-        if len(order):
-            block = np.array([scores[unit, annotator_id, pairs[i][1]] for i in places])
-            chosen[annotator_id] = rank_scores(block, order, k)
-            counts[places] = min(k, len(order))
-    offsets = np.zeros(len(pairs) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    positions = np.empty(offsets[-1], dtype=np.intp)
-    similarity = np.empty(offsets[-1], dtype=np.float64)
-    for annotator_id, (places, values) in chosen.items():
-        slots = offsets[groups[annotator_id]][:, None] + np.arange(places.shape[1])
-        positions[slots] = places + spans[annotator_id][0]
-        similarity[slots] = values
-    return Contexts.of(pairs, units, counts, positions, similarity)
-
 
 def full_pool_context(pairs, corpus: Corpus, pools: Pools | None = None) -> Contexts:
     """Every background comment of each pair's annotator, in id order (All
@@ -449,7 +561,7 @@ def full_pool_context(pairs, corpus: Corpus, pools: Pools | None = None) -> Cont
     unless given)."""
     if pools is None:
         pools = Pools(corpus)
-    _check_pairs(pairs, corpus)
+    pools.check(pairs)
     units, spans = pools.table("comment")
     starts, stops = np.array([spans[a] for a, _ in pairs], dtype=np.int64).reshape(-1, 2).T
     return Contexts.of(pairs, units, stops - starts, ranges(starts, stops - starts))
@@ -591,33 +703,48 @@ class _Quoted(dict):
         return quoted
 
 
-def _json_number(value: float) -> str:
-    """A float as json.dumps writes it."""
-    if math.isfinite(value):
-        return float.__repr__(value)
-    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+class JsonNumbers(dict):
+    """JSON numbers, as json.dumps writes them, of the float64 values
+    looked up by their bits (int64), each formatted once: -0.0 and 0.0 have
+    their own bits, and a NaN, equal to nothing, is found by its bits."""
+
+    def __missing__(self, bits: int) -> str:
+        value = _FLOAT.unpack(_BITS.pack(bits))[0]
+        if math.isfinite(value):
+            number = float.__repr__(value)
+        else:
+            number = "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+        self[bits] = number
+        return number
 
 
-def dump_contexts(contexts: Contexts, path) -> None:
+_BITS, _FLOAT = struct.Struct("=q"), struct.Struct("=d")
+
+
+def dump_contexts(contexts: Contexts, path, numbers: JsonNumbers | None = None) -> None:
     """JSONL: one context per line; texts are re-derivable from the corpus.
 
     Each line is the one json.dumps(record, ensure_ascii=False) writes for
     {"annotator_id", "post_id", "items": [{"comment_id", "similarity",
     "unit", "sentence_index"}, ...]}, filled into a template: the head and
-    tail of each unit an item names are formatted once, and each chunk of
-    contexts (at most _DUMP_CHUNK_ITEMS items, unless one context alone
-    holds more) is written as one join of its line heads, its items' heads,
-    similarities and tails, and its line ends.
+    tail of each unit an item names are formatted once, each similarity
+    once per `numbers` memo (a new one unless given; a run passes one to
+    every dump), and each chunk of contexts (at most _DUMP_CHUNK_ITEMS
+    items, unless one context alone holds more) is written as one join of
+    its line heads, its items' heads, similarities and tails, and its line
+    ends.
     """
     quoted = _Quoted()
+    numbers = JsonNumbers() if numbers is None else numbers
     units, sims, offsets = contexts.units, contexts.similarity, contexts.offsets
+    if sims is not None:
+        sims = np.asarray(sims, dtype=np.float64)
     used, lookup = contexts.used_units()
     heads = [_ITEM_HEAD % quoted[units.comment_ids[i]] for i in used.tolist()]
     tails = [_ITEM_TAILS[1] % s if s >= 0 else _ITEM_TAILS[0]
              for s in units.sentence_index[used].tolist()]
     if sims is None:
         heads = [head + "null" + tail for head, tail in zip(heads, tails)]
-    number = float.__repr__ if sims is None or np.isfinite(sims).all() else _json_number
     # a unit's head after the first item of a context follows a separator;
     # an item is its head, or its head, similarity and tail
     heads = np.array(heads + [", " + head for head in heads], dtype=object)
@@ -641,7 +768,8 @@ def dump_contexts(contexts: Contexts, path) -> None:
             pieces[lines + 1 + width * (starts + counts)] = "]}\n"
             pieces[items] = heads[codes + later * len(used)]
             if sims is not None:
-                pieces[items + 1] = list(map(number, sims[first:last].tolist()))
+                pieces[items + 1] = list(map(numbers.__getitem__,
+                                             sims[first:last].view(np.int64).tolist()))
                 pieces[items + 2] = tails[codes]
             fh.write("".join(pieces.tolist()))
 

@@ -76,10 +76,12 @@ from dlab.embed import (
     cosine_scores,
     embed_text,
     embed_texts,
+    rank_scores,
 )
 from dlab.model import (Features, ModelParams, TrainConfig, build_features, encode_labels,
                         predict, train)
-from dlab.pipeline import cluster_comments, embed_corpus, embed_sentences
+from dlab.pipeline import (Condition, ExperimentConfig, RunState, cluster_comments,
+                           condition_contexts, embed_corpus, embed_sentences)
 from dlab.sampler import (
     SENTENCE_STRATEGIES,
     STRATEGIES,
@@ -87,7 +89,9 @@ from dlab.sampler import (
     ContextItem,
     Contexts,
     ContextSet,
+    JsonNumbers,
     Pools,
+    Ranking,
     SamplerConfig,
     dump_contexts,
     full_pool_context,
@@ -945,6 +949,75 @@ def oracle_memo_contexts(tied_world, memo, cfg):
     return want
 
 
+def oracle_rank_per_annotator(pairs, memo, pools, cfg):
+    """The columns of each pair's context as sample_context ranked them per
+    call: each annotator's pairs in one rank_scores call over their memo
+    rows, restricted to the units the filter admits, sorted by (comment id,
+    text) with equal keys in pool order."""
+    units, spans = pools.table(cfg.unit)
+    admitted = pools.admitted(cfg.category_filter, cfg.unit)
+    cids, texts = units.comment_ids, units.texts
+    groups = {}
+    for i, (a, _) in enumerate(pairs):
+        groups.setdefault(a, []).append(i)
+    chosen = [([], [])] * len(pairs)
+    for a, places in groups.items():
+        order = np.array(sorted(admitted[a], key=lambda i: (cids[i], texts[i])),
+                         dtype=np.intp) - spans[a][0]
+        if len(order):
+            block = np.array([memo[cfg.unit, a, pairs[i][1]] for i in places])
+            for i, positions, values in zip(places, *rank_scores(block, order, cfg.max_samples)):
+                chosen[i] = ((positions + spans[a][0]).tolist(), values.tolist())
+    return Contexts.of(pairs, units, [len(positions) for positions, _ in chosen],
+                       [p for positions, _ in chosen for p in positions],
+                       np.array([v for _, values in chosen for v in values], dtype=np.float64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_shared_ranking_selects_as_per_annotator_rank_scores_oracle(tied_world, data):
+    # the grid's similarity conditions in any order, each selected from one
+    # ranking per unit of a run state, or each ranked afresh by its own
+    # call: the same columns as ranking each condition's admitted pools per
+    # annotator, ties, -0.0 and k above the pool size included
+    corpus, embeddings, sentences, profiles, pairs = tied_world
+    memo = drawn_memo(tied_world, data)
+    order = data.draw(st.permutations(TIED_CONFIGS))
+    shared = data.draw(st.booleans())
+    grid = ExperimentConfig(categories=("none", "theory:*", "cluster:*"), cluster_enabled=True,
+                            cluster_k=2, max_samples_list=(1, 3, 5, 20))
+    state = RunState(cfg=grid, corpus=corpus, embeddings=embeddings, sentences=sentences,
+                     profiles=profiles, partitions={"all": range(len(corpus.verdicts))},
+                     scores=dict(memo))
+    assert list(state.pairs["all"]) == pairs
+    ranked, rank = [], Ranking.rank
+
+    def counted(self, *args):
+        ranked.append(self.unit)
+        return rank(self, *args)
+
+    with mock.patch.object(Ranking, "rank", counted):
+        for cfg in order:
+            if shared:
+                got = condition_contexts(state, Condition("grid cell", cfg), "all")
+            else:
+                got = sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
+                                     sentences=sentences, scores=dict(memo))
+            want = oracle_rank_per_annotator(pairs, memo, state.pools, cfg)
+            assert np.array_equal(got.offsets, want.offsets), cfg
+            assert np.array_equal(got.positions, want.positions), cfg
+            assert same_bits(got.similarity, want.similarity), cfg
+            assert signed(got.records()) == signed(oracle_memo_contexts(tied_world, memo, cfg))
+    if shared:
+        # one ranking per unit, ranked once: whole pools for the filtered
+        # comments, the grid's largest k for sentences
+        assert sorted(ranked) == ["comment", "sentence"]
+        assert {key: r.depth for key, r in state.rankings.items()} == {
+            ("comment", "all"): None, ("sentence", "all"): 20}
+    else:
+        assert len(ranked) == len(order)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_sampler_ranks_tied_pools_as_nsmallest_oracle(tied_world, data):
@@ -1044,6 +1117,44 @@ def test_dump_contexts_matches_json_dumps_oracle(drawn):
                 dump_contexts(Contexts.from_records(contexts), got)
             assert got.read_bytes() == want.read_bytes(), chunk_items
         assert signed(load_contexts(got, corpus).records()) == signed(contexts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=st.lists(dumped_contexts(), min_size=2, max_size=4))
+def test_dumps_through_one_number_memo_match_json_dumps_oracle(drawn):
+    # several dumps sharing one memo, as a run's conditions do: each has the
+    # oracle's bytes, whichever dump formatted a similarity first
+    numbers = JsonNumbers()
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.jsonl", Path(tmp) / "want.jsonl"
+        for _, contexts in drawn + drawn[::-1]:
+            oracle_dump_contexts(contexts, want)
+            dump_contexts(Contexts.from_records(contexts), got, numbers)
+            assert got.read_bytes() == want.read_bytes()
+
+
+def test_number_memo_keeps_zeros_of_both_signs_and_every_nan_apart(tmp_path):
+    values = [0.0, -0.0, 5e-324, -5e-324, math.nan, -math.nan, math.inf, -math.inf, 0.1]
+    comment = Comment(id="c0", author_id="a", text="Same here.")
+    corpus = Corpus(posts={}, comments={"c0": comment}, verdicts=[])
+    numbers = JsonNumbers()
+    for turn in range(3):
+        # each context's values in another order, one context per value
+        # first, and a context of all of them
+        shifted = values[turn:] + values[:turn]
+        contexts = [ContextSet("a", f"p{i}", [ContextItem("c0", comment.text, v, "comment")])
+                    for i, v in enumerate(shifted)]
+        contexts.append(ContextSet("a", "all", [ContextItem("c0", comment.text, v, "comment")
+                                                for v in shifted[::-1]]))
+        oracle_dump_contexts(contexts, tmp_path / "want.jsonl")
+        dump_contexts(Contexts.from_records(contexts), tmp_path / "got.jsonl", numbers)
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+        assert signed(load_contexts(tmp_path / "got.jsonl", corpus).records())[-1][2] == [
+            ("c0", comment.text, repr(v), "comment", None) for v in shifted[::-1]]
+    # one entry per bit pattern: both zeros, both NaNs, each formatted once
+    assert sorted(numbers.values()) == sorted(
+        ["0.0", "-0.0", "5e-324", "-5e-324", "NaN", "NaN", "Infinity", "-Infinity", "0.1"])
+    assert numbers[np.float64(-0.0).view(np.int64).item()] == "-0.0"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 from conftest import traced_peak
 from test_batch_oracles import cosine_similarity
@@ -19,6 +21,7 @@ from dlab.sampler import (
     Contexts,
     ContextSet,
     Pools,
+    Ranking,
     SamplerConfig,
     STRATEGIES,
     box_stats,
@@ -296,6 +299,96 @@ def test_sampler_config_validation():
         SamplerConfig(strategy="psychic", max_samples=3)
     with pytest.raises(ValueError, match="max_samples"):
         SamplerConfig(strategy="random_comments", max_samples=0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_samples", 2.5), ("max_samples", 3.0), ("max_samples", True), ("max_samples", "3"),
+    ("max_samples", None), ("max_samples", 0), ("max_samples", -1),
+    ("seed", 1.5), ("seed", 7.0), ("seed", True), ("seed", "7"), ("seed", None), ("seed", -1),
+    ("seed", 2 ** 64)])
+def test_sampler_config_refuses_what_is_not_an_integer_in_range(key, value):
+    fields = {"strategy": "random_comments", "max_samples": 3, "seed": 0, key: value}
+    with pytest.raises(ValueError, match=key):
+        SamplerConfig(**fields)
+
+
+def test_sampler_config_takes_numpy_integers_as_ints():
+    cfg = SamplerConfig(strategy="random_comments", max_samples=np.int64(3),
+                        seed=np.uint64(2 ** 64 - 1))
+    assert (cfg.max_samples, cfg.seed) == (3, 2 ** 64 - 1)
+    assert type(cfg.max_samples) is int and type(cfg.seed) is int
+    assert SamplerConfig(strategy="random_comments", max_samples=3, seed=0) == SamplerConfig(
+        strategy="random_comments", max_samples=np.int32(3), seed=np.int8(0))
+
+
+def test_sample_context_refuses_a_ranking_that_cannot_serve_the_call(ranked_corpus):
+    matrix, sentences = matrices(ranked_corpus)
+    pairs = [("judge", "p0"), ("rival", "p0")]
+    filt = CategoryFilter(theory=HighLevelCategory.DEMOGRAPHICS)
+    profiles = build_profiles(ranked_corpus)
+    pools = Pools(ranked_corpus, profiles)
+    top2 = SamplerConfig(strategy="similar_comments", max_samples=2)
+
+    def call(cfg, ranking, of=pairs):
+        return sample_context(of, ranked_corpus, matrix, profiles, cfg=cfg,
+                              sentences=sentences, pools=pools, ranking=ranking)
+
+    cut = Ranking(pairs, "comment", depth=2)
+    assert call(top2, cut).records() == call(top2, None).records()
+    for cfg, match in ((SamplerConfig(strategy="similar_comments", max_samples=3), "depth 2"),
+                       (SamplerConfig(strategy="similar_comments", max_samples=1,
+                                      category_filter=filt), "depth 2"),
+                       (SamplerConfig(strategy="similar_sentences", max_samples=1),
+                        "comment ranking")):
+        with pytest.raises(ValueError, match=match):
+            call(cfg, cut)
+    # a ranking ranks the one list of pairs it was made for, equal or not
+    with pytest.raises(ValueError, match="another list of pairs"):
+        call(top2, cut, list(pairs))
+    for bad in ({"unit": "word"}, {"depth": 0}):
+        with pytest.raises(ValueError):
+            Ranking(pairs, **{"unit": "comment", **bad})
+
+
+def test_ranking_keeps_ten_bytes_an_entry_at_the_readme_pool_shape():
+    # 2,000 pairs of 100 annotators with 200-400 comments each: ranked whole,
+    # the ranking keeps a uint16 place and a float64 score per entry, ragged,
+    # beside two int64s per pair, and cut at k it keeps k entries a pair;
+    # ranking holds one annotator's rows at a time beside what it keeps
+    rng = np.random.default_rng(4)
+    posts = {f"p{i:02d}": Post(id=f"p{i:02d}", author_id="op", title="t", body="b")
+             for i in range(20)}
+    comments = {}
+    for a in range(100):
+        for c in range(int(rng.integers(200, 401))):
+            cid = f"a{a:03d}-c{c:03d}"
+            comments[cid] = Comment(id=cid, author_id=f"a{a:03d}", text="Same here.")
+    corpus = Corpus(posts=posts, comments=comments,
+                    verdicts=[Verdict(p, f"a{a:03d}", "NTA") for a in range(100) for p in posts])
+    pairs = tuple((v.annotator_id, v.post_id) for v in corpus.verdicts)
+    pools = Pools(corpus)
+    _, spans = pools.table("comment")
+    pools.keyed("comment")
+    memo = {("comment", a, p): rng.random(spans[a][1] - spans[a][0]).round(2)
+            for a, p in pairs}
+    entries = sum(len(row) for row in memo.values())
+    widest = max(stop - start for start, stop in spans.values())
+    for depth, kept_per_pair in ((None, None), (5, 5)):
+        ranking = Ranking(pairs, "comment", depth)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ranking.rank(memo, pools)
+            kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        ranked = entries if depth is None else kept_per_pair * len(pairs)
+        assert len(ranking.places) == ranked and ranking.places.dtype == np.uint16
+        assert kept <= 10 * ranked + 16 * (len(pairs) + 1) + 4096, (depth, kept / ranked)
+        # beside what it keeps, ranking holds a few arrays the size of one
+        # annotator's 20 score rows at a time (their copy, negation,
+        # argsort, gathers and slots), not a copy of every pair's rows
+        assert peak <= kept + 12 * 20 * widest * 8 + 65536, (depth, peak)
 
 
 # ---------------------------------------------------------------------------
