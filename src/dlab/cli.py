@@ -64,6 +64,7 @@ from .pipeline import (
     merge_reports,
     parse_config,
     partition_data,
+    ranking_depths,
     run_pipeline,
     setup_corpus,
     setup_embeddings,
@@ -213,7 +214,8 @@ def _cmd_sample(args) -> int:
     profiles, _ = setup_profiles(cfg, corpus, embeddings)
     units = {condition.sampler.unit} if condition.sampler else set()
     state = condition_state(cfg, corpus, units, embeddings=embeddings, profiles=profiles,
-                            partitions={"all": range(len(corpus.verdicts))})
+                            partitions={"all": range(len(corpus.verdicts))},
+                            depths=ranking_depths([condition]))
     contexts = condition_contexts(state, condition, "all")
     dump_contexts(contexts, args.out)
     print(f"contexts={len(contexts)}")

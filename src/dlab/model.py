@@ -246,11 +246,10 @@ def build_features(contexts: Contexts, embeddings: EmbeddingMatrix,
         cols += sequence * d
         sums = np.bincount(cols, weights=values, minlength=(hi - lo) * d).astype(
             np.float64, copy=False)
-        # each sum divided by its item count, and below each mean by its norm
-        # when rescaled (by 1.0, which keeps every bit, when not), only in the
-        # cells that some item stores an entry in: each such cell once per
-        # entry, with the same quotient. Every other cell stays +0.0, as +0.0
-        # divided by a count or a norm is.
+        # each sum divided by its item count, and below each rescaled mean by
+        # its norm, only in the cells that some item stores an entry in: each
+        # such cell once per entry, with the same quotient. Every other cell
+        # stays +0.0, as +0.0 divided by a count or a norm is.
         sums[cols] = sums[cols] / divisors[lo:hi][sequence]
         means = sums.reshape(hi - lo, d)
         # a stack of 1×d · d×1 products: numpy hands each to the BLAS dot
@@ -258,7 +257,10 @@ def build_features(contexts: Contexts, embeddings: EmbeddingMatrix,
         norms = np.sqrt(np.matmul(means[:, None, :], means[:, :, None])[:, 0, 0])
         rescale = np.logical_and.reduceat(unit_norm[first:last], item_starts[lo:hi] - first)
         rescale &= norms > 0.0
-        sums[cols] = sums[cols] / np.where(rescale, norms, 1.0)[sequence]
+        if rescale.any():
+            rescaled = rescale[sequence]
+            cells = cols[rescaled]
+            sums[cells] = sums[cells] / norms[sequence[rescaled]]
         np.take(means, context_columns, axis=1, out=context_block[1 + lo:1 + hi])
     return Features(post_block, context_block, index, post_columns, context_columns, d)
 

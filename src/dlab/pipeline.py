@@ -354,8 +354,8 @@ _build_grid = build_conditions
 class RunState:
     """What sampling and features read, and the config it was set up from.
     A run adds the verdict indices of its train and test partitions, whose
-    (annotator, post) pairs are listed and checked against the corpus, and
-    class indices encoded, once, here."""
+    (annotator, post) pairs are listed, and class indices encoded, once,
+    here, and the depth to which its conditions rank each unit's pools."""
     cfg: ExperimentConfig
     corpus: Corpus
     embeddings: EmbeddingMatrix
@@ -363,6 +363,9 @@ class RunState:
     profiles: dict[str, CategoryProfile] | None = None  # None: no category filters
     # the verdict indices of each partition the run samples, by name
     partitions: dict[str, list[int]] = field(default_factory=dict)
+    # each unit's ranking cut, ranking_depths of the run's conditions; a
+    # unit not named ranks whole pools
+    depths: dict[str, int | None] = field(default_factory=dict)
     pairs: dict[str, tuple[tuple[str, str], ...]] = field(init=False)
     labels: dict[str, np.ndarray] = field(init=False)
     # each pair's cosine scores over its annotator's whole pool, each
@@ -380,22 +383,33 @@ class RunState:
         self.pairs = {part: tuple((verdicts[vi].annotator_id, verdicts[vi].post_id)
                                   for vi in indices)
                       for part, indices in self.partitions.items()}
-        for pairs in self.pairs.values():
-            self.pools.check(pairs)
         self.labels = {part: encode_labels(verdicts[vi].label for vi in indices)
                        for part, indices in self.partitions.items()}
 
     def ranking(self, unit: str, partition: str) -> Ranking:
         """The ranking of the partition's pairs over pools of `unit`, cut at
-        the largest sample size of the config's grid, or whole when some
-        category filter of the grid selects from it."""
+        the unit's depth."""
         key = (unit, partition)
         if key not in self.rankings:
-            cfg = self.cfg
-            filtered = unit == "comment" and any(token != "none" for token in cfg.categories)
-            self.rankings[key] = Ranking(self.pairs[partition], unit,
-                                         None if filtered else max(cfg.max_samples_list))
+            self.rankings[key] = Ranking(self.pairs[partition], unit, self.depths.get(unit))
         return self.rankings[key]
+
+
+def ranking_depths(conditions) -> dict[str, int | None]:
+    """Each unit's ranking cut for the similarity conditions among
+    `conditions`: the largest sample size of the unit's, or None (whole
+    pools) when one of them selects through a category filter."""
+    depths: dict[str, int | None] = {}
+    for condition in conditions:
+        sampler = condition.sampler
+        if sampler is None or not sampler.strategy.startswith("similar_"):
+            continue
+        unit = sampler.unit
+        if sampler.category_filter is not None or (unit in depths and depths[unit] is None):
+            depths[unit] = None
+        else:
+            depths[unit] = max(depths.get(unit, 0), sampler.max_samples)
+    return depths
 
 
 def condition_state(cfg: ExperimentConfig, corpus: Corpus, units, *,
@@ -660,7 +674,8 @@ def run_pipeline(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     conditions = build_conditions(cfg)
     state = condition_state(
         cfg, corpus, {c.sampler.unit for c in conditions if c.sampler},
-        embeddings=embeddings, profiles=profiles, partitions=partitions)
+        embeddings=embeddings, profiles=profiles, partitions=partitions,
+        depths=ranking_depths(conditions))
     if cfg.save_contexts:
         (outdir / "contexts").mkdir(exist_ok=True)
 

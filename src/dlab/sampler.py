@@ -289,9 +289,8 @@ class Contexts:
 
 
 class Pools:
-    """Every annotator's pool of comments and of sentences, the units each
-    category filter admits, and the pair lists already checked against the
-    corpus, built on first use and kept.
+    """Every annotator's pool of comments and of sentences, and the units
+    each category filter admits, built on first use and kept.
 
     Each unit's pools lie in one table, an annotator's a run of it in pool
     order: its comments in id order, or their sentences in order. A run
@@ -304,7 +303,6 @@ class Pools:
         self._masks: dict[tuple, np.ndarray] = {}
         self._admitted: dict[tuple, dict[str, range | np.ndarray]] = {}
         self._keyed: dict[str, dict[str, np.ndarray]] = {}
-        self._checked: list[tuple] = []
 
     def table(self, unit: str) -> tuple[Units, dict[str, tuple[int, int]]]:
         """The unit's table and each annotator's (start, stop) in it."""
@@ -367,19 +365,13 @@ class Pools:
                 for a, (start, stop) in spans.items()}
         return self._keyed[unit]
 
-    def check(self, pairs) -> None:
-        """ValueError for the first pair whose annotator or post the corpus
-        lacks. A tuple of pairs that passed is kept, and not checked again."""
-        if any(pairs is seen for seen in self._checked):
-            return
-        corpus = self.corpus
-        for annotator_id, post_id in pairs:
-            if annotator_id not in corpus.annotator_index:
-                raise ValueError(f"unknown annotator {annotator_id!r}")
-            if post_id not in corpus.posts:
-                raise ValueError(f"unknown post {post_id!r}")
-        if isinstance(pairs, tuple):
-            self._checked.append(pairs)
+
+def _check_pairs(pairs, corpus: Corpus) -> None:
+    for annotator_id, post_id in pairs:
+        if annotator_id not in corpus.annotator_index:
+            raise ValueError(f"unknown annotator {annotator_id!r}")
+        if post_id not in corpus.posts:
+            raise ValueError(f"unknown post {post_id!r}")
 
 
 class Ranking:
@@ -504,7 +496,7 @@ def sample_context(pairs, corpus: Corpus,
         raise ValueError("pools must be built from the same corpus and profiles")
     scores = {} if scores is None else scores
     unit, k, filt = cfg.unit, cfg.max_samples, cfg.category_filter
-    pools.check(pairs)
+    _check_pairs(pairs, corpus)
     units, spans = pools.table(unit)
     if not cfg.strategy.startswith("similar_"):
         admitted = pools.admitted(filt, unit)
@@ -561,7 +553,7 @@ def full_pool_context(pairs, corpus: Corpus, pools: Pools | None = None) -> Cont
     unless given)."""
     if pools is None:
         pools = Pools(corpus)
-    pools.check(pairs)
+    _check_pairs(pairs, corpus)
     units, spans = pools.table("comment")
     starts, stops = np.array([spans[a] for a, _ in pairs], dtype=np.int64).reshape(-1, 2).T
     return Contexts.of(pairs, units, stops - starts, ranges(starts, stops - starts))

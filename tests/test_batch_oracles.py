@@ -81,7 +81,8 @@ from dlab.embed import (
 from dlab.model import (Features, ModelParams, TrainConfig, build_features, encode_labels,
                         predict, train)
 from dlab.pipeline import (Condition, ExperimentConfig, RunState, cluster_comments,
-                           condition_contexts, embed_corpus, embed_sentences)
+                           condition_contexts, embed_corpus, embed_sentences,
+                           ranking_depths)
 from dlab.sampler import (
     SENTENCE_STRATEGIES,
     STRATEGIES,
@@ -988,6 +989,7 @@ def test_shared_ranking_selects_as_per_annotator_rank_scores_oracle(tied_world, 
                             cluster_k=2, max_samples_list=(1, 3, 5, 20))
     state = RunState(cfg=grid, corpus=corpus, embeddings=embeddings, sentences=sentences,
                      profiles=profiles, partitions={"all": range(len(corpus.verdicts))},
+                     depths=ranking_depths(Condition("grid cell", cfg) for cfg in order),
                      scores=dict(memo))
     assert list(state.pairs["all"]) == pairs
     ranked, rank = [], Ranking.rank

@@ -28,6 +28,7 @@ from dlab.pipeline import (
     embed_corpus,
     merge_reports,
     parse_config,
+    ranking_depths,
     read_report_tsv,
     run_pipeline,
     setup_corpus,
@@ -363,6 +364,24 @@ def test_build_conditions_theory_star_expands():
         "similar_comments-k5-theory:Attitudes",
         "similar_comments-k5-theory:Relationships",
     ]
+
+
+def test_ranking_depths_follow_the_built_conditions():
+    # each unit ranks to the largest k of its similarity conditions, or
+    # whole pools when one of them filters by category; random strategies
+    # and baselines rank nothing
+    base = dict(corpus_paths=("p", "c", "v"), max_samples_list=(3, 1, 5))
+    cases = [
+        (dict(strategies=("similar_comments", "similar_sentences")), {"comment": 5, "sentence": 5}),
+        (dict(strategies=("similar_comments",), categories=("none", "theory:*")),
+         {"comment": None}),
+        (dict(strategies=("similar_comments",), categories=("theory:*",)), {"comment": None}),
+        (dict(strategies=("random_comments", "random_sentences")), {}),
+    ]
+    for fields, depths in cases:
+        conditions = build_conditions(ExperimentConfig(**base, **fields))
+        assert ranking_depths(conditions) == depths, fields
+        assert ranking_depths(conditions[-1:] + conditions[:-1]) == depths, fields
 
 
 def test_build_conditions_cluster_rules():
