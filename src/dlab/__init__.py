@@ -51,14 +51,12 @@ from .model import (
     significance_test,
     train,
 )
-from .sampler import ContextItem, Contexts, ContextSet, SamplerConfig, sample_context
+from .sampler import Contexts, SamplerConfig, sample_context
 from .synthgen import PopulationSpec, generate_population
 
 __all__ = [
     "__version__",
     "Comment",
-    "ContextItem",
-    "ContextSet",
     "Contexts",
     "Corpus",
     "CorpusError",

@@ -232,18 +232,18 @@ def _partition_data(args, cfg, partition):
     check_split(split, corpus, partition)
     indices = split.indices(partition)
     loaded = check_contexts(args.contexts, corpus)
-    by_pair = {(c.annotator_id, c.post_id): c for c in loaded}
-    contexts = []
+    place = {pair: i for i, pair in enumerate(zip(loaded.annotator_ids, loaded.post_ids))}
+    which = []
     for vi in indices:
         v = corpus.verdicts[vi]
         try:
-            contexts.append(by_pair[(v.annotator_id, v.post_id)])
+            which.append(place[v.annotator_id, v.post_id])
         except KeyError:
             raise CorpusError(
                 f"contexts file lacks pair ({v.annotator_id}, {v.post_id})")
-    state = condition_state(cfg, corpus, {item.unit for c in loaded for item in c.items},
-                            partitions={partition: indices})
-    return partition_data(state, Contexts.from_records(contexts), partition)
+    units = {"sentence" if s >= 0 else "comment" for s in set(loaded.units.sentence_index.tolist())}
+    state = condition_state(cfg, corpus, units, partitions={partition: indices})
+    return partition_data(state, loaded.take(which), partition)
 
 
 def _cmd_train(args) -> int:
@@ -287,7 +287,7 @@ def _correctness(path) -> tuple[float, ...]:
     return values
 
 
-def _run_contexts(args) -> tuple[ExperimentConfig, Corpus, list]:
+def _run_contexts(args) -> tuple[ExperimentConfig, Corpus, Contexts]:
     """The --config, its run's corpus and the --contexts file, which must
     pass check_contexts against that corpus."""
     cfg = _config(args.config)

@@ -32,7 +32,6 @@ from .sampler import (
     SENTENCE_STRATEGIES,
     CategoryFilter,
     Contexts,
-    ContextSet,
     JsonNumbers,
     Pools,
     Ranking,
@@ -561,22 +560,27 @@ def check_split(split: SplitSpec, corpus: Corpus, *partitions: str) -> None:
             raise ConfigError(f"the split leaves the {part} partition empty ({counts} verdicts)")
 
 
-def check_contexts(path, corpus: Corpus) -> list[ContextSet]:
+def check_contexts(path, corpus: Corpus) -> Contexts:
     """The contexts of the file at `path`, read against the corpus; a
-    CorpusError naming the file when it lists a pair twice or gives a pair a
-    comment another annotator wrote."""
-    contexts = load_contexts(path, corpus).records()
+    CorpusError naming the file when a pair names an annotator or post the
+    corpus lacks, is listed twice or holds a comment another annotator
+    wrote."""
+    contexts = load_contexts(path, corpus)
+    cids, bounds = contexts.units.comment_ids, contexts.offsets.tolist()
     seen = set()
-    for c in contexts:
-        where = f"{path}: pair ({c.annotator_id}, {c.post_id})"
-        if (c.annotator_id, c.post_id) in seen:
+    for i, (annotator_id, post_id) in enumerate(zip(contexts.annotator_ids, contexts.post_ids)):
+        where = f"{path}: pair ({annotator_id}, {post_id})"
+        if annotator_id not in corpus.annotator_index:
+            raise CorpusError(f"{where} names an annotator the corpus lacks")
+        if post_id not in corpus.posts:
+            raise CorpusError(f"{where} names a post the corpus lacks")
+        if (annotator_id, post_id) in seen:
             raise CorpusError(f"{where} is listed twice")
-        seen.add((c.annotator_id, c.post_id))
-        for item in c.items:
-            author = corpus.comments[item.source_comment_id].author_id
-            if author != c.annotator_id:
-                raise CorpusError(f"{where} holds comment {item.source_comment_id!r} "
-                                  f"by annotator {author!r}")
+        seen.add((annotator_id, post_id))
+        for j in contexts.positions[bounds[i]:bounds[i + 1]].tolist():
+            author = corpus.comments[cids[j]].author_id
+            if author != annotator_id:
+                raise CorpusError(f"{where} holds comment {cids[j]!r} by annotator {author!r}")
     return contexts
 
 

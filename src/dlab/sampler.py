@@ -14,7 +14,7 @@ import struct
 import warnings
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -116,25 +116,6 @@ class SamplerConfig:
         return "sentence" if self.strategy in SENTENCE_STRATEGIES else "comment"
 
 
-@dataclass(frozen=True, slots=True)
-class ContextItem:
-    source_comment_id: str
-    text: str
-    similarity: float | None  # None under random strategies
-    unit: str  # "comment" | "sentence"
-    sentence_index: int | None = None
-
-
-@dataclass
-class ContextSet:
-    annotator_id: str
-    post_id: str
-    items: list[ContextItem] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
 @dataclass(frozen=True, eq=False)
 class Units:
     """A table of context units, each a whole comment or one sentence of it:
@@ -184,8 +165,7 @@ class Contexts:
     Context i is the pair (annotator_ids[i], post_ids[i]) and holds the items
     offsets[i]:offsets[i + 1]; item j is unit positions[j] of `units`, with
     similarity[j] when the items carry one (`similarity` is None under
-    random strategies and whole pools). records() gives the same contexts
-    as ContextSet records, and from_records() the columns of records.
+    random strategies and whole pools).
     """
 
     annotator_ids: list[str]
@@ -253,39 +233,15 @@ class Contexts:
                    units, np.concatenate([part.positions for part in parts]),
                    None if any(missing) else np.concatenate(sims))
 
-    def records(self) -> list[ContextSet]:
-        """One ContextSet per context, with a ContextItem per item."""
-        units = self.units
-        sims = ([None] * len(self.positions) if self.similarity is None
-                else self.similarity.tolist())
-        items = [ContextItem(units.comment_ids[i], units.texts[i], sim,
-                             "sentence" if s >= 0 else "comment", s if s >= 0 else None)
-                 for i, s, sim in zip(self.positions.tolist(),
-                                      units.sentence_index[self.positions].tolist(), sims)]
-        bounds = self.offsets.tolist()
-        return [ContextSet(a, p, items[lo:hi]) for a, p, lo, hi in
-                zip(self.annotator_ids, self.post_ids, bounds, bounds[1:])]
-
-    @classmethod
-    def from_records(cls, records) -> "Contexts":
-        """The columns of ContextSet records, one unit per item. A comment
-        item has no sentence index and a sentence item one; the items carry
-        a similarity each or none does."""
-        items = [item for ctx in records for item in ctx.items]
-        for item in items:
-            if (item.unit, item.sentence_index is None) not in (("comment", True),
-                                                                ("sentence", False)):
-                raise ValueError(f"a {item.unit!r} item with sentence index "
-                                 f"{item.sentence_index!r}")
-        sims = [item.similarity for item in items]
-        if None in sims and any(sim is not None for sim in sims):
-            raise ValueError("some items carry a similarity and others none")
-        units = Units([item.source_comment_id for item in items], [item.text for item in items],
-                      np.array([-1 if i.sentence_index is None else i.sentence_index
-                                for i in items], dtype=np.int64))
-        return cls.of([(ctx.annotator_id, ctx.post_id) for ctx in records], units,
-                      [len(ctx.items) for ctx in records], np.arange(len(items)),
-                      None if None in sims else np.array(sims, dtype=np.float64))
+    def take(self, which) -> "Contexts":
+        """The contexts at places `which`, in that order, each with its
+        items, pointing into the same unit table."""
+        which = np.asarray(which, dtype=np.intp)
+        counts = np.diff(self.offsets)[which]
+        chosen = ranges(self.offsets[which], counts)
+        return Contexts.of([(self.annotator_ids[i], self.post_ids[i]) for i in which.tolist()],
+                           self.units, counts, self.positions[chosen],
+                           None if self.similarity is None else self.similarity[chosen])
 
 
 class Pools:
@@ -576,24 +532,17 @@ class CoverageTable:
     cluster_pct: dict[str, float]
 
 
-def category_coverage(contexts: list[ContextSet],
+def category_coverage(contexts: Contexts,
                       profiles: dict[str, CategoryProfile]) -> CoverageTable:
-    theory_counts = Counter()
-    cluster_counts = Counter()
-    n_items = 0
-    for ctx in contexts:
-        for item in ctx.items:
-            n_items += 1
-            prof = profiles[item.source_comment_id]
-            if prof.theory_categories:
-                for cat in prof.theory_categories:
-                    theory_counts[cat.value] += 1
-            else:
-                theory_counts["none"] += 1
-            if prof.cluster_id is not None:
-                cluster_counts[str(prof.cluster_id)] += 1
-            else:
-                cluster_counts["none"] += 1
+    n_items = len(contexts.positions)
+    used, lookup = contexts.used_units()
+    theory_counts, cluster_counts = Counter(), Counter()
+    for i, count in zip(used.tolist(), np.bincount(lookup[contexts.positions]).tolist()):
+        prof = profiles[contexts.units.comment_ids[i]]
+        for key in [cat.value for cat in prof.theory_categories] or ["none"]:
+            theory_counts[key] += count
+        cluster_counts["none" if prof.cluster_id is None else str(prof.cluster_id)] += count
+
     def pct(counts: Counter) -> dict[str, float]:
         if n_items == 0:
             return {}
@@ -647,25 +596,32 @@ class DiversityReport:
     rank_ratio: BoxStats | None
 
 
-def similar_post_diversity(contexts: list[ContextSet], corpus: Corpus) -> DiversityReport:
-    per_annotator: dict[str, Counter] = {}
-    for ctx in contexts:
-        per_annotator.setdefault(ctx.annotator_id, Counter())
-        for item in ctx.items:
-            per_annotator[ctx.annotator_id][item.source_comment_id] += 1
-
+def similar_post_diversity(contexts: Contexts, corpus: Corpus) -> DiversityReport:
+    annotators = sorted(set(contexts.annotator_ids))
+    number = {aid: i for i, aid in enumerate(annotators)}
+    owners = np.repeat([number[aid] for aid in contexts.annotator_ids],
+                       np.diff(contexts.offsets)).astype(np.int64)
+    used, lookup = contexts.used_units()
+    comments = np.unique(np.array([contexts.units.comment_ids[i] for i in used.tolist()],
+                                  dtype=object), return_inverse=True)[1]
+    # each (annotator, comment) sampled, by annotator, and how often
+    pairs, counts = np.unique(np.stack([owners, comments[lookup[contexts.positions]]]),
+                              axis=1, return_counts=True)
+    distinct = np.bincount(pairs[0], minlength=len(annotators)).tolist()
+    # each annotator's counts, largest first
+    ranked = counts[np.lexsort((-counts, pairs[0]))].tolist()
     coverage_values: list[float] = []
     ratio_values: list[float] = []
-    for aid in sorted(per_annotator):
+    first = 0
+    for aid, n in zip(annotators, distinct):
         pool = len(corpus.annotator_index.get(aid, []))
-        counts = per_annotator[aid]
         if pool == 0:
             warnings.warn(f"annotator {aid!r} has an empty pool; skipped in coverage")
         else:
-            coverage_values.append(100.0 * len(counts) / pool)
-        top = counts.most_common(2)
-        if len(top) >= 2:
-            ratio_values.append(top[0][1] / top[1][1])
+            coverage_values.append(100.0 * n / pool)
+        if n >= 2:
+            ratio_values.append(ranked[first] / ranked[first + 1])
+        first += n
     if not coverage_values:
         raise ValueError("no annotators with non-empty pools")
     return DiversityReport(
@@ -769,14 +725,18 @@ def dump_contexts(contexts: Contexts, path, numbers: JsonNumbers | None = None) 
 def load_contexts(path, corpus: Corpus) -> Contexts:
     """Rebuild dumped contexts, resolving texts against the corpus, so a
     training run can be repeated without re-sampling. A line that is not a
-    dumped context, names a unit, comment or sentence the corpus lacks, or
-    gives a similarity where an earlier item gave none (or the other way
-    round), is a CorpusError naming the file and line."""
+    dumped context, gives an annotator or post id that is not a string,
+    names a unit, comment or sentence the corpus lacks, or gives a
+    similarity where an earlier item gave none (or the other way round), is
+    a CorpusError naming the file and line."""
     path = Path(path)
     pairs, counts, cids, texts, indexes, sims = [], [], [], [], [], []
     for lineno, rec in iter_jsonl(path):
         where = f"{path.name} line {lineno}"
         try:
+            for key in ("annotator_id", "post_id"):
+                if type(rec[key]) is not str:
+                    raise CorpusError(f"{where}: {key} {rec[key]!r} is not a string")
             for it in rec["items"]:
                 cid, text, index, sim = _load_item(it, corpus, where)
                 if sims and (sim is None) != (sims[0] is None):

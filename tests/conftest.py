@@ -1,9 +1,12 @@
 import json
 import tracemalloc
+from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 
 from dlab.corpus import Corpus, Comment, Post, Verdict
+from dlab.sampler import Contexts, Units
 
 
 def write_jsonl(path, records):
@@ -83,3 +86,56 @@ def traced_peak(call):
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+@dataclass(frozen=True)
+class Item:
+    """One context item as a plain record, for comparing contexts item by
+    item: its comment, its text, its similarity (None under random
+    strategies and whole pools), its unit and, for a sentence, its index."""
+
+    source_comment_id: str
+    text: str
+    similarity: float | None
+    unit: str  # "comment" | "sentence"
+    sentence_index: int | None = None
+
+
+@dataclass
+class Record:
+    """One context as a plain record: its pair and its items."""
+
+    annotator_id: str
+    post_id: str
+    items: list[Item] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+
+def records_of(contexts: Contexts) -> list[Record]:
+    """One Record per context of the columns, with an Item per item."""
+    units = contexts.units
+    sims = ([None] * len(contexts.positions) if contexts.similarity is None
+            else contexts.similarity.tolist())
+    items = [Item(units.comment_ids[i], units.texts[i], sim,
+                  "sentence" if s >= 0 else "comment", s if s >= 0 else None)
+             for i, s, sim in zip(contexts.positions.tolist(),
+                                  units.sentence_index[contexts.positions].tolist(), sims)]
+    bounds = contexts.offsets.tolist()
+    return [Record(a, p, items[lo:hi]) for a, p, lo, hi in
+            zip(contexts.annotator_ids, contexts.post_ids, bounds, bounds[1:])]
+
+
+def contexts_of(records) -> Contexts:
+    """The columns of Records, one unit per item; the items carry a
+    similarity each or none does."""
+    items = [item for ctx in records for item in ctx.items]
+    sims = [item.similarity for item in items]
+    assert None not in sims or not any(sim is not None for sim in sims)
+    units = Units([item.source_comment_id for item in items], [item.text for item in items],
+                  np.array([-1 if item.sentence_index is None else item.sentence_index
+                            for item in items], dtype=np.int64))
+    return Contexts.of([(ctx.annotator_id, ctx.post_id) for ctx in records], units,
+                       [len(ctx.items) for ctx in records], np.arange(len(items)),
+                       None if None in sims else np.array(sims, dtype=np.float64))

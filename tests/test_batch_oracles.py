@@ -14,6 +14,8 @@ partition in one call, scores each annotator's pool for all its posts at
 once and memoises each pair's cosine scores across conditions;
 `rank_scores` ranks a pool in key order with one stable argsort;
 `dump_contexts` fills each context line into a template;
+`category_coverage` and `similar_post_diversity` count a partition's items
+from its columns;
 `build_features` stores a partition's features once per distinct post and
 item sequence and sums the context means of a chunk of sequences with one
 `np.bincount` of their items' stored entries;
@@ -24,11 +26,13 @@ half by half, and steps every fit of a call in lockstep;
 in one product. The character-wise trim, the per-comment
 extractor, the per-gram embedder, the dense row array, the scalar cosine,
 the per-pair code, the `heapq.nsmallest` ranking, the `json.dumps` writer,
+the record-walking diagnostics,
 the per-sequence means, the dense feature matrix and the dense trainer they
 replaced are kept below as oracles, and the results must equal them
 exactly: the same spans, the same embedding bits, the same rows and norms
 bit for bit, the same context ids in the same order with the same
-similarity floats, the same context file bytes, features bit for bit, the
+similarity floats, the same context file bytes, the same coverage tables
+and diversity reports, features bit for bit, the
 same weights, bias and losses bit for bit (the dense trainer's logits
 summed half by half over the same stored columns; as one product over every
 column, the two differ in the last bits only), and the same class for every
@@ -43,6 +47,8 @@ import json
 import math
 import random
 import tempfile
+import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -51,7 +57,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import dense
+from conftest import Item, Record, contexts_of, dense, records_of
 
 import dlab.embed
 import dlab.model
@@ -87,17 +93,20 @@ from dlab.sampler import (
     SENTENCE_STRATEGIES,
     STRATEGIES,
     CategoryFilter,
-    ContextItem,
     Contexts,
-    ContextSet,
+    CoverageTable,
+    DiversityReport,
     JsonNumbers,
     Pools,
     Ranking,
     SamplerConfig,
+    box_stats,
+    category_coverage,
     dump_contexts,
     full_pool_context,
     load_contexts,
     sample_context,
+    similar_post_diversity,
 )
 from dlab.seeds import derive_seed
 from dlab.synthgen import PopulationSpec, generate_population
@@ -318,9 +327,9 @@ def oracle_sample_context(annotator_id, post_id, corpus, embeddings, profiles, c
                                           matrix.norms[rows])
             keys = [(cid, text) for cid, _, text in units]
             chosen = [(units[i], score) for i, score in rank(scores, keys, cfg.max_samples)]
-    items = [ContextItem(cid, text, score, unit, sentence_index=idx)
+    items = [Item(cid, text, score, unit, sentence_index=idx)
              for (cid, idx, text), score in chosen]
-    return ContextSet(annotator_id=annotator_id, post_id=post_id, items=items)
+    return Record(annotator_id=annotator_id, post_id=post_id, items=items)
 
 
 def oracle_fused(post_emb, context, embeddings, sentences):
@@ -502,6 +511,65 @@ def oracle_predict(params, x):
     p = np.exp(z - z.max())
     p /= p.sum()
     return int(np.argmax(p))
+
+
+def oracle_category_coverage(contexts, profiles) -> CoverageTable:
+    """The coverage table of Records, counted item by item."""
+    theory_counts = Counter()
+    cluster_counts = Counter()
+    n_items = 0
+    for ctx in contexts:
+        for item in ctx.items:
+            n_items += 1
+            prof = profiles[item.source_comment_id]
+            if prof.theory_categories:
+                for cat in prof.theory_categories:
+                    theory_counts[cat.value] += 1
+            else:
+                theory_counts["none"] += 1
+            if prof.cluster_id is not None:
+                cluster_counts[str(prof.cluster_id)] += 1
+            else:
+                cluster_counts["none"] += 1
+
+    def pct(counts: Counter) -> dict[str, float]:
+        if n_items == 0:
+            return {}
+        return {key: 100.0 * counts[key] / n_items for key in sorted(counts)}
+    return CoverageTable(
+        n_items=n_items, theory_pct=pct(theory_counts), cluster_pct=pct(cluster_counts)
+    )
+
+
+def oracle_similar_post_diversity(contexts, corpus) -> DiversityReport:
+    """The diversity report of Records, one Counter of comment ids per
+    annotator."""
+    per_annotator: dict[str, Counter] = {}
+    for ctx in contexts:
+        per_annotator.setdefault(ctx.annotator_id, Counter())
+        for item in ctx.items:
+            per_annotator[ctx.annotator_id][item.source_comment_id] += 1
+
+    coverage_values: list[float] = []
+    ratio_values: list[float] = []
+    for aid in sorted(per_annotator):
+        pool = len(corpus.annotator_index.get(aid, []))
+        counts = per_annotator[aid]
+        if pool == 0:
+            warnings.warn(f"annotator {aid!r} has an empty pool; skipped in coverage")
+        else:
+            coverage_values.append(100.0 * len(counts) / pool)
+        top = counts.most_common(2)
+        if len(top) >= 2:
+            ratio_values.append(top[0][1] / top[1][1])
+    if not coverage_values:
+        raise ValueError("no annotators with non-empty pools")
+    return DiversityReport(
+        coverage_values=coverage_values,
+        coverage=box_stats(coverage_values),
+        rank_ratio_values=ratio_values,
+        rank_ratio=box_stats(ratio_values) if ratio_values else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -808,13 +876,13 @@ def test_batch_sampler_matches_per_pair_oracle(world, scales):
         assert want == [oracle_sample_context(a, p, corpus, embeddings, profiles, cfg,
                                               sentences, rank=oracle_rank_scores)
                         for a, p in pairs]
-        got = sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
-                             sentences=sentences, scores=memo, pools=pools).records()
+        got = records_of(sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
+                                        sentences=sentences, scores=memo, pools=pools))
         assert got == want, (cfg.strategy, cfg.category_filter)
         assert signed(got) == signed(want)
         # without a memo and pools too
-        assert sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
-                              sentences=sentences).records() == want
+        assert records_of(sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
+                                         sentences=sentences)) == want
         empty += sum(len(c) == 0 for c in got)
         filled += sum(len(c) > 0 for c in got)
     assert empty > 0 and filled > 0
@@ -853,8 +921,8 @@ def test_grouped_memo_fill_matches_per_pair_oracle(world, monkeypatch):
         # an annotator with scored and unscored posts
         assert {True, False} in posts.values()
         calls.clear()
-        got = sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
-                             sentences=sentences, scores=memo).records()
+        got = records_of(sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
+                                        sentences=sentences, scores=memo))
         # one kernel call per annotator with unscored posts, each post once
         assert sorted(calls) == sorted(
             len({p for b, p in pairs if b == a and (unit, a, p) not in prefilled})
@@ -875,7 +943,7 @@ def test_grouped_memo_fill_matches_per_pair_oracle(world, monkeypatch):
 
 def signed(contexts):
     """Each context's items with their similarity's repr, which tells -0.0
-    from 0.0 and shows NaN, where ContextItem equality does neither."""
+    from 0.0 and shows NaN, where Item equality does neither."""
     return [(ctx.annotator_id, ctx.post_id,
              [(item.source_comment_id, item.text, repr(item.similarity), item.unit,
                item.sentence_index) for item in ctx.items]) for ctx in contexts]
@@ -944,9 +1012,9 @@ def oracle_memo_contexts(tied_world, memo, cfg):
         ranked = oracle_rank_scores(memo[cfg.unit, a, p][admitted],
                                     [(cid, text) for cid, _, text in candidates],
                                     cfg.max_samples)
-        want.append(ContextSet(a, p, [
-            ContextItem(candidates[i][0], candidates[i][2], score, cfg.unit,
-                        sentence_index=candidates[i][1]) for i, score in ranked]))
+        want.append(Record(a, p, [
+            Item(candidates[i][0], candidates[i][2], score, cfg.unit,
+                 sentence_index=candidates[i][1]) for i, score in ranked]))
     return want
 
 
@@ -1009,7 +1077,7 @@ def test_shared_ranking_selects_as_per_annotator_rank_scores_oracle(tied_world, 
             assert np.array_equal(got.offsets, want.offsets), cfg
             assert np.array_equal(got.positions, want.positions), cfg
             assert same_bits(got.similarity, want.similarity), cfg
-            assert signed(got.records()) == signed(oracle_memo_contexts(tied_world, memo, cfg))
+            assert signed(records_of(got)) == signed(oracle_memo_contexts(tied_world, memo, cfg))
     if shared:
         # one ranking per unit, ranked once: whole pools for the filtered
         # comments, the grid's largest k for sentences
@@ -1029,8 +1097,8 @@ def test_sampler_ranks_tied_pools_as_nsmallest_oracle(tied_world, data):
     memo = drawn_memo(tied_world, data)
     for cfg in TIED_CONFIGS:
         want = oracle_memo_contexts(tied_world, memo, cfg)
-        got = sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
-                             sentences=sentences, scores=dict(memo)).records()
+        got = records_of(sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
+                                        sentences=sentences, scores=dict(memo)))
         assert signed(got) == signed(want), cfg
 
 
@@ -1050,7 +1118,7 @@ def test_sampled_contexts_dump_load_and_featurize_as_per_pair_oracles(tied_world
             contexts = sample_context(pairs, corpus, embeddings, profiles, cfg=cfg,
                                       sentences=sentences, scores=dict(memo), pools=pools)
             want = oracle_memo_contexts(tied_world, memo, cfg)
-            assert signed(contexts.records()) == signed(want), cfg
+            assert signed(records_of(contexts)) == signed(want), cfg
             assert len(contexts) == len(pairs)
             oracle_dump_contexts(want, want_path)
             for chunk_items in (dlab.sampler._DUMP_CHUNK_ITEMS, 4):
@@ -1058,7 +1126,7 @@ def test_sampled_contexts_dump_load_and_featurize_as_per_pair_oracles(tied_world
                     dump_contexts(contexts, got)
                 assert got.read_bytes() == want_path.read_bytes(), (cfg, chunk_items)
             back = load_contexts(got, corpus)
-            assert signed(back.records()) == signed(want), cfg
+            assert signed(records_of(back)) == signed(want), cfg
             assert np.array_equal(back.offsets, contexts.offsets)
             assert (back.similarity is None) == (contexts.similarity is None)
             if contexts.similarity is not None:
@@ -1098,11 +1166,11 @@ def dumped_contexts(draw):
             if spans and draw(st.booleans()):
                 index = draw(st.integers(0, len(spans) - 1))
                 a, b = spans[index]
-                items.append(ContextItem(comment.id, comment.text[a:b], similarity, "sentence",
-                                         sentence_index=index))
+                items.append(Item(comment.id, comment.text[a:b], similarity, "sentence",
+                                  sentence_index=index))
             else:
-                items.append(ContextItem(comment.id, comment.text, similarity, "comment"))
-        contexts.append(ContextSet(draw(ids), draw(ids), items))
+                items.append(Item(comment.id, comment.text, similarity, "comment"))
+        contexts.append(Record(draw(ids), draw(ids), items))
     return Corpus(posts={}, comments=comments, verdicts=[]), contexts
 
 
@@ -1116,9 +1184,9 @@ def test_dump_contexts_matches_json_dumps_oracle(drawn):
         # in one chunk, and in chunks of one or three items
         for chunk_items in (dlab.sampler._DUMP_CHUNK_ITEMS, 1, 3):
             with mock.patch.object(dlab.sampler, "_DUMP_CHUNK_ITEMS", chunk_items):
-                dump_contexts(Contexts.from_records(contexts), got)
+                dump_contexts(contexts_of(contexts), got)
             assert got.read_bytes() == want.read_bytes(), chunk_items
-        assert signed(load_contexts(got, corpus).records()) == signed(contexts)
+        assert signed(records_of(load_contexts(got, corpus))) == signed(contexts)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1131,7 +1199,7 @@ def test_dumps_through_one_number_memo_match_json_dumps_oracle(drawn):
         got, want = Path(tmp) / "got.jsonl", Path(tmp) / "want.jsonl"
         for _, contexts in drawn + drawn[::-1]:
             oracle_dump_contexts(contexts, want)
-            dump_contexts(Contexts.from_records(contexts), got, numbers)
+            dump_contexts(contexts_of(contexts), got, numbers)
             assert got.read_bytes() == want.read_bytes()
 
 
@@ -1144,19 +1212,65 @@ def test_number_memo_keeps_zeros_of_both_signs_and_every_nan_apart(tmp_path):
         # each context's values in another order, one context per value
         # first, and a context of all of them
         shifted = values[turn:] + values[:turn]
-        contexts = [ContextSet("a", f"p{i}", [ContextItem("c0", comment.text, v, "comment")])
+        contexts = [Record("a", f"p{i}", [Item("c0", comment.text, v, "comment")])
                     for i, v in enumerate(shifted)]
-        contexts.append(ContextSet("a", "all", [ContextItem("c0", comment.text, v, "comment")
-                                                for v in shifted[::-1]]))
+        contexts.append(Record("a", "all", [Item("c0", comment.text, v, "comment")
+                                            for v in shifted[::-1]]))
         oracle_dump_contexts(contexts, tmp_path / "want.jsonl")
-        dump_contexts(Contexts.from_records(contexts), tmp_path / "got.jsonl", numbers)
+        dump_contexts(contexts_of(contexts), tmp_path / "got.jsonl", numbers)
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
-        assert signed(load_contexts(tmp_path / "got.jsonl", corpus).records())[-1][2] == [
+        assert signed(records_of(load_contexts(tmp_path / "got.jsonl", corpus)))[-1][2] == [
             ("c0", comment.text, repr(v), "comment", None) for v in shifted[::-1]]
     # one entry per bit pattern: both zeros, both NaNs, each formatted once
     assert sorted(numbers.values()) == sorted(
         ["0.0", "-0.0", "5e-324", "-5e-324", "NaN", "NaN", "Infinity", "-Infinity", "0.1"])
     assert numbers[np.float64(-0.0).view(np.int64).item()] == "-0.0"
+
+
+# ---------------------------------------------------------------------------
+# the diagnostics
+
+def diagnostics(call, *args):
+    """What call(*args) returns or raises, and the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call(*args)
+        except ValueError as exc:
+            result = repr(exc)
+    return result, [str(w.message) for w in caught]
+
+
+def test_diagnostics_match_record_walking_oracles(world):
+    # the contexts of every strategy, filtered or not, the full pool and no
+    # comments, in their run table and one unit per item: the same coverage
+    # (buckets in the same order) under profiles with and without clusters,
+    # and the same diversity report and warnings, the empty pool included
+    corpus, embeddings, sentences, _, pairs = world
+    clustered = world[3]
+    unclustered = build_profiles(corpus)
+    memo, pools = {}, Pools(corpus, clustered)
+    partitions = [Contexts.empty(pairs), full_pool_context(pairs, corpus, pools)]
+    for cfg in configs():
+        partitions.append(sample_context(pairs, corpus, embeddings, clustered, cfg=cfg,
+                                         sentences=sentences, scores=memo, pools=pools))
+    silent = [pair for pair in pairs if pair[0] == "silent"]
+    partitions.append(full_pool_context(silent, corpus, pools))
+    sentence_items = 0
+    for contexts in partitions:
+        records = records_of(contexts)
+        sentence_items += sum(item.unit == "sentence" for ctx in records for item in ctx.items)
+        for columns in (contexts, contexts_of(records)):
+            for profiles in (clustered, unclustered):
+                got = category_coverage(columns, profiles)
+                want = oracle_category_coverage(records, profiles)
+                assert got == want
+                assert list(got.theory_pct) == list(want.theory_pct)
+                assert list(got.cluster_pct) == list(want.cluster_pct)
+            assert (diagnostics(similar_post_diversity, columns, corpus)
+                    == diagnostics(oracle_similar_post_diversity, records, corpus))
+    assert sentence_items > 0
+    assert "no annotators" in diagnostics(similar_post_diversity, partitions[-1], corpus)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1184,27 +1298,27 @@ def feature_partitions(world, scales):
                                          sentences=sentences, scores=memo, pools=pools))
     # a context alternating sentence items (similar_sentences, the last
     # config, without their similarities) and comment items (the full pool)
-    sentence_ctx, pool_ctx = partitions[-1].records()[0], partitions[1].records()[0]
-    mixed = ContextSet(sentence_ctx.annotator_id, sentence_ctx.post_id,
-                       [item for pair in zip(sentence_ctx.items, pool_ctx.items[:2])
-                        for item in (replace(pair[0], similarity=None), pair[1])])
+    sentence_ctx, pool_ctx = records_of(partitions[-1])[0], records_of(partitions[1])[0]
+    mixed = Record(sentence_ctx.annotator_id, sentence_ctx.post_id,
+                   [item for pair in zip(sentence_ctx.items, pool_ctx.items[:2])
+                    for item in (replace(pair[0], similarity=None), pair[1])])
     assert [item.unit for item in mixed.items] == ["sentence", "comment"] * 2
-    partitions.append(Contexts.from_records([mixed]))
+    partitions.append(contexts_of([mixed]))
     # every pair of one partition twice (the full pool's contexts already
     # repeat per annotator), and each context beside its items reversed: the
     # same items in another order are another sequence
     partitions.append(Contexts.concat([partitions[-2]] * 2))
-    pooled = partitions[1].records()
-    partitions.append(Contexts.from_records(
-        pooled + [ContextSet(c.annotator_id, c.post_id, c.items[::-1]) for c in pooled]))
+    pooled = records_of(partitions[1])
+    partitions.append(contexts_of(
+        pooled + [Record(c.annotator_id, c.post_id, c.items[::-1]) for c in pooled]))
     # contexts of zero rows only (scaled by 0.0, they store -0.0 entries),
     # beside others
-    zero = [ContextItem(cid, corpus.comments[cid].text, None, "comment")
+    zero = [Item(cid, corpus.comments[cid].text, None, "comment")
             for cid in sorted(corpus.comments) if not embeddings.norms[embeddings.row_index(cid)]]
     if zero:
         a, p = pairs[0]
-        partitions.append(Contexts.from_records(
-            [ContextSet(a, p, zero[:1]), ContextSet(a, p, zero[:3])] + pooled[:2]))
+        partitions.append(contexts_of(
+            [Record(a, p, zero[:1]), Record(a, p, zero[:3])] + pooled[:2]))
     return embeddings, sentences, partitions
 
 
@@ -1214,7 +1328,7 @@ def test_feature_matrix_matches_per_pair_oracle(world, scales):
     embeddings, sentences, partitions = feature_partitions(world, scales)
     for contexts in partitions:
         features = build_features(contexts, embeddings, sentences)
-        records = contexts.records()
+        records = records_of(contexts)
         X = features.rows()
         assert X.dtype == np.float64 and X.flags.c_contiguous
         assert np.array_equal(X, oracle_features(records, embeddings, sentences))
@@ -1248,7 +1362,8 @@ def test_build_features_matches_per_sequence_oracle(world, scales, monkeypatch):
         monkeypatch.setattr(dlab.model, "_MEAN_CHUNK_FLOATS", chunk_floats)
         for contexts in partitions:
             assert same_features(build_features(contexts, embeddings, sentences),
-                                 oracle_build_features(contexts.records(), embeddings, sentences))
+                                 oracle_build_features(records_of(contexts), embeddings,
+                                                       sentences))
 
 
 @pytest.mark.parametrize("chunk_floats", [None, 1])
@@ -1261,10 +1376,10 @@ def test_build_features_over_rows_that_store_no_entry(chunk_floats, monkeypatch)
     rows[0, 0] = rows[3, 1] = 1.0
     matrix = EmbeddingMatrix.from_dense(["p", "z1", "z2", "c"], rows)
     assert matrix.indptr[1] == matrix.indptr[3]
-    item = {cid: ContextItem(cid, cid, None, "comment") for cid in ("z1", "z2", "c")}
-    contexts = [ContextSet("a", "p", [item["z1"]]), ContextSet("a", "p", [item["z1"], item["z2"]]),
-                ContextSet("a", "p", [item["z2"], item["c"]]), ContextSet("a", "p", [])]
-    features = build_features(Contexts.from_records(contexts), matrix)
+    item = {cid: Item(cid, cid, None, "comment") for cid in ("z1", "z2", "c")}
+    contexts = [Record("a", "p", [item["z1"]]), Record("a", "p", [item["z1"], item["z2"]]),
+                Record("a", "p", [item["z2"], item["c"]]), Record("a", "p", [])]
+    features = build_features(contexts_of(contexts), matrix)
     assert same_features(features, oracle_build_features(contexts, matrix))
     assert features.context_columns.tolist() == [1]
     assert features.contexts.tolist() == [[0.0], [0.0], [0.0], [0.5]]
@@ -1283,9 +1398,9 @@ def test_feature_mean_sums_each_column_in_item_order():
     rows[1:4, 5] = -0.0
     rows[[1, 3], 6] = -0.0
     matrix = EmbeddingMatrix.from_dense(["p", "c1", "c2", "c3"], rows)
-    items = [ContextItem(cid, cid, None, "comment") for cid in ("c1", "c2", "c3")]
-    contexts = [ContextSet("a", "p", items), ContextSet("a", "p", items[::-1])]
-    X = build_features(Contexts.from_records(contexts), matrix).rows()
+    items = [Item(cid, cid, None, "comment") for cid in ("c1", "c2", "c3")]
+    contexts = [Record("a", "p", items), Record("a", "p", items[::-1])]
+    X = build_features(contexts_of(contexts), matrix).rows()
     assert same_bits(X, oracle_dense_features(contexts, matrix))
     assert X[0, d + 2] == 2.0 ** -60 / 3 and X[1, d + 2] == 0.0
     # the dense mean sums from +0.0, so a column of -0.0 entries averages to +0.0
@@ -1363,8 +1478,8 @@ def test_train_matches_dense_oracle(world, wide_matrices, cfg):
         for name, contexts in partitions.items():
             # every row, and 33 rows, whose last batch of 32 is one row
             for n in (len(y), 33):
-                records = contexts.records()[:n]
-                features = build_features(Contexts.from_records(records), embeddings, sentences)
+                records = records_of(contexts)[:n]
+                features = build_features(contexts.take(range(n)), embeddings, sentences)
                 X = oracle_dense_features(records, embeddings, sentences)
                 for runs, params, (W, b, history) in lockstep_fits(
                         features, y[:n], cfg, X, half_columns(features)):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import traced_peak
+from conftest import Item, Record, contexts_of, traced_peak
 
 import dlab.model
 from dlab.embed import (EmbedderConfig, EmbeddingMatrix, read_checksummed_text,
@@ -31,7 +31,7 @@ from dlab.model import (
     _log_beta_half,
     _student_t_two_sided,
 )
-from dlab.sampler import ContextItem, Contexts, ContextSet
+from dlab.sampler import Contexts
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +621,9 @@ def test_build_features_stores_each_half_on_its_own_columns():
     matrix = EmbeddingMatrix.from_dense(
         ["p", "c1", "c2"], np.array([[2.0, 1.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0],
                                      [0.0, 0.0, 0.0, -1.0]]))
-    items = [ContextItem(cid, cid, None, "comment") for cid in ("c1", "c2")]
-    contexts = [ContextSet("a", "p", items), ContextSet("b", "p", [])]
-    features = build_features(Contexts.from_records(contexts), matrix)
+    items = [Item(cid, cid, None, "comment") for cid in ("c1", "c2")]
+    contexts = [Record("a", "p", items), Record("b", "p", [])]
+    features = build_features(contexts_of(contexts), matrix)
     assert features.post_columns.tolist() == [0, 1]
     assert features.context_columns.tolist() == [1, 3]
     assert features.posts.tolist() == [[2.0, 1.0]]
@@ -634,25 +634,25 @@ def test_build_features_stores_each_half_on_its_own_columns():
 
 
 def test_build_features_renormalizes_unit_mean():
-    ctx = ContextSet("a", "p", [
-        ContextItem("c1", "one", None, "comment"),
-        ContextItem("c2", "two", None, "comment"),
+    ctx = Record("a", "p", [
+        Item("c1", "one", None, "comment"),
+        Item("c2", "two", None, "comment"),
     ])
     matrix = EmbeddingMatrix.from_dense(
         ["p", "c1", "c2"], np.array([unit([1.0, 1.0]), unit([1.0, 0.0]), unit([0.0, 1.0])]))
-    context_part = build_features(Contexts.from_records([ctx]), matrix).rows()[0, 2:]
+    context_part = build_features(contexts_of([ctx]), matrix).rows()[0, 2:]
     assert np.linalg.norm(context_part) == pytest.approx(1.0, abs=1e-12)
     assert context_part == pytest.approx(unit([1.0, 1.0]))
 
 
 def test_build_features_plain_mean_for_non_unit_vectors():
-    ctx = ContextSet("a", "p", [
-        ContextItem("c1", "one", None, "comment"),
-        ContextItem("c2", "two", None, "comment"),
+    ctx = Record("a", "p", [
+        Item("c1", "one", None, "comment"),
+        Item("c2", "two", None, "comment"),
     ])
     matrix = EmbeddingMatrix.from_dense(["p", "c1", "c2"],
                                         np.array([[0.0, 1.0], [2.0, 0.0], [0.0, 0.0]]))
-    assert np.array_equal(build_features(Contexts.from_records([ctx]), matrix).rows()[0, 2:],
+    assert np.array_equal(build_features(contexts_of([ctx]), matrix).rows()[0, 2:],
                           np.array([1.0, 0.0]))
 
 
@@ -662,13 +662,13 @@ def test_build_features_comment_and_sentence_resolution():
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], dtype=np.float32))
     sentences = EmbeddingMatrix.from_dense(
         ["c1", "one sentence"], np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.float32))
-    ctx = ContextSet("a", "p", [
-        ContextItem("c1", "whole comment", None, "comment"),
-        ContextItem("c1", "one sentence", None, "sentence", sentence_index=0),
+    ctx = Record("a", "p", [
+        Item("c1", "whole comment", None, "comment"),
+        Item("c1", "one sentence", None, "sentence", sentence_index=0),
     ])
     # the comment resolved by id in the comment matrix, the sentence by text
     # in the sentence matrix; both are unit norm, so the mean is renormalized
-    contexts = Contexts.from_records([ctx])
+    contexts = contexts_of([ctx])
     assert build_features(contexts, matrix, sentences).rows()[0, 2:] == \
         pytest.approx(unit([1.0, 1.0]))
     with pytest.raises(ValueError, match="resolve"):
@@ -677,12 +677,12 @@ def test_build_features_comment_and_sentence_resolution():
 
 def test_build_features_error_paths():
     matrix = EmbeddingMatrix.from_dense(["p"], np.zeros((1, 2)))
-    ctx = ContextSet("a", "p", [ContextItem("c9", "text", None, "comment")])
+    ctx = Record("a", "p", [Item("c9", "text", None, "comment")])
     with pytest.raises(ValueError, match="resolve"):
-        build_features(Contexts.from_records([ctx]), matrix)
-    sentence = ContextSet("a", "p", [ContextItem("c9", "text", None, "sentence", 0)])
+        build_features(contexts_of([ctx]), matrix)
+    sentence = Record("a", "p", [Item("c9", "text", None, "sentence", 0)])
     with pytest.raises(ValueError, match="dim"):
-        build_features(Contexts.from_records([sentence]), matrix,
+        build_features(contexts_of([sentence]), matrix,
                        sentences=EmbeddingMatrix.from_dense(["text"], np.zeros((1, 3))))
     with pytest.raises(KeyError):
         build_features(Contexts.empty([("a", "p9")]), matrix)
@@ -702,8 +702,8 @@ def test_build_features_peak_memory_stays_near_its_outputs():
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     matrix = EmbeddingMatrix.from_dense([f"c{i}" for i in range(n)]
                                         + [f"p{i}" for i in range(20)], rows)
-    contexts = Contexts.from_records([ContextSet("a", f"p{i % 20}", [
-        ContextItem(f"c{j}", "", None, "comment") for j in rng.choice(n, 5, replace=False)])
+    contexts = contexts_of([Record("a", f"p{i % 20}", [
+        Item(f"c{j}", "", None, "comment") for j in rng.choice(n, 5, replace=False)])
         for i in range(1000)])
     features, peak = traced_peak(lambda: build_features(contexts, matrix))
     assert features.contexts.shape == (1001, 256)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import multiprocessing
+import random
 import re
 import shutil
 from pathlib import Path
@@ -38,7 +39,7 @@ from dlab.pipeline import (
 from dlab.sampler import SamplerConfig, load_contexts
 from dlab.seeds import derive_seed
 from dlab.synthgen import PopulationSpec, generate_population, write_population
-from tests.conftest import write_jsonl
+from tests.conftest import records_of, write_jsonl
 
 MINIMAL_CORPUS_INI = """\
 [corpus]
@@ -638,15 +639,16 @@ def test_pipeline_sentence_strategies(tmp_path):
                                 for n in ("posts", "comments", "verdicts")))
     ecfg = cfg.embedder_config()
     items = 0
-    for ctx in load_contexts(outdir / "contexts" / "similar_sentences-k3.jsonl", corpus).records():
+    for ctx in records_of(load_contexts(outdir / "contexts" / "similar_sentences-k3.jsonl",
+                                        corpus)):
         post = embed_text(corpus.posts[ctx.post_id].query_text(), ecfg)
         for item in ctx.items:
             assert item.unit == "sentence"
             assert item.similarity == cosine_similarity(post, embed_text(item.text, ecfg))
             items += 1
     assert items > 0
-    for ctx in load_contexts(outdir / "contexts" / "random_sentences-k3.jsonl",
-                             corpus).records():
+    for ctx in records_of(load_contexts(outdir / "contexts" / "random_sentences-k3.jsonl",
+                                        corpus)):
         assert all(i.unit == "sentence" and i.similarity is None for i in ctx.items)
 
 
@@ -1052,7 +1054,7 @@ def test_cli_run_prints_its_rows_and_report_merges_them(tmp_path, capsys):
     # all_comments gives each pair its annotator's whole pool, in id order
     corpus, _ = ingest_corpus(*(out / "synth" / f"{n}.jsonl"
                                 for n in ("posts", "comments", "verdicts")))
-    dumped = load_contexts(out / "contexts" / "all_comments.jsonl", corpus).records()
+    dumped = records_of(load_contexts(out / "contexts" / "all_comments.jsonl", corpus))
     assert dumped
     for context in dumped:
         assert [item.source_comment_id for item in context.items] == sorted(
@@ -1385,11 +1387,11 @@ def test_cli_stage_chain_reproduces_a_run_condition(tmp_path):
         assignment = {rec["comment_id"]: rec["cluster"] for rec in map(
             json.loads, clusters.read_text().splitlines())}
         for cluster in range(3):
-            items = [item for c in load_contexts(
+            items = [item for c in records_of(load_contexts(
                 out / "contexts" / f"similar_comments-k3-cluster:{cluster}.jsonl",
                 ingest_corpus(*(paths[n] for n in ("posts", "comments", "verdicts")))[0]
                 if source == "corpus" else generate_population(parse_config(ini).synth)[0]
-            ).records() for item in c.items]
+            )) for item in c.items]
             assert items and all(assignment[i.source_comment_id] == cluster for i in items)
 
     # the run's vectors exported by `dlab embed` and imported through
@@ -1488,9 +1490,21 @@ def _comment_of_another_annotator(records):
             f"holds comment {item['comment_id']!r} by annotator {other['annotator_id']!r}")
 
 
+def _unknown_annotator(records):
+    ghost = {**records[0], "annotator_id": "ghost", "items": []}
+    return [*records, ghost], ghost, "names an annotator the corpus lacks"
+
+
+def _unknown_post(records):
+    nope = {**records[0], "post_id": "nope", "items": []}
+    return [*records, nope], nope, "names a post the corpus lacks"
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate", "coverage", "diversity"])
-@pytest.mark.parametrize("edit", [_repeated_pair, _comment_of_another_annotator],
-                         ids=["repeated-pair", "another-annotator"])
+@pytest.mark.parametrize("edit", [_repeated_pair, _comment_of_another_annotator,
+                                  _unknown_annotator, _unknown_post],
+                         ids=["repeated-pair", "another-annotator", "unknown-annotator",
+                              "unknown-post"])
 def test_cli_train_and_evaluate_reject_leaky_or_repeated_contexts(staged, tmp_path, monkeypatch,
                                                                  capsys, edit, command):
     # every reader of --contexts applies check_contexts
@@ -1505,6 +1519,37 @@ def test_cli_train_and_evaluate_reject_leaky_or_repeated_contexts(staged, tmp_pa
     assert (f"data error: {contexts}: pair ({first['annotator_id']}, {first['post_id']}) "
             f"{message}" in capsys.readouterr().err)
     assert not Path(argv[-1]).exists()
+
+
+def test_cli_train_and_evaluate_pick_contexts_by_pair(staged, tmp_path):
+    # a file of only the partition's pairs in verdict order, and the whole
+    # dump with its lines shuffled, which holds the other partitions' pairs
+    # too: the same model and report bytes
+    root, config, inputs = staged
+    lines = Path(inputs["--contexts"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    split = load_split(inputs["--split"])
+    assert len(lines) == len(split.assignment)
+    files = {"own": {}, "shuffled": dict.fromkeys(("train", "test"), tmp_path / "shuffled.jsonl")}
+    for part in ("train", "test"):
+        files["own"][part] = tmp_path / f"own-{part}.jsonl"
+        files["own"][part].write_text("".join(lines[i] for i in split.indices(part)),
+                                      encoding="utf-8")
+    shuffled = lines[:]
+    random.Random(0).shuffle(shuffled)
+    assert shuffled != lines
+    files["shuffled"]["train"].write_text("".join(shuffled), encoding="utf-8")
+    written = {}
+    for kind, paths in files.items():
+        model, report = tmp_path / f"{kind}.model", tmp_path / f"{kind}.json"
+        assert main(["train", "--config", config, "--condition", "random_comments-k2",
+                     "--contexts", str(paths["train"]), "--split", inputs["--split"],
+                     "--model-out", str(model)]) == 0
+        assert main(["evaluate", "--config", config, "--contexts", str(paths["test"]),
+                     "--split", inputs["--split"], "--model", str(root / "model.txt"),
+                     "--report-out", str(report)]) == 0
+        written[kind] = model.read_bytes(), report.read_bytes()
+    assert written["shuffled"] == written["own"]
+    assert written["own"][0] == (root / "model.txt").read_bytes()
 
 
 def test_cli_split_writes_no_split_that_fails_the_check(sample_inputs, tmp_path, monkeypatch,

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import Item, Record, contexts_of, records_of, traced_peak
 from test_batch_oracles import cosine_similarity
 
 import dlab.embed
@@ -17,9 +17,7 @@ from dlab.pipeline import embed_corpus, embed_sentences
 from dlab.sampler import (
     BoxStats,
     CategoryFilter,
-    ContextItem,
     Contexts,
-    ContextSet,
     Pools,
     Ranking,
     SamplerConfig,
@@ -43,8 +41,8 @@ def vec(text):
 
 def sample(annotator_id, post_id, corpus, embeddings, profiles, cfg, sentences=None):
     """The context of one pair, through the batch sampler."""
-    [ctx] = sample_context([(annotator_id, post_id)], corpus, embeddings, profiles, cfg=cfg,
-                           sentences=sentences).records()
+    [ctx] = records_of(sample_context([(annotator_id, post_id)], corpus, embeddings, profiles,
+                                      cfg=cfg, sentences=sentences))
     return ctx
 
 
@@ -334,7 +332,7 @@ def test_sample_context_refuses_a_ranking_that_cannot_serve_the_call(ranked_corp
                               sentences=sentences, pools=pools, ranking=ranking)
 
     cut = Ranking(pairs, "comment", depth=2)
-    assert call(top2, cut).records() == call(top2, None).records()
+    assert records_of(call(top2, cut)) == records_of(call(top2, None))
     for cfg, match in ((SamplerConfig(strategy="similar_comments", max_samples=3), "depth 2"),
                        (SamplerConfig(strategy="similar_comments", max_samples=1,
                                       category_filter=filt), "depth 2"),
@@ -396,7 +394,7 @@ def test_ranking_keeps_ten_bytes_an_entry_at_the_readme_pool_shape():
 
 def test_full_pool_context_in_id_order(ranked_corpus):
     pairs = [("judge", "p0"), ("rival", "p0"), ("judge", "p0")]
-    contexts = full_pool_context(pairs, ranked_corpus).records()
+    contexts = records_of(full_pool_context(pairs, ranked_corpus))
     assert [(c.annotator_id, c.post_id) for c in contexts] == pairs
     assert [[i.source_comment_id for i in c.items] for c in contexts] == [
         ["ca1", "ca2", "ca3", "ca4"], ["cb1"], ["ca1", "ca2", "ca3", "ca4"]]
@@ -411,12 +409,12 @@ def test_full_pool_context_in_id_order(ranked_corpus):
 def test_category_coverage_hand_counts(categorized_corpus):
     profiles = attach_clusters(build_profiles(categorized_corpus), {"c_demo": 2})
     items = [
-        ContextItem("c_demo", "", None, "comment"),
-        ContextItem("c_work", "", None, "comment"),
-        ContextItem("c_plain", "", None, "comment"),
-        ContextItem("c_demo", "", None, "comment"),
+        Item("c_demo", "", None, "comment"),
+        Item("c_work", "", None, "comment"),
+        Item("c_plain", "", None, "comment"),
+        Item("c_demo", "", None, "comment"),
     ]
-    table = category_coverage([ContextSet("judge", "p0", items)], profiles)
+    table = category_coverage(contexts_of([Record("judge", "p0", items)]), profiles)
     assert table.n_items == 4
     assert table.theory_pct["Demographics"] == pytest.approx(50.0)
     assert table.theory_pct["Experiences"] == pytest.approx(25.0)
@@ -430,15 +428,15 @@ def test_category_coverage_multi_membership_exceeds_100():
         ("c_multi", "judge", "I'm 22 yrs old. I think people deserve a second chance."),
     ])
     profiles = build_profiles(corpus)
-    items = [ContextItem("c_multi", "", None, "comment")]
-    table = category_coverage([ContextSet("judge", "p0", items)], profiles)
+    items = [Item("c_multi", "", None, "comment")]
+    table = category_coverage(contexts_of([Record("judge", "p0", items)]), profiles)
     assert table.theory_pct["Demographics"] == pytest.approx(100.0)
     assert table.theory_pct["Attitudes"] == pytest.approx(100.0)
     assert sum(table.theory_pct.values()) > 100.0
 
 
 def test_category_coverage_empty():
-    table = category_coverage([], {})
+    table = category_coverage(Contexts.empty([]), {})
     assert table.n_items == 0 and table.theory_pct == {} and table.cluster_pct == {}
 
 
@@ -460,16 +458,16 @@ def test_diversity_coverage_and_rank_ratio():
         ("d4", "a1", "alpha text four."),
         ("e1", "a2", "beta text one."),
     ])
-    mk = lambda cid: ContextItem(cid, "", None, "comment")
-    contexts = [
-        ContextSet("a1", "p0", [mk("d1"), mk("d2")]),
-        ContextSet("a1", "p0", [mk("d1"), mk("d2")]),
-        ContextSet("a1", "p0", [mk("d1"), mk("d2")]),
-        ContextSet("a1", "p0", [mk("d1"), mk("d2")]),
-        ContextSet("a1", "p0", [mk("d1"), mk("d2")]),
-        ContextSet("a1", "p0", [mk("d1")]),
-        ContextSet("a2", "p0", [mk("e1")]),
-    ]
+    mk = lambda cid: Item(cid, "", None, "comment")
+    contexts = contexts_of([
+        Record("a1", "p0", [mk("d1"), mk("d2")]),
+        Record("a1", "p0", [mk("d1"), mk("d2")]),
+        Record("a1", "p0", [mk("d1"), mk("d2")]),
+        Record("a1", "p0", [mk("d1"), mk("d2")]),
+        Record("a1", "p0", [mk("d1"), mk("d2")]),
+        Record("a1", "p0", [mk("d1")]),
+        Record("a2", "p0", [mk("e1")]),
+    ])
     report = similar_post_diversity(contexts, corpus)
     # a1 touched 2 of 4 comments, a2 1 of 1
     assert sorted(report.coverage_values) == [50.0, 100.0]
@@ -481,10 +479,10 @@ def test_diversity_coverage_and_rank_ratio():
 def test_diversity_empty_pool_warns():
     corpus = build_corpus([("d1", "a1", "alpha text one.")])
     corpus.annotator_index["ghost"] = []
-    contexts = [
-        ContextSet("a1", "p0", [ContextItem("d1", "", None, "comment")]),
-        ContextSet("ghost", "p0", []),
-    ]
+    contexts = contexts_of([
+        Record("a1", "p0", [Item("d1", "", None, "comment")]),
+        Record("ghost", "p0", []),
+    ])
     with pytest.warns(UserWarning, match="empty pool"):
         report = similar_post_diversity(contexts, corpus)
     assert report.coverage_values == [100.0]
@@ -506,10 +504,42 @@ def test_contexts_roundtrip_through_jsonl(tmp_path, ranked_corpus):
                                   cfg=SamplerConfig(strategy=strategy, max_samples=2, seed=1))
         dump_contexts(contexts, path)
         back = load_contexts(path, corpus)
-        assert back.records() == contexts.records() and len(back) == 2
+        assert records_of(back) == records_of(contexts) and len(back) == 2
         assert (back.similarity is None) == strategy.startswith("random_")
     dump_contexts(Contexts.empty(pairs), path)
-    assert load_contexts(path, corpus).records() == [ContextSet("judge", "p0", [])] * 2
+    assert records_of(load_contexts(path, corpus)) == [Record("judge", "p0", [])] * 2
+
+
+def test_contexts_take_picks_contexts_with_their_items(ranked_corpus):
+    # any places, repeated or out of order, none, and contexts without
+    # items: the contexts at those places with their items, similarities
+    # kept, pointing into the same table
+    matrix, sentences = matrices(ranked_corpus)
+    pairs = [("judge", "p0"), ("rival", "p0"), ("judge", "p0"), ("rival", "p0")]
+    cfgs = [SamplerConfig(strategy=strategy, max_samples=2 + i % 2, seed=3)
+            for i, strategy in enumerate(STRATEGIES)]
+    sampled = [sample_context(pairs, ranked_corpus, matrix, None, cfg=cfg, sentences=sentences)
+               for cfg in cfgs]
+    for contexts in sampled + [full_pool_context(pairs, ranked_corpus), Contexts.empty(pairs)]:
+        want = records_of(contexts)
+        for which in ([2, 0, 3, 1], [1, 1, 0], [3], [], range(4)):
+            got = contexts.take(which)
+            assert records_of(got) == [want[i] for i in which]
+            assert got.units is contexts.units
+            assert (got.similarity is None) == (contexts.similarity is None)
+            if got.similarity is not None:
+                assert got.similarity.dtype == np.float64
+                assert np.array_equal(got.similarity, np.concatenate(
+                    [[0.0]] + [[item.similarity for item in want[i].items] for i in which])[1:])
+    assert sum(c.similarity is not None for c in sampled) == 2
+    # a context without items between contexts with items
+    similar = sampled[2]
+    mixed = Contexts.concat([similar.take([0]), similar.take([]),
+                             Contexts.of([("judge", "p1")], similar.units, [0], [], np.zeros(0)),
+                             similar.take([1])])
+    want = records_of(similar)
+    assert [len(ctx) for ctx in want[:2]] == [2, 1]
+    assert records_of(mixed.take([2, 1, 0])) == [want[1], Record("judge", "p1", []), want[0]]
 
 
 def context_line(**item):
@@ -540,9 +570,13 @@ def context_line(**item):
         {"comment_id": "cx", "similarity": None, "unit": "comment", "sentence_index": None},
         {"comment_id": "cx", "similarity": 0.5, "unit": "comment", "sentence_index": None}]}),
      "line 2: an item with similarity 0.5 among items without one"),
+    ('{"annotator_id": 5, "post_id": ["x"], "items": []}', "line 2: annotator_id 5 is not a string"),
+    ('{"annotator_id": "judge", "post_id": ["x"], "items": []}',
+     r"line 2: post_id \['x'\] is not a string"),
 ], ids=["unknown-comment", "sentence-past-end", "negative-sentence", "unknown-unit",
         "non-object", "missing-items", "missing-comment-id", "bad-json",
-        "whole-comment-with-sentence-index", "similarity-not-a-number", "mixed-similarities"])
+        "whole-comment-with-sentence-index", "similarity-not-a-number", "mixed-similarities",
+        "non-string-annotator", "non-string-post"])
 def test_load_contexts_rejects_unknown_items(tmp_path, line, message):
     corpus = build_corpus([
         ("cx", "judge", "My cat knocked the plant again. Taxes are due in spring."),
@@ -559,14 +593,14 @@ def test_non_ascii_ids_round_trip(tmp_path):
     corpus = build_corpus([
         ("c_é", "a_ü", "My cat knocked the plant again. Taxes are due in spring."),
     ])
-    contexts = [ContextSet("a_ü", "p0", [
-        ContextItem("c_é", "", 0.5, "comment"),
-        ContextItem("c_é", "", 0.25, "sentence", sentence_index=1),
+    contexts = [Record("a_ü", "p0", [
+        Item("c_é", "", 0.5, "comment"),
+        Item("c_é", "", 0.25, "sentence", sentence_index=1),
     ])]
     path = tmp_path / "contexts.jsonl"
-    dump_contexts(Contexts.from_records(contexts), path)
+    dump_contexts(contexts_of(contexts), path)
     assert "c_é".encode("utf-8") in path.read_bytes()
-    [ctx] = load_contexts(path, corpus).records()
+    [ctx] = records_of(load_contexts(path, corpus))
     assert (ctx.annotator_id, ctx.post_id) == ("a_ü", "p0")
     assert [(i.source_comment_id, i.text, i.similarity, i.unit) for i in ctx.items] == [
         ("c_é", corpus.comments["c_é"].text, 0.5, "comment"),
@@ -578,56 +612,18 @@ def test_non_ascii_ids_round_trip(tmp_path):
     assert load_split(tmp_path / "split.jsonl") == spec
 
 
-def test_context_item_behaves_as_a_frozen_record():
-    import dataclasses
-    import pickle
-
-    item = ContextItem("c1", "text", 0.5, "sentence", 2)
-    fields = ("c1", "text", 0.5, "sentence", 2)
-    # positional and keyword construction, and the sentence_index default
-    assert item == ContextItem(source_comment_id="c1", text="text", similarity=0.5,
-                               unit="sentence", sentence_index=2)
-    assert ContextItem("c1", "text", None, "comment").sentence_index is None
-    assert [f.name for f in dataclasses.fields(ContextItem)] == [
-        "source_comment_id", "text", "similarity", "unit", "sentence_index"]
-    assert repr(item) == ("ContextItem(source_comment_id='c1', text='text', similarity=0.5, "
-                          "unit='sentence', sentence_index=2)")
-    with pytest.raises(TypeError):
-        ContextItem("c1", "text", 0.5)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        item.text = "other"
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        del item.similarity
-    assert hash(item) == hash(fields)
-    assert dataclasses.replace(item, similarity=0.25).similarity == 0.25
-    assert pickle.loads(pickle.dumps(item)) == item
-    # equal only to another ContextItem of equal fields, in both operand orders
-    assert item != ContextItem("c1", "text", 0.5, "sentence", 3)
-    assert item != fields and fields != item
-    assert not item == fields and not fields == item
-    assert len({item, ContextItem(*fields), fields}) == 2
-
-
-def test_partition_path_builds_no_per_item_records(tmp_path, monkeypatch):
+def test_partition_path_builds_no_per_item_records(tmp_path):
     # one partition sampled, featurized and dumped at the README's pool
     # shape (200-400 comments per annotator, dim 4,096), as a run does it:
-    # no ContextItem or ContextSet is built, and beside the score memo and
-    # the features the path holds the dense post rows (the queries of one
-    # annotator and the post block's source), one block of cosine products
-    # and a few blocks of context means at a time
+    # beside the score memo and the features the path holds the dense post
+    # rows (the queries of one annotator and the post block's source), one
+    # block of cosine products and a few blocks of context means at a time
     corpus, _ = generate_population(PopulationSpec(
         n_annotators=4, n_posts=40, comments_per_annotator=(200, 400),
         verdicts_per_annotator=(20, 30), seed=2))
     ecfg = EmbedderConfig(dim=4096, ngram_range=(1, 2), seed=0)
     embeddings, sentences = embed_corpus(corpus, ecfg), embed_sentences(corpus, ecfg)
     pairs = [(v.annotator_id, v.post_id) for v in corpus.verdicts]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a per-item record was built")
-
-    for record in (ContextItem, ContextSet):
-        monkeypatch.setattr(record, "__init__", refuse)
-    monkeypatch.setattr(Contexts, "records", refuse)
     posts = len({p for _, p in pairs})
     budget = (2 * posts * ecfg.dim * 4 + 2 * dlab.embed._SCORE_CHUNK_FLOATS * 8
               + 4 * dlab.model._MEAN_CHUNK_FLOATS * 8)
