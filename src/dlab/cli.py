@@ -35,7 +35,7 @@ from .disclosure import (
     HighLevelCategory,
     PatternError,
     audit_sample,
-    comment_profile,
+    build_profiles,
     extract_corpus,
     ngram_stats,
     span_record,
@@ -56,6 +56,7 @@ from .pipeline import (
     ExperimentConfig,
     InvariantViolation,
     build_conditions,
+    category_filters,
     check_contexts,
     check_split,
     condition_contexts,
@@ -66,6 +67,7 @@ from .pipeline import (
     partition_data,
     ranking_depths,
     run_pipeline,
+    setup_clusters,
     setup_corpus,
     setup_embeddings,
     setup_profiles,
@@ -168,12 +170,13 @@ def _cmd_extract(args) -> int:
         **span_record(span),
     } for found in spans.values() for span in found))
     if args.profiles_out:
-        profiles = (comment_profile(corpus.comments[cid], found) for cid, found in spans.items())
+        profiles = build_profiles(corpus)
         write_jsonl(args.profiles_out, ({
-            "comment_id": prof.comment_id,
-            "theory_categories": sorted(c.value for c in prof.theory_categories),
-            "passes_phrase_filter": prof.passes_phrase_filter,
-        } for prof in profiles))
+            "comment_id": cid,
+            "theory_categories": sorted(c.value for c in profiles.categories(row)),
+            "passes_phrase_filter": phrase,
+        } for row, (cid, phrase) in enumerate(zip(profiles.comment_ids,
+                                                  profiles.phrase.tolist()))))
     print(f"comments={len(corpus.comments)} spans={sum(map(len, spans.values()))}")
     return 0
 
@@ -184,7 +187,9 @@ def _cmd_cluster(args) -> int:
         raise ConfigError("dlab cluster fits a run's clusters; the config needs "
                           "[cluster] enabled = true")
     corpus = setup_corpus(cfg)[0]
-    _, (model, reduced) = setup_profiles(cfg, corpus)
+    filters = category_filters(cfg, ("cluster:*",))
+    _, (model, reduced) = setup_clusters(cfg, corpus, setup_profiles(cfg, corpus, filters),
+                                         filters)
     write_jsonl(args.out, ({"comment_id": cid, "cluster": model.assignment[cid]}
                            for cid in sorted(model.assignment)))
     if args.inspect_out:
@@ -210,8 +215,11 @@ def _cmd_sample(args) -> int:
     cfg = _config(args.config)
     condition = _condition(cfg, args.condition)
     corpus = setup_corpus(cfg)[0]
+    # profiles and clusters only for the condition's category filter, as a run
+    filters = [condition.sampler.category_filter] if condition.sampler else []
+    profiles = setup_profiles(cfg, corpus, filters)
     embeddings = setup_embeddings(cfg, corpus)
-    profiles, _ = setup_profiles(cfg, corpus, embeddings)
+    profiles, _ = setup_clusters(cfg, corpus, profiles, filters, embeddings)
     units = {condition.sampler.unit} if condition.sampler else set()
     state = condition_state(cfg, corpus, units, embeddings=embeddings, profiles=profiles,
                             partitions={"all": range(len(corpus.verdicts))},
@@ -298,7 +306,10 @@ def _run_contexts(args) -> tuple[ExperimentConfig, Corpus, Contexts]:
 
 def _cmd_coverage(args) -> int:
     cfg, corpus, contexts = _run_contexts(args)
-    table = category_coverage(contexts, setup_profiles(cfg, corpus)[0])
+    # every theory category, and the clusters when the config fits them
+    filters = category_filters(cfg, ("theory:*", "cluster:*")[:1 + cfg.cluster_enabled])
+    profiles = setup_clusters(cfg, corpus, setup_profiles(cfg, corpus, filters), filters)[0]
+    table = category_coverage(contexts, profiles)
     write_tsv(args.out, [
         ["family", "bucket", "percent"],
         *(["theory", bucket, f"{pct:.2f}"] for bucket, pct in table.theory_pct.items()),

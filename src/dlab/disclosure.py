@@ -14,8 +14,10 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
+
+import numpy as np
 
 from .corpus import Comment, Corpus, segment_sentences, write_jsonl
 from .embed import TOKEN_RE, text_checksum
@@ -351,51 +353,100 @@ def ngram_stats(corpus: Corpus, n: int, position: str) -> list[tuple[str, int]]:
 # ---------------------------------------------------------------------------
 # category profiles
 
-@dataclass(frozen=True)
-class CategoryProfile:
-    """Per-comment membership used by category-conditioned sampling."""
-
-    comment_id: str
-    theory_categories: frozenset[HighLevelCategory]
-    passes_phrase_filter: bool
-    cluster_id: int | None = None
+# each high-level category's bit in a Profiles theory mask, in enum order
+THEORY_BITS = {cat: 1 << i for i, cat in enumerate(HighLevelCategory)}
 
 
-def comment_profile(comment: Comment, spans: list[DisclosureSpan]) -> CategoryProfile:
-    """The profile of one comment from its extracted disclosure spans."""
-    return CategoryProfile(
-        comment_id=comment.id,
-        theory_categories=frozenset(s.high_level for s in spans),
-        passes_phrase_filter=matches_phrase_filter(comment.text),
-    )
+@dataclass(frozen=True, eq=False)
+class Profiles:
+    """Per-comment membership used by category-conditioned sampling, as
+    columns aligned with the sorted comment ids: a uint8 mask of the
+    comment's theory categories (THEORY_BITS), whether it passes the phrase
+    filter, and its int32 cluster id (-1 for none)."""
+
+    comment_ids: list[str]
+    theory: np.ndarray
+    phrase: np.ndarray
+    cluster: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.comment_ids)
+
+    def __contains__(self, comment_id: str) -> bool:
+        return comment_id in self._index
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {cid: i for i, cid in enumerate(self.comment_ids)}
+
+    def rows(self, comment_ids) -> np.ndarray:
+        """The row of each of the comment ids."""
+        index = self._index
+        return np.fromiter((index[cid] for cid in comment_ids), dtype=np.intp,
+                           count=len(comment_ids))
+
+    def categories(self, row: int) -> list[HighLevelCategory]:
+        """The theory categories of a row, in enum order."""
+        mask = int(self.theory[row])
+        return [cat for cat, bit in THEORY_BITS.items() if mask & bit]
 
 
-def build_profiles(corpus: Corpus,
-                   patterns: PatternSet | None = None) -> dict[str, CategoryProfile]:
-    """Theory categories of every comment; attach_clusters adds cluster ids.
+def _category_bits(sentence: str, pats: PatternSet) -> int:
+    """The THEORY_BITS of the categories with a non-empty match in the
+    sentence, as extract_disclosures finds them."""
+    bits = 0
+    for cat, regex in pats.compiled.items():
+        bit = THEORY_BITS[cat.high_level]
+        if not bits & bit and any(m.end() > m.start() for m in regex.finditer(sentence)):
+            bits |= bit
+    return bits
 
-    Each distinct sentence text is matched once per call (`extract_corpus`).
+
+def build_profiles(corpus: Corpus, patterns: PatternSet | None = None) -> Profiles:
+    """The profiles of every comment, without cluster ids (attach_clusters
+    adds them).
+
+    A comment's theory mask is the union of its sentences' category bits.
+    Each distinct comment text is segmented and phrase-matched once per
+    call, and each distinct sentence text matched once; the memos are freed
+    when the call returns, and no sentence spans are cached on the comments.
     """
-    return {cid: comment_profile(corpus.comments[cid], found)
-            for cid, found in extract_corpus(corpus, patterns).items()}
+    pats = patterns or default_patterns()
+    ids = sorted(corpus.comments)
+    sentence_bits: dict[str, int] = {}
+    seen: dict[str, tuple[int, bool]] = {}  # comment text -> (mask, phrase)
+    masks, phrases = [], []
+    for cid in ids:
+        text = corpus.comments[cid].text
+        found = seen.get(text)
+        if found is None:
+            mask = 0
+            for a, b in segment_sentences(text):
+                sentence = text[a:b]
+                bits = sentence_bits.get(sentence)
+                if bits is None:
+                    bits = sentence_bits[sentence] = _category_bits(sentence, pats)
+                mask |= bits
+            found = seen[text] = (mask, matches_phrase_filter(text))
+        masks.append(found[0])
+        phrases.append(found[1])
+    return Profiles(ids, np.array(masks, dtype=np.uint8), np.array(phrases, dtype=bool),
+                    np.full(len(ids), -1, dtype=np.int32))
 
 
-def attach_clusters(profiles: dict[str, CategoryProfile],
-                    cluster_assignment: dict[str, int]) -> dict[str, CategoryProfile]:
-    """The profiles with cluster ids attached from an assignment.
+def attach_clusters(profiles: Profiles, cluster_assignment: dict[str, int]) -> Profiles:
+    """The profiles with the cluster ids of an assignment filled in; ids
+    the profiles lack are ignored.
 
     Cluster ids may only be attached to comments that pass the phrase
     filter, mirroring how the clustering route is built.
     """
-    out: dict[str, CategoryProfile] = {}
-    for cid, prof in profiles.items():
-        cluster_id = cluster_assignment.get(cid)
-        if cluster_id is None:
-            out[cid] = prof
-        elif not prof.passes_phrase_filter:
-            raise ValueError(
-                f"comment {cid!r} has a cluster id but fails the phrase filter"
-            )
-        else:
-            out[cid] = replace(prof, cluster_id=cluster_id)
-    return out
+    known = [cid for cid in cluster_assignment if cid in profiles]
+    rows = profiles.rows(known)
+    refused = rows[~profiles.phrase[rows]]
+    if refused.size:
+        raise ValueError(f"comment {profiles.comment_ids[refused.min()]!r} has a cluster id "
+                         "but fails the phrase filter")
+    cluster = profiles.cluster.copy()
+    cluster[rows] = [cluster_assignment[cid] for cid in known]
+    return replace(profiles, cluster=cluster)

@@ -171,14 +171,28 @@ class EmbeddingMatrix:
         order, repeats allowed. Each row is bit-equal to the float32 row it
         was stored from; dtype=np.float64 converts it exactly."""
         rows = np.asarray(rows, dtype=np.intp)
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        positions = ranges(starts, counts)
+        counts, positions = self._entries(rows)
         out = np.zeros((rows.size, self.dim), dtype=dtype)
         # one flat scatter: each entry's output row offset plus its column
         targets = np.repeat(np.arange(rows.size) * self.dim, counts) + self.indices[positions]
         out.reshape(-1)[targets] = self.values[positions]
         return out
+
+    def select(self, rows) -> EmbeddingMatrix:
+        """The matrix of the given rows, each once, in the given order, with
+        their ids, stored entries and norms as stored here."""
+        rows = np.asarray(rows, dtype=np.intp)
+        counts, positions = self._entries(rows)
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return EmbeddingMatrix([self.ids[i] for i in rows.tolist()], self.dim, indptr,
+                               self.indices[positions], self.values[positions], self.norms[rows])
+
+    def _entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's stored entry count, and the positions of those entries."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        return counts, ranges(starts, counts)
 
 
 def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

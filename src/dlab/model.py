@@ -33,6 +33,9 @@ _LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
 # float64 values of the block of context means build_features sums at a
 # time (256 KB)
 _MEAN_CHUNK_FLOATS = 1 << 15
+# batches of an epoch whose views train makes once per call (about 0.7 KB
+# each); an epoch of more batches makes each batch's views at its step
+_KEPT_STEPS = 1024
 
 
 class ModelFileError(ValueError):
@@ -455,9 +458,11 @@ def train(features: Features, y, cfg: TrainConfig, runs: int = 1) -> Fits:
     # slice. Each epoch gathers its rows' post and context indices, class
     # masks and class weights into these arrays, once.
     batches = range(0, n, cfg.batch_size)
-    layout = np.concatenate([(np.arange(runs)[:, None] * n
-                              + np.arange(start, min(start + cfg.batch_size, n))).ravel()
-                             for start in batches])
+    row, run = np.arange(n), np.arange(runs)[:, None]
+    first = row - row % cfg.batch_size  # the first row of each row's batch
+    layout = np.empty(runs * n, dtype=np.intp)
+    layout[(runs * first + run * np.minimum(cfg.batch_size, n - first)
+            + row - first).ravel()] = (run * n + row).ravel()
     post_index, context_index = index[:, 0], index[:, 1]
     order_posts = np.empty(runs * n, dtype=post_index.dtype)
     order_contexts = np.empty(runs * n, dtype=context_index.dtype)
@@ -466,26 +471,29 @@ def train(features: Features, y, cfg: TrainConfig, runs: int = 1) -> Fits:
     alpha_t = alpha_arr[y]
 
     # each batch's views of those arrays, and of the two gather buffers and
-    # the two logit buffers, made once: every full batch shares one set of
-    # buffer views, and a shorter last batch has its own
+    # the two logit buffers: every full batch shares one set of buffer views,
+    # and a shorter last batch has its own. The views of up to _KEPT_STEPS
+    # batches are made once per call; beyond that, each step makes its own,
+    # so that what the call holds does not grow with n / batch_size
     size = runs * min(cfg.batch_size, n)
     post_buf, context_buf = np.empty(size * kp), np.empty(size * kc)
     z_buf, context_z_buf = np.empty(size * 2), np.empty(size * 2)
     buffers = {}
-    steps = []
-    for start in batches:
-        rows = min(start + cfg.batch_size, n) - start
+    for rows in {min(cfg.batch_size, n), n - batches[-1]}:
         size = runs * rows
-        if rows not in buffers:
-            z = z_buf[:size * 2].reshape(runs, rows, 2)
-            buffers[rows] = (post_buf[:size * kp].reshape(runs, rows, kp),
-                             context_buf[:size * kc].reshape(runs, rows, kc),
-                             z, z.reshape(size, 2),
-                             context_z_buf[:size * 2].reshape(runs, rows, 2))
-        batch = slice(runs * start, runs * start + size)
-        steps.append((rows, order_posts[batch].reshape(runs, rows),
-                      order_contexts[batch].reshape(runs, rows), order_onehot[batch],
-                      order_alpha[batch], *buffers[rows]))
+        z = z_buf[:size * 2].reshape(runs, rows, 2)
+        buffers[rows] = (post_buf[:size * kp].reshape(runs, rows, kp),
+                         context_buf[:size * kc].reshape(runs, rows, kc),
+                         z, z.reshape(size, 2), context_z_buf[:size * 2].reshape(runs, rows, 2))
+
+    def batch_steps():
+        for start in batches:
+            rows = min(start + cfg.batch_size, n) - start
+            batch = slice(runs * start, runs * (start + rows))
+            yield (rows, order_posts[batch].reshape(runs, rows),
+                   order_contexts[batch].reshape(runs, rows), order_onehot[batch],
+                   order_alpha[batch], *buffers[rows])
+    steps = list(batch_steps()) if len(batches) <= _KEPT_STEPS else None
 
     add = np.add.reduce
     rngs = [np.random.default_rng(cfg.seed + r) for r in range(runs)]
@@ -497,7 +505,8 @@ def train(features: Features, y, cfg: TrainConfig, runs: int = 1) -> Fits:
         np.equal(y.take(order)[:, None], _CLASSES, out=order_onehot)
         alpha_t.take(order, out=order_alpha)
         epoch_loss = np.zeros(runs)
-        for rows, batch_posts, batch_contexts, onehot, batch_alpha, Xp, Xc, z, z2, cz in steps:
+        for (rows, batch_posts, batch_contexts, onehot, batch_alpha,
+             Xp, Xc, z, z2, cz) in steps or batch_steps():
             # mode "raise" would buffer out; Features has checked the index
             posts.take(batch_posts, axis=0, out=Xp, mode="clip")
             contexts.take(batch_contexts, axis=0, out=Xc, mode="clip")

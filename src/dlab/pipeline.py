@@ -24,7 +24,7 @@ from .corpus import (MAX_COMMENTS, MIN_COMMENTS, SPLIT_KINDS, SPLIT_RATIOS, Corp
                      CorpusError, FilterReport, SplitSpec, filter_annotators, ingest_corpus,
                      make_split, save_split, validate_comment_bounds, validate_ratios,
                      verify_split, write_json, write_tsv)
-from .disclosure import CategoryProfile, attach_clusters, build_profiles
+from .disclosure import Profiles, attach_clusters, build_profiles
 from .embed import EmbedderConfig, EmbeddingMatrix, embed_texts, import_embeddings
 from .model import (Features, TrainConfig, build_features, encode_labels, evaluate,
                     significance_test, train)
@@ -315,17 +315,24 @@ def effective_config_text(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # conditions
 
+def category_filters(cfg: ExperimentConfig,
+                     tokens: tuple[str, ...] | None = None) -> list[CategoryFilter | None]:
+    """The filters of the category tokens (the config's [sampler]
+    categories unless given), by CategoryFilter.parse with the config's
+    clusters; ConfigError for a bad token."""
+    clusters = cfg.cluster_k if cfg.cluster_enabled else None
+    try:
+        return [filt for token in tokens or cfg.categories
+                for filt in CategoryFilter.parse(token, clusters)]
+    except ValueError as exc:
+        raise ConfigError(f"[sampler] categories: {exc}")
+
+
 def build_conditions(cfg: ExperimentConfig) -> list[Condition]:
     """The baselines, then one grid cell with its sampler settings per
     strategy, sample size and category filter. A cell the sampler rejects
     raises ValueError; bad category tokens and duplicate names ConfigError."""
-    clusters = cfg.cluster_k if cfg.cluster_enabled else None
-    try:
-        filters = [filt for token in cfg.categories
-                   for filt in CategoryFilter.parse(token, clusters)]
-    except ValueError as exc:
-        raise ConfigError(f"[sampler] categories: {exc}")
-
+    filters = category_filters(cfg)
     conditions = [Condition(name=b) for b in cfg.baselines]
     seed = derive_seed(cfg.seed, "sampler")
     for strategy in cfg.strategies:
@@ -359,7 +366,7 @@ class RunState:
     corpus: Corpus
     embeddings: EmbeddingMatrix
     sentences: EmbeddingMatrix | None  # only when some context unit is a sentence
-    profiles: dict[str, CategoryProfile] | None = None  # None: no category filters
+    profiles: Profiles | None = None  # None: no category filters
     # the verdict indices of each partition the run samples, by name
     partitions: dict[str, list[int]] = field(default_factory=dict)
     # each unit's ranking cut, ranking_depths of the run's conditions; a
@@ -527,7 +534,16 @@ def embed_sentences(corpus: Corpus, embed_cfg: EmbedderConfig) -> EmbeddingMatri
     return embed_texts([(text, text) for text in texts], embed_cfg)
 
 
-def cluster_comments(embeddings: EmbeddingMatrix, profiles: dict[str, CategoryProfile],
+def _phrase_filtered(profiles: Profiles, k: int) -> list[str]:
+    """The ids of the comments that pass the phrase filter, the ones k-means
+    clusters, in id order; ConfigError when they are fewer than k."""
+    eligible = [profiles.comment_ids[i] for i in np.flatnonzero(profiles.phrase).tolist()]
+    if len(eligible) < k:
+        raise ConfigError(f"only {len(eligible)} phrase-filtered comments for k={k}")
+    return eligible
+
+
+def cluster_comments(embeddings: EmbeddingMatrix, profiles: Profiles,
                      k: int, reduce_dim: int, seed: int) -> tuple[ClusterModel, EmbeddingMatrix]:
     """k-means over the SVD-reduced embeddings of the phrase-filtered comments.
 
@@ -535,11 +551,8 @@ def cluster_comments(embeddings: EmbeddingMatrix, profiles: dict[str, CategoryPr
     k-means seeds derive from `seed`, a run's seed. The reduced dimension
     is clamped to what the eligible rows allow.
     """
-    eligible = [cid for cid in sorted(profiles) if profiles[cid].passes_phrase_filter]
-    if len(eligible) < k:
-        raise ConfigError(f"only {len(eligible)} phrase-filtered comments for k={k}")
-    sub = EmbeddingMatrix.from_dense(
-        eligible, embeddings.take([embeddings.row_index(cid) for cid in eligible]))
+    eligible = _phrase_filtered(profiles, k)
+    sub = embeddings.select([embeddings.row_index(cid) for cid in eligible])
     target = min(reduce_dim, len(eligible), sub.dim)
     reduced = truncated_svd(sub, target, seed=derive_seed(seed, "svd"))
     return kmeans(reduced, k, seed=derive_seed(seed, "kmeans")), reduced
@@ -624,16 +637,32 @@ def setup_embeddings(cfg: ExperimentConfig, corpus: Corpus) -> EmbeddingMatrix:
     return embed_corpus(corpus, cfg.embedder_config())
 
 
-def setup_profiles(cfg: ExperimentConfig, corpus: Corpus,
-                   embeddings: EmbeddingMatrix | None = None
-                   ) -> tuple[dict[str, CategoryProfile],
-                              tuple[ClusterModel, EmbeddingMatrix] | None]:
-    """The theory profiles of the corpus comments and, when [cluster] is
-    enabled, their cluster ids with the cluster model and the reduced matrix
-    it was fitted on (None when clustering is off). The clusters are fitted
-    on `embeddings`, setup_embeddings' unless given."""
+def _by_cluster(filters) -> bool:
+    return any(filt is not None and filt.cluster is not None for filt in filters)
+
+
+def setup_profiles(cfg: ExperimentConfig, corpus: Corpus, filters) -> Profiles | None:
+    """The theory profiles of the corpus comments when one of the category
+    `filters` reads them (None stands for no filter), else None. When one
+    filters by cluster, the phrase-filtered comments are counted here, from
+    text alone, so that too few for [cluster] k is a ConfigError before
+    anything is embedded; setup_clusters adds the cluster ids."""
+    if not any(filt is not None for filt in filters):
+        return None
     profiles = build_profiles(corpus)
-    if not cfg.cluster_enabled:
+    if _by_cluster(filters):
+        _phrase_filtered(profiles, cfg.cluster_k)
+    return profiles
+
+
+def setup_clusters(cfg: ExperimentConfig, corpus: Corpus, profiles: Profiles | None, filters,
+                   embeddings: EmbeddingMatrix | None = None
+                   ) -> tuple[Profiles | None, tuple[ClusterModel, EmbeddingMatrix] | None]:
+    """When one of `filters` filters by cluster, setup_profiles' profiles
+    with cluster ids, the cluster model and the reduced matrix it was fitted
+    on, fitted on `embeddings` (setup_embeddings' unless given); else the
+    profiles unchanged and None."""
+    if not _by_cluster(filters):
         return profiles, None
     if embeddings is None:
         embeddings = setup_embeddings(cfg, corpus)
@@ -669,8 +698,11 @@ def run_pipeline(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     corpus, ingest_report, filter_report, population = setup_corpus(cfg)
     if population is not None:
         write_population(*population, outdir / "synth")
+    # profiles and clusters only for the category filters of the grid cells
+    filters = category_filters(cfg) if cfg.strategies and cfg.max_samples_list else []
+    profiles = setup_profiles(cfg, corpus, filters)
     embeddings = setup_embeddings(cfg, corpus)
-    profiles, _ = setup_profiles(cfg, corpus, embeddings)
+    profiles, _ = setup_clusters(cfg, corpus, profiles, filters, embeddings)
     split = setup_split(cfg, corpus)
     partitions = {part: split.indices(part) for part in ("train", "test")}
     save_split(split, outdir / "split.jsonl")

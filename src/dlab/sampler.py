@@ -12,7 +12,6 @@ import math
 import random
 import struct
 import warnings
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, CorpusError, iter_jsonl
-from .disclosure import CategoryProfile, HighLevelCategory
+from .disclosure import THEORY_BITS, HighLevelCategory, Profiles
 from .embed import EmbeddingMatrix, chunks, cosine_scores, rank_scores, ranges
 from .seeds import derive_seed
 
@@ -47,10 +46,11 @@ class CategoryFilter:
         if (self.theory is None) == (self.cluster is None):
             raise ValueError("set exactly one of theory / cluster")
 
-    def admits(self, profile: CategoryProfile) -> bool:
+    def mask(self, profiles: Profiles) -> np.ndarray:
+        """Whether the filter admits each row of the profiles."""
         if self.theory is not None:
-            return self.theory in profile.theory_categories
-        return profile.cluster_id == self.cluster
+            return (profiles.theory & THEORY_BITS[self.theory]) != 0
+        return profiles.cluster == self.cluster
 
     def label(self) -> str:
         if self.theory is not None:
@@ -253,9 +253,10 @@ class Pools:
     keeps one Pools for all its conditions, as it keeps the scores memo.
     """
 
-    def __init__(self, corpus: Corpus, profiles: dict[str, CategoryProfile] | None = None):
+    def __init__(self, corpus: Corpus, profiles: Profiles | None = None):
         self.corpus, self.profiles = corpus, profiles
         self._tables: dict[str, tuple[Units, dict[str, tuple[int, int]]]] = {}
+        self._rows: dict[str, np.ndarray] = {}  # unit -> each unit's profile row
         self._masks: dict[tuple, np.ndarray] = {}
         self._admitted: dict[tuple, dict[str, range | np.ndarray]] = {}
         self._keyed: dict[str, dict[str, np.ndarray]] = {}
@@ -287,9 +288,9 @@ class Pools:
         if key not in self._masks:
             if self.profiles is None:
                 raise ValueError("category filter requires comment profiles")
-            profiles, cids = self.profiles, self.table(unit)[0].comment_ids
-            self._masks[key] = np.fromiter((filt.admits(profiles[cid]) for cid in cids),
-                                           dtype=bool, count=len(cids))
+            if unit not in self._rows:
+                self._rows[unit] = self.profiles.rows(self.table(unit)[0].comment_ids)
+            self._masks[key] = filt.mask(self.profiles)[self._rows[unit]]
         return self._masks[key]
 
     def admitted(self, filt: CategoryFilter | None,
@@ -413,7 +414,7 @@ class Ranking:
 
 def sample_context(pairs, corpus: Corpus,
                    embeddings: EmbeddingMatrix | None,
-                   profiles: dict[str, CategoryProfile] | None, *,
+                   profiles: Profiles | None, *,
                    cfg: SamplerConfig,
                    sentences: EmbeddingMatrix | None = None,
                    scores: dict | None = None,
@@ -532,24 +533,26 @@ class CoverageTable:
     cluster_pct: dict[str, float]
 
 
-def category_coverage(contexts: Contexts,
-                      profiles: dict[str, CategoryProfile]) -> CoverageTable:
+def category_coverage(contexts: Contexts, profiles: Profiles) -> CoverageTable:
     n_items = len(contexts.positions)
+    if n_items == 0:
+        return CoverageTable(n_items=0, theory_pct={}, cluster_pct={})
     used, lookup = contexts.used_units()
-    theory_counts, cluster_counts = Counter(), Counter()
-    for i, count in zip(used.tolist(), np.bincount(lookup[contexts.positions]).tolist()):
-        prof = profiles[contexts.units.comment_ids[i]]
-        for key in [cat.value for cat in prof.theory_categories] or ["none"]:
-            theory_counts[key] += count
-        cluster_counts["none" if prof.cluster_id is None else str(prof.cluster_id)] += count
+    rows = profiles.rows([contexts.units.comment_ids[i] for i in used.tolist()])
+    counts = np.bincount(lookup[contexts.positions])  # items per used unit
+    # items per theory mask, and per cluster id + 1 (0 for none): sums of
+    # integers, exact in float64
+    by_mask = np.bincount(profiles.theory[rows], weights=counts, minlength=1 << len(THEORY_BITS))
+    masks = np.arange(len(by_mask))
+    theory = {cat.value: by_mask[(masks & bit) != 0].sum() for cat, bit in THEORY_BITS.items()}
+    theory["none"] = by_mask[0]
+    by_cluster = np.bincount(profiles.cluster[rows] + 1, weights=counts)
+    cluster = {"none" if c == 0 else str(c - 1): count for c, count in enumerate(by_cluster)}
 
-    def pct(counts: Counter) -> dict[str, float]:
-        if n_items == 0:
-            return {}
-        return {key: 100.0 * counts[key] / n_items for key in sorted(counts)}
-    return CoverageTable(
-        n_items=n_items, theory_pct=pct(theory_counts), cluster_pct=pct(cluster_counts)
-    )
+    def pct(counts: dict) -> dict[str, float]:
+        return {key: 100.0 * float(counts[key]) / n_items
+                for key in sorted(counts) if counts[key]}
+    return CoverageTable(n_items=n_items, theory_pct=pct(theory), cluster_pct=pct(cluster))
 
 
 @dataclass

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from dlab.corpus import Corpus, Comment, Post, Verdict
-from dlab.sampler import Contexts, Units
+from dlab.disclosure import (THEORY_BITS, DisclosureSpan, HighLevelCategory, Profiles,
+                             matches_phrase_filter)
+from dlab.sampler import CategoryFilter, Contexts, Units
 
 
 def write_jsonl(path, records):
@@ -139,3 +141,51 @@ def contexts_of(records) -> Contexts:
     return Contexts.of([(ctx.annotator_id, ctx.post_id) for ctx in records], units,
                        [len(ctx.items) for ctx in records], np.arange(len(items)),
                        None if None in sims else np.array(sims, dtype=np.float64))
+
+
+@dataclass(frozen=True)
+class CategoryProfile:
+    """One comment's profile as a plain record, for comparing profiles row
+    by row: its theory categories, whether it passes the phrase filter, and
+    its cluster id (None for none)."""
+
+    comment_id: str
+    theory_categories: frozenset[HighLevelCategory]
+    passes_phrase_filter: bool
+    cluster_id: int | None = None
+
+
+def comment_profile(comment: Comment, spans: list[DisclosureSpan]) -> CategoryProfile:
+    """The profile of one comment from its extracted disclosure spans."""
+    return CategoryProfile(
+        comment_id=comment.id,
+        theory_categories=frozenset(s.high_level for s in spans),
+        passes_phrase_filter=matches_phrase_filter(comment.text),
+    )
+
+
+def profile_records(profiles: Profiles) -> dict[str, CategoryProfile]:
+    """One CategoryProfile per row of the columns, by comment id."""
+    return {cid: CategoryProfile(cid, frozenset(profiles.categories(row)), phrase,
+                                 None if cluster < 0 else cluster)
+            for row, (cid, phrase, cluster) in enumerate(zip(
+                profiles.comment_ids, profiles.phrase.tolist(), profiles.cluster.tolist()))}
+
+
+def profiles_of(records: dict[str, CategoryProfile]) -> Profiles:
+    """The columns of CategoryProfiles, in comment id order."""
+    ids = sorted(records)
+    return Profiles(
+        ids,
+        np.array([sum(THEORY_BITS[c] for c in records[cid].theory_categories) for cid in ids],
+                 dtype=np.uint8),
+        np.array([records[cid].passes_phrase_filter for cid in ids], dtype=bool),
+        np.array([-1 if records[cid].cluster_id is None else records[cid].cluster_id
+                  for cid in ids], dtype=np.int32))
+
+
+def admits(filt: CategoryFilter, profile: CategoryProfile) -> bool:
+    """Whether a category filter admits a comment of that profile."""
+    if filt.theory is not None:
+        return filt.theory in profile.theory_categories
+    return profile.cluster_id == filt.cluster

@@ -47,6 +47,7 @@ import json
 import math
 import random
 import tempfile
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -57,21 +58,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import Item, Record, contexts_of, dense, records_of
+from conftest import (CategoryProfile, Item, Record, admits, comment_profile, contexts_of, dense,
+                      profile_records, profiles_of, records_of, traced_peak)
 
 import dlab.embed
 import dlab.model
+import dlab.pipeline
 import dlab.sampler
 from dlab.corpus import _BOUNDARY_RE, Comment, Corpus, Post, Verdict, segment_sentences
 from dlab.disclosure import (
-    CategoryProfile,
     DisclosureSpan,
     HighLevelCategory,
     LowLevelCategory,
     PatternSet,
     attach_clusters,
     build_profiles,
-    comment_profile,
     default_patterns,
     extract_corpus,
 )
@@ -291,7 +292,8 @@ def oracle_annotator_pool(corpus, annotator_id, profiles, filt, unit="comment"):
         units = [(cid, None, corpus.comments[cid].text) for cid in cids]
     if filt is None:
         return units, list(range(len(units)))
-    return units, [i for i, (cid, _, _) in enumerate(units) if filt.admits(profiles[cid])]
+    records = profile_records(profiles)
+    return units, [i for i, (cid, _, _) in enumerate(units) if admits(filt, records[cid])]
 
 
 def oracle_sample_context(annotator_id, post_id, corpus, embeddings, profiles, cfg,
@@ -303,7 +305,8 @@ def oracle_sample_context(annotator_id, post_id, corpus, embeddings, profiles, c
         raise ValueError(f"unknown post {post_id!r}")
     candidates = list(corpus.annotator_index[annotator_id])
     if cfg.category_filter is not None:
-        candidates = [cid for cid in candidates if cfg.category_filter.admits(profiles[cid])]
+        records = profile_records(profiles)
+        candidates = [cid for cid in candidates if admits(cfg.category_filter, records[cid])]
     unit = "sentence" if cfg.strategy in SENTENCE_STRATEGIES else "comment"
     if unit == "sentence":
         units = [
@@ -515,6 +518,7 @@ def oracle_predict(params, x):
 
 def oracle_category_coverage(contexts, profiles) -> CoverageTable:
     """The coverage table of Records, counted item by item."""
+    profiles = profile_records(profiles)
     theory_counts = Counter()
     cluster_counts = Counter()
     n_items = 0
@@ -694,8 +698,74 @@ def test_extract_corpus_matches_per_comment_oracle(patterns, corpus):
     for cid, spans in got.items():
         text = corpus.comments[cid].text
         assert all(text[s.start:s.end] == s.matched_text != "" for s in spans)
-    assert build_profiles(fresh_copy(corpus), pats) == {
+    assert profile_records(build_profiles(fresh_copy(corpus), pats)) == {
         cid: comment_profile(corpus.comments[cid], spans) for cid, spans in want.items()}
+
+
+@pytest.mark.parametrize("patterns", [default_patterns, empty_matching_patterns],
+                         ids=["default", "empty-match"])
+@settings(max_examples=60, deadline=None)
+@given(corpus=extract_corpus_strategy(), data=st.data())
+def test_profile_columns_match_record_oracle(patterns, corpus, data):
+    # the columns of build_profiles and attach_clusters, row by row, equal
+    # the records built from each comment's extracted spans with the cluster
+    # ids attached one by one, bit for bit; each filter's mask equals the
+    # record test, and a cluster id on a comment that fails the phrase filter
+    # is refused as the records refuse it
+    pats = patterns()
+    # comments that repeat each other's text whole
+    for cid in sorted(corpus.comments)[1::2]:
+        corpus.comments[cid + "-again"] = Comment(cid + "-again", "a", corpus.comments[cid].text)
+    records = {cid: comment_profile(corpus.comments[cid], spans)
+               for cid, spans in oracle_extract_corpus(fresh_copy(corpus), pats).items()}
+    passing = sorted(cid for cid, rec in records.items() if rec.passes_phrase_filter)
+    assignment = {cid: data.draw(st.integers(0, 3)) for cid in
+                  data.draw(st.lists(st.sampled_from(passing), unique=True) if passing
+                            else st.just([]))}
+    profiles = build_profiles(corpus, pats)
+    assert profiles.comment_ids == sorted(corpus.comments)
+    assert (profiles.theory.dtype, profiles.phrase.dtype, profiles.cluster.dtype) == (
+        np.uint8, np.bool_, np.int32)
+    assert all(c._sentence_spans is None for c in corpus.comments.values())
+    clustered = attach_clusters(profiles, assignment)
+    want = {cid: replace(rec, cluster_id=assignment.get(cid)) for cid, rec in records.items()}
+    assert profile_records(profiles) == records
+    assert profile_records(clustered) == want
+    for got, oracle in ((profiles, records), (clustered, want)):
+        expected = profiles_of(oracle)
+        for column in ("theory", "phrase", "cluster"):
+            assert getattr(got, column).tobytes() == getattr(expected, column).tobytes()
+        for filt in [CategoryFilter(theory=c) for c in HighLevelCategory] + [
+                CategoryFilter(cluster=i) for i in range(4)]:
+            assert filt.mask(got).tolist() == [admits(filt, oracle[cid])
+                                               for cid in got.comment_ids]
+    failing = sorted(set(records) - set(passing))
+    if failing:
+        cid = data.draw(st.sampled_from(failing))
+        with pytest.raises(ValueError, match=f"comment {cid!r} has a cluster id but fails"):
+            attach_clusters(profiles, {**assignment, cid: 0})
+
+
+def test_profiles_hold_a_few_bytes_per_comment():
+    # 20,000 comments of a few texts: the profiles keep the sorted id list
+    # and 6 bytes of columns per comment, and the call's memos and lists are
+    # freed; the corpus's id strings are shared, not copied
+    texts = ["I'm 22 and a nurse. I think so!", "My brother is loud.\nNTA.", "Same here.",
+             "I like trains a lot", "I have three old bikes. I am a woman."]
+    n = 20_000
+    corpus = Corpus(posts={}, verdicts=[], comments={
+        f"c{i:05d}": Comment(f"c{i:05d}", "a", texts[i % len(texts)]) for i in range(n)})
+    build_profiles(corpus)  # the pattern set and the regexes' caches, once
+
+    def held():
+        start = tracemalloc.get_traced_memory()[0]
+        profiles = build_profiles(corpus)
+        return profiles, tracemalloc.get_traced_memory()[0] - start
+
+    (profiles, kept), peak = traced_peak(held)
+    assert len(profiles) == n
+    assert kept <= 15 * n + 4096
+    assert peak <= 40 * n + 65536
 
 
 # ---------------------------------------------------------------------------
@@ -969,9 +1039,9 @@ def tied_world():
         verdicts=[Verdict(pid, aid, "NTA") for pid in ("p0", "p1\xe9")
                   for aid in ("judge", "sölo")])
     categories = list(HighLevelCategory)
-    profiles = {cid: CategoryProfile(cid, frozenset(categories[i % 4:i % 4 + 2]), True,
-                                     cluster_id=i % 2)
-                for i, cid in enumerate(texts)}
+    profiles = profiles_of({cid: CategoryProfile(cid, frozenset(categories[i % 4:i % 4 + 2]), True,
+                                                 cluster_id=i % 2)
+                            for i, cid in enumerate(texts)})
     return (corpus, embed_corpus(corpus, ECFG), embed_sentences(corpus, ECFG), profiles,
             [(v.annotator_id, v.post_id) for v in corpus.verdicts])
 
@@ -1271,6 +1341,45 @@ def test_diagnostics_match_record_walking_oracles(world):
                     == diagnostics(oracle_similar_post_diversity, records, corpus))
     assert sentence_items > 0
     assert "no annotators" in diagnostics(similar_post_diversity, partitions[-1], corpus)[0]
+
+
+def test_selected_rows_equal_the_dense_round_trip(world):
+    # select gathers rows as stored: the same ids, CSR arrays and norms as
+    # from_dense of the rows taken dense, the route cluster_comments took,
+    # on hashed rows and on rows with -0.0 entries and all-zero rows, in
+    # order, shuffled, and none
+    _, embeddings, *_ = world
+    rng = np.random.default_rng(2)
+    data = dense(embeddings)
+    data[rng.random(data.shape) < 0.05] = -0.0
+    data[::7] = 0.0
+    signed = EmbeddingMatrix.from_dense(list(embeddings.ids), data)
+    for matrix in (embeddings, signed):
+        for rows in (list(range(len(matrix))), rng.permutation(len(matrix))[:40].tolist(), []):
+            got = matrix.select(rows)
+            want = EmbeddingMatrix.from_dense([matrix.ids[i] for i in rows], matrix.take(rows))
+            assert (got.ids, got.dim) == (want.ids, want.dim)
+            for name in ("indptr", "indices", "values", "norms"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_cluster_comments_reduces_the_phrase_filtered_rows_as_before(world, monkeypatch):
+    # truncated_svd gets the phrase-filtered comments' rows, in id order, bit
+    # for bit as from_dense of their dense rows gave them
+    corpus, embeddings, *_ = world
+    profiles = build_profiles(corpus)
+    seen, svd = [], dlab.pipeline.truncated_svd
+    monkeypatch.setattr(dlab.pipeline, "truncated_svd",
+                        lambda matrix, *args, **kw: seen.append(matrix) or svd(matrix, *args, **kw))
+    cluster_comments(embeddings, profiles, 3, 4, 1)
+    eligible = [cid for cid, rec in sorted(profile_records(profiles).items())
+                if rec.passes_phrase_filter]
+    want = EmbeddingMatrix.from_dense(
+        eligible, embeddings.take([embeddings.row_index(cid) for cid in eligible]))
+    assert len(seen) == 1 and seen[0].ids == eligible
+    for name in ("indptr", "indices", "values", "norms"):
+        assert getattr(seen[0], name).tobytes() == getattr(want, name).tobytes()
 
 
 # ---------------------------------------------------------------------------

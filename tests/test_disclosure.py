@@ -1,15 +1,16 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import profile_records
 
 import dlab.disclosure
 from dlab.corpus import Comment, Corpus, Post, Verdict
 from dlab.disclosure import (
     PHRASES,
     AuditRecord,
-    CategoryProfile,
     HighLevelCategory,
     LowLevelCategory,
     PatternError,
@@ -437,7 +438,7 @@ def test_audit_sample_unknown_group():
 
 def test_audit_sample_spans_carry_category():
     corpus = _mixed_corpus()
-    profiles = build_profiles(corpus)
+    profiles = profile_records(build_profiles(corpus))
     for group in HighLevelCategory:
         recs = audit_sample(corpus, group, 10, seed=0)
         assert {r.comment_id for r in recs} == {
@@ -449,7 +450,7 @@ def test_audit_sample_spans_carry_category():
 
 def test_build_profiles():
     corpus = _mixed_corpus()
-    profiles = build_profiles(corpus)
+    profiles = profile_records(build_profiles(corpus))
     assert profiles["c0"].theory_categories == {HighLevelCategory.DEMOGRAPHICS}
     assert profiles["c3"].theory_categories == {
         HighLevelCategory.ATTITUDES, HighLevelCategory.DEMOGRAPHICS}
@@ -461,12 +462,20 @@ def test_build_profiles():
 
 def test_build_profiles_cluster_on_unfiltered_comment_rejected():
     corpus = _mixed_corpus()
-    attach_clusters(build_profiles(corpus), {"c0": 1})  # fine: c0 passes
-    with pytest.raises(ValueError, match="phrase filter"):
-        attach_clusters(build_profiles(corpus), {"c4": 0})
+    profiles = build_profiles(corpus)
+    clustered = attach_clusters(profiles, {"c0": 1, "elsewhere": 2})  # fine: c0 passes
+    assert clustered.cluster.tolist() == [1] + [-1] * (len(profiles) - 1)
+    assert profiles.cluster.tolist() == [-1] * len(profiles)  # a new column
+    with pytest.raises(ValueError, match="'c4' has a cluster id but fails the phrase filter"):
+        attach_clusters(profiles, {"c4": 0, "c0": 1})
 
 
-def test_profile_dataclass_is_frozen():
-    prof = CategoryProfile("c", frozenset(), True)
-    with pytest.raises(Exception):
-        prof.passes_phrase_filter = False
+def test_profiles_are_typed_columns_in_id_order():
+    corpus = _mixed_corpus()
+    profiles = build_profiles(corpus)
+    assert profiles.comment_ids == sorted(corpus.comments)
+    assert len(profiles) == len(corpus.comments)
+    assert (profiles.theory.dtype, profiles.phrase.dtype, profiles.cluster.dtype) == (
+        np.uint8, np.bool_, np.int32)
+    assert profiles.rows(["c3", "c0"]).tolist() == [3, 0]
+    assert "c3" in profiles and "nope" not in profiles

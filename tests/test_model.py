@@ -735,6 +735,40 @@ def test_train_peak_memory_stays_within_its_batch_buffers():
     assert peak <= buffers + 6 * state + (1 << 20)
 
 
+def test_train_holds_no_views_per_batch_beyond_a_bound(monkeypatch):
+    # 2,000 rows at batch size 1 and two fits: 2,000 batches an epoch, over
+    # _KEPT_STEPS (patched down to 16), so each step makes its own views and
+    # the call holds a few arrays of runs x n entries, not 0.7 KB per batch
+    rng = np.random.default_rng(3)
+    n = 2000
+    features = Features(rng.standard_normal((40, 4)), rng.standard_normal((60, 4)),
+                        np.stack([rng.integers(0, 40, n), rng.integers(0, 60, n)], axis=1))
+    y = np.arange(n) % 2
+    cfg = TrainConfig(epochs=1, batch_size=1, seed=1)
+    monkeypatch.setattr(dlab.model, "_KEPT_STEPS", 16, raising=False)
+    fits, peak = traced_peak(lambda: train(features, y, cfg, 2))
+    assert peak <= 300 * n
+
+
+@pytest.mark.parametrize("batch_size,n", [(1, 50), (7, 50), (16, 64), (64, 50)])
+def test_train_steps_made_per_step_fit_the_same_bits(monkeypatch, batch_size, n):
+    # an epoch of more than _KEPT_STEPS batches makes each batch's views at
+    # its step: the same weights, bias and losses as views made once per
+    # call, with a shorter last batch and without
+    rng = np.random.default_rng(8)
+    features = Features(rng.standard_normal((9, 5)), rng.standard_normal((11, 6)),
+                        np.stack([rng.integers(0, 9, n), rng.integers(0, 11, n)], axis=1))
+    y = rng.integers(0, 2, n)
+    cfg = TrainConfig(epochs=3, batch_size=batch_size, seed=4, learning_rate=0.05)
+    kept = train(features, y, cfg, 3)
+    monkeypatch.setattr(dlab.model, "_KEPT_STEPS", 0)
+    made = train(features, y, cfg, 3)
+    for a, b in zip(kept.params, made.params):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes()
+        assert a.loss_history == b.loss_history
+
+
 POSTS, CONTEXTS, INDEX = np.zeros((3, 2)), np.zeros((3, 2)), np.array([[1, 0], [2, 2]])
 
 

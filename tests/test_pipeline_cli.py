@@ -12,6 +12,7 @@ from test_batch_oracles import cosine_similarity
 
 import dlab.cli
 import dlab.disclosure
+import dlab.embed
 import dlab.model
 import dlab.pipeline
 from dlab.cli import main
@@ -25,6 +26,7 @@ from dlab.pipeline import (
     ConfigError,
     ExperimentConfig,
     build_conditions,
+    category_filters,
     effective_config_text,
     embed_corpus,
     merge_reports,
@@ -39,7 +41,7 @@ from dlab.pipeline import (
 from dlab.sampler import SamplerConfig, load_contexts
 from dlab.seeds import derive_seed
 from dlab.synthgen import PopulationSpec, generate_population, write_population
-from tests.conftest import records_of, write_jsonl
+from tests.conftest import profile_records, records_of, write_jsonl
 
 MINIMAL_CORPUS_INI = """\
 [corpus]
@@ -652,6 +654,110 @@ def test_pipeline_sentence_strategies(tmp_path):
         assert all(i.unit == "sentence" and i.similarity is None for i in ctx.items)
 
 
+def _count_calls(monkeypatch, module, *names) -> list[str]:
+    """The names of `module` called from now on, in call order."""
+    calls = []
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _without_provenance(directory, *keys) -> dict[str, bytes]:
+    """Every file under the directory, less the effective.cfg and report.tsv
+    lines of the given keys."""
+    files = {}
+    for path in sorted(Path(directory).rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name in ("effective.cfg", "report.tsv"):
+                data = b"".join(line for line in data.splitlines(keepends=True)
+                                if not line.lstrip(b"# ").startswith(
+                                    tuple(key.encode() for key in keys)))
+            files[str(path.relative_to(directory))] = data
+    return files
+
+
+def test_run_builds_profiles_and_clusters_only_for_its_filters(tmp_path, monkeypatch):
+    # with clustering on, a grid without a category token builds no profiles
+    # and fits no clusters (nor counts the phrase-filtered comments, so a k
+    # above them is no error), and writes what the run without clustering
+    # writes; a theory token builds the profiles once and fits no clusters;
+    # a cluster token does both
+    ini = tmp_path / "exp.ini"
+    ini.write_text(SYNTH_INI)
+    calls = _count_calls(monkeypatch, dlab.pipeline, "build_profiles", "truncated_svd", "kmeans")
+    plain = {"cluster.enabled": "false"}
+    for name, categories, expected in (
+            ("none", "none", []),
+            ("theory", "none,theory:*", ["build_profiles"]),
+            ("cluster", "none,cluster:1", ["build_profiles", "truncated_svd", "kmeans"])):
+        sampler = {"sampler.categories": categories}
+        clustered = {"cluster.enabled": "true", "cluster.k": "1000" if name == "none" else "2"}
+        run_pipeline(parse_config(ini, {"run.out": str(tmp_path / name), **sampler, **clustered}))
+        assert calls == expected
+        del calls[:]
+        if name != "cluster":
+            run_pipeline(parse_config(ini, {"run.out": str(tmp_path / f"{name}-plain"),
+                                            **sampler, **plain}))
+            assert _without_provenance(tmp_path / name, "out =", "cluster_") == \
+                _without_provenance(tmp_path / f"{name}-plain", "out =", "cluster_")
+            del calls[:]
+
+
+def test_cli_sample_fits_clusters_only_for_a_cluster_condition(sample_inputs, tmp_path,
+                                                              monkeypatch):
+    # one config, clustering on, with theory and cluster tokens: `dlab
+    # sample` builds profiles for a filtered condition only, and fits the
+    # clusters for a cluster condition only; the unfiltered condition's
+    # contexts are those of the config without clustering
+    _, data = sample_inputs
+    sampler = "[sampler]\nmax_samples = 3\ncategories = none,theory:*,cluster:*\n"
+    config = write_stage_config(tmp_path / "on.ini", data,
+                                f"[cluster]\nenabled = true\nk = 3\n\n{sampler}")
+    calls = _count_calls(monkeypatch, dlab.pipeline, "build_profiles", "truncated_svd", "kmeans")
+    for condition, expected in (
+            ("no_comments", []), ("similar_comments-k3", []),
+            ("similar_comments-k3-theory:Attitudes", ["build_profiles"]),
+            ("similar_comments-k3-cluster:1", ["build_profiles", "truncated_svd", "kmeans"])):
+        out = tmp_path / f"{condition.replace(':', '_')}.jsonl"
+        assert main(["sample", "--config", config, "--condition", condition,
+                     "--out", str(out)]) == 0
+        assert calls == expected, condition
+        del calls[:]
+    config = write_stage_config(tmp_path / "off.ini", data,
+                                sampler.replace(",cluster:*", ""))
+    assert main(["sample", "--config", config, "--condition", "similar_comments-k3",
+                 "--out", str(tmp_path / "off.jsonl")]) == 0
+    assert (tmp_path / "off.jsonl").read_bytes() == \
+        (tmp_path / "similar_comments-k3.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "sample", "cluster"])
+def test_too_few_phrase_filtered_comments_fail_before_embedding(sample_inputs, tmp_path,
+                                                                monkeypatch, capsys, command):
+    # the count needs only the comments' text, so a k above it is a data
+    # error before any text is embedded and before the run writes a split
+    _, data = sample_inputs
+    config = write_stage_config(
+        tmp_path / "k.ini", data,
+        "[cluster]\nenabled = true\nk = 1000\n\n[sampler]\ncategories = none,cluster:0\n")
+    calls = _count_calls(monkeypatch, dlab.embed, "embed_text")
+    argv = {"run": ["run", "--config", config, "--out", str(tmp_path / "out")],
+            "sample": ["sample", "--config", config, "--condition",
+                       "similar_comments-k5-cluster:0", "--out", str(tmp_path / "s.jsonl")],
+            "cluster": ["cluster", "--config", config, "--out", str(tmp_path / "c.jsonl")]}
+    assert main(argv[command]) == 2
+    assert re.search(r"data error: only \d+ phrase-filtered comments for k=1000",
+                     capsys.readouterr().err)
+    assert calls == []
+    assert not (tmp_path / "out" / "split.jsonl").exists()
+
+
 def test_pipeline_empty_partition_is_data_error(tmp_path, capsys):
     # three posts split by situation at 0.8/0.1/0.1 put every verdict in train
     (tmp_path / "exp.ini").write_text(
@@ -1021,7 +1127,8 @@ def test_cli_corpus_analyses_read_the_run_corpus(tmp_path, source):
     assert [json.loads(line) for line in profiles.read_text().splitlines()] == [
         {"comment_id": cid, "theory_categories": sorted(c.value for c in prof.theory_categories),
          "passes_phrase_filter": prof.passes_phrase_filter}
-        for cid, prof in sorted(setup_profiles(cfg, corpus)[0].items())]
+        for cid, prof in sorted(profile_records(setup_profiles(
+            cfg, corpus, category_filters(cfg, ("theory:*",)))).items())]
 
     audit = tmp_path / "audit.jsonl"
     assert main(["analyze", "audit", "--config", str(config), "--category", "Demographics",

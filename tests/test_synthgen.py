@@ -1,4 +1,5 @@
 import pytest
+from conftest import profile_records
 
 from dlab.corpus import ingest_corpus
 from dlab.disclosure import (
@@ -51,7 +52,7 @@ def test_generation_seed_sensitive():
 
 def test_every_annotator_covers_every_active_category():
     corpus, _ = generate_population(SMALL)
-    profiles = build_profiles(corpus)
+    profiles = profile_records(build_profiles(corpus))
     active = {HighLevelCategory(name) for name, p in SMALL.disclosure_mix.items() if p > 0}
     assert active  # the default mix activates all four
     for aid, pool in corpus.annotator_index.items():
